@@ -1,7 +1,8 @@
 """Builds the optional compiled reduction machine.
 
 The package is fully functional without it: extreal.kernel falls back to the
-pure-Python machine when the extension is absent.
+pure-Python machine when the extension is absent.  Without Cython the
+extension is built from the committed, Cython-generated ``_speedup.c``.
 """
 
 from setuptools import Extension, setup
@@ -14,6 +15,6 @@ try:
         language_level="3",
     )
 except ImportError:
-    ext_modules = []
+    ext_modules = [Extension("extreal._speedup", ["src/extreal/_speedup.c"])]
 
 setup(ext_modules=ext_modules)

@@ -6,6 +6,9 @@ variables yields a canonical value, no matter what those values are.  Under
 call-by-value application this property is what keeps the fixed-point
 combinators from spinning, so the usual ``K t when x not free in t``
 shortcut is restricted to subterms that are themselves manifestly defined.
+
+Cost: ``abstract`` is one bottom-up pass per binder, linear in its input
+term.  ``_room`` holds the arity rule; ``always_defined`` reads it too.
 """
 
 from __future__ import annotations
@@ -51,46 +54,46 @@ def free_vars(t: LambdaTerm) -> frozenset[str]:
             return frozenset()
 
 
-def always_defined(t: Term) -> bool:
-    """True when every closing substitution of t denotes a value.
-
-    Holds for atoms and for constant-headed spines applied strictly below
-    arity with always-defined arguments.  Variable-headed and numeral-headed
-    applications are unknown or ill-typed, hence False.
-    """
-    head = t
-    nargs = 0
-    while isinstance(head, App):
-        if not always_defined(head.arg):
-            return False
-        nargs += 1
-        head = head.fun
-    match head:
-        case Const(kind):
-            arity = DELTA_ARITY.get(kind) or DEFINED_ARITY[kind]
-            return nargs < arity
-        case Num():
-            return nargs == 0
-        case Var():
-            return nargs == 0
-        case Opaque(_, value):
-            # A bare opaque head is inert and absorbs anything; an attached
-            # value may be a real function, so applications are unknown.
-            return nargs == 0 or value is None
+def _room(t: Term) -> float:
+    """How many more arguments t takes while always defined (< 0: it is not)."""
+    match t:
+        case App(fun, arg):
+            return _applied(_room(fun), _room(arg))
+        case Const(kind):  # one fewer than the arity at which it fires
+            return (DELTA_ARITY.get(kind) or DEFINED_ARITY[kind]) - 1
+        case Opaque(_, None):  # a bare opaque head is inert and absorbs anything
+            return float("inf")
+        case Num() | Var() | Opaque():  # applied: ill-typed or unknown
+            return 0
         case _:
-            return False
+            return -1
+
+
+def _applied(fun_room: float, arg_room: float) -> float:
+    return fun_room - 1 if fun_room > 0 and arg_room >= 0 else -1
+
+
+def always_defined(t: Term) -> bool:
+    """True when every closing substitution of t denotes a value: atoms, and
+    constant-headed spines below arity with always-defined arguments."""
+    return _room(t) >= 0
+
+
+def _abstract(x: str, t: Term) -> tuple[Term | None, float]:
+    """λ*x.t and the room of t; None means ``K t`` (x not free, t defined)."""
+    if isinstance(t, App):
+        fun, fun_room = _abstract(x, t.fun)
+        arg, arg_room = _abstract(x, t.arg)
+        room = _applied(fun_room, arg_room)
+        if fun is None and arg is None and room >= 0:
+            return None, room  # closed and defined: the caller wraps it whole
+        return App(App(S, fun or App(K, t.fun)), arg or App(K, t.arg)), room
+    return (SKK if isinstance(t, Var) and t.name == x else None), _room(t)
 
 
 def abstract(x: str, t: Term) -> Term:
     """λ*x.t on a Lam-free term: built from K, S and the symbols of t."""
-    match t:
-        case Var(name) if name == x:
-            return SKK
-        case App(fun, arg) if x in free_vars(t) or not always_defined(t):
-            return App(App(S, abstract(x, fun)), abstract(x, arg))
-        case _:
-            # x not free and t manifestly defined (atoms always are).
-            return App(K, t)
+    return _abstract(x, t)[0] or App(K, t)
 
 
 def compile_term(t: LambdaTerm) -> Term:
@@ -113,15 +116,11 @@ def lam(*parts: object) -> Lam:
     return t  # type: ignore[return-value]
 
 
-def _v(name: str) -> Var:
-    return Var(name)
-
-
 # Expansions of the defined constants.  P is pairing, P0/P1 the (partial)
 # projections; the aliases are exactly these compilations.
-PAIR_TERM = compile_term(lam("x", "y", "z", App(App(_v("z"), _v("x")), _v("y"))))
-PROJ0_TERM = compile_term(lam("x", App(_v("x"), K)))
-PROJ1_TERM = compile_term(lam("x", App(_v("x"), Const(ConstKind.KBAR))))
+PAIR_TERM = compile_term(lam("x", "y", "z", App(App(Var("z"), Var("x")), Var("y"))))
+PROJ0_TERM = compile_term(lam("x", App(Var("x"), K)))
+PROJ1_TERM = compile_term(lam("x", App(Var("x"), Const(ConstKind.KBAR))))
 
 EXPANSIONS = {
     ConstKind.P: PAIR_TERM,

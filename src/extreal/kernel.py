@@ -67,13 +67,3 @@ def project(v: Value, i: int, cfg: FuelConfig = DEFAULT_FUEL) -> Value | None:
 def pure_backend():
     """The reference machine, regardless of the selected backend."""
     return _pure
-
-
-def compiled_backend():
-    """The compiled machine, or None when it is not built."""
-    try:
-        from . import _speedup
-
-        return _speedup
-    except ImportError:
-        return None

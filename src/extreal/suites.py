@@ -914,7 +914,16 @@ def suite_choice_arrow(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
 # --- suite: truth-oracle ------------------------------------------------------
 
 
-def random_fragment_formula(rng: random.Random, qdepth: int, vars_in_scope: tuple[str, ...] = ()) -> Formula:
+# Connectives a generated formula may nest.  Each connective draws both
+# operands (Not then drops one) and keeps qdepth on the left, so without a
+# bound the generator is a critical branching process that now and then
+# recurses past the interpreter's limit.  The default corpus (seed 0) nests
+# at most 28 deep, so the bound leaves it unchanged.
+FRAGMENT_NESTING = 32
+
+
+def random_fragment_formula(rng: random.Random, qdepth: int, vars_in_scope: tuple[str, ...] = (),
+                            nesting: int = FRAGMENT_NESTING) -> Formula:
     def ref():
         if vars_in_scope and rng.random() < 0.5:
             return rng.choice(vars_in_scope)
@@ -923,15 +932,15 @@ def random_fragment_formula(rng: random.Random, qdepth: int, vars_in_scope: tupl
     roll = rng.random()
     if qdepth > 0 and roll < 0.35:
         var = f"v{len(vars_in_scope)}"
-        body = random_fragment_formula(rng, qdepth - 1, vars_in_scope + (var,))
+        body = random_fragment_formula(rng, qdepth - 1, vars_in_scope + (var,), nesting)
         if rng.random() < 0.5:
             return AllIn(var, Nat(rng.randint(0, 5)), body)
         bound = OMEGA if rng.random() < 0.3 else Nat(rng.randint(0, 5))
         return ExIn(var, bound, body)
-    if roll < 0.5:
+    if roll < 0.5 and nesting > 0:
         kind = rng.randrange(4)
-        l = random_fragment_formula(rng, qdepth, vars_in_scope)
-        r = random_fragment_formula(rng, max(0, qdepth - 1), vars_in_scope)
+        l = random_fragment_formula(rng, qdepth, vars_in_scope, nesting - 1)
+        r = random_fragment_formula(rng, max(0, qdepth - 1), vars_in_scope, nesting - 1)
         if kind == 0:
             return And(l, r)
         if kind == 1:

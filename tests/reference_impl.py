@@ -1,17 +1,38 @@
-"""Independent reference oracle for the realizability clauses.
+"""Independent reference oracles: realizability clauses, bracket abstraction.
 
-A direct boolean recursion over the defining clauses, valid on hereditarily
-finite explicit names only.  It shares nothing with the production checker
-beyond the reduction machine: no lookup indexing, no memo, no verdict
-calculus.  Crashing applications count as non-realization.
+``realizes`` is a direct boolean recursion over the defining clauses, valid
+on hereditarily finite explicit names only.  It shares nothing with the
+production checker beyond the reduction machine: no lookup indexing, no
+memo, no verdict calculus.  Crashing applications count as non-realization.
+
+``abstract``/``compile_term`` are the original quadratic bracket
+abstraction, which recomputes ``free_vars`` and ``always_defined`` at every
+App node on its path; ``extreal.bracket`` must produce exactly these terms.
 """
 
 from __future__ import annotations
 
+from extreal.bracket import SKK, Lam, LambdaTerm
 from extreal.formulas import AllIn, And, Eq, ExIn, Formula, Mem, Or, substitute
 from extreal.kernel import apply_value, project
 from extreal.names import Explicit, VName
-from extreal.terms import DEFAULT_FUEL, Defined, FuelConfig, MachineError, Value
+from extreal.terms import (
+    App,
+    Const,
+    DEFAULT_FUEL,
+    DEFINED_ARITY,
+    DELTA_ARITY,
+    Defined,
+    FuelConfig,
+    K,
+    MachineError,
+    Num,
+    Opaque,
+    S,
+    Term,
+    Value,
+    Var,
+)
 
 
 class OracleFuelOut(RuntimeError):
@@ -116,3 +137,60 @@ def nat_explicit(n: int) -> Explicit:
     return Explicit(
         tuple((num_value(m), num_value(m), nat_explicit(m)) for m in range(n))
     )
+
+
+# --- bracket abstraction -----------------------------------------------------
+
+
+def free_vars(t: LambdaTerm) -> frozenset[str]:
+    match t:
+        case Var(name):
+            return frozenset((name,))
+        case App(fun, arg):
+            return free_vars(fun) | free_vars(arg)
+        case Lam(var, body):
+            return free_vars(body) - {var}
+        case _:
+            return frozenset()
+
+
+def always_defined(t: Term) -> bool:
+    head = t
+    nargs = 0
+    while isinstance(head, App):
+        if not always_defined(head.arg):
+            return False
+        nargs += 1
+        head = head.fun
+    match head:
+        case Const(kind):
+            arity = DELTA_ARITY.get(kind) or DEFINED_ARITY[kind]
+            return nargs < arity
+        case Num():
+            return nargs == 0
+        case Var():
+            return nargs == 0
+        case Opaque(_, value):
+            return nargs == 0 or value is None
+        case _:
+            return False
+
+
+def abstract(x: str, t: Term) -> Term:
+    match t:
+        case Var(name) if name == x:
+            return SKK
+        case App(fun, arg) if x in free_vars(t) or not always_defined(t):
+            return App(App(S, abstract(x, fun)), abstract(x, arg))
+        case _:
+            return App(K, t)
+
+
+def compile_term(t: LambdaTerm) -> Term:
+    match t:
+        case Lam(var, body):
+            return abstract(var, compile_term(body))
+        case App(fun, arg):
+            return App(compile_term(fun), compile_term(arg))
+        case _:
+            return t

@@ -1,9 +1,21 @@
-"""Pure-Python and compiled machines implement identical semantics."""
+"""Pure-Python and compiled machines implement identical semantics.
 
+The compiled machine is built from the committed ``_speedup.c`` with the C
+compiler Python was configured with, so the cross-check runs whenever a
+compiler exists, whether or not the extension was built in place.
+"""
+
+import importlib.util
 import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
+import extreal
 from extreal import kernel
 from extreal import machine as pure
 from extreal.suites import random_closed_term
@@ -19,11 +31,27 @@ from extreal.terms import (
     opaque_value,
 )
 
-compiled = kernel.compiled_backend()
 
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled machine not built"
-)
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """extreal._speedup compiled from the committed C into a temporary directory."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]}) to build the compiled machine")
+    c_file = Path(extreal.__file__).with_name("_speedup.c")
+    so = tmp_path_factory.mktemp("speedup") / ("_speedup" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        cc + ["-shared", "-fPIC", "-O2", "-fwrapv", "-DNDEBUG",
+              "-I" + sysconfig.get_paths()["include"], str(c_file), "-o", str(so)],
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        pytest.fail(f"building {c_file.name} failed:\n{proc.stderr[-3000:]}")
+    spec = importlib.util.spec_from_file_location("extreal._speedup", so)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _outcome(f, t, cfg):
@@ -33,8 +61,7 @@ def _outcome(f, t, cfg):
         return type(exc).__name__
 
 
-@needs_compiled
-def test_backends_agree_on_random_terms():
+def test_backends_agree_on_random_terms(compiled):
     rng = random.Random(123)
     cfg = FuelConfig(max_steps=4000)
     for _ in range(2500):
@@ -49,8 +76,7 @@ def test_backends_agree_on_random_terms():
             assert a.value == b.value and a.steps == b.steps, (t, a, b)
 
 
-@needs_compiled
-def test_backends_agree_on_library_realizers():
+def test_backends_agree_on_library_realizers(compiled):
     from extreal.realizers import realizer_ids, realizer_term
 
     for ident in realizer_ids():
@@ -61,8 +87,7 @@ def test_backends_agree_on_library_realizers():
         assert a.value == b.value and a.steps == b.steps, ident
 
 
-@needs_compiled
-def test_backends_agree_on_apply_and_kleene():
+def test_backends_agree_on_apply_and_kleene(compiled):
     rng = random.Random(7)
     from extreal.suites import random_printable_value
 
@@ -91,8 +116,7 @@ def test_backends_agree_on_apply_and_kleene():
         assert want is compiled.kleene_eq(t1, t2)
 
 
-@needs_compiled
-def test_compiled_handles_opaque_and_env():
+def test_compiled_handles_opaque_and_env(compiled):
     from extreal.terms import Opaque, Var
 
     v = opaque_value("q")

@@ -220,6 +220,14 @@ def test_symmetry_on_numeral_fragment():
         assert fwd == rev
 
 
+def test_fragment_generator_terminates_on_every_seed():
+    # The truth-oracle suite draws 50 sentences at quantifier depth 2.
+    for seed in range(40):
+        rng = random.Random(seed)
+        for _ in range(50):
+            random_fragment_formula(rng, 2)
+
+
 def test_verdict_samples_counted():
     ver = check(both(IR), Eq(Nat(4), Nat(4)))
     assert ver.samples_checked > 1

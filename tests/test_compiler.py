@@ -1,11 +1,13 @@
 """Bracket abstraction and the fixed-point constructions."""
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extreal.bracket import EXPANSIONS, always_defined, free_vars
+import reference_impl
+from extreal.bracket import EXPANSIONS, Lam, always_defined, free_vars
 from extreal.compiler import (
     SKK,
     abstract,
@@ -26,11 +28,13 @@ from extreal.suites import (
 )
 from extreal.terms import (
     App,
+    Const,
     ConstKind,
     Defined,
     FuelConfig,
     K,
     Num,
+    Opaque,
     P,
     SUCC,
     Tri,
@@ -80,6 +84,51 @@ def test_substitution_law_against_oracle():
         if kleene_agree(App(s, ta), subst_oracle(body, "x", ta)) is False:
             mismatches += 1
     assert mismatches == 0
+
+
+_NAMES = ("x", "y", "z")
+_ATOMS = st.one_of(
+    st.sampled_from(_NAMES).map(Var),
+    st.integers(0, 3).map(Num),
+    st.sampled_from(list(ConstKind)).map(Const),
+    st.builds(
+        Opaque,
+        st.sampled_from(("a", "b")),
+        st.sampled_from((None, num_value(2), opaque_value("q"))),
+    ),
+)
+
+
+def _terms(binders: bool):
+    """Random terms; spines of up to six arguments over-saturate every constant."""
+
+    def extend(children):
+        parts = [
+            st.builds(App, children, children),
+            st.builds(lambda head, args: reduce(App, args, head), _ATOMS, st.lists(children, min_size=1, max_size=6)),
+        ]
+        if binders:
+            parts.append(st.builds(Lam, st.sampled_from(_NAMES), children))
+        return st.one_of(*parts)
+
+    return st.recursive(_ATOMS, extend, max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_NAMES), _terms(binders=False))
+def test_abstract_matches_quadratic_oracle(x, t):
+    out = abstract(x, t)
+    assert out == reference_impl.abstract(x, t)
+    assert always_defined(out)
+    assert always_defined(t) == reference_impl.always_defined(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms(binders=True))
+def test_compile_term_matches_quadratic_oracle(t):
+    out = compile_term(t)
+    assert out == reference_impl.compile_term(t)
+    assert always_defined(out) == reference_impl.always_defined(out)
 
 
 def test_compile_size_bound():
