@@ -39,6 +39,9 @@ _OP_EVAL = 0
 _OP_APPLY = 1
 _OP_PUSH = 2
 
+# Every pending application is the same instruction; one shared tuple.
+_APPLY = (_OP_APPLY,)
+
 _K = ConstKind.K
 _KBAR = ConstKind.KBAR
 _S = ConstKind.S
@@ -46,16 +49,21 @@ _D = ConstKind.D
 _SUCC = ConstKind.SUCC
 _PRED = ConstKind.PRED
 
-_defined_const_cache: dict[ConstKind, Value] = {}
+# The value of each constant: a delta constant is its own (interned) value, a
+# defined one the value of its expansion.
+_const_cache: dict[ConstKind, Value] = {}
 
 
-def _defined_const_value(kind: ConstKind) -> Value:
-    v = _defined_const_cache.get(kind)
+def _const_value(kind: ConstKind) -> Value:
+    v = _const_cache.get(kind)
     if v is None:
-        out = _run([(_OP_EVAL, EXPANSIONS[kind], None)], [], DEFAULT_FUEL)
-        assert isinstance(out, Defined)
-        v = out.value
-        _defined_const_cache[kind] = v
+        if kind in DELTA_ARITY:
+            v = intern_value(Value(Const(kind)))
+        else:
+            out = _run([(_OP_EVAL, EXPANSIONS[kind], None)], [], DEFAULT_FUEL)
+            assert isinstance(out, Defined)
+            v = out.value
+        _const_cache[kind] = v
     return v
 
 
@@ -64,47 +72,50 @@ def _accumulate(f: Value, a: Value, max_size: int) -> Value:
         raise ValueSizeExceeded(
             f"value of {f.size + a.size} nodes exceeds the cap of {max_size}"
         )
-    return intern_value(Value(f.head, f.args + (a,)))
+    return intern_value(f.extend(a))
 
 
 def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
     steps = 0
     max_steps = cfg.max_steps
     max_size = cfg.max_value_size
+    const_cache = _const_cache
+    push_op = ops.append
+    pop_op = ops.pop
+    push = vstack.append
+    pop = vstack.pop
     while ops:
-        op = ops.pop()
+        op = pop_op()
         tag = op[0]
         if tag == _OP_PUSH:
-            vstack.append(op[1])
+            push(op[1])
         elif tag == _OP_EVAL:
             t, env = op[1], op[2]
             while True:  # unfold application spines without re-pushing atoms
-                match t:
-                    case App(fun, arg):
-                        ops.append((_OP_APPLY,))
-                        ops.append((_OP_EVAL, arg, env))
-                        t = fun
-                        continue
-                    case Const(kind):
-                        if kind in DELTA_ARITY:
-                            vstack.append(intern_value(Value(t)))
-                        else:
-                            vstack.append(_defined_const_value(kind))
-                    case Num():
-                        vstack.append(intern_value(Value(t)))
-                    case Var(name):
-                        if env is None or name not in env:
-                            raise UnboundVariable(name)
-                        vstack.append(env[name])
-                    case Opaque(_, value):
-                        vstack.append(value if value is not None else intern_value(Value(t)))
-                    case Lam():
-                        raise TypeError("lambda terms must be compiled before evaluation")
-                    case Value():
-                        # Allow already-evaluated elements spliced into trees.
-                        vstack.append(t)
-                    case _:
-                        raise TypeError(f"not a term: {t!r}")
+                tt = type(t)
+                if tt is App:
+                    push_op(_APPLY)
+                    push_op((_OP_EVAL, t.arg, env))
+                    t = t.fun
+                    continue
+                if tt is Const:
+                    v = const_cache.get(t.kind)
+                    push(v if v is not None else _const_value(t.kind))
+                elif tt is Num:
+                    push(intern_value(Value(t)))
+                elif tt is Var:
+                    if env is None or t.name not in env:
+                        raise UnboundVariable(t.name)
+                    push(env[t.name])
+                elif tt is Opaque:
+                    push(t.value if t.value is not None else intern_value(Value(t)))
+                elif tt is Value:
+                    # Allow already-evaluated elements spliced into trees.
+                    push(t)
+                elif tt is Lam:
+                    raise TypeError("lambda terms must be compiled before evaluation")
+                else:
+                    raise TypeError(f"not a term: {t!r}")
                 break
         else:  # _OP_APPLY
             steps += 1
@@ -114,50 +125,50 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                     f"fuel exhausted: {len(ops)} pending operations, "
                     f"{len(vstack)} values on the stack",
                 )
-            a = vstack.pop()
-            f = vstack.pop()
+            a = pop()
+            f = pop()
             head = f.head
-            if isinstance(head, Num):
+            th = type(head)
+            if th is Num:
                 raise IllTypedApplication(f"numeral #{head.n} applied as a function")
-            if isinstance(head, Opaque):
-                vstack.append(_accumulate(f, a, max_size))
+            if th is Opaque:
+                push(_accumulate(f, a, max_size))
                 continue
             kind = head.kind
-            arity = DELTA_ARITY[kind]
-            if len(f.args) + 1 < arity:
-                vstack.append(_accumulate(f, a, max_size))
+            if len(f.args) + 1 < DELTA_ARITY[kind]:
+                push(_accumulate(f, a, max_size))
                 continue
             args = f.args + (a,)
             if kind is _K:
-                vstack.append(args[0])
+                push(args[0])
             elif kind is _KBAR:
-                vstack.append(args[1])
+                push(args[1])
             elif kind is _S:
                 fa, fb, fc = args
                 # (fa fc)(fb fc), both applications by value.
-                ops.append((_OP_APPLY,))
-                ops.append((_OP_APPLY,))
-                ops.append((_OP_PUSH, fc))
-                ops.append((_OP_PUSH, fb))
-                ops.append((_OP_APPLY,))
-                ops.append((_OP_PUSH, fc))
-                ops.append((_OP_PUSH, fa))
+                push_op(_APPLY)
+                push_op(_APPLY)
+                push_op((_OP_PUSH, fc))
+                push_op((_OP_PUSH, fb))
+                push_op(_APPLY)
+                push_op((_OP_PUSH, fc))
+                push_op((_OP_PUSH, fa))
             elif kind is _SUCC:
                 if not args[0].is_numeral():
                     raise StuckApplication("SUCC on a non-numeral")
-                vstack.append(intern_value(Value(Num(args[0].numeral + 1))))
+                push(intern_value(Value(Num(args[0].numeral + 1))))
             elif kind is _PRED:
                 if not args[0].is_numeral():
                     raise StuckApplication("PRED on a non-numeral")
                 n = args[0].numeral
                 if n == 0:
                     raise StuckApplication("PRED #0")
-                vstack.append(intern_value(Value(Num(n - 1))))
+                push(intern_value(Value(Num(n - 1))))
             else:  # _D
                 sel_a, sel_b = args[0], args[1]
                 if not (sel_a.is_numeral() and sel_b.is_numeral()):
                     raise StuckApplication("D selectors must be numerals")
-                vstack.append(args[2] if sel_a.numeral == sel_b.numeral else args[3])
+                push(args[2] if sel_a.numeral == sel_b.numeral else args[3])
     assert len(vstack) == 1
     return Defined(vstack.pop(), steps)
 
@@ -169,7 +180,7 @@ def eval_term(t: Term, env: dict[str, Value] | None = None, cfg: FuelConfig = DE
 
 def apply_value(f: Value, a: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
     """The partial application operation of the algebra, on elements."""
-    return _run([(_OP_APPLY,)], [f, a], cfg)
+    return _run([_APPLY], [f, a], cfg)
 
 
 def apply_values(f: Value, args: list[Value] | tuple[Value, ...], cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:

@@ -13,6 +13,12 @@ from .terms import App, Const, ConstKind, Num, Opaque, Term, Var
 
 _KEYWORDS = {kind.value: Const(kind) for kind in ConstKind}
 
+# Deepest nesting of parentheses and binders that ``parse`` accepts.
+# The parser takes up to two host frames per level and ``compile_term`` one,
+# so deeper input would hit the interpreter's recursion limit (1000 frames)
+# here or in the compiler; it is refused with a ParseError instead.
+MAX_NESTING = 200
+
 
 class ParseError(ValueError):
     def __init__(self, msg: str, pos: int, text: str):
@@ -73,32 +79,34 @@ class _Lexer:
 
 def parse(text: str) -> LambdaTerm:
     lx = _Lexer(text)
-    t = _parse_expr(lx, text)
+    t = _parse_expr(lx, text, 0)
     kind, val, pos = lx.peek()
     if kind != "eof":
         raise ParseError(f"unexpected {val!r}", pos, text)
     return t
 
 
-def _parse_expr(lx: _Lexer, text: str) -> LambdaTerm:
+def _parse_expr(lx: _Lexer, text: str, depth: int) -> LambdaTerm:
     kind, _, pos = lx.peek()
+    if depth > MAX_NESTING:
+        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos, text)
     if kind == "\\":
-        return _parse_lambda(lx, text)
-    t = _parse_atom(lx, text)
+        return _parse_lambda(lx, text, depth)
+    t = _parse_atom(lx, text, depth)
     if t is None:
         raise ParseError("term expected", pos, text)
     while True:
         kind, _, _ = lx.peek()
         if kind == "\\":
-            t = App(t, _parse_lambda(lx, text))
+            t = App(t, _parse_lambda(lx, text, depth))
             return t
-        nxt = _parse_atom(lx, text, optional=True)
+        nxt = _parse_atom(lx, text, depth, optional=True)
         if nxt is None:
             return t
         t = App(t, nxt)
 
 
-def _parse_lambda(lx: _Lexer, text: str) -> Lam:
+def _parse_lambda(lx: _Lexer, text: str, depth: int) -> Lam:
     lx.next()  # backslash
     names = []
     while True:
@@ -114,13 +122,13 @@ def _parse_lambda(lx: _Lexer, text: str) -> Lam:
             break
         if kind != "ident":
             raise ParseError("'.' expected after binders", pos, text)
-    body = _parse_expr(lx, text)
+    body = _parse_expr(lx, text, depth + len(names))
     for name in reversed(names):
         body = Lam(name, body)
     return body
 
 
-def _parse_atom(lx: _Lexer, text: str, optional: bool = False) -> LambdaTerm | None:
+def _parse_atom(lx: _Lexer, text: str, depth: int, optional: bool = False) -> LambdaTerm | None:
     kind, val, pos = lx.peek()
     if kind == "num":
         lx.next()
@@ -130,7 +138,7 @@ def _parse_atom(lx: _Lexer, text: str, optional: bool = False) -> LambdaTerm | N
         return _KEYWORDS.get(val, Var(val))
     if kind == "(":
         lx.next()
-        t = _parse_expr(lx, text)
+        t = _parse_expr(lx, text, depth + 1)
         kind, _, pos = lx.next()
         if kind != ")":
             raise ParseError("')' expected", pos, text)

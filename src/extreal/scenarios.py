@@ -152,6 +152,8 @@ def _parse_name(env: _Env, text: str, line: int) -> VName:
     head, _, rest = text.partition(" ")
     rest = rest.strip()
     if head == "nat":
+        if not rest.isdecimal():
+            raise ScenarioError(f"nat needs a natural number, got {rest!r}", line)
         return Nat(int(rest))
     if head in ("sing", "upair", "opair"):
         args = _split_name_args(env, rest, line, 1 if head == "sing" else 2)
@@ -164,21 +166,13 @@ def _parse_name(env: _Env, text: str, line: int) -> VName:
         return type_name(parse_type(rest))
     if head == "int":
         body, _, ty = rest.rpartition(":")
-        term = _parse_term(env, body, line)
-        out = eval_term(term, None, env.cfg)
-        if not isinstance(out, Defined):
-            raise ScenarioError("internalized term does not evaluate", line)
         from .names import internalize
 
-        return internalize(out.value, parse_type(ty), env.budget)
+        return internalize(_eval_value(env, body, line), parse_type(ty), env.budget)
     if head == "graph":
         body, _, types = rest.rpartition(":")
         dom, _, cod = types.partition("->")
-        term = _parse_term(env, body, line)
-        out = eval_term(term, None, env.cfg)
-        if not isinstance(out, Defined):
-            raise ScenarioError("graph term does not evaluate", line)
-        return Graph(out.value, parse_type(dom), parse_type(cod))
+        return Graph(_eval_value(env, body, line), parse_type(dom), parse_type(cod))
     if text.startswith("{"):
         if not text.endswith("}"):
             raise ScenarioError("unterminated explicit name", line)
@@ -240,10 +234,17 @@ def _split_name_args(env: _Env, text: str, line: int, n: int) -> list[VName]:
 
 
 def _eval_value(env: _Env, text: str, line: int) -> Value:
+    """The value of a term the scenario needs as data; a term without one
+    (machine error or fuel exhausted) is a ScenarioError on this line."""
     t = _parse_term(env, text, line)
-    out = eval_term(t, None, env.cfg)
+    try:
+        out = eval_term(t, None, env.cfg)
+    except MachineError as exc:
+        raise ScenarioError(
+            f"term {text.strip()!r} does not evaluate: {type(exc).__name__}: {exc}", line
+        ) from None
     if not isinstance(out, Defined):
-        raise ScenarioError(f"key term does not evaluate: {text!r}", line)
+        raise ScenarioError(f"term {text.strip()!r} does not evaluate: fuel exhausted", line)
     return out.value
 
 
@@ -382,13 +383,19 @@ def run_scenario(text: str) -> ScenarioReport:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "fuel":
-            env.cfg = FuelConfig(max_steps=int(rest), max_value_size=env.cfg.max_value_size)
-        elif head == "budget":
-            env.budget = EnumBudget(max_index=int(rest),
-                                    generators_per_type=env.budget.generators_per_type)
-        elif head == "seed":
-            env.seed = int(rest)
+        if head in ("fuel", "budget", "seed"):
+            # A bad literal and an out-of-range limit both raise ValueError.
+            try:
+                n = int(rest)
+                if head == "fuel":
+                    env.cfg = FuelConfig(max_steps=n, max_value_size=env.cfg.max_value_size)
+                elif head == "budget":
+                    env.budget = EnumBudget(max_index=n,
+                                            generators_per_type=env.budget.generators_per_type)
+                else:
+                    env.seed = n
+            except ValueError as exc:
+                raise ScenarioError(f"bad {head} {rest!r}: {exc}", lineno) from None
         elif head == "term":
             name, _, body = rest.partition("=")
             env.terms[name.strip()] = _parse_term(env, body, lineno)

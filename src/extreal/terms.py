@@ -58,6 +58,10 @@ class ConstKind(enum.Enum):
     P0 = "P0"
     P1 = "P1"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # sound; Enum's own __hash__ is a Python-level call on every dict lookup.
+    __hash__ = object.__hash__
+
 
 # Arity at which a delta rule fires.  P/P0/P1 are absent on purpose: they are
 # macro constants, not primitives.
@@ -116,7 +120,12 @@ Term = Const | Num | Var | App | Opaque
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Value:
-    """A weak canonical form: no delta rule fires at its head."""
+    """A weak canonical form: no delta rule fires at its head.
+
+    ``_hash`` is a left fold over the spine (``hash(head)``, then
+    ``hash((h, arg._hash))`` per argument), so ``extend`` can compute it from
+    the prefix in constant time.
+    """
 
     head: Const | Num | Opaque
     args: tuple["Value", ...] = ()
@@ -124,11 +133,25 @@ class Value:
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "size", 1 + sum(a.size for a in self.args))
-        object.__setattr__(self, "_hash", hash((self.head, self.args)))
+        size = 1
+        h = hash(self.head)
+        for a in self.args:
+            size += a.size
+            h = hash((h, a._hash))
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_hash", h)
 
     def __hash__(self):
         return self._hash
+
+    def extend(self, a: "Value") -> "Value":
+        """``Value(self.head, self.args + (a,))`` in constant time."""
+        v = _new_value(Value)
+        _set_head(v, self.head)
+        _set_args(v, self.args + (a,))
+        _set_size(v, self.size + a.size)
+        _set_hash(v, hash((self._hash, a._hash)))
+        return v
 
     def __eq__(self, other):
         if self is other:
@@ -151,6 +174,14 @@ class Value:
             raise ValueError(f"not a numeral value: {self!r}")
         return self.head.n
 
+
+# Slot setters for ``Value.extend``: they bypass the frozen __setattr__ the
+# way object.__setattr__ does, without its per-call attribute lookup.
+_new_value = object.__new__
+_set_head = Value.head.__set__
+_set_args = Value.args.__set__
+_set_size = Value.size.__set__
+_set_hash = Value._hash.__set__
 
 # Values produced by the machines are interned so that structural equality
 # of results usually reduces to identity (the checker memoizes on values).

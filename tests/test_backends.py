@@ -5,6 +5,7 @@ compiler Python was configured with, so the cross-check runs whenever a
 compiler exists, whether or not the extension was built in place.
 """
 
+import hashlib
 import importlib.util
 import random
 import shlex
@@ -131,3 +132,19 @@ def test_compiled_handles_opaque_and_env(compiled):
 def test_backend_selection_reports():
     assert kernel.BACKEND in ("pure", "compiled")
     assert kernel.pure_backend() is pure
+
+
+# sha256 of the Cython source and of the C generated from it.  Cython is not a
+# dependency, so the C cannot be regenerated on every machine: an edit to the
+# .pyx must come with a regenerated _speedup.c and new digests here.
+_SPEEDUP_DIGESTS = {
+    "_speedup.pyx": "5cd9dd140c7949899960105d7b41950ec5fb48ddda7c8e2406b2eb82ede15fbc",
+    "_speedup.c": "ded356538fe50c0d6ddfdd026a7cc6b8ca4a6602e7a5de5c9230edf7d904f9a1",
+}
+
+
+def test_compiled_sources_are_pinned():
+    pkg = Path(extreal.__file__).parent
+    for name, digest in _SPEEDUP_DIGESTS.items():
+        got = hashlib.sha256((pkg / name).read_bytes()).hexdigest()
+        assert got == digest, f"{name} changed: regenerate _speedup.c from _speedup.pyx and update the pins"

@@ -7,6 +7,8 @@ from extreal.compiler import compile_term, lam
 from extreal.kernel import apply_value, apply_values, eval_term, kleene_eq
 from extreal.terms import (
     App,
+    Const,
+    ConstKind,
     D,
     Defined,
     FuelConfig,
@@ -29,6 +31,7 @@ from extreal.terms import (
     ValueSizeExceeded,
     Var,
     app,
+    intern_value,
     num,
     num_value,
     opaque_value,
@@ -178,3 +181,31 @@ def test_fuel_config_validation():
         FuelConfig(max_steps=0)
     with pytest.raises(ValueError):
         FuelConfig(max_value_size=0)
+
+
+_heads = st.one_of(
+    st.sampled_from([Const(k) for k in ConstKind]),
+    st.integers(0, 9).map(Num),
+    st.sampled_from(["a", "b"]).map(Opaque),
+)
+_values = st.recursive(
+    _heads.map(Value),
+    lambda inner: st.builds(lambda h, args: Value(h, tuple(args)), _heads, st.lists(inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, _values)
+def test_extend_matches_the_constructor(v, a):
+    built = Value(v.head, v.args + (a,))
+    extended = v.extend(a)
+    assert extended == built
+    assert hash(extended) == hash(built) and extended.size == built.size
+    assert intern_value(extended) is intern_value(built)
+
+
+def test_const_kind_hashes_by_identity():
+    # Value hashes and the machine's arity lookups hash ConstKind members;
+    # Enum.__hash__ would be a Python-level call on each.
+    assert ConstKind.__hash__ is object.__hash__

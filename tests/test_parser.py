@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extreal.bracket import Lam
-from extreal.parser import ParseError, parse, print_term
-from extreal.terms import App, Const, ConstKind, Num, Var
+from extreal.bracket import Lam, compile_term
+from extreal.machine import eval_term
+from extreal.parser import MAX_NESTING, ParseError, parse, print_term
+from extreal.terms import App, Const, ConstKind, Defined, Num, Var
 
 
 def test_keywords_and_numerals():
@@ -47,6 +48,21 @@ def test_parse_errors_carry_position():
         parse("")
     with pytest.raises(ParseError):
         parse(r"\K. K")
+    deep = "(" * 500 + "K" + ")" * 500
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse(deep)
+    binders = "\\" + " ".join(f"x{i}" for i in range(500)) + ". x0"
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse(binders)
+
+
+def test_nesting_up_to_the_limit_parses_and_compiles():
+    n = MAX_NESTING
+    assert parse("(" * n + "K" + ")" * n) == Const(ConstKind.K)
+    nested = parse("K (" * n + "#1" + ")" * n)
+    binders = parse("".join(f"\\x{i}. " for i in range(n - 1)) + "K (" + "x0" + ")")
+    for t in (nested, binders):
+        assert isinstance(eval_term(compile_term(t)), Defined)
 
 
 _atoms = st.one_of(

@@ -96,6 +96,22 @@ def test_scenario_errors_carry_line_numbers():
         run_scenario("frobnicate everything\n")
     with pytest.raises(ScenarioError):
         run_scenario("realizer x = not-a-real-id\n")
+    # Bad settings, expected sides with no value and over-deep terms, on line 2.
+    for bad in _BAD_SECOND_LINES:
+        with pytest.raises(ScenarioError) as err:
+            run_scenario("eval K\n" + bad + "\n")
+        assert err.value.line == 2, bad
+
+
+_BAD_SECOND_LINES = [
+    "fuel abc",
+    "fuel 0",
+    "budget -1",
+    "seed x",
+    "eval K expect zz",
+    "eval K expect (#1 #2)",
+    "term t = " + "(" * 500 + "K" + ")" * 500,
+]
 
 
 def _cli(*args, stdin=None):
@@ -115,6 +131,10 @@ def test_cli_run_exit_codes():
     assert bad.returncode == 1
     syntax = _cli("run", "-", stdin="eval ((K\n")
     assert syntax.returncode == 2
+    for bad in _BAD_SECOND_LINES:
+        out = _cli("run", "-", stdin="eval K\n" + bad + "\n")
+        assert out.returncode == 2, (bad, out.stderr)
+        assert out.stderr.startswith("parse error: line 2: ") and "Traceback" not in out.stderr
 
 
 def test_cli_json_report():
