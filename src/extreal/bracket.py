@@ -79,16 +79,35 @@ def always_defined(t: Term) -> bool:
     return _room(t) >= 0
 
 
+# Marks a node on the stacks of the post-order walks below whose children
+# are done; the node itself lies just beneath the marker.
+_DONE = object()
+
+
 def _abstract(x: str, t: Term) -> tuple[Term | None, float]:
-    """λ*x.t and the room of t; None means ``K t`` (x not free, t defined)."""
-    if isinstance(t, App):
-        fun, fun_room = _abstract(x, t.fun)
-        arg, arg_room = _abstract(x, t.arg)
-        room = _applied(fun_room, arg_room)
-        if fun is None and arg is None and room >= 0:
-            return None, room  # closed and defined: the caller wraps it whole
-        return App(App(S, fun or App(K, t.fun)), arg or App(K, t.arg)), room
-    return (SKK if isinstance(t, Var) and t.name == x else None), _room(t)
+    """λ*x.t and the room of t; None means ``K t`` (x not free, t defined).
+
+    A post-order walk on an explicit stack: abstraction makes terms deeper
+    than their source, so compiled terms outgrow the host recursion limit.
+    """
+    todo: list = [t]
+    done: list[tuple[Term | None, float]] = []
+    while todo:
+        t = todo.pop()
+        if t is _DONE:
+            t = todo.pop()
+            arg, arg_room = done.pop()
+            fun, fun_room = done.pop()
+            room = _applied(fun_room, arg_room)
+            if fun is None and arg is None and room >= 0:
+                done.append((None, room))  # closed and defined: wrapped whole
+            else:
+                done.append((App(App(S, fun or App(K, t.fun)), arg or App(K, t.arg)), room))
+        elif type(t) is App:
+            todo += (t, _DONE, t.arg, t.fun)
+        else:
+            done.append(((SKK if type(t) is Var and t.name == x else None), _room(t)))
+    return done[0]
 
 
 def abstract(x: str, t: Term) -> Term:
@@ -97,14 +116,26 @@ def abstract(x: str, t: Term) -> Term:
 
 
 def compile_term(t: LambdaTerm) -> Term:
-    """Eliminate every Lam node, innermost binders first."""
-    match t:
-        case Lam(var, body):
-            return abstract(var, compile_term(body))
-        case App(fun, arg):
-            return App(compile_term(fun), compile_term(arg))
-        case _:
-            return t
+    """Eliminate every Lam node, innermost binders first (a post-order walk
+    on an explicit stack, like ``_abstract``)."""
+    todo: list = [t]
+    done: list[Term] = []
+    while todo:
+        t = todo.pop()
+        if t is _DONE:
+            t = todo.pop()
+            if type(t) is Lam:
+                done.append(abstract(t.var, done.pop()))
+            else:
+                arg = done.pop()
+                done.append(App(done.pop(), arg))
+        elif type(t) is App:
+            todo += (t, _DONE, t.arg, t.fun)
+        elif type(t) is Lam:
+            todo += (t, _DONE, t.body)
+        else:
+            done.append(t)
+    return done[0]
 
 
 def lam(*parts: object) -> Lam:

@@ -32,6 +32,8 @@ from .terms import (
     Value,
     ValueSizeExceeded,
     Var,
+    _APPLY_MEMO,
+    _INTERN,
     intern_value,
 )
 
@@ -68,11 +70,23 @@ def _const_value(kind: ConstKind) -> Value:
 
 
 def _accumulate(f: Value, a: Value, max_size: int) -> Value:
+    """``f a`` below the head's arity: the interned extension of ``f``.
+
+    The result is memoised when ``_INTERN`` holds ``f`` and, through the
+    result's last argument, ``a``; ``_run`` reads the memo before calling here.
+    """
     if f.size + a.size > max_size:
         raise ValueSizeExceeded(
             f"value of {f.size + a.size} nodes exceeds the cap of {max_size}"
         )
-    return intern_value(f.extend(a))
+    r = intern_value(f.extend(a))
+    # Checked after interning: an overflow there empties _INTERN and the memo.
+    if r.args[-1] is a and _INTERN.get(f) is f:
+        row = _APPLY_MEMO.get(id(f))
+        if row is None:
+            row = _APPLY_MEMO[id(f)] = {}
+        row[id(a)] = r
+    return r
 
 
 def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
@@ -80,6 +94,7 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
     max_steps = cfg.max_steps
     max_size = cfg.max_value_size
     const_cache = _const_cache
+    memo_row = _APPLY_MEMO.get
     push_op = ops.append
     pop_op = ops.pop
     push = vstack.append
@@ -131,13 +146,18 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
             th = type(head)
             if th is Num:
                 raise IllTypedApplication(f"numeral #{head.n} applied as a function")
-            if th is Opaque:
+            if th is Opaque or len(f.args) + 1 < DELTA_ARITY[head.kind]:
+                # Partial application: a memo hit within the size cap, or
+                # _accumulate (which raises ValueSizeExceeded past it).
+                row = memo_row(id(f))
+                if row is not None:
+                    r = row.get(id(a))
+                    if r is not None and r.size <= max_size:
+                        push(r)
+                        continue
                 push(_accumulate(f, a, max_size))
                 continue
             kind = head.kind
-            if len(f.args) + 1 < DELTA_ARITY[kind]:
-                push(_accumulate(f, a, max_size))
-                continue
             args = f.args + (a,)
             if kind is _K:
                 push(args[0])
@@ -145,14 +165,15 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                 push(args[1])
             elif kind is _S:
                 fa, fb, fc = args
-                # (fa fc)(fb fc), both applications by value.
+                # (fa fc)(fb fc), both applications by value; fa fc is
+                # applied next, so its operands go straight onto the stack.
                 push_op(_APPLY)
                 push_op(_APPLY)
                 push_op((_OP_PUSH, fc))
                 push_op((_OP_PUSH, fb))
                 push_op(_APPLY)
-                push_op((_OP_PUSH, fc))
-                push_op((_OP_PUSH, fa))
+                push(fa)
+                push(fc)
             elif kind is _SUCC:
                 if not args[0].is_numeral():
                     raise StuckApplication("SUCC on a non-numeral")

@@ -9,14 +9,18 @@ every printable tree.
 from __future__ import annotations
 
 from .bracket import Lam, LambdaTerm
-from .terms import App, Const, ConstKind, Num, Opaque, Term, Var
+from .terms import App, Const, ConstKind, Num, Opaque, Term, Value, Var
 
 _KEYWORDS = {kind.value: Const(kind) for kind in ConstKind}
 
-# Deepest nesting of parentheses and binders that ``parse`` accepts.
-# The parser takes up to two host frames per level and ``compile_term`` one,
-# so deeper input would hit the interpreter's recursion limit (1000 frames)
-# here or in the compiler; it is refused with a ParseError instead.
+# Deepest nesting that ``parse`` accepts.  A level is a parenthesis, a binder
+# name or an application, so a long left spine counts its length and the
+# parsed tree is at most this many App and Lam nodes deep.  The parser takes
+# up to two host frames per level, and recursive readers of source terms
+# (equality and hashing of the frozen term classes, ``free_vars``) one, so
+# deeper input would reach the interpreter's recursion limit (1000 frames);
+# it is refused with a ParseError instead.  Compiling makes terms deeper, so
+# ``compile_term`` and the walks over compiled terms use explicit stacks.
 MAX_NESTING = 200
 
 
@@ -79,34 +83,41 @@ class _Lexer:
 
 def parse(text: str) -> LambdaTerm:
     lx = _Lexer(text)
-    t = _parse_expr(lx, text, 0)
+    t, _ = _parse_expr(lx, text, 0)
     kind, val, pos = lx.peek()
     if kind != "eof":
         raise ParseError(f"unexpected {val!r}", pos, text)
     return t
 
 
-def _parse_expr(lx: _Lexer, text: str, depth: int) -> LambdaTerm:
+def _too_deep(pos: int, text: str) -> ParseError:
+    return ParseError(f"nesting deeper than {MAX_NESTING} levels", pos, text)
+
+
+def _parse_expr(lx: _Lexer, text: str, depth: int) -> tuple[LambdaTerm, int]:
+    """The expression at ``depth`` levels and its height in App/Lam nodes."""
     kind, _, pos = lx.peek()
     if depth > MAX_NESTING:
-        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos, text)
+        raise _too_deep(pos, text)
     if kind == "\\":
         return _parse_lambda(lx, text, depth)
-    t = _parse_atom(lx, text, depth)
-    if t is None:
-        raise ParseError("term expected", pos, text)
+    t, height = _parse_atom(lx, text, depth)
     while True:
-        kind, _, _ = lx.peek()
+        kind, _, pos = lx.peek()
         if kind == "\\":
-            t = App(t, _parse_lambda(lx, text, depth))
-            return t
-        nxt = _parse_atom(lx, text, depth, optional=True)
-        if nxt is None:
-            return t
-        t = App(t, nxt)
+            arg, arg_height = _parse_lambda(lx, text, depth)
+        else:
+            arg, arg_height = _parse_atom(lx, text, depth, optional=True)
+            if arg is None:
+                return t, height
+        t, height = App(t, arg), max(height, arg_height) + 1
+        if depth + height > MAX_NESTING:
+            raise _too_deep(pos, text)
+        if kind == "\\":
+            return t, height
 
 
-def _parse_lambda(lx: _Lexer, text: str, depth: int) -> Lam:
+def _parse_lambda(lx: _Lexer, text: str, depth: int) -> tuple[Lam, int]:
     lx.next()  # backslash
     names = []
     while True:
@@ -122,20 +133,22 @@ def _parse_lambda(lx: _Lexer, text: str, depth: int) -> Lam:
             break
         if kind != "ident":
             raise ParseError("'.' expected after binders", pos, text)
-    body = _parse_expr(lx, text, depth + len(names))
+    body, height = _parse_expr(lx, text, depth + len(names))
     for name in reversed(names):
         body = Lam(name, body)
-    return body
+    return body, height + len(names)
 
 
-def _parse_atom(lx: _Lexer, text: str, depth: int, optional: bool = False) -> LambdaTerm | None:
+def _parse_atom(
+    lx: _Lexer, text: str, depth: int, optional: bool = False
+) -> tuple[LambdaTerm | None, int]:
     kind, val, pos = lx.peek()
     if kind == "num":
         lx.next()
-        return Num(int(val))
+        return Num(int(val)), 0
     if kind == "ident":
         lx.next()
-        return _KEYWORDS.get(val, Var(val))
+        return _KEYWORDS.get(val, Var(val)), 0
     if kind == "(":
         lx.next()
         t = _parse_expr(lx, text, depth + 1)
@@ -144,15 +157,53 @@ def _parse_atom(lx: _Lexer, text: str, depth: int, optional: bool = False) -> La
             raise ParseError("')' expected", pos, text)
         return t
     if optional:
-        return None
+        return None, 0
     raise ParseError("term expected", pos, text)
 
 
-def print_term(t: LambdaTerm) -> str:
-    return _pp(t, False)
+def print_term(t: LambdaTerm | Value) -> str:
+    """The surface syntax of t; a value prints as its head applied to its
+    arguments.  Iterative, since evaluated and compiled terms can be deeper
+    than the host recursion limit."""
+    out: list[str] = []
+    todo: list = [(t, False)]  # (term, in atom position) or literal text
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, atom_pos = item
+        tt = type(t)
+        if tt is App or (tt is Value and t.args):
+            args: list = []  # last argument first
+            while type(t) is App:
+                args.append(t.arg)
+                t = t.fun
+            if type(t) is Value:
+                args += reversed(t.args)
+                t = t.head
+            if atom_pos:
+                out.append("(")
+                todo.append(")")
+            for a in args:
+                todo += ((a, True), " ")
+            todo.append((t, True))  # function position: lambdas need parentheses
+        elif tt is Lam:
+            names = []
+            while type(t) is Lam:
+                names.append(t.var)
+                t = t.body
+            if atom_pos:
+                out.append("(")
+                todo.append(")")
+            out.append(f"\\{' '.join(names)}. ")
+            todo.append((t, False))
+        else:
+            out.append(_atom(t.head if tt is Value else t))
+    return "".join(out)
 
 
-def _pp(t: LambdaTerm, atom_pos: bool) -> str:
+def _atom(t: LambdaTerm) -> str:
     match t:
         case Const(kind):
             return kind.value
@@ -161,25 +212,5 @@ def _pp(t: LambdaTerm, atom_pos: bool) -> str:
         case Var(name):
             return name
         case Opaque(ident, value):
-            tag = f"<{ident}>" if value is None else f"<{ident}=...>"
-            return tag
-        case Lam():
-            names = []
-            body = t
-            while isinstance(body, Lam):
-                names.append(body.var)
-                body = body.body
-            s = f"\\{' '.join(names)}. {_pp(body, False)}"
-            return f"({s})" if atom_pos else s
-        case App(fun, arg):
-            s = f"{_pp_fun(fun)} {_pp(arg, True)}"
-            return f"({s})" if atom_pos else s
+            return f"<{ident}>" if value is None else f"<{ident}=...>"
     raise TypeError(f"not a term: {t!r}")
-
-
-def _pp_fun(t: LambdaTerm) -> str:
-    # Function position: applications stay bare (left association), lambdas
-    # need parentheses.
-    if isinstance(t, App):
-        return f"{_pp_fun(t.fun)} {_pp(t.arg, True)}"
-    return _pp(t, True)

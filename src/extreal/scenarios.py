@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .checker import RealizerPair, Status, check, check_imp_on_witnesses, truth_eval
+from .checker import RealizerPair, Status, check, check_imp_on_witnesses, in_fragment, truth_eval
 from .formulas import (
     All,
     AllIn,
@@ -38,6 +38,7 @@ from .formulas import (
     Not,
     Or,
     fmt,
+    free_formula_vars,
 )
 from .kernel import eval_term
 from .names import (
@@ -59,7 +60,7 @@ from .names import (
 from .parser import ParseError, parse, print_term
 from .realizers import realizer_term, synthesize, value_of
 from .suites import SUITES, run_suite
-from .terms import DEFAULT_FUEL, Defined, FuelConfig, FuelExhausted, MachineError, Value
+from .terms import App, DEFAULT_FUEL, Defined, FuelConfig, FuelExhausted, MachineError, Value, Var
 from .compiler import compile_term
 
 
@@ -132,15 +133,19 @@ def _parse_term(env: _Env, text: str, line: int):
 
 
 def _resolve_term_names(env: _Env, t):
-    from .terms import App, Var
-
-    match t:
-        case Var(name) if name in env.terms:
-            return env.terms[name]
-        case App(fun, arg):
-            return App(_resolve_term_names(env, fun), _resolve_term_names(env, arg))
-        case _:
-            return t
+    """t with each declared term name replaced by its term; a post-order walk
+    on explicit stacks, because compiled terms outgrow the recursion limit."""
+    todo, done = [t], []
+    while todo:
+        t = todo.pop()
+        if t is None:  # both children done
+            arg = done.pop()
+            done.append(App(done.pop(), arg))
+        elif type(t) is App:
+            todo += (None, t.arg, t.fun)
+        else:
+            done.append(env.terms.get(t.name, t) if type(t) is Var else t)
+    return done[0]
 
 
 def _parse_name(env: _Env, text: str, line: int) -> VName:
@@ -163,16 +168,16 @@ def _parse_name(env: _Env, text: str, line: int) -> VName:
             return UPair(args[0], args[1])
         return OPair(args[0], args[1])
     if head == "F":
-        return type_name(parse_type(rest))
+        return type_name(_parse_type(rest, line))
     if head == "int":
         body, _, ty = rest.rpartition(":")
         from .names import internalize
 
-        return internalize(_eval_value(env, body, line), parse_type(ty), env.budget)
+        return internalize(_eval_value(env, body, line), _parse_type(ty, line), env.budget)
     if head == "graph":
         body, _, types = rest.rpartition(":")
         dom, _, cod = types.partition("->")
-        return Graph(_eval_value(env, body, line), parse_type(dom), parse_type(cod))
+        return Graph(_eval_value(env, body, line), _parse_type(dom, line), _parse_type(cod, line))
     if text.startswith("{"):
         if not text.endswith("}"):
             raise ScenarioError("unterminated explicit name", line)
@@ -194,6 +199,13 @@ def _parse_name(env: _Env, text: str, line: int) -> VName:
                 triples.append((t1, t2, member))
         return Explicit(tuple(triples))
     raise ScenarioError(f"unknown name syntax {text!r}", line)
+
+
+def _parse_type(text: str, line: int):
+    try:
+        return parse_type(text)
+    except ValueError as exc:
+        raise ScenarioError(f"bad type {text.strip()!r}: {exc}", line) from None
 
 
 def _split_name_args(env: _Env, text: str, line: int, n: int) -> list[VName]:
@@ -355,6 +367,17 @@ def _name_ref(env: _Env, text: str, line: int):
     return _parse_name(env, text, line)
 
 
+def _closed_formula(env: _Env, text: str, line: int) -> Formula:
+    """A formula a directive checks: it must have no free variables."""
+    phi = _parse_formula(env, text, line)
+    free = free_formula_vars(phi)
+    if free:
+        raise ScenarioError(
+            f"formula {fmt(phi)} is not closed: free variable(s) {', '.join(sorted(free))}", line
+        )
+    return phi
+
+
 def _parse_pair(env: _Env, text: str, line: int) -> RealizerPair:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
@@ -447,20 +470,11 @@ def _run_eval(env: _Env, rest: str, lineno: int) -> DirectiveResult:
         outcome = "fuel-exhausted"
         ok = expected in (None, "fuel-exhausted")
         return DirectiveResult(lineno, "eval", body, outcome, expected, bool(ok))
-    outcome = print_term(_value_to_term(out.value))
+    outcome = print_term(out.value)
     if expected is None:
         return DirectiveResult(lineno, "eval", body, outcome, None, True)
     want = _eval_value(env, expected, lineno)
     return DirectiveResult(lineno, "eval", body, outcome, expected, out.value == want)
-
-
-def _value_to_term(v: Value):
-    from .terms import App
-
-    t = v.head
-    for a in v.args:
-        t = App(t, _value_to_term(a))
-    return t
 
 
 def _run_check(env: _Env, rest: str, lineno: int) -> DirectiveResult:
@@ -470,7 +484,7 @@ def _run_check(env: _Env, rest: str, lineno: int) -> DirectiveResult:
         raise ScenarioError("check needs a realizer pair", lineno)
     pair_text, after = _take_balanced(body, lineno)
     pair = _parse_pair(env, f"({pair_text})", lineno)
-    phi = _parse_formula(env, after.strip(), lineno)
+    phi = _closed_formula(env, after.strip(), lineno)
     ver = check(pair, phi, env.budget, env.cfg)
     ok = True if expected is None else ver.status is _STATUS_WORDS.get(expected, None)
     return DirectiveResult(lineno, "check", body, ver.status.value, expected, bool(ok), ver.trace)
@@ -484,7 +498,7 @@ def _run_check_witnesses(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     main = main.strip()
     pair_text, after = _take_balanced(main, lineno)
     pair = _parse_pair(env, f"({pair_text})", lineno)
-    imp = _parse_formula(env, after.strip(), lineno)
+    imp = _closed_formula(env, after.strip(), lineno)
     if not isinstance(imp, Imp):
         raise ScenarioError("check-with-witnesses applies to an implication", lineno)
     wtext = wtext.strip()
@@ -503,7 +517,11 @@ def _run_check_witnesses(env: _Env, rest: str, lineno: int) -> DirectiveResult:
 
 def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     body, expected = _split_expect(rest)
-    phi = _parse_formula(env, body, lineno)
+    phi = _closed_formula(env, body, lineno)
+    if not in_fragment(phi):
+        raise ScenarioError(
+            f"synth-roundtrip needs a bounded-arithmetic formula, got {fmt(phi)}", lineno
+        )
     want = truth_eval(phi)
     wit = synthesize(phi, env.budget, env.cfg)
     got = wit is not None and check(wit, phi, env.budget, env.cfg).status is Status.REALIZED

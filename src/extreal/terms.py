@@ -185,15 +185,24 @@ _set_hash = Value._hash.__set__
 
 # Values produced by the machines are interned so that structural equality
 # of results usually reduces to identity (the checker memoizes on values).
+# The table is emptied once it holds more than INTERN_LIMIT entries.
+INTERN_LIMIT = 1_000_000
 _INTERN: dict[Value, Value] = {}
+
+# Partial-application memo of the reference machine: id(f) -> {id(a): f a}.
+# An entry is admitted only when f, a and the result are all held by
+# _INTERN (see ``machine._accumulate``), so no id is reused while the entry
+# exists; it is emptied together with _INTERN.
+_APPLY_MEMO: dict[int, dict[int, Value]] = {}
 
 
 def intern_value(v: Value) -> Value:
     hit = _INTERN.get(v)
     if hit is not None:
         return hit
-    if len(_INTERN) > 1_000_000:
+    if len(_INTERN) > INTERN_LIMIT:
         _INTERN.clear()
+        _APPLY_MEMO.clear()
     _INTERN[v] = v
     return v
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extreal import machine, terms
 from extreal.compiler import compile_term, lam
 from extreal.kernel import apply_value, apply_values, eval_term, kleene_eq
 from extreal.terms import (
@@ -10,6 +11,8 @@ from extreal.terms import (
     Const,
     ConstKind,
     D,
+    DEFAULT_FUEL,
+    DELTA_ARITY,
     Defined,
     FuelConfig,
     FuelExhausted,
@@ -209,3 +212,104 @@ def test_const_kind_hashes_by_identity():
     # Value hashes and the machine's arity lookups hash ConstKind members;
     # Enum.__hash__ would be a Python-level call on each.
     assert ConstKind.__hash__ is object.__hash__
+
+
+# The partial-application memo of the reference machine.
+
+# Values whose head takes one more argument without firing: an opaque head
+# with any arguments, or a delta constant at least two below its arity.
+_partial = st.one_of(
+    st.builds(
+        lambda i, args: Value(Opaque(i), tuple(args)),
+        st.sampled_from(["a", "b"]),
+        st.lists(_values, max_size=3),
+    ),
+    st.sampled_from([k for k, n in DELTA_ARITY.items() if n > 1]).flatmap(
+        lambda k: st.lists(_values, max_size=DELTA_ARITY[k] - 2).map(
+            lambda args: Value(Const(k), tuple(args))
+        )
+    ),
+)
+
+
+def _memoised(f, a):
+    return id(a) in terms._APPLY_MEMO.get(id(f), {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partial, _values, st.booleans(), st.booleans())
+def test_memo_returns_the_interned_application(f, a, interned, machine_first):
+    if interned:
+        f, a = intern_value(f), intern_value(a)
+    calls = [
+        lambda: machine._accumulate(f, a, DEFAULT_FUEL.max_value_size),
+        lambda: machine.apply_value(f, a).value,
+    ]
+    if machine_first:
+        calls.reverse()
+    want = None
+    for _ in range(2):  # first application, then repeated (a memo hit if admitted)
+        for call in calls:
+            got = call()
+            if want is None:
+                want = intern_value(f.extend(a))
+            assert got is want
+    assert machine.apply_value(f, a).steps == 1
+    # Admitted exactly when _INTERN keeps f, a and the result alive.
+    assert _memoised(f, a) == (terms._INTERN.get(f) is f and want.args[-1] is a)
+
+
+def test_fresh_operands_never_enter_the_memo():
+    fresh = Value(Opaque("u"))
+    one = intern_value(num_value(1))
+    for _ in range(2):
+        out = machine.apply_value(fresh, one)
+        assert out.value == Value(Opaque("u"), (one,))
+        assert out.value is intern_value(Value(Opaque("u"), (one,)))
+    assert id(fresh) not in terms._APPLY_MEMO
+    # Values bound in an environment are not interned either.
+    env = {"f": Value(Opaque("envf")), "x": Value(Num(4))}
+    for _ in range(2):
+        got = machine.eval_term(App(Var("f"), Var("x")), env).value
+        assert got == Value(Opaque("envf"), (num_value(4),))
+    assert id(env["f"]) not in terms._APPLY_MEMO
+    # A fresh argument whose application is already interned under an equal
+    # argument object is not admitted (the table does not keep it alive).
+    g = intern_value(Value(Opaque("g")))
+    machine.apply_value(g, intern_value(num_value(5)))
+    fresh_arg = Value(Num(5))
+    assert machine.apply_value(g, fresh_arg).value.args[-1] is not fresh_arg
+    assert not _memoised(g, fresh_arg)
+
+
+def test_memo_hit_still_checks_the_size_cap():
+    one = intern_value(num_value(1))
+    f = intern_value(Value(Opaque("cap"), (one, one, one)))
+    a = intern_value(Value(Opaque("big"), (one,) * 5))
+    first = machine.apply_value(f, a)
+    assert machine.apply_value(f, a).value is first.value and _memoised(f, a)
+    with pytest.raises(ValueSizeExceeded):
+        machine.apply_value(f, a, FuelConfig(max_value_size=first.value.size - 1))
+
+
+def test_intern_overflow_empties_the_memo(monkeypatch):
+    saved = dict(terms._INTERN)
+    saved_memo = {k: dict(row) for k, row in terms._APPLY_MEMO.items()}
+    try:
+        f = intern_value(Value(Opaque("ovf")))
+        a = intern_value(num_value(3))
+        r = machine.apply_value(f, a).value
+        assert _memoised(f, a)
+        monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
+        assert intern_value(Value(Opaque("one-more"))) is not None
+        assert not terms._APPLY_MEMO and len(terms._INTERN) == 1
+        # f is no longer interned: the machine's result is the table's, and
+        # the entry is not re-admitted.
+        again = machine.apply_value(f, a).value
+        assert again == r and again is terms._INTERN[again]
+        assert not _memoised(f, a)
+    finally:
+        terms._INTERN.clear()
+        terms._INTERN.update(saved)
+        terms._APPLY_MEMO.clear()
+        terms._APPLY_MEMO.update(saved_memo)

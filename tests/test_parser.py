@@ -54,6 +54,14 @@ def test_parse_errors_carry_position():
     binders = "\\" + " ".join(f"x{i}" for i in range(500)) + ". x0"
     with pytest.raises(ParseError, match="nesting deeper"):
         parse(binders)
+    # A left spine is as deep as it is long, parenthesised parts included.
+    for spine in (
+        " ".join(["K"] * 1200),
+        "\\x. " + " ".join(["x"] * 500),
+        "(" + " ".join(["K"] * 150) + ")" + " K" * 100,
+    ):
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse(spine)
 
 
 def test_nesting_up_to_the_limit_parses_and_compiles():
@@ -61,8 +69,32 @@ def test_nesting_up_to_the_limit_parses_and_compiles():
     assert parse("(" * n + "K" + ")" * n) == Const(ConstKind.K)
     nested = parse("K (" * n + "#1" + ")" * n)
     binders = parse("".join(f"\\x{i}. " for i in range(n - 1)) + "K (" + "x0" + ")")
-    for t in (nested, binders):
+    spine = parse(" ".join(["K"] * (n + 1)))
+    for t in (nested, binders, spine):
         assert isinstance(eval_term(compile_term(t)), Defined)
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse(" ".join(["K"] * (n + 2)))
+    # One binder and a spine of n - 1 applications: n levels.
+    self_spine = compile_term(parse("\\x. " + " ".join(["x"] * n)))
+    assert isinstance(eval_term(App(self_spine, Const(ConstKind.K))), Defined)
+
+
+def test_compiled_terms_deeper_than_the_recursion_limit():
+    # Abstraction deepens terms: six binders over a spine of 190 compile to
+    # a term about 1,300 levels deep, which compiles, evaluates and prints.
+    names = [f"v{i}" for i in range(6)]
+    src = "\\" + " ".join(names) + ". " + " ".join(names[i % 6] for i in range(190))
+    t = compile_term(parse(src))
+    depth, todo = 0, [(t, 1)]
+    while todo:
+        u, d = todo.pop()
+        depth = max(depth, d)
+        if isinstance(u, App):
+            todo += ((u.fun, d + 1), (u.arg, d + 1))
+    assert depth > 1000
+    out = eval_term(t)
+    assert isinstance(out, Defined)
+    assert print_term(out.value).startswith("S ")
 
 
 _atoms = st.one_of(

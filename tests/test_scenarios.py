@@ -1,12 +1,18 @@
 """Scenario files and command-line behaviour."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from extreal import cli
 from extreal.scenarios import ScenarioError, run_scenario
+
+DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.scn"
 
 
 def test_declarations_and_directives():
@@ -111,6 +117,14 @@ _BAD_SECOND_LINES = [
     "eval K expect zz",
     "eval K expect (#1 #2)",
     "term t = " + "(" * 500 + "K" + ")" * 500,
+    "eval " + " ".join(["K"] * 1200),
+    "term t = \\x. " + " ".join(["x"] * 500),
+    "name n = int (K K) : nat",
+    "name n = F nat",
+    "synth-roundtrip mem(omega, omega)",
+    "synth-roundtrip eq(u, nat 1)",
+    "check (K, K) eq(u, u)",
+    "check-with-witnesses (K, K) mem(u, omega) => eq(u, u) witnesses [(K, K)]",
 ]
 
 
@@ -172,3 +186,46 @@ def test_cli_env_fallbacks():
         timeout=600,
     )
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+@st.composite
+def _mutated_demo(draw) -> str:
+    """demo.scn with one to three token mutations on its directive lines."""
+    lines = DEMO.read_text(encoding="utf-8").splitlines()
+    code = [i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("--")]
+    for _ in range(draw(st.integers(1, 3))):
+        idx = draw(st.sampled_from(code))
+        toks = lines[idx].split()
+        if not toks:  # emptied by an earlier deletion
+            continue
+        i = draw(st.integers(0, len(toks) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "integer"]))
+        if op == "delete":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(toks) - 1))
+            toks[i], toks[j] = toks[j], toks[i]
+        else:
+            numeric = [k for k, tok in enumerate(toks) if re.search(r"\d", tok)]
+            if numeric:
+                k = draw(st.sampled_from(numeric))
+                toks[k] = re.sub(r"\d+", str(draw(st.integers(0, 20))), toks[k], count=1)
+        lines[idx] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_mutated_demo())
+def test_mutated_demo_ends_in_an_exit_code(tmp_path_factory, text):
+    # Every input ends in exit 0, 1 or 2 from the CLI, never an exception.
+    path = tmp_path_factory.mktemp("mutant") / "demo.scn"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", str(path)]) in (0, 1, 2)
