@@ -37,13 +37,33 @@ apply_value = _impl.apply_value
 apply_values = _impl.apply_values
 kleene_eq = _impl.kleene_eq
 
-from .terms import DEFAULT_FUEL, Defined, FuelConfig, FuelExhausted, P, P0, P1, Value  # noqa: E402
+from .terms import (  # noqa: E402
+    DEFAULT_FUEL,
+    Const,
+    ConstKind,
+    Defined,
+    FuelConfig,
+    FuelExhausted,
+    P,
+    P0,
+    P1,
+    Value,
+)
 
 
-def _const_value(t) -> Value:
-    out = eval_term(t)
-    assert isinstance(out, Defined)
-    return out.value
+# The values of P, P0 and P1, each evaluated once on the selected backend.
+# On pure this is the machine's own interned constant, so applications of
+# it still enter the machine's memo.
+_consts: dict[ConstKind, Value] = {}
+
+
+def _const_value(t: Const) -> Value:
+    v = _consts.get(t.kind)
+    if v is None:
+        out = eval_term(t)
+        assert isinstance(out, Defined)
+        v = _consts[t.kind] = out.value
+    return v
 
 
 def pair_value(a: Value, b: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Value:

@@ -5,8 +5,24 @@ divergent self-application burns fuel instead of the host stack.  Each firing
 of the application operation costs one step; outcomes are deterministic and
 monotone in fuel.
 
+Application is a function of the two elements, and produced values are
+interned, so a repeated application is answered from ``terms._APPLY_MEMO``
+by identity: an application below the head's arity, and a whole S-redex
+``S x y a``.  A replayed redex still costs every step it took when it was
+reduced, so steps, fuel notes and errors are those of a machine without the
+memo:
+
+- admission: an entry is kept only when ``_INTERN`` holds the operator, the
+  argument and the result (``terms.remember``);
+- fuel fit: a redex of cost ``c`` fired at step ``n`` (counting the firing)
+  replays only when ``n - 1 + c`` is within the fuel, and only under a
+  value-size cap no smaller than the one it was recorded under; otherwise it
+  is reduced again, and runs out of fuel or fails exactly where it would
+  have.
+
 This module is the reference semantics.  A compiled twin with identical
-behaviour may be selected at import time by :mod:`extreal.kernel`.
+behaviour, and no memo, may be selected at import time by
+:mod:`extreal.kernel`.
 """
 
 from __future__ import annotations
@@ -33,13 +49,14 @@ from .terms import (
     ValueSizeExceeded,
     Var,
     _APPLY_MEMO,
-    _INTERN,
     intern_value,
+    remember,
 )
 
 _OP_EVAL = 0
 _OP_APPLY = 1
 _OP_PUSH = 2
+_OP_RECORD = 3
 
 # Every pending application is the same instruction; one shared tuple.
 _APPLY = (_OP_APPLY,)
@@ -54,6 +71,14 @@ _PRED = ConstKind.PRED
 # The value of each constant: a delta constant is its own (interned) value, a
 # defined one the value of its expansion.
 _const_cache: dict[ConstKind, Value] = {}
+
+# Firings of S-redexes, counted up to 2 per slot of their memo key modulo a
+# prime.  A redex is recorded only once its slot has counted two firings, so
+# one that never repeats costs no record, and few entries go to redexes that
+# only ever fire inside a larger redex that is then replayed whole.  The
+# filter is a hint: a collision only records a redex early.
+_SEEN_SLOTS = 65_521
+_SEEN = bytearray(_SEEN_SLOTS)
 
 
 def _const_value(kind: ConstKind) -> Value:
@@ -72,20 +97,16 @@ def _const_value(kind: ConstKind) -> Value:
 def _accumulate(f: Value, a: Value, max_size: int) -> Value:
     """``f a`` below the head's arity: the interned extension of ``f``.
 
-    The result is memoised when ``_INTERN`` holds ``f`` and, through the
-    result's last argument, ``a``; ``_run`` reads the memo before calling here.
+    The result enters the memo at cost 1 (see ``terms.remember``); ``_run``
+    reads the memo before calling here.
     """
     if f.size + a.size > max_size:
         raise ValueSizeExceeded(
             f"value of {f.size + a.size} nodes exceeds the cap of {max_size}"
         )
     r = intern_value(f.extend(a))
-    # Checked after interning: an overflow there empties _INTERN and the memo.
-    if r.args[-1] is a and _INTERN.get(f) is f:
-        row = _APPLY_MEMO.get(id(f))
-        if row is None:
-            row = _APPLY_MEMO[id(f)] = {}
-        row[id(a)] = r
+    # Admitted after interning: an overflow there empties _INTERN and the memo.
+    remember(f, a, r, 1, r.size)
     return r
 
 
@@ -94,102 +115,119 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
     max_steps = cfg.max_steps
     max_size = cfg.max_value_size
     const_cache = _const_cache
-    memo_row = _APPLY_MEMO.get
+    memo_get = _APPLY_MEMO.get
+    seen = _SEEN
     push_op = ops.append
     pop_op = ops.pop
     push = vstack.append
     pop = vstack.pop
     while ops:
         op = pop_op()
-        tag = op[0]
-        if tag == _OP_PUSH:
-            push(op[1])
-        elif tag == _OP_EVAL:
-            t, env = op[1], op[2]
-            while True:  # unfold application spines without re-pushing atoms
-                tt = type(t)
-                if tt is App:
-                    push_op(_APPLY)
-                    push_op((_OP_EVAL, t.arg, env))
-                    t = t.fun
-                    continue
-                if tt is Const:
-                    v = const_cache.get(t.kind)
-                    push(v if v is not None else _const_value(t.kind))
-                elif tt is Num:
-                    push(intern_value(Value(t)))
-                elif tt is Var:
-                    if env is None or t.name not in env:
-                        raise UnboundVariable(t.name)
-                    push(env[t.name])
-                elif tt is Opaque:
-                    push(t.value if t.value is not None else intern_value(Value(t)))
-                elif tt is Value:
-                    # Allow already-evaluated elements spliced into trees.
-                    push(t)
-                elif tt is Lam:
-                    raise TypeError("lambda terms must be compiled before evaluation")
-                else:
-                    raise TypeError(f"not a term: {t!r}")
-                break
-        else:  # _OP_APPLY
-            steps += 1
-            if steps > max_steps:
-                return FuelExhausted(
-                    steps - 1,
-                    f"fuel exhausted: {len(ops)} pending operations, "
-                    f"{len(vstack)} values on the stack",
-                )
-            a = pop()
-            f = pop()
-            head = f.head
-            th = type(head)
-            if th is Num:
-                raise IllTypedApplication(f"numeral #{head.n} applied as a function")
-            if th is Opaque or len(f.args) + 1 < DELTA_ARITY[head.kind]:
-                # Partial application: a memo hit within the size cap, or
-                # _accumulate (which raises ValueSizeExceeded past it).
-                row = memo_row(id(f))
-                if row is not None:
-                    r = row.get(id(a))
-                    if r is not None and r.size <= max_size:
-                        push(r)
+        if op is not _APPLY:
+            tag = op[0]
+            if tag == _OP_PUSH:
+                push(op[1])
+            elif tag == _OP_EVAL:
+                t, env = op[1], op[2]
+                while True:  # unfold application spines without re-pushing atoms
+                    tt = type(t)
+                    if tt is App:
+                        push_op(_APPLY)
+                        push_op((_OP_EVAL, t.arg, env))
+                        t = t.fun
                         continue
-                push(_accumulate(f, a, max_size))
+                    if tt is Const:
+                        v = const_cache.get(t.kind)
+                        push(v if v is not None else _const_value(t.kind))
+                    elif tt is Num:
+                        push(intern_value(Value(t)))
+                    elif tt is Var:
+                        if env is None or t.name not in env:
+                            raise UnboundVariable(t.name)
+                        push(env[t.name])
+                    elif tt is Opaque:
+                        push(t.value if t.value is not None else intern_value(Value(t)))
+                    elif tt is Value:
+                        # Allow already-evaluated elements spliced into trees.
+                        push(t)
+                    elif tt is Lam:
+                        raise TypeError("lambda terms must be compiled before evaluation")
+                    else:
+                        raise TypeError(f"not a term: {t!r}")
+                    break
+            else:  # _OP_RECORD
+                # An S-redex fired at step op[3] + 1 has reduced to the top value.
+                remember(op[1], op[2], vstack[-1], steps - op[3], max_size)
+            continue
+        steps += 1
+        if steps > max_steps:
+            pending = sum(1 for op in ops if op[0] != _OP_RECORD)
+            return FuelExhausted(
+                steps - 1,
+                f"fuel exhausted: {pending} pending operations, "
+                f"{len(vstack)} values on the stack",
+            )
+        a = pop()
+        f = pop()
+        head = f.head
+        th = type(head)
+        if th is Num:
+            raise IllTypedApplication(f"numeral #{head.n} applied as a function")
+        if th is Opaque or len(f.args) + 1 < DELTA_ARITY[head.kind]:
+            # Partial application: a memo hit within the size cap, or
+            # _accumulate (which raises ValueSizeExceeded past it).
+            r = memo_get(id(f) << 64 | id(a))  # terms.memo_key, inlined
+            if r is not None and r.size <= max_size:
+                push(r)
                 continue
-            kind = head.kind
-            args = f.args + (a,)
-            if kind is _K:
-                push(args[0])
-            elif kind is _KBAR:
-                push(args[1])
-            elif kind is _S:
-                fa, fb, fc = args
-                # (fa fc)(fb fc), both applications by value; fa fc is
-                # applied next, so its operands go straight onto the stack.
-                push_op(_APPLY)
-                push_op(_APPLY)
-                push_op((_OP_PUSH, fc))
-                push_op((_OP_PUSH, fb))
-                push_op(_APPLY)
-                push(fa)
-                push(fc)
-            elif kind is _SUCC:
-                if not args[0].is_numeral():
-                    raise StuckApplication("SUCC on a non-numeral")
-                push(intern_value(Value(Num(args[0].numeral + 1))))
-            elif kind is _PRED:
-                if not args[0].is_numeral():
-                    raise StuckApplication("PRED on a non-numeral")
-                n = args[0].numeral
-                if n == 0:
-                    raise StuckApplication("PRED #0")
-                push(intern_value(Value(Num(n - 1))))
-            else:  # _D
-                sel_a, sel_b = args[0], args[1]
-                if not (sel_a.is_numeral() and sel_b.is_numeral()):
-                    raise StuckApplication("D selectors must be numerals")
-                push(args[2] if sel_a.numeral == sel_b.numeral else args[3])
+            push(_accumulate(f, a, max_size))
+            continue
+        kind = head.kind
+        if kind is _S:
+            # A recorded redex replays at its full cost when that fits
+            # the fuel and the cap; otherwise it is reduced and recorded.
+            key = id(f) << 64 | id(a)
+            e = memo_get(key)
+            if e is not None and steps + e[1] <= max_steps + 1 and e[2] <= max_size:
+                steps += e[1] - 1
+                push(e[0])
+                continue
+            slot = key % _SEEN_SLOTS
+            c = seen[slot]
+            if c == 2:
+                push_op((_OP_RECORD, f, a, steps - 1))
+            else:
+                seen[slot] = c + 1
+            fa, fb = f.args
+            # (fa a)(fb a), both applications by value; fa a is applied
+            # next, so its operands go straight onto the stack.
+            push_op(_APPLY)
+            push_op(_APPLY)
+            push_op((_OP_PUSH, a))
+            push_op((_OP_PUSH, fb))
+            push_op(_APPLY)
+            push(fa)
+            push(a)
+        elif kind is _K:
+            push(f.args[0])
+        elif kind is _KBAR:
+            push(a)
+        elif kind is _SUCC:
+            if not a.is_numeral():
+                raise StuckApplication("SUCC on a non-numeral")
+            push(intern_value(Value(Num(a.numeral + 1))))
+        elif kind is _PRED:
+            if not a.is_numeral():
+                raise StuckApplication("PRED on a non-numeral")
+            n = a.numeral
+            if n == 0:
+                raise StuckApplication("PRED #0")
+            push(intern_value(Value(Num(n - 1))))
+        else:  # _D
+            sel_a, sel_b = f.args[0], f.args[1]
+            if not (sel_a.is_numeral() and sel_b.is_numeral()):
+                raise StuckApplication("D selectors must be numerals")
+            push(f.args[2] if sel_a.numeral == sel_b.numeral else a)
     assert len(vstack) == 1
     return Defined(vstack.pop(), steps)
 

@@ -57,7 +57,7 @@ from .names import (
     parse_type,
     type_name,
 )
-from .parser import ParseError, parse, print_term
+from .parser import MAX_NESTING, ParseError, parse, print_term
 from .realizers import realizer_term, synthesize, value_of
 from .suites import SUITES, run_suite
 from .terms import App, DEFAULT_FUEL, Defined, FuelConfig, FuelExhausted, MachineError, Value, Var
@@ -95,6 +95,7 @@ class _Env:
     terms: dict[str, object] = field(default_factory=dict)  # name -> Term
     names: dict[str, VName] = field(default_factory=dict)
     formulas: dict[str, Formula] = field(default_factory=dict)
+    formula_heights: dict[str, int] = field(default_factory=dict)
     cfg: FuelConfig = DEFAULT_FUEL
     budget: EnumBudget = DEFAULT_BUDGET
     seed: int = 0
@@ -260,48 +261,59 @@ def _eval_value(env: _Env, text: str, line: int) -> Value:
     return out.value
 
 
-def _parse_formula(env: _Env, text: str, line: int) -> Formula:
+def _formula(env: _Env, text: str, line: int, depth: int) -> tuple[Formula, int]:
+    """All of ``text`` as a formula ``depth`` levels down, and its height.
+
+    Parentheses, ``~`` and quantifier bodies nest one level each, and the
+    parse recurses once per level; each connective adds one to the height of
+    the formula, as a reference adds the height of the named formula.  Either
+    past ``MAX_NESTING`` is an error, so no later walk over the formula
+    reaches the host recursion limit.
+    """
     text = text.strip()
     if text in env.formulas:
-        return env.formulas[text]
-    f, rest = _formula_expr(env, text, line)
+        return env.formulas[text], env.formula_heights[text]
+    f, rest, height = _formula_expr(env, text, line, depth)
     if rest.strip():
         raise ScenarioError(f"trailing input after formula: {rest!r}", line)
-    return f
+    return f, height
 
 
-def _formula_expr(env: _Env, text: str, line: int):
-    # implication, right associative, lowest precedence
-    parts = _split_top(text, "\x00")  # placeholder, manual scan below
-    del parts
-    lhs, rest = _formula_or(env, text, line)
-    rest = rest.lstrip()
-    if rest.startswith("=>"):
-        rhs, rest2 = _formula_expr(env, rest[2:], line)
-        return Imp(lhs, rhs), rest2
-    return lhs, rest
-
-
-def _formula_or(env: _Env, text: str, line: int):
-    lhs, rest = _formula_and(env, text, line)
+def _formula_expr(env: _Env, text: str, line: int, depth: int):
+    """Atoms joined by connectives: ``/\\`` binds tightest, then ``\\/``,
+    both left associative, then ``=>``, right associative."""
+    f, rest, height = _formula_atom(env, text, line, depth)
+    items, ops = [(f, height)], []
     while True:
         rest = rest.lstrip()
-        if rest.startswith("\\/"):
-            rhs, rest = _formula_and(env, rest[2:], line)
-            lhs = Or(lhs, rhs)
-        else:
-            return lhs, rest
+        op = next((o for o in ("/\\", "\\/", "=>") if rest.startswith(o)), None)
+        if op is None:
+            break
+        f, rest, height = _formula_atom(env, rest[len(op):], line, depth)
+        items.append((f, height))
+        ops.append(op)
+    items, ops = _join(items, ops, "/\\", And)
+    items, _ = _join(items, ops, "\\/", Or)
+    f, height = items[-1]
+    for g, h in reversed(items[:-1]):
+        f, height = Imp(g, f), max(h, height) + 1
+    if height > MAX_NESTING:
+        raise ScenarioError(f"formula nesting deeper than {MAX_NESTING} levels", line)
+    return f, rest, height
 
 
-def _formula_and(env: _Env, text: str, line: int):
-    lhs, rest = _formula_atom(env, text, line)
-    while True:
-        rest = rest.lstrip()
-        if rest.startswith("/\\"):
-            rhs, rest = _formula_atom(env, rest[2:], line)
-            lhs = And(lhs, rhs)
+def _join(items: list, ops: list[str], op: str, cls) -> tuple[list, list[str]]:
+    """Fold each run of ``items`` joined by ``op`` into one ``cls`` node,
+    left associative; items are (formula, height) pairs."""
+    out, out_ops = [items[0]], []
+    for o, (g, h) in zip(ops, items[1:]):
+        if o == op:
+            f, height = out[-1]
+            out[-1] = (cls(f, g), max(height, h) + 1)
         else:
-            return lhs, rest
+            out.append((g, h))
+            out_ops.append(o)
+    return out, out_ops
 
 
 def _take_balanced(text: str, line: int) -> tuple[str, str]:
@@ -317,16 +329,19 @@ def _take_balanced(text: str, line: int) -> tuple[str, str]:
     raise ScenarioError("unbalanced parentheses in formula", line)
 
 
-def _formula_atom(env: _Env, text: str, line: int):
+def _formula_atom(env: _Env, text: str, line: int, depth: int):
     text = text.lstrip()
+    if depth > MAX_NESTING:
+        raise ScenarioError(f"formula nesting deeper than {MAX_NESTING} levels", line)
     if not text:
         raise ScenarioError("formula expected", line)
     if text.startswith("~"):
-        body, rest = _formula_atom(env, text[1:], line)
-        return Not(body), rest
+        body, rest, height = _formula_atom(env, text[1:], line, depth + 1)
+        return Not(body), rest, height + 1
     if text.startswith("("):
         inner, rest = _take_balanced(text, line)
-        return _parse_formula(env, inner, line), rest
+        f, height = _formula(env, inner, line, depth + 1)
+        return f, rest, height
     for kw, cls in (("all ", AllIn), ("ex ", ExIn)):
         if text.startswith(kw):
             rest = text[len(kw):]
@@ -334,14 +349,14 @@ def _formula_atom(env: _Env, text: str, line: int):
             var = var.strip()
             bound_text, _, body_text = rest.partition(".")
             bound = _name_ref(env, bound_text.strip(), line)
-            body, rest2 = _formula_expr(env, body_text, line)
-            return cls(var, bound, body), rest2
+            body, rest2, height = _formula_expr(env, body_text, line, depth + 1)
+            return cls(var, bound, body), rest2, height + 1
     for kw, cls in (("ALL ", All), ("EX ", Ex)):
         if text.startswith(kw):
             rest = text[len(kw):]
             var, _, body_text = rest.partition(".")
-            body, rest2 = _formula_expr(env, body_text, line)
-            return cls(var.strip(), body), rest2
+            body, rest2, height = _formula_expr(env, body_text, line, depth + 1)
+            return cls(var.strip(), body), rest2, height + 1
     for kw, cls in (("mem", Mem), ("eq", Eq)):
         if text.startswith(kw) and text[len(kw):].lstrip().startswith("("):
             after = text[len(kw):].lstrip()
@@ -350,11 +365,11 @@ def _formula_atom(env: _Env, text: str, line: int):
             if len(args) != 2:
                 raise ScenarioError(f"{kw} takes two arguments", line)
             return cls(_name_ref(env, args[0].strip(), line),
-                       _name_ref(env, args[1].strip(), line)), rest
+                       _name_ref(env, args[1].strip(), line)), rest, 0
     # bare formula reference
     for name, f in env.formulas.items():
         if text.startswith(name):
-            return f, text[len(name):]
+            return f, text[len(name):], env.formula_heights[name]
     raise ScenarioError(f"cannot parse formula at {text!r}", line)
 
 
@@ -369,7 +384,7 @@ def _name_ref(env: _Env, text: str, line: int):
 
 def _closed_formula(env: _Env, text: str, line: int) -> Formula:
     """A formula a directive checks: it must have no free variables."""
-    phi = _parse_formula(env, text, line)
+    phi = _formula(env, text, line, 0)[0]
     free = free_formula_vars(phi)
     if free:
         raise ScenarioError(
@@ -433,7 +448,9 @@ def run_scenario(text: str) -> ScenarioReport:
             env.names[name.strip()] = _parse_name(env, body.strip(), lineno)
         elif head == "formula":
             name, _, body = rest.partition("=")
-            env.formulas[name.strip()] = _parse_formula(env, body.strip(), lineno)
+            phi, height = _formula(env, body.strip(), lineno, 0)
+            env.formulas[name.strip()] = phi
+            env.formula_heights[name.strip()] = height
         elif head == "eval":
             report.results.append(_run_eval(env, rest, lineno))
         elif head == "check":

@@ -189,11 +189,29 @@ _set_hash = Value._hash.__set__
 INTERN_LIMIT = 1_000_000
 _INTERN: dict[Value, Value] = {}
 
-# Partial-application memo of the reference machine: id(f) -> {id(a): f a}.
-# An entry is admitted only when f, a and the result are all held by
-# _INTERN (see ``machine._accumulate``), so no id is reused while the entry
-# exists; it is emptied together with _INTERN.
-_APPLY_MEMO: dict[int, dict[int, Value]] = {}
+# Application memo of the reference machine, keyed by ``memo_key(f, a)``.
+# An application below the head's arity costs one step and maps to its
+# result alone; a whole S-redex maps to ``(result, cost, need)``: the steps
+# it takes, counting its firing, and a value-size cap under which it
+# completes (no value it builds is larger).  An entry is admitted only when
+# _INTERN holds f, a and the result (see ``remember``), so no id is reused
+# while the entry exists.  The memo is emptied with _INTERN, and on its own
+# once it holds more than INTERN_LIMIT entries.
+_APPLY_MEMO: dict[int, "Value | tuple[Value, int, int]"] = {}
+
+
+def memo_key(f: Value, a: Value) -> int:
+    """The memo key of ``f a``: the two ids side by side in one int."""
+    return id(f) << 64 | id(a)
+
+
+def remember(f: Value, a: Value, r: Value, cost: int, need: int) -> None:
+    """Admit ``f a = r`` at ``cost`` steps, replayable under caps of ``need``
+    and above, when _INTERN holds f, a and r."""
+    if _INTERN.get(f) is f and _INTERN.get(a) is a and _INTERN.get(r) is r:
+        if len(_APPLY_MEMO) > INTERN_LIMIT:
+            _APPLY_MEMO.clear()
+        _APPLY_MEMO[id(f) << 64 | id(a)] = r if cost == 1 else (r, cost, need)
 
 
 def intern_value(v: Value) -> Value:

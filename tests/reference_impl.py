@@ -8,29 +8,41 @@ memo, no verdict calculus.  Crashing applications count as non-realization.
 ``abstract``/``compile_term`` are the original quadratic bracket
 abstraction, which recomputes ``free_vars`` and ``always_defined`` at every
 App node on its path; ``extreal.bracket`` must produce exactly these terms.
+
+``run``/``eval_term``/``apply_value`` are the reduction machine's plain
+loop with no memo and no interning: every application is reduced, every
+value built afresh.  ``extreal.machine`` must report exactly their outcomes:
+steps, values, errors and fuel notes.
 """
 
 from __future__ import annotations
 
-from extreal.bracket import SKK, Lam, LambdaTerm
+from extreal.bracket import EXPANSIONS, SKK, Lam, LambdaTerm
 from extreal.formulas import AllIn, And, Eq, ExIn, Formula, Mem, Or, substitute
 from extreal.kernel import apply_value, project
 from extreal.names import Explicit, VName
 from extreal.terms import (
     App,
     Const,
+    ConstKind,
     DEFAULT_FUEL,
     DEFINED_ARITY,
     DELTA_ARITY,
     Defined,
     FuelConfig,
+    FuelExhausted,
+    IllTypedApplication,
     K,
     MachineError,
     Num,
     Opaque,
+    Outcome,
     S,
+    StuckApplication,
     Term,
+    UnboundVariable,
     Value,
+    ValueSizeExceeded,
     Var,
 )
 
@@ -194,3 +206,101 @@ def compile_term(t: LambdaTerm) -> Term:
             return App(compile_term(fun), compile_term(arg))
         case _:
             return t
+
+
+# --- reduction machine ---------------------------------------------------------
+
+_EVAL, _APPLY, _PUSH = 0, 1, 2
+_consts: dict[ConstKind, Value] = {}
+
+
+def _const(kind: ConstKind) -> Value:
+    if kind not in _consts:
+        if kind in DELTA_ARITY:
+            _consts[kind] = Value(Const(kind))
+        else:
+            out = run([(_EVAL, EXPANSIONS[kind], None)], [], DEFAULT_FUEL)
+            assert isinstance(out, Defined)
+            _consts[kind] = out.value
+    return _consts[kind]
+
+
+def run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
+    steps = 0
+    while ops:
+        op = ops.pop()
+        if op[0] == _PUSH:
+            vstack.append(op[1])
+        elif op[0] == _EVAL:
+            t, env = op[1], op[2]
+            while isinstance(t, App):
+                ops.append((_APPLY,))
+                ops.append((_EVAL, t.arg, env))
+                t = t.fun
+            match t:
+                case Const(kind):
+                    vstack.append(_const(kind))
+                case Num():
+                    vstack.append(Value(t))
+                case Var(name):
+                    if env is None or name not in env:
+                        raise UnboundVariable(name)
+                    vstack.append(env[name])
+                case Opaque(_, value):
+                    vstack.append(value if value is not None else Value(t))
+                case Value():
+                    vstack.append(t)
+                case _:
+                    raise TypeError(f"not a term: {t!r}")
+        else:
+            steps += 1
+            if steps > cfg.max_steps:
+                return FuelExhausted(
+                    steps - 1,
+                    f"fuel exhausted: {len(ops)} pending operations, "
+                    f"{len(vstack)} values on the stack",
+                )
+            a = vstack.pop()
+            f = vstack.pop()
+            if isinstance(f.head, Num):
+                raise IllTypedApplication(f"numeral #{f.head.n} applied as a function")
+            if isinstance(f.head, Opaque) or len(f.args) + 1 < DELTA_ARITY[f.head.kind]:
+                if f.size + a.size > cfg.max_value_size:
+                    raise ValueSizeExceeded(
+                        f"value of {f.size + a.size} nodes exceeds the cap of {cfg.max_value_size}"
+                    )
+                vstack.append(Value(f.head, f.args + (a,)))
+                continue
+            args = f.args + (a,)
+            match f.head.kind:
+                case ConstKind.K:
+                    vstack.append(args[0])
+                case ConstKind.KBAR:
+                    vstack.append(args[1])
+                case ConstKind.S:
+                    # (x z)(y z): x z is applied first.
+                    x, y, z = args
+                    ops += [(_APPLY,), (_APPLY,), (_PUSH, z), (_PUSH, y), (_APPLY,)]
+                    vstack += [x, z]
+                case ConstKind.SUCC | ConstKind.PRED as kind:
+                    if not args[0].is_numeral():
+                        raise StuckApplication(f"{kind.value} on a non-numeral")
+                    n = args[0].numeral + (1 if kind is ConstKind.SUCC else -1)
+                    if n < 0:
+                        raise StuckApplication("PRED #0")
+                    vstack.append(Value(Num(n)))
+                case _:  # D
+                    sel_a, sel_b = args[0], args[1]
+                    if not (sel_a.is_numeral() and sel_b.is_numeral()):
+                        raise StuckApplication("D selectors must be numerals")
+                    vstack.append(args[2] if sel_a.numeral == sel_b.numeral else args[3])
+    assert len(vstack) == 1
+    return Defined(vstack.pop(), steps)
+
+
+def eval_term(t: Term, env: dict[str, Value] | None = None, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
+    return run([(_EVAL, t, env)], [], cfg)
+
+
+def apply_value(f: Value, a: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
+    return run([(_APPLY,)], [f, a], cfg)

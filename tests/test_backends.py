@@ -19,14 +19,19 @@ import pytest
 import extreal
 from extreal import kernel
 from extreal import machine as pure
-from extreal.suites import random_closed_term
+from extreal.suites import _VALUE_ATOMS, random_closed_term
 from extreal.terms import (
     App,
     Defined,
     FuelConfig,
     FuelExhausted,
+    K,
     MachineError,
+    PRED,
+    S,
+    SUCC,
     Tri,
+    app,
     num,
     num_value,
     opaque_value,
@@ -62,19 +67,29 @@ def _outcome(f, t, cfg):
         return type(exc).__name__
 
 
-def test_backends_agree_on_random_terms(compiled):
+def test_backends_agree_on_random_terms(compiled, monkeypatch):
+    # S-heavy terms (with I = S K K and the self-applier S I I), so that
+    # redexes fire, repeat and diverge.  Each is evaluated twice on pure, the
+    # second time with its redexes in the memo (the seen filter is full, so
+    # every redex is recorded at its first firing), at fuel caps that also
+    # cut through replayed redexes.
+    monkeypatch.setattr(pure, "_SEEN", bytearray(b"\x02" * pure._SEEN_SLOTS))
     rng = random.Random(123)
-    cfg = FuelConfig(max_steps=4000)
+    i = app(S, K, K)
+    atoms = _VALUE_ATOMS + (S, S, S, S, SUCC, PRED, i, app(S, i, i))
     for _ in range(2500):
-        t = random_closed_term(rng, 9)
-        a = _outcome(pure.eval_term, t, cfg)
-        b = _outcome(compiled.eval_term, t, cfg)
-        if isinstance(a, str) or isinstance(b, str):
-            assert a == b, (t, a, b)
-        elif isinstance(a, FuelExhausted) or isinstance(b, FuelExhausted):
-            assert type(a) == type(b) and a.steps == b.steps, (t, a, b)
-        else:
-            assert a.value == b.value and a.steps == b.steps, (t, a, b)
+        t = random_closed_term(rng, 9, atoms)
+        for fuel in (3, 17, 60, 4000):
+            cfg = FuelConfig(max_steps=fuel)
+            b = _outcome(compiled.eval_term, t, cfg)
+            for _ in range(2):
+                a = _outcome(pure.eval_term, t, cfg)
+                if isinstance(a, str) or isinstance(b, str):
+                    assert a == b, (t, a, b)
+                elif isinstance(a, FuelExhausted) or isinstance(b, FuelExhausted):
+                    assert type(a) == type(b) and a.steps == b.steps and a.note == b.note, (t, a, b)
+                else:
+                    assert a.value == b.value and a.steps == b.steps, (t, a, b)
 
 
 def test_backends_agree_on_library_realizers(compiled):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_impl
 from extreal import machine, terms
 from extreal.compiler import compile_term, lam
 from extreal.kernel import apply_value, apply_values, eval_term, kleene_eq
@@ -19,6 +20,7 @@ from extreal.terms import (
     IllTypedApplication,
     K,
     KBAR,
+    MachineError,
     Num,
     Opaque,
     P,
@@ -35,6 +37,7 @@ from extreal.terms import (
     Var,
     app,
     intern_value,
+    memo_key,
     num,
     num_value,
     opaque_value,
@@ -214,7 +217,22 @@ def test_const_kind_hashes_by_identity():
     assert ConstKind.__hash__ is object.__hash__
 
 
-# The partial-application memo of the reference machine.
+# The application memo of the reference machine.
+
+
+@pytest.fixture
+def record_at_once(monkeypatch):
+    """Every S-redex is recorded at its first firing (the seen filter is full)."""
+    monkeypatch.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
+
+
+def _entry(f, a):
+    return terms._APPLY_MEMO.get(memo_key(f, a))
+
+
+def _interned(v):
+    return terms._INTERN.get(v) is v
+
 
 # Values whose head takes one more argument without firing: an opaque head
 # with any arguments, or a delta constant at least two below its arity.
@@ -230,10 +248,6 @@ _partial = st.one_of(
         )
     ),
 )
-
-
-def _memoised(f, a):
-    return id(a) in terms._APPLY_MEMO.get(id(f), {})
 
 
 @settings(max_examples=300, deadline=None)
@@ -255,51 +269,158 @@ def test_memo_returns_the_interned_application(f, a, interned, machine_first):
                 want = intern_value(f.extend(a))
             assert got is want
     assert machine.apply_value(f, a).steps == 1
-    # Admitted exactly when _INTERN keeps f, a and the result alive.
-    assert _memoised(f, a) == (terms._INTERN.get(f) is f and want.args[-1] is a)
+    # Admitted, as the result alone, exactly when _INTERN holds f, a and the
+    # result (which it always holds here).
+    assert _entry(f, a) is (want if _interned(f) and _interned(a) else None)
 
 
-def test_fresh_operands_never_enter_the_memo():
+# Combinators for whole S-redexes: I = S K K, and T z = S (K z) I, so that
+# T z x = z x fires S twice and takes 7 steps.
+_I = app(S, K, K)
+
+
+def _two_step(z):
+    return app(S, App(K, z), _I)
+
+
+# S-heavy closed terms: a combinator over S, K and I applied to a few
+# arguments, so that redexes nest and repeat; inert opaque arguments take
+# arguments of their own without failing, and the rest may get stuck.
+_combinators = st.recursive(
+    st.sampled_from([S, S, S, K, K, _I, KBAR]),
+    lambda inner: st.builds(App, inner, inner),
+    max_leaves=10,
+)
+_s_terms = st.builds(
+    lambda c, args: app(c, *args),
+    _combinators,
+    st.lists(st.sampled_from([Opaque("a"), Opaque("b"), _I, K, S, SUCC, num(1)]), min_size=1, max_size=4),
+)
+
+
+def _outcome(evaluate, t, cfg):
+    try:
+        return evaluate(t, None, cfg)
+    except MachineError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_s_terms, min_size=1, max_size=3))
+def test_memo_replays_match_the_memo_free_oracle(ts):
+    """With a warm memo, at every fuel cap up to the term's total steps + 1
+    and two value-size caps, the machine reports the oracle's outcome: the
+    same type, steps, note, value and error."""
+    ceiling = 120
+    sizes = (DEFAULT_FUEL.max_value_size, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
+        for t in ts:
+            for size in sizes:
+                for _ in range(2):
+                    _outcome(machine.eval_term, t, FuelConfig(ceiling, size))
+        for t in ts:
+            for size in sizes:
+                for fuel in range(1, ceiling + 2):
+                    cfg = FuelConfig(fuel, size)
+                    want = _outcome(reference_impl.eval_term, t, cfg)
+                    assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
+                    if not isinstance(want, FuelExhausted):
+                        # The total is reached; check total + 1 and stop.
+                        cfg = FuelConfig(fuel + 1, size)
+                        assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
+                        break
+
+
+def test_fresh_operands_never_enter_the_memo(record_at_once):
     fresh = Value(Opaque("u"))
     one = intern_value(num_value(1))
     for _ in range(2):
         out = machine.apply_value(fresh, one)
         assert out.value == Value(Opaque("u"), (one,))
         assert out.value is intern_value(Value(Opaque("u"), (one,)))
-    assert id(fresh) not in terms._APPLY_MEMO
+    assert _entry(fresh, one) is None
     # Values bound in an environment are not interned either.
     env = {"f": Value(Opaque("envf")), "x": Value(Num(4))}
     for _ in range(2):
         got = machine.eval_term(App(Var("f"), Var("x")), env).value
         assert got == Value(Opaque("envf"), (num_value(4),))
-    assert id(env["f"]) not in terms._APPLY_MEMO
+    assert _entry(env["f"], env["x"]) is None
     # A fresh argument whose application is already interned under an equal
-    # argument object is not admitted (the table does not keep it alive).
+    # argument object is not admitted (the table does not hold it).
     g = intern_value(Value(Opaque("g")))
     machine.apply_value(g, intern_value(num_value(5)))
     fresh_arg = Value(Num(5))
     assert machine.apply_value(g, fresh_arg).value.args[-1] is not fresh_arg
-    assert not _memoised(g, fresh_arg)
+    assert _entry(g, fresh_arg) is None
+    # Whole redexes: an interned operator S x y applied to an interned
+    # argument is recorded with its full cost ...
+    i_val = val(_I)
+    z = intern_value(Value(Opaque("z")))
+    t_z = val(_two_step(z))
+    arg = intern_value(num_value(6))
+    out = machine.apply_value(t_z, arg)
+    assert out.value == Value(Opaque("z"), (arg,)) and out.steps == 7
+    assert _entry(t_z, arg) == (out.value, 7, DEFAULT_FUEL.max_value_size)
+    # ... but not with a fresh operator, a fresh argument, or in an
+    # environment.
+    fresh_t = Value(t_z.head, t_z.args)
+    for f, a in ((fresh_t, arg), (t_z, Value(Num(7))), (i_val, Value(Num(7)))):
+        for _ in range(2):
+            assert machine.apply_value(f, a).value == reference_impl.apply_value(f, a).value
+        assert _entry(f, a) is None
+    env = {"t": Value(t_z.head, t_z.args), "x": Value(Num(8))}
+    for _ in range(2):
+        machine.eval_term(App(Var("t"), Var("x")), env)
+    assert _entry(env["t"], env["x"]) is None
+    # Nor one whose result is not interned: K (K x) a = K x returns the
+    # fresh x held inside the interned operator S (K (K x)) I.
+    x = Value(Opaque("inner"))
+    f = intern_value(Value(Const(ConstKind.S), (Value(K, (Value(K, (x,)),)), i_val)))
+    for _ in range(2):
+        assert machine.apply_value(f, arg).value is x
+    assert not _interned(x) and _entry(f, arg) is None
 
 
-def test_memo_hit_still_checks_the_size_cap():
+def test_memo_hit_still_checks_the_size_cap(record_at_once):
     one = intern_value(num_value(1))
     f = intern_value(Value(Opaque("cap"), (one, one, one)))
     a = intern_value(Value(Opaque("big"), (one,) * 5))
     first = machine.apply_value(f, a)
-    assert machine.apply_value(f, a).value is first.value and _memoised(f, a)
+    assert machine.apply_value(f, a).value is first.value and _entry(f, a) is first.value
     with pytest.raises(ValueSizeExceeded):
         machine.apply_value(f, a, FuelConfig(max_value_size=first.value.size - 1))
+    # A whole redex replays only under a cap at least the one it was
+    # recorded under.  T z x builds z x (11 nodes here) on the way.
+    z = intern_value(Value(Opaque("zcap"), (one,) * 4))
+    t_z = val(_two_step(z))
+    x = intern_value(Value(Opaque("xcap"), (one,) * 5))
+    for cap in (11, 12, 10**6, 11):  # recorded under 11: replays under 12 and 10**6
+        out = machine.apply_value(t_z, x, FuelConfig(max_value_size=cap))
+        assert out.value.size == 11 and out.steps == 7
+        assert _entry(t_z, x)[2] == 11
+    with pytest.raises(ValueSizeExceeded):
+        machine.apply_value(t_z, x, FuelConfig(max_value_size=10))
+    assert _entry(t_z, x)[2] == 11
+    # Recorded under a large cap, it is reduced again under a smaller one
+    # (and then recorded under that).
+    y = intern_value(Value(Opaque("ycap"), (one,) * 5))
+    machine.apply_value(t_z, y)
+    assert _entry(t_z, y)[2] == DEFAULT_FUEL.max_value_size
+    with pytest.raises(ValueSizeExceeded):
+        machine.apply_value(t_z, y, FuelConfig(max_value_size=10))
+    assert machine.apply_value(t_z, y, FuelConfig(max_value_size=11)).steps == 7
+    assert _entry(t_z, y)[2] == 11
 
 
-def test_intern_overflow_empties_the_memo(monkeypatch):
+def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
     saved = dict(terms._INTERN)
-    saved_memo = {k: dict(row) for k, row in terms._APPLY_MEMO.items()}
+    saved_memo = dict(terms._APPLY_MEMO)
     try:
         f = intern_value(Value(Opaque("ovf")))
         a = intern_value(num_value(3))
         r = machine.apply_value(f, a).value
-        assert _memoised(f, a)
+        assert _entry(f, a) is r
         monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
         assert intern_value(Value(Opaque("one-more"))) is not None
         assert not terms._APPLY_MEMO and len(terms._INTERN) == 1
@@ -307,7 +428,30 @@ def test_intern_overflow_empties_the_memo(monkeypatch):
         # the entry is not re-admitted.
         again = machine.apply_value(f, a).value
         assert again == r and again is terms._INTERN[again]
-        assert not _memoised(f, a)
+        assert _entry(f, a) is None
+        # Whole-redex entries add no interned values, so the memo also
+        # empties itself once it passes the limit.
+        monkeypatch.setattr(terms, "INTERN_LIMIT", 10**6)
+        z = intern_value(Value(Opaque("zovf")))
+        t_z = machine.eval_term(_two_step(z)).value
+        i_val = machine.eval_term(_I).value
+        xs = [intern_value(num_value(n)) for n in range(40, 70)]
+        for x in xs:  # intern z x and K x, so that T z x interns nothing new
+            machine.apply_value(z, x)
+            machine.apply_value(i_val, x)
+        interned = len(terms._INTERN)
+        limit = len(terms._APPLY_MEMO) + 10
+        assert limit < interned  # a new interned value would empty both
+        monkeypatch.setattr(terms, "INTERN_LIMIT", limit)
+        sizes = []
+        for x in xs:
+            assert machine.apply_value(t_z, x).steps == 7
+            sizes.append(len(terms._APPLY_MEMO))
+        assert len(terms._INTERN) == interned
+        # It grows to one past the limit, then the next admission empties it.
+        top = sizes.index(limit + 1)
+        assert max(sizes) == limit + 1 and sizes[top + 1] == 1
+        assert _entry(t_z, xs[top + 1]) is not None and _entry(t_z, xs[0]) is None
     finally:
         terms._INTERN.clear()
         terms._INTERN.update(saved)

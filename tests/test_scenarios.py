@@ -125,7 +125,47 @@ _BAD_SECOND_LINES = [
     "synth-roundtrip eq(u, nat 1)",
     "check (K, K) eq(u, u)",
     "check-with-witnesses (K, K) mem(u, omega) => eq(u, u) witnesses [(K, K)]",
+    "check (K, K) " + "~" * 1500 + "eq(nat 1, nat 1)",
+    "check (K, K) " + "(" * 600 + "eq(nat 1, nat 1)" + ")" * 600,
+    "name n = F " + "(" * 1500 + "o" + ")o" * 1500,
 ]
+
+
+def _deep_formulas(n):
+    """Formulas n levels deep, each built a different way."""
+    eq = "eq(nat 1, nat 1)"
+    return {
+        "negations": "~" * n + eq,
+        "parentheses": "(" * n + eq + ")" * n,
+        "conjunctions": " /\\ ".join([eq] * (n + 1)),
+        "implications": " => ".join([eq] * (n + 1)),
+        "quantifiers": "all x in nat 1. " * n + "eq(x, x)",
+    }
+
+
+def test_formulas_and_types_at_the_nesting_limit():
+    from extreal.parser import MAX_NESTING
+
+    for shape, phi in _deep_formulas(MAX_NESTING).items():
+        rep = run_scenario(f"check (K, K) {phi}\nformula f = {phi}\ncheck (K, K) f\n")
+        first, named = (r.outcome for r in rep.results)
+        assert first == named and first in ("realized", "refuted", "unknown"), shape
+    for shape, phi in _deep_formulas(MAX_NESTING + 1).items():
+        with pytest.raises(ScenarioError, match="formula nesting deeper than"):
+            run_scenario(f"check (K, K) {phi}\n")
+    # A reference counts the height of the formula it names.
+    half = "~" * (MAX_NESTING // 2)
+    rep = run_scenario(f"formula f = {half}eq(nat 1, nat 1)\ncheck (K, K) {half}f\n")
+    assert rep.results[0].outcome == "realized"
+    with pytest.raises(ScenarioError, match="formula nesting deeper than"):
+        run_scenario(f"formula f = {half}eq(nat 1, nat 1)\ncheck (K, K) ~{half}f\n")
+    # Types nest on both sides of an arrow.
+    for ty in ("(" * MAX_NESTING + "o" + ")o" * MAX_NESTING, "(o)" * MAX_NESTING + "o"):
+        rep = run_scenario(f"name n = F {ty}\ncheck (K, K) ex x in n. eq(x, x)\n")
+        assert rep.results[0].outcome in ("realized", "refuted", "unknown")
+    for ty in ("(" * (MAX_NESTING + 1) + "o" + ")o" * (MAX_NESTING + 1), "(o)" * (MAX_NESTING + 1) + "o"):
+        with pytest.raises(ScenarioError, match="type nesting deeper than"):
+            run_scenario(f"name n = F {ty}\n")
 
 
 def _cli(*args, stdin=None):
