@@ -3,8 +3,11 @@
 ``check((a, b), φ)`` decides, clause by clause, whether the pair of machine
 values realizes the closed formula φ.  Every positive answer bottoms out in
 exhaustively verified clauses; any budget-truncated branch forces Unknown.
-A realizer that crashes (a stuck projection or application on a genuine
-member) refutes: the clauses only speak about defined applications.
+
+Failure policy, applied in one place (``_both``): a projection or
+application of a realizer that crashes (a machine error on a genuine member)
+refutes the clause, exhaustively, since the clauses only speak about defined
+applications; one that runs out of fuel leaves the clause Unknown.
 
 Negation, implication and the unbounded quantifiers range over the whole
 algebra, so the checker affirms them only where a decision principle
@@ -15,7 +18,8 @@ with classical truth over the naturals) and constant-valued realizers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .formulas import (
     All,
@@ -34,7 +38,7 @@ from .formulas import (
     fmt,
     substitute,
 )
-from .kernel import apply_value, pair_value, project
+from .kernel import apply_value, project
 from .names import (
     DEFAULT_BUDGET,
     EnumBudget,
@@ -48,12 +52,10 @@ from .terms import (
     ConstKind,
     Const,
     DEFAULT_FUEL,
-    Defined,
     FuelConfig,
     FuelExhausted,
     MachineError,
     Value,
-    num_value,
 )
 
 
@@ -185,6 +187,38 @@ def _fail(clause: str, failure: str, what: str) -> tuple[Status, Trace]:
     return Status.UNKNOWN, Trace(clause, Status.UNKNOWN, note=f"{what} ran out of fuel")
 
 
+def _both(ctx: _Ctx, clause: str, op, a: Value, x, b: Value, y, what_a: str, what_b: str):
+    """``op`` (``_apply`` or ``_project``) on the a side, then on the b side:
+    the two results and None, or None, None and the first failure's verdict."""
+    va, fail = op(ctx, a, x)
+    if fail:
+        return None, None, _fail(clause, fail, what_a)
+    vb, fail = op(ctx, b, y)
+    if fail:
+        return None, None, _fail(clause, fail, what_b)
+    return va, vb, None
+
+
+def _meet_all(trace: Trace, results) -> Status:
+    """Append each (status, child) of the lazy ``results`` to ``trace`` and
+    return their meet, stopping at the first refutation."""
+    out = Status.REALIZED
+    for status, child in results:
+        trace.children.append(child)
+        if status is Status.REFUTED:
+            return Status.REFUTED
+        out = _meet(out, status)
+    return out
+
+
+def _meet(s1: Status, s2: Status) -> Status:
+    if Status.REFUTED in (s1, s2):
+        return Status.REFUTED
+    if Status.UNKNOWN in (s1, s2):
+        return Status.UNKNOWN
+    return Status.REALIZED
+
+
 def check(
     pair: RealizerPair,
     phi: Formula,
@@ -200,81 +234,90 @@ def check(
 
 
 def _check(ctx: _Ctx, a: Value, b: Value, phi: Formula) -> tuple[Status, Trace]:
+    """The clause for φ's connective, memoised.  Clauses recurse only through
+    here, and the dispatch is a table lookup rather than a call, so a deep
+    name or formula costs few host frames per level."""
     ctx.samples += 1
     key = (a, b, phi)
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    out = _check_dispatch(ctx, a, b, phi)
-    ctx.memo[key] = out
+    out = ctx.memo.get(key)
+    if out is None:
+        out = ctx.memo[key] = _CLAUSES[type(phi)](ctx, a, b, phi)
     return out
 
 
-def _check_dispatch(ctx: _Ctx, a: Value, b: Value, phi: Formula) -> tuple[Status, Trace]:
-    match phi:
-        case Mem(x, y):
-            return _check_mem(ctx, a, b, _as_name(x), _as_name(y))
-        case Eq(x, y):
-            return _check_eq(ctx, a, b, _as_name(x), _as_name(y))
-        case And():
-            return _check_and(ctx, a, b, phi)
-        case Or():
-            return _check_or(ctx, a, b, phi)
-        case AllIn():
-            return _check_allin(ctx, a, b, phi)
-        case ExIn():
-            return _check_exin(ctx, a, b, phi)
-        case Not(body):
-            return _check_not(ctx, body)
-        case Imp():
-            return _check_imp(ctx, a, b, phi)
-        case All() | Ex():
-            return Status.UNKNOWN, Trace(
-                "quantifier", Status.UNKNOWN, note="unbounded quantifier: not checkable"
-            )
-    raise TypeError(phi)
+def _check_unbounded(ctx: _Ctx, a: Value, b: Value, phi: All | Ex) -> tuple[Status, Trace]:
+    return Status.UNKNOWN, Trace(
+        "quantifier", Status.UNKNOWN, note="unbounded quantifier: not checkable"
+    )
 
 
-def _check_mem(ctx: _Ctx, a: Value, b: Value, x: VName, y: VName) -> tuple[Status, Trace]:
-    clause = "mem"
-    a0, fail = _project(ctx, a, 0)
-    if fail:
-        return _fail(clause, fail, "(a)_0")
-    b0, fail = _project(ctx, b, 0)
-    if fail:
-        return _fail(clause, fail, "(b)_0")
-    a1, fail = _project(ctx, a, 1)
-    if fail:
-        return _fail(clause, fail, "(a)_1")
-    b1, fail = _project(ctx, b, 1)
-    if fail:
-        return _fail(clause, fail, "(b)_1")
-    matches, exhaustive = lookup_triples(y, a0, b0, ctx.budget, ctx.cfg)
+# Notes of the keyed clauses: realized, refuted after trying candidates,
+# refuted on an empty lookup, and left open.
+_KEYED_NOTES = {
+    "mem": (
+        "matching triple found",
+        "no matching triple realizes the equality",
+        "empty exhaustive lookup",
+        "candidate matches passed but membership is not exhaustive",
+    ),
+    "ex-in": (
+        "",
+        "witness key selects no usable triple",
+        "witness key selects no usable triple",
+        "candidate witnesses passed but membership is not exhaustive",
+    ),
+}
+
+
+def _check_keyed(ctx: _Ctx, a: Value, b: Value, phi: Mem | ExIn) -> tuple[Status, Trace]:
+    """``mem(x, y)`` and ``ex z in y. body``: the key (a)_0, (b)_0 selects
+    members z of the bound name y, and (a)_1, (b)_1 must realize ``sub(z)``,
+    that is ``eq(x, z)`` or ``body[z]``, for one of them."""
+    if isinstance(phi, Mem):
+        clause, bound, sub = "mem", _as_name(phi.y), partial(Eq, _as_name(phi.x))
+    else:
+        clause, bound, sub = "ex-in", _as_name(phi.bound), partial(substitute, phi.body, phi.var)
+    found, refuted, empty, open_note = _KEYED_NOTES[clause]
+    a0, b0, bad = _both(ctx, clause, _project, a, 0, b, 0, "(a)_0", "(b)_0")
+    if bad:
+        return bad
+    a1, b1, bad = _both(ctx, clause, _project, a, 1, b, 1, "(a)_1", "(b)_1")
+    if bad:
+        return bad
+    matches, exhaustive = lookup_triples(bound, a0, b0, ctx.budget, ctx.cfg)
     trace = Trace(clause, Status.UNKNOWN, exhaustive=exhaustive)
     saw_unknown = False
     for z in matches:
-        sub_status, sub_trace = _check(ctx, a1, b1, Eq(x, z))
-        trace.children.append(sub_trace)
-        if sub_status is Status.REALIZED:
-            # Candidates from a non-exhaustive lookup are only probable
-            # members; a positive answer through them stays Unknown.
-            if exhaustive:
-                trace.status = Status.REALIZED
-                trace.note = "matching triple found"
-                return Status.REALIZED, trace
-            saw_unknown = True
-        elif sub_status is Status.UNKNOWN:
-            saw_unknown = True
+        st, t = _check(ctx, a1, b1, sub(z))
+        trace.children.append(t)
+        # Candidates from a non-exhaustive lookup are only probable members;
+        # a positive answer through them stays Unknown.
+        if st is Status.REALIZED and exhaustive:
+            trace.status, trace.note = Status.REALIZED, found
+            return Status.REALIZED, trace
+        saw_unknown |= st is not Status.REFUTED
     if exhaustive and not saw_unknown:
-        trace.status = Status.REFUTED
-        trace.note = "no matching triple realizes the equality" if matches else "empty exhaustive lookup"
+        trace.status, trace.note = Status.REFUTED, refuted if matches else empty
         return Status.REFUTED, trace
-    trace.note = "candidate matches passed but membership is not exhaustive" if saw_unknown else ""
+    trace.note = open_note if saw_unknown else ""
     return Status.UNKNOWN, trace
 
 
-def _check_eq(ctx: _Ctx, a: Value, b: Value, x: VName, y: VName) -> tuple[Status, Trace]:
+def _apply_members(ctx: _Ctx, clause: str, a: Value, b: Value, triples, sub, pi=None):
+    """Per triple ⟨c, d, z⟩: the verdict that a·c, b·d (or their ``pi``-th
+    projections) realize ``sub(z)``, or the failure that stopped it."""
+    for c, d, z in triples:
+        ac, bd, bad = _both(ctx, clause, _apply, a, c, b, d, "a·c", "b·d")
+        if not bad and pi is not None:
+            ac, bd, bad = _both(
+                ctx, clause, _project, ac, pi, bd, pi, f"(a·c)_{pi}", f"(b·d)_{pi}"
+            )
+        yield bad if bad else _check(ctx, ac, bd, sub(z))
+
+
+def _check_eq(ctx: _Ctx, a: Value, b: Value, phi: Eq) -> tuple[Status, Trace]:
     clause = "eq"
+    x, y = _as_name(phi.x), _as_name(phi.y)
     if isinstance(x, Nat) and isinstance(y, Nat) and not decide_nat_eq(x.n, y.n):
         return Status.REFUTED, Trace(
             clause,
@@ -287,67 +330,17 @@ def _check_eq(ctx: _Ctx, a: Value, b: Value, x: VName, y: VName) -> tuple[Status
     for label, src, dst, pi in (("left", x, y, 0), ("right", y, x, 1)):
         triples, exhausted = enumerate_triples(src, ctx.budget, ctx.cfg)
         side = Trace(f"eq/{label}", Status.UNKNOWN, exhaustive=exhausted)
-        side_status = Status.REALIZED if exhausted else Status.UNKNOWN
-        for c, d, z in triples:
-            ac, fail = _apply(ctx, a, c)
-            if fail:
-                st, t = _fail(f"eq/{label}", fail, "a·c")
-                side.children.append(t)
-                side_status = st if st is Status.REFUTED else _meet(side_status, st)
-                if st is Status.REFUTED:
-                    side_status = Status.REFUTED
-                    break
-                continue
-            bd, fail = _apply(ctx, b, d)
-            if fail:
-                st, t = _fail(f"eq/{label}", fail, "b·d")
-                side.children.append(t)
-                if st is Status.REFUTED:
-                    side_status = Status.REFUTED
-                    break
-                side_status = _meet(side_status, st)
-                continue
-            qa, fail = _project(ctx, ac, pi)
-            if fail:
-                st, t = _fail(f"eq/{label}", fail, f"(a·c)_{pi}")
-                side.children.append(t)
-                if st is Status.REFUTED:
-                    side_status = Status.REFUTED
-                    break
-                side_status = _meet(side_status, st)
-                continue
-            qb, fail = _project(ctx, bd, pi)
-            if fail:
-                st, t = _fail(f"eq/{label}", fail, f"(b·d)_{pi}")
-                side.children.append(t)
-                if st is Status.REFUTED:
-                    side_status = Status.REFUTED
-                    break
-                side_status = _meet(side_status, st)
-                continue
-            sub_status, sub_trace = _check(ctx, qa, qb, Mem(z, dst))
-            side.children.append(sub_trace)
-            if sub_status is Status.REFUTED:
-                side_status = Status.REFUTED
-                break
-            side_status = _meet(side_status, sub_status)
-        side.status = side_status
+        members = _meet_all(
+            side, _apply_members(ctx, side.clause, a, b, triples, lambda z: Mem(z, dst), pi)
+        )
+        side.status = _meet(members, Status.REALIZED if exhausted else Status.UNKNOWN)
         trace.children.append(side)
-        if side_status is Status.REFUTED:
-            trace.status = Status.REFUTED
-            return Status.REFUTED, trace
-        overall = _meet(overall, side_status)
+        overall = _meet(overall, side.status)
+        if overall is Status.REFUTED:
+            break
     trace.status = overall
     trace.exhaustive = overall is Status.REALIZED
     return overall, trace
-
-
-def _meet(s1: Status, s2: Status) -> Status:
-    if Status.REFUTED in (s1, s2):
-        return Status.REFUTED
-    if Status.UNKNOWN in (s1, s2):
-        return Status.UNKNOWN
-    return Status.REALIZED
 
 
 def _check_and(ctx: _Ctx, a: Value, b: Value, phi: And) -> tuple[Status, Trace]:
@@ -355,12 +348,9 @@ def _check_and(ctx: _Ctx, a: Value, b: Value, phi: And) -> tuple[Status, Trace]:
     trace = Trace(clause, Status.UNKNOWN, exhaustive=True)
     overall = Status.REALIZED
     for i, sub in ((0, phi.left), (1, phi.right)):
-        pa, fail = _project(ctx, a, i)
-        if fail:
-            return _fail(clause, fail, f"(a)_{i}")
-        pb, fail = _project(ctx, b, i)
-        if fail:
-            return _fail(clause, fail, f"(b)_{i}")
+        pa, pb, bad = _both(ctx, clause, _project, a, i, b, i, f"(a)_{i}", f"(b)_{i}")
+        if bad:
+            return bad
         st, t = _check(ctx, pa, pb, sub)
         trace.children.append(t)
         if st is Status.REFUTED:
@@ -373,23 +363,17 @@ def _check_and(ctx: _Ctx, a: Value, b: Value, phi: And) -> tuple[Status, Trace]:
 
 def _check_or(ctx: _Ctx, a: Value, b: Value, phi: Or) -> tuple[Status, Trace]:
     clause = "or"
-    ta, fail = _project(ctx, a, 0)
-    if fail:
-        return _fail(clause, fail, "(a)_0")
-    tb, fail = _project(ctx, b, 0)
-    if fail:
-        return _fail(clause, fail, "(b)_0")
+    ta, tb, bad = _both(ctx, clause, _project, a, 0, b, 0, "(a)_0", "(b)_0")
+    if bad:
+        return bad
     if not (ta.is_numeral() and tb.is_numeral() and ta == tb and ta.numeral in (0, 1)):
         return Status.REFUTED, Trace(
             clause, Status.REFUTED, note="disjunction tags must both be #0 or both #1",
             exhaustive=True,
         )
-    pa, fail = _project(ctx, a, 1)
-    if fail:
-        return _fail(clause, fail, "(a)_1")
-    pb, fail = _project(ctx, b, 1)
-    if fail:
-        return _fail(clause, fail, "(b)_1")
+    pa, pb, bad = _both(ctx, clause, _project, a, 1, b, 1, "(a)_1", "(b)_1")
+    if bad:
+        return bad
     side = phi.left if ta.numeral == 0 else phi.right
     st, t = _check(ctx, pa, pb, side)
     trace = Trace(clause, st, note=f"tag #{ta.numeral}", exhaustive=True, children=[t])
@@ -398,84 +382,25 @@ def _check_or(ctx: _Ctx, a: Value, b: Value, phi: Or) -> tuple[Status, Trace]:
 
 def _check_allin(ctx: _Ctx, a: Value, b: Value, phi: AllIn) -> tuple[Status, Trace]:
     clause = "all-in"
-    bound = _as_name(phi.bound)
-    triples, exhausted = enumerate_triples(bound, ctx.budget, ctx.cfg)
+    triples, exhausted = enumerate_triples(_as_name(phi.bound), ctx.budget, ctx.cfg)
     trace = Trace(clause, Status.UNKNOWN, exhaustive=exhausted)
-    members = Status.REALIZED  # meet over the sampled members only
-    for c, d, z in triples:
-        ac, fail = _apply(ctx, a, c)
-        if fail:
-            st, t = _fail(clause, fail, "a·c")
-            trace.children.append(t)
-            if st is Status.REFUTED:
-                trace.status = Status.REFUTED
-                return Status.REFUTED, trace
-            members = _meet(members, st)
-            continue
-        bd, fail = _apply(ctx, b, d)
-        if fail:
-            st, t = _fail(clause, fail, "b·d")
-            trace.children.append(t)
-            if st is Status.REFUTED:
-                trace.status = Status.REFUTED
-                return Status.REFUTED, trace
-            members = _meet(members, st)
-            continue
-        st, t = _check(ctx, ac, bd, substitute(phi.body, phi.var, z))
-        trace.children.append(t)
-        if st is Status.REFUTED:
-            trace.status = Status.REFUTED
-            return Status.REFUTED, trace
-        members = _meet(members, st)
-    if exhausted:
-        trace.status = members
-        return members, trace
-    if members is Status.REALIZED and triples:
-        trace.note = "all sampled members pass; enumeration truncated"
-    trace.status = Status.UNKNOWN
-    return Status.UNKNOWN, trace
+    # The meet over the sampled members only.
+    members = _meet_all(
+        trace,
+        _apply_members(ctx, clause, a, b, triples, partial(substitute, phi.body, phi.var)),
+    )
+    if not exhausted and members is not Status.REFUTED:
+        if members is Status.REALIZED and triples:
+            trace.note = "all sampled members pass; enumeration truncated"
+        members = Status.UNKNOWN
+    trace.status = members
+    return members, trace
 
 
-def _check_exin(ctx: _Ctx, a: Value, b: Value, phi: ExIn) -> tuple[Status, Trace]:
-    clause = "ex-in"
-    bound = _as_name(phi.bound)
-    a0, fail = _project(ctx, a, 0)
-    if fail:
-        return _fail(clause, fail, "(a)_0")
-    b0, fail = _project(ctx, b, 0)
-    if fail:
-        return _fail(clause, fail, "(b)_0")
-    a1, fail = _project(ctx, a, 1)
-    if fail:
-        return _fail(clause, fail, "(a)_1")
-    b1, fail = _project(ctx, b, 1)
-    if fail:
-        return _fail(clause, fail, "(b)_1")
-    matches, exhaustive = lookup_triples(bound, a0, b0, ctx.budget, ctx.cfg)
-    trace = Trace(clause, Status.UNKNOWN, exhaustive=exhaustive)
-    saw_unknown = False
-    for z in matches:
-        st, t = _check(ctx, a1, b1, substitute(phi.body, phi.var, z))
-        trace.children.append(t)
-        if st is Status.REALIZED:
-            if exhaustive:
-                trace.status = Status.REALIZED
-                return Status.REALIZED, trace
-            saw_unknown = True
-        elif st is Status.UNKNOWN:
-            saw_unknown = True
-    if exhaustive and not saw_unknown:
-        trace.status = Status.REFUTED
-        trace.note = "witness key selects no usable triple"
-        return Status.REFUTED, trace
-    trace.note = "candidate witnesses passed but membership is not exhaustive" if saw_unknown else ""
-    return Status.UNKNOWN, trace
-
-
-def _check_not(ctx: _Ctx, body: Formula) -> tuple[Status, Trace]:
+def _check_not(ctx: _Ctx, a: Value, b: Value, phi: Not) -> tuple[Status, Trace]:
     clause = "not"
-    if in_fragment(body):
-        if truth_eval(body):
+    if in_fragment(phi.body):
+        if truth_eval(phi.body):
             return Status.REFUTED, Trace(
                 clause,
                 Status.REFUTED,
@@ -531,12 +456,9 @@ def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> tuple[Status, Trace]:
 
         wit = synthesize(phi.hyp)
         if wit is not None:
-            aw, fail = _apply(ctx, a, wit.a)
-            if fail:
-                return _fail(clause, fail, "a·witness")
-            bw, fail = _apply(ctx, b, wit.b)
-            if fail:
-                return _fail(clause, fail, "b·witness")
+            aw, bw, bad = _both(ctx, clause, _apply, a, wit.a, b, wit.b, "a·witness", "b·witness")
+            if bad:
+                return bad
             st, t = _check(ctx, aw, bw, phi.concl)
             if st is Status.REFUTED:
                 return Status.REFUTED, Trace(
@@ -552,6 +474,20 @@ def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> tuple[Status, Trace]:
     return Status.UNKNOWN, Trace(
         clause, Status.UNKNOWN, note="implication quantifies over the whole algebra"
     )
+
+
+_CLAUSES = {
+    Mem: _check_keyed,
+    ExIn: _check_keyed,
+    Eq: _check_eq,
+    And: _check_and,
+    Or: _check_or,
+    AllIn: _check_allin,
+    Not: _check_not,
+    Imp: _check_imp,
+    All: _check_unbounded,
+    Ex: _check_unbounded,
+}
 
 
 def check_imp_on_witnesses(
@@ -572,48 +508,37 @@ def check_imp_on_witnesses(
     ctx = _Ctx(budget, cfg)
     trace = Trace("imp/witness-directed", Status.UNKNOWN, witness_directed=True)
     usable = 0
-    overall = Status.REALIZED
-    for i, w in enumerate(witnesses):
-        pre_status, pre_trace = _check(ctx, w.a, w.b, hyp)
-        if pre_status is Status.REFUTED:
-            trace.children.append(
-                Trace("witness", Status.UNKNOWN, note=f"witness {i} does not realize the hypothesis; skipped",
-                      children=[pre_trace])
+
+    def results():
+        nonlocal usable
+        for i, w in enumerate(witnesses):
+            pre_status, pre_trace = _check(ctx, w.a, w.b, hyp)
+            if pre_status is Status.REFUTED:
+                # A skipped witness bears on no verdict: REALIZED is the meet's unit.
+                yield Status.REALIZED, Trace(
+                    "witness", Status.UNKNOWN, children=[pre_trace],
+                    note=f"witness {i} does not realize the hypothesis; skipped",
+                )
+                continue
+            usable += 1
+            aw, bw, bad = _both(
+                ctx, "imp/witness", _apply, pair.a, w.a, pair.b, w.b, "a·witness", "b·witness"
             )
-            continue
-        usable += 1
-        aw, fail = _apply(ctx, pair.a, w.a)
-        if fail:
-            st, t = _fail("imp/witness", fail, "a·witness")
-            trace.children.append(t)
-            if st is Status.REFUTED:
-                trace.status = Status.REFUTED
-                return Verdict(Status.REFUTED, trace, ctx.samples)
-            overall = _meet(overall, st)
-            continue
-        bw, fail = _apply(ctx, pair.b, w.b)
-        if fail:
-            st, t = _fail("imp/witness", fail, "b·witness")
-            trace.children.append(t)
-            if st is Status.REFUTED:
-                trace.status = Status.REFUTED
-                return Verdict(Status.REFUTED, trace, ctx.samples)
-            overall = _meet(overall, st)
-            continue
-        st, t = _check(ctx, aw, bw, concl)
-        t.note = (f"witness {i}: " + t.note).rstrip(": ")
-        trace.children.append(t)
-        if st is Status.REFUTED:
-            trace.status = Status.REFUTED
-            return Verdict(Status.REFUTED, trace, ctx.samples)
-        overall = _meet(overall, st)
-    if usable == 0:
-        trace.status = Status.UNKNOWN
-        trace.note = "no usable witnesses"
-        return Verdict(Status.UNKNOWN, trace, ctx.samples)
-    trace.status = overall
-    trace.note = f"{usable} witness(es); universal claim over the algebra unverified"
-    return Verdict(overall, trace, ctx.samples)
+            if bad:
+                yield bad
+                continue
+            st, t = _check(ctx, aw, bw, concl)
+            # The memo holds t; label a copy.
+            yield st, replace(t, note=(f"witness {i}: " + t.note).rstrip(": "))
+
+    status = _meet_all(trace, results())
+    if status is not Status.REFUTED:
+        if usable:
+            trace.note = f"{usable} witness(es); universal claim over the algebra unverified"
+        else:
+            status, trace.note = Status.UNKNOWN, "no usable witnesses"
+    trace.status = status
+    return Verdict(status, trace, ctx.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ the defining set is indexed by a decidable key.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .kernel import apply_value, eval_term, project
@@ -22,7 +22,7 @@ from .terms import (
     FuelConfig,
     FuelExhausted,
     K,
-    Num,
+    MachineError,
     SUCC,
     Term,
     Tri,
@@ -197,10 +197,6 @@ def _values_eq_num(a: Value, b: Value) -> int | None:
     return None
 
 
-def _proj0(v: Value, cfg: FuelConfig) -> Value | None:
-    return project(v, 0, cfg)
-
-
 # ---------------------------------------------------------------------------
 # gen_elems / eq_type / internalize: the hereditarily extensional structure
 
@@ -319,26 +315,21 @@ def _eq_type_arrow(
     assert isinstance(sigma, Arrow)
     gens = gen_elems(sigma.dom, budget)
     passed = 0
-    saw_unknown = False
     for g in gens:
+        # A machine error on a generator is a counterexample; any other
+        # exception is a fault of the program and propagates.
         try:
             oa = apply_value(a, g, cfg)
             ob = apply_value(b, g, cfg)
-        except Exception:
+        except MachineError:
             return EqTypeReport(Tri.FALSE, passed, len(gens), g)
         if isinstance(oa, FuelExhausted) or isinstance(ob, FuelExhausted):
-            saw_unknown = True
             continue
-        sub = eq_type(oa.value, ob.value, sigma.cod, budget, cfg)
-        if sub.result is Tri.FALSE:
+        if eq_type(oa.value, ob.value, sigma.cod, budget, cfg).result is Tri.FALSE:
             return EqTypeReport(Tri.FALSE, passed, len(gens), g)
-        if sub.result is Tri.UNKNOWN and sigma.cod == TYPE_O:
-            # impossible: base type decides
-            saw_unknown = True
         passed += 1
     # All sampled generator pairs agree; the domain is infinite, so this is
     # evidence, not proof.
-    del saw_unknown
     return EqTypeReport(Tri.UNKNOWN, passed, len(gens))
 
 
@@ -359,6 +350,24 @@ def internalize(a: Value, sigma: FinType, budget: EnumBudget = DEFAULT_BUDGET) -
 
 # ---------------------------------------------------------------------------
 # Triple access
+
+
+def _member(x: Internal | Graph, g: Value, budget: EnumBudget, cfg: FuelConfig) -> VName | None:
+    """The member ⟨ǧ, image⟩ that an arrow-type ``Internal`` name (image
+    f·g) or a ``Graph`` name (image (f·g)_0) pairs with the key g; None when
+    the image runs out of fuel."""
+    out = apply_value(x.a, g, cfg)
+    if isinstance(out, FuelExhausted):
+        return None
+    image = out.value
+    if isinstance(x, Graph):
+        dom, cod = x.sigma, x.tau
+        image = project(image, 0, cfg)
+        if image is None:
+            return None
+    else:
+        dom, cod = x.sigma.dom, x.sigma.cod
+    return OPair(internalize(g, dom, budget), internalize(image, cod, budget))
 
 
 def lookup_triples(
@@ -405,31 +414,17 @@ def lookup_triples(
                 return [], True
             exhaustive = sigma == TYPE_O or rep.result is Tri.TRUE
             return [internalize(a, sigma, budget)], exhaustive
-        case Internal(f, sigma):
-            if sigma == TYPE_O:
-                # The internalization of a numeral has the numeral's triples.
-                return lookup_triples(Nat(f.numeral), a, b, budget, cfg)
-            assert isinstance(sigma, Arrow)
-            rep = eq_type(a, b, sigma.dom, budget, cfg)
+        case Internal(f, O()):
+            # The internalization of a numeral has the numeral's triples.
+            return lookup_triples(Nat(f.numeral), a, b, budget, cfg)
+        case Internal(_, Arrow(dom, _)) | Graph(_, dom, _):
+            rep = eq_type(a, b, dom, budget, cfg)
             if rep.result is Tri.FALSE:
                 return [], True
-            out = apply_value(f, a, cfg)
-            if isinstance(out, FuelExhausted):
+            z = _member(x, a, budget, cfg)
+            if z is None:
                 return [], False
-            z = OPair(internalize(a, sigma.dom, budget), internalize(out.value, sigma.cod, budget))
-            return [z], sigma.dom == TYPE_O or rep.result is Tri.TRUE
-        case Graph(f, sigma, tau):
-            rep = eq_type(a, b, sigma, budget, cfg)
-            if rep.result is Tri.FALSE:
-                return [], True
-            fa = apply_value(f, a, cfg)
-            if isinstance(fa, FuelExhausted):
-                return [], False
-            e = _proj0(fa.value, cfg)
-            if e is None:
-                return [], False
-            z = OPair(internalize(a, sigma, budget), internalize(e, tau, budget))
-            return [z], sigma == TYPE_O or rep.result is Tri.TRUE
+            return [z], dom == TYPE_O or rep.result is Tri.TRUE
     raise TypeError(x)
 
 
@@ -464,33 +459,11 @@ def enumerate_triples(
             for g in gen_elems(sigma, budget):
                 out.append((g, g, internalize(g, sigma, budget)))
             return out, False
-        case Internal(f, sigma):
-            if sigma == TYPE_O:
-                return enumerate_triples(Nat(f.numeral), budget, cfg)
-            assert isinstance(sigma, Arrow)
-            out = []
-            for g in gen_elems(sigma.dom, budget):
-                fg = apply_value(f, g, cfg)
-                if isinstance(fg, FuelExhausted):
-                    continue
-                z = OPair(
-                    internalize(g, sigma.dom, budget),
-                    internalize(fg.value, sigma.cod, budget),
-                )
-                out.append((g, g, z))
-            return out, False
-        case Graph(f, sigma, tau):
-            out = []
-            for g in gen_elems(sigma, budget):
-                fg = apply_value(f, g, cfg)
-                if isinstance(fg, FuelExhausted):
-                    continue
-                e = _proj0(fg.value, cfg)
-                if e is None:
-                    continue
-                z = OPair(internalize(g, sigma, budget), internalize(e, tau, budget))
-                out.append((g, g, z))
-            return out, False
+        case Internal(f, O()):
+            return enumerate_triples(Nat(f.numeral), budget, cfg)
+        case Internal(_, Arrow(dom, _)) | Graph(_, dom, _):
+            members = ((g, _member(x, g, budget, cfg)) for g in gen_elems(dom, budget))
+            return [(g, g, z) for g, z in members if z is not None], False
     raise TypeError(x)
 
 

@@ -94,6 +94,7 @@ class ScenarioReport:
 class _Env:
     terms: dict[str, object] = field(default_factory=dict)  # name -> Term
     names: dict[str, VName] = field(default_factory=dict)
+    name_heights: dict[str, int] = field(default_factory=dict)
     formulas: dict[str, Formula] = field(default_factory=dict)
     formula_heights: dict[str, int] = field(default_factory=dict)
     cfg: FuelConfig = DEFAULT_FUEL
@@ -149,41 +150,51 @@ def _resolve_term_names(env: _Env, t):
     return done[0]
 
 
-def _parse_name(env: _Env, text: str, line: int) -> VName:
+_NAME_TOO_DEEP = f"name nesting deeper than {MAX_NESTING} levels"
+
+
+def _parse_name(env: _Env, text: str, line: int, depth: int = 0) -> tuple[VName, int]:
+    """The name ``text`` denotes, ``depth`` levels down, and its height.
+
+    The arguments of ``sing``/``upair``/``opair`` and the members of an
+    explicit name nest one level each, and the parse recurses once per
+    level; a declared name counts its own height.  Either past
+    ``MAX_NESTING`` is an error, as for formulas.
+    """
+    if depth > MAX_NESTING:
+        raise ScenarioError(_NAME_TOO_DEEP, line)
     text = text.strip()
     if text in env.names:
-        return env.names[text]
+        return env.names[text], env.name_heights[text]
     if text == "omega":
-        return OMEGA
+        return OMEGA, 0
     head, _, rest = text.partition(" ")
     rest = rest.strip()
     if head == "nat":
         if not rest.isdecimal():
             raise ScenarioError(f"nat needs a natural number, got {rest!r}", line)
-        return Nat(int(rest))
+        return Nat(int(rest)), 0
     if head in ("sing", "upair", "opair"):
-        args = _split_name_args(env, rest, line, 1 if head == "sing" else 2)
-        if head == "sing":
-            return Sing(args[0])
-        if head == "upair":
-            return UPair(args[0], args[1])
-        return OPair(args[0], args[1])
+        args = _split_name_args(env, rest, line, 1 if head == "sing" else 2, depth + 1)
+        cls = {"sing": Sing, "upair": UPair, "opair": OPair}[head]
+        return _compound(cls(*(n for n, _ in args)), [h for _, h in args], line)
     if head == "F":
-        return type_name(_parse_type(rest, line))
+        return type_name(_parse_type(rest, line)), 0
     if head == "int":
         body, _, ty = rest.rpartition(":")
         from .names import internalize
 
-        return internalize(_eval_value(env, body, line), _parse_type(ty, line), env.budget)
+        return internalize(_eval_value(env, body, line), _parse_type(ty, line), env.budget), 0
     if head == "graph":
         body, _, types = rest.rpartition(":")
         dom, _, cod = types.partition("->")
-        return Graph(_eval_value(env, body, line), _parse_type(dom, line), _parse_type(cod, line))
+        f = _eval_value(env, body, line)
+        return Graph(f, _parse_type(dom, line), _parse_type(cod, line)), 0
     if text.startswith("{"):
         if not text.endswith("}"):
             raise ScenarioError("unterminated explicit name", line)
         inner = text[1:-1].strip()
-        triples = []
+        triples, heights = [], []
         if inner:
             for part in _split_top(inner, ";"):
                 part = part.strip()
@@ -196,10 +207,19 @@ def _parse_name(env: _Env, text: str, line: int) -> VName:
                     raise ScenarioError("triples have three components", line)
                 t1 = _eval_value(env, fields[0], line)
                 t2 = _eval_value(env, fields[1], line)
-                member = _parse_name(env, fields[2], line)
+                member, height = _parse_name(env, fields[2], line, depth + 1)
                 triples.append((t1, t2, member))
-        return Explicit(tuple(triples))
+                heights.append(height)
+        return _compound(Explicit(tuple(triples)), heights, line)
     raise ScenarioError(f"unknown name syntax {text!r}", line)
+
+
+def _compound(name: VName, heights: list[int], line: int) -> tuple[VName, int]:
+    """A name one level above members of the given heights, and its height."""
+    height = max(heights, default=-1) + 1
+    if height > MAX_NESTING:
+        raise ScenarioError(_NAME_TOO_DEEP, line)
+    return name, height
 
 
 def _parse_type(text: str, line: int):
@@ -209,33 +229,29 @@ def _parse_type(text: str, line: int):
         raise ScenarioError(f"bad type {text.strip()!r}: {exc}", line) from None
 
 
-def _split_name_args(env: _Env, text: str, line: int, n: int) -> list[VName]:
-    # Arguments are either parenthesized name expressions or simple tokens.
-    parts = _split_top(text, " ") if "(" not in text else None
-    if parts is not None:
-        toks = [p for p in parts if p.strip()]
+def _split_name_args(
+    env: _Env, text: str, line: int, n: int, depth: int
+) -> list[tuple[VName, int]]:
+    """The ``n`` arguments of a name constructor, each parsed ``depth``
+    levels down, with their heights.  Without parentheses the arguments are
+    ``n`` single tokens; otherwise each is a parenthesized name."""
+    if "(" not in text:
+        toks = [p for p in _split_top(text, " ") if p.strip()]
         if len(toks) == n:
-            joined = []
-            if n == 1:
-                return [_parse_name(env, text, line)]
-            # two single-token or name-reference args, possibly multiword like "nat 3"
-            if len(toks) == 2 and n == 2:
-                return [_parse_name(env, toks[0], line), _parse_name(env, toks[1], line)]
-        # fall through: try splitting "nat 3 nat 4" style
-    out, depth, cur = [], 0, []
-    pieces = []
+            return [_parse_name(env, t, line, depth) for t in toks]
+    pieces, nest, cur = [], 0, []
     for ch in text:
         if ch == "(":
-            depth += 1
-            if depth == 1:
+            nest += 1
+            if nest == 1:
                 cur = []
                 continue
         elif ch == ")":
-            depth -= 1
-            if depth == 0:
+            nest -= 1
+            if nest == 0:
                 pieces.append("".join(cur))
                 continue
-        if depth > 0:
+        if nest > 0:
             cur.append(ch)
         elif not ch.isspace():
             raise ScenarioError(
@@ -243,7 +259,7 @@ def _split_name_args(env: _Env, text: str, line: int, n: int) -> list[VName]:
             )
     if len(pieces) != n:
         raise ScenarioError(f"expected {n} name argument(s) in {text!r}", line)
-    return [_parse_name(env, p, line) for p in pieces]
+    return [_parse_name(env, p, line, depth) for p in pieces]
 
 
 def _eval_value(env: _Env, text: str, line: int) -> Value:
@@ -379,7 +395,7 @@ def _name_ref(env: _Env, text: str, line: int):
         return env.names[text]
     if text.isidentifier() and not any(text.startswith(k) for k in ("nat", "omega", "sing", "upair", "opair")):
         return text
-    return _parse_name(env, text, line)
+    return _parse_name(env, text, line)[0]
 
 
 def _closed_formula(env: _Env, text: str, line: int) -> Formula:
@@ -445,7 +461,8 @@ def run_scenario(text: str) -> ScenarioReport:
                 raise ScenarioError(str(exc), lineno)
         elif head == "name":
             name, _, body = rest.partition("=")
-            env.names[name.strip()] = _parse_name(env, body.strip(), lineno)
+            name = name.strip()
+            env.names[name], env.name_heights[name] = _parse_name(env, body, lineno)
         elif head == "formula":
             name, _, body = rest.partition("=")
             phi, height = _formula(env, body.strip(), lineno, 0)

@@ -2,17 +2,20 @@
 
 ``realizes`` is a direct boolean recursion over the defining clauses, valid
 on hereditarily finite explicit names only.  It shares nothing with the
-production checker beyond the reduction machine: no lookup indexing, no
-memo, no verdict calculus.  Crashing applications count as non-realization.
+production checker beyond the reduction machine, whose ``apply_value`` and
+``project`` (from ``extreal.kernel``, memo included) it uses for both
+operations: no lookup indexing, no checker memo, no verdict calculus.
+Crashing applications count as non-realization.  That the memo agrees with
+the memo-free machine below is tested on its own in ``test_machine.py``.
 
 ``abstract``/``compile_term`` are the original quadratic bracket
 abstraction, which recomputes ``free_vars`` and ``always_defined`` at every
 App node on its path; ``extreal.bracket`` must produce exactly these terms.
 
-``run``/``eval_term``/``apply_value`` are the reduction machine's plain
-loop with no memo and no interning: every application is reduced, every
-value built afresh.  ``extreal.machine`` must report exactly their outcomes:
-steps, values, errors and fuel notes.
+``oracle_run``/``oracle_eval_term``/``oracle_apply_value`` are the
+reduction machine's plain loop with no memo and no interning: every
+application is reduced, every value built afresh.  ``extreal.machine`` must
+report exactly their outcomes: steps, values, errors and fuel notes.
 """
 
 from __future__ import annotations
@@ -219,13 +222,13 @@ def _const(kind: ConstKind) -> Value:
         if kind in DELTA_ARITY:
             _consts[kind] = Value(Const(kind))
         else:
-            out = run([(_EVAL, EXPANSIONS[kind], None)], [], DEFAULT_FUEL)
+            out = oracle_run([(_EVAL, EXPANSIONS[kind], None)], [], DEFAULT_FUEL)
             assert isinstance(out, Defined)
             _consts[kind] = out.value
     return _consts[kind]
 
 
-def run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
+def oracle_run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
     steps = 0
     while ops:
         op = ops.pop()
@@ -298,9 +301,11 @@ def run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
     return Defined(vstack.pop(), steps)
 
 
-def eval_term(t: Term, env: dict[str, Value] | None = None, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
-    return run([(_EVAL, t, env)], [], cfg)
+def oracle_eval_term(
+    t: Term, env: dict[str, Value] | None = None, cfg: FuelConfig = DEFAULT_FUEL
+) -> Outcome:
+    return oracle_run([(_EVAL, t, env)], [], cfg)
 
 
-def apply_value(f: Value, a: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
-    return run([(_APPLY,)], [f, a], cfg)
+def oracle_apply_value(f: Value, a: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
+    return oracle_run([(_APPLY,)], [f, a], cfg)

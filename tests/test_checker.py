@@ -34,7 +34,7 @@ from extreal.kernel import apply_value, pair_value
 from extreal.names import EnumBudget, Explicit, Nat, OMEGA, OPair, Sing, UPair
 from extreal.realizers import i_r_value, synthesize
 from extreal.suites import random_finite_name, random_fragment_formula
-from extreal.terms import FuelConfig, K, Value, num_value, opaque_value
+from extreal.terms import DEFAULT_FUEL, FuelConfig, K, Value, num_value, opaque_value
 
 IR = i_r_value()
 
@@ -178,6 +178,20 @@ def test_check_imp_on_witnesses_skips_non_realizers():
     assert "no usable witnesses" in ver.trace.note
 
 
+def test_witness_labels_leave_the_memoised_trace_alone():
+    """Equal witnesses share one memoised conclusion trace; each child gets
+    its own label and the shared trace keeps its note."""
+    from extreal.compiler import SKK
+    from extreal.realizers import value_of
+
+    idv = value_of(SKK)
+    phi = Eq(Nat(2), Nat(2))
+    ver = check_imp_on_witnesses(both(idv), phi, phi, [both(IR), both(IR)])
+    assert ver.status is Status.REALIZED
+    assert [c.note for c in ver.trace.children] == ["witness 0", "witness 1"]
+    assert check(both(IR), phi).trace.note == ""
+
+
 def test_realized_traces_bottom_out_exhaustively():
     def audit(tr) -> bool:
         if not tr.children:
@@ -302,3 +316,103 @@ def test_round_trip_structured_cases():
         wit = synthesize(phi)
         got = wit is not None and check(wit, phi).status is Status.REALIZED
         assert want == got, fmt(phi)
+
+
+# ---------------------------------------------------------------------------
+# Failure sites: every projection and application a clause makes of a
+# realizer either crashes (Refuted, exhaustive) or runs out of fuel (Unknown).
+
+_CRASH = "#3 #3"  # applying a numeral is a machine error
+_LOOP = "(\\y. y y) (\\y. y y)"  # diverges under any fuel
+
+
+def _term_value(src: str) -> Value:
+    from extreal.compiler import compile_term
+    from extreal.parser import parse
+    from extreal.realizers import value_of
+
+    return value_of(compile_term(parse(src)))
+
+
+def _sel(t0: str, t1: str) -> str:
+    """A realizer whose projections 0 and 1 run t0 and t1."""
+    return f"(\\s. s (\\u. {t0}) (\\u. {t1}) #0)"
+
+
+def _fn(body: str) -> str:
+    return f"(\\c. {body})"
+
+
+_OK = _sel("#0", "#0")
+# Realizers whose projection 0, respectively 1, runs the failing term {}.
+_FAILS_AT = (_sel("{}", "#0"), _sel("#0", "{}"))
+_ZERO_IN_ONE = Mem(Nat(0), Nat(1))
+# (site, clause of the failing node, formula, a, b): {} in a or b marks where
+# the failing term goes; formula None is the witness-directed check.
+_FAILURE_SITES = [
+    *(
+        (what, clause, phi, a, b)
+        for clause, phi in (
+            ("mem", Mem(Nat(0), OMEGA)),
+            ("ex-in", ExIn("z", Nat(1), Eq("z", "z"))),
+            ("and", And(Eq(Nat(0), Nat(0)), Eq(Nat(0), Nat(0)))),
+            ("or", Or(Eq(Nat(0), Nat(0)), Eq(Nat(0), Nat(0)))),
+        )
+        for what, a, b in (
+            ("(a)_0", _FAILS_AT[0], _OK),
+            ("(b)_0", _OK, _FAILS_AT[0]),
+            ("(a)_1", _FAILS_AT[1], _OK),
+            ("(b)_1", _OK, _FAILS_AT[1]),
+        )
+    ),
+    *(
+        (what, clause, phi, a, b)
+        for clause, phi, pi in (
+            ("eq/left", Eq(Nat(1), Explicit(())), 0),
+            ("eq/right", Eq(Explicit(()), Nat(1)), 1),
+        )
+        for what, a, b in (
+            ("a·c", _fn("{}"), _fn(_OK)),
+            ("b·d", _fn(_OK), _fn("{}")),
+            (f"(a·c)_{pi}", _fn(_FAILS_AT[pi]), _fn(_OK)),
+            (f"(b·d)_{pi}", _fn(_OK), _fn(_FAILS_AT[pi])),
+        )
+    ),
+    ("a·c", "all-in", AllIn("z", Nat(1), Eq("z", "z")), _fn("{}"), _fn(_OK)),
+    ("b·d", "all-in", AllIn("z", Nat(1), Eq("z", "z")), _fn(_OK), _fn("{}")),
+    ("a·witness", "imp", Imp(_ZERO_IN_ONE, Eq(Nat(0), Nat(0))), _fn("{}"), _fn(_OK)),
+    ("b·witness", "imp", Imp(_ZERO_IN_ONE, Eq(Nat(0), Nat(0))), _fn(_OK), _fn("{}")),
+    ("a·witness", "imp/witness", None, _fn("{}"), _fn(_OK)),
+    ("b·witness", "imp/witness", None, _fn(_OK), _fn("{}")),
+]
+
+
+def _failure_node(trace):
+    if " crashed (" in trace.note or trace.note.endswith("ran out of fuel"):
+        return trace
+    return next((n for n in map(_failure_node, trace.children) if n is not None), None)
+
+
+@pytest.mark.parametrize(
+    "what, clause, phi, a, b", _FAILURE_SITES, ids=[f"{c}:{w.replace('·', '.')}" for w, c, *_ in _FAILURE_SITES]
+)
+def test_failure_sites_crash_refutes_and_fuel_is_unknown(what, clause, phi, a, b):
+    small = FuelConfig(max_steps=400)
+    for failing, cfg, status in (
+        (_CRASH, DEFAULT_FUEL, Status.REFUTED),
+        (_LOOP, small, Status.UNKNOWN),
+    ):
+        pair = RealizerPair(*(_term_value(t.replace("{}", failing)) for t in (a, b)))
+        if phi is None:
+            hyp = Eq(Nat(0), Nat(0))
+            ver = check_imp_on_witnesses(pair, hyp, hyp, [both(_term_value(_OK))], cfg=cfg)
+        else:
+            ver = check(pair, phi, cfg=cfg)
+        node = _failure_node(ver.trace)
+        assert ver.status is status and node is not None, (failing, ver.trace.render())
+        refuted = status is Status.REFUTED
+        assert (node.clause, node.status, node.exhaustive) == (clause, status, refuted)
+        if refuted:
+            assert node.note.startswith(f"{what} crashed (stuck: "), node.note
+        else:
+            assert node.note == f"{what} ran out of fuel"

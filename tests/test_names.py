@@ -137,6 +137,30 @@ def test_eq_type_arrow_counterexample():
     assert rep.counterexample == num_value(0)
 
 
+def test_eq_type_counterexamples_are_machine_errors_only(monkeypatch):
+    """Only a machine error on a generator refutes; any other exception is a
+    fault of the program and must not turn into a counterexample."""
+    import extreal.names as names_mod
+    from extreal.terms import StuckApplication
+
+    succ = eval_term(SUCC).value
+
+    def raising(exc):
+        def apply(f, a, cfg=None):
+            raise exc
+
+        return apply
+
+    monkeypatch.setattr(names_mod, "_EQ_TYPE_CACHE", {})
+    monkeypatch.setattr(names_mod, "apply_value", raising(StuckApplication("stuck")))
+    rep = eq_type(succ, succ, OO)
+    assert rep.result is Tri.FALSE and rep.counterexample == num_value(0)
+    monkeypatch.setattr(names_mod, "_EQ_TYPE_CACHE", {})
+    monkeypatch.setattr(names_mod, "apply_value", raising(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        eq_type(succ, succ, OO)
+
+
 def test_gen_elems_base():
     assert gen_elems(TYPE_O, EnumBudget(max_index=3)) == [num_value(i) for i in range(4)]
 

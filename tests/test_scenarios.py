@@ -128,6 +128,8 @@ _BAD_SECOND_LINES = [
     "check (K, K) " + "~" * 1500 + "eq(nat 1, nat 1)",
     "check (K, K) " + "(" * 600 + "eq(nat 1, nat 1)" + ")" * 600,
     "name n = F " + "(" * 1500 + "o" + ")o" * 1500,
+    "name n = " + "sing (" * 1500 + "nat 1" + ")" * 1500,
+    "name n = " + "{(K, K, " * 1500 + "nat 1" + ")}" * 1500,
 ]
 
 
@@ -166,6 +168,23 @@ def test_formulas_and_types_at_the_nesting_limit():
     for ty in ("(" * (MAX_NESTING + 1) + "o" + ")o" * (MAX_NESTING + 1), "(o)" * (MAX_NESTING + 1) + "o"):
         with pytest.raises(ScenarioError, match="type nesting deeper than"):
             run_scenario(f"name n = F {ty}\n")
+    # Names nest through constructor arguments and explicit members.
+    names = {
+        "sing": lambda n: "sing (" * n + "nat 1" + ")" * n,
+        "upair": lambda n: "upair (nat 0) (" * n + "nat 1" + ")" * n,
+        "explicit": lambda n: "{(K, K, " * n + "nat 1" + ")}" * n,
+    }
+    for shape, name in names.items():
+        rep = run_scenario(f"name n = {name(MAX_NESTING)}\ncheck (K, K) mem(nat 0, n)\n")
+        assert rep.results[0].outcome in ("realized", "refuted", "unknown"), shape
+        with pytest.raises(ScenarioError, match="name nesting deeper than"):
+            run_scenario(f"name n = {name(MAX_NESTING + 1)}\n")
+    # A reference counts the height of the name it names.
+    k = MAX_NESTING // 2
+    named = f"name m = {names['sing'](k)}\n"
+    run_scenario(named + f"name n = {'sing (' * k}m{')' * k}\n")
+    with pytest.raises(ScenarioError, match="name nesting deeper than"):
+        run_scenario(named + f"name n = sing ({'sing (' * k}m{')' * k})\n")
 
 
 def _cli(*args, stdin=None):
