@@ -28,7 +28,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"{name} must be an integer, got {raw!r}")
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,10 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> tuple[FuelConfig, EnumBudget, int]:
-    fuel = args.fuel if args.fuel is not None else _env_int("PCA_FUEL", 100_000)
-    budget = args.budget if args.budget is not None else _env_int("PCA_BUDGET", 8)
-    seed = args.seed if args.seed is not None else _env_int("PCA_SEED", 0)
-    return FuelConfig(max_steps=fuel), EnumBudget(max_index=budget), seed
+    """Fuel, budget and seed from the flags, else the environment.  A bad
+    value ends the command with one error line and exit code 2."""
+    try:
+        fuel = args.fuel if args.fuel is not None else _env_int("PCA_FUEL", 100_000)
+        budget = args.budget if args.budget is not None else _env_int("PCA_BUDGET", 8)
+        seed = args.seed if args.seed is not None else _env_int("PCA_SEED", 0)
+        return FuelConfig(max_steps=fuel), EnumBudget(max_index=budget), seed
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _report_scenario(rep: ScenarioReport, args) -> int:

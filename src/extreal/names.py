@@ -352,22 +352,21 @@ def internalize(a: Value, sigma: FinType, budget: EnumBudget = DEFAULT_BUDGET) -
 # Triple access
 
 
-def _member(x: Internal | Graph, g: Value, budget: EnumBudget, cfg: FuelConfig) -> VName | None:
-    """The member ⟨ǧ, image⟩ that an arrow-type ``Internal`` name (image
-    f·g) or a ``Graph`` name (image (f·g)_0) pairs with the key g; None when
-    the image runs out of fuel."""
-    out = apply_value(x.a, g, cfg)
-    if isinstance(out, FuelExhausted):
+def _member(x: Internal | Graph, g: Value, budget: EnumBudget, cfg: FuelConfig) -> list[VName] | None:
+    """The members at key g of an arrow-type ``Internal`` name (⟨ǧ, f·g⟩)
+    or a ``Graph`` name (⟨ǧ, (f·g)_0⟩): one, or none where a machine error
+    leaves the image undefined; None when the image runs out of fuel."""
+    try:
+        out = apply_value(x.a, g, cfg)
+        image = None if isinstance(out, FuelExhausted) else out.value
+        if isinstance(x, Graph) and image is not None:
+            image = project(image, 0, cfg)
+    except MachineError:
+        return []
+    if image is None:
         return None
-    image = out.value
-    if isinstance(x, Graph):
-        dom, cod = x.sigma, x.tau
-        image = project(image, 0, cfg)
-        if image is None:
-            return None
-    else:
-        dom, cod = x.sigma.dom, x.sigma.cod
-    return OPair(internalize(g, dom, budget), internalize(image, cod, budget))
+    dom, cod = (x.sigma, x.tau) if isinstance(x, Graph) else (x.sigma.dom, x.sigma.cod)
+    return [OPair(internalize(g, dom, budget), internalize(image, cod, budget))]
 
 
 def lookup_triples(
@@ -383,31 +382,15 @@ def lookup_triples(
     indexed by a decidable key answer completely.
     """
     match x:
-        case Explicit(triples):
-            return [z for (ka, kb, z) in triples if ka == a and kb == b], True
+        case Explicit() | Sing() | UPair() | OPair():
+            triples, _ = enumerate_triples(x, budget, cfg)
+            return [z for ka, kb, z in triples if ka == a and kb == b], True
         case Nat(n):
             m = _values_eq_num(a, b)
             return ([Nat(m)] if m is not None and m < n else []), True
         case Omega():
             m = _values_eq_num(a, b)
             return ([Nat(m)] if m is not None else []), True
-        case Sing(inner):
-            m = _values_eq_num(a, b)
-            return ([inner] if m == 0 else []), True
-        case UPair(x0, y0):
-            m = _values_eq_num(a, b)
-            if m == 0:
-                return [x0], True
-            if m == 1:
-                return [y0], True
-            return [], True
-        case OPair(x0, y0):
-            m = _values_eq_num(a, b)
-            if m == 0:
-                return [Sing(x0)], True
-            if m == 1:
-                return [UPair(x0, y0)], True
-            return [], True
         case TypeName(sigma):
             rep = eq_type(a, b, sigma, budget, cfg)
             if rep.result is Tri.FALSE:
@@ -421,10 +404,10 @@ def lookup_triples(
             rep = eq_type(a, b, dom, budget, cfg)
             if rep.result is Tri.FALSE:
                 return [], True
-            z = _member(x, a, budget, cfg)
-            if z is None:
+            zs = _member(x, a, budget, cfg)
+            if zs is None:
                 return [], False
-            return [z], dom == TYPE_O or rep.result is Tri.TRUE
+            return zs, dom == TYPE_O or rep.result is Tri.TRUE
     raise TypeError(x)
 
 
@@ -462,8 +445,8 @@ def enumerate_triples(
         case Internal(f, O()):
             return enumerate_triples(Nat(f.numeral), budget, cfg)
         case Internal(_, Arrow(dom, _)) | Graph(_, dom, _):
-            members = ((g, _member(x, g, budget, cfg)) for g in gen_elems(dom, budget))
-            return [(g, g, z) for g, z in members if z is not None], False
+            members = ((g, _member(x, g, budget, cfg) or []) for g in gen_elems(dom, budget))
+            return [(g, g, z) for g, zs in members for z in zs], False
     raise TypeError(x)
 
 

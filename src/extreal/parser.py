@@ -9,7 +9,7 @@ every printable tree.
 from __future__ import annotations
 
 from .bracket import Lam, LambdaTerm
-from .terms import App, Const, ConstKind, Num, Opaque, Term, Value, Var
+from .terms import App, Const, ConstKind, Num, Opaque, Value, Var
 
 _KEYWORDS = {kind.value: Const(kind) for kind in ConstKind}
 

@@ -10,7 +10,7 @@ untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .compiler import Lam, compile_term
 from .formulas import (

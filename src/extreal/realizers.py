@@ -30,9 +30,7 @@ from .formulas import (
     Mem,
     Not,
     Or,
-    ordered_pair,
     substitute,
-    unordered_pair,
 )
 from .kernel import apply_value, eval_term, pair_value
 from .names import (
@@ -170,14 +168,18 @@ def i_r_value() -> Value:
 # Realizer synthesis on the bounded-arithmetic fragment
 
 
-def _dispatch_value(entries: list[tuple[int, Value]], cfg: FuelConfig) -> Value:
-    """A function value sending each numeral key to its realizer; the unused
-    default stays projectable."""
+def _dispatch_term(entries: list[tuple[int, Value]]) -> Term:
+    """The body, in ``c``, of a function sending each numeral key to its
+    realizer; the default is projected when key spaces overlap, so it is a pair."""
     body: Term = p_(num(0), num(0))
     c = Var("c")
     for k, r in reversed(entries):
         body = app(D, c, num(k), Opaque(f"r{k}", r), body)
-    return value_of(compile_term(lam("c", body)), cfg)
+    return body
+
+
+def _dispatch_value(entries: list[tuple[int, Value]], cfg: FuelConfig) -> Value:
+    return value_of(compile_term(lam("c", _dispatch_term(entries))), cfg)
 
 
 def synthesize(
@@ -278,14 +280,10 @@ class AxiomRealizer:
     witness_builder: Callable | None
 
 
-def _ir_term() -> Term:
-    return eq_realizers()[0]
-
-
 @cache
 def extensionality_term() -> Term:
     a, c = Var("a"), Var("c")
-    ir = _ir_term()
+    ir = eq_realizers()[0]
     feed = p_(c, ir)
     return compile_term(
         lam("a", "c", p_(App(proj(a, "0"), feed), App(proj(a, "1"), feed)))
@@ -294,7 +292,7 @@ def extensionality_term() -> Term:
 
 @cache
 def pairing_term() -> Term:
-    ir = _ir_term()
+    ir = eq_realizers()[0]
     return p_(p_(num(0), ir), p_(num(0), ir))
 
 
@@ -305,7 +303,7 @@ def pairing_name(x: VName, y: VName) -> Explicit:
 
 @cache
 def union_term() -> Term:
-    return compile_term(lam("a", "c", p_(Var("c"), _ir_term())))
+    return compile_term(lam("a", "c", p_(Var("c"), eq_realizers()[0])))
 
 
 def union_name(x: VName, budget: EnumBudget = DEFAULT_BUDGET) -> Explicit:
@@ -365,7 +363,7 @@ def infinity_terms() -> tuple[Term, Term]:
     e1 = compile_term(
         lam(
             "a",
-            ifeq(num(0), a0, p_(a0, _ir_term()), p_(App(SUCC, a10), s_of_a)),
+            ifeq(num(0), a0, p_(a0, eq_realizers()[0]), p_(App(SUCC, a10), s_of_a)),
         )
     )
     return e0, e1
@@ -381,7 +379,7 @@ def set_induction_term() -> Term:
 
 @cache
 def bounded_separation_terms() -> tuple[Term, Term]:
-    ir = _ir_term()
+    ir = eq_realizers()[0]
     e0 = compile_term(lam("f", p_(p_(proj(Var("f"), "0"), ir), proj(Var("f"), "1"))))
     e1 = compile_term(lam("a", "c", p_(p_(Var("a"), Var("c")), ir)))
     return e0, e1
@@ -435,7 +433,7 @@ def subset_collection_term() -> Term:
 
 @cache
 def powerset_term() -> Term:
-    return compile_term(lam("a", p_(Var("a"), _ir_term())))
+    return compile_term(lam("a", p_(Var("a"), eq_realizers()[0])))
 
 
 def axiom_realizer(axiom: AxiomId) -> AxiomRealizer:
@@ -465,14 +463,6 @@ def axiom_realizer(axiom: AxiomId) -> AxiomRealizer:
 
 # ---------------------------------------------------------------------------
 # Internal pairing: UP / OP realizers
-
-
-def up_formula(x: VName, y: VName, z: VName) -> Formula:
-    return unordered_pair(x, y, z)
-
-
-def op_formula(x: VName, y: VName, z: VName) -> Formula:
-    return ordered_pair(x, y, z)
 
 
 @cache

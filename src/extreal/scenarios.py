@@ -46,19 +46,17 @@ from .names import (
     EnumBudget,
     Explicit,
     Graph,
-    Internal,
     Nat,
     OMEGA,
     OPair,
     Sing,
-    TypeName,
     UPair,
     VName,
     parse_type,
     type_name,
 )
 from .parser import MAX_NESTING, ParseError, parse, print_term
-from .realizers import realizer_term, synthesize, value_of
+from .realizers import realizer_term, synthesize
 from .suites import SUITES, run_suite
 from .terms import App, DEFAULT_FUEL, Defined, FuelConfig, FuelExhausted, MachineError, Value, Var
 from .compiler import compile_term

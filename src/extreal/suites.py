@@ -8,10 +8,11 @@ reproduces it.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .checker import RealizerPair, Status, check, truth_eval
-from .compiler import SKK, compile_term, double_fixpoint, fixpoint, lam, primrec
+from .checker import RealizerPair, Status, check, check_imp_on_witnesses, truth_eval
+from .compiler import SKK, abstract, compile_term, double_fixpoint, fixpoint, lam, primrec
 from .formulas import (
     AllIn,
     And,
@@ -23,7 +24,9 @@ from .formulas import (
     Not,
     Or,
     fmt,
-    substitute,
+    ordered_pair,
+    theta,
+    unordered_pair,
 )
 from .kernel import apply_value, apply_values, eval_term, kleene_eq, pair_value, project
 from .names import (
@@ -38,6 +41,7 @@ from .names import (
     OPair,
     Sing,
     TYPE_O,
+    Triple,
     UPair,
     VName,
     enumerate_triples,
@@ -48,6 +52,9 @@ from .names import (
 from .parser import print_term
 from .realizers import (
     AxiomId,
+    _dispatch_term,
+    _dispatch_value,
+    _pairs_uniqueness_part,
     axiom_realizer,
     arrow_realizer,
     bounded_separation_terms,
@@ -56,16 +63,13 @@ from .realizers import (
     eq_realizers,
     i_r_value,
     infinity_terms,
-    op_formula,
     p_,
     pairing_name,
     pairing_realizers,
     proj,
     separation_name,
     synthesize,
-    term_mutants,
     union_name,
-    up_formula,
     value_of,
 )
 from .terms import (
@@ -78,8 +82,8 @@ from .terms import (
     K,
     KBAR,
     MachineError,
-    Num,
     Opaque,
+    Outcome,
     P,
     P0,
     P1,
@@ -117,6 +121,11 @@ class SuiteReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def add(self, name: str, bad: list[str], detail: str) -> None:
+        """Record a case that passes when ``bad`` is empty; ``bad`` holds one
+        note per failed instance, and the first is the case's snippet."""
+        self.cases.append(CaseResult(name, not bad, detail, bad[0] if bad else ""))
 
 
 def kleene_agree(t1: Term, t2: Term, cfg: FuelConfig = DEFAULT_FUEL) -> bool | None:
@@ -172,8 +181,28 @@ def random_printable_value(
             return t, out.value
 
 
-def _eval_snip(lhs: Term, rhs: Term) -> str:
-    return f"eval ({print_term(lhs)}) expect ({print_term(rhs)})"
+def _draw(rng: random.Random, n: int) -> list[Term]:
+    """The terms of ``n`` successive random printable values."""
+    return [random_printable_value(rng)[0] for _ in range(n)]
+
+
+def _law(bad: list[str], lhs: Term, rhs: Term, cfg: FuelConfig, total: bool = True,
+         shown: Term | None = None) -> None:
+    """Check lhs ≃ rhs and, when it fails, add to ``bad`` a snippet that
+    evaluates lhs expecting ``shown`` (rhs by default).  A total law fails
+    unless both sides are seen to agree; otherwise only a disagreement fails,
+    and running out of fuel passes."""
+    agree = kleene_agree(lhs, rhs, cfg)
+    if agree is False or (total and agree is None):
+        bad.append(f"eval ({print_term(lhs)}) expect ({print_term(rhs if shown is None else shown)})")
+
+
+def _realized(r: Value | Outcome | None, phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> bool:
+    """Whether ``r`` realizes phi on both sides.  ``r`` may be a machine
+    outcome or a projection, which must then be defined."""
+    if isinstance(r, Defined):
+        r = r.value
+    return isinstance(r, Value) and check(RealizerPair.both(r), phi, budget, cfg).status is Status.REALIZED
 
 
 # --- suite: pca-laws --------------------------------------------------------
@@ -186,62 +215,43 @@ def suite_pca_laws(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
 
     bad = []
     for _ in range(rounds):
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
-        if kleene_agree(app(K, ta, tb), ta, cfg) is not True:
-            bad.append(_eval_snip(app(K, ta, tb), ta))
-        if kleene_agree(app(KBAR, ta, tb), tb, cfg) is not True:
-            bad.append(_eval_snip(app(KBAR, ta, tb), tb))
-    rep.cases.append(CaseResult("k-law", not bad, f"{rounds} instances",
-                                bad[0] if bad else ""))
+        ta, tb = _draw(rng, 2)
+        _law(bad, app(K, ta, tb), ta, cfg)
+        _law(bad, app(KBAR, ta, tb), tb, cfg)
+    rep.add("k-law", bad, f"{rounds} instances")
 
     bad = []
     for _ in range(rounds):
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
-        tc, _ = random_printable_value(rng)
-        lhs = app(S, ta, tb, tc)
-        rhs = App(App(ta, tc), App(tb, tc))
-        if kleene_agree(lhs, rhs, cfg) is False:
-            bad.append(_eval_snip(lhs, rhs))
-    rep.cases.append(CaseResult("s-law", not bad, f"{rounds} instances", bad[0] if bad else ""))
+        ta, tb, tc = _draw(rng, 3)
+        _law(bad, app(S, ta, tb, tc), App(App(ta, tc), App(tb, tc)), cfg, total=False)
+    rep.add("s-law", bad, f"{rounds} instances")
 
     bad = []
     for _ in range(rounds):
         n = rng.randint(0, 64)
         m = n if rng.random() < 0.5 else rng.randint(0, 64)
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
-        lhs = app(D, num(n), num(m), ta, tb)
-        rhs = ta if n == m else tb
-        if kleene_agree(lhs, rhs, cfg) is not True:
-            bad.append(_eval_snip(lhs, rhs))
-    rep.cases.append(CaseResult("d-law", not bad, f"{rounds} instances", bad[0] if bad else ""))
+        ta, tb = _draw(rng, 2)
+        _law(bad, app(D, num(n), num(m), ta, tb), ta if n == m else tb, cfg)
+    rep.add("d-law", bad, f"{rounds} instances")
 
     bad = []
     for _ in range(rounds):
         n = rng.randint(0, 200)
-        if kleene_agree(App(SUCC, num(n)), num(n + 1), cfg) is not True:
-            bad.append(_eval_snip(App(SUCC, num(n)), num(n + 1)))
-        if kleene_agree(App(PRED, num(n + 1)), num(n), cfg) is not True:
-            bad.append(_eval_snip(App(PRED, num(n + 1)), num(n)))
+        _law(bad, App(SUCC, num(n)), num(n + 1), cfg)
+        _law(bad, App(PRED, num(n + 1)), num(n), cfg)
     try:
         eval_term(App(PRED, num(0)), None, cfg)
         bad.append("-- PRED #0 should be stuck")
     except MachineError:
         pass
-    rep.cases.append(CaseResult("succ-pred", not bad, f"{rounds} instances", bad[0] if bad else ""))
+    rep.add("succ-pred", bad, f"{rounds} instances")
 
     bad = []
     for _ in range(rounds):
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
-        if kleene_agree(App(P0, app(P, ta, tb)), ta, cfg) is not True:
-            bad.append(_eval_snip(App(P0, app(P, ta, tb)), ta))
-        if kleene_agree(App(P1, app(P, ta, tb)), tb, cfg) is not True:
-            bad.append(_eval_snip(App(P1, app(P, ta, tb)), tb))
-    rep.cases.append(CaseResult("pairing-projections", not bad, f"{rounds} instances",
-                                bad[0] if bad else ""))
+        ta, tb = _draw(rng, 2)
+        _law(bad, App(P0, app(P, ta, tb)), ta, cfg)
+        _law(bad, App(P1, app(P, ta, tb)), tb, cfg)
+    rep.add("pairing-projections", bad, f"{rounds} instances")
 
     bad = []
     for n, m in ((i, j) for i in range(5) for j in range(5)):
@@ -249,7 +259,7 @@ def suite_pca_laws(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
         got = kleene_eq(num(n), num(m), cfg)
         if got is not want:
             bad.append(f"-- kleene_eq #{n} #{m} gave {got}")
-    rep.cases.append(CaseResult("numeral-injectivity", not bad, "25 pairs", bad[0] if bad else ""))
+    rep.add("numeral-injectivity", bad, "25 pairs")
     return rep
 
 
@@ -283,8 +293,6 @@ def term_size(t: Term) -> int:
 
 def suite_abstraction(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget = DEFAULT_BUDGET,
                       rounds: int = 100) -> SuiteReport:
-    from .compiler import abstract
-
     rng = random.Random(seed)
     rep = SuiteReport("abstraction", seed)
 
@@ -293,17 +301,12 @@ def suite_abstraction(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBud
     for _ in range(rounds):
         body = random_open_term(rng, 12, "x")
         s = abstract("x", body)
-        ta, _ = random_printable_value(rng)
-        lhs = App(s, ta)
-        rhs = subst_oracle(body, "x", ta)
-        if kleene_agree(lhs, rhs, cfg) is False:
-            bad.append(_eval_snip(lhs, rhs))
+        [ta] = _draw(rng, 1)
+        _law(bad, App(s, ta), subst_oracle(body, "x", ta), cfg, total=False)
         if term_size(s) > 10 * term_size(body) ** 2:
             size_bad.append(f"-- |compiled| = {term_size(s)} for |t| = {term_size(body)}")
-    rep.cases.append(CaseResult("substitution-law", not bad, f"{rounds} instances",
-                                bad[0] if bad else ""))
-    rep.cases.append(CaseResult("size-bound", not size_bad, "|compile(t)| <= 10*|t|^2",
-                                size_bad[0] if size_bad else ""))
+    rep.add("substitution-law", bad, f"{rounds} instances")
+    rep.add("size-bound", size_bad, "|compile(t)| <= 10*|t|^2")
 
     ok = kleene_agree(App(abstract("x", Var("x")), num(7)), num(7), cfg) is True
     rep.cases.append(CaseResult("identity", ok, "(\\x. x) #7 = #7"))
@@ -312,16 +315,11 @@ def suite_abstraction(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBud
     kbar_like = compile_term(lam("x", "y", Var("y")))
     bad = []
     for _ in range(50):
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
-        tc, _ = random_printable_value(rng)
-        if kleene_agree(app(k_like, ta, tb), app(K, ta, tb), cfg) is not True:
-            bad.append(_eval_snip(app(k_like, ta, tb), ta))
-        if kleene_agree(app(kbar_like, ta, tb), app(KBAR, ta, tb), cfg) is not True:
-            bad.append(_eval_snip(app(kbar_like, ta, tb), tb))
-        if kleene_agree(app(s_like, ta, tb, tc), app(S, ta, tb, tc), cfg) is False:
-            bad.append("-- compiled S disagrees")
-    rep.cases.append(CaseResult("k-s-compilations", not bad, "50 instances", bad[0] if bad else ""))
+        ta, tb, tc = _draw(rng, 3)
+        _law(bad, app(k_like, ta, tb), app(K, ta, tb), cfg, shown=ta)
+        _law(bad, app(kbar_like, ta, tb), app(KBAR, ta, tb), cfg, shown=tb)
+        _law(bad, app(s_like, ta, tb, tc), app(S, ta, tb, tc), cfg, total=False)
+    rep.add("k-s-compilations", bad, "50 instances")
     return rep
 
 
@@ -338,69 +336,46 @@ def suite_fixpoints(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudge
 
     bad = []
     for _ in range(20):
-        ta, _ = random_printable_value(rng)
-        out = eval_term(App(f, ta), None, cfg)
-        if not isinstance(out, Defined):
+        [ta] = _draw(rng, 1)
+        if not isinstance(eval_term(App(f, ta), None, cfg), Defined):
             bad.append(f"eval ({print_term(App(f, ta))})")
-    rep.cases.append(CaseResult("f-defined", not bad, "f a defined, 20 instances",
-                                bad[0] if bad else ""))
+    rep.add("f-defined", bad, "f a defined, 20 instances")
 
     bad = []
     for _ in range(rounds):
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
-        lhs = app(f, ta, tb)
-        rhs = app(ta, App(f, ta), tb)
-        if kleene_agree(lhs, rhs, cfg) is False:
-            bad.append(_eval_snip(lhs, rhs))
-    rep.cases.append(CaseResult("f-law", not bad, f"f a b = a (f a) b, {rounds} instances",
-                                bad[0] if bad else ""))
+        ta, tb = _draw(rng, 2)
+        _law(bad, app(f, ta, tb), app(ta, App(f, ta), tb), cfg, total=False)
+    rep.add("f-law", bad, f"f a b = a (f a) b, {rounds} instances")
 
     # One-step hand unfolding: f K b = K (f K) b = f K.
     bad = []
     for _ in range(10):
-        tb, _ = random_printable_value(rng)
-        if kleene_agree(app(f, K, tb), App(f, K), cfg) is not True:
-            bad.append(_eval_snip(app(f, K, tb), App(f, K)))
-    rep.cases.append(CaseResult("f-unfold-oracle", not bad, "f K b = f K", bad[0] if bad else ""))
+        [tb] = _draw(rng, 1)
+        _law(bad, app(f, K, tb), App(f, K), cfg)
+    rep.add("f-unfold-oracle", bad, "f K b = f K")
 
     bad_def, bad_g, bad_h = [], [], []
     for _ in range(rounds):
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
-        tc, _ = random_printable_value(rng)
-        if not isinstance(eval_term(app(g, ta, tb), None, cfg), Defined):
-            bad_def.append(f"eval ({print_term(app(g, ta, tb))})")
-        if not isinstance(eval_term(app(h, ta, tb), None, cfg), Defined):
-            bad_def.append(f"eval ({print_term(app(h, ta, tb))})")
-        if kleene_agree(app(g, ta, tb, tc), app(ta, app(h, ta, tb), tc), cfg) is False:
-            bad_g.append(_eval_snip(app(g, ta, tb, tc), app(ta, app(h, ta, tb), tc)))
-        if kleene_agree(app(h, ta, tb, tc), app(tb, app(g, ta, tb), tc), cfg) is False:
-            bad_h.append(_eval_snip(app(h, ta, tb, tc), app(tb, app(g, ta, tb), tc)))
-    rep.cases.append(CaseResult("gh-defined", not bad_def, "g a b, h a b defined",
-                                bad_def[0] if bad_def else ""))
-    rep.cases.append(CaseResult("g-law", not bad_g, f"g a b c = a (h a b) c, {rounds} instances",
-                                bad_g[0] if bad_g else ""))
-    rep.cases.append(CaseResult("h-law", not bad_h, f"h a b c = b (g a b) c, {rounds} instances",
-                                bad_h[0] if bad_h else ""))
+        ta, tb, tc = _draw(rng, 3)
+        for t in (app(g, ta, tb), app(h, ta, tb)):
+            if not isinstance(eval_term(t, None, cfg), Defined):
+                bad_def.append(f"eval ({print_term(t)})")
+        _law(bad_g, app(g, ta, tb, tc), app(ta, app(h, ta, tb), tc), cfg, total=False)
+        _law(bad_h, app(h, ta, tb, tc), app(tb, app(g, ta, tb), tc), cfg, total=False)
+    rep.add("gh-defined", bad_def, "g a b, h a b defined")
+    rep.add("g-law", bad_g, f"g a b c = a (h a b) c, {rounds} instances")
+    rep.add("h-law", bad_h, f"h a b c = b (g a b) c, {rounds} instances")
 
     bad = []
     for _ in range(20):
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
-        if kleene_agree(app(r, ta, tb, num(0)), ta, cfg) is not True:
-            bad.append(_eval_snip(app(r, ta, tb, num(0)), ta))
+        ta, tb = _draw(rng, 2)
+        _law(bad, app(r, ta, tb, num(0)), ta, cfg)
         n = rng.randint(0, 6)
-        lhs = app(r, ta, tb, num(n + 1))
-        rhs = app(tb, app(r, ta, tb, num(n)), num(n))
-        if kleene_agree(lhs, rhs, cfg) is False:
-            bad.append(_eval_snip(lhs, rhs))
+        _law(bad, app(r, ta, tb, num(n + 1)), app(tb, app(r, ta, tb, num(n)), num(n)), cfg, total=False)
     big = FuelConfig(max_steps=max(cfg.max_steps, 400_000), max_value_size=cfg.max_value_size)
     add = compile_term(lam("m", "n", app(r, Var("m"), lam("u", "v", App(SUCC, Var("u"))), Var("n"))))
-    if kleene_agree(app(add, num(2), num(3)), num(5), big) is not True:
-        bad.append(_eval_snip(app(add, num(2), num(3)), num(5)))
-    rep.cases.append(CaseResult("primrec", not bad, "recursor laws and 2+3=5",
-                                bad[0] if bad else ""))
+    _law(bad, app(add, num(2), num(3)), num(5), big)
+    rep.add("primrec", bad, "recursor laws and 2+3=5")
     return rep
 
 
@@ -434,48 +409,31 @@ def suite_equality(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
     bad = []
     for _ in range(rounds):
         x = random_finite_name(rng, rng.randint(0, 3))
-        ver = check(RealizerPair.both(ir), Eq(x, x), budget, cfg)
-        if ver.status is not Status.REALIZED:
+        if not _realized(ir, Eq(x, x), budget, cfg):
             bad.append(f"-- i_r fails x=x on {x}")
     for n in range(7):
-        ver = check(RealizerPair.both(ir), Eq(Nat(n), Nat(n)), budget, cfg)
-        if ver.status is not Status.REALIZED:
+        if not _realized(ir, Eq(Nat(n), Nat(n)), budget, cfg):
             bad.append(f"check (i_r, i_r) eq(nat {n}, nat {n}) expect realized")
-    rep.cases.append(CaseResult("reflexivity", not bad,
-                                f"{rounds} random finite names (rank <= 3) and naturals <= 6",
-                                bad[0] if bad else ""))
+    rep.add("reflexivity", bad, f"{rounds} random finite names (rank <= 3) and naturals <= 6")
 
     _, i_s_t, i_t_t, i_0_t, i_1_t = eq_realizers()
     i_s, i_t, i_0, i_1 = (value_of(t) for t in (i_s_t, i_t_t, i_0_t, i_1_t))
     bad = []
     for n in range(5):
         wit = synthesize(Eq(Nat(n), Nat(n)), budget, cfg)
-        swapped = apply_value(i_s, wit.a, cfg)
-        if not isinstance(swapped, Defined) or check(
-            RealizerPair.both(swapped.value), Eq(Nat(n), Nat(n)), budget, cfg
-        ).status is not Status.REALIZED:
+        if not _realized(apply_value(i_s, wit.a, cfg), Eq(Nat(n), Nat(n)), budget, cfg):
             bad.append(f"-- i_s fails on nat {n}")
         chained = apply_value(i_t, pair_value(wit.a, wit.a, cfg), cfg)
-        if not isinstance(chained, Defined) or check(
-            RealizerPair.both(chained.value), Eq(Nat(n), Nat(n)), budget, cfg
-        ).status is not Status.REALIZED:
+        if not _realized(chained, Eq(Nat(n), Nat(n)), budget, cfg):
             bad.append(f"-- i_t fails on nat {n}")
     for n, m in ((1, 4), (2, 5)):
         eqw = synthesize(Eq(Nat(n), Nat(n)), budget, cfg)
         memw = synthesize(Mem(Nat(n), Nat(m)), budget, cfg)
-        left = apply_value(i_0, pair_value(eqw.a, memw.a, cfg), cfg)
-        if not isinstance(left, Defined) or check(
-            RealizerPair.both(left.value), Mem(Nat(n), Nat(m)), budget, cfg
-        ).status is not Status.REALIZED:
-            bad.append(f"-- i_0 fails on {n} in {m}")
-        right = apply_value(i_1, pair_value(eqw.a, memw.a, cfg), cfg)
-        if not isinstance(right, Defined) or check(
-            RealizerPair.both(right.value), Mem(Nat(n), Nat(m)), budget, cfg
-        ).status is not Status.REALIZED:
-            bad.append(f"-- i_1 fails on {n} in {m}")
-    rep.cases.append(CaseResult("transport-laws", not bad,
-                                "i_s, i_t, i_0, i_1 on synthesized numeral realizers",
-                                bad[0] if bad else ""))
+        for label, i_x in (("i_0", i_0), ("i_1", i_1)):
+            moved = apply_value(i_x, pair_value(eqw.a, memw.a, cfg), cfg)
+            if not _realized(moved, Mem(Nat(n), Nat(m)), budget, cfg):
+                bad.append(f"-- {label} fails on {n} in {m}")
+    rep.add("transport-laws", bad, "i_s, i_t, i_0, i_1 on synthesized numeral realizers")
 
     bad = []
     for n in range(5):
@@ -485,52 +443,36 @@ def suite_equality(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
             ver = check(RealizerPair.both(ir), Eq(Nat(n), Nat(m)), budget, cfg)
             if ver.status is not Status.REFUTED:
                 bad.append(f"check (i_r, i_r) eq(nat {n}, nat {m}) expect refuted")
-    rep.cases.append(CaseResult("numeral-absoluteness", not bad, "n != m <= 4 refuted",
-                                bad[0] if bad else ""))
+    rep.add("numeral-absoluteness", bad, "n != m <= 4 refuted")
     return rep
 
 
 # --- suite: czf-axioms ------------------------------------------------------
 
 
-def _hyp_identity_pair(cfg: FuelConfig) -> Value:
-    idv = value_of(SKK, cfg)
-    return pair_value(idv, idv, cfg)
+def _witness_status(e: Value, hyp: Formula, concl: Formula, w: Value, budget: EnumBudget,
+                    cfg: FuelConfig) -> Status:
+    """How e fares on hyp -> concl when the hypothesis is realized by w alone."""
+    return check_imp_on_witnesses(RealizerPair.both(e), hyp, concl, [RealizerPair.both(w)],
+                                  budget, cfg).status
 
 
 def infinity_e0_cases(e0: Value, max_n: int, budget: EnumBudget, cfg: FuelConfig) -> list[tuple[str, Status]]:
-    from .checker import check_imp_on_witnesses
-    from .formulas import theta
-
     ir = i_r_value()
     out = []
     for n in range(max_n + 1):
         w = pair_value(num_value(n), ir, cfg)
-        ver = check_imp_on_witnesses(
-            RealizerPair.both(e0),
-            Mem(Nat(n), OMEGA),
-            theta(Nat(n), OMEGA),
-            [RealizerPair.both(w)],
-            budget,
-            cfg,
-        )
-        out.append((f"e0 n={n}", ver.status))
+        out.append((f"e0 n={n}", _witness_status(e0, Mem(Nat(n), OMEGA), theta(Nat(n), OMEGA), w,
+                                                 budget, cfg)))
     return out
 
 
 def infinity_e1_cases(e1: Value, budget: EnumBudget, cfg: FuelConfig) -> list[tuple[str, Status]]:
-    from .checker import check_imp_on_witnesses
-    from .formulas import theta
-
     ir = i_r_value()
-    out = []
     # zero case
     w0 = pair_value(num_value(0), Value(K), cfg)
-    ver = check_imp_on_witnesses(
-        RealizerPair.both(e1), theta(Nat(0), OMEGA), Mem(Nat(0), OMEGA),
-        [RealizerPair.both(w0)], budget, cfg,
-    )
-    out.append(("e1 zero-case", ver.status))
+    out = [("e1 zero-case", _witness_status(e1, theta(Nat(0), OMEGA), Mem(Nat(0), OMEGA), w0,
+                                            budget, cfg))]
     # successor case, y = nat 3 = 2' u {2'}
     m = 2
     disp = compile_term(
@@ -542,22 +484,9 @@ def infinity_e1_cases(e1: Value, budget: EnumBudget, cfg: FuelConfig) -> list[tu
     r111 = pair_value(num_value(m), ir, cfg)
     r = pair_value(r10, pair_value(r110, r111, cfg), cfg)
     w1 = pair_value(num_value(1), pair_value(num_value(m), r, cfg), cfg)
-    ver = check_imp_on_witnesses(
-        RealizerPair.both(e1), theta(Nat(m + 1), OMEGA), Mem(Nat(m + 1), OMEGA),
-        [RealizerPair.both(w1)], budget, cfg,
-    )
-    out.append(("e1 successor-case", ver.status))
+    y = Nat(m + 1)
+    out.append(("e1 successor-case", _witness_status(e1, theta(y, OMEGA), Mem(y, OMEGA), w1, budget, cfg)))
     return out
-
-
-def _dispatch_term(entries: list[tuple[int, Value]]) -> Term:
-    # The default branch is never consulted as a realizer, but it is still
-    # evaluated and projected when key spaces overlap; keep it pair-shaped.
-    body: Term = p_(num(0), num(0))
-    c = Var("c")
-    for k, r in reversed(entries):
-        body = app(D, c, num(k), Opaque(f"d{k}", r), body)
-    return body
 
 
 def skewed_numeral_name(n: int, stride: int = 2, offset: int = 7) -> Explicit:
@@ -576,11 +505,7 @@ def infinity_skewed_cases(e0: Value, e1: Value, budget: EnumBudget,
     """Forward and backward checks against a skew-keyed copy of the third
     numeral name; these instances see both projections of every equality
     realizer separately."""
-    from .checker import check_imp_on_witnesses
-    from .formulas import theta
-
     ir = i_r_value()
-    out = []
     n = 3
     y = skewed_numeral_name(n)
     ykey = {m: 7 + 2 * m for m in range(n)}
@@ -592,29 +517,19 @@ def infinity_skewed_cases(e0: Value, e1: Value, budget: EnumBudget,
         compile_term(lam("c", p_(_dispatch_term(left), _dispatch_term(right)))), cfg
     )
     w = pair_value(num_value(n), r_eq, cfg)
-    ver = check_imp_on_witnesses(
-        RealizerPair.both(e0), Mem(y, OMEGA), theta(y, OMEGA),
-        [RealizerPair.both(w)], budget, cfg,
-    )
-    out.append(("e0 skewed-keys", ver.status))
+    out = [("e0 skewed-keys", _witness_status(e0, Mem(y, OMEGA), theta(y, OMEGA), w, budget, cfg))]
 
     # Backward: realize theta(y) through the successor branch with m = 2.
     m = n - 1
-    rr0_entries = [
+    rr0 = _dispatch_value([
         (ykey[k], pair_value(num_value(0), pair_value(num_value(k), ir, cfg), cfg))
         for k in range(m)
-    ] + [(ykey[m], pair_value(num_value(1), ir, cfg))]
-    rr0 = value_of(compile_term(lam("c", _dispatch_term(rr0_entries))), cfg)
-    rr10_entries = [(k, pair_value(num_value(ykey[k]), ir, cfg)) for k in range(m)]
-    rr10 = value_of(compile_term(lam("c", _dispatch_term(rr10_entries))), cfg)
+    ] + [(ykey[m], pair_value(num_value(1), ir, cfg))], cfg)
+    rr10 = _dispatch_value([(k, pair_value(num_value(ykey[k]), ir, cfg)) for k in range(m)], cfg)
     rr11 = pair_value(num_value(ykey[m]), ir, cfg)
     rr = pair_value(rr0, pair_value(rr10, rr11, cfg), cfg)
     w1 = pair_value(num_value(1), pair_value(num_value(m), rr, cfg), cfg)
-    ver = check_imp_on_witnesses(
-        RealizerPair.both(e1), theta(y, OMEGA), Mem(y, OMEGA),
-        [RealizerPair.both(w1)], budget, cfg,
-    )
-    out.append(("e1 skewed-keys", ver.status))
+    out.append(("e1 skewed-keys", _witness_status(e1, theta(y, OMEGA), Mem(y, OMEGA), w1, budget, cfg)))
     return out
 
 
@@ -640,10 +555,8 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     x1 = Explicit(((num_value(0), num_value(0), Nat(1)),))
     y1 = Sing(Nat(1))
     e = value_of(axiom_realizer(AxiomId.EXTENSIONALITY).term, cfg)
-    ea = apply_value(e, _hyp_identity_pair(cfg), cfg)
-    ok = isinstance(ea, Defined) and check(
-        RealizerPair.both(ea.value), Eq(x1, y1), budget, cfg
-    ).status is Status.REALIZED
+    idv = value_of(SKK, cfg)
+    ok = _realized(apply_value(e, pair_value(idv, idv, cfg), cfg), Eq(x1, y1), budget, cfg)
     rep.cases.append(CaseResult("extensionality", ok, "witness-directed"))
 
     # Infinity, both directions, plus skew-keyed instances
@@ -667,10 +580,7 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
         ok &= kleene_eq(lhs, rhs, cfg) is Tri.TRUE
     rep.cases.append(CaseResult("set-induction equation", ok, "e a = a (\\z. e a)"))
     hypo = value_of(compile_term(lam("c", Opaque("ir", ir))), cfg)
-    ea = apply_value(ev, hypo, cfg)
-    ok = isinstance(ea, Defined) and check(
-        RealizerPair.both(ea.value), Eq(Nat(2), Nat(2)), budget, cfg
-    ).status is Status.REALIZED
+    ok = _realized(apply_value(ev, hypo, cfg), Eq(Nat(2), Nat(2)), budget, cfg)
     rep.cases.append(CaseResult("set-induction instance", ok, "rank-2 witness-directed"))
 
     # Bounded separation on nat-4 with phi(u) := u in nat 2
@@ -684,10 +594,7 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     for n in range(2):
         e1u = apply_value(e1s, num_value(n), cfg)
         wit = synthesize(Mem(Nat(n), Nat(2)), budget, cfg)
-        out = apply_value(e1u.value, wit.a, cfg)
-        ok &= isinstance(out, Defined) and check(
-            RealizerPair.both(out.value), Mem(Nat(n), ysep), budget, cfg
-        ).status is Status.REALIZED
+        ok &= _realized(apply_value(e1u.value, wit.a, cfg), Mem(Nat(n), ysep), budget, cfg)
     rep.cases.append(CaseResult("separation backward", ok, "per-member witness-directed"))
 
     # Strong collection on one finite instance
@@ -695,12 +602,9 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     acoll = value_of(compile_term(lam("c", Opaque("ir", ir))), cfg)
     yc = collection_name(xc, lambda tr: tr[2], budget)
     e = value_of(axiom_realizer(AxiomId.STRONG_COLLECTION).term, cfg)
-    ea = apply_value(e, acoll, cfg)
     phi = And(AllIn("u", xc, ExIn("v", yc, Eq("u", "v"))),
               AllIn("v", yc, ExIn("u", xc, Eq("u", "v"))))
-    ok = isinstance(ea, Defined) and check(
-        RealizerPair.both(ea.value), phi, budget, cfg
-    ).status is Status.REALIZED
+    ok = _realized(apply_value(e, acoll, cfg), phi, budget, cfg)
     rep.cases.append(CaseResult("strong-collection", ok, "one finite instance"))
 
     # Subset collection and powerset terms: closed and defined
@@ -726,27 +630,21 @@ def suite_pairing_internal(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     for _ in range(8):
         x = random_finite_name(rng, rng.randint(0, 2))
         y = random_finite_name(rng, rng.randint(0, 2))
-        if check(RealizerPair.both(u0), up_formula(x, x, Sing(x)), budget, cfg).status is not Status.REALIZED:
+        if not _realized(u0, unordered_pair(x, x, Sing(x)), budget, cfg):
             bad.append(f"-- u0 on {x}")
-        if check(RealizerPair.both(u1), up_formula(x, y, UPair(x, y)), budget, cfg).status is not Status.REALIZED:
+        if not _realized(u1, unordered_pair(x, y, UPair(x, y)), budget, cfg):
             bad.append(f"-- u1 on {x}, {y}")
-        if check(RealizerPair.both(v), op_formula(x, y, OPair(x, y)), budget, cfg).status is not Status.REALIZED:
+        if not _realized(v, ordered_pair(x, y, OPair(x, y)), budget, cfg):
             bad.append(f"-- v on {x}, {y}")
-    rep.cases.append(CaseResult("u0-u1-v", not bad, "rank <= 2 names", bad[0] if bad else ""))
+    rep.add("u0-u1-v", bad, "rank <= 2 names")
 
     # w round-trip: i_r realizes OPair(1,2)=OPair(1,2); w extracts both equalities.
     ir = i_r_value()
-    wa = apply_value(w, ir, cfg)
-    ok = isinstance(wa, Defined) and check(
-        RealizerPair.both(wa.value), And(Eq(Nat(1), Nat(1)), Eq(Nat(2), Nat(2))), budget, cfg
-    ).status is Status.REALIZED
+    ok = _realized(apply_value(w, ir, cfg), And(Eq(Nat(1), Nat(1)), Eq(Nat(2), Nat(2))), budget, cfg)
     rep.cases.append(CaseResult("w-round-trip", ok, "injectivity on a synthesized pair-equality"))
 
     # z round-trip: from v itself conclude OPair(1,2) = OPair(1,2).
-    za = apply_value(z, v, cfg)
-    ok = isinstance(za, Defined) and check(
-        RealizerPair.both(za.value), Eq(OPair(Nat(1), Nat(2)), OPair(Nat(1), Nat(2))), budget, cfg
-    ).status is Status.REALIZED
+    ok = _realized(apply_value(z, v, cfg), Eq(OPair(Nat(1), Nat(2)), OPair(Nat(1), Nat(2))), budget, cfg)
     rep.cases.append(CaseResult("z-round-trip", ok, "canonicity from the OP realizer"))
     return rep
 
@@ -809,10 +707,22 @@ def suite_heo(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
 # --- suite: choice-arrow ------------------------------------------------------
 
 
+def _op_of_naturals(z: VName) -> Formula:
+    """z is the ordered pair of two naturals."""
+    return ExIn("x", OMEGA, ExIn("y", OMEGA, ordered_pair("x", "y", z)))
+
+
+def _triple_failures(ts: list[Triple], realizer: Callable[[Value], Value | Outcome | None],
+                     formula: Callable[[VName], Formula], what: str, budget: EnumBudget,
+                     cfg: FuelConfig) -> list[str]:
+    """A note for each triple ⟨c, d, z⟩ of ``ts`` where ``realizer(c)`` does
+    not realize ``formula(z)``."""
+    return [f"-- {what} fails at c={c.numeral}" for c, _, z in ts
+            if not _realized(realizer(c), formula(z), budget, cfg)]
+
+
 def suite_choice_arrow(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
                        budget: EnumBudget = DEFAULT_BUDGET) -> SuiteReport:
-    from .realizers import _pairs_uniqueness_part
-
     rep = SuiteReport("choice-arrow", seed)
     ir = i_r_value()
     small = EnumBudget(max_index=min(3, budget.max_index), generators_per_type=budget.generators_per_type)
@@ -832,31 +742,21 @@ def suite_choice_arrow(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     ea10 = project(project(ea, 1, cfg), 0, cfg)
     ea11 = project(project(ea, 1, cfg), 1, cfg)
 
-    bad = []
-    for c, d, z in ts:
-        r = apply_value(ea0, c, cfg).value
-        phi = ExIn("x", OMEGA, ExIn("y", OMEGA, op_formula("x", "y", z)))
-        if check(RealizerPair.both(r), phi, small, cfg).status is not Status.REALIZED:
-            bad.append(f"-- clause 3 fails at c={c.numeral}")
-    rep.cases.append(CaseResult("choice-clause-3", not bad, "all sampled triples",
-                                bad[0] if bad else ""))
+    bad = _triple_failures(ts, lambda c: apply_value(ea0, c, cfg), _op_of_naturals, "clause 3", small, cfg)
+    rep.add("choice-clause-3", bad, "all sampled triples")
 
     bad = []
     for n in range(small.max_index + 1):
-        r = apply_value(ea10, num_value(n), cfg).value
-        phi = ExIn("y", OMEGA, ExIn("z", f, And(op_formula(Nat(n), "y", "z"), Eq("y", Nat(n)))))
-        if check(RealizerPair.both(r), phi, small, cfg).status is not Status.REALIZED:
+        phi = ExIn("y", OMEGA, ExIn("z", f, And(ordered_pair(Nat(n), "y", "z"), Eq("y", Nat(n)))))
+        if not _realized(apply_value(ea10, num_value(n), cfg), phi, small, cfg):
             bad.append(f"-- clause 4 fails at key {n}")
-    rep.cases.append(CaseResult("choice-clause-4", not bad, "all sampled keys",
-                                bad[0] if bad else ""))
+    rep.add("choice-clause-4", bad, "all sampled keys")
 
     u0t, u1t, vt, wt, zt = pairing_realizers()
     vv = value_of(vt, cfg)
     gpair = pair_value(vv, vv, cfg)
     out = apply_values(ea11, [num_value(2), num_value(2), gpair], cfg)
-    ok = isinstance(out, Defined) and check(
-        RealizerPair.both(out.value), Eq(Nat(2), Nat(2)), small, cfg
-    ).status is Status.REALIZED
+    ok = _realized(out, Eq(Nat(2), Nat(2)), small, cfg)
     rep.cases.append(CaseResult("choice-clause-5", ok, "c0 = c1 = #2 with the OP realizer pair"))
 
     # Arrow types at (o, o)
@@ -871,15 +771,10 @@ def suite_choice_arrow(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     ok = project(r2, 0, cfg).numeral == 2 and project(project(r2, 1, cfg), 0, cfg).numeral == 3
     rep.cases.append(CaseResult("arrow-direct-eval", ok, "(e0 SUCC)_0 #2 projects to #2 and SUCC #2"))
 
-    bad = []
     ts, _ = enumerate_triples(Internal(succ, oo), small, cfg)
-    for c, d, z in ts:
-        r = apply_value(e00, c, cfg).value
-        phi = ExIn("x", OMEGA, ExIn("y", OMEGA, op_formula("x", "y", z)))
-        if check(RealizerPair.both(r), phi, small, cfg).status is not Status.REALIZED:
-            bad.append(f"-- arrow clause 1 fails at c={c.numeral}")
-    rep.cases.append(CaseResult("arrow-clause-1", not bad, "a = SUCC, sampled triples",
-                                bad[0] if bad else ""))
+    bad = _triple_failures(ts, lambda c: apply_value(e00, c, cfg), _op_of_naturals, "arrow clause 1",
+                           small, cfg)
+    rep.add("arrow-clause-1", bad, "a = SUCC, sampled triples")
 
     part = value_of(compile_term(lam("c", p_(Var("c"), p_(Var("c"), Opaque("v", vv))))), cfg)
     uniq = value_of(_pairs_uniqueness_part(), cfg)
@@ -892,22 +787,12 @@ def suite_choice_arrow(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
 
     gval = value_of(compile_term(lam("c", proj(App(Opaque("a10", part), Var("c")), "0"))), cfg)
     gname = Internal(gval, oo)
-    bad = []
-    ts, _ = enumerate_triples(f, small, cfg)
-    for c, d, z in ts:
-        rc = apply_value(e1a1, c, cfg).value
-        if check(RealizerPair.both(project(rc, 0, cfg)), Mem(z, gname), small, cfg).status is not Status.REALIZED:
-            bad.append(f"-- subset fails at c={c.numeral}")
-    rep.cases.append(CaseResult("arrow-subset", not bad, "sampled triples of the graph name",
-                                bad[0] if bad else ""))
-    bad = []
-    ts, _ = enumerate_triples(gname, small, cfg)
-    for c, d, z in ts:
-        rc = apply_value(e1a1, c, cfg).value
-        if check(RealizerPair.both(project(rc, 1, cfg)), Mem(z, f), small, cfg).status is not Status.REALIZED:
-            bad.append(f"-- superset fails at c={c.numeral}")
-    rep.cases.append(CaseResult("arrow-superset", not bad, "sampled triples of the internalization",
-                                bad[0] if bad else ""))
+    for what, side, xs, ys, of in (("subset", 0, f, gname, "the graph name"),
+                                   ("superset", 1, gname, f, "the internalization")):
+        ts, _ = enumerate_triples(xs, small, cfg)
+        bad = _triple_failures(ts, lambda c: project(apply_value(e1a1, c, cfg).value, side, cfg),
+                               lambda z: Mem(z, ys), what, small, cfg)
+        rep.add(f"arrow-{what}", bad, f"sampled triples of {of}")
     return rep
 
 
@@ -966,7 +851,7 @@ def suite_truth_oracle(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
         got = wit is not None and check(wit, phi, budget, cfg).status is Status.REALIZED
         if want != got:
             bad.append(f"-- mismatch on {fmt(phi)}: truth={want} realizer-loop={got}")
-    rep.cases.append(CaseResult("round-trip", not bad, f"{rounds} sentences", bad[0] if bad else ""))
+    rep.add("round-trip", bad, f"{rounds} sentences")
     return rep
 
 

@@ -1,6 +1,9 @@
 """Names: triple access, the typed equivalence, internalization."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extreal.compiler import compile_term, lam
 from extreal.kernel import apply_value, eval_term
@@ -26,6 +29,7 @@ from extreal.names import (
     type_name,
 )
 from extreal.realizers import i_r_value, p_
+from extreal.suites import random_finite_name
 from extreal.terms import (
     App,
     D,
@@ -76,6 +80,18 @@ def test_lookup_sing_upair_opair():
 def test_lookup_nat_bounds():
     assert lookup_triples(Nat(2), num_value(5), num_value(5)) == ([], True)
     assert lookup_triples(Nat(2), num_value(1), num_value(1)) == ([Nat(1)], True)
+
+
+_KEYS = [num_value(n) for n in range(5)] + [Value(K), Value(SUCC)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from(_KEYS), st.sampled_from(_KEYS))
+def test_finite_lookup_is_the_filtered_enumeration(seed, rank, a, b):
+    x = random_finite_name(random.Random(seed), rank)
+    triples, _ = enumerate_triples(x)
+    want = [z for ka, kb, z in triples if ka == a and kb == b]
+    assert lookup_triples(x, a, b) == (want, True)
 
 
 def test_explicit_lookup_matches_value_keys():

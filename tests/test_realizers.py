@@ -6,7 +6,7 @@ import pytest
 
 from extreal.bracket import free_vars
 from extreal.checker import RealizerPair, Status, check, check_imp_on_witnesses
-from extreal.formulas import AllIn, And, Eq, ExIn, Imp, Mem, theta
+from extreal.formulas import AllIn, And, Eq, ExIn, Imp, Mem, ordered_pair, theta, unordered_pair
 from extreal.compiler import compile_term, lam
 from extreal.kernel import apply_value, apply_values, eval_term, pair_value, project
 from extreal.names import (
@@ -32,7 +32,6 @@ from extreal.realizers import (
     eq_realizers,
     i_r_value,
     infinity_terms,
-    op_formula,
     p_,
     pairing_name,
     pairing_realizers,
@@ -43,7 +42,6 @@ from extreal.realizers import (
     synthesize,
     term_mutants,
     union_name,
-    up_formula,
     value_of,
 )
 from extreal.suites import infinity_e0_cases, infinity_e1_cases, random_finite_name
@@ -222,9 +220,9 @@ def test_internal_pairing_up_op():
     for _ in range(6):
         x = random_finite_name(rng, rng.randint(0, 2))
         y = random_finite_name(rng, rng.randint(0, 2))
-        assert check(BOTH(u0), up_formula(x, x, Sing(x))).status is Status.REALIZED
-        assert check(BOTH(u1), up_formula(x, y, UPair(x, y))).status is Status.REALIZED
-        assert check(BOTH(v), op_formula(x, y, OPair(x, y))).status is Status.REALIZED
+        assert check(BOTH(u0), unordered_pair(x, x, Sing(x))).status is Status.REALIZED
+        assert check(BOTH(u1), unordered_pair(x, y, UPair(x, y))).status is Status.REALIZED
+        assert check(BOTH(v), ordered_pair(x, y, OPair(x, y))).status is Status.REALIZED
 
 
 def test_pairing_w_round_trip():
@@ -265,12 +263,12 @@ def test_choice_clauses_at_oo():
     ts, _ = enumerate_triples(f, budget)
     for c, d, z in ts:
         r = apply_value(ea0, c).value
-        phi = ExIn("x", OMEGA, ExIn("y", OMEGA, op_formula("x", "y", z)))
+        phi = ExIn("x", OMEGA, ExIn("y", OMEGA, ordered_pair("x", "y", z)))
         assert check(BOTH(r), phi, budget).status is Status.REALIZED
 
     for n in range(4):
         r = apply_value(ea10, num_value(n)).value
-        phi = ExIn("y", OMEGA, ExIn("z", f, And(op_formula(Nat(n), "y", "z"), Eq("y", Nat(n)))))
+        phi = ExIn("y", OMEGA, ExIn("z", f, And(ordered_pair(Nat(n), "y", "z"), Eq("y", Nat(n)))))
         assert check(BOTH(r), phi, budget).status is Status.REALIZED
 
     _, _, vt, _, _ = pairing_realizers()
@@ -303,7 +301,7 @@ def test_arrow_clauses_at_oo():
     ts, _ = enumerate_triples(Internal(succ, oo), budget)
     for c, d, z in ts:
         r = apply_value(e00, c).value
-        phi = ExIn("x", OMEGA, ExIn("y", OMEGA, op_formula("x", "y", z)))
+        phi = ExIn("x", OMEGA, ExIn("y", OMEGA, ordered_pair("x", "y", z)))
         assert check(BOTH(r), phi, budget).status is Status.REALIZED
 
     a_small = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", IR)))))
@@ -347,7 +345,7 @@ def test_arrow_choice_at_second_order_not_refuted():
     assert ts and not exhausted
     for c, d, z in ts:
         r = apply_value(ea0, c).value
-        phi = ExIn("x", OMEGA, ExIn("y", type_name(oo), op_formula("x", "y", z)))
+        phi = ExIn("x", OMEGA, ExIn("y", type_name(oo), ordered_pair("x", "y", z)))
         ver = check(BOTH(r), phi, budget)
         assert ver.status is not Status.REFUTED
 
@@ -364,7 +362,7 @@ def test_arrow_choice_at_second_order_not_refuted():
     assert ts and not exhausted
     for c, d, z in ts:
         r = apply_value(e00, c).value
-        phi = ExIn("x", OMEGA, ExIn("y", type_name(oo), op_formula("x", "y", z)))
+        phi = ExIn("x", OMEGA, ExIn("y", type_name(oo), ordered_pair("x", "y", z)))
         ver = check(BOTH(r), phi, budget)
         assert ver.status is not Status.REFUTED
         # direct evaluation against the defining equations

@@ -1,6 +1,7 @@
 """Scenario files and command-line behaviour."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,10 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from extreal import cli
+from extreal import cli, suites
 from extreal.scenarios import ScenarioError, run_scenario
 
-DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.scn"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "scenarios" / "demo.scn"
 
 
 def test_declarations_and_directives():
@@ -66,6 +68,45 @@ def test_internalized_and_graph_names():
         """
     )
     assert rep.ok, [(r.text, r.outcome) for r in rep.results if not r.ok]
+
+
+@pytest.mark.filterwarnings("ignore:internalizing a value")
+@pytest.mark.parametrize("name", ["graph (\\x. #3 #3) : o -> o", "int (\\x. #3 #3) : (o)o"])
+def test_crashing_function_names_have_no_member_at_that_key(name):
+    # The function crashes on every key: the sampled enumeration finds no
+    # member but is not exhaustive, and the lookup at key #1 is empty.
+    rep = run_scenario(
+        f"""
+        name g = {name}
+        check (K, K) all z in g. eq(z, z) expect unknown
+        check (P #1 #1, P #1 #1) mem(nat 0, g) expect refuted
+        """
+    )
+    assert rep.ok, [(r.text, r.outcome) for r in rep.results]
+    assert rep.results[1].trace.note == "empty exhaustive lookup"
+
+
+# The law cases that fail unless both sides are seen to agree.
+_TOTAL_LAWS = {
+    "k-law", "d-law", "succ-pred", "pairing-projections", "identity", "k-s-compilations",
+    "f-unfold-oracle", "primrec",
+}
+
+
+def test_failing_law_cases_carry_runnable_snippets(monkeypatch):
+    # With every agreement left undecided, each total law fails; the laws
+    # really hold, so a faithful snippet reproduces as a passing scenario.
+    monkeypatch.setattr(suites, "kleene_agree", lambda *args: None)
+    failed = set()
+    for suite in (suites.suite_pca_laws, suites.suite_abstraction, suites.suite_fixpoints):
+        for case in suite(0, rounds=2).failures:
+            failed.add(case.name)
+            # ``identity`` records a verdict only, without a snippet.
+            assert case.snippet or case.name == "identity"
+            if case.snippet:
+                rep = run_scenario(case.snippet)
+                assert rep.results and rep.ok, (case.name, case.snippet)
+    assert failed == _TOTAL_LAWS
 
 
 def test_check_with_witnesses_directive():
@@ -187,12 +228,16 @@ def test_formulas_and_types_at_the_nesting_limit():
         run_scenario(named + f"name n = sing ({'sing (' * k}m{')' * k})\n")
 
 
-def _cli(*args, stdin=None):
+def _cli(*args, stdin=None, env=None):
+    """The CLI in a child process that imports extreal from this checkout."""
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "extreal.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        env=env,
         timeout=600,
     )
 
@@ -208,6 +253,23 @@ def test_cli_run_exit_codes():
         out = _cli("run", "-", stdin="eval K\n" + bad + "\n")
         assert out.returncode == 2, (bad, out.stderr)
         assert out.stderr.startswith("parse error: line 2: ") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command", [["run", str(DEMO)], ["suite", "pca-laws"]], ids=["run", "suite"])
+@pytest.mark.parametrize("flags,env", [
+    pytest.param(["--fuel", "0"], None, id="fuel-0"),
+    pytest.param(["--fuel", "-5"], None, id="fuel-negative"),
+    pytest.param(["--budget", "0"], None, id="budget-0"),
+    pytest.param([], {"PCA_FUEL": "0"}, id="env-fuel-0"),
+    pytest.param([], {"PCA_FUEL": "abc"}, id="env-fuel-abc"),
+    pytest.param([], {"PCA_BUDGET": "-1"}, id="env-budget-negative"),
+    pytest.param([], {"PCA_SEED": "abc"}, id="env-seed-abc"),
+])
+def test_cli_bad_settings_exit_2(flags, env, command):
+    out = _cli(*flags, *command, env=env)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_json_report():
@@ -233,17 +295,8 @@ def test_cli_print():
 
 
 def test_cli_env_fallbacks():
-    import os
-
-    env = dict(os.environ, PCA_FUEL="60")
-    out = subprocess.run(
-        [sys.executable, "-m", "extreal.cli", "run", "-"],
-        input="eval ((\\x. x x) (\\x. x x)) expect fuel-exhausted\n",
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=600,
-    )
+    out = _cli("run", "-", stdin="eval ((\\x. x x) (\\x. x x)) expect fuel-exhausted\n",
+               env={"PCA_FUEL": "60"})
     assert out.returncode == 0, out.stdout + out.stderr
 
 
