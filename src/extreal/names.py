@@ -27,6 +27,7 @@ from .terms import (
     Term,
     Tri,
     Value,
+    ValueSizeExceeded,
     app,
     num,
     num_value,
@@ -355,12 +356,15 @@ def internalize(a: Value, sigma: FinType, budget: EnumBudget = DEFAULT_BUDGET) -
 def _member(x: Internal | Graph, g: Value, budget: EnumBudget, cfg: FuelConfig) -> list[VName] | None:
     """The members at key g of an arrow-type ``Internal`` name (⟨ǧ, f·g⟩)
     or a ``Graph`` name (⟨ǧ, (f·g)_0⟩): one, or none where a machine error
-    leaves the image undefined; None when the image runs out of fuel."""
+    leaves the image undefined; None when the image runs out of fuel or
+    outgrows the value size cap, which a larger cap could lift."""
     try:
         out = apply_value(x.a, g, cfg)
         image = None if isinstance(out, FuelExhausted) else out.value
         if isinstance(x, Graph) and image is not None:
             image = project(image, 0, cfg)
+    except ValueSizeExceeded:
+        return None
     except MachineError:
         return []
     if image is None:
@@ -411,6 +415,10 @@ def lookup_triples(
     raise TypeError(x)
 
 
+# The keys of the finite names' triples.
+_ZERO, _ONE = num_value(0), num_value(1)
+
+
 def enumerate_triples(
     x: VName,
     budget: EnumBudget = DEFAULT_BUDGET,
@@ -418,8 +426,6 @@ def enumerate_triples(
 ) -> tuple[list[Triple], bool]:
     """Triples of the name in a deterministic order; finite names enumerate
     fully, schematic ones up to budget."""
-    zero = num_value(0)
-    one = num_value(1)
     match x:
         case Explicit(triples):
             return list(triples), True
@@ -431,12 +437,12 @@ def enumerate_triples(
                 False,
             )
         case Sing(inner):
-            return [(zero, zero, inner)], True
+            return [(_ZERO, _ZERO, inner)], True
         case UPair(x0, y0):
             # Two triples even when the components coincide.
-            return [(zero, zero, x0), (one, one, y0)], True
+            return [(_ZERO, _ZERO, x0), (_ONE, _ONE, y0)], True
         case OPair(x0, y0):
-            return [(zero, zero, Sing(x0)), (one, one, UPair(x0, y0))], True
+            return [(_ZERO, _ZERO, Sing(x0)), (_ONE, _ONE, UPair(x0, y0))], True
         case TypeName(sigma):
             out = []
             for g in gen_elems(sigma, budget):

@@ -33,9 +33,12 @@ from extreal.suites import random_finite_name
 from extreal.terms import (
     App,
     D,
+    DEFAULT_FUEL,
     Defined,
+    FuelConfig,
     K,
     Opaque,
+    P0,
     PRED,
     SUCC,
     Tri,
@@ -237,6 +240,26 @@ def test_graph_lookup_and_enumeration():
     assert done and matches == [OPair(Nat(2), Nat(2))]
     matches, done = lookup_triples(g, num_value(2), num_value(3))
     assert done and matches == []
+
+
+def test_images_past_the_size_cap_leave_lookups_open():
+    # Both functions build ⟨c, i_r⟩ on the way to their image, so a value
+    # size cap just above i_r's size leaves every image undefined for now:
+    # the lookup is empty but not exhaustive, as when fuel runs out.
+    ir = Opaque("ir", i_r_value())
+    pair = p_(Var("c"), ir)
+    names = [
+        Graph(eval_term(compile_term(lam("c", pair))).value, TYPE_O, TYPE_O),
+        Internal(eval_term(compile_term(lam("c", App(P0, pair)))).value, OO),
+    ]
+    capped = FuelConfig(max_value_size=i_r_value().size + 3)
+    for x in names:
+        assert lookup_triples(x, num_value(2), num_value(2), cfg=DEFAULT_FUEL) == (
+            [OPair(Nat(2), Nat(2))],
+            True,
+        )
+        assert lookup_triples(x, num_value(2), num_value(2), cfg=capped) == ([], False)
+        assert enumerate_triples(x, cfg=capped) == ([], False)
 
 
 def test_omega_nat_coherence():
