@@ -4,10 +4,15 @@
 values realizes the closed formula φ.  Every positive answer bottoms out in
 exhaustively verified clauses; any budget-truncated branch forces Unknown.
 
-Failure policy, applied in one place (``_both``): a projection or
+Each clause returns its ``Trace``, and the trace is the verdict: its
+status, note and children say what was decided and why.
+
+Failure policy, applied in one place (``_run``): a projection or
 application of a realizer that crashes (a machine error on a genuine member)
 refutes the clause, exhaustively, since the clauses only speak about defined
-applications; one that runs out of fuel leaves the clause Unknown.
+applications.  Resource limits leave it Unknown, as a larger limit could
+decide it either way: running out of fuel, outgrowing the value size cap, or
+(in the entry points) a name or formula nested too deep for the host stack.
 
 Negation, implication and the unbounded quantifiers range over the whole
 algebra, so the checker affirms them only where a decision principle
@@ -56,6 +61,7 @@ from .terms import (
     FuelExhausted,
     MachineError,
     Value,
+    ValueSizeExceeded,
 )
 
 
@@ -109,16 +115,18 @@ class Trace:
         lines = [f"{pad}{self.clause}: {self.status.value}{suffix}{note}"]
         if depth is None or depth > 0:
             nxt = None if depth is None else depth - 1
-            for c in self.children:
-                lines.append(c.render(nxt, indent + 1))
+            lines.extend(c.render(nxt, indent + 1) for c in self.children)
         return "\n".join(lines)
 
 
 @dataclass
 class Verdict:
-    status: Status
     trace: Trace
     samples_checked: int
+
+    @property
+    def status(self) -> Status:
+        return self.trace.status
 
     def __bool__(self):
         return self.status is Status.REALIZED
@@ -137,16 +145,14 @@ def decide_nat_eq(n: int, m: int) -> bool:
     return n == m
 
 
+@dataclass(slots=True)
 class _Ctx:
-    __slots__ = ("budget", "cfg", "samples", "memo")
-
-    def __init__(self, budget: EnumBudget, cfg: FuelConfig):
-        self.budget = budget
-        self.cfg = cfg
-        self.samples = 0
-        # check is pure in (a, b, φ) for fixed budget and fuel; shared
-        # sub-names would otherwise be re-verified exponentially often.
-        self.memo: dict = {}
+    budget: EnumBudget
+    cfg: FuelConfig
+    samples: int = 0
+    # check is pure in (a, b, φ) for fixed budget and fuel; shared
+    # sub-names would otherwise be re-verified exponentially often.
+    memo: dict = field(default_factory=dict)
 
 
 def _as_name(r: NameRef) -> VName:
@@ -155,59 +161,39 @@ def _as_name(r: NameRef) -> VName:
     return r
 
 
-_STUCK = "stuck"
-_FUEL = "fuel"
-
-
-def _apply(ctx: _Ctx, f: Value, a: Value) -> tuple[Value | None, str | None]:
+def _run(ctx: _Ctx, clause: str, what: str, op, f: Value, x) -> Value | Trace:
+    """``op`` (the kernel's ``apply_value`` or ``project``) on f and x: the
+    value, or the Trace of the clause that its failure decides."""
     try:
-        out = apply_value(f, a, ctx.cfg)
+        out = op(f, x, ctx.cfg)
+    except ValueSizeExceeded:
+        return Trace(clause, Status.UNKNOWN, note=f"{what} outgrew the value size cap")
     except MachineError as exc:
-        return None, f"{_STUCK}: {exc}"
-    if isinstance(out, FuelExhausted):
-        return None, _FUEL
-    return out.value, None
-
-
-def _project(ctx: _Ctx, v: Value, i: int) -> tuple[Value | None, str | None]:
-    try:
-        out = project(v, i, ctx.cfg)
-    except MachineError as exc:
-        return None, f"{_STUCK}: {exc}"
-    if out is None:
-        return None, _FUEL
-    return out, None
-
-
-def _fail(clause: str, failure: str, what: str) -> tuple[Status, Trace]:
-    if failure.startswith(_STUCK):
-        return Status.REFUTED, Trace(
-            clause, Status.REFUTED, note=f"{what} crashed ({failure})", exhaustive=True
-        )
-    return Status.UNKNOWN, Trace(clause, Status.UNKNOWN, note=f"{what} ran out of fuel")
+        return Trace(clause, Status.REFUTED, note=f"{what} crashed (stuck: {exc})", exhaustive=True)
+    if out is None or isinstance(out, FuelExhausted):
+        return Trace(clause, Status.UNKNOWN, note=f"{what} ran out of fuel")
+    return out if isinstance(out, Value) else out.value
 
 
 def _both(ctx: _Ctx, clause: str, op, a: Value, x, b: Value, y, what_a: str, what_b: str):
-    """``op`` (``_apply`` or ``_project``) on the a side, then on the b side:
-    the two results and None, or None, None and the first failure's verdict."""
-    va, fail = op(ctx, a, x)
-    if fail:
-        return None, None, _fail(clause, fail, what_a)
-    vb, fail = op(ctx, b, y)
-    if fail:
-        return None, None, _fail(clause, fail, what_b)
+    """``op`` on the a side, then on the b side: the two values and None, or
+    None, None and the first failure's Trace."""
+    va = _run(ctx, clause, what_a, op, a, x)
+    vb = va if isinstance(va, Trace) else _run(ctx, clause, what_b, op, b, y)
+    if isinstance(vb, Trace):
+        return None, None, vb
     return va, vb, None
 
 
 def _meet_all(trace: Trace, results) -> Status:
-    """Append each (status, child) of the lazy ``results`` to ``trace`` and
-    return their meet, stopping at the first refutation."""
+    """Append each child Trace of the lazy ``results`` to ``trace`` and
+    return the meet of their statuses, stopping at the first refutation."""
     out = Status.REALIZED
-    for status, child in results:
+    for child in results:
         trace.children.append(child)
-        if status is Status.REFUTED:
+        if child.status is Status.REFUTED:
             return Status.REFUTED
-        out = _meet(out, status)
+        out = _meet(out, child.status)
     return out
 
 
@@ -217,6 +203,11 @@ def _meet(s1: Status, s2: Status) -> Status:
     if Status.UNKNOWN in (s1, s2):
         return Status.UNKNOWN
     return Status.REALIZED
+
+
+# A name or formula that nests past the host stack is a resource limit, like
+# fuel: the entry points answer Unknown.
+_TOO_DEEP = "nesting too deep for the checker"
 
 
 def check(
@@ -229,11 +220,14 @@ def check(
     if not is_closed(phi):
         raise ValueError("check requires a closed formula")
     ctx = _Ctx(budget, cfg)
-    status, trace = _check(ctx, pair.a, pair.b, phi)
-    return Verdict(status, trace, ctx.samples)
+    try:
+        trace = _check(ctx, pair.a, pair.b, phi)
+    except RecursionError:
+        trace = Trace("check", Status.UNKNOWN, note=_TOO_DEEP)
+    return Verdict(trace, ctx.samples)
 
 
-def _check(ctx: _Ctx, a: Value, b: Value, phi: Formula) -> tuple[Status, Trace]:
+def _check(ctx: _Ctx, a: Value, b: Value, phi: Formula) -> Trace:
     """The clause for φ's connective, memoised.  Clauses recurse only through
     here, and the dispatch is a table lookup rather than a call, so a deep
     name or formula costs few host frames per level."""
@@ -245,10 +239,8 @@ def _check(ctx: _Ctx, a: Value, b: Value, phi: Formula) -> tuple[Status, Trace]:
     return out
 
 
-def _check_unbounded(ctx: _Ctx, a: Value, b: Value, phi: All | Ex) -> tuple[Status, Trace]:
-    return Status.UNKNOWN, Trace(
-        "quantifier", Status.UNKNOWN, note="unbounded quantifier: not checkable"
-    )
+def _check_unbounded(ctx: _Ctx, a: Value, b: Value, phi: All | Ex) -> Trace:
+    return Trace("quantifier", Status.UNKNOWN, note="unbounded quantifier: not checkable")
 
 
 # Notes of the keyed clauses: realized, refuted after trying candidates,
@@ -269,7 +261,7 @@ _KEYED_NOTES = {
 }
 
 
-def _check_keyed(ctx: _Ctx, a: Value, b: Value, phi: Mem | ExIn) -> tuple[Status, Trace]:
+def _check_keyed(ctx: _Ctx, a: Value, b: Value, phi: Mem | ExIn) -> Trace:
     """``mem(x, y)`` and ``ex z in y. body``: the key (a)_0, (b)_0 selects
     members z of the bound name y, and (a)_1, (b)_1 must realize ``sub(z)``,
     that is ``eq(x, z)`` or ``body[z]``, for one of them."""
@@ -278,55 +270,50 @@ def _check_keyed(ctx: _Ctx, a: Value, b: Value, phi: Mem | ExIn) -> tuple[Status
     else:
         clause, bound, sub = "ex-in", _as_name(phi.bound), partial(substitute, phi.body, phi.var)
     found, refuted, empty, open_note = _KEYED_NOTES[clause]
-    a0, b0, bad = _both(ctx, clause, _project, a, 0, b, 0, "(a)_0", "(b)_0")
+    a0, b0, bad = _both(ctx, clause, project, a, 0, b, 0, "(a)_0", "(b)_0")
     if bad:
         return bad
-    a1, b1, bad = _both(ctx, clause, _project, a, 1, b, 1, "(a)_1", "(b)_1")
+    a1, b1, bad = _both(ctx, clause, project, a, 1, b, 1, "(a)_1", "(b)_1")
     if bad:
         return bad
     matches, exhaustive = lookup_triples(bound, a0, b0, ctx.budget, ctx.cfg)
     trace = Trace(clause, Status.UNKNOWN, exhaustive=exhaustive)
     saw_unknown = False
     for z in matches:
-        st, t = _check(ctx, a1, b1, sub(z))
+        t = _check(ctx, a1, b1, sub(z))
         trace.children.append(t)
         # Candidates from a non-exhaustive lookup are only probable members;
         # a positive answer through them stays Unknown.
-        if st is Status.REALIZED and exhaustive:
+        if t.status is Status.REALIZED and exhaustive:
             trace.status, trace.note = Status.REALIZED, found
-            return Status.REALIZED, trace
-        saw_unknown |= st is not Status.REFUTED
+            return trace
+        saw_unknown |= t.status is not Status.REFUTED
     if exhaustive and not saw_unknown:
         trace.status, trace.note = Status.REFUTED, refuted if matches else empty
-        return Status.REFUTED, trace
-    trace.note = open_note if saw_unknown else ""
-    return Status.UNKNOWN, trace
+    elif saw_unknown:
+        trace.note = open_note
+    return trace
 
 
 def _apply_members(ctx: _Ctx, clause: str, a: Value, b: Value, triples, sub, pi=None):
     """Per triple ⟨c, d, z⟩: the verdict that a·c, b·d (or their ``pi``-th
     projections) realize ``sub(z)``, or the failure that stopped it."""
     for c, d, z in triples:
-        ac, bd, bad = _both(ctx, clause, _apply, a, c, b, d, "a·c", "b·d")
+        ac, bd, bad = _both(ctx, clause, apply_value, a, c, b, d, "a·c", "b·d")
         if not bad and pi is not None:
-            ac, bd, bad = _both(
-                ctx, clause, _project, ac, pi, bd, pi, f"(a·c)_{pi}", f"(b·d)_{pi}"
-            )
+            ac, bd, bad = _both(ctx, clause, project, ac, pi, bd, pi, f"(a·c)_{pi}", f"(b·d)_{pi}")
         yield bad if bad else _check(ctx, ac, bd, sub(z))
 
 
-def _check_eq(ctx: _Ctx, a: Value, b: Value, phi: Eq) -> tuple[Status, Trace]:
+def _check_eq(ctx: _Ctx, a: Value, b: Value, phi: Eq) -> Trace:
     clause = "eq"
     x, y = _as_name(phi.x), _as_name(phi.y)
     if isinstance(x, Nat) and isinstance(y, Nat) and not decide_nat_eq(x.n, y.n):
-        return Status.REFUTED, Trace(
-            clause,
-            Status.REFUTED,
+        return Trace(
+            clause, Status.REFUTED, exhaustive=True,
             note=f"distinct numeral names nat {x.n} / nat {y.n}: no realizer exists",
-            exhaustive=True,
         )
-    trace = Trace(clause, Status.UNKNOWN)
-    overall = Status.REALIZED
+    trace = Trace(clause, Status.REALIZED)
     for label, src, dst, pi in (("left", x, y, 0), ("right", y, x, 1)):
         triples, exhausted = enumerate_triples(src, ctx.budget, ctx.cfg)
         side = Trace(f"eq/{label}", Status.UNKNOWN, exhaustive=exhausted)
@@ -335,87 +322,74 @@ def _check_eq(ctx: _Ctx, a: Value, b: Value, phi: Eq) -> tuple[Status, Trace]:
         )
         side.status = _meet(members, Status.REALIZED if exhausted else Status.UNKNOWN)
         trace.children.append(side)
-        overall = _meet(overall, side.status)
-        if overall is Status.REFUTED:
+        trace.status = _meet(trace.status, side.status)
+        if trace.status is Status.REFUTED:
             break
-    trace.status = overall
-    trace.exhaustive = overall is Status.REALIZED
-    return overall, trace
+    trace.exhaustive = trace.status is Status.REALIZED
+    return trace
 
 
-def _check_and(ctx: _Ctx, a: Value, b: Value, phi: And) -> tuple[Status, Trace]:
+def _check_and(ctx: _Ctx, a: Value, b: Value, phi: And) -> Trace:
     clause = "and"
-    trace = Trace(clause, Status.UNKNOWN, exhaustive=True)
-    overall = Status.REALIZED
+    trace = Trace(clause, Status.REALIZED, exhaustive=True)
     for i, sub in ((0, phi.left), (1, phi.right)):
-        pa, pb, bad = _both(ctx, clause, _project, a, i, b, i, f"(a)_{i}", f"(b)_{i}")
+        pa, pb, bad = _both(ctx, clause, project, a, i, b, i, f"(a)_{i}", f"(b)_{i}")
         if bad:
             return bad
-        st, t = _check(ctx, pa, pb, sub)
+        t = _check(ctx, pa, pb, sub)
         trace.children.append(t)
-        if st is Status.REFUTED:
-            trace.status = Status.REFUTED
-            return Status.REFUTED, trace
-        overall = _meet(overall, st)
-    trace.status = overall
-    return overall, trace
+        trace.status = _meet(trace.status, t.status)
+        if trace.status is Status.REFUTED:
+            break
+    return trace
 
 
-def _check_or(ctx: _Ctx, a: Value, b: Value, phi: Or) -> tuple[Status, Trace]:
+def _check_or(ctx: _Ctx, a: Value, b: Value, phi: Or) -> Trace:
     clause = "or"
-    ta, tb, bad = _both(ctx, clause, _project, a, 0, b, 0, "(a)_0", "(b)_0")
+    ta, tb, bad = _both(ctx, clause, project, a, 0, b, 0, "(a)_0", "(b)_0")
     if bad:
         return bad
     if not (ta.is_numeral() and tb.is_numeral() and ta == tb and ta.numeral in (0, 1)):
-        return Status.REFUTED, Trace(
+        return Trace(
             clause, Status.REFUTED, note="disjunction tags must both be #0 or both #1",
             exhaustive=True,
         )
-    pa, pb, bad = _both(ctx, clause, _project, a, 1, b, 1, "(a)_1", "(b)_1")
+    pa, pb, bad = _both(ctx, clause, project, a, 1, b, 1, "(a)_1", "(b)_1")
     if bad:
         return bad
-    side = phi.left if ta.numeral == 0 else phi.right
-    st, t = _check(ctx, pa, pb, side)
-    trace = Trace(clause, st, note=f"tag #{ta.numeral}", exhaustive=True, children=[t])
-    return st, trace
+    t = _check(ctx, pa, pb, phi.left if ta.numeral == 0 else phi.right)
+    return Trace(clause, t.status, note=f"tag #{ta.numeral}", exhaustive=True, children=[t])
 
 
-def _check_allin(ctx: _Ctx, a: Value, b: Value, phi: AllIn) -> tuple[Status, Trace]:
+def _check_allin(ctx: _Ctx, a: Value, b: Value, phi: AllIn) -> Trace:
     clause = "all-in"
     triples, exhausted = enumerate_triples(_as_name(phi.bound), ctx.budget, ctx.cfg)
     trace = Trace(clause, Status.UNKNOWN, exhaustive=exhausted)
     # The meet over the sampled members only.
-    members = _meet_all(
+    trace.status = _meet_all(
         trace,
         _apply_members(ctx, clause, a, b, triples, partial(substitute, phi.body, phi.var)),
     )
-    if not exhausted and members is not Status.REFUTED:
-        if members is Status.REALIZED and triples:
+    if not exhausted and trace.status is not Status.REFUTED:
+        if trace.status is Status.REALIZED and triples:
             trace.note = "all sampled members pass; enumeration truncated"
-        members = Status.UNKNOWN
-    trace.status = members
-    return members, trace
+        trace.status = Status.UNKNOWN
+    return trace
 
 
-def _check_not(ctx: _Ctx, a: Value, b: Value, phi: Not) -> tuple[Status, Trace]:
+def _check_not(ctx: _Ctx, a: Value, b: Value, phi: Not) -> Trace:
     clause = "not"
     if in_fragment(phi.body):
         if truth_eval(phi.body):
-            return Status.REFUTED, Trace(
-                clause,
-                Status.REFUTED,
+            return Trace(
+                clause, Status.REFUTED, exhaustive=True,
                 note="body is realizable (decided on the arithmetic fragment)",
-                exhaustive=True,
             )
-        return Status.REALIZED, Trace(
-            clause,
-            Status.REALIZED,
+        return Trace(
+            clause, Status.REALIZED, exhaustive=True,
             note="no realizer of the body exists (decided on the arithmetic fragment)",
-            exhaustive=True,
         )
-    return Status.UNKNOWN, Trace(
-        clause, Status.UNKNOWN, note="negation quantifies over the whole algebra"
-    )
+    return Trace(clause, Status.UNKNOWN, note="negation quantifies over the whole algebra")
 
 
 def _constant_output(v: Value) -> Value | None:
@@ -425,55 +399,54 @@ def _constant_output(v: Value) -> Value | None:
     return None
 
 
-def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> tuple[Status, Trace]:
+def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
     clause = "imp"
     ca, cb = _constant_output(a), _constant_output(b)
     decidable = in_fragment(phi.hyp)
     if decidable and not truth_eval(phi.hyp):
-        return Status.REALIZED, Trace(
-            clause,
-            Status.REALIZED,
+        return Trace(
+            clause, Status.REALIZED, exhaustive=True,
             note="hypothesis has no realizer (decided on the arithmetic fragment)",
-            exhaustive=True,
         )
     if ca is not None and cb is not None:
         # Constant realizers collapse the universal over hypothesis realizers.
-        st, t = _check(ctx, ca, cb, phi.concl)
-        if st is Status.REALIZED:
-            return Status.REALIZED, Trace(
+        t = _check(ctx, ca, cb, phi.concl)
+        if t.status is Status.REALIZED:
+            return Trace(
                 clause, Status.REALIZED, note="constant realizer: conclusion checked once",
                 exhaustive=True, children=[t],
             )
-        if st is Status.REFUTED and decidable:
+        if t.status is Status.REFUTED and decidable:
             # Hypothesis realizable and the fixed output fails.
-            return Status.REFUTED, Trace(
+            return Trace(
                 clause, Status.REFUTED, note="constant realizer refutes the conclusion",
                 exhaustive=True, children=[t],
             )
-        return Status.UNKNOWN, Trace(clause, Status.UNKNOWN, children=[t])
+        return Trace(clause, Status.UNKNOWN, children=[t])
     if decidable:
-        from .realizers import synthesize  # cycle-free: realizers does not import checker
+        # Imported here: realizers imports this module at load time.
+        from .realizers import synthesize
 
         wit = synthesize(phi.hyp)
         if wit is not None:
-            aw, bw, bad = _both(ctx, clause, _apply, a, wit.a, b, wit.b, "a·witness", "b·witness")
+            aw, bw, bad = _both(
+                ctx, clause, apply_value, a, wit.a, b, wit.b, "a·witness", "b·witness"
+            )
             if bad:
                 return bad
-            st, t = _check(ctx, aw, bw, phi.concl)
-            if st is Status.REFUTED:
-                return Status.REFUTED, Trace(
+            t = _check(ctx, aw, bw, phi.concl)
+            if t.status is Status.REFUTED:
+                return Trace(
                     clause, Status.REFUTED,
                     note="synthesized hypothesis witness drives the conclusion to a refutation",
                     exhaustive=True, children=[t],
                 )
-            return Status.UNKNOWN, Trace(
+            return Trace(
                 clause, Status.UNKNOWN,
                 note="one synthesized witness passed; the universal over realizers is open",
                 children=[t], witness_directed=True,
             )
-    return Status.UNKNOWN, Trace(
-        clause, Status.UNKNOWN, note="implication quantifies over the whole algebra"
-    )
+    return Trace(clause, Status.UNKNOWN, note="implication quantifies over the whole algebra")
 
 
 _CLAUSES = {
@@ -512,33 +485,36 @@ def check_imp_on_witnesses(
     def results():
         nonlocal usable
         for i, w in enumerate(witnesses):
-            pre_status, pre_trace = _check(ctx, w.a, w.b, hyp)
-            if pre_status is Status.REFUTED:
-                # A skipped witness bears on no verdict: REALIZED is the meet's unit.
-                yield Status.REALIZED, Trace(
-                    "witness", Status.UNKNOWN, children=[pre_trace],
+            pre = _check(ctx, w.a, w.b, hyp)
+            if pre.status is Status.REFUTED:
+                # A skipped witness is shown but bears on no verdict, so it
+                # joins the children outside the meet.
+                trace.children.append(Trace(
+                    "witness", Status.UNKNOWN, children=[pre],
                     note=f"witness {i} does not realize the hypothesis; skipped",
-                )
+                ))
                 continue
             usable += 1
             aw, bw, bad = _both(
-                ctx, "imp/witness", _apply, pair.a, w.a, pair.b, w.b, "a·witness", "b·witness"
+                ctx, "imp/witness", apply_value, pair.a, w.a, pair.b, w.b, "a·witness", "b·witness"
             )
             if bad:
                 yield bad
                 continue
-            st, t = _check(ctx, aw, bw, concl)
+            t = _check(ctx, aw, bw, concl)
             # The memo holds t; label a copy.
-            yield st, replace(t, note=(f"witness {i}: " + t.note).rstrip(": "))
+            yield replace(t, note=(f"witness {i}: " + t.note).rstrip(": "))
 
-    status = _meet_all(trace, results())
-    if status is not Status.REFUTED:
+    try:
+        trace.status = _meet_all(trace, results())
+    except RecursionError:
+        return Verdict(Trace(trace.clause, Status.UNKNOWN, note=_TOO_DEEP), ctx.samples)
+    if trace.status is not Status.REFUTED:
         if usable:
             trace.note = f"{usable} witness(es); universal claim over the algebra unverified"
         else:
-            status, trace.note = Status.UNKNOWN, "no usable witnesses"
-    trace.status = status
-    return Verdict(status, trace, ctx.samples)
+            trace.status, trace.note = Status.UNKNOWN, "no usable witnesses"
+    return Verdict(trace, ctx.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +531,9 @@ def in_fragment(phi: Formula, bound_vars: frozenset[str] = frozenset()) -> bool:
     def ok_elem(r: NameRef) -> bool:
         return (isinstance(r, str) and r in bound_vars) or isinstance(r, Nat)
 
-    def ok_bound_mem(r: NameRef) -> bool:
-        return ok_elem(r) or isinstance(r, Omega)
-
     match phi:
         case Mem(x, y):
-            return ok_elem(x) and ok_bound_mem(y)
+            return ok_elem(x) and (ok_elem(y) or isinstance(y, Omega))
         case Eq(x, y):
             return ok_elem(x) and ok_elem(y)
         case And(l, r) | Or(l, r) | Imp(l, r):
@@ -592,13 +565,17 @@ def _max_numeral(phi: Formula) -> int:
             return 0
 
 
-def truth_eval(phi: Formula) -> bool:
-    """Classical truth over the naturals: nat n ↦ n, mem ↦ <, eq ↦ =.
+def witness_range(bound: NameRef, body: Formula) -> range:
+    """The witnesses to try for ``ex z in bound. body`` on the fragment: below
+    nat n, or over ω̇ up to a saturation bound, since every atom compares
+    against constants and witnesses past the largest numeral plus one behave
+    identically."""
+    return range(bound.n if isinstance(bound, Nat) else _max_numeral(body) + 2)
 
-    Existentials over ω̇ are decided by a saturation bound: every atom
-    compares against constants, so witnesses above the largest numeral plus
-    one behave identically.
-    """
+
+def truth_eval(phi: Formula) -> bool:
+    """Classical truth over the naturals: nat n ↦ n, mem ↦ <, eq ↦ =;
+    existentials over ω̇ through ``witness_range``."""
     if not in_fragment(phi):
         raise FragmentError(f"not a bounded-arithmetic formula: {fmt(phi)}")
     return _truth(phi)
@@ -607,10 +584,7 @@ def truth_eval(phi: Formula) -> bool:
 def _truth(phi: Formula) -> bool:
     match phi:
         case Mem(x, y):
-            xn = _as_nat(x)
-            if isinstance(y, Omega):
-                return True
-            return xn < _as_nat(y)
+            return isinstance(y, Omega) or _as_nat(x) < _as_nat(y)
         case Eq(x, y):
             return _as_nat(x) == _as_nat(y)
         case And(l, r):
@@ -625,11 +599,7 @@ def _truth(phi: Formula) -> bool:
             assert isinstance(bound, Nat)
             return all(_truth(substitute(body, v, Nat(m))) for m in range(bound.n))
         case ExIn(v, bound, body):
-            if isinstance(bound, Nat):
-                rng = range(bound.n)
-            else:
-                rng = range(_max_numeral(body) + 2)
-            return any(_truth(substitute(body, v, Nat(m))) for m in rng)
+            return any(_truth(substitute(body, v, Nat(m))) for m in witness_range(bound, body))
     raise FragmentError(fmt(phi))
 
 

@@ -338,7 +338,7 @@ def internalize(a: Value, sigma: FinType, budget: EnumBudget = DEFAULT_BUDGET) -
     """The canonical name of a type-σ element."""
     if sigma == TYPE_O:
         if not a.is_numeral():
-            raise ValueError(f"only numerals internalize at type o, got {a!r}")
+            raise ValueError("only numerals internalize at type o")
         return Nat(a.numeral)
     rep = eq_type(a, a, sigma, budget)
     if rep.result is Tri.FALSE:
@@ -356,8 +356,9 @@ def internalize(a: Value, sigma: FinType, budget: EnumBudget = DEFAULT_BUDGET) -
 def _member(x: Internal | Graph, g: Value, budget: EnumBudget, cfg: FuelConfig) -> list[VName] | None:
     """The members at key g of an arrow-type ``Internal`` name (⟨ǧ, f·g⟩)
     or a ``Graph`` name (⟨ǧ, (f·g)_0⟩): one, or none where a machine error
-    leaves the image undefined; None when the image runs out of fuel or
-    outgrows the value size cap, which a larger cap could lift."""
+    leaves the image undefined or the image is not a numeral at codomain o;
+    None when the image runs out of fuel or outgrows the value size cap,
+    which a larger cap could lift."""
     try:
         out = apply_value(x.a, g, cfg)
         image = None if isinstance(out, FuelExhausted) else out.value
@@ -370,6 +371,8 @@ def _member(x: Internal | Graph, g: Value, budget: EnumBudget, cfg: FuelConfig) 
     if image is None:
         return None
     dom, cod = (x.sigma, x.tau) if isinstance(x, Graph) else (x.sigma.dom, x.sigma.cod)
+    if cod == TYPE_O and not image.is_numeral():
+        return []
     return [OPair(internalize(g, dom, budget), internalize(image, cod, budget))]
 
 
@@ -454,7 +457,3 @@ def enumerate_triples(
             members = ((g, _member(x, g, budget, cfg) or []) for g in gen_elems(dom, budget))
             return [(g, g, z) for g, zs in members for z in zs], False
     raise TypeError(x)
-
-
-def explicit(*triples: tuple[Value, Value, VName]) -> Explicit:
-    return Explicit(tuple(triples))

@@ -19,7 +19,7 @@ from functools import cache
 from typing import Callable
 
 from .compiler import Lam, compile_term, double_fixpoint, fixpoint, lam, primrec
-from .checker import FragmentError, RealizerPair, in_fragment, truth_eval
+from .checker import FragmentError, RealizerPair, in_fragment, truth_eval, witness_range
 from .formulas import (
     AllIn,
     And,
@@ -243,13 +243,7 @@ def _synth(phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> Value | None:
                 return Value(K)
             return _dispatch_value(entries, cfg)
         case ExIn(v, bound, body):
-            if isinstance(bound, Nat):
-                rng = range(bound.n)
-            else:
-                from .checker import _max_numeral
-
-                rng = range(_max_numeral(body) + 2)
-            for k in rng:
+            for k in witness_range(bound, body):
                 sub = _synth(substitute(body, v, Nat(k)), budget, cfg)
                 if sub is not None:
                     return pair_value(num_value(k), sub, cfg)

@@ -182,7 +182,11 @@ def _parse_name(env: _Env, text: str, line: int, depth: int = 0) -> tuple[VName,
         body, _, ty = rest.rpartition(":")
         from .names import internalize
 
-        return internalize(_eval_value(env, body, line), _parse_type(ty, line), env.budget), 0
+        a, sigma = _eval_value(env, body, line), _parse_type(ty, line)
+        try:
+            return internalize(a, sigma, env.budget), 0
+        except ValueError as exc:
+            raise ScenarioError(f"bad int name {text!r}: {exc}", line) from None
     if head == "graph":
         body, _, types = rest.rpartition(":")
         dom, _, cod = types.partition("->")
@@ -570,7 +574,8 @@ def _run_suite_directive(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     rep = run_suite(name, env.seed, env.cfg, env.budget)
     outcome = f"{len(rep.cases) - len(rep.failures)}/{len(rep.cases)} cases"
     detail = "\n".join(
-        f"  FAIL {c.name}: {c.detail}" + (f"\n    reproduce:\n      {c.snippet}" if c.snippet else "")
+        f"  FAIL {c.name}: {c.detail}"
+        + ("\n    reproduce:\n      " + c.snippet.replace("\n", "\n      ") if c.snippet else "")
         for c in rep.failures
     )
     return DirectiveResult(lineno, "suite", name, outcome + ("\n" + detail if detail else ""),

@@ -413,7 +413,7 @@ def suite_equality(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
             bad.append(f"-- i_r fails x=x on {x}")
     for n in range(7):
         if not _realized(ir, Eq(Nat(n), Nat(n)), budget, cfg):
-            bad.append(f"check (i_r, i_r) eq(nat {n}, nat {n}) expect realized")
+            bad.append(f"realizer i_r = i_r\ncheck (i_r, i_r) eq(nat {n}, nat {n}) expect realized")
     rep.add("reflexivity", bad, f"{rounds} random finite names (rank <= 3) and naturals <= 6")
 
     _, i_s_t, i_t_t, i_0_t, i_1_t = eq_realizers()
@@ -442,7 +442,7 @@ def suite_equality(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
                 continue
             ver = check(RealizerPair.both(ir), Eq(Nat(n), Nat(m)), budget, cfg)
             if ver.status is not Status.REFUTED:
-                bad.append(f"check (i_r, i_r) eq(nat {n}, nat {m}) expect refuted")
+                bad.append(f"realizer i_r = i_r\ncheck (i_r, i_r) eq(nat {n}, nat {m}) expect refuted")
     rep.add("numeral-absoluteness", bad, "n != m <= 4 refuted")
     return rep
 

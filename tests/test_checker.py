@@ -320,10 +320,14 @@ def test_round_trip_structured_cases():
 
 # ---------------------------------------------------------------------------
 # Failure sites: every projection and application a clause makes of a
-# realizer either crashes (Refuted, exhaustive) or runs out of fuel (Unknown).
+# realizer either crashes (Refuted, exhaustive), runs out of fuel or outgrows
+# the value size cap (both Unknown).
 
 _CRASH = "#3 #3"  # applying a numeral is a machine error
 _LOOP = "(\\y. y y) (\\y. y y)"  # diverges under any fuel
+# Doubles K eight times, to a pair tree of 2,041 nodes; every realizer and
+# witness below fits a cap of 1,000 (i_r has 434 nodes).
+_GROW = "(\\f. f (f (f (f (f (f (f (f K)))))))) (\\x. P x x)"
 
 
 def _term_value(src: str) -> Value:
@@ -388,7 +392,7 @@ _FAILURE_SITES = [
 
 
 def _failure_node(trace):
-    if " crashed (" in trace.note or trace.note.endswith("ran out of fuel"):
+    if " crashed (" in trace.note or trace.note.endswith(("ran out of fuel", "size cap")):
         return trace
     return next((n for n in map(_failure_node, trace.children) if n is not None), None)
 
@@ -397,10 +401,10 @@ def _failure_node(trace):
     "what, clause, phi, a, b", _FAILURE_SITES, ids=[f"{c}:{w.replace('·', '.')}" for w, c, *_ in _FAILURE_SITES]
 )
 def test_failure_sites_crash_refutes_and_fuel_is_unknown(what, clause, phi, a, b):
-    small = FuelConfig(max_steps=400)
-    for failing, cfg, status in (
-        (_CRASH, DEFAULT_FUEL, Status.REFUTED),
-        (_LOOP, small, Status.UNKNOWN),
+    for failing, cfg, status, note in (
+        (_CRASH, DEFAULT_FUEL, Status.REFUTED, "crashed (stuck: "),
+        (_LOOP, FuelConfig(max_steps=400), Status.UNKNOWN, "ran out of fuel"),
+        (_GROW, FuelConfig(max_value_size=1000), Status.UNKNOWN, "outgrew the value size cap"),
     ):
         pair = RealizerPair(*(_term_value(t.replace("{}", failing)) for t in (a, b)))
         if phi is None:
@@ -412,7 +416,5 @@ def test_failure_sites_crash_refutes_and_fuel_is_unknown(what, clause, phi, a, b
         assert ver.status is status and node is not None, (failing, ver.trace.render())
         refuted = status is Status.REFUTED
         assert (node.clause, node.status, node.exhaustive) == (clause, status, refuted)
-        if refuted:
-            assert node.note.startswith(f"{what} crashed (stuck: "), node.note
-        else:
-            assert node.note == f"{what} ran out of fuel"
+        want = f"{what} {note}"
+        assert node.note.startswith(want) if refuted else node.note == want, node.note

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from extreal import cli, suites
+from extreal.checker import Status, Trace, Verdict
 from extreal.scenarios import ScenarioError, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,10 +72,16 @@ def test_internalized_and_graph_names():
 
 
 @pytest.mark.filterwarnings("ignore:internalizing a value")
-@pytest.mark.parametrize("name", ["graph (\\x. #3 #3) : o -> o", "int (\\x. #3 #3) : (o)o"])
+@pytest.mark.parametrize("name", [
+    "graph (\\x. #3 #3) : o -> o",
+    "int (\\x. #3 #3) : (o)o",
+    "graph (\\x. P K K) : o -> o",
+    "int (\\x. K) : (o)o",
+])
 def test_crashing_function_names_have_no_member_at_that_key(name):
-    # The function crashes on every key: the sampled enumeration finds no
-    # member but is not exhaustive, and the lookup at key #1 is empty.
+    # The function crashes on every key, or its image there is not a numeral
+    # at codomain o, which has no member either: the sampled enumeration
+    # finds no member but is not exhaustive, and the lookup at key #1 is empty.
     rep = run_scenario(
         f"""
         name g = {name}
@@ -107,6 +114,22 @@ def test_failing_law_cases_carry_runnable_snippets(monkeypatch):
                 rep = run_scenario(case.snippet)
                 assert rep.results and rep.ok, (case.name, case.snippet)
     assert failed == _TOTAL_LAWS
+
+
+def test_equality_snippets_declare_the_realizers_they_use(monkeypatch):
+    # With every check left Unknown, the equality laws fail; they really
+    # hold, so each snippet that is not a comment reproduces as a passing
+    # scenario.  No random names (rounds=0), whose notes are comments, so
+    # reflexivity's first note is its numeral snippet.
+    unknown = Verdict(Trace("check", Status.UNKNOWN), 0)
+    monkeypatch.setattr(suites, "check", lambda *args: unknown)
+    ran = []
+    for case in suites.suite_equality(0, rounds=0).failures:
+        if not case.snippet.startswith("--"):
+            rep = run_scenario(case.snippet)
+            assert rep.results and rep.ok, (case.name, case.snippet)
+            ran.append(case.name)
+    assert ran == ["reflexivity", "numeral-absoluteness"]
 
 
 def test_check_with_witnesses_directive():
@@ -161,6 +184,7 @@ _BAD_SECOND_LINES = [
     "eval " + " ".join(["K"] * 1200),
     "term t = \\x. " + " ".join(["x"] * 500),
     "name n = int (K K) : nat",
+    "name n = int K : o",
     "name n = F nat",
     "synth-roundtrip mem(omega, omega)",
     "synth-roundtrip eq(u, nat 1)",
@@ -253,6 +277,26 @@ def test_cli_run_exit_codes():
         out = _cli("run", "-", stdin="eval K\n" + bad + "\n")
         assert out.returncode == 2, (bad, out.stderr)
         assert out.stderr.startswith("parse error: line 2: ") and "Traceback" not in out.stderr
+
+
+def test_cli_names_nested_past_the_host_stack_check_unknown():
+    # The checker spends a few host frames per name level, so a name at the
+    # nesting limit outgrows the stack of a default interpreter: like fuel,
+    # that leaves the check Unknown.  A shallower name still decides.
+    from extreal.parser import MAX_NESTING
+
+    def sings(n):
+        return "sing (" * n + "nat 1" + ")" * n
+
+    script = (
+        f"realizer ir = i_r\nname shallow = {sings(160)}\nname deep = {sings(MAX_NESTING)}\n"
+        "check (ir, ir) eq(shallow, shallow) expect realized\n"
+        "check (ir, ir) eq(deep, deep) expect unknown\n"
+    )
+    out = _cli("--json", "--trace-depth", "0", "run", "-", stdin=script)
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    deep = json.loads(out.stdout)["directives"][1]["trace"]
+    assert deep["note"] == "nesting too deep for the checker"
 
 
 @pytest.mark.parametrize("command", [["run", str(DEMO)], ["suite", "pca-laws"]], ids=["run", "suite"])
