@@ -123,6 +123,8 @@ def _cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    for w in rep.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     return _report_scenario(rep, args)
 
 

@@ -48,12 +48,13 @@ from .terms import (  # noqa: E402
     P0,
     P1,
     Value,
+    pin_value,
 )
 
 
-# The values of P, P0 and P1, each evaluated once on the selected backend.
-# On pure this is the machine's own interned constant, so applications of
-# it still enter the machine's memo.
+# The values of P, P0 and P1, each evaluated once on the selected backend and
+# pinned in _INTERN.  On pure this is the machine's own constant, so
+# applications of it still enter the machine's memo.
 _consts: dict[ConstKind, Value] = {}
 
 
@@ -62,7 +63,7 @@ def _const_value(t: Const) -> Value:
     if v is None:
         out = eval_term(t)
         assert isinstance(out, Defined)
-        v = _consts[t.kind] = out.value
+        v = _consts[t.kind] = pin_value(out.value)
     return v
 
 

@@ -50,6 +50,7 @@ from .terms import (
     Var,
     _APPLY_MEMO,
     intern_value,
+    pin_value,
     remember,
 )
 
@@ -68,8 +69,8 @@ _D = ConstKind.D
 _SUCC = ConstKind.SUCC
 _PRED = ConstKind.PRED
 
-# The value of each constant: a delta constant is its own (interned) value, a
-# defined one the value of its expansion.
+# The value of each constant, pinned in _INTERN: a delta constant is its own
+# value, a defined one the value of its expansion.
 _const_cache: dict[ConstKind, Value] = {}
 
 # Firings of S-redexes, counted up to 2 per slot of their memo key modulo a
@@ -85,12 +86,12 @@ def _const_value(kind: ConstKind) -> Value:
     v = _const_cache.get(kind)
     if v is None:
         if kind in DELTA_ARITY:
-            v = intern_value(Value(Const(kind)))
+            v = Value(Const(kind))
         else:
             out = _run([(_OP_EVAL, EXPANSIONS[kind], None)], [], DEFAULT_FUEL)
             assert isinstance(out, Defined)
             v = out.value
-        _const_cache[kind] = v
+        v = _const_cache[kind] = pin_value(v)
     return v
 
 

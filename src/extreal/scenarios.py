@@ -22,6 +22,7 @@ parse error.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 from .checker import RealizerPair, Status, check, check_imp_on_witnesses, in_fragment, truth_eval
@@ -59,7 +60,7 @@ from .parser import MAX_NESTING, ParseError, parse, print_term
 from .realizers import realizer_term, synthesize
 from .suites import SUITES, run_suite
 from .terms import App, DEFAULT_FUEL, Defined, FuelConfig, FuelExhausted, MachineError, Value, Var
-from .compiler import compile_term
+from .compiler import compile_term, free_vars
 
 
 class ScenarioError(ValueError):
@@ -82,6 +83,7 @@ class DirectiveResult:
 @dataclass
 class ScenarioReport:
     results: list[DirectiveResult] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)  # "line N: message"
 
     @property
     def ok(self) -> bool:
@@ -128,23 +130,32 @@ def _parse_term(env: _Env, text: str, line: int):
         t = parse(text)
     except ParseError as exc:
         raise ScenarioError(f"bad term {text!r}: {exc}", line)
+    # Compilation keeps the free variables, so a term that names no declared
+    # term needs no resolution.
+    named = not env.terms.keys().isdisjoint(free_vars(t))
     t = compile_term(t)
-    return _resolve_term_names(env, t)
+    return _resolve_term_names(env, t) if named else t
 
 
 def _resolve_term_names(env: _Env, t):
     """t with each declared term name replaced by its term; a post-order walk
-    on explicit stacks, because compiled terms outgrow the recursion limit."""
+    on explicit stacks, because compiled terms outgrow the recursion limit.
+    A subterm without a declared name comes back as itself, and a shared
+    one is resolved once."""
+    new: dict[int, object] = {}  # id of a node of t -> the node resolved
     todo, done = [t], []
     while todo:
-        t = todo.pop()
-        if t is None:  # both children done
-            arg = done.pop()
-            done.append(App(done.pop(), arg))
-        elif type(t) is App:
-            todo += (None, t.arg, t.fun)
-        else:
-            done.append(env.terms.get(t.name, t) if type(t) is Var else t)
+        n = todo.pop()
+        if n is None:  # the App beneath has both children done
+            n = todo.pop()
+            arg, fun = done.pop(), done.pop()
+            new[id(n)] = n if fun is n.fun and arg is n.arg else App(fun, arg)
+        elif id(n) not in new:
+            if type(n) is App:
+                todo += (n, None, n.arg, n.fun)
+                continue
+            new[id(n)] = env.terms.get(n.name, n) if type(n) is Var else n
+        done.append(new[id(n)])
     return done[0]
 
 
@@ -431,8 +442,18 @@ _STATUS_WORDS = {
 
 
 def run_scenario(text: str) -> ScenarioReport:
-    env = _Env()
+    """Run the lines of ``text`` in order.  A warning raised while a line
+    runs (a name that fails self-relatedness sampling) goes into the
+    report's ``warnings`` once per line, not to the host's display."""
     report = ScenarioReport()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _run_lines(text, report, caught)
+    return report
+
+
+def _run_lines(text: str, report: ScenarioReport, caught: list) -> None:
+    env = _Env()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -482,7 +503,8 @@ def run_scenario(text: str) -> ScenarioReport:
             report.results.append(_run_suite_directive(env, rest, lineno))
         else:
             raise ScenarioError(f"unknown directive {head!r}", lineno)
-    return report
+        report.warnings += dict.fromkeys(f"line {lineno}: {w.message}" for w in caught)
+        caught.clear()
 
 
 def _split_expect(text: str) -> tuple[str, str | None]:

@@ -185,9 +185,13 @@ _set_hash = Value._hash.__set__
 
 # Values produced by the machines are interned so that structural equality
 # of results usually reduces to identity (the checker memoizes on values).
-# The table is emptied once it holds more than INTERN_LIMIT entries.
+# The table is emptied once it holds more than INTERN_LIMIT entries, and
+# then refilled with the pinned values: the constants the machine and the
+# kernel keep for the life of the process, so that their applications can
+# still enter the memo below.
 INTERN_LIMIT = 1_000_000
 _INTERN: dict[Value, Value] = {}
+_PINNED: dict[Value, Value] = {}
 
 # Application memo of the reference machine, keyed by ``memo_key(f, a)``.
 # An application below the head's arity costs one step and maps to its
@@ -221,7 +225,15 @@ def intern_value(v: Value) -> Value:
     if len(_INTERN) > INTERN_LIMIT:
         _INTERN.clear()
         _APPLY_MEMO.clear()
+        _INTERN.update(_PINNED)
     _INTERN[v] = v
+    return v
+
+
+def pin_value(v: Value) -> Value:
+    """``intern_value(v)``, kept in _INTERN across its overflow clears."""
+    v = intern_value(v)
+    _PINNED[v] = v
     return v
 
 

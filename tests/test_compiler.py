@@ -1,6 +1,7 @@
 """Bracket abstraction and the fixed-point constructions."""
 
 import random
+import signal
 from functools import reduce
 
 import pytest
@@ -36,6 +37,7 @@ from extreal.terms import (
     Num,
     Opaque,
     P,
+    S,
     SUCC,
     Tri,
     Value,
@@ -129,6 +131,88 @@ def test_compile_term_matches_quadratic_oracle(t):
     out = compile_term(t)
     assert out == reference_impl.compile_term(t)
     assert always_defined(out) == reference_impl.always_defined(out)
+
+
+@st.composite
+def _shared_terms(draw):
+    """Terms that reuse drawn subterm objects at several positions: under
+    binders that capture their free variables and outside them."""
+    pool = draw(st.lists(_terms(binders=True), min_size=1, max_size=3))
+    leaves = st.one_of(_ATOMS, st.sampled_from(pool))
+    t = draw(st.recursive(
+        leaves,
+        lambda c: st.one_of(st.builds(App, c, c), st.builds(Lam, st.sampled_from(_NAMES), c)),
+        max_leaves=12,
+    ))
+    x = draw(st.sampled_from(_NAMES))
+    return App(Lam(x, App(t, pool[0])), App(pool[0], Lam(x, pool[-1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_terms())
+def test_compile_term_on_shared_subterms_matches_quadratic_oracle(t):
+    out = compile_term(t)
+    assert out == reference_impl.compile_term(t)
+    assert always_defined(out) == reference_impl.always_defined(out)
+
+
+def _tower(k):
+    """t0 = K, t(k+1) = S tk tk: closed and always defined, with 2k + 2
+    distinct nodes but 2^(k+2) - 3 as a tree."""
+    t = K
+    for _ in range(k):
+        t = app(S, t, t)
+    return t
+
+
+def _holds(t, node):
+    """Whether node itself occurs in t, visiting each shared node once."""
+    seen, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        if t is node:
+            return True
+        if type(t) is App and id(t) not in seen:
+            seen.add(id(t))
+            todo += (t.fun, t.arg)
+    return False
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("compile_term walked a shared subterm as a tree")
+
+
+def test_compile_term_walks_each_shared_node_once():
+    t40 = _tower(40)
+    source = lam("x", "y", app(Var("y"), t40, Var("x")))
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(5)
+    try:
+        out = compile_term(source)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _holds(out, t40)
+    small = lam("x", "y", app(Var("y"), _tower(5), Var("x")))
+    assert compile_term(small) == reference_impl.compile_term(small)
+
+
+def test_compile_term_returns_lambda_free_subterms_as_themselves():
+    t = app(S, Var("y"), app(K, num(3)))
+    assert compile_term(t) is t
+    mixed = App(t, lam("x", Var("x")))
+    out = compile_term(mixed)
+    assert out.fun is t and out.arg == SKK
+
+
+def test_free_vars_and_always_defined_past_the_recursion_limit():
+    t = Var("x")
+    for _ in range(3_000):
+        t = App(K, t)
+    assert always_defined(t)
+    assert free_vars(t) == {"x"}
+    assert free_vars(Lam("x", t)) == frozenset()
+    assert not always_defined(App(t, num(1)))
 
 
 def test_compile_size_bound():

@@ -423,7 +423,7 @@ def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
         assert _entry(f, a) is r
         monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
         assert intern_value(Value(Opaque("one-more"))) is not None
-        assert not terms._APPLY_MEMO and len(terms._INTERN) == 1
+        assert not terms._APPLY_MEMO and len(terms._INTERN) == len(terms._PINNED) + 1
         # f is no longer interned: the machine's result is the table's, and
         # the entry is not re-admitted.
         again = machine.apply_value(f, a).value
@@ -439,6 +439,10 @@ def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
         for x in xs:  # intern z x and K x, so that T z x interns nothing new
             machine.apply_value(z, x)
             machine.apply_value(i_val, x)
+        # Applications of the pinned constants entered the memo too; more
+        # interned values keep the limit below the table's size.
+        for n in range(100, 120):
+            intern_value(num_value(n))
         interned = len(terms._INTERN)
         limit = len(terms._APPLY_MEMO) + 10
         assert limit < interned  # a new interned value would empty both
@@ -452,6 +456,37 @@ def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
         top = sizes.index(limit + 1)
         assert max(sizes) == limit + 1 and sizes[top + 1] == 1
         assert _entry(t_z, xs[top + 1]) is not None and _entry(t_z, xs[0]) is None
+    finally:
+        terms._INTERN.clear()
+        terms._INTERN.update(saved)
+        terms._APPLY_MEMO.clear()
+        terms._APPLY_MEMO.update(saved_memo)
+
+
+def test_intern_overflow_keeps_the_constants(monkeypatch):
+    # A clear refills _INTERN with the pinned constants, so applications of
+    # S enter the memo again, and the suites answer as at the default limit.
+    from extreal.suites import run_suite
+
+    def cases(ids):
+        return [[(c.name, c.ok, c.detail, c.snippet) for c in run_suite(i, 0).cases] for i in ids]
+
+    ids = ("pca-laws", "fixpoints")
+    want = cases(ids)
+    saved = dict(terms._INTERN)
+    saved_memo = dict(terms._APPLY_MEMO)
+    try:
+        s_val = machine._const_value(ConstKind.S)
+        assert terms._PINNED.get(s_val) is s_val
+        monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
+        intern_value(Value(Opaque("clear")))
+        assert not terms._APPLY_MEMO and _interned(s_val)
+        machine.eval_term(app(S, K, K))
+        assert any(key >> 64 == id(s_val) for key in terms._APPLY_MEMO)
+        # A limit low enough that the suites clear the table again and again.
+        monkeypatch.setattr(terms, "INTERN_LIMIT", 2_000)
+        assert cases(ids) == want
+        assert _interned(s_val) and len(terms._INTERN) <= 2_001
     finally:
         terms._INTERN.clear()
         terms._INTERN.update(saved)

@@ -71,7 +71,6 @@ def test_internalized_and_graph_names():
     assert rep.ok, [(r.text, r.outcome) for r in rep.results if not r.ok]
 
 
-@pytest.mark.filterwarnings("ignore:internalizing a value")
 @pytest.mark.parametrize("name", [
     "graph (\\x. #3 #3) : o -> o",
     "int (\\x. #3 #3) : (o)o",
@@ -91,6 +90,21 @@ def test_crashing_function_names_have_no_member_at_that_key(name):
     )
     assert rep.ok, [(r.text, r.outcome) for r in rep.results]
     assert rep.results[1].trace.note == "empty exhaustive lookup"
+
+
+def test_term_name_resolution_shares_subterms_without_names():
+    from extreal.compiler import compile_term
+    from extreal.parser import parse
+    from extreal.scenarios import _Env, _resolve_term_names
+    from extreal.terms import App, Num, Var
+
+    env = _Env(terms={"two": Num(2)})
+    plain = compile_term(parse(r"\x y. x y K"))
+    assert _resolve_term_names(env, plain) is plain
+    named = App(Var("two"), plain)
+    out = _resolve_term_names(env, App(named, named))
+    assert out == App(App(Num(2), plain), App(Num(2), plain))
+    assert out.fun is out.arg and out.fun.arg is plain
 
 
 # The law cases that fail unless both sides are seen to agree.
@@ -277,6 +291,21 @@ def test_cli_run_exit_codes():
         out = _cli("run", "-", stdin="eval K\n" + bad + "\n")
         assert out.returncode == 2, (bad, out.stderr)
         assert out.stderr.startswith("parse error: line 2: ") and "Traceback" not in out.stderr
+
+
+def test_cli_reports_a_name_warning_on_one_line():
+    # The int name's value fails self-relatedness sampling: one warning line
+    # with the scenario line, no source path or code; verdicts stay.
+    script = "eval K\nname h = int (\\x. K) : (o)o\ncheck (K, K) eq(nat 1, nat 1) expect refuted\n"
+    for flags in ([], ["--json"]):
+        out = _cli(*flags, "run", "-", stdin=script)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == (
+            "warning: line 2: internalizing a value that fails "
+            "self-relatedness sampling at (o)o\n"
+        )
+    rep = run_scenario(script)
+    assert rep.ok and len(rep.results) == 2 and len(rep.warnings) == 1
 
 
 def test_cli_names_nested_past_the_host_stack_check_unknown():
