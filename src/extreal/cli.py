@@ -2,7 +2,9 @@
 library realizers.
 
 Configuration flags fall back to the environment: PCA_FUEL, PCA_BUDGET,
-PCA_SEED; PCA_BACKEND selects the reduction-machine backend.
+PCA_SEED; PCA_BACKEND selects the reduction-machine backend.  Exit status:
+0 every expectation holds, 1 one failed (or stdout closed before the report
+was written), 2 a parse error or a bad setting.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import os
 import sys
 
-from .kernel import BACKEND
+from .kernel import BACKEND, BACKEND_ERROR
 from .names import EnumBudget
 from .parser import print_term
 from .realizers import realizer_ids, realizer_term
@@ -179,12 +181,24 @@ def _cmd_print(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        code = _cmd_run(args)
-    elif args.command == "suite":
-        code = _cmd_suite(args)
-    else:
-        code = _cmd_print(args)
+    if BACKEND_ERROR is not None:
+        print(f"error: {BACKEND_ERROR}", file=sys.stderr)
+        return 2
+    try:
+        if args.command == "run":
+            code = _cmd_run(args)
+        elif args.command == "suite":
+            code = _cmd_suite(args)
+        else:
+            code = _cmd_print(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`extreal … | head`).  Point it at devnull,
+        # so that the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

@@ -5,6 +5,11 @@ built; the pure-Python machine is the fallback and the reference semantics.
 Set ``PCA_BACKEND=pure`` (or ``compiled``) to force a choice.  Both backends
 implement exactly the same fueled call-by-value semantics, including step
 counts.
+
+A bad setting (an unknown value, or ``compiled`` when the extension is not
+built) does not stop the import: the backend is chosen as if
+``PCA_BACKEND`` were unset, and ``BACKEND_ERROR`` says what is wrong.  The
+CLI refuses to run with it (exit status 2).
 """
 
 from __future__ import annotations
@@ -13,7 +18,11 @@ import os
 
 from . import machine as _pure
 
-_choice = os.environ.get("PCA_BACKEND", "").strip().lower()
+_setting = os.environ.get("PCA_BACKEND", "")
+_choice = _setting.strip().lower()
+BACKEND_ERROR: str | None = None
+if _choice not in ("", "pure", "compiled"):
+    BACKEND_ERROR = f"PCA_BACKEND must be pure or compiled, got {_setting!r}"
 
 if _choice == "pure":
     _impl = _pure
@@ -25,7 +34,7 @@ else:
         BACKEND = "compiled"
     except ImportError:
         if _choice == "compiled":
-            raise ImportError(
+            BACKEND_ERROR = (
                 "PCA_BACKEND=compiled but extreal._speedup is not built; "
                 "run `python setup.py build_ext --inplace`"
             )

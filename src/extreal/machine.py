@@ -8,17 +8,26 @@ monotone in fuel.
 Application is a function of the two elements, and produced values are
 interned, so a repeated application is answered from ``terms._APPLY_MEMO``
 by identity: an application below the head's arity, and a whole S-redex
-``S x y a``.  A replayed redex still costs every step it took when it was
+``S x y a``.  Evaluation without an environment is a function of the term,
+so a repeated closed application node is answered from the same memo too,
+whole.  A replayed redex or term still costs every step it took when it was
 reduced, so steps, fuel notes and errors are those of a machine without the
 memo:
 
-- admission: an entry is kept only when ``_INTERN`` holds the operator, the
-  argument and the result (``terms.remember``);
+- admission: a redex entry is kept only when ``_INTERN`` holds the operator,
+  the argument and the result (``terms.remember``); a term entry only when
+  it holds the value, and the entry holds the term (``terms.remember_term``);
 - fuel fit: a redex of cost ``c`` fired at step ``n`` (counting the firing)
-  replays only when ``n - 1 + c`` is within the fuel, and only under a
+  replays only when ``n - 1 + c`` is within the fuel, a term of cost ``c``
+  entered after ``n`` steps only when ``n + c`` is, and either only under a
   value-size cap no smaller than the one it was recorded under; otherwise it
   is reduced again, and runs out of fuel or fails exactly where it would
   have.
+
+A term is recorded on its third visit (by the seen filter below) when no
+enclosing term is being recorded in the same run, so the inner nodes of a
+term recorded whole do not fill the memo.  A term whose evaluation fails or
+runs out of fuel is never recorded: the run ends first.
 
 This module is the reference semantics.  A compiled twin with identical
 behaviour, and no memo, may be selected at import time by
@@ -52,12 +61,14 @@ from .terms import (
     intern_value,
     pin_value,
     remember,
+    remember_term,
 )
 
 _OP_EVAL = 0
 _OP_APPLY = 1
 _OP_PUSH = 2
 _OP_RECORD = 3
+_OP_TERM = 4
 
 # Every pending application is the same instruction; one shared tuple.
 _APPLY = (_OP_APPLY,)
@@ -73,11 +84,12 @@ _PRED = ConstKind.PRED
 # value, a defined one the value of its expansion.
 _const_cache: dict[ConstKind, Value] = {}
 
-# Firings of S-redexes, counted up to 2 per slot of their memo key modulo a
-# prime.  A redex is recorded only once its slot has counted two firings, so
-# one that never repeats costs no record, and few entries go to redexes that
-# only ever fire inside a larger redex that is then replayed whole.  The
-# filter is a hint: a collision only records a redex early.
+# Firings of S-redexes and visits of closed application nodes, counted up to
+# 2 per slot of their memo key modulo a prime.  A redex or term is recorded
+# only once its slot has counted two, so one that never repeats costs no
+# record, and few entries go to redexes that only ever fire inside a larger
+# redex that is then replayed whole.  The filter is a hint: a collision only
+# records early.
 _SEEN_SLOTS = 65_521
 _SEEN = bytearray(_SEEN_SLOTS)
 
@@ -122,6 +134,7 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
     pop_op = ops.pop
     push = vstack.append
     pop = vstack.pop
+    recording = False  # an _OP_TERM marker is pending
     while ops:
         op = pop_op()
         if op is not _APPLY:
@@ -133,6 +146,24 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                 while True:  # unfold application spines without re-pushing atoms
                     tt = type(t)
                     if tt is App:
+                        if env is None:
+                            # A recorded closed term replays whole at its
+                            # full cost when that fits the fuel and the cap.
+                            key = id(t)
+                            e = memo_get(key)
+                            if e is not None and steps + e[2] <= max_steps and e[3] <= max_size:
+                                steps += e[2]
+                                push(e[1])
+                                break
+                            slot = key % _SEEN_SLOTS
+                            c = seen[slot]
+                            if c != 2:
+                                seen[slot] = c + 1
+                            elif not recording:
+                                # Only the outermost: a term recorded whole
+                                # leaves its inner nodes unrecorded.
+                                recording = True
+                                push_op((_OP_TERM, t, steps))
                         push_op(_APPLY)
                         push_op((_OP_EVAL, t.arg, env))
                         t = t.fun
@@ -156,13 +187,18 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                     else:
                         raise TypeError(f"not a term: {t!r}")
                     break
-            else:  # _OP_RECORD
+            elif tag == _OP_RECORD:
                 # An S-redex fired at step op[3] + 1 has reduced to the top value.
                 remember(op[1], op[2], vstack[-1], steps - op[3], max_size)
+            else:  # _OP_TERM
+                # The closed term op[1], entered at step op[2], has evaluated
+                # to the top value.
+                remember_term(op[1], vstack[-1], steps - op[2], max_size)
+                recording = False
             continue
         steps += 1
         if steps > max_steps:
-            pending = sum(1 for op in ops if op[0] != _OP_RECORD)
+            pending = sum(1 for op in ops if op[0] < _OP_RECORD)  # no record markers
             return FuelExhausted(
                 steps - 1,
                 f"fuel exhausted: {pending} pending operations, "

@@ -193,15 +193,22 @@ INTERN_LIMIT = 1_000_000
 _INTERN: dict[Value, Value] = {}
 _PINNED: dict[Value, Value] = {}
 
-# Application memo of the reference machine, keyed by ``memo_key(f, a)``.
-# An application below the head's arity costs one step and maps to its
-# result alone; a whole S-redex maps to ``(result, cost, need)``: the steps
-# it takes, counting its firing, and a value-size cap under which it
-# completes (no value it builds is larger).  An entry is admitted only when
-# _INTERN holds f, a and the result (see ``remember``), so no id is reused
-# while the entry exists.  The memo is emptied with _INTERN, and on its own
-# once it holds more than INTERN_LIMIT entries.
-_APPLY_MEMO: dict[int, "Value | tuple[Value, int, int]"] = {}
+# Memo of the reference machine.  Two key spaces share it: an application
+# ``f a`` of values is keyed by ``memo_key(f, a)``, at least 2**64, and a
+# closed term ``t`` by ``id(t)``, below 2**64.  Entries:
+# - an application below the head's arity costs one step and maps to its
+#   result alone;
+# - a whole S-redex maps to ``(result, cost, need)``: the steps it takes,
+#   counting its firing, and a value-size cap under which it completes (no
+#   value it builds is larger);
+# - a closed term evaluated without an environment maps to
+#   ``(t, value, cost, need)``, with cost and need as for a redex.
+# An application is admitted only when _INTERN holds f, a and the result
+# (see ``remember``), a term only when it holds the value, and the entry
+# holds t (see ``remember_term``), so no id is reused while the entry
+# exists.  The memo is emptied with _INTERN, and on its own once it holds
+# more than INTERN_LIMIT entries.
+_APPLY_MEMO: dict[int, "Value | tuple[Value, int, int] | tuple[App, Value, int, int]"] = {}
 
 
 def memo_key(f: Value, a: Value) -> int:
@@ -213,9 +220,20 @@ def remember(f: Value, a: Value, r: Value, cost: int, need: int) -> None:
     """Admit ``f a = r`` at ``cost`` steps, replayable under caps of ``need``
     and above, when _INTERN holds f, a and r."""
     if _INTERN.get(f) is f and _INTERN.get(a) is a and _INTERN.get(r) is r:
-        if len(_APPLY_MEMO) > INTERN_LIMIT:
-            _APPLY_MEMO.clear()
-        _APPLY_MEMO[id(f) << 64 | id(a)] = r if cost == 1 else (r, cost, need)
+        _admit(id(f) << 64 | id(a), r if cost == 1 else (r, cost, need))
+
+
+def remember_term(t: App, r: Value, cost: int, need: int) -> None:
+    """Admit the closed term ``t``, evaluated to ``r`` in ``cost`` steps,
+    replayable under caps of ``need`` and above, when _INTERN holds r."""
+    if _INTERN.get(r) is r:
+        _admit(id(t), (t, r, cost, need))
+
+
+def _admit(key: int, entry) -> None:
+    if len(_APPLY_MEMO) > INTERN_LIMIT:
+        _APPLY_MEMO.clear()
+    _APPLY_MEMO[key] = entry
 
 
 def intern_value(v: Value) -> Value:

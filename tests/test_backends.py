@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import extreal
-from extreal import kernel
+from extreal import kernel, terms
 from extreal import machine as pure
 from extreal.suites import _VALUE_ATOMS, random_closed_term
 from extreal.terms import (
@@ -69,27 +69,38 @@ def _outcome(f, t, cfg):
 
 def test_backends_agree_on_random_terms(compiled, monkeypatch):
     # S-heavy terms (with I = S K K and the self-applier S I I), so that
-    # redexes fire, repeat and diverge.  Each is evaluated twice on pure, the
-    # second time with its redexes in the memo (the seen filter is full, so
-    # every redex is recorded at its first firing), at fuel caps that also
-    # cut through replayed redexes.
+    # redexes fire, repeat and diverge, drawn in pairs: a subterm, then a
+    # term whose leaves may be that one object.  Each is evaluated
+    # three times on pure, at fuel caps that also cut through replays.  The
+    # seen filter is full, so every redex is recorded at its first firing and
+    # every closed term at its first complete evaluation (when no enclosing
+    # one is being recorded): later runs replay the term whole, and a
+    # recorded subterm inside the term that splices it.
     monkeypatch.setattr(pure, "_SEEN", bytearray(b"\x02" * pure._SEEN_SLOTS))
     rng = random.Random(123)
     i = app(S, K, K)
     atoms = _VALUE_ATOMS + (S, S, S, S, SUCC, PRED, i, app(S, i, i))
-    for _ in range(2500):
-        t = random_closed_term(rng, 9, atoms)
-        for fuel in (3, 17, 60, 4000):
-            cfg = FuelConfig(max_steps=fuel)
-            b = _outcome(compiled.eval_term, t, cfg)
-            for _ in range(2):
-                a = _outcome(pure.eval_term, t, cfg)
-                if isinstance(a, str) or isinstance(b, str):
-                    assert a == b, (t, a, b)
-                elif isinstance(a, FuelExhausted) or isinstance(b, FuelExhausted):
-                    assert type(a) == type(b) and a.steps == b.steps and a.note == b.note, (t, a, b)
-                else:
-                    assert a.value == b.value and a.steps == b.steps, (t, a, b)
+    recorded = 0
+    for _ in range(1500):
+        shared = random_closed_term(rng, 5, atoms)
+        for t in (shared, random_closed_term(rng, 9, atoms + (shared, shared))):
+            _agree(compiled, t)
+        recorded += terms._APPLY_MEMO.get(id(shared), (None,))[0] is shared
+    assert recorded > 300
+
+
+def _agree(compiled, t):
+    for fuel in (3, 17, 60, 4000):
+        cfg = FuelConfig(max_steps=fuel)
+        b = _outcome(compiled.eval_term, t, cfg)
+        for _ in range(3):
+            a = _outcome(pure.eval_term, t, cfg)
+            if isinstance(a, str) or isinstance(b, str):
+                assert a == b, (t, a, b)
+            elif isinstance(a, FuelExhausted) or isinstance(b, FuelExhausted):
+                assert type(a) == type(b) and a.steps == b.steps and a.note == b.note, (t, a, b)
+            else:
+                assert a.value == b.value and a.steps == b.steps, (t, a, b)
 
 
 def test_backends_agree_on_library_realizers(compiled):

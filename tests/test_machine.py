@@ -1,7 +1,9 @@
 """Reduction machine: delta rules, partiality, fuel, determinism."""
 
+import contextlib
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_impl
 from extreal import machine, terms
@@ -291,11 +293,46 @@ _combinators = st.recursive(
     lambda inner: st.builds(App, inner, inner),
     max_leaves=10,
 )
+_s_atoms = [Opaque("a"), Opaque("b"), _I, K, S, SUCC, num(1)]
 _s_terms = st.builds(
     lambda c, args: app(c, *args),
     _combinators,
-    st.lists(st.sampled_from([Opaque("a"), Opaque("b"), _I, K, S, SUCC, num(1)]), min_size=1, max_size=4),
+    st.lists(st.sampled_from(_s_atoms), min_size=1, max_size=4),
 )
+
+
+@st.composite
+def _sharing_terms(draw):
+    """A closed term ``sub``, then a few terms that splice the one object
+    ``sub`` as head or argument, so that a recorded ``sub`` replays inside
+    them."""
+    sub = draw(_s_terms)
+    over = st.builds(
+        lambda c, args: app(c, *args),
+        st.one_of(_combinators, st.just(sub)),
+        st.lists(st.sampled_from(_s_atoms + [sub, sub]), min_size=1, max_size=4),
+    )
+    return [sub] + draw(st.lists(over, min_size=1, max_size=3))
+
+
+def _term_entry(t):
+    e = terms._APPLY_MEMO.get(id(t))
+    assert e is None or e[0] is t  # an entry holds its own term
+    return e
+
+
+@contextlib.contextmanager
+def _saved_tables():
+    """Run the body, then put _INTERN and the memo back as they were."""
+    saved = dict(terms._INTERN)
+    saved_memo = dict(terms._APPLY_MEMO)
+    try:
+        yield
+    finally:
+        terms._INTERN.clear()
+        terms._INTERN.update(saved)
+        terms._APPLY_MEMO.clear()
+        terms._APPLY_MEMO.update(saved_memo)
 
 
 def _outcome(evaluate, t, cfg):
@@ -306,19 +343,30 @@ def _outcome(evaluate, t, cfg):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_s_terms, min_size=1, max_size=3))
+@given(_sharing_terms())
 def test_memo_replays_match_the_memo_free_oracle(ts):
     """With a warm memo, at every fuel cap up to the term's total steps + 1
     and two value-size caps, the machine reports the oracle's outcome: the
-    same type, steps, note, value and error."""
+    same type, steps, note, value and error.  The shared subterm is
+    evaluated first, so it is recorded whole and replays (or, where it does
+    not fit, is reduced) inside the terms that splice it."""
     ceiling = 120
     sizes = (DEFAULT_FUEL.max_value_size, 12)
-    with pytest.MonkeyPatch.context() as mp:
+    sub = ts[0]
+    assume(isinstance(_outcome(reference_impl.oracle_eval_term, sub, FuelConfig(ceiling)), Defined))
+    with pytest.MonkeyPatch.context() as mp, _saved_tables():
         mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
+        # Empty the tables as an overflow does, so that every value the
+        # terms reach is interned: a value interned earlier from an
+        # uninterned argument (K x, say) would hand that argument back.
+        terms._INTERN.clear()
+        terms._INTERN.update(terms._PINNED)
+        terms._APPLY_MEMO.clear()
         for t in ts:
             for size in sizes:
                 for _ in range(2):
                     _outcome(machine.eval_term, t, FuelConfig(ceiling, size))
+        assert _term_entry(sub) is not None
         for t in ts:
             for size in sizes:
                 for fuel in range(1, ceiling + 2):
@@ -330,6 +378,52 @@ def test_memo_replays_match_the_memo_free_oracle(ts):
                         cfg = FuelConfig(fuel + 1, size)
                         assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
                         break
+
+
+def test_term_replays_exactly_when_its_cost_fits_the_fuel(record_at_once, monkeypatch):
+    t = app(_two_step(Opaque("zfit")), num(6))
+    cost = machine.eval_term(t).steps
+    value = intern_value(Value(Opaque("zfit"), (num_value(6),)))
+    assert _term_entry(t)[1:] == (value, cost, DEFAULT_FUEL.max_value_size)
+    # u = K #0 t fires K #0 (one step), then enters t; its own record
+    # never completes below.  A replay visits no node of t, so the seen
+    # filter, emptied, counts only u and K #0.
+    u = App(App(K, num(0)), t)
+    for root, entered in ((t, 0), (u, 1)):
+        for fuel, replays in ((entered + cost, True), (entered + cost - 1, False)):
+            monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
+            cfg = FuelConfig(fuel)
+            got = _outcome(machine.eval_term, root, cfg)
+            assert got == _outcome(reference_impl.oracle_eval_term, root, cfg)
+            assert isinstance(got, Defined if root is t and replays else FuelExhausted)
+            assert (sum(machine._SEEN) == 2 * entered) is replays, (root, fuel)
+
+
+def test_only_the_outermost_term_is_recorded(record_at_once):
+    inner = App(_I, Opaque("inner-term"))
+    outer = app(K, inner, num(0))
+    for _ in range(2):
+        assert machine.eval_term(outer).value == Value(Opaque("inner-term"))
+    assert _term_entry(outer) is not None
+    assert _term_entry(outer.fun) is None and _term_entry(inner) is None
+
+
+def test_a_raising_closed_term_is_never_recorded(monkeypatch):
+    monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
+    bad = App(num(1), K)
+    u = app(K, _I, bad)
+    errors = [_outcome(machine.eval_term, u, DEFAULT_FUEL) for _ in range(4)]
+    assert errors == [(IllTypedApplication, "numeral #1 applied as a function")] * 4
+    assert _term_entry(u) is None and _term_entry(bad) is None
+
+
+def test_evaluation_under_an_environment_records_no_term(record_at_once):
+    closed = App(_I, num(2))
+    t = App(App(K, Var("x")), closed)
+    env = {"x": intern_value(Value(Opaque("env-x")))}
+    for _ in range(3):
+        assert machine.eval_term(t, env).value is env["x"]
+    assert _term_entry(t) is None and _term_entry(closed) is None
 
 
 def test_fresh_operands_never_enter_the_memo(record_at_once):
@@ -380,6 +474,12 @@ def test_fresh_operands_never_enter_the_memo(record_at_once):
     for _ in range(2):
         assert machine.apply_value(f, arg).value is x
     assert not _interned(x) and _entry(f, arg) is None
+    # Nor a closed term whose value is not interned: K x #1 returns the
+    # fresh x spliced into it.
+    t = app(K, x, num(1))
+    for _ in range(2):
+        assert machine.eval_term(t).value is x
+    assert _term_entry(t) is None
 
 
 def test_memo_hit_still_checks_the_size_cap(record_at_once):
@@ -414,13 +514,14 @@ def test_memo_hit_still_checks_the_size_cap(record_at_once):
 
 
 def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
-    saved = dict(terms._INTERN)
-    saved_memo = dict(terms._APPLY_MEMO)
-    try:
+    with _saved_tables():
         f = intern_value(Value(Opaque("ovf")))
         a = intern_value(num_value(3))
         r = machine.apply_value(f, a).value
         assert _entry(f, a) is r
+        closed = App(_I, Opaque("ovf-term"))
+        machine.eval_term(closed)
+        assert _term_entry(closed) is not None
         monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
         assert intern_value(Value(Opaque("one-more"))) is not None
         assert not terms._APPLY_MEMO and len(terms._INTERN) == len(terms._PINNED) + 1
@@ -456,11 +557,6 @@ def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
         top = sizes.index(limit + 1)
         assert max(sizes) == limit + 1 and sizes[top + 1] == 1
         assert _entry(t_z, xs[top + 1]) is not None and _entry(t_z, xs[0]) is None
-    finally:
-        terms._INTERN.clear()
-        terms._INTERN.update(saved)
-        terms._APPLY_MEMO.clear()
-        terms._APPLY_MEMO.update(saved_memo)
 
 
 def test_intern_overflow_keeps_the_constants(monkeypatch):
@@ -473,9 +569,7 @@ def test_intern_overflow_keeps_the_constants(monkeypatch):
 
     ids = ("pca-laws", "fixpoints")
     want = cases(ids)
-    saved = dict(terms._INTERN)
-    saved_memo = dict(terms._APPLY_MEMO)
-    try:
+    with _saved_tables():
         s_val = machine._const_value(ConstKind.S)
         assert terms._PINNED.get(s_val) is s_val
         monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
@@ -487,8 +581,3 @@ def test_intern_overflow_keeps_the_constants(monkeypatch):
         monkeypatch.setattr(terms, "INTERN_LIMIT", 2_000)
         assert cases(ids) == want
         assert _interned(s_val) and len(terms._INTERN) <= 2_001
-    finally:
-        terms._INTERN.clear()
-        terms._INTERN.update(saved)
-        terms._APPLY_MEMO.clear()
-        terms._APPLY_MEMO.update(saved_memo)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
@@ -266,16 +267,26 @@ def test_formulas_and_types_at_the_nesting_limit():
         run_scenario(named + f"name n = sing ({'sing (' * k}m{')' * k})\n")
 
 
-def _cli(*args, stdin=None, env=None):
-    """The CLI in a child process that imports extreal from this checkout."""
+# The two ways in: `python -m extreal.cli`, and the console script's
+# `sys.exit(extreal.cli.main())`.
+_MODULE = ["-m", "extreal.cli"]
+_MAIN = ["-c", "import sys; from extreal.cli import main; sys.exit(main(sys.argv[1:]))"]
+
+
+def _child_env(env=None):
     env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli(*args, stdin=None, env=None, entry=_MODULE):
+    """The CLI in a child process that imports extreal from this checkout."""
     return subprocess.run(
-        [sys.executable, "-m", "extreal.cli", *args],
+        [sys.executable, *entry, *args],
         input=stdin,
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(env),
         timeout=600,
     )
 
@@ -343,6 +354,32 @@ def test_cli_bad_settings_exit_2(flags, env, command):
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("entry", [_MODULE, _MAIN], ids=["module", "main"])
+@pytest.mark.parametrize("backend", ["fast", "compiled"])
+def test_cli_bad_backend_exits_2(backend, entry):
+    pkg = ROOT / "src" / "extreal"
+    if backend == "compiled" and any((pkg / f"_speedup{x}").exists() for x in EXTENSION_SUFFIXES):
+        pytest.skip("the compiled machine is built in this checkout")
+    out = _cli("suite", "pca-laws", env={"PCA_BACKEND": backend}, entry=entry)
+    assert out.returncode == 2 and out.stdout == "", out.stderr
+    assert out.stderr.startswith("error: PCA_BACKEND") and len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry", [_MODULE, _MAIN], ids=["module", "main"])
+def test_cli_closed_stdout_ends_without_a_traceback(entry):
+    # The read end is closed before the child writes, so its first write
+    # fails with a broken pipe, as under `extreal … | head -c 300`.
+    r, w = os.pipe()
+    child = subprocess.Popen(
+        [sys.executable, *entry, "--json", "run", str(DEMO)],
+        stdout=w, stderr=subprocess.PIPE, text=True, env=_child_env(),
+    )
+    os.close(r)
+    os.close(w)
+    _, err = child.communicate(timeout=600)
+    assert child.returncode == 1 and err == "", err
 
 
 def test_cli_json_report():
