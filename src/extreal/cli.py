@@ -113,15 +113,8 @@ def _cmd_run(args) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    prelude = []
-    if args.fuel is not None or os.environ.get("PCA_FUEL"):
-        prelude.append(f"fuel {cfg.max_steps}")
-    if args.budget is not None or os.environ.get("PCA_BUDGET"):
-        prelude.append(f"budget {budget.max_index}")
-    if args.seed is not None or os.environ.get("PCA_SEED"):
-        prelude.append(f"seed {seed}")
     try:
-        rep = run_scenario("\n".join(prelude + [text]))
+        rep = run_scenario(text, cfg, budget, seed)
     except ScenarioError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -139,6 +139,8 @@ def is_closed(phi: Formula) -> bool:
 
 
 def fmt(phi: Formula) -> str:
+    """``phi`` in scenario syntax, which reads back as ``phi`` where ``describe``
+    spells each name in full; quantifiers, whose bodies run right, are parenthesized."""
     from .names import describe
 
     def ref(r: NameRef) -> str:
@@ -158,13 +160,13 @@ def fmt(phi: Formula) -> str:
         case Imp(h, c):
             return f"({fmt(h)} => {fmt(c)})"
         case AllIn(v, bound, body):
-            return f"all {v} in {ref(bound)}. {fmt(body)}"
+            return f"(all {v} in {ref(bound)}. {fmt(body)})"
         case ExIn(v, bound, body):
-            return f"ex {v} in {ref(bound)}. {fmt(body)}"
+            return f"(ex {v} in {ref(bound)}. {fmt(body)})"
         case All(v, body):
-            return f"ALL {v}. {fmt(body)}"
+            return f"(ALL {v}. {fmt(body)})"
         case Ex(v, body):
-            return f"EX {v}. {fmt(body)}"
+            return f"(EX {v}. {fmt(body)})"
     raise TypeError(phi)
 
 

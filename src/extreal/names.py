@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cache
 
 from .kernel import apply_value, eval_term, project
-from .parser import MAX_NESTING
 from .terms import (
     D,
     DEFAULT_FUEL,
@@ -55,32 +54,6 @@ class Arrow(FinType):
 
 
 TYPE_O = O()
-
-
-def parse_type(text: str) -> FinType:
-    ty, rest = _parse_type(text.strip(), 0)
-    if rest.strip():
-        raise ValueError(f"trailing input in type: {rest!r}")
-    return ty
-
-
-def _parse_type(text: str, depth: int) -> tuple[FinType, str]:
-    """The type at the start of ``text``, ``depth`` arrows down.  Both sides
-    of an arrow are one level deeper, so the parse recurses at most
-    ``MAX_NESTING`` levels."""
-    if depth > MAX_NESTING:
-        raise ValueError(f"type nesting deeper than {MAX_NESTING} levels")
-    text = text.lstrip()
-    if text.startswith("o"):
-        return TYPE_O, text[1:]
-    if text.startswith("("):
-        dom, rest = _parse_type(text[1:], depth + 1)
-        rest = rest.lstrip()
-        if not rest.startswith(")"):
-            raise ValueError("')' expected in type")
-        cod, rest = _parse_type(rest[1:], depth + 1)
-        return Arrow(dom, cod), rest
-    raise ValueError(f"type expected at {text!r}")
 
 
 @dataclass(frozen=True, slots=True)

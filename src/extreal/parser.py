@@ -29,16 +29,19 @@ class ParseError(ValueError):
         line = text.count("\n", 0, pos) + 1
         col = pos - (text.rfind("\n", 0, pos) + 1) + 1
         super().__init__(f"{msg} at line {line}, column {col}")
+        self.msg = msg
         self.pos = pos
         self.line = line
         self.col = col
 
 
-class _Lexer:
+class Lexer:
+    """The tokens of a text: the term syntax, plus the scenario language's
+    punctuation and bare naturals, so that ``parse`` reads terms in place."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
+        self.tokens: list[tuple[str, str, int]] = []  # (kind, text, position)
         self._lex()
         self.idx = 0
 
@@ -51,15 +54,18 @@ class _Lexer:
             elif text.startswith("--", i):
                 j = text.find("\n", i)
                 i = n if j < 0 else j + 1
-            elif ch == "#":
-                j = i + 1
-                while j < n and text[j].isdigit():
+            elif text.startswith(_PAIRS, i):
+                self.tokens.append((text[i : i + 2], text[i : i + 2], i))
+                i += 2
+            elif ch == "#" or ch.isdecimal():  # a numeral, or a bare natural
+                j = start = i + (ch == "#")
+                while j < n and text[j].isdecimal():
                     j += 1
-                if j == i + 1:
+                if j == start:
                     raise ParseError("numeral expected after '#'", i, text)
-                self.tokens.append(("num", text[i + 1 : j], i))
+                self.tokens.append(("num" if ch == "#" else "nat", text[start:j], i))
                 i = j
-            elif ch in "().\\":
+            elif ch in _SINGLES:
                 self.tokens.append((ch, ch, i))
                 i += 1
             elif ch.isalpha() or ch == "_":
@@ -81,12 +87,19 @@ class _Lexer:
         return tok
 
 
-def parse(text: str) -> LambdaTerm:
-    lx = _Lexer(text)
-    t, _ = _parse_expr(lx, text, 0)
+_PAIRS = ("/\\", "\\/", "=>", "->")
+_SINGLES = "().\\{}[];,~:"
+
+
+def parse(src: str | Lexer) -> LambdaTerm:
+    """The term ``src`` spells.  Text must hold one term and nothing else.
+    From a token stream, the term at its position is read, and the stream is
+    left at the first token that cannot continue it."""
+    lx = Lexer(src) if type(src) is str else src
+    t, _ = _parse_expr(lx, lx.text, 0)
     kind, val, pos = lx.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected {val!r}", pos, text)
+    if kind != "eof" and lx is not src:
+        raise ParseError(f"unexpected {val!r}", pos, lx.text)
     return t
 
 
@@ -94,7 +107,7 @@ def _too_deep(pos: int, text: str) -> ParseError:
     return ParseError(f"nesting deeper than {MAX_NESTING} levels", pos, text)
 
 
-def _parse_expr(lx: _Lexer, text: str, depth: int) -> tuple[LambdaTerm, int]:
+def _parse_expr(lx: Lexer, text: str, depth: int) -> tuple[LambdaTerm, int]:
     """The expression at ``depth`` levels and its height in App/Lam nodes."""
     kind, _, pos = lx.peek()
     if depth > MAX_NESTING:
@@ -117,7 +130,7 @@ def _parse_expr(lx: _Lexer, text: str, depth: int) -> tuple[LambdaTerm, int]:
             return t, height
 
 
-def _parse_lambda(lx: _Lexer, text: str, depth: int) -> tuple[Lam, int]:
+def _parse_lambda(lx: Lexer, text: str, depth: int) -> tuple[Lam, int]:
     lx.next()  # backslash
     names = []
     while True:
@@ -140,7 +153,7 @@ def _parse_lambda(lx: _Lexer, text: str, depth: int) -> tuple[Lam, int]:
 
 
 def _parse_atom(
-    lx: _Lexer, text: str, depth: int, optional: bool = False
+    lx: Lexer, text: str, depth: int, optional: bool = False
 ) -> tuple[LambdaTerm | None, int]:
     kind, val, pos = lx.peek()
     if kind == "num":

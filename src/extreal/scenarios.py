@@ -1,7 +1,6 @@
 """Scenario files: declarations plus directives, executed in order.
 
-Grammar (line oriented; ``--`` comments; ``\\`` continues nothing — keep a
-directive on one line):
+Each line holds one declaration or directive; ``--`` starts a comment:
 
     fuel 200000            budget 8            seed 7
     term two = SUCC #1
@@ -12,9 +11,33 @@ directive on one line):
     eval (P0 (P #1 #2)) expect #1
     check (ir, ir) f expect realized
     check (ir, ir) eq(nat 2, nat 2)
-    check-with-witnesses (e, e) mem(nat 1, omega) => f witnesses [(w, w)] expect realized
+    check-with-witnesses (e, e) mem(nat 1, omega) => f witnesses [(w, w); (v, v)] expect realized
     synth-roundtrip ex y in n4. eq(nat 2, y)
     suite pca-laws
+
+The text before `` expect `` is read as one token stream (the term lexer's,
+which also knows ``{ } [ ] ; , ~ : /\\ \\/ => ->`` and bare naturals) by one
+recursive-descent reader:
+
+    pair     ::= ( term , term )
+    name     ::= omega | nat N | sing name | upair name name | opair name name
+               | F type | int term : type | graph term : type -> type
+               | { triple ; ... } | ( name ) | declared-name
+    triple   ::= ( term , term , name )
+    type     ::= o | ( type ) type
+    ref      ::= name | variable
+    formula  ::= atom, joined by /\\ (tightest), \\/ (both left associative)
+                 and => (right associative)
+    atom     ::= ~ atom | ( formula ) | mem ( ref , ref ) | eq ( ref , ref )
+               | all x in ref . formula | ex x in ref . formula
+               | ALL x . formula | EX x . formula | declared-formula
+    witnesses ::= witnesses [ pair ; ... ]
+
+A term ends at the first token that cannot continue it, such as ``,``, ``:``
+or an unmatched ``)``.  The name words ``omega nat sing upair opair F int
+graph`` are reserved in name positions; any other identifier there that is
+not a declared name is a bound variable.  A quantifier's body runs as far
+right as it can.  ``;``-separated lists skip empty items.
 
 Exit status: 0 when every stated expectation holds, 1 on a mismatch, 2 on a
 parse error.
@@ -36,6 +59,7 @@ from .formulas import (
     Formula,
     Imp,
     Mem,
+    NameRef,
     Not,
     Or,
     fmt,
@@ -44,8 +68,11 @@ from .formulas import (
 from .kernel import eval_term
 from .names import (
     DEFAULT_BUDGET,
+    TYPE_O,
+    Arrow,
     EnumBudget,
     Explicit,
+    FinType,
     Graph,
     Nat,
     OMEGA,
@@ -53,10 +80,10 @@ from .names import (
     Sing,
     UPair,
     VName,
-    parse_type,
+    internalize,
     type_name,
 )
-from .parser import MAX_NESTING, ParseError, parse, print_term
+from .parser import MAX_NESTING, Lexer, ParseError, parse, print_term
 from .realizers import realizer_term, synthesize
 from .suites import SUITES, run_suite
 from .terms import App, DEFAULT_FUEL, Defined, FuelConfig, FuelExhausted, MachineError, Value, Var
@@ -93,10 +120,8 @@ class ScenarioReport:
 @dataclass
 class _Env:
     terms: dict[str, object] = field(default_factory=dict)  # name -> Term
-    names: dict[str, VName] = field(default_factory=dict)
-    name_heights: dict[str, int] = field(default_factory=dict)
-    formulas: dict[str, Formula] = field(default_factory=dict)
-    formula_heights: dict[str, int] = field(default_factory=dict)
+    names: dict[str, tuple[VName, int]] = field(default_factory=dict)  # with its height
+    formulas: dict[str, tuple[Formula, int]] = field(default_factory=dict)  # with its height
     cfg: FuelConfig = DEFAULT_FUEL
     budget: EnumBudget = DEFAULT_BUDGET
     seed: int = 0
@@ -124,19 +149,6 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
-def _parse_term(env: _Env, text: str, line: int):
-    text = text.strip()
-    try:
-        t = parse(text)
-    except ParseError as exc:
-        raise ScenarioError(f"bad term {text!r}: {exc}", line)
-    # Compilation keeps the free variables, so a term that names no declared
-    # term needs no resolution.
-    named = not env.terms.keys().isdisjoint(free_vars(t))
-    t = compile_term(t)
-    return _resolve_term_names(env, t) if named else t
-
-
 def _resolve_term_names(env: _Env, t):
     """t with each declared term name replaced by its term; a post-order walk
     on explicit stacks, because compiled terms outgrow the recursion limit.
@@ -159,178 +171,6 @@ def _resolve_term_names(env: _Env, t):
     return done[0]
 
 
-_NAME_TOO_DEEP = f"name nesting deeper than {MAX_NESTING} levels"
-
-
-def _parse_name(env: _Env, text: str, line: int, depth: int = 0) -> tuple[VName, int]:
-    """The name ``text`` denotes, ``depth`` levels down, and its height.
-
-    The arguments of ``sing``/``upair``/``opair`` and the members of an
-    explicit name nest one level each, and the parse recurses once per
-    level; a declared name counts its own height.  Either past
-    ``MAX_NESTING`` is an error, as for formulas.
-    """
-    if depth > MAX_NESTING:
-        raise ScenarioError(_NAME_TOO_DEEP, line)
-    text = text.strip()
-    if text in env.names:
-        return env.names[text], env.name_heights[text]
-    if text == "omega":
-        return OMEGA, 0
-    head, _, rest = text.partition(" ")
-    rest = rest.strip()
-    if head == "nat":
-        if not rest.isdecimal():
-            raise ScenarioError(f"nat needs a natural number, got {rest!r}", line)
-        return Nat(int(rest)), 0
-    if head in ("sing", "upair", "opair"):
-        args = _split_name_args(env, rest, line, 1 if head == "sing" else 2, depth + 1)
-        cls = {"sing": Sing, "upair": UPair, "opair": OPair}[head]
-        return _compound(cls(*(n for n, _ in args)), [h for _, h in args], line)
-    if head == "F":
-        return type_name(_parse_type(rest, line)), 0
-    if head == "int":
-        body, _, ty = rest.rpartition(":")
-        from .names import internalize
-
-        a, sigma = _eval_value(env, body, line), _parse_type(ty, line)
-        try:
-            return internalize(a, sigma, env.budget), 0
-        except ValueError as exc:
-            raise ScenarioError(f"bad int name {text!r}: {exc}", line) from None
-    if head == "graph":
-        body, _, types = rest.rpartition(":")
-        dom, _, cod = types.partition("->")
-        f = _eval_value(env, body, line)
-        return Graph(f, _parse_type(dom, line), _parse_type(cod, line)), 0
-    if text.startswith("{"):
-        if not text.endswith("}"):
-            raise ScenarioError("unterminated explicit name", line)
-        inner = text[1:-1].strip()
-        triples, heights = [], []
-        if inner:
-            for part in _split_top(inner, ";"):
-                part = part.strip()
-                if not part:
-                    continue
-                if not (part.startswith("(") and part.endswith(")")):
-                    raise ScenarioError(f"triple expected, got {part!r}", line)
-                fields = _split_top(part[1:-1], ",")
-                if len(fields) != 3:
-                    raise ScenarioError("triples have three components", line)
-                t1 = _eval_value(env, fields[0], line)
-                t2 = _eval_value(env, fields[1], line)
-                member, height = _parse_name(env, fields[2], line, depth + 1)
-                triples.append((t1, t2, member))
-                heights.append(height)
-        return _compound(Explicit(tuple(triples)), heights, line)
-    raise ScenarioError(f"unknown name syntax {text!r}", line)
-
-
-def _compound(name: VName, heights: list[int], line: int) -> tuple[VName, int]:
-    """A name one level above members of the given heights, and its height."""
-    height = max(heights, default=-1) + 1
-    if height > MAX_NESTING:
-        raise ScenarioError(_NAME_TOO_DEEP, line)
-    return name, height
-
-
-def _parse_type(text: str, line: int):
-    try:
-        return parse_type(text)
-    except ValueError as exc:
-        raise ScenarioError(f"bad type {text.strip()!r}: {exc}", line) from None
-
-
-def _split_name_args(
-    env: _Env, text: str, line: int, n: int, depth: int
-) -> list[tuple[VName, int]]:
-    """The ``n`` arguments of a name constructor, each parsed ``depth``
-    levels down, with their heights.  Without parentheses the arguments are
-    ``n`` single tokens; otherwise each is a parenthesized name."""
-    if "(" not in text:
-        toks = [p for p in _split_top(text, " ") if p.strip()]
-        if len(toks) == n:
-            return [_parse_name(env, t, line, depth) for t in toks]
-    pieces, nest, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            nest += 1
-            if nest == 1:
-                cur = []
-                continue
-        elif ch == ")":
-            nest -= 1
-            if nest == 0:
-                pieces.append("".join(cur))
-                continue
-        if nest > 0:
-            cur.append(ch)
-        elif not ch.isspace():
-            raise ScenarioError(
-                f"compound name arguments must be parenthesized: {text!r}", line
-            )
-    if len(pieces) != n:
-        raise ScenarioError(f"expected {n} name argument(s) in {text!r}", line)
-    return [_parse_name(env, p, line, depth) for p in pieces]
-
-
-def _eval_value(env: _Env, text: str, line: int) -> Value:
-    """The value of a term the scenario needs as data; a term without one
-    (machine error or fuel exhausted) is a ScenarioError on this line."""
-    t = _parse_term(env, text, line)
-    try:
-        out = eval_term(t, None, env.cfg)
-    except MachineError as exc:
-        raise ScenarioError(
-            f"term {text.strip()!r} does not evaluate: {type(exc).__name__}: {exc}", line
-        ) from None
-    if not isinstance(out, Defined):
-        raise ScenarioError(f"term {text.strip()!r} does not evaluate: fuel exhausted", line)
-    return out.value
-
-
-def _formula(env: _Env, text: str, line: int, depth: int) -> tuple[Formula, int]:
-    """All of ``text`` as a formula ``depth`` levels down, and its height.
-
-    Parentheses, ``~`` and quantifier bodies nest one level each, and the
-    parse recurses once per level; each connective adds one to the height of
-    the formula, as a reference adds the height of the named formula.  Either
-    past ``MAX_NESTING`` is an error, so no later walk over the formula
-    reaches the host recursion limit.
-    """
-    text = text.strip()
-    if text in env.formulas:
-        return env.formulas[text], env.formula_heights[text]
-    f, rest, height = _formula_expr(env, text, line, depth)
-    if rest.strip():
-        raise ScenarioError(f"trailing input after formula: {rest!r}", line)
-    return f, height
-
-
-def _formula_expr(env: _Env, text: str, line: int, depth: int):
-    """Atoms joined by connectives: ``/\\`` binds tightest, then ``\\/``,
-    both left associative, then ``=>``, right associative."""
-    f, rest, height = _formula_atom(env, text, line, depth)
-    items, ops = [(f, height)], []
-    while True:
-        rest = rest.lstrip()
-        op = next((o for o in ("/\\", "\\/", "=>") if rest.startswith(o)), None)
-        if op is None:
-            break
-        f, rest, height = _formula_atom(env, rest[len(op):], line, depth)
-        items.append((f, height))
-        ops.append(op)
-    items, ops = _join(items, ops, "/\\", And)
-    items, _ = _join(items, ops, "\\/", Or)
-    f, height = items[-1]
-    for g, h in reversed(items[:-1]):
-        f, height = Imp(g, f), max(h, height) + 1
-    if height > MAX_NESTING:
-        raise ScenarioError(f"formula nesting deeper than {MAX_NESTING} levels", line)
-    return f, rest, height
-
-
 def _join(items: list, ops: list[str], op: str, cls) -> tuple[list, list[str]]:
     """Fold each run of ``items`` joined by ``op`` into one ``cls`` node,
     left associative; items are (formula, height) pairs."""
@@ -345,93 +185,280 @@ def _join(items: list, ops: list[str], op: str, cls) -> tuple[list, list[str]]:
     return out, out_ops
 
 
-def _take_balanced(text: str, line: int) -> tuple[str, str]:
-    assert text[0] == "("
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return text[1:i], text[i + 1 :]
-    raise ScenarioError("unbalanced parentheses in formula", line)
+_NAME_TOO_DEEP = f"name nesting deeper than {MAX_NESTING} levels"
+_FORMULA_TOO_DEEP = f"formula nesting deeper than {MAX_NESTING} levels"
+_NAME_WORDS = frozenset(("omega", "nat", "sing", "upair", "opair", "F", "int", "graph"))
+_CONSTRUCTORS = {"sing": (Sing, 1), "upair": (UPair, 2), "opair": (OPair, 2)}
+_BOUNDED = {"all": AllIn, "ex": ExIn}
+_UNBOUNDED = {"ALL": All, "EX": Ex}
+_ATOMS = {"mem": Mem, "eq": Eq}
+_CONNECTIVES = ("/\\", "\\/", "=>")
 
 
-def _formula_atom(env: _Env, text: str, line: int, depth: int):
-    text = text.lstrip()
-    if depth > MAX_NESTING:
-        raise ScenarioError(f"formula nesting deeper than {MAX_NESTING} levels", line)
-    if not text:
-        raise ScenarioError("formula expected", line)
-    if text.startswith("~"):
-        body, rest, height = _formula_atom(env, text[1:], line, depth + 1)
-        return Not(body), rest, height + 1
-    if text.startswith("("):
-        inner, rest = _take_balanced(text, line)
-        f, height = _formula(env, inner, line, depth + 1)
-        return f, rest, height
-    for kw, cls in (("all ", AllIn), ("ex ", ExIn)):
-        if text.startswith(kw):
-            rest = text[len(kw):]
-            var, _, rest = rest.partition(" in ")
-            var = var.strip()
-            bound_text, _, body_text = rest.partition(".")
-            bound = _name_ref(env, bound_text.strip(), line)
-            body, rest2, height = _formula_expr(env, body_text, line, depth + 1)
-            return cls(var, bound, body), rest2, height + 1
-    for kw, cls in (("ALL ", All), ("EX ", Ex)):
-        if text.startswith(kw):
-            rest = text[len(kw):]
-            var, _, body_text = rest.partition(".")
-            body, rest2, height = _formula_expr(env, body_text, line, depth + 1)
-            return cls(var.strip(), body), rest2, height + 1
-    for kw, cls in (("mem", Mem), ("eq", Eq)):
-        if text.startswith(kw) and text[len(kw):].lstrip().startswith("("):
-            after = text[len(kw):].lstrip()
-            inner, rest = _take_balanced(after, line)
-            args = _split_top(inner, ",")
-            if len(args) != 2:
-                raise ScenarioError(f"{kw} takes two arguments", line)
-            return cls(_name_ref(env, args[0].strip(), line),
-                       _name_ref(env, args[1].strip(), line)), rest, 0
-    # bare formula reference
-    for name, f in env.formulas.items():
-        if text.startswith(name):
-            return f, text[len(name):], env.formula_heights[name]
-    raise ScenarioError(f"cannot parse formula at {text!r}", line)
+class _Reader:
+    """A directive body as one token stream, read by recursive descent.
+    Each method reads one form of the grammar at the stream's position and
+    leaves the stream after it; a malformed input is a ScenarioError."""
+
+    def __init__(self, env: _Env, text: str, line: int):
+        self.env, self.text, self.line = env, text, line
+        try:
+            self.lx = Lexer(text)
+        except ParseError as exc:
+            raise self.error(exc.msg, exc.pos) from None
+
+    def error(self, msg: str, pos: int | None = None) -> ScenarioError:
+        """``msg`` at ``pos`` (by default the next token), quoting the rest of
+        the body from there."""
+        rest = self.text[self.lx.peek()[2] if pos is None else pos :].strip()
+        if len(rest) > 40:
+            rest = rest[:37] + "..."
+        return ScenarioError(f"{msg} at {rest!r}" if rest else f"{msg} at end of line", self.line)
+
+    def take(self, tok: str) -> bool:
+        """Consume the next token if its text is ``tok``."""
+        if self.lx.peek()[1] == tok:
+            self.lx.next()
+            return True
+        return False
+
+    def expect(self, tok: str) -> None:
+        if not self.take(tok):
+            raise self.error(f"{tok!r} expected")
+
+    def ident(self) -> str:
+        kind, word, _ = self.lx.peek()
+        if kind != "ident":
+            raise self.error("identifier expected")
+        self.lx.next()
+        return word
+
+    def end(self) -> None:
+        if self.lx.peek()[0] != "eof":
+            raise self.error("trailing input")
+
+    def items(self, close: str):
+        """Yield once per item of a ``;``-separated list ended by ``close``,
+        for the caller to read the item; empty items are skipped."""
+        while True:
+            while self.take(";"):
+                pass
+            if self.take(close):
+                return
+            yield
+            if self.lx.peek()[1] not in (";", close):
+                raise self.error(f"';' or {close!r} expected")
+
+    def term(self):
+        """A term, compiled, with each declared term name replaced."""
+        try:
+            t = parse(self.lx)
+        except ParseError as exc:
+            raise self.error(f"bad term: {exc.msg}", exc.pos) from None
+        # Compilation keeps the free variables, so a term that names no
+        # declared term needs no resolution.
+        named = not self.env.terms.keys().isdisjoint(free_vars(t))
+        t = compile_term(t)
+        return _resolve_term_names(self.env, t) if named else t
+
+    def value(self) -> Value:
+        """The value of a term the scenario needs as data; a term without one
+        (machine error or fuel exhausted) is an error on this line."""
+        start = self.lx.peek()[2]
+        t = self.term()
+        try:
+            out = eval_term(t, None, self.env.cfg)
+        except MachineError as exc:
+            why = f"{type(exc).__name__}: {exc}"
+        else:
+            if isinstance(out, Defined):
+                return out.value
+            why = "fuel exhausted"
+        text = self.text[start : self.lx.peek()[2]].strip()
+        raise ScenarioError(f"term {text!r} does not evaluate: {why}", self.line)
+
+    def pair(self) -> RealizerPair:
+        self.expect("(")
+        a = self.value()
+        self.expect(",")
+        b = self.value()
+        self.expect(")")
+        return RealizerPair(a, b)
+
+    def fintype(self, depth: int = 0) -> FinType:
+        """``o`` or ``(dom)cod``, ``depth`` arrows down; both sides of an
+        arrow are one level deeper."""
+        if depth > MAX_NESTING:
+            raise ScenarioError(f"type nesting deeper than {MAX_NESTING} levels", self.line)
+        if self.take("o"):
+            return TYPE_O
+        if not self.take("("):
+            raise self.error("type expected")
+        dom = self.fintype(depth + 1)
+        self.expect(")")
+        return Arrow(dom, self.fintype(depth + 1))
+
+    def name(self, depth: int = 0) -> tuple[VName, int]:
+        """A name ``depth`` levels down, and its height.
+
+        A parenthesized name, the arguments of ``sing``/``upair``/``opair``
+        and the members of an explicit name nest one level each, and the
+        read recurses once per level; a declared name counts its own height.
+        Either past ``MAX_NESTING`` is an error, as for formulas.
+        """
+        if depth > MAX_NESTING:
+            raise ScenarioError(_NAME_TOO_DEEP, self.line)
+        kind, word, pos = self.lx.next()
+        if kind == "(":
+            out = self.name(depth + 1)
+            self.expect(")")
+            return out
+        if kind == "{":
+            triples, heights = [], []
+            for _ in self.items("}"):
+                self.expect("(")
+                a = self.value()
+                self.expect(",")
+                b = self.value()
+                self.expect(",")
+                member, height = self.name(depth + 1)
+                self.expect(")")
+                triples.append((a, b, member))
+                heights.append(height)
+            return self.compound(Explicit(tuple(triples)), heights)
+        if kind != "ident":
+            raise self.error("name expected", pos)
+        if word == "omega":
+            return OMEGA, 0
+        if word == "nat":
+            kind, n, _ = self.lx.peek()
+            if kind != "nat":
+                raise self.error("nat needs a natural number")
+            self.lx.next()
+            return Nat(int(n)), 0
+        if word in _CONSTRUCTORS:
+            cls, arity = _CONSTRUCTORS[word]
+            args = []
+            for _ in range(arity):  # parentheses around an argument are free
+                paren = self.take("(")
+                args.append(self.name(depth + 1))
+                if paren:
+                    self.expect(")")
+            return self.compound(cls(*(n for n, _ in args)), [h for _, h in args])
+        if word == "F":
+            return type_name(self.fintype()), 0
+        if word == "int":
+            a = self.value()
+            self.expect(":")
+            sigma = self.fintype()
+            try:
+                return internalize(a, sigma, self.env.budget), 0
+            except ValueError as exc:
+                text = self.text[pos : self.lx.peek()[2]].strip()
+                raise ScenarioError(f"bad int name {text!r}: {exc}", self.line) from None
+        if word == "graph":
+            f = self.value()
+            self.expect(":")
+            dom = self.fintype()
+            self.expect("->")
+            return Graph(f, dom, self.fintype()), 0
+        if word in self.env.names:
+            return self.env.names[word]
+        raise ScenarioError(f"unknown name {word!r}", self.line)
+
+    def compound(self, name: VName, heights: list[int]) -> tuple[VName, int]:
+        """A name one level above members of the given heights, and its height."""
+        height = max(heights, default=-1) + 1
+        if height > MAX_NESTING:
+            raise ScenarioError(_NAME_TOO_DEEP, self.line)
+        return name, height
+
+    def ref(self) -> NameRef:
+        """A name, or a bound variable: an identifier that is neither a name
+        word nor a declared name."""
+        kind, word, _ = self.lx.peek()
+        if kind == "ident" and word not in _NAME_WORDS and word not in self.env.names:
+            self.lx.next()
+            return word
+        return self.name()[0]
+
+    def formula(self, depth: int = 0) -> tuple[Formula, int]:
+        """Atoms joined by connectives, ``depth`` levels down, and the height.
+
+        ``/\\`` binds tightest, then ``\\/``, both left associative, then
+        ``=>``, right associative.  Parentheses, ``~`` and quantifier bodies
+        nest one level each, and the read recurses once per level; each
+        connective adds one to the height of the formula, as a reference adds
+        the height of the named formula.  Either past ``MAX_NESTING`` is an
+        error, so no later walk over the formula reaches the host recursion
+        limit.
+        """
+        items, ops = [self.atom(depth)], []
+        while self.lx.peek()[0] in _CONNECTIVES:
+            ops.append(self.lx.next()[0])
+            items.append(self.atom(depth))
+        items, ops = _join(items, ops, "/\\", And)
+        items, _ = _join(items, ops, "\\/", Or)
+        f, height = items[-1]
+        for g, h in reversed(items[:-1]):
+            f, height = Imp(g, f), max(h, height) + 1
+        if height > MAX_NESTING:
+            raise ScenarioError(_FORMULA_TOO_DEEP, self.line)
+        return f, height
+
+    def atom(self, depth: int) -> tuple[Formula, int]:
+        if depth > MAX_NESTING:
+            raise ScenarioError(_FORMULA_TOO_DEEP, self.line)
+        kind, word, pos = self.lx.next()
+        if kind == "~":
+            body, height = self.atom(depth + 1)
+            return Not(body), height + 1
+        if kind == "(":
+            out = self.formula(depth + 1)
+            self.expect(")")
+            return out
+        if kind != "ident":
+            raise self.error("formula expected", pos)
+        if word in _BOUNDED:
+            var = self.ident()
+            self.expect("in")
+            bound = self.ref()
+            self.expect(".")
+            body, height = self.formula(depth + 1)
+            return _BOUNDED[word](var, bound, body), height + 1
+        if word in _UNBOUNDED:
+            var = self.ident()
+            self.expect(".")
+            body, height = self.formula(depth + 1)
+            return _UNBOUNDED[word](var, body), height + 1
+        if word in _ATOMS and self.take("("):
+            x = self.ref()
+            self.expect(",")
+            y = self.ref()
+            self.expect(")")
+            return _ATOMS[word](x, y), 0
+        if word in self.env.formulas:
+            return self.env.formulas[word]
+        raise ScenarioError(f"unknown formula {word!r}", self.line)
+
+    def closed_formula(self) -> Formula:
+        """A formula a directive checks: it must have no free variables."""
+        phi = self.formula()[0]
+        free = free_formula_vars(phi)
+        if free:
+            raise ScenarioError(
+                f"formula {fmt(phi)} is not closed: free variable(s) {', '.join(sorted(free))}",
+                self.line,
+            )
+        return phi
 
 
-def _name_ref(env: _Env, text: str, line: int):
-    # A lowercase identifier that is not a declared name is a bound variable.
-    if text in env.names:
-        return env.names[text]
-    if text.isidentifier() and not any(text.startswith(k) for k in ("nat", "omega", "sing", "upair", "opair")):
-        return text
-    return _parse_name(env, text, line)[0]
-
-
-def _closed_formula(env: _Env, text: str, line: int) -> Formula:
-    """A formula a directive checks: it must have no free variables."""
-    phi = _formula(env, text, line, 0)[0]
-    free = free_formula_vars(phi)
-    if free:
-        raise ScenarioError(
-            f"formula {fmt(phi)} is not closed: free variable(s) {', '.join(sorted(free))}", line
-        )
-    return phi
-
-
-def _parse_pair(env: _Env, text: str, line: int) -> RealizerPair:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ScenarioError(f"realizer pair expected, got {text!r}", line)
-    parts = _split_top(text[1:-1], ",")
-    if len(parts) != 2:
-        raise ScenarioError("realizer pairs have two components", line)
-    va = _eval_value(env, parts[0], line)
-    vb = _eval_value(env, parts[1], line)
-    return RealizerPair(va, vb)
+def _read(env: _Env, text: str, line: int, form):
+    """All of ``text`` as the ``form`` (a _Reader method) it must spell."""
+    r = _Reader(env, text, line)
+    out = form(r)
+    r.end()
+    return out
 
 
 _STATUS_WORDS = {
@@ -441,19 +468,22 @@ _STATUS_WORDS = {
 }
 
 
-def run_scenario(text: str) -> ScenarioReport:
-    """Run the lines of ``text`` in order.  A warning raised while a line
-    runs (a name that fails self-relatedness sampling) goes into the
-    report's ``warnings`` once per line, not to the host's display."""
+def run_scenario(
+    text: str, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget = DEFAULT_BUDGET, seed: int = 0
+) -> ScenarioReport:
+    """Run the lines of ``text`` in order, starting from the given fuel,
+    budget and seed, which ``fuel``/``budget``/``seed`` lines change.  A
+    warning raised while a line runs (a name that fails self-relatedness
+    sampling) goes into the report's ``warnings`` once per line, not to the
+    host's display."""
     report = ScenarioReport()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _run_lines(text, report, caught)
+        _run_lines(_Env(cfg=cfg, budget=budget, seed=seed), text, report, caught)
     return report
 
 
-def _run_lines(text: str, report: ScenarioReport, caught: list) -> None:
-    env = _Env()
+def _run_lines(env: _Env, text: str, report: ScenarioReport, caught: list) -> None:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -473,30 +503,21 @@ def _run_lines(text: str, report: ScenarioReport, caught: list) -> None:
                     env.seed = n
             except ValueError as exc:
                 raise ScenarioError(f"bad {head} {rest!r}: {exc}", lineno) from None
-        elif head == "term":
+        elif head in ("term", "name", "formula"):
             name, _, body = rest.partition("=")
-            env.terms[name.strip()] = _parse_term(env, body, lineno)
+            table, form = {"term": (env.terms, _Reader.term), "name": (env.names, _Reader.name),
+                           "formula": (env.formulas, _Reader.formula)}[head]
+            table[name.strip()] = _read(env, body, lineno, form)
         elif head == "realizer":
             name, _, body = rest.partition("=")
             try:
                 env.terms[name.strip()] = realizer_term(body.strip())
             except KeyError as exc:
                 raise ScenarioError(str(exc), lineno)
-        elif head == "name":
-            name, _, body = rest.partition("=")
-            name = name.strip()
-            env.names[name], env.name_heights[name] = _parse_name(env, body, lineno)
-        elif head == "formula":
-            name, _, body = rest.partition("=")
-            phi, height = _formula(env, body.strip(), lineno, 0)
-            env.formulas[name.strip()] = phi
-            env.formula_heights[name.strip()] = height
         elif head == "eval":
             report.results.append(_run_eval(env, rest, lineno))
-        elif head == "check":
-            report.results.append(_run_check(env, rest, lineno))
-        elif head == "check-with-witnesses":
-            report.results.append(_run_check_witnesses(env, rest, lineno))
+        elif head in ("check", "check-with-witnesses"):
+            report.results.append(_run_check(env, rest, lineno, head))
         elif head == "synth-roundtrip":
             report.results.append(_run_synth(env, rest, lineno))
         elif head == "suite":
@@ -517,7 +538,7 @@ def _split_expect(text: str) -> tuple[str, str | None]:
 
 def _run_eval(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     body, expected = _split_expect(rest)
-    t = _parse_term(env, body, lineno)
+    t = _read(env, body, lineno, _Reader.term)
     try:
         out = eval_term(t, None, env.cfg)
     except MachineError as exc:
@@ -531,51 +552,34 @@ def _run_eval(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     outcome = print_term(out.value)
     if expected is None:
         return DirectiveResult(lineno, "eval", body, outcome, None, True)
-    want = _eval_value(env, expected, lineno)
+    want = _read(env, expected, lineno, _Reader.value)
     return DirectiveResult(lineno, "eval", body, outcome, expected, out.value == want)
 
 
-def _run_check(env: _Env, rest: str, lineno: int) -> DirectiveResult:
+def _run_check(env: _Env, rest: str, lineno: int, kind: str) -> DirectiveResult:
+    """``check``, or ``check-with-witnesses`` of an implication on the
+    witness pairs that follow it."""
     body, expected = _split_expect(rest)
-    body = body.strip()
-    if not body.startswith("("):
-        raise ScenarioError("check needs a realizer pair", lineno)
-    pair_text, after = _take_balanced(body, lineno)
-    pair = _parse_pair(env, f"({pair_text})", lineno)
-    phi = _closed_formula(env, after.strip(), lineno)
-    ver = check(pair, phi, env.budget, env.cfg)
+    r = _Reader(env, body, lineno)
+    pair, phi = r.pair(), r.closed_formula()
+    if kind == "check":
+        r.end()
+        ver = check(pair, phi, env.budget, env.cfg)
+    else:
+        if not isinstance(phi, Imp):
+            raise ScenarioError("check-with-witnesses applies to an implication", lineno)
+        r.expect("witnesses")
+        r.expect("[")
+        wits = [r.pair() for _ in r.items("]")]
+        r.end()
+        ver = check_imp_on_witnesses(pair, phi.hyp, phi.concl, wits, env.budget, env.cfg)
     ok = True if expected is None else ver.status is _STATUS_WORDS.get(expected, None)
-    return DirectiveResult(lineno, "check", body, ver.status.value, expected, bool(ok), ver.trace)
-
-
-def _run_check_witnesses(env: _Env, rest: str, lineno: int) -> DirectiveResult:
-    body, expected = _split_expect(rest)
-    if "witnesses" not in body:
-        raise ScenarioError("check-with-witnesses needs a witnesses [...] block", lineno)
-    main, _, wtext = body.partition("witnesses")
-    main = main.strip()
-    pair_text, after = _take_balanced(main, lineno)
-    pair = _parse_pair(env, f"({pair_text})", lineno)
-    imp = _closed_formula(env, after.strip(), lineno)
-    if not isinstance(imp, Imp):
-        raise ScenarioError("check-with-witnesses applies to an implication", lineno)
-    wtext = wtext.strip()
-    if not (wtext.startswith("[") and wtext.endswith("]")):
-        raise ScenarioError("witnesses must be bracketed", lineno)
-    wits = []
-    for part in _split_top(wtext[1:-1], ";"):
-        part = part.strip()
-        if part:
-            wits.append(_parse_pair(env, part, lineno))
-    ver = check_imp_on_witnesses(pair, imp.hyp, imp.concl, wits, env.budget, env.cfg)
-    ok = True if expected is None else ver.status is _STATUS_WORDS.get(expected, None)
-    return DirectiveResult(lineno, "check-with-witnesses", body, ver.status.value,
-                           expected, bool(ok), ver.trace)
+    return DirectiveResult(lineno, kind, body, ver.status.value, expected, bool(ok), ver.trace)
 
 
 def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     body, expected = _split_expect(rest)
-    phi = _closed_formula(env, body, lineno)
+    phi = _read(env, body, lineno, _Reader.closed_formula)
     if not in_fragment(phi):
         raise ScenarioError(
             f"synth-roundtrip needs a bounded-arithmetic formula, got {fmt(phi)}", lineno

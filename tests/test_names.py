@@ -25,10 +25,10 @@ from extreal.names import (
     gen_elems,
     internalize,
     lookup_triples,
-    parse_type,
     type_name,
 )
 from extreal.realizers import i_r_value, p_
+from extreal.scenarios import ScenarioError, _Env, _read, _Reader
 from extreal.suites import random_finite_name
 from extreal.terms import (
     App,
@@ -53,11 +53,15 @@ OO = Arrow(TYPE_O, TYPE_O)
 
 
 def test_parse_type():
+    # Types are read by the scenario reader, as in ``name n = F (o)o``.
+    def parse_type(text):
+        return _read(_Env(), text, 1, _Reader.fintype)
+
     assert parse_type("o") == TYPE_O
     assert parse_type("(o)o") == OO
     assert parse_type("((o)o)o") == Arrow(OO, TYPE_O)
     assert parse_type("(o)(o)o") == Arrow(TYPE_O, OO)
-    with pytest.raises(ValueError):
+    with pytest.raises(ScenarioError):
         parse_type("(o")
 
 

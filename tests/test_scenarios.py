@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from extreal import cli, suites
 from extreal.checker import Status, Trace, Verdict
-from extreal.scenarios import ScenarioError, run_scenario
+from extreal.names import OMEGA, Explicit, Nat, OPair, Sing, UPair
+from extreal.scenarios import ScenarioError, _Env, _read, _Reader, run_scenario
+from extreal.terms import num_value
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scenarios" / "demo.scn"
@@ -267,6 +270,56 @@ def test_formulas_and_types_at_the_nesting_limit():
         run_scenario(named + f"name n = sing ({'sing (' * k}m{')' * k})\n")
 
 
+_DECLS = "realizer ir = i_r\nformula f = eq(nat 1, nat 1)\nformula ff = eq(nat 2, nat 2)\n"
+
+
+@pytest.mark.parametrize("script,same_as", [
+    # A formula reference is a whole identifier, not a prefix of the rest.
+    pytest.param("check (P ir ir, P ir ir) ff /\\ f",
+                 "check (P ir ir, P ir ir) eq(nat 2, nat 2) /\\ eq(nat 1, nat 1)", id="prefix-ref"),
+    # A bound variable may begin with a name word, or carry a prime.
+    *(pytest.param(f"check (K ir, K ir) all {v} in nat 2. eq({v}, {v})",
+                   "check (K ir, K ir) all u in nat 2. eq(u, u)", id=f"var-{v}")
+      for v in ("nature", "x'", "omegas", "singleton", "upairs", "opair2")),
+    # A quantifier's bound is a whole name, whatever punctuation it holds.
+    pytest.param("check (P (\\x. x) ir, P (\\x. x) ir) ex z in {(\\x. x, \\x. x, nat 1)}. eq(z, z)",
+                 "name b = {(\\x. x, \\x. x, nat 1)}\n"
+                 "check (P (\\x. x) ir, P (\\x. x) ir) ex z in b. eq(z, z)", id="explicit-bound"),
+    pytest.param("check (K ir, K ir) all z in int (\\x. x) : (o)o. eq(z, z)",
+                 "name b = int (\\x. x) : (o)o\ncheck (K ir, K ir) all z in b. eq(z, z)", id="int-bound"),
+    # `witnesses` starts the witness block only as a whole word.
+    pytest.param("formula witnessesf = eq(nat 1, nat 1)\n"
+                 "check-with-witnesses (\\x. x, \\x. x) witnessesf => witnessesf witnesses [(ir, ir)]",
+                 "check-with-witnesses (\\x. x, \\x. x) f => f witnesses [(ir, ir)]", id="witnesses-prefix"),
+])
+def test_reader_reads_what_string_slicing_misread(script, same_as):
+    got, want = (run_scenario(_DECLS + text).results[-1].outcome for text in (script, same_as))
+    assert got == want and got in ("realized", "refuted", "unknown")
+
+
+@pytest.mark.parametrize("text,name", [
+    ("sing nat 1", Sing(Nat(1))),
+    ("upair (nat 1) omega", UPair(Nat(1), OMEGA)),
+    ("opair sing nat 0 (nat 1)", OPair(Sing(Nat(0)), Nat(1))),
+    ("((nat 1))", Nat(1)),
+    ("{ (#0, #0, nat 1); ; (#1, #1, sing (nat 0)); }",
+     Explicit(((num_value(0), num_value(0), Nat(1)), (num_value(1), num_value(1), Sing(Nat(0)))))),
+])
+def test_name_forms_the_reader_accepts(text, name):
+    # Constructor arguments need no parentheses; ``;`` lists skip empty items.
+    assert _read(_Env(), text, 1, _Reader.name)[0] == name
+
+
+def test_fmt_reads_back_as_the_same_formula():
+    # A quantifier's body runs to the right, so ``fmt`` parenthesizes it.
+    from extreal.formulas import fmt
+    from extreal.suites import random_fragment_formula
+
+    for seed in range(1000):
+        phi = random_fragment_formula(random.Random(seed), 2)
+        assert _read(_Env(), fmt(phi), 1, _Reader.formula)[0] == phi, (seed, fmt(phi))
+
+
 # The two ways in: `python -m extreal.cli`, and the console script's
 # `sys.exit(extreal.cli.main())`.
 _MODULE = ["-m", "extreal.cli"]
@@ -410,10 +463,46 @@ def test_cli_env_fallbacks():
     assert out.returncode == 0, out.stdout + out.stderr
 
 
+def test_cli_settings_keep_line_numbers():
+    # Settings from flags and the environment are the scenario's starting
+    # values, not lines put before it.
+    for flags, env in ((["--fuel", "1000"], None), ([], {"PCA_SEED": "5"})):
+        bad = _cli(*flags, "run", "-", stdin="eval K\neval ((K\n", env=env)
+        assert bad.returncode == 2 and bad.stderr.startswith("parse error: line 2: "), bad.stderr
+        out = _cli(*flags, "--json", "run", "-", stdin="\neval K\n", env=env)
+        assert json.loads(out.stdout)["directives"][0]["line"] == 2, out.stdout
+
+
+# A second seed for the mutation fuzz: every name form, type arrows, every
+# connective and quantifier, and a witness list; no suite, so it runs fast.
+_GRAMMAR = r"""
+fuel 20000
+budget 3
+realizer ir = i_r
+term idf = \c. P c ir
+name e = { (#0, #0, nat 1); (#1, #1, sing (nat 0)); }
+name s = sing nat 2
+name u = upair (nat 1) omega
+name p = opair (sing nat 0) (nat 1)
+name t = F ((o)o)o
+name i = int SUCC : (o)o
+name g = graph idf : o -> o
+formula f = all x in e. ex y in omega. eq(x, x) \/ mem(y, y)
+formula h = ~(ALL z. EX w. eq(z, w)) /\ f => mem(nat 0, u)
+check (K ir, K ir) f
+check (ir, ir) h
+check ((P #2 ir), (P #2 ir)) mem(opair (nat 2) (nat 2), g) expect realized
+check (P ir ir, P ir ir) eq(p, p) /\ eq(s, s) expect realized
+check-with-witnesses (K, K) mem(nat 1, t) => eq(i, i) witnesses [(K, K); ((P #0 ir), (P #0 ir))]
+synth-roundtrip all v in nat 2. ex w in nat 3. mem(v, w) expect agree
+eval (\x y. x) #1 #2 expect #1
+"""
+
+
 @st.composite
-def _mutated_demo(draw) -> str:
-    """demo.scn with one to three token mutations on its directive lines."""
-    lines = DEMO.read_text(encoding="utf-8").splitlines()
+def _mutated(draw, text: str) -> str:
+    """``text`` with one to three token mutations on its directive lines."""
+    lines = text.splitlines()
     code = [i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("--")]
     for _ in range(draw(st.integers(1, 3))):
         idx = draw(st.sampled_from(code))
@@ -445,9 +534,10 @@ def _mutated_demo(draw) -> str:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(_mutated_demo())
-def test_mutated_demo_ends_in_an_exit_code(tmp_path_factory, text):
+@given(_mutated(DEMO.read_text(encoding="utf-8")), _mutated(_GRAMMAR))
+def test_mutated_demo_ends_in_an_exit_code(tmp_path_factory, demo, grammar):
     # Every input ends in exit 0, 1 or 2 from the CLI, never an exception.
-    path = tmp_path_factory.mktemp("mutant") / "demo.scn"
-    path.write_text(text, encoding="utf-8")
-    assert cli.main(["run", str(path)]) in (0, 1, 2)
+    for text in (demo, grammar):
+        path = tmp_path_factory.mktemp("mutant") / "input.scn"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["run", str(path)]) in (0, 1, 2)
