@@ -7,9 +7,10 @@ exhaustively verified clauses; any budget-truncated branch forces Unknown.
 Each clause returns its ``Trace``, and the trace is the verdict: its
 status, note and children say what was decided and why.
 
-Failure policy, applied in one place (``_run``): a projection or
-application of a realizer that crashes (a machine error on a genuine member)
-refutes the clause, exhaustively, since the clauses only speak about defined
+Failure policy: the kernel (``kernel.attempt``) decides how a projection or
+application of a realizer ends, and ``_run`` states what each end means for
+the clause.  A crash (a machine error on a genuine member) refutes the
+clause, exhaustively, since the clauses only speak about defined
 applications.  Resource limits leave it Unknown, as a larger limit could
 decide it either way: running out of fuel, outgrowing the value size cap, or
 (in the entry points) a name or formula nested too deep for the host stack.
@@ -43,7 +44,7 @@ from .formulas import (
     fmt,
     substitute,
 )
-from .kernel import apply_value, project
+from .kernel import Crash, apply_value, attempt, project
 from .names import (
     DEFAULT_BUDGET,
     EnumBudget,
@@ -58,10 +59,7 @@ from .terms import (
     Const,
     DEFAULT_FUEL,
     FuelConfig,
-    FuelExhausted,
-    MachineError,
     Value,
-    ValueSizeExceeded,
 )
 
 
@@ -164,15 +162,14 @@ def _as_name(r: NameRef) -> VName:
 def _run(ctx: _Ctx, clause: str, what: str, op, f: Value, x) -> Value | Trace:
     """``op`` (the kernel's ``apply_value`` or ``project``) on f and x: the
     value, or the Trace of the clause that its failure decides."""
-    try:
-        out = op(f, x, ctx.cfg)
-    except ValueSizeExceeded:
+    out = attempt(op, f, x, ctx.cfg)
+    if isinstance(out, Value):
+        return out
+    if isinstance(out, Crash):
+        return Trace(clause, Status.REFUTED, note=f"{what} crashed (stuck: {out.error})", exhaustive=True)
+    if out.error is not None:
         return Trace(clause, Status.UNKNOWN, note=f"{what} outgrew the value size cap")
-    except MachineError as exc:
-        return Trace(clause, Status.REFUTED, note=f"{what} crashed (stuck: {exc})", exhaustive=True)
-    if out is None or isinstance(out, FuelExhausted):
-        return Trace(clause, Status.UNKNOWN, note=f"{what} ran out of fuel")
-    return out if isinstance(out, Value) else out.value
+    return Trace(clause, Status.UNKNOWN, note=f"{what} ran out of fuel")
 
 
 def _both(ctx: _Ctx, clause: str, op, a: Value, x, b: Value, y, what_a: str, what_b: str):

@@ -1,4 +1,5 @@
-"""Kernel facade: selects the reduction-machine backend at import time.
+"""Kernel facade: selects the reduction-machine backend at import time, and
+decides how a machine operation ends.
 
 The compiled extension (``extreal._speedup``) is preferred when it has been
 built; the pure-Python machine is the fallback and the reference semantics.
@@ -10,11 +11,22 @@ A bad setting (an unknown value, or ``compiled`` when the extension is not
 built) does not stop the import: the backend is chosen as if
 ``PCA_BACKEND`` were unset, and ``BACKEND_ERROR`` says what is wrong.  The
 CLI refuses to run with it (exit status 2).
+
+The machines raise on a hard failure and return ``FuelExhausted`` when fuel
+runs out.  ``attempt`` turns either into one of three outcomes, and no other
+layer catches a machine error:
+
+- the ``Value``: the operation is defined;
+- ``Crash``: a machine error (``PRED #0``, a numeral applied as a function),
+  so the operation is undefined;
+- ``Open``: a resource limit, fuel or the value size cap, stopped it, and a
+  larger limit could decide it either way.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 from . import machine as _pure
 
@@ -53,12 +65,52 @@ from .terms import (  # noqa: E402
     Defined,
     FuelConfig,
     FuelExhausted,
+    MachineError,
     P,
     P0,
     P1,
+    Term,
     Value,
+    ValueSizeExceeded,
     pin_value,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class Crash:
+    """The operation is undefined: the machine raised ``error``."""
+
+    error: MachineError
+
+
+@dataclass(frozen=True, slots=True)
+class Open:
+    """A resource limit stopped the operation: fuel (``error`` is None) or
+    the value size cap (``error`` is the overflow)."""
+
+    error: ValueSizeExceeded | None = None
+
+
+def attempt(op, *args) -> Value | Crash | Open:
+    """``op(*args)`` for a machine operation (``eval_term``, ``apply_value``,
+    ``apply_values``, ``project``), classified: its value, ``Crash`` or ``Open``."""
+    try:
+        out = op(*args)
+    except ValueSizeExceeded as exc:
+        return Open(exc)
+    except MachineError as exc:
+        return Crash(exc)
+    if out is None or isinstance(out, FuelExhausted):
+        return Open()
+    return out if isinstance(out, Value) else out.value
+
+
+def value_of(t: Term, cfg: FuelConfig = DEFAULT_FUEL) -> Value:
+    """The value of a library term, which must have one."""
+    out = eval_term(t, None, cfg)
+    if not isinstance(out, Defined):
+        raise RuntimeError(f"library term failed to evaluate: {out}")
+    return out.value
 
 
 # The values of P, P0 and P1, each evaluated once on the selected backend and
@@ -70,9 +122,7 @@ _consts: dict[ConstKind, Value] = {}
 def _const_value(t: Const) -> Value:
     v = _consts.get(t.kind)
     if v is None:
-        out = eval_term(t)
-        assert isinstance(out, Defined)
-        v = _consts[t.kind] = pin_value(out.value)
+        v = _consts[t.kind] = pin_value(value_of(t))
     return v
 
 
@@ -86,7 +136,8 @@ def pair_value(a: Value, b: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Value:
 def project(v: Value, i: int, cfg: FuelConfig = DEFAULT_FUEL) -> Value | None:
     """The i-th projection of v, or None when fuel runs out.
 
-    Projections are partial: a machine error propagates to the caller.
+    Projections are partial: a machine error propagates to the caller, and
+    ``attempt(project, …)`` classifies it.
     """
     out = apply_value(_const_value(P0 if i == 0 else P1), v, cfg)
     if isinstance(out, FuelExhausted):

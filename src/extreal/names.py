@@ -13,20 +13,18 @@ import warnings
 from dataclasses import dataclass
 from functools import cache
 
-from .kernel import apply_value, eval_term, project
+from .bracket import SKK, compile_term, lam
+from .kernel import Crash, Open, apply_value, attempt, project, value_of
 from .terms import (
     D,
     DEFAULT_FUEL,
     Defined,
     FuelConfig,
-    FuelExhausted,
     K,
-    MachineError,
     SUCC,
-    Term,
     Tri,
     Value,
-    ValueSizeExceeded,
+    Var,
     app,
     num,
     num_value,
@@ -175,49 +173,27 @@ def _values_eq_num(a: Value, b: Value) -> int | None:
 # gen_elems / eq_type / internalize: the hereditarily extensional structure
 
 
-def _build_swap01() -> Term:
-    # \x. D x #0 #1 (D x #1 #0 x): swaps 0 and 1, fixes other numerals.
-    from .compiler import compile_term, lam
-    from .terms import Var
-
-    x = Var("x")
-    return compile_term(
-        lam("x", app(D, x, num(0), num(1), app(D, x, num(1), num(0), x)))
-    )
-
-
 @cache
 def _swap01_value() -> Value:
-    out = eval_term(_build_swap01())
-    assert isinstance(out, Defined)
-    return out.value
+    # \x. D x #0 #1 (D x #1 #0 x): swaps 0 and 1, fixes other numerals.
+    x = Var("x")
+    return value_of(compile_term(lam("x", app(D, x, num(0), num(1), app(D, x, num(1), num(0), x)))))
 
 
 @cache
 def _identity_value() -> Value:
-    from .compiler import SKK
-
-    out = eval_term(SKK)
-    assert isinstance(out, Defined)
-    return out.value
+    return value_of(SKK)
 
 
 @cache
 def _succ_value() -> Value:
-    out = eval_term(SUCC)
-    assert isinstance(out, Defined)
-    return out.value
+    return value_of(SUCC)
 
 
 @cache
 def _apply_at_value(n: int) -> Value:
     # \f. f #n
-    from .compiler import compile_term, lam
-    from .terms import Var
-
-    out = eval_term(compile_term(lam("f", app(Var("f"), num(n)))))
-    assert isinstance(out, Defined)
-    return out.value
+    return value_of(compile_term(lam("f", app(Var("f"), num(n)))))
 
 
 def _const_value(v: Value) -> Value:
@@ -290,16 +266,15 @@ def _eq_type_arrow(
     gens = gen_elems(sigma.dom, budget)
     passed = 0
     for g in gens:
-        # A machine error on a generator is a counterexample; any other
-        # exception is a fault of the program and propagates.
-        try:
-            oa = apply_value(a, g, cfg)
-            ob = apply_value(b, g, cfg)
-        except MachineError:
+        # A crash on a generator is a counterexample; a resource limit
+        # decides nothing.
+        va = attempt(apply_value, a, g, cfg)
+        vb = va if isinstance(va, Crash) else attempt(apply_value, b, g, cfg)
+        if isinstance(va, Crash) or isinstance(vb, Crash):
             return EqTypeReport(Tri.FALSE, passed, len(gens), g)
-        if isinstance(oa, FuelExhausted) or isinstance(ob, FuelExhausted):
+        if isinstance(va, Open) or isinstance(vb, Open):
             continue
-        if eq_type(oa.value, ob.value, sigma.cod, budget, cfg).result is Tri.FALSE:
+        if eq_type(va, vb, sigma.cod, budget, cfg).result is Tri.FALSE:
             return EqTypeReport(Tri.FALSE, passed, len(gens), g)
         passed += 1
     # All sampled generator pairs agree; the domain is infinite, so this is
@@ -332,16 +307,12 @@ def _member(x: Internal | Graph, g: Value, budget: EnumBudget, cfg: FuelConfig) 
     leaves the image undefined or the image is not a numeral at codomain o;
     None when the image runs out of fuel or outgrows the value size cap,
     which a larger cap could lift."""
-    try:
-        out = apply_value(x.a, g, cfg)
-        image = None if isinstance(out, FuelExhausted) else out.value
-        if isinstance(x, Graph) and image is not None:
-            image = project(image, 0, cfg)
-    except ValueSizeExceeded:
-        return None
-    except MachineError:
+    image = attempt(apply_value, x.a, g, cfg)
+    if isinstance(x, Graph) and isinstance(image, Value):
+        image = attempt(project, image, 0, cfg)
+    if isinstance(image, Crash):
         return []
-    if image is None:
+    if isinstance(image, Open):
         return None
     dom, cod = (x.sigma, x.tau) if isinstance(x, Graph) else (x.sigma.dom, x.sigma.cod)
     if cod == TYPE_O and not image.is_numeral():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compiler import Lam, compile_term
+from .bracket import Lam, compile_term
 from .formulas import (
     All,
     AllIn,

@@ -1,6 +1,7 @@
-"""The realizer library: closed terms for the equality laws, the set axioms,
-internal pairing, choice and arrow types, plus synthesis of realizers for
-true bounded-arithmetic sentences.
+"""The realizer library: the fixed-point and recursion combinators, closed
+terms for the equality laws, the set axioms, internal pairing, choice and
+arrow types, plus synthesis of realizers for true bounded-arithmetic
+sentences.
 
 Terms are transcribed from their defining equations; where only the shape of
 a construction is fixed (the transitivity pair, the ordered-pair laws), the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
-from .compiler import Lam, compile_term, double_fixpoint, fixpoint, lam, primrec
+from .bracket import Lam, compile_term, lam
 from .checker import FragmentError, RealizerPair, in_fragment, truth_eval, witness_range
 from .formulas import (
     AllIn,
@@ -32,7 +33,7 @@ from .formulas import (
     Or,
     substitute,
 )
-from .kernel import apply_value, eval_term, pair_value
+from .kernel import apply_value, pair_value, value_of
 from .names import (
     DEFAULT_BUDGET,
     EnumBudget,
@@ -102,11 +103,50 @@ def ifeq(sel_a: Term, sel_b: Term, then_t: Term, else_t: Term) -> Term:
     )
 
 
-def value_of(t: Term, cfg: FuelConfig = DEFAULT_FUEL) -> Value:
-    out = eval_term(t, None, cfg)
-    if not isinstance(out, Defined):
-        raise RuntimeError(f"library term failed to evaluate: {out}")
-    return out.value
+# ---------------------------------------------------------------------------
+# Fixed points and primitive recursion; each law holds on the nose in this
+# machine.
+
+
+@cache
+def fixpoint() -> Term:
+    """The fixed-point combinator f := \\a. c c with c := \\d b. a (d d) b:
+    f a ↓ and f a b ≃ a (f a) b."""
+    c = lam("d", "b", app(Var("a"), App(Var("d"), Var("d")), Var("b")))
+    return compile_term(lam("a", App(c, c)))
+
+
+@cache
+def double_fixpoint() -> tuple[Term, Term]:
+    """Mutual fixed points g, h: g a b ↓, h a b ↓, g a b c ≃ a (h a b) c and
+    h a b c ≃ b (g a b) c.
+
+    g := \\a b. f t(a,b), where t(a,b) := \\x c. a (\\z. b x z) c (the
+    inner binder delays unfolding).  For h, the inner function
+    \\c. b (f t(a,b)) c is produced by applying \\x c. b x c to the
+    *evaluated* fixed point, so that the element a receives in
+    g a b c ≃ a (h a b) c  is identical to h a b; binding c over the
+    unevaluated splice would denote a different element.
+    """
+    t_ab = lam("x", "c", app(Var("a"), lam("z", app(Var("b"), Var("x"), Var("z"))), Var("c")))
+    g = compile_term(lam("a", "b", App(fixpoint(), t_ab)))
+    eta = lam("x", "c", app(Var("b"), Var("x"), Var("c")))
+    h = compile_term(lam("a", "b", App(eta, App(fixpoint(), t_ab))))
+    return g, h
+
+
+@cache
+def primrec() -> Term:
+    """The recursor r, from the fixed point, D and PRED: r a b #0 ≃ a and
+    r a b #(n+1) ≃ b (r a b #n) #n.
+
+    Both branches of the definition-by-cases sit under a dummy binder so the
+    recursive unfolding is only evaluated when the selector says so.
+    """
+    w, a, b, n = Var("w"), Var("a"), Var("b"), Var("n")
+    step = lam("_z", app(b, app(w, a, b, App(PRED, n)), App(PRED, n)))
+    body = app(D, n, Num(0), lam("_z", a), step, Num(0))
+    return App(fixpoint(), compile_term(lam("w", "a", "b", "n", body)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,12 @@ recursive-descent reader:
 A term ends at the first token that cannot continue it, such as ``,``, ``:``
 or an unmatched ``)``.  The name words ``omega nat sing upair opair F int
 graph`` are reserved in name positions; any other identifier there that is
-not a declared name is a bound variable.  A quantifier's body runs as far
-right as it can.  ``;``-separated lists skip empty items.
+not a declared name is a bound variable.  A quantifier's variable shadows a
+declared name in its body and cannot be a name word.  A quantifier's body
+runs as far right as it can.  ``;``-separated lists skip empty items.  A
+declaration binds one identifier that a later line can refer to: not a term
+keyword (``term K``), a name word (``name nat``) or a quantifier (``formula
+all``).
 
 Exit status: 0 when every stated expectation holds, 1 on a mismatch, 2 on a
 parse error.
@@ -65,7 +69,7 @@ from .formulas import (
     fmt,
     free_formula_vars,
 )
-from .kernel import eval_term
+from .kernel import attempt, eval_term
 from .names import (
     DEFAULT_BUDGET,
     TYPE_O,
@@ -83,11 +87,11 @@ from .names import (
     internalize,
     type_name,
 )
-from .parser import MAX_NESTING, Lexer, ParseError, parse, print_term
+from .parser import _KEYWORDS, MAX_NESTING, Lexer, ParseError, parse, print_term
 from .realizers import realizer_term, synthesize
 from .suites import SUITES, run_suite
-from .terms import App, DEFAULT_FUEL, Defined, FuelConfig, FuelExhausted, MachineError, Value, Var
-from .compiler import compile_term, free_vars
+from .terms import App, DEFAULT_FUEL, FuelConfig, Value, Var
+from .bracket import compile_term, free_vars
 
 
 class ScenarioError(ValueError):
@@ -202,6 +206,7 @@ class _Reader:
 
     def __init__(self, env: _Env, text: str, line: int):
         self.env, self.text, self.line = env, text, line
+        self.bound: list[str] = []  # the quantifier variables in scope
         try:
             self.lx = Lexer(text)
         except ParseError as exc:
@@ -265,15 +270,11 @@ class _Reader:
         """The value of a term the scenario needs as data; a term without one
         (machine error or fuel exhausted) is an error on this line."""
         start = self.lx.peek()[2]
-        t = self.term()
-        try:
-            out = eval_term(t, None, self.env.cfg)
-        except MachineError as exc:
-            why = f"{type(exc).__name__}: {exc}"
-        else:
-            if isinstance(out, Defined):
-                return out.value
-            why = "fuel exhausted"
+        out = attempt(eval_term, self.term(), None, self.env.cfg)
+        if isinstance(out, Value):
+            return out
+        exc = out.error
+        why = "fuel exhausted" if exc is None else f"{type(exc).__name__}: {exc}"
         text = self.text[start : self.lx.peek()[2]].strip()
         raise ScenarioError(f"term {text!r} does not evaluate: {why}", self.line)
 
@@ -362,6 +363,8 @@ class _Reader:
             dom = self.fintype()
             self.expect("->")
             return Graph(f, dom, self.fintype()), 0
+        if word in self.bound:
+            raise ScenarioError(f"bound variable {word!r} where a name is expected", self.line)
         if word in self.env.names:
             return self.env.names[word]
         raise ScenarioError(f"unknown name {word!r}", self.line)
@@ -374,10 +377,13 @@ class _Reader:
         return name, height
 
     def ref(self) -> NameRef:
-        """A name, or a bound variable: an identifier that is neither a name
-        word nor a declared name."""
+        """A name, or a variable: an identifier bound by an enclosing
+        quantifier, which shadows a declared name, or one that is neither a
+        name word nor a declared name."""
         kind, word, _ = self.lx.peek()
-        if kind == "ident" and word not in _NAME_WORDS and word not in self.env.names:
+        if kind == "ident" and (
+            word in self.bound or word not in _NAME_WORDS and word not in self.env.names
+        ):
             self.lx.next()
             return word
         return self.name()[0]
@@ -419,18 +425,21 @@ class _Reader:
             return out
         if kind != "ident":
             raise self.error("formula expected", pos)
-        if word in _BOUNDED:
+        if word in _BOUNDED or word in _UNBOUNDED:
+            # ``ref`` would read a name word as a name, never as the variable.
+            var_pos = self.lx.peek()[2]
             var = self.ident()
-            self.expect("in")
-            bound = self.ref()
+            if var in _NAME_WORDS:
+                raise self.error(f"name word {var!r} cannot be a bound variable", var_pos)
+            if word in _BOUNDED:
+                self.expect("in")
+                bound = self.ref()
             self.expect(".")
+            self.bound.append(var)
             body, height = self.formula(depth + 1)
-            return _BOUNDED[word](var, bound, body), height + 1
-        if word in _UNBOUNDED:
-            var = self.ident()
-            self.expect(".")
-            body, height = self.formula(depth + 1)
-            return _UNBOUNDED[word](var, body), height + 1
+            self.bound.pop()
+            q = _BOUNDED[word](var, bound, body) if word in _BOUNDED else _UNBOUNDED[word](var, body)
+            return q, height + 1
         if word in _ATOMS and self.take("("):
             x = self.ref()
             self.expect(",")
@@ -507,11 +516,12 @@ def _run_lines(env: _Env, text: str, report: ScenarioReport, caught: list) -> No
             name, _, body = rest.partition("=")
             table, form = {"term": (env.terms, _Reader.term), "name": (env.names, _Reader.name),
                            "formula": (env.formulas, _Reader.formula)}[head]
-            table[name.strip()] = _read(env, body, lineno, form)
+            table[_declared(head, name, lineno)] = _read(env, body, lineno, form)
         elif head == "realizer":
             name, _, body = rest.partition("=")
+            name = _declared(head, name, lineno)
             try:
-                env.terms[name.strip()] = realizer_term(body.strip())
+                env.terms[name] = realizer_term(body.strip())
             except KeyError as exc:
                 raise ScenarioError(str(exc), lineno)
         elif head == "eval":
@@ -528,6 +538,25 @@ def _run_lines(env: _Env, text: str, report: ScenarioReport, caught: list) -> No
         caught.clear()
 
 
+# The identifiers a later line reads as something else than a declaration:
+# term keywords, name words, quantifiers.
+_RESERVED = {"term": _KEYWORDS.keys(), "realizer": _KEYWORDS.keys(), "name": _NAME_WORDS,
+             "formula": _BOUNDED.keys() | _UNBOUNDED.keys()}
+
+
+def _declared(head: str, name: str, lineno: int) -> str:
+    """The identifier a ``head`` declaration binds; one that no later line
+    could refer to (not one identifier, or a reserved word) is an error."""
+    name = name.strip()
+    try:
+        kinds = [kind for kind, _, _ in Lexer(name).tokens]
+    except ParseError:
+        kinds = []
+    if kinds != ["ident", "eof"] or name in _RESERVED[head]:
+        raise ScenarioError(f"cannot declare {head} {name!r}: no later line could refer to it", lineno)
+    return name
+
+
 def _split_expect(text: str) -> tuple[str, str | None]:
     parts = _split_top(text, " ")
     for i, p in enumerate(parts):
@@ -538,22 +567,19 @@ def _split_expect(text: str) -> tuple[str, str | None]:
 
 def _run_eval(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     body, expected = _split_expect(rest)
-    t = _read(env, body, lineno, _Reader.term)
-    try:
-        out = eval_term(t, None, env.cfg)
-    except MachineError as exc:
-        outcome = f"error: {exc}"
-        ok = expected is not None and expected.strip() == "error"
-        return DirectiveResult(lineno, "eval", body, outcome, expected, ok if expected else True)
-    if isinstance(out, FuelExhausted):
-        outcome = "fuel-exhausted"
+    out = attempt(eval_term, _read(env, body, lineno, _Reader.term), None, env.cfg)
+    if isinstance(out, Value):
+        outcome = print_term(out)
+        if expected is None:
+            return DirectiveResult(lineno, "eval", body, outcome, None, True)
+        want = _read(env, expected, lineno, _Reader.value)
+        return DirectiveResult(lineno, "eval", body, outcome, expected, out == want)
+    # A size-cap overflow prints as a crash does, so ``expect error`` holds.
+    if out.error is None:
         ok = expected in (None, "fuel-exhausted")
-        return DirectiveResult(lineno, "eval", body, outcome, expected, bool(ok))
-    outcome = print_term(out.value)
-    if expected is None:
-        return DirectiveResult(lineno, "eval", body, outcome, None, True)
-    want = _read(env, expected, lineno, _Reader.value)
-    return DirectiveResult(lineno, "eval", body, outcome, expected, out.value == want)
+        return DirectiveResult(lineno, "eval", body, "fuel-exhausted", expected, ok)
+    ok = not expected or expected == "error"
+    return DirectiveResult(lineno, "eval", body, f"error: {out.error}", expected, ok)
 
 
 def _run_check(env: _Env, rest: str, lineno: int, kind: str) -> DirectiveResult:

@@ -12,7 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .checker import RealizerPair, Status, check, check_imp_on_witnesses, truth_eval
-from .compiler import SKK, abstract, compile_term, double_fixpoint, fixpoint, lam, primrec
+from .bracket import SKK, abstract, compile_term, lam
 from .formulas import (
     AllIn,
     And,
@@ -28,7 +28,7 @@ from .formulas import (
     theta,
     unordered_pair,
 )
-from .kernel import apply_value, apply_values, eval_term, kleene_eq, pair_value, project
+from .kernel import Crash, Open, apply_value, apply_values, attempt, eval_term, kleene_eq, pair_value, project
 from .names import (
     Arrow,
     DEFAULT_BUDGET,
@@ -60,12 +60,15 @@ from .realizers import (
     bounded_separation_terms,
     choice_realizer,
     collection_name,
+    double_fixpoint,
     eq_realizers,
+    fixpoint,
     i_r_value,
     infinity_terms,
     p_,
     pairing_name,
     pairing_realizers,
+    primrec,
     proj,
     separation_name,
     synthesize,
@@ -78,10 +81,8 @@ from .terms import (
     DEFAULT_FUEL,
     Defined,
     FuelConfig,
-    FuelExhausted,
     K,
     KBAR,
-    MachineError,
     Opaque,
     Outcome,
     P,
@@ -129,26 +130,14 @@ class SuiteReport:
 
 
 def kleene_agree(t1: Term, t2: Term, cfg: FuelConfig = DEFAULT_FUEL) -> bool | None:
-    """Kleene equality with hard failures counted as undefined; None when
-    fuel runs out on either side."""
-
-    def run(t):
-        try:
-            return eval_term(t, None, cfg)
-        except MachineError:
-            return None
-
-    o1, o2 = run(t1), run(t2)
-    if o1 is None and o2 is None:
-        return True
-    if o1 is None or o2 is None:
-        other = o2 if o1 is None else o1
-        if isinstance(other, FuelExhausted):
-            return None
-        return False
-    if isinstance(o1, FuelExhausted) or isinstance(o2, FuelExhausted):
+    """Kleene equality with crashes counted as undefined; None when a
+    resource limit stops either side."""
+    v1, v2 = attempt(eval_term, t1, None, cfg), attempt(eval_term, t2, None, cfg)
+    if isinstance(v1, Open) or isinstance(v2, Open):
         return None
-    return o1.value == o2.value
+    if isinstance(v1, Crash) or isinstance(v2, Crash):
+        return isinstance(v1, Crash) and isinstance(v2, Crash)
+    return v1 == v2
 
 
 # --- random printable terms and values ------------------------------------
@@ -173,12 +162,9 @@ def random_printable_value(
 ) -> tuple[Term, Value]:
     while True:
         t = random_closed_term(rng, max_leaves)
-        try:
-            out = eval_term(t, None, cfg)
-        except MachineError:
-            continue
-        if isinstance(out, Defined):
-            return t, out.value
+        v = attempt(eval_term, t, None, cfg)
+        if isinstance(v, Value):
+            return t, v
 
 
 def _draw(rng: random.Random, n: int) -> list[Term]:
@@ -239,11 +225,8 @@ def suite_pca_laws(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
         n = rng.randint(0, 200)
         _law(bad, App(SUCC, num(n)), num(n + 1), cfg)
         _law(bad, App(PRED, num(n + 1)), num(n), cfg)
-    try:
-        eval_term(App(PRED, num(0)), None, cfg)
+    if not isinstance(attempt(eval_term, App(PRED, num(0)), None, cfg), Crash):
         bad.append("-- PRED #0 should be stuck")
-    except MachineError:
-        pass
     rep.add("succ-pred", bad, f"{rounds} instances")
 
     bad = []
@@ -337,7 +320,7 @@ def suite_fixpoints(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudge
     bad = []
     for _ in range(20):
         [ta] = _draw(rng, 1)
-        if not isinstance(eval_term(App(f, ta), None, cfg), Defined):
+        if not isinstance(attempt(eval_term, App(f, ta), None, cfg), Value):
             bad.append(f"eval ({print_term(App(f, ta))})")
     rep.add("f-defined", bad, "f a defined, 20 instances")
 
@@ -358,7 +341,7 @@ def suite_fixpoints(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudge
     for _ in range(rounds):
         ta, tb, tc = _draw(rng, 3)
         for t in (app(g, ta, tb), app(h, ta, tb)):
-            if not isinstance(eval_term(t, None, cfg), Defined):
+            if not isinstance(attempt(eval_term, t, None, cfg), Value):
                 bad_def.append(f"eval ({print_term(t)})")
         _law(bad_g, app(g, ta, tb, tc), app(ta, app(h, ta, tb), tc), cfg, total=False)
         _law(bad_h, app(h, ta, tb, tc), app(tb, app(g, ta, tb), tc), cfg, total=False)
@@ -611,7 +594,7 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     for name, axid in (("subset-collection", AxiomId.SUBSET_COLLECTION),
                        ("powerset", AxiomId.POWERSET)):
         t = axiom_realizer(axid).term
-        ok = isinstance(eval_term(t, None, cfg), Defined)
+        ok = isinstance(attempt(eval_term, t, None, cfg), Value)
         rep.cases.append(CaseResult(f"{name} term defined", ok, ""))
     return rep
 
@@ -691,7 +674,7 @@ def suite_heo(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
                                 "two constant-2 functions agree on indices <= 5"))
 
     gens = gen_elems(Arrow(oo, TYPE_O), budget)
-    ok = all(isinstance(apply_value(g, succ, cfg), Defined) for g in gens)
+    ok = all(isinstance(attempt(apply_value, g, succ, cfg), Value) for g in gens)
     rep.cases.append(CaseResult("higher-generators", ok, "(o)o -> o generators apply to SUCC"))
 
     # Sampled partial-equivalence behaviour on generator pairs.

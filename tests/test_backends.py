@@ -19,23 +19,30 @@ import pytest
 import extreal
 from extreal import kernel, terms
 from extreal import machine as pure
+from extreal.bracket import compile_term
+from extreal.parser import parse
 from extreal.suites import _VALUE_ATOMS, random_closed_term
 from extreal.terms import (
     App,
     Defined,
     FuelConfig,
     FuelExhausted,
+    IllTypedApplication,
     K,
     MachineError,
     PRED,
     S,
     SUCC,
+    StuckApplication,
     Tri,
+    Value,
+    ValueSizeExceeded,
     app,
     num,
     num_value,
     opaque_value,
 )
+from test_checker import _GROW
 
 
 @pytest.fixture(scope="session")
@@ -141,6 +148,29 @@ def test_backends_agree_on_apply_and_kleene(compiled):
                 compiled.kleene_eq(t1, t2)
             continue
         assert want is compiled.kleene_eq(t1, t2)
+
+
+def test_backends_end_runs_alike(compiled):
+    # The kernel's classifier, run with either machine's operation, ends a
+    # crash, a run out of fuel and a size-cap overflow the same way.
+    i = app(S, K, K)
+    cases = [
+        ("eval_term", (App(PRED, num(0)), None, FuelConfig()), kernel.Crash, StuckApplication),
+        ("apply_value", (num_value(1), Value(K), FuelConfig()), kernel.Crash, IllTypedApplication),
+        ("eval_term", (app(S, i, i, app(S, i, i)), None, FuelConfig(max_steps=50)), kernel.Open,
+         type(None)),
+        ("eval_term", (compile_term(parse(_GROW)), None, FuelConfig(max_value_size=1000)), kernel.Open,
+         ValueSizeExceeded),
+        ("eval_term", (app(SUCC, num(2)), None, FuelConfig()), Value, None),
+    ]
+    for op, args, kind, error in cases:
+        a = kernel.attempt(getattr(pure, op), *args)
+        b = kernel.attempt(getattr(compiled, op), *args)
+        assert type(a) is type(b) is kind, (op, a, b)
+        if kind is Value:
+            assert a == b == num_value(3)
+        else:
+            assert type(a.error) is type(b.error) is error and str(a.error) == str(b.error), (op, a, b)
 
 
 def test_compiled_handles_opaque_and_env(compiled):

@@ -102,7 +102,7 @@ def test_allin_exhaustive_and_truncated():
     assert check(wit, AllIn("x", Nat(3), Mem("x", OMEGA))).status is Status.REALIZED
     # A realizer valid on every natural: over omega the enumeration still
     # truncates, so the verdict never reaches Realized.
-    from extreal.compiler import compile_term, lam
+    from extreal.bracket import compile_term, lam
     from extreal.realizers import p_, value_of
     from extreal.terms import Opaque, Var
 
@@ -155,7 +155,7 @@ def test_imp_witness_counterexample_refutes():
 
 
 def test_check_imp_on_witnesses_modus_ponens():
-    from extreal.compiler import SKK
+    from extreal.bracket import SKK
     from extreal.realizers import value_of
 
     idv = value_of(SKK)
@@ -167,7 +167,7 @@ def test_check_imp_on_witnesses_modus_ponens():
 
 
 def test_check_imp_on_witnesses_skips_non_realizers():
-    from extreal.compiler import SKK
+    from extreal.bracket import SKK
     from extreal.realizers import value_of
 
     idv = value_of(SKK)
@@ -181,7 +181,7 @@ def test_check_imp_on_witnesses_skips_non_realizers():
 def test_witness_labels_leave_the_memoised_trace_alone():
     """Equal witnesses share one memoised conclusion trace; each child gets
     its own label and the shared trace keeps its note."""
-    from extreal.compiler import SKK
+    from extreal.bracket import SKK
     from extreal.realizers import value_of
 
     idv = value_of(SKK)
@@ -331,7 +331,7 @@ _GROW = "(\\f. f (f (f (f (f (f (f (f K)))))))) (\\x. P x x)"
 
 
 def _term_value(src: str) -> Value:
-    from extreal.compiler import compile_term
+    from extreal.bracket import compile_term
     from extreal.parser import parse
     from extreal.realizers import value_of
 

@@ -8,18 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_impl
-from extreal.bracket import EXPANSIONS, Lam, always_defined, free_vars
-from extreal.compiler import (
-    SKK,
-    abstract,
-    compile_term,
-    double_fixpoint,
-    fixpoint,
-    lam,
-    primrec,
-)
+from extreal.bracket import EXPANSIONS, SKK, Lam, abstract, always_defined, compile_term, free_vars, lam
 from extreal.kernel import apply_value, apply_values, eval_term, kleene_eq
 from extreal.parser import parse
+from extreal.realizers import double_fixpoint, fixpoint, primrec
 from extreal.suites import (
     kleene_agree,
     random_open_term,
@@ -238,6 +230,19 @@ def test_compiled_k_s_kbar_behave():
         assert kleene_agree(app(k_like, ta, tb), ta) is True
         assert kleene_agree(app(kbar_like, ta, tb), tb) is True
         assert kleene_agree(app(s_like, ta, tb, tc), app(S, ta, tb, tc)) is not False
+
+
+def test_kleene_agree_counts_only_crashes_as_undefined():
+    # Two crashes agree and a crash differs from a value; running out of fuel
+    # or outgrowing the value size cap on either side decides nothing.
+    from test_checker import _GROW
+
+    stuck = App(Const(ConstKind.PRED), num(0))
+    assert kleene_agree(stuck, App(num(1), K)) is True
+    assert kleene_agree(stuck, K) is False
+    omega = app(S, SKK, SKK, app(S, SKK, SKK))
+    assert kleene_agree(omega, stuck, FuelConfig(max_steps=50)) is None
+    assert kleene_agree(compile_term(parse(_GROW)), stuck, FuelConfig(max_value_size=1000)) is None
 
 
 def test_defined_constant_expansions_match_their_sources():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import reference_impl
 from extreal import machine, terms
-from extreal.compiler import compile_term, lam
+from extreal.bracket import compile_term, lam
 from extreal.kernel import apply_value, apply_values, eval_term, kleene_eq
 from extreal.terms import (
     App,

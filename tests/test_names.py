@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extreal.compiler import compile_term, lam
+from extreal.bracket import compile_term, lam
 from extreal.kernel import apply_value, eval_term
 from extreal.names import (
     Arrow,
@@ -249,12 +249,15 @@ def test_graph_lookup_and_enumeration():
 def test_images_past_the_size_cap_leave_lookups_open():
     # Both functions build ⟨c, i_r⟩ on the way to their image, so a value
     # size cap just above i_r's size leaves every image undefined for now:
-    # the lookup is empty but not exhaustive, as when fuel runs out.
+    # the lookup is empty but not exhaustive, as when fuel runs out.  At an
+    # arrow type the same overflow is no counterexample: eq_type stays open
+    # and the type name's lookup is not exhaustive.
     ir = Opaque("ir", i_r_value())
     pair = p_(Var("c"), ir)
+    f = eval_term(compile_term(lam("c", App(P0, pair)))).value
     names = [
         Graph(eval_term(compile_term(lam("c", pair))).value, TYPE_O, TYPE_O),
-        Internal(eval_term(compile_term(lam("c", App(P0, pair)))).value, OO),
+        Internal(f, OO),
     ]
     capped = FuelConfig(max_value_size=i_r_value().size + 3)
     for x in names:
@@ -264,6 +267,9 @@ def test_images_past_the_size_cap_leave_lookups_open():
         )
         assert lookup_triples(x, num_value(2), num_value(2), cfg=capped) == ([], False)
         assert enumerate_triples(x, cfg=capped) == ([], False)
+    for cfg in (DEFAULT_FUEL, capped):
+        assert eq_type(f, f, OO, cfg=cfg).result is Tri.UNKNOWN
+        assert lookup_triples(TypeName(OO), f, f, cfg=cfg) == ([Internal(f, OO)], False)
 
 
 def test_omega_nat_coherence():

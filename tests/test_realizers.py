@@ -7,7 +7,7 @@ import pytest
 from extreal.bracket import free_vars
 from extreal.checker import RealizerPair, Status, check, check_imp_on_witnesses
 from extreal.formulas import AllIn, And, Eq, ExIn, Imp, Mem, ordered_pair, theta, unordered_pair
-from extreal.compiler import compile_term, lam
+from extreal.bracket import compile_term, lam
 from extreal.kernel import apply_value, apply_values, eval_term, pair_value, project
 from extreal.names import (
     Arrow,
@@ -112,7 +112,7 @@ def test_union_builder_rejects_schematic_input():
 
 
 def test_extensionality_witness_directed():
-    from extreal.compiler import SKK
+    from extreal.bracket import SKK
 
     x = Explicit(((num_value(0), num_value(0), Nat(1)),))
     y = Sing(Nat(1))

@@ -97,7 +97,7 @@ def test_crashing_function_names_have_no_member_at_that_key(name):
 
 
 def test_term_name_resolution_shares_subterms_without_names():
-    from extreal.compiler import compile_term
+    from extreal.bracket import compile_term
     from extreal.parser import parse
     from extreal.scenarios import _Env, _resolve_term_names
     from extreal.terms import App, Num, Var
@@ -132,6 +132,17 @@ def test_failing_law_cases_carry_runnable_snippets(monkeypatch):
                 rep = run_scenario(case.snippet)
                 assert rep.results and rep.ok, (case.name, case.snippet)
     assert failed == _TOTAL_LAWS
+
+
+def test_a_crash_in_a_definedness_case_fails_that_case(monkeypatch):
+    # With a numeral for the fixed point, every f a crashes: f-defined
+    # records the failing instances, and the suite still reports.
+    from extreal.terms import num
+
+    monkeypatch.setattr(suites, "fixpoint", lambda: num(1))
+    rep = suites.suite_fixpoints(0, rounds=2)
+    failed = {c.name: c for c in rep.failures}
+    assert "f-defined" in failed and failed["f-defined"].snippet.startswith("eval (#1 ")
 
 
 def test_equality_snippets_declare_the_realizers_they_use(monkeypatch):
@@ -295,6 +306,33 @@ _DECLS = "realizer ir = i_r\nformula f = eq(nat 1, nat 1)\nformula ff = eq(nat 2
 def test_reader_reads_what_string_slicing_misread(script, same_as):
     got, want = (run_scenario(_DECLS + text).results[-1].outcome for text in (script, same_as))
     assert got == want and got in ("realized", "refuted", "unknown")
+
+
+def test_quantifier_binders_shadow_declared_names():
+    # In a quantifier's body x is the bound variable, not the declared name
+    # nat 3, so each check reads as it does with a fresh variable y.
+    checks = ["all {v} in nat 2. eq({v}, nat 3)", "all {v} in nat 2. ex z in x. eq(z, {v})",
+              "ALL {v}. eq({v}, {v})", "ex {v} in nat 3. eq({v}, nat 2)"]
+    script = "realizer ir = i_r\nname x = nat 3\n" + "".join(
+        f"check ((K ir), (K ir)) {c}\n" for c in checks)
+    got, want = ([r.outcome for r in run_scenario(script.format(v=v)).results] for v in "xy")
+    assert got == want and got[0] == "refuted"
+
+
+@pytest.mark.parametrize("script,message", [
+    ("check (K, K) all nat in nat 2. eq(nat 1, nat 1)", "name word 'nat' cannot be a bound variable"),
+    ("check (K, K) EX omega. eq(omega, omega)", "name word 'omega' cannot be a bound variable"),
+    ("name x = nat 3\ncheck (K, K) all x in nat 2. mem(x, sing x)", "bound variable 'x' where a name"),
+    ("name nat = nat 1", "cannot declare name 'nat'"),
+    ("formula all = eq(nat 1, nat 1)", "cannot declare formula 'all'"),
+    ("term K = S", "cannot declare term 'K'"),
+    ("realizer P0 = i_r", "cannot declare realizer 'P0'"),
+    ("name x y = nat 1", "cannot declare name 'x y'"),
+    ("term = K", "cannot declare term ''"),
+])
+def test_unreachable_binders_and_declarations_are_errors(script, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run_scenario(script + "\n")
 
 
 @pytest.mark.parametrize("text,name", [
