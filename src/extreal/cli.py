@@ -5,6 +5,12 @@ Configuration flags fall back to the environment: PCA_FUEL, PCA_BUDGET,
 PCA_SEED; PCA_BACKEND selects the reduction-machine backend.  Exit status:
 0 every expectation holds, 1 one failed (or stdout closed before the report
 was written), 2 a parse error or a bad setting.
+
+Each command imports only the layers it runs.  Importing this module loads
+the machine half: ``terms``, ``bracket``, ``machine``, ``kernel`` and
+``parser``.  ``run`` adds ``scenarios``, which loads the checker, names,
+formulas, realizers and suites at the first line that needs them; ``suite``
+loads ``suites`` and everything it checks; ``print`` loads ``realizers``.
 """
 
 from __future__ import annotations
@@ -13,14 +19,19 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .kernel import BACKEND, BACKEND_ERROR
-from .names import EnumBudget
 from .parser import print_term
-from .realizers import realizer_ids, realizer_term
-from .scenarios import ScenarioError, ScenarioReport, run_scenario
-from .suites import SUITES, run_suite
-from .terms import FuelConfig
+from .terms import EnumBudget, FuelConfig
+
+if TYPE_CHECKING:  # for annotations only: scenarios is imported by ``run``
+    from .scenarios import ScenarioReport
+
+# The ids of ``suites.SUITES``, sorted, spelled out so that building the
+# argument parser does not import the suites (a test keeps them equal).
+SUITE_IDS = ("abstraction", "choice-arrow", "czf-axioms", "equality", "fixpoints", "heo",
+             "pairing-internal", "pca-laws", "truth-oracle")
 
 
 def _env_int(name: str, default: int) -> int:
@@ -50,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("file", help="scenario path, or - for stdin")
 
     suitep = sub.add_parser("suite", help="run a built-in property suite")
-    suitep.add_argument("id", choices=sorted(SUITES) + ["all"])
+    suitep.add_argument("id", choices=[*SUITE_IDS, "all"])
 
     printp = sub.add_parser("print", help="print a library realizer term")
     printp.add_argument("id", nargs="?", help="realizer id; omit to list")
@@ -102,17 +113,30 @@ def _report_scenario(rep: ScenarioReport, args) -> int:
     return 0 if rep.ok else 1
 
 
+def _scenario_text(path: str) -> str:
+    """The scenario at ``path`` (``-`` for stdin), decoded as UTF-8."""
+    if path == "-":
+        if sys.stdin is None:  # started with file descriptor 0 closed
+            raise OSError("stdin is closed")
+        return sys.stdin.buffer.read().decode("utf-8")
+    with open(path, "rb") as fp:
+        return fp.read().decode("utf-8")
+
+
 def _cmd_run(args) -> int:
+    # Imported here: the scenario layer is only needed to run a scenario.
+    from .scenarios import ScenarioError, run_scenario
+
     cfg, budget, seed = _config(args)
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file, encoding="utf-8") as fp:
-                text = fp.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        text = _scenario_text(args.file)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        where = "stdin" if args.file == "-" else args.file
+        print(f"error: {where} is not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
+        return 2
     try:
         rep = run_scenario(text, cfg, budget, seed)
     except ScenarioError as exc:
@@ -124,8 +148,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    # Imported here: the suites load the checker, names and realizers.
+    from .suites import run_suite
+
     cfg, budget, seed = _config(args)
-    ids = sorted(SUITES) if args.id == "all" else [args.id]
+    ids = SUITE_IDS if args.id == "all" else [args.id]
     reports = [run_suite(i, seed, cfg, budget) for i in ids]
     if args.json:
         payload = {
@@ -160,6 +187,9 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_print(args) -> int:
+    # Imported here: the realizer library loads the checker layers with it.
+    from .realizers import realizer_ids, realizer_term
+
     if not args.id:
         print("\n".join(realizer_ids()))
         return 0

@@ -21,6 +21,11 @@ layer catches a machine error:
   so the operation is undefined;
 - ``Open``: a resource limit, fuel or the value size cap, stopped it, and a
   larger limit could decide it either way.
+
+``defined_value`` is for a caller that cannot go on without the value (a
+library term, a pair of values): it raises ``NoValue``, carrying the
+``Crash`` or ``Open``, and ``attempt`` of an operation that raised it
+returns that outcome.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from .terms import (  # noqa: E402
     DEFAULT_FUEL,
     Const,
     ConstKind,
-    Defined,
     FuelConfig,
     FuelExhausted,
     MachineError,
@@ -91,26 +95,51 @@ class Open:
     error: ValueSizeExceeded | None = None
 
 
+class NoValue(RuntimeError):
+    """An operation that had to be defined is not: ``outcome`` says why."""
+
+    def __init__(self, outcome: Crash | Open):
+        super().__init__(f"no value: {reason(outcome)}")
+        self.outcome = outcome
+
+
+def reason(outcome: Crash | Open) -> str:
+    """What stopped an operation, in a few words."""
+    exc = outcome.error
+    if exc is None:
+        return "fuel exhausted"
+    return f"{type(exc).__name__}: {exc}"
+
+
 def attempt(op, *args) -> Value | Crash | Open:
     """``op(*args)`` for a machine operation (``eval_term``, ``apply_value``,
-    ``apply_values``, ``project``), classified: its value, ``Crash`` or ``Open``."""
+    ``apply_values``, ``project``, ``pair_value``), classified: its value,
+    ``Crash`` or ``Open``."""
     try:
         out = op(*args)
     except ValueSizeExceeded as exc:
         return Open(exc)
     except MachineError as exc:
         return Crash(exc)
+    except NoValue as exc:
+        return exc.outcome
     if out is None or isinstance(out, FuelExhausted):
         return Open()
     return out if isinstance(out, Value) else out.value
 
 
+def defined_value(op, *args) -> Value:
+    """The value of ``op(*args)``, which the caller needs; ``NoValue`` if a
+    crash or a resource limit leaves it without one."""
+    out = attempt(op, *args)
+    if isinstance(out, Value):
+        return out
+    raise NoValue(out)
+
+
 def value_of(t: Term, cfg: FuelConfig = DEFAULT_FUEL) -> Value:
-    """The value of a library term, which must have one."""
-    out = eval_term(t, None, cfg)
-    if not isinstance(out, Defined):
-        raise RuntimeError(f"library term failed to evaluate: {out}")
-    return out.value
+    """The value of a library term; ``NoValue`` under limits too small for it."""
+    return defined_value(eval_term, t, None, cfg)
 
 
 # The values of P, P0 and P1, each evaluated once on the selected backend and
@@ -127,10 +156,9 @@ def _const_value(t: Const) -> Value:
 
 
 def pair_value(a: Value, b: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Value:
-    """p a b as an element; pairing of values is always defined."""
-    out = apply_values(_const_value(P), [a, b], cfg)
-    assert isinstance(out, Defined)
-    return out.value
+    """p a b as an element.  Pairing of values is always defined, but a
+    small fuel or value size cap can stop it (``NoValue``)."""
+    return defined_value(apply_values, _const_value(P), [a, b], cfg)
 
 
 def project(v: Value, i: int, cfg: FuelConfig = DEFAULT_FUEL) -> Value | None:

@@ -15,10 +15,12 @@ from functools import cache
 
 from .bracket import SKK, compile_term, lam
 from .kernel import Crash, Open, apply_value, attempt, project, value_of
-from .terms import (
+from .terms import (  # EnumBudget and DEFAULT_BUDGET are re-exported
     D,
+    DEFAULT_BUDGET,
     DEFAULT_FUEL,
     Defined,
+    EnumBudget,
     FuelConfig,
     K,
     SUCC,
@@ -53,18 +55,6 @@ class Arrow(FinType):
 
 TYPE_O = O()
 
-
-@dataclass(frozen=True, slots=True)
-class EnumBudget:
-    max_index: int = 8
-    generators_per_type: int = 6
-
-    def __post_init__(self):
-        if self.max_index <= 0 or self.generators_per_type <= 0:
-            raise ValueError("budgets must be positive")
-
-
-DEFAULT_BUDGET = EnumBudget()
 
 Triple = tuple[Value, Value, "VName"]
 

@@ -33,7 +33,7 @@ from .formulas import (
     Or,
     substitute,
 )
-from .kernel import apply_value, pair_value, value_of
+from .kernel import apply_value, defined_value, pair_value, value_of
 from .names import (
     DEFAULT_BUDGET,
     EnumBudget,
@@ -51,7 +51,6 @@ from .terms import (
     ConstKind,
     D,
     DEFAULT_FUEL,
-    Defined,
     FuelConfig,
     K,
     Num,
@@ -269,9 +268,7 @@ def _synth(phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> Value | None:
             vc = _synth(c, budget, cfg)
             if vc is None:
                 return None
-            out = apply_value(Value(K), vc, cfg)
-            assert isinstance(out, Defined)
-            return out.value
+            return defined_value(apply_value, Value(K), vc, cfg)
         case AllIn(v, Nat(n), body):
             entries = []
             for k in range(n):

@@ -45,53 +45,32 @@ all``).
 
 Exit status: 0 when every stated expectation holds, 1 on a mismatch, 2 on a
 parse error.
+
+This module imports only the machine half (terms, bracket abstraction, the
+kernel and the parser), so ``term``/``eval``/``fuel``/``budget``/``seed``
+lines run without the realizability layers.  Each of those loads at the first
+line that needs it, by an import inside the reader method or ``_run_*``
+function that uses it: ``names`` with the first name or type, ``formulas``
+with the first formula, ``checker`` with the first realizer pair, ``check*``
+or ``synth-roundtrip``, ``realizers`` with the first ``realizer`` or
+``synth-roundtrip`` line and ``suites`` with the first ``suite`` line.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .checker import RealizerPair, Status, check, check_imp_on_witnesses, in_fragment, truth_eval
-from .formulas import (
-    All,
-    AllIn,
-    And,
-    Eq,
-    Ex,
-    ExIn,
-    Formula,
-    Imp,
-    Mem,
-    NameRef,
-    Not,
-    Or,
-    fmt,
-    free_formula_vars,
-)
-from .kernel import attempt, eval_term
-from .names import (
-    DEFAULT_BUDGET,
-    TYPE_O,
-    Arrow,
-    EnumBudget,
-    Explicit,
-    FinType,
-    Graph,
-    Nat,
-    OMEGA,
-    OPair,
-    Sing,
-    UPair,
-    VName,
-    internalize,
-    type_name,
-)
-from .parser import _KEYWORDS, MAX_NESTING, Lexer, ParseError, parse, print_term
-from .realizers import realizer_term, synthesize
-from .suites import SUITES, run_suite
-from .terms import App, DEFAULT_FUEL, FuelConfig, Value, Var
 from .bracket import compile_term, free_vars
+from .kernel import NoValue, attempt, eval_term, reason
+from .parser import _KEYWORDS, MAX_NESTING, Lexer, ParseError, parse, print_term
+from .terms import App, DEFAULT_BUDGET, DEFAULT_FUEL, EnumBudget, FuelConfig, Value, Var
+
+if TYPE_CHECKING:  # for annotations only: each layer is imported where it runs
+    from .checker import RealizerPair
+    from .formulas import Formula, NameRef
+    from .names import FinType, VName
 
 
 class ScenarioError(ValueError):
@@ -192,10 +171,7 @@ def _join(items: list, ops: list[str], op: str, cls) -> tuple[list, list[str]]:
 _NAME_TOO_DEEP = f"name nesting deeper than {MAX_NESTING} levels"
 _FORMULA_TOO_DEEP = f"formula nesting deeper than {MAX_NESTING} levels"
 _NAME_WORDS = frozenset(("omega", "nat", "sing", "upair", "opair", "F", "int", "graph"))
-_CONSTRUCTORS = {"sing": (Sing, 1), "upair": (UPair, 2), "opair": (OPair, 2)}
-_BOUNDED = {"all": AllIn, "ex": ExIn}
-_UNBOUNDED = {"ALL": All, "EX": Ex}
-_ATOMS = {"mem": Mem, "eq": Eq}
+_QUANTIFIERS = frozenset(("all", "ex", "ALL", "EX"))
 _CONNECTIVES = ("/\\", "\\/", "=>")
 
 
@@ -273,12 +249,12 @@ class _Reader:
         out = attempt(eval_term, self.term(), None, self.env.cfg)
         if isinstance(out, Value):
             return out
-        exc = out.error
-        why = "fuel exhausted" if exc is None else f"{type(exc).__name__}: {exc}"
         text = self.text[start : self.lx.peek()[2]].strip()
-        raise ScenarioError(f"term {text!r} does not evaluate: {why}", self.line)
+        raise ScenarioError(f"term {text!r} does not evaluate: {reason(out)}", self.line)
 
     def pair(self) -> RealizerPair:
+        from .checker import RealizerPair  # the checker loads with the first pair
+
         self.expect("(")
         a = self.value()
         self.expect(",")
@@ -289,6 +265,8 @@ class _Reader:
     def fintype(self, depth: int = 0) -> FinType:
         """``o`` or ``(dom)cod``, ``depth`` arrows down; both sides of an
         arrow are one level deeper."""
+        from .names import TYPE_O, Arrow  # names load with the first name or type
+
         if depth > MAX_NESTING:
             raise ScenarioError(f"type nesting deeper than {MAX_NESTING} levels", self.line)
         if self.take("o"):
@@ -307,6 +285,9 @@ class _Reader:
         read recurses once per level; a declared name counts its own height.
         Either past ``MAX_NESTING`` is an error, as for formulas.
         """
+        # Names load with the first name a scenario reads.
+        from .names import OMEGA, Explicit, Graph, Nat, OPair, Sing, UPair, internalize, type_name
+
         if depth > MAX_NESTING:
             raise ScenarioError(_NAME_TOO_DEEP, self.line)
         kind, word, pos = self.lx.next()
@@ -337,8 +318,9 @@ class _Reader:
                 raise self.error("nat needs a natural number")
             self.lx.next()
             return Nat(int(n)), 0
-        if word in _CONSTRUCTORS:
-            cls, arity = _CONSTRUCTORS[word]
+        constructors = {"sing": (Sing, 1), "upair": (UPair, 2), "opair": (OPair, 2)}
+        if word in constructors:
+            cls, arity = constructors[word]
             args = []
             for _ in range(arity):  # parentheses around an argument are free
                 paren = self.take("(")
@@ -399,6 +381,8 @@ class _Reader:
         error, so no later walk over the formula reaches the host recursion
         limit.
         """
+        from .formulas import And, Imp, Or  # formulas load with the first formula
+
         items, ops = [self.atom(depth)], []
         while self.lx.peek()[0] in _CONNECTIVES:
             ops.append(self.lx.next()[0])
@@ -413,6 +397,8 @@ class _Reader:
         return f, height
 
     def atom(self, depth: int) -> tuple[Formula, int]:
+        from .formulas import All, AllIn, Eq, Ex, ExIn, Mem, Not  # as in ``formula``
+
         if depth > MAX_NESTING:
             raise ScenarioError(_FORMULA_TOO_DEEP, self.line)
         kind, word, pos = self.lx.next()
@@ -425,33 +411,36 @@ class _Reader:
             return out
         if kind != "ident":
             raise self.error("formula expected", pos)
-        if word in _BOUNDED or word in _UNBOUNDED:
+        if word in _QUANTIFIERS:
             # ``ref`` would read a name word as a name, never as the variable.
             var_pos = self.lx.peek()[2]
             var = self.ident()
             if var in _NAME_WORDS:
                 raise self.error(f"name word {var!r} cannot be a bound variable", var_pos)
-            if word in _BOUNDED:
+            bounded = word in ("all", "ex")
+            if bounded:
                 self.expect("in")
                 bound = self.ref()
             self.expect(".")
             self.bound.append(var)
             body, height = self.formula(depth + 1)
             self.bound.pop()
-            q = _BOUNDED[word](var, bound, body) if word in _BOUNDED else _UNBOUNDED[word](var, body)
-            return q, height + 1
-        if word in _ATOMS and self.take("("):
+            cls = {"all": AllIn, "ex": ExIn, "ALL": All, "EX": Ex}[word]
+            return (cls(var, bound, body) if bounded else cls(var, body)), height + 1
+        if word in ("mem", "eq") and self.take("("):
             x = self.ref()
             self.expect(",")
             y = self.ref()
             self.expect(")")
-            return _ATOMS[word](x, y), 0
+            return (Mem if word == "mem" else Eq)(x, y), 0
         if word in self.env.formulas:
             return self.env.formulas[word]
         raise ScenarioError(f"unknown formula {word!r}", self.line)
 
     def closed_formula(self) -> Formula:
         """A formula a directive checks: it must have no free variables."""
+        from .formulas import fmt, free_formula_vars
+
         phi = self.formula()[0]
         free = free_formula_vars(phi)
         if free:
@@ -468,13 +457,6 @@ def _read(env: _Env, text: str, line: int, form):
     out = form(r)
     r.end()
     return out
-
-
-_STATUS_WORDS = {
-    "realized": Status.REALIZED,
-    "refuted": Status.REFUTED,
-    "unknown": Status.UNKNOWN,
-}
 
 
 def run_scenario(
@@ -520,6 +502,9 @@ def _run_lines(env: _Env, text: str, report: ScenarioReport, caught: list) -> No
         elif head == "realizer":
             name, _, body = rest.partition("=")
             name = _declared(head, name, lineno)
+            # The realizer library loads with the first realizer line.
+            from .realizers import realizer_term
+
             try:
                 env.terms[name] = realizer_term(body.strip())
             except KeyError as exc:
@@ -541,7 +526,7 @@ def _run_lines(env: _Env, text: str, report: ScenarioReport, caught: list) -> No
 # The identifiers a later line reads as something else than a declaration:
 # term keywords, name words, quantifiers.
 _RESERVED = {"term": _KEYWORDS.keys(), "realizer": _KEYWORDS.keys(), "name": _NAME_WORDS,
-             "formula": _BOUNDED.keys() | _UNBOUNDED.keys()}
+             "formula": _QUANTIFIERS}
 
 
 def _declared(head: str, name: str, lineno: int) -> str:
@@ -585,6 +570,9 @@ def _run_eval(env: _Env, rest: str, lineno: int) -> DirectiveResult:
 def _run_check(env: _Env, rest: str, lineno: int, kind: str) -> DirectiveResult:
     """``check``, or ``check-with-witnesses`` of an implication on the
     witness pairs that follow it."""
+    from .checker import check, check_imp_on_witnesses  # the checker loads here
+    from .formulas import Imp
+
     body, expected = _split_expect(rest)
     r = _Reader(env, body, lineno)
     pair, phi = r.pair(), r.closed_formula()
@@ -599,11 +587,17 @@ def _run_check(env: _Env, rest: str, lineno: int, kind: str) -> DirectiveResult:
         wits = [r.pair() for _ in r.items("]")]
         r.end()
         ver = check_imp_on_witnesses(pair, phi.hyp, phi.concl, wits, env.budget, env.cfg)
-    ok = True if expected is None else ver.status is _STATUS_WORDS.get(expected, None)
-    return DirectiveResult(lineno, kind, body, ver.status.value, expected, bool(ok), ver.trace)
+    # A status prints as its word: realized, refuted or unknown.
+    ok = expected is None or ver.status.value == expected
+    return DirectiveResult(lineno, kind, body, ver.status.value, expected, ok, ver.trace)
 
 
 def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
+    # The checker and the realizer library load with the first synth-roundtrip.
+    from .checker import Status, check, in_fragment, truth_eval
+    from .formulas import fmt
+    from .realizers import synthesize
+
     body, expected = _split_expect(rest)
     phi = _read(env, body, lineno, _Reader.closed_formula)
     if not in_fragment(phi):
@@ -611,7 +605,10 @@ def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
             f"synth-roundtrip needs a bounded-arithmetic formula, got {fmt(phi)}", lineno
         )
     want = truth_eval(phi)
-    wit = synthesize(phi, env.budget, env.cfg)
+    try:
+        wit = synthesize(phi, env.budget, env.cfg)
+    except NoValue:  # the limits stop synthesis, as they can stop the check
+        wit = None
     got = wit is not None and check(wit, phi, env.budget, env.cfg).status is Status.REALIZED
     agreed = want == got
     outcome = f"truth={want} realizers={got}"
@@ -620,6 +617,8 @@ def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
 
 
 def _run_suite_directive(env: _Env, rest: str, lineno: int) -> DirectiveResult:
+    from .suites import SUITES, run_suite  # the suites load with the first suite line
+
     name = rest.strip()
     if name not in SUITES:
         raise ScenarioError(f"unknown suite {name!r}", lineno)

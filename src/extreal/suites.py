@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .checker import RealizerPair, Status, check, check_imp_on_witnesses, truth_eval
@@ -28,7 +29,19 @@ from .formulas import (
     theta,
     unordered_pair,
 )
-from .kernel import Crash, Open, apply_value, apply_values, attempt, eval_term, kleene_eq, pair_value, project
+from .kernel import (
+    Crash,
+    NoValue,
+    Open,
+    apply_value,
+    apply_values,
+    attempt,
+    defined_value,
+    eval_term,
+    kleene_eq,
+    pair_value,
+    project,
+)
 from .names import (
     Arrow,
     DEFAULT_BUDGET,
@@ -79,7 +92,6 @@ from .terms import (
     App,
     D,
     DEFAULT_FUEL,
-    Defined,
     FuelConfig,
     K,
     KBAR,
@@ -127,6 +139,17 @@ class SuiteReport:
         """Record a case that passes when ``bad`` is empty; ``bad`` holds one
         note per failed instance, and the first is the case's snippet."""
         self.cases.append(CaseResult(name, not bad, detail, bad[0] if bad else ""))
+
+    @contextmanager
+    def guard(self, name: str):
+        """Run a block that needs the values of library terms, under the
+        user's limits.  If one has no value (a crash, or a limit too small
+        for it), the rest of the block is skipped and a failing case ``name``
+        says why; the block's cases recorded before stay."""
+        try:
+            yield
+        except NoValue as exc:
+            self.cases.append(CaseResult(name, False, str(exc)))
 
 
 def kleene_agree(t1: Term, t2: Term, cfg: FuelConfig = DEFAULT_FUEL) -> bool | None:
@@ -183,11 +206,9 @@ def _law(bad: list[str], lhs: Term, rhs: Term, cfg: FuelConfig, total: bool = Tr
         bad.append(f"eval ({print_term(lhs)}) expect ({print_term(rhs if shown is None else shown)})")
 
 
-def _realized(r: Value | Outcome | None, phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> bool:
-    """Whether ``r`` realizes phi on both sides.  ``r`` may be a machine
-    outcome or a projection, which must then be defined."""
-    if isinstance(r, Defined):
-        r = r.value
+def _realized(r: Value | Crash | Open, phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> bool:
+    """Whether ``r`` realizes phi on both sides.  ``r`` may be the outcome of
+    ``attempt``; a crash or a resource limit realizes nothing."""
     return isinstance(r, Value) and check(RealizerPair.both(r), phi, budget, cfg).status is Status.REALIZED
 
 
@@ -402,21 +423,22 @@ def suite_equality(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
     _, i_s_t, i_t_t, i_0_t, i_1_t = eq_realizers()
     i_s, i_t, i_0, i_1 = (value_of(t) for t in (i_s_t, i_t_t, i_0_t, i_1_t))
     bad = []
-    for n in range(5):
-        wit = synthesize(Eq(Nat(n), Nat(n)), budget, cfg)
-        if not _realized(apply_value(i_s, wit.a, cfg), Eq(Nat(n), Nat(n)), budget, cfg):
-            bad.append(f"-- i_s fails on nat {n}")
-        chained = apply_value(i_t, pair_value(wit.a, wit.a, cfg), cfg)
-        if not _realized(chained, Eq(Nat(n), Nat(n)), budget, cfg):
-            bad.append(f"-- i_t fails on nat {n}")
-    for n, m in ((1, 4), (2, 5)):
-        eqw = synthesize(Eq(Nat(n), Nat(n)), budget, cfg)
-        memw = synthesize(Mem(Nat(n), Nat(m)), budget, cfg)
-        for label, i_x in (("i_0", i_0), ("i_1", i_1)):
-            moved = apply_value(i_x, pair_value(eqw.a, memw.a, cfg), cfg)
-            if not _realized(moved, Mem(Nat(n), Nat(m)), budget, cfg):
-                bad.append(f"-- {label} fails on {n} in {m}")
-    rep.add("transport-laws", bad, "i_s, i_t, i_0, i_1 on synthesized numeral realizers")
+    with rep.guard("transport-laws"):
+        for n in range(5):
+            wit = synthesize(Eq(Nat(n), Nat(n)), budget, cfg)
+            if not _realized(attempt(apply_value, i_s, wit.a, cfg), Eq(Nat(n), Nat(n)), budget, cfg):
+                bad.append(f"-- i_s fails on nat {n}")
+            chained = attempt(apply_value, i_t, pair_value(wit.a, wit.a, cfg), cfg)
+            if not _realized(chained, Eq(Nat(n), Nat(n)), budget, cfg):
+                bad.append(f"-- i_t fails on nat {n}")
+        for n, m in ((1, 4), (2, 5)):
+            eqw = synthesize(Eq(Nat(n), Nat(n)), budget, cfg)
+            memw = synthesize(Mem(Nat(n), Nat(m)), budget, cfg)
+            for label, i_x in (("i_0", i_0), ("i_1", i_1)):
+                moved = attempt(apply_value, i_x, pair_value(eqw.a, memw.a, cfg), cfg)
+                if not _realized(moved, Mem(Nat(n), Nat(m)), budget, cfg):
+                    bad.append(f"-- {label} fails on {n} in {m}")
+        rep.add("transport-laws", bad, "i_s, i_t, i_0, i_1 on synthesized numeral realizers")
 
     bad = []
     for n in range(5):
@@ -522,73 +544,80 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     ir = i_r_value()
 
     # Pairing
-    z = pairing_name(Nat(1), Nat(2))
-    e = value_of(axiom_realizer(AxiomId.PAIRING).term, cfg)
-    st = check(RealizerPair.both(e), And(Mem(Nat(1), z), Mem(Nat(2), z)), budget, cfg).status
-    rep.cases.append(CaseResult("pairing", st is Status.REALIZED, str(st)))
+    with rep.guard("pairing"):
+        z = pairing_name(Nat(1), Nat(2))
+        e = value_of(axiom_realizer(AxiomId.PAIRING).term, cfg)
+        st = check(RealizerPair.both(e), And(Mem(Nat(1), z), Mem(Nat(2), z)), budget, cfg).status
+        rep.cases.append(CaseResult("pairing", st is Status.REALIZED, str(st)))
 
     # Union
-    x = Explicit(((num_value(0), num_value(0), Sing(Nat(1))),))
-    y = union_name(x, budget)
-    e = value_of(axiom_realizer(AxiomId.UNION).term, cfg)
-    st = check(RealizerPair.both(e), AllIn("u", x, AllIn("v", "u", Mem("v", y))), budget, cfg).status
-    rep.cases.append(CaseResult("union", st is Status.REALIZED, str(st)))
+    with rep.guard("union"):
+        x = Explicit(((num_value(0), num_value(0), Sing(Nat(1))),))
+        y = union_name(x, budget)
+        e = value_of(axiom_realizer(AxiomId.UNION).term, cfg)
+        st = check(RealizerPair.both(e), AllIn("u", x, AllIn("v", "u", Mem("v", y))), budget, cfg).status
+        rep.cases.append(CaseResult("union", st is Status.REALIZED, str(st)))
 
     # Extensionality on two extensionally equal names
-    x1 = Explicit(((num_value(0), num_value(0), Nat(1)),))
-    y1 = Sing(Nat(1))
-    e = value_of(axiom_realizer(AxiomId.EXTENSIONALITY).term, cfg)
-    idv = value_of(SKK, cfg)
-    ok = _realized(apply_value(e, pair_value(idv, idv, cfg), cfg), Eq(x1, y1), budget, cfg)
-    rep.cases.append(CaseResult("extensionality", ok, "witness-directed"))
+    with rep.guard("extensionality"):
+        x1 = Explicit(((num_value(0), num_value(0), Nat(1)),))
+        y1 = Sing(Nat(1))
+        e = value_of(axiom_realizer(AxiomId.EXTENSIONALITY).term, cfg)
+        idv = value_of(SKK, cfg)
+        ok = _realized(attempt(apply_value, e, pair_value(idv, idv, cfg), cfg), Eq(x1, y1), budget, cfg)
+        rep.cases.append(CaseResult("extensionality", ok, "witness-directed"))
 
     # Infinity, both directions, plus skew-keyed instances
-    e0t, e1t = infinity_terms()
-    e0, e1 = value_of(e0t, cfg), value_of(e1t, cfg)
-    cases = (
-        infinity_e0_cases(e0, 4, budget, cfg)
-        + infinity_e1_cases(e1, budget, cfg)
-        + infinity_skewed_cases(e0, e1, budget, cfg)
-    )
-    for name, st in cases:
-        rep.cases.append(CaseResult(f"infinity {name}", st is Status.REALIZED, str(st)))
+    with rep.guard("infinity"):
+        e0t, e1t = infinity_terms()
+        e0, e1 = value_of(e0t, cfg), value_of(e1t, cfg)
+        cases = (
+            infinity_e0_cases(e0, 4, budget, cfg)
+            + infinity_e1_cases(e1, budget, cfg)
+            + infinity_skewed_cases(e0, e1, budget, cfg)
+        )
+        for name, st in cases:
+            rep.cases.append(CaseResult(f"infinity {name}", st is Status.REALIZED, str(st)))
 
     # Set induction: defining equation and a rank-2 instance
-    ev = value_of(axiom_realizer(AxiomId.SET_INDUCTION).term, cfg)
-    ok = True
-    for ident in ("a1", "a2"):
-        a = Value(Opaque(ident))
-        lhs = App(Opaque("e", ev), Opaque("a", a))
-        rhs = App(Opaque("a", a), compile_term(lam("z", App(Opaque("e", ev), Opaque("a", a)))))
-        ok &= kleene_eq(lhs, rhs, cfg) is Tri.TRUE
-    rep.cases.append(CaseResult("set-induction equation", ok, "e a = a (\\z. e a)"))
-    hypo = value_of(compile_term(lam("c", Opaque("ir", ir))), cfg)
-    ok = _realized(apply_value(ev, hypo, cfg), Eq(Nat(2), Nat(2)), budget, cfg)
-    rep.cases.append(CaseResult("set-induction instance", ok, "rank-2 witness-directed"))
+    with rep.guard("set-induction"):
+        ev = value_of(axiom_realizer(AxiomId.SET_INDUCTION).term, cfg)
+        ok = True
+        for ident in ("a1", "a2"):
+            a = Value(Opaque(ident))
+            lhs = App(Opaque("e", ev), Opaque("a", a))
+            rhs = App(Opaque("a", a), compile_term(lam("z", App(Opaque("e", ev), Opaque("a", a)))))
+            ok &= kleene_eq(lhs, rhs, cfg) is Tri.TRUE
+        rep.cases.append(CaseResult("set-induction equation", ok, "e a = a (\\z. e a)"))
+        hypo = value_of(compile_term(lam("c", Opaque("ir", ir))), cfg)
+        ok = _realized(attempt(apply_value, ev, hypo, cfg), Eq(Nat(2), Nat(2)), budget, cfg)
+        rep.cases.append(CaseResult("set-induction instance", ok, "rank-2 witness-directed"))
 
     # Bounded separation on nat-4 with phi(u) := u in nat 2
-    x4 = Explicit(tuple((num_value(k), num_value(k), Nat(k)) for k in range(4)))
-    ysep = separation_name(x4, lambda u: Mem(u, Nat(2)), budget, cfg)
-    e0s, e1s = (value_of(t, cfg) for t in bounded_separation_terms())
-    st = check(RealizerPair.both(e0s), AllIn("u", ysep, And(Mem("u", x4), Mem("u", Nat(2)))),
-               budget, cfg).status
-    rep.cases.append(CaseResult("separation forward", st is Status.REALIZED, str(st)))
-    ok = True
-    for n in range(2):
-        e1u = apply_value(e1s, num_value(n), cfg)
-        wit = synthesize(Mem(Nat(n), Nat(2)), budget, cfg)
-        ok &= _realized(apply_value(e1u.value, wit.a, cfg), Mem(Nat(n), ysep), budget, cfg)
-    rep.cases.append(CaseResult("separation backward", ok, "per-member witness-directed"))
+    with rep.guard("separation"):
+        x4 = Explicit(tuple((num_value(k), num_value(k), Nat(k)) for k in range(4)))
+        ysep = separation_name(x4, lambda u: Mem(u, Nat(2)), budget, cfg)
+        e0s, e1s = (value_of(t, cfg) for t in bounded_separation_terms())
+        st = check(RealizerPair.both(e0s), AllIn("u", ysep, And(Mem("u", x4), Mem("u", Nat(2)))),
+                   budget, cfg).status
+        rep.cases.append(CaseResult("separation forward", st is Status.REALIZED, str(st)))
+        ok = True
+        for n in range(2):
+            e1u = defined_value(apply_value, e1s, num_value(n), cfg)
+            wit = synthesize(Mem(Nat(n), Nat(2)), budget, cfg)
+            ok &= _realized(attempt(apply_value, e1u, wit.a, cfg), Mem(Nat(n), ysep), budget, cfg)
+        rep.cases.append(CaseResult("separation backward", ok, "per-member witness-directed"))
 
     # Strong collection on one finite instance
-    xc = Explicit(((num_value(0), num_value(0), Nat(1)),))
-    acoll = value_of(compile_term(lam("c", Opaque("ir", ir))), cfg)
-    yc = collection_name(xc, lambda tr: tr[2], budget)
-    e = value_of(axiom_realizer(AxiomId.STRONG_COLLECTION).term, cfg)
-    phi = And(AllIn("u", xc, ExIn("v", yc, Eq("u", "v"))),
-              AllIn("v", yc, ExIn("u", xc, Eq("u", "v"))))
-    ok = _realized(apply_value(e, acoll, cfg), phi, budget, cfg)
-    rep.cases.append(CaseResult("strong-collection", ok, "one finite instance"))
+    with rep.guard("strong-collection"):
+        xc = Explicit(((num_value(0), num_value(0), Nat(1)),))
+        acoll = value_of(compile_term(lam("c", Opaque("ir", ir))), cfg)
+        yc = collection_name(xc, lambda tr: tr[2], budget)
+        e = value_of(axiom_realizer(AxiomId.STRONG_COLLECTION).term, cfg)
+        phi = And(AllIn("u", xc, ExIn("v", yc, Eq("u", "v"))),
+                  AllIn("v", yc, ExIn("u", xc, Eq("u", "v"))))
+        ok = _realized(attempt(apply_value, e, acoll, cfg), phi, budget, cfg)
+        rep.cases.append(CaseResult("strong-collection", ok, "one finite instance"))
 
     # Subset collection and powerset terms: closed and defined
     for name, axid in (("subset-collection", AxiomId.SUBSET_COLLECTION),
@@ -606,29 +635,32 @@ def suite_pairing_internal(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
                            budget: EnumBudget = DEFAULT_BUDGET) -> SuiteReport:
     rng = random.Random(seed)
     rep = SuiteReport("pairing-internal", seed)
-    u0t, u1t, vt, wt, zt = pairing_realizers()
-    u0, u1, v, w, z = (value_of(t, cfg) for t in (u0t, u1t, vt, wt, zt))
+    with rep.guard("pairing realizers"):
+        u0t, u1t, vt, wt, zt = pairing_realizers()
+        u0, u1, v, w, z = (value_of(t, cfg) for t in (u0t, u1t, vt, wt, zt))
 
-    bad = []
-    for _ in range(8):
-        x = random_finite_name(rng, rng.randint(0, 2))
-        y = random_finite_name(rng, rng.randint(0, 2))
-        if not _realized(u0, unordered_pair(x, x, Sing(x)), budget, cfg):
-            bad.append(f"-- u0 on {x}")
-        if not _realized(u1, unordered_pair(x, y, UPair(x, y)), budget, cfg):
-            bad.append(f"-- u1 on {x}, {y}")
-        if not _realized(v, ordered_pair(x, y, OPair(x, y)), budget, cfg):
-            bad.append(f"-- v on {x}, {y}")
-    rep.add("u0-u1-v", bad, "rank <= 2 names")
+        bad = []
+        for _ in range(8):
+            x = random_finite_name(rng, rng.randint(0, 2))
+            y = random_finite_name(rng, rng.randint(0, 2))
+            if not _realized(u0, unordered_pair(x, x, Sing(x)), budget, cfg):
+                bad.append(f"-- u0 on {x}")
+            if not _realized(u1, unordered_pair(x, y, UPair(x, y)), budget, cfg):
+                bad.append(f"-- u1 on {x}, {y}")
+            if not _realized(v, ordered_pair(x, y, OPair(x, y)), budget, cfg):
+                bad.append(f"-- v on {x}, {y}")
+        rep.add("u0-u1-v", bad, "rank <= 2 names")
 
-    # w round-trip: i_r realizes OPair(1,2)=OPair(1,2); w extracts both equalities.
-    ir = i_r_value()
-    ok = _realized(apply_value(w, ir, cfg), And(Eq(Nat(1), Nat(1)), Eq(Nat(2), Nat(2))), budget, cfg)
-    rep.cases.append(CaseResult("w-round-trip", ok, "injectivity on a synthesized pair-equality"))
+        # w round-trip: i_r realizes OPair(1,2)=OPair(1,2); w extracts both equalities.
+        ir = i_r_value()
+        ok = _realized(attempt(apply_value, w, ir, cfg), And(Eq(Nat(1), Nat(1)), Eq(Nat(2), Nat(2))),
+                       budget, cfg)
+        rep.cases.append(CaseResult("w-round-trip", ok, "injectivity on a synthesized pair-equality"))
 
-    # z round-trip: from v itself conclude OPair(1,2) = OPair(1,2).
-    ok = _realized(apply_value(z, v, cfg), Eq(OPair(Nat(1), Nat(2)), OPair(Nat(1), Nat(2))), budget, cfg)
-    rep.cases.append(CaseResult("z-round-trip", ok, "canonicity from the OP realizer"))
+        # z round-trip: from v itself conclude OPair(1,2) = OPair(1,2).
+        ok = _realized(attempt(apply_value, z, v, cfg), Eq(OPair(Nat(1), Nat(2)), OPair(Nat(1), Nat(2))),
+                       budget, cfg)
+        rep.cases.append(CaseResult("z-round-trip", ok, "canonicity from the OP realizer"))
     return rep
 
 
@@ -640,42 +672,44 @@ def suite_heo(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     rep = SuiteReport("heo", seed)
     oo = Arrow(TYPE_O, TYPE_O)
 
-    ok = True
-    for n in range(8):
-        for m in range(8):
-            want = Tri.of(n == m)
-            if eq_type(num_value(n), num_value(m), TYPE_O, budget, cfg).result is not want:
-                ok = False
-    k5 = apply_value(Value(K), num_value(5), cfg).value
-    ok &= eq_type(k5, num_value(5), TYPE_O, budget, cfg).result is Tri.FALSE
-    rep.cases.append(CaseResult("base-type-decides", ok, "numerals compared exactly"))
+    with rep.guard("base-type-decides"):
+        ok = True
+        for n in range(8):
+            for m in range(8):
+                want = Tri.of(n == m)
+                if eq_type(num_value(n), num_value(m), TYPE_O, budget, cfg).result is not want:
+                    ok = False
+        k5 = defined_value(apply_value, Value(K), num_value(5), cfg)
+        ok &= eq_type(k5, num_value(5), TYPE_O, budget, cfg).result is Tri.FALSE
+        rep.cases.append(CaseResult("base-type-decides", ok, "numerals compared exactly"))
 
-    succ = value_of(SUCC, cfg)
-    pred = value_of(PRED, cfg)
-    r1 = eq_type(succ, pred, oo, budget, cfg)
-    rep.cases.append(CaseResult("succ-vs-pred", r1.result is Tri.FALSE,
-                                f"counterexample {r1.counterexample}"))
-    eta = value_of(compile_term(lam("x", App(SUCC, Var("x")))), cfg)
-    r2 = eq_type(succ, eta, oo, budget, cfg)
-    rep.cases.append(CaseResult("succ-vs-eta", r2.result is Tri.UNKNOWN and r2.samples_passed == r2.samples_total,
-                                f"{r2.samples_passed}/{r2.samples_total} samples pass"))
+    with rep.guard("successor functions"):
+        succ = value_of(SUCC, cfg)
+        pred = value_of(PRED, cfg)
+        r1 = eq_type(succ, pred, oo, budget, cfg)
+        rep.cases.append(CaseResult("succ-vs-pred", r1.result is Tri.FALSE,
+                                    f"counterexample {r1.counterexample}"))
+        eta = value_of(compile_term(lam("x", App(SUCC, Var("x")))), cfg)
+        r2 = eq_type(succ, eta, oo, budget, cfg)
+        ok = r2.result is Tri.UNKNOWN and r2.samples_passed == r2.samples_total
+        rep.cases.append(CaseResult("succ-vs-eta", ok, f"{r2.samples_passed}/{r2.samples_total} samples pass"))
 
-    ok = internalize(num_value(3), TYPE_O, budget) == Nat(3)
-    rep.cases.append(CaseResult("internalize-base", ok, "int #3 : o = nat 3"))
+        ok = internalize(num_value(3), TYPE_O, budget) == Nat(3)
+        rep.cases.append(CaseResult("internalize-base", ok, "int #3 : o = nat 3"))
 
-    const_k = apply_value(Value(K), num_value(2), cfg).value
-    const_d = value_of(compile_term(lam("x", app(D, Var("x"), Var("x"), num(2), num(2)))), cfg)
-    small = EnumBudget(max_index=5, generators_per_type=budget.generators_per_type)
-    ts1, _ = enumerate_triples(internalize(const_k, oo, small), small, cfg)
-    ts2, _ = enumerate_triples(internalize(const_d, oo, small), small, cfg)
-    members1 = [z for _, _, z in ts1]
-    members2 = [z for _, _, z in ts2]
-    rep.cases.append(CaseResult("const-fn-triples", members1 == members2,
-                                "two constant-2 functions agree on indices <= 5"))
+        const_k = defined_value(apply_value, Value(K), num_value(2), cfg)
+        const_d = value_of(compile_term(lam("x", app(D, Var("x"), Var("x"), num(2), num(2)))), cfg)
+        small = EnumBudget(max_index=5, generators_per_type=budget.generators_per_type)
+        ts1, _ = enumerate_triples(internalize(const_k, oo, small), small, cfg)
+        ts2, _ = enumerate_triples(internalize(const_d, oo, small), small, cfg)
+        members1 = [z for _, _, z in ts1]
+        members2 = [z for _, _, z in ts2]
+        rep.cases.append(CaseResult("const-fn-triples", members1 == members2,
+                                    "two constant-2 functions agree on indices <= 5"))
 
-    gens = gen_elems(Arrow(oo, TYPE_O), budget)
-    ok = all(isinstance(attempt(apply_value, g, succ, cfg), Value) for g in gens)
-    rep.cases.append(CaseResult("higher-generators", ok, "(o)o -> o generators apply to SUCC"))
+        gens = gen_elems(Arrow(oo, TYPE_O), budget)
+        ok = all(isinstance(attempt(apply_value, g, succ, cfg), Value) for g in gens)
+        rep.cases.append(CaseResult("higher-generators", ok, "(o)o -> o generators apply to SUCC"))
 
     # Sampled partial-equivalence behaviour on generator pairs.
     ok = True
@@ -698,10 +732,19 @@ def _op_of_naturals(z: VName) -> Formula:
 def _triple_failures(ts: list[Triple], realizer: Callable[[Value], Value | Outcome | None],
                      formula: Callable[[VName], Formula], what: str, budget: EnumBudget,
                      cfg: FuelConfig) -> list[str]:
-    """A note for each triple ⟨c, d, z⟩ of ``ts`` where ``realizer(c)`` does
-    not realize ``formula(z)``."""
+    """A note for each triple ⟨c, d, z⟩ of ``ts`` where ``realizer(c)``, a
+    machine operation run through ``attempt``, does not realize ``formula(z)``."""
     return [f"-- {what} fails at c={c.numeral}" for c, _, z in ts
-            if not _realized(realizer(c), formula(z), budget, cfg)]
+            if not _realized(attempt(realizer, c), formula(z), budget, cfg)]
+
+
+def _part(v: Value, path: str, cfg: FuelConfig) -> Value:
+    """The component of the nested pair ``v`` at ``path``, one projection
+    index per character (``"10"`` is the first of the second); NoValue when
+    a projection has none."""
+    for i in path:
+        v = defined_value(project, v, int(i), cfg)
+    return v
 
 
 def suite_choice_arrow(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
@@ -710,72 +753,69 @@ def suite_choice_arrow(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     ir = i_r_value()
     small = EnumBudget(max_index=min(3, budget.max_index), generators_per_type=budget.generators_per_type)
 
-    a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", ir)))), cfg)
-    f = Graph(a, TYPE_O, TYPE_O)
-    ts, _ = enumerate_triples(f, small, cfg)
-    ok = all(
-        z == OPair(Nat(c.numeral), Nat(c.numeral)) and c == d
-        for c, d, z in ts
-    )
-    rep.cases.append(CaseResult("graph-triples", ok, "graph of \\c. p c i_r at c <= 3"))
+    with rep.guard("choice-arrow values"):
+        a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", ir)))), cfg)
+        f = Graph(a, TYPE_O, TYPE_O)
+        ts, _ = enumerate_triples(f, small, cfg)
+        ok = all(
+            z == OPair(Nat(c.numeral), Nat(c.numeral)) and c == d
+            for c, d, z in ts
+        )
+        rep.cases.append(CaseResult("graph-triples", ok, "graph of \\c. p c i_r at c <= 3"))
 
-    e = value_of(choice_realizer(TYPE_O, TYPE_O), cfg)
-    ea = apply_value(e, a, cfg).value
-    ea0 = project(ea, 0, cfg)
-    ea10 = project(project(ea, 1, cfg), 0, cfg)
-    ea11 = project(project(ea, 1, cfg), 1, cfg)
+        e = value_of(choice_realizer(TYPE_O, TYPE_O), cfg)
+        ea = defined_value(apply_value, e, a, cfg)
+        ea0, ea10, ea11 = (_part(ea, path, cfg) for path in ("0", "10", "11"))
 
-    bad = _triple_failures(ts, lambda c: apply_value(ea0, c, cfg), _op_of_naturals, "clause 3", small, cfg)
-    rep.add("choice-clause-3", bad, "all sampled triples")
+        bad = _triple_failures(ts, lambda c: apply_value(ea0, c, cfg), _op_of_naturals, "clause 3",
+                               small, cfg)
+        rep.add("choice-clause-3", bad, "all sampled triples")
 
-    bad = []
-    for n in range(small.max_index + 1):
-        phi = ExIn("y", OMEGA, ExIn("z", f, And(ordered_pair(Nat(n), "y", "z"), Eq("y", Nat(n)))))
-        if not _realized(apply_value(ea10, num_value(n), cfg), phi, small, cfg):
-            bad.append(f"-- clause 4 fails at key {n}")
-    rep.add("choice-clause-4", bad, "all sampled keys")
+        bad = []
+        for n in range(small.max_index + 1):
+            phi = ExIn("y", OMEGA, ExIn("z", f, And(ordered_pair(Nat(n), "y", "z"), Eq("y", Nat(n)))))
+            if not _realized(attempt(apply_value, ea10, num_value(n), cfg), phi, small, cfg):
+                bad.append(f"-- clause 4 fails at key {n}")
+        rep.add("choice-clause-4", bad, "all sampled keys")
 
-    u0t, u1t, vt, wt, zt = pairing_realizers()
-    vv = value_of(vt, cfg)
-    gpair = pair_value(vv, vv, cfg)
-    out = apply_values(ea11, [num_value(2), num_value(2), gpair], cfg)
-    ok = _realized(out, Eq(Nat(2), Nat(2)), small, cfg)
-    rep.cases.append(CaseResult("choice-clause-5", ok, "c0 = c1 = #2 with the OP realizer pair"))
+        u0t, u1t, vt, wt, zt = pairing_realizers()
+        vv = value_of(vt, cfg)
+        gpair = pair_value(vv, vv, cfg)
+        out = attempt(apply_values, ea11, [num_value(2), num_value(2), gpair], cfg)
+        ok = _realized(out, Eq(Nat(2), Nat(2)), small, cfg)
+        rep.cases.append(CaseResult("choice-clause-5", ok, "c0 = c1 = #2 with the OP realizer pair"))
 
-    # Arrow types at (o, o)
-    oo = Arrow(TYPE_O, TYPE_O)
-    arrow = value_of(arrow_realizer(TYPE_O, TYPE_O), cfg)
-    e0 = project(arrow, 0, cfg)
-    e1 = project(arrow, 1, cfg)
-    succ = value_of(SUCC, cfg)
-    e0a = apply_value(e0, succ, cfg).value
-    e00 = project(e0a, 0, cfg)
-    r2 = apply_value(e00, num_value(2), cfg).value
-    ok = project(r2, 0, cfg).numeral == 2 and project(project(r2, 1, cfg), 0, cfg).numeral == 3
-    rep.cases.append(CaseResult("arrow-direct-eval", ok, "(e0 SUCC)_0 #2 projects to #2 and SUCC #2"))
+        # Arrow types at (o, o)
+        oo = Arrow(TYPE_O, TYPE_O)
+        arrow = value_of(arrow_realizer(TYPE_O, TYPE_O), cfg)
+        e0, e1 = _part(arrow, "0", cfg), _part(arrow, "1", cfg)
+        succ = value_of(SUCC, cfg)
+        e00 = _part(defined_value(apply_value, e0, succ, cfg), "0", cfg)
+        r2 = defined_value(apply_value, e00, num_value(2), cfg)
+        ok = _part(r2, "0", cfg).numeral == 2 and _part(r2, "10", cfg).numeral == 3
+        rep.cases.append(CaseResult("arrow-direct-eval", ok, "(e0 SUCC)_0 #2 projects to #2 and SUCC #2"))
 
-    ts, _ = enumerate_triples(Internal(succ, oo), small, cfg)
-    bad = _triple_failures(ts, lambda c: apply_value(e00, c, cfg), _op_of_naturals, "arrow clause 1",
-                           small, cfg)
-    rep.add("arrow-clause-1", bad, "a = SUCC, sampled triples")
+        ts, _ = enumerate_triples(Internal(succ, oo), small, cfg)
+        bad = _triple_failures(ts, lambda c: apply_value(e00, c, cfg), _op_of_naturals, "arrow clause 1",
+                               small, cfg)
+        rep.add("arrow-clause-1", bad, "a = SUCC, sampled triples")
 
-    part = value_of(compile_term(lam("c", p_(Var("c"), p_(Var("c"), Opaque("v", vv))))), cfg)
-    uniq = value_of(_pairs_uniqueness_part(), cfg)
-    a_arrow = pair_value(part, pair_value(part, uniq, cfg), cfg)
-    e1a = apply_value(e1, a_arrow, cfg).value
-    e1a0 = project(e1a, 0, cfg)
-    e1a1 = project(e1a, 1, cfg)
-    ok = all(apply_value(e1a0, num_value(n), cfg).value.numeral == n for n in (0, 1))
-    rep.cases.append(CaseResult("arrow-e1-identity", ok, "(e1 a)_0 is the identity on #0, #1"))
+        part = value_of(compile_term(lam("c", p_(Var("c"), p_(Var("c"), Opaque("v", vv))))), cfg)
+        uniq = value_of(_pairs_uniqueness_part(), cfg)
+        a_arrow = pair_value(part, pair_value(part, uniq, cfg), cfg)
+        e1a = defined_value(apply_value, e1, a_arrow, cfg)
+        e1a0, e1a1 = _part(e1a, "0", cfg), _part(e1a, "1", cfg)
+        ok = all(defined_value(apply_value, e1a0, num_value(n), cfg).numeral == n for n in (0, 1))
+        rep.cases.append(CaseResult("arrow-e1-identity", ok, "(e1 a)_0 is the identity on #0, #1"))
 
-    gval = value_of(compile_term(lam("c", proj(App(Opaque("a10", part), Var("c")), "0"))), cfg)
-    gname = Internal(gval, oo)
-    for what, side, xs, ys, of in (("subset", 0, f, gname, "the graph name"),
-                                   ("superset", 1, gname, f, "the internalization")):
-        ts, _ = enumerate_triples(xs, small, cfg)
-        bad = _triple_failures(ts, lambda c: project(apply_value(e1a1, c, cfg).value, side, cfg),
-                               lambda z: Mem(z, ys), what, small, cfg)
-        rep.add(f"arrow-{what}", bad, f"sampled triples of {of}")
+        gval = value_of(compile_term(lam("c", proj(App(Opaque("a10", part), Var("c")), "0"))), cfg)
+        gname = Internal(gval, oo)
+        for what, side, xs, ys, of in (("subset", 0, f, gname, "the graph name"),
+                                       ("superset", 1, gname, f, "the internalization")):
+            ts, _ = enumerate_triples(xs, small, cfg)
+            bad = _triple_failures(ts, lambda c: project(defined_value(apply_value, e1a1, c, cfg), side, cfg),
+                                   lambda z: Mem(z, ys), what, small, cfg)
+            rep.add(f"arrow-{what}", bad, f"sampled triples of {of}")
     return rep
 
 
@@ -827,14 +867,15 @@ def suite_truth_oracle(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     rng = random.Random(seed)
     rep = SuiteReport("truth-oracle", seed)
     bad = []
-    for i in range(rounds):
-        phi = random_fragment_formula(rng, 2)
-        want = truth_eval(phi)
-        wit = synthesize(phi, budget, cfg)
-        got = wit is not None and check(wit, phi, budget, cfg).status is Status.REALIZED
-        if want != got:
-            bad.append(f"-- mismatch on {fmt(phi)}: truth={want} realizer-loop={got}")
-    rep.add("round-trip", bad, f"{rounds} sentences")
+    with rep.guard("round-trip"):
+        for i in range(rounds):
+            phi = random_fragment_formula(rng, 2)
+            want = truth_eval(phi)
+            wit = synthesize(phi, budget, cfg)
+            got = wit is not None and check(wit, phi, budget, cfg).status is Status.REALIZED
+            if want != got:
+                bad.append(f"-- mismatch on {fmt(phi)}: truth={want} realizer-loop={got}")
+        rep.add("round-trip", bad, f"{rounds} sentences")
     return rep
 
 

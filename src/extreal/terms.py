@@ -282,6 +282,22 @@ class FuelConfig:
 
 DEFAULT_FUEL = FuelConfig()
 
+
+@dataclass(frozen=True, slots=True)
+class EnumBudget:
+    """How far the checker enumerates schematic names: keys up to
+    ``max_index``, ``generators_per_type`` sample elements per finite type."""
+
+    max_index: int = 8
+    generators_per_type: int = 6
+
+    def __post_init__(self):
+        if self.max_index <= 0 or self.generators_per_type <= 0:
+            raise ValueError("budgets must be positive")
+
+
+DEFAULT_BUDGET = EnumBudget()
+
 # Constant term singletons.
 K = Const(ConstKind.K)
 S = Const(ConstKind.S)

@@ -16,7 +16,7 @@ from extreal import cli, suites
 from extreal.checker import Status, Trace, Verdict
 from extreal.names import OMEGA, Explicit, Nat, OPair, Sing, UPair
 from extreal.scenarios import ScenarioError, _Env, _read, _Reader, run_scenario
-from extreal.terms import num_value
+from extreal.terms import FuelConfig, num_value
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scenarios" / "demo.scn"
@@ -143,6 +143,35 @@ def test_a_crash_in_a_definedness_case_fails_that_case(monkeypatch):
     rep = suites.suite_fixpoints(0, rounds=2)
     failed = {c.name: c for c in rep.failures}
     assert "f-defined" in failed and failed["f-defined"].snippet.startswith("eval (#1 ")
+
+
+@pytest.mark.parametrize("fuel", [1, 30])
+def test_every_suite_reports_under_a_small_fuel(fuel):
+    # A limit too small for a library term or a pair fails the cases that
+    # need it; it never ends run_suite in an exception.
+    cfg = FuelConfig(max_steps=fuel)
+    for name in sorted(suites.SUITES):
+        assert suites.run_suite(name, 0, cfg).cases, name
+    failed = {c.name: c.detail for c in suites.run_suite("czf-axioms", 0, cfg).failures}
+    assert failed["pairing"] == "no value: fuel exhausted"
+
+
+def test_synth_roundtrip_under_a_small_fuel_reports():
+    # Synthesis pairs values, which a fuel of 3 cannot: no realizer, as
+    # when the fuel leaves the check Unknown.
+    rep = run_scenario("fuel 3\nsynth-roundtrip ex y in nat 4. eq(nat 2, y)\n")
+    assert [r.outcome for r in rep.results] == ["truth=True realizers=False"]
+
+
+def test_a_crash_in_a_library_value_fails_its_block(monkeypatch):
+    # A numeral for the choice realizer crashes when applied: the cases
+    # that need it become one failing case, and the cases before it stay.
+    from extreal.terms import num
+
+    monkeypatch.setattr(suites, "choice_realizer", lambda *args: num(1))
+    rep = suites.suite_choice_arrow(0)
+    assert [c.name for c in rep.cases] == ["graph-triples", "choice-arrow values"]
+    assert rep.cases[0].ok and rep.cases[1].detail.startswith("no value: IllTypedApplication")
 
 
 def test_equality_snippets_declare_the_realizers_they_use(monkeypatch):
@@ -471,6 +500,59 @@ def test_cli_closed_stdout_ends_without_a_traceback(entry):
     os.close(w)
     _, err = child.communicate(timeout=600)
     assert child.returncode == 1 and err == "", err
+
+
+def test_cli_unreadable_input_exits_2(tmp_path):
+    text = b"\xff\xfeeval K\n"
+    path = tmp_path / "bad.scn"
+    path.write_bytes(text)
+    runs = [(["run", str(path)], {}, f"error: {path} is not UTF-8 text"),
+            (["run", "-"], {"input": text}, "error: stdin is not UTF-8 text"),
+            (["run", "-"], {"preexec_fn": lambda: os.close(0)}, "error: stdin is closed")]
+    for args, how, message in runs:
+        out = subprocess.run([sys.executable, *_MODULE, *args], capture_output=True,
+                             env=_child_env(), timeout=600, **how)
+        err = out.stderr.decode()
+        assert out.returncode == 2 and out.stdout == b"", err
+        assert err.startswith(message) and len(err.splitlines()) == 1, err
+
+
+# Each command imports only the layers it runs (see the cli docstring).
+_CHECKER_LAYERS = {f"extreal.{m}" for m in ("checker", "names", "formulas", "realizers", "suites", "proofs")}
+_IMPORT_PROBE = """
+import json, sys
+import extreal.cli
+loaded = sorted(m for m in sys.modules if m.startswith("extreal"))
+code = extreal.cli.main(sys.argv[1:])
+print(json.dumps([code, loaded, sorted(m for m in sys.modules if m.startswith("extreal"))]))
+"""
+
+
+def test_cli_loads_the_checker_layers_only_for_lines_that_need_them(tmp_path):
+    terms_only = tmp_path / "terms.scn"
+    terms_only.write_text("fuel 5000\nterm two = SUCC #1\neval (P0 (P two #2)) expect #2\n")
+    out = _cli("--json", "run", str(terms_only), entry=["-c", _IMPORT_PROBE])
+    code, at_import, after_run = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0, out.stderr
+    assert "extreal.cli" in at_import and not _CHECKER_LAYERS & set(at_import)
+    assert "extreal.scenarios" in after_run and not _CHECKER_LAYERS & set(after_run)
+
+    checked = tmp_path / "check.scn"
+    checked.write_text("eval K\nrealizer ir = i_r\ncheck (ir, ir) eq(nat 2, nat 2) expect realized\n"
+                       "check (K, K) eq(nat 1, nat 1) expect refuted\n")
+    out = _cli("--json", "run", str(checked), entry=["-c", _IMPORT_PROBE])
+    code, _, after_run = json.loads(out.stdout.splitlines()[-1])
+    report = json.loads("\n".join(out.stdout.splitlines()[:-1]))
+    assert code == 0 and [d["outcome"] for d in report["directives"]] == ["K", "realized", "refuted"]
+    assert {"extreal.checker", "extreal.realizers"} <= set(after_run)
+
+
+def test_cli_suite_ids_are_the_suites():
+    assert list(cli.SUITE_IDS) == sorted(suites.SUITES)
+    bogus = _cli("suite", "bogus")
+    assert bogus.returncode == 2 and "invalid choice: 'bogus'" in bogus.stderr
+    usage = _cli("suite", "--help")
+    assert usage.returncode == 0 and "{" + ",".join([*sorted(suites.SUITES), "all"]) + "}" in usage.stdout
 
 
 def test_cli_json_report():
