@@ -2,9 +2,10 @@
 library realizers.
 
 Configuration flags fall back to the environment: PCA_FUEL, PCA_BUDGET,
-PCA_SEED; PCA_BACKEND selects the reduction-machine backend.  Exit status:
-0 every expectation holds, 1 one failed (or stdout closed before the report
-was written), 2 a parse error or a bad setting.
+PCA_SEED.  The pure machine runs unless PCA_BACKEND=compiled selects the
+compiled twin, which is built only for comparison.  Exit status: 0 every
+expectation holds, 1 one failed (or stdout closed before the report was
+written), 2 a parse error or a bad setting.
 
 Each command imports only the layers it runs.  Importing this module loads
 the machine half: ``terms``, ``bracket``, ``machine``, ``kernel`` and
@@ -188,10 +189,10 @@ def _cmd_suite(args) -> int:
 
 def _cmd_print(args) -> int:
     # Imported here: the realizer library loads the checker layers with it.
-    from .realizers import realizer_ids, realizer_term
+    from .realizers import LIBRARY, realizer_term
 
     if not args.id:
-        print("\n".join(realizer_ids()))
+        print("\n".join(sorted(LIBRARY)))
         return 0
     try:
         term = realizer_term(args.id)

@@ -1,16 +1,16 @@
-"""Kernel facade: selects the reduction-machine backend at import time, and
-decides how a machine operation ends.
+"""Kernel facade: selects the reduction machine at import time, and decides
+how a machine operation ends.
 
-The compiled extension (``extreal._speedup``) is preferred when it has been
-built; the pure-Python machine is the fallback and the reference semantics.
-Set ``PCA_BACKEND=pure`` (or ``compiled``) to force a choice.  Both backends
-implement exactly the same fueled call-by-value semantics, including step
-counts.
+The pure-Python machine (``machine``) is the machine and the reference
+semantics; ``PCA_BACKEND`` unset or ``pure`` selects it.  ``PCA_BACKEND=
+compiled`` selects the compiled twin (``extreal._speedup``), which is built
+only to compare against: it implements the same fueled call-by-value
+semantics, including step counts.
 
-A bad setting (an unknown value, or ``compiled`` when the extension is not
-built) does not stop the import: the backend is chosen as if
-``PCA_BACKEND`` were unset, and ``BACKEND_ERROR`` says what is wrong.  The
-CLI refuses to run with it (exit status 2).
+A bad setting (an unknown value, or ``compiled`` when the twin is not built)
+does not stop the import: the pure machine is selected, and
+``BACKEND_ERROR`` says what is wrong.  The CLI refuses to run with it (exit
+status 2).
 
 The machines raise on a hard failure and return ``FuelExhausted`` when fuel
 runs out.  ``attempt`` turns either into one of three outcomes, and no other
@@ -33,30 +33,24 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from . import machine as _pure
+from . import machine as _impl
 
 _setting = os.environ.get("PCA_BACKEND", "")
 _choice = _setting.strip().lower()
+BACKEND = "pure"
 BACKEND_ERROR: str | None = None
-if _choice not in ("", "pure", "compiled"):
-    BACKEND_ERROR = f"PCA_BACKEND must be pure or compiled, got {_setting!r}"
-
-if _choice == "pure":
-    _impl = _pure
-    BACKEND = "pure"
-else:
+if _choice == "compiled":
     try:
         from . import _speedup as _impl  # type: ignore[no-redef]
 
         BACKEND = "compiled"
     except ImportError:
-        if _choice == "compiled":
-            BACKEND_ERROR = (
-                "PCA_BACKEND=compiled but extreal._speedup is not built; "
-                "run `python setup.py build_ext --inplace`"
-            )
-        _impl = _pure
-        BACKEND = "pure"
+        BACKEND_ERROR = (
+            "PCA_BACKEND=compiled but extreal._speedup is not built; "
+            "compile src/extreal/_speedup.c as the README's Install section shows"
+        )
+elif _choice not in ("", "pure"):
+    BACKEND_ERROR = f"PCA_BACKEND must be pure or compiled, got {_setting!r}"
 
 eval_term = _impl.eval_term
 apply_value = _impl.apply_value
@@ -171,8 +165,3 @@ def project(v: Value, i: int, cfg: FuelConfig = DEFAULT_FUEL) -> Value | None:
     if isinstance(out, FuelExhausted):
         return None
     return out.value
-
-
-def pure_backend():
-    """The reference machine, regardless of the selected backend."""
-    return _pure

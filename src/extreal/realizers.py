@@ -13,9 +13,7 @@ arguments by value.
 
 from __future__ import annotations
 
-import enum
 import itertools
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -39,7 +37,6 @@ from .names import (
     EnumBudget,
     Explicit,
     Nat,
-    OMEGA,
     Omega,
     Triple,
     VName,
@@ -292,25 +289,6 @@ def _synth(phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> Value | None:
 # Set-theoretic axiom realizers
 
 
-class AxiomId(enum.Enum):
-    EXTENSIONALITY = "extensionality"
-    PAIRING = "pairing"
-    UNION = "union"
-    INFINITY = "infinity"
-    SET_INDUCTION = "set-induction"
-    BOUNDED_SEPARATION = "bounded-separation"
-    STRONG_COLLECTION = "strong-collection"
-    SUBSET_COLLECTION = "subset-collection"
-    POWERSET = "powerset"
-
-
-@dataclass(frozen=True)
-class AxiomRealizer:
-    axiom: AxiomId
-    term: Term
-    witness_builder: Callable | None
-
-
 @cache
 def extensionality_term() -> Term:
     a, c = Var("a"), Var("c")
@@ -465,31 +443,6 @@ def subset_collection_term() -> Term:
 @cache
 def powerset_term() -> Term:
     return compile_term(lam("a", p_(Var("a"), eq_realizers()[0])))
-
-
-def axiom_realizer(axiom: AxiomId) -> AxiomRealizer:
-    match axiom:
-        case AxiomId.EXTENSIONALITY:
-            return AxiomRealizer(axiom, extensionality_term(), None)
-        case AxiomId.PAIRING:
-            return AxiomRealizer(axiom, pairing_term(), pairing_name)
-        case AxiomId.UNION:
-            return AxiomRealizer(axiom, union_term(), union_name)
-        case AxiomId.INFINITY:
-            e0, e1 = infinity_terms()
-            return AxiomRealizer(axiom, p_(e0, e1), lambda: OMEGA)
-        case AxiomId.SET_INDUCTION:
-            return AxiomRealizer(axiom, set_induction_term(), None)
-        case AxiomId.BOUNDED_SEPARATION:
-            e0, e1 = bounded_separation_terms()
-            return AxiomRealizer(axiom, p_(e0, e1), separation_name)
-        case AxiomId.STRONG_COLLECTION:
-            return AxiomRealizer(axiom, strong_collection_term(), collection_name)
-        case AxiomId.SUBSET_COLLECTION:
-            return AxiomRealizer(axiom, subset_collection_term(), None)
-        case AxiomId.POWERSET:
-            return AxiomRealizer(axiom, powerset_term(), None)
-    raise ValueError(axiom)
 
 
 # ---------------------------------------------------------------------------
@@ -651,14 +604,9 @@ def _pairs_uniqueness_part() -> Term:
     )
 
 
-def choice_realizer(sigma=None, tau=None) -> Term:
-    """The choice realizer; the term is uniform in the types."""
-    del sigma, tau
-    return _choice_term()
-
-
 @cache
-def _choice_term() -> Term:
+def choice_term() -> Term:
+    """The choice realizer; one term serves every pair of finite types."""
     _, _, v, _, _ = pairing_realizers()
     a, c = Var("a"), Var("c")
     ac = App(a, c)
@@ -668,15 +616,10 @@ def _choice_term() -> Term:
     return compile_term(lam("a", p_(part0, p_(part10, part11))))
 
 
-def arrow_realizer(sigma=None, tau=None) -> Term:
-    """The realizer of "the function-type name equals the set of functions";
-    uniform in the types."""
-    del sigma, tau
-    return _arrow_term()
-
-
 @cache
-def _arrow_term() -> Term:
+def arrow_term() -> Term:
+    """The realizer of "the function-type name equals the set of functions";
+    one term serves every pair of finite types."""
     _, i_s, _, _, _ = eq_realizers()
     _, _, v, _, z = pairing_realizers()
     a, c = Var("a"), Var("c")
@@ -748,40 +691,39 @@ def term_mutants(t: Term) -> list[tuple[str, Term]]:
 
 
 # ---------------------------------------------------------------------------
-# Nameable registry for the command-line front end
+# The library by id, for scenarios and the command-line front end: each id
+# maps to the builder of its closed term.
 
-
-def _registry() -> dict[str, Callable[[], Term]]:
-    ir, i_s, i_t, i_0, i_1 = eq_realizers()
-    reg: dict[str, Callable[[], Term]] = {
-        "i_r": lambda: ir,
-        "i_s": lambda: i_s,
-        "i_t": lambda: i_t,
-        "i_0": lambda: i_0,
-        "i_1": lambda: i_1,
-        "fix": fixpoint,
-        "fix2.g": lambda: double_fixpoint()[0],
-        "fix2.h": lambda: double_fixpoint()[1],
-        "primrec": primrec,
-        "pair.u0": lambda: pairing_realizers()[0],
-        "pair.u1": lambda: pairing_realizers()[1],
-        "pair.v": lambda: pairing_realizers()[2],
-        "pair.w": lambda: pairing_realizers()[3],
-        "pair.z": lambda: pairing_realizers()[4],
-        "choice.o.o": choice_realizer,
-        "arrow.o.o": arrow_realizer,
-    }
-    for ax in AxiomId:
-        reg[f"ax.{ax.value}"] = (lambda ax=ax: axiom_realizer(ax).term)
-    return reg
-
-
-def realizer_ids() -> list[str]:
-    return sorted(_registry())
+LIBRARY: dict[str, Callable[[], Term]] = {
+    "i_r": lambda: eq_realizers()[0],
+    "i_s": lambda: eq_realizers()[1],
+    "i_t": lambda: eq_realizers()[2],
+    "i_0": lambda: eq_realizers()[3],
+    "i_1": lambda: eq_realizers()[4],
+    "fix": fixpoint,
+    "fix2.g": lambda: double_fixpoint()[0],
+    "fix2.h": lambda: double_fixpoint()[1],
+    "primrec": primrec,
+    "pair.u0": lambda: pairing_realizers()[0],
+    "pair.u1": lambda: pairing_realizers()[1],
+    "pair.v": lambda: pairing_realizers()[2],
+    "pair.w": lambda: pairing_realizers()[3],
+    "pair.z": lambda: pairing_realizers()[4],
+    "choice.o.o": choice_term,
+    "arrow.o.o": arrow_term,
+    "ax.extensionality": extensionality_term,
+    "ax.pairing": pairing_term,
+    "ax.union": union_term,
+    "ax.infinity": lambda: p_(*infinity_terms()),
+    "ax.set-induction": set_induction_term,
+    "ax.bounded-separation": lambda: p_(*bounded_separation_terms()),
+    "ax.strong-collection": strong_collection_term,
+    "ax.subset-collection": subset_collection_term,
+    "ax.powerset": powerset_term,
+}
 
 
 def realizer_term(ident: str) -> Term:
-    reg = _registry()
-    if ident not in reg:
-        raise KeyError(f"unknown realizer id {ident!r}; known: {', '.join(sorted(reg))}")
-    return reg[ident]()
+    if ident not in LIBRARY:
+        raise KeyError(f"unknown realizer id {ident!r}; known: {', '.join(sorted(LIBRARY))}")
+    return LIBRARY[ident]()

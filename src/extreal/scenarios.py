@@ -40,8 +40,13 @@ not a declared name is a bound variable.  A quantifier's variable shadows a
 declared name in its body and cannot be a name word.  A quantifier's body
 runs as far right as it can.  ``;``-separated lists skip empty items.  A
 declaration binds one identifier that a later line can refer to: not a term
-keyword (``term K``), a name word (``name nat``) or a quantifier (``formula
-all``).
+keyword (``term K``), a name word (``name nat``), a quantifier (``formula
+all``) or ``expect``.  A term is closed but for declared terms.
+
+After `` expect ``, ``eval`` takes ``error``, ``fuel-exhausted`` or a term
+with a value, ``check`` and ``check-with-witnesses`` take ``realized``,
+``refuted`` or ``unknown``, and ``synth-roundtrip`` takes ``agree`` or
+``disagree``.
 
 Exit status: 0 when every stated expectation holds, 1 on a mismatch, 2 on a
 parse error.
@@ -231,16 +236,24 @@ class _Reader:
                 raise self.error(f"';' or {close!r} expected")
 
     def term(self):
-        """A term, compiled, with each declared term name replaced."""
+        """A term, compiled, with each declared term name replaced; a free
+        variable that is not a declared term is an error."""
+        start = self.lx.peek()[2]
         try:
             t = parse(self.lx)
         except ParseError as exc:
             raise self.error(f"bad term: {exc.msg}", exc.pos) from None
-        # Compilation keeps the free variables, so a term that names no
-        # declared term needs no resolution.
-        named = not self.env.terms.keys().isdisjoint(free_vars(t))
+        free = free_vars(t)
+        unknown = free.difference(self.env.terms)
+        if unknown:
+            text = self.text[start : self.lx.peek()[2]].strip()
+            raise ScenarioError(
+                f"term {text!r} is not closed: free variable(s) {', '.join(sorted(unknown))}", self.line
+            )
+        # Each free variable is a declared term.  Compilation keeps the free
+        # variables, so a closed term needs no resolution.
         t = compile_term(t)
-        return _resolve_term_names(self.env, t) if named else t
+        return _resolve_term_names(self.env, t) if free else t
 
     def value(self) -> Value:
         """The value of a term the scenario needs as data; a term without one
@@ -524,9 +537,9 @@ def _run_lines(env: _Env, text: str, report: ScenarioReport, caught: list) -> No
 
 
 # The identifiers a later line reads as something else than a declaration:
-# term keywords, name words, quantifiers.
-_RESERVED = {"term": _KEYWORDS.keys(), "realizer": _KEYWORDS.keys(), "name": _NAME_WORDS,
-             "formula": _QUANTIFIERS}
+# term keywords, name words, quantifiers, and ``expect`` everywhere.
+_RESERVED = {"term": {*_KEYWORDS, "expect"}, "realizer": {*_KEYWORDS, "expect"},
+             "name": {*_NAME_WORDS, "expect"}, "formula": {*_QUANTIFIERS, "expect"}}
 
 
 def _declared(head: str, name: str, lineno: int) -> str:
@@ -542,29 +555,37 @@ def _declared(head: str, name: str, lineno: int) -> str:
     return name
 
 
-def _split_expect(text: str) -> tuple[str, str | None]:
+def _split_expect(text: str, lineno: int, words: tuple[str, ...] = ()) -> tuple[str, str | None]:
+    """The body before `` expect `` and the expectation after it, if any;
+    given ``words``, the expectation must be one of them."""
     parts = _split_top(text, " ")
+    body, expected = text.strip(), None
     for i, p in enumerate(parts):
         if p == "expect":
-            return " ".join(parts[:i]).strip(), " ".join(parts[i + 1 :]).strip()
-    return text.strip(), None
+            body, expected = " ".join(parts[:i]).strip(), " ".join(parts[i + 1 :]).strip()
+            break
+    if words and expected is not None and expected not in words:
+        raise ScenarioError(
+            f"bad expectation {expected!r}: must be {', '.join(words[:-1])} or {words[-1]}", lineno
+        )
+    return body, expected
 
 
 def _run_eval(env: _Env, rest: str, lineno: int) -> DirectiveResult:
-    body, expected = _split_expect(rest)
+    body, expected = _split_expect(rest, lineno)
     out = attempt(eval_term, _read(env, body, lineno, _Reader.term), None, env.cfg)
     if isinstance(out, Value):
-        outcome = print_term(out)
-        if expected is None:
-            return DirectiveResult(lineno, "eval", body, outcome, None, True)
+        outcome, end = print_term(out), out
+    elif out.error is None:
+        outcome = end = "fuel-exhausted"
+    else:  # a size-cap overflow ends as a crash does, so ``expect error`` holds
+        outcome, end = f"error: {out.error}", "error"
+    # The expectation names an end, or is a term whose value the result must be.
+    if expected in (None, "error", "fuel-exhausted"):
+        want = expected
+    else:
         want = _read(env, expected, lineno, _Reader.value)
-        return DirectiveResult(lineno, "eval", body, outcome, expected, out == want)
-    # A size-cap overflow prints as a crash does, so ``expect error`` holds.
-    if out.error is None:
-        ok = expected in (None, "fuel-exhausted")
-        return DirectiveResult(lineno, "eval", body, "fuel-exhausted", expected, ok)
-    ok = not expected or expected == "error"
-    return DirectiveResult(lineno, "eval", body, f"error: {out.error}", expected, ok)
+    return DirectiveResult(lineno, "eval", body, outcome, expected, want is None or end == want)
 
 
 def _run_check(env: _Env, rest: str, lineno: int, kind: str) -> DirectiveResult:
@@ -573,7 +594,7 @@ def _run_check(env: _Env, rest: str, lineno: int, kind: str) -> DirectiveResult:
     from .checker import check, check_imp_on_witnesses  # the checker loads here
     from .formulas import Imp
 
-    body, expected = _split_expect(rest)
+    body, expected = _split_expect(rest, lineno, ("realized", "refuted", "unknown"))
     r = _Reader(env, body, lineno)
     pair, phi = r.pair(), r.closed_formula()
     if kind == "check":
@@ -598,7 +619,7 @@ def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     from .formulas import fmt
     from .realizers import synthesize
 
-    body, expected = _split_expect(rest)
+    body, expected = _split_expect(rest, lineno, ("agree", "disagree"))
     phi = _read(env, body, lineno, _Reader.closed_formula)
     if not in_fragment(phi):
         raise ScenarioError(

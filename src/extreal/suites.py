@@ -64,28 +64,33 @@ from .names import (
 )
 from .parser import print_term
 from .realizers import (
-    AxiomId,
     _dispatch_term,
     _dispatch_value,
     _pairs_uniqueness_part,
-    axiom_realizer,
-    arrow_realizer,
+    arrow_term,
     bounded_separation_terms,
-    choice_realizer,
+    choice_term,
     collection_name,
     double_fixpoint,
     eq_realizers,
+    extensionality_term,
     fixpoint,
     i_r_value,
     infinity_terms,
     p_,
     pairing_name,
     pairing_realizers,
+    pairing_term,
+    powerset_term,
     primrec,
     proj,
     separation_name,
+    set_induction_term,
+    strong_collection_term,
+    subset_collection_term,
     synthesize,
     union_name,
+    union_term,
     value_of,
 )
 from .terms import (
@@ -546,7 +551,7 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     # Pairing
     with rep.guard("pairing"):
         z = pairing_name(Nat(1), Nat(2))
-        e = value_of(axiom_realizer(AxiomId.PAIRING).term, cfg)
+        e = value_of(pairing_term(), cfg)
         st = check(RealizerPair.both(e), And(Mem(Nat(1), z), Mem(Nat(2), z)), budget, cfg).status
         rep.cases.append(CaseResult("pairing", st is Status.REALIZED, str(st)))
 
@@ -554,7 +559,7 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     with rep.guard("union"):
         x = Explicit(((num_value(0), num_value(0), Sing(Nat(1))),))
         y = union_name(x, budget)
-        e = value_of(axiom_realizer(AxiomId.UNION).term, cfg)
+        e = value_of(union_term(), cfg)
         st = check(RealizerPair.both(e), AllIn("u", x, AllIn("v", "u", Mem("v", y))), budget, cfg).status
         rep.cases.append(CaseResult("union", st is Status.REALIZED, str(st)))
 
@@ -562,7 +567,7 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
     with rep.guard("extensionality"):
         x1 = Explicit(((num_value(0), num_value(0), Nat(1)),))
         y1 = Sing(Nat(1))
-        e = value_of(axiom_realizer(AxiomId.EXTENSIONALITY).term, cfg)
+        e = value_of(extensionality_term(), cfg)
         idv = value_of(SKK, cfg)
         ok = _realized(attempt(apply_value, e, pair_value(idv, idv, cfg), cfg), Eq(x1, y1), budget, cfg)
         rep.cases.append(CaseResult("extensionality", ok, "witness-directed"))
@@ -581,7 +586,7 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
 
     # Set induction: defining equation and a rank-2 instance
     with rep.guard("set-induction"):
-        ev = value_of(axiom_realizer(AxiomId.SET_INDUCTION).term, cfg)
+        ev = value_of(set_induction_term(), cfg)
         ok = True
         for ident in ("a1", "a2"):
             a = Value(Opaque(ident))
@@ -613,17 +618,15 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
         xc = Explicit(((num_value(0), num_value(0), Nat(1)),))
         acoll = value_of(compile_term(lam("c", Opaque("ir", ir))), cfg)
         yc = collection_name(xc, lambda tr: tr[2], budget)
-        e = value_of(axiom_realizer(AxiomId.STRONG_COLLECTION).term, cfg)
+        e = value_of(strong_collection_term(), cfg)
         phi = And(AllIn("u", xc, ExIn("v", yc, Eq("u", "v"))),
                   AllIn("v", yc, ExIn("u", xc, Eq("u", "v"))))
         ok = _realized(attempt(apply_value, e, acoll, cfg), phi, budget, cfg)
         rep.cases.append(CaseResult("strong-collection", ok, "one finite instance"))
 
     # Subset collection and powerset terms: closed and defined
-    for name, axid in (("subset-collection", AxiomId.SUBSET_COLLECTION),
-                       ("powerset", AxiomId.POWERSET)):
-        t = axiom_realizer(axid).term
-        ok = isinstance(attempt(eval_term, t, None, cfg), Value)
+    for name, build in (("subset-collection", subset_collection_term), ("powerset", powerset_term)):
+        ok = isinstance(attempt(eval_term, build(), None, cfg), Value)
         rep.cases.append(CaseResult(f"{name} term defined", ok, ""))
     return rep
 
@@ -763,7 +766,7 @@ def suite_choice_arrow(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
         )
         rep.cases.append(CaseResult("graph-triples", ok, "graph of \\c. p c i_r at c <= 3"))
 
-        e = value_of(choice_realizer(TYPE_O, TYPE_O), cfg)
+        e = value_of(choice_term(), cfg)
         ea = defined_value(apply_value, e, a, cfg)
         ea0, ea10, ea11 = (_part(ea, path, cfg) for path in ("0", "10", "11"))
 
@@ -787,7 +790,7 @@ def suite_choice_arrow(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
 
         # Arrow types at (o, o)
         oo = Arrow(TYPE_O, TYPE_O)
-        arrow = value_of(arrow_realizer(TYPE_O, TYPE_O), cfg)
+        arrow = value_of(arrow_term(), cfg)
         e0, e1 = _part(arrow, "0", cfg), _part(arrow, "1", cfg)
         succ = value_of(SUCC, cfg)
         e00 = _part(defined_value(apply_value, e0, succ, cfg), "0", cfg)

@@ -30,8 +30,6 @@ from extreal.names import (
     internalize,
 )
 from extreal.realizers import (
-    AxiomId,
-    axiom_realizer,
     eq_realizers,
     i_r_value,
     powerset_term,

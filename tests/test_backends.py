@@ -7,10 +7,12 @@ compiler exists, whether or not the extension was built in place.
 
 import hashlib
 import importlib.util
+import os
 import random
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -111,9 +113,9 @@ def _agree(compiled, t):
 
 
 def test_backends_agree_on_library_realizers(compiled):
-    from extreal.realizers import realizer_ids, realizer_term
+    from extreal.realizers import LIBRARY, realizer_term
 
-    for ident in realizer_ids():
+    for ident in LIBRARY:
         t = realizer_term(ident)
         a = pure.eval_term(t)
         b = compiled.eval_term(t)
@@ -186,8 +188,27 @@ def test_compiled_handles_opaque_and_env(compiled):
 
 
 def test_backend_selection_reports():
-    assert kernel.BACKEND in ("pure", "compiled")
-    assert kernel.pure_backend() is pure
+    assert kernel.BACKEND == "pure"
+    assert kernel.eval_term is pure.eval_term
+
+
+def test_pure_is_the_default_beside_a_built_twin(compiled, tmp_path):
+    # The package staged with the twin beside it, as perfbench stages it:
+    # only PCA_BACKEND=compiled selects the twin.
+    pkg = tmp_path / "extreal"
+    pkg.mkdir()
+    for src in Path(extreal.__file__).parent.glob("*.py"):
+        shutil.copy2(src, pkg / src.name)
+    shutil.copy2(compiled.__file__, pkg / Path(compiled.__file__).name)
+    env = {k: v for k, v in os.environ.items() if k != "PCA_BACKEND"}
+    env["PYTHONPATH"] = str(tmp_path)
+    probe = "from extreal import kernel; print(kernel.BACKEND, kernel.BACKEND_ERROR)"
+    for setting, want in ((None, "pure"), ("pure", "pure"), ("compiled", "compiled")):
+        child_env = env if setting is None else {**env, "PCA_BACKEND": setting}
+        out = subprocess.run([sys.executable, "-c", probe], env=child_env, cwd=tmp_path,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [want, "None"], setting
 
 
 # sha256 of the Cython source and of the C generated from it.  Cython is not a

@@ -24,24 +24,29 @@ from extreal.names import (
     enumerate_triples,
 )
 from extreal.realizers import (
-    AxiomId,
-    arrow_realizer,
-    axiom_realizer,
-    choice_realizer,
+    LIBRARY,
+    arrow_term,
+    choice_term,
     collection_name,
     eq_realizers,
+    extensionality_term,
     i_r_value,
     infinity_terms,
     p_,
     pairing_name,
     pairing_realizers,
+    pairing_term,
+    powerset_term,
     proj,
-    realizer_ids,
     realizer_term,
     separation_name,
+    set_induction_term,
+    strong_collection_term,
+    subset_collection_term,
     synthesize,
     term_mutants,
     union_name,
+    union_term,
     value_of,
 )
 from extreal.suites import infinity_e0_cases, infinity_e1_cases, random_finite_name
@@ -52,7 +57,7 @@ BOTH = RealizerPair.both
 
 
 def test_all_library_terms_are_closed_and_defined():
-    for ident in realizer_ids():
+    for ident in LIBRARY:
         t = realizer_term(ident)
         assert not free_vars(t), ident
         assert isinstance(eval_term(t), Defined), ident
@@ -90,7 +95,7 @@ def test_membership_transport_realizers():
 
 
 def test_pairing_axiom():
-    e = value_of(axiom_realizer(AxiomId.PAIRING).term)
+    e = value_of(pairing_term())
     z = pairing_name(Nat(1), Nat(2))
     assert len(z.triples) == 2
     phi = And(Mem(Nat(1), z), Mem(Nat(2), z))
@@ -101,7 +106,7 @@ def test_union_axiom():
     x = Explicit(((num_value(0), num_value(0), Sing(Nat(1))),))
     y = union_name(x)
     assert y.triples == ((num_value(0), num_value(0), Nat(1)),)
-    e = value_of(axiom_realizer(AxiomId.UNION).term)
+    e = value_of(union_term())
     phi = AllIn("u", x, AllIn("v", "u", Mem("v", y)))
     assert check(BOTH(e), phi).status is Status.REALIZED
 
@@ -118,7 +123,7 @@ def test_extensionality_witness_directed():
     y = Sing(Nat(1))
     idv = value_of(SKK)
     hyp = pair_value(idv, idv)
-    e = value_of(axiom_realizer(AxiomId.EXTENSIONALITY).term)
+    e = value_of(extensionality_term())
     out = apply_value(e, hyp)
     assert check(BOTH(out.value), Eq(x, y)).status is Status.REALIZED
 
@@ -147,15 +152,11 @@ def test_infinity_e1_both_cases():
         assert st is Status.REALIZED, name
 
 
-def test_infinity_witness_builder_is_omega():
-    assert axiom_realizer(AxiomId.INFINITY).witness_builder() == OMEGA
-
-
 def test_set_induction_defining_equation():
     from extreal.kernel import kleene_eq
     from extreal.terms import App, Tri
 
-    ev = value_of(axiom_realizer(AxiomId.SET_INDUCTION).term)
+    ev = value_of(set_induction_term())
     a = Value(Opaque("a"))
     lhs = App(Opaque("e", ev), Opaque("a", a))
     rhs = App(Opaque("a", a), compile_term(lam("z", App(Opaque("e", ev), Opaque("a", a)))))
@@ -182,7 +183,7 @@ def test_strong_collection_instance():
     x = Explicit(((num_value(0), num_value(0), Nat(1)),))
     y = collection_name(x, lambda tr: tr[2])
     a = value_of(compile_term(lam("c", Opaque("ir", IR))))
-    e = value_of(axiom_realizer(AxiomId.STRONG_COLLECTION).term)
+    e = value_of(strong_collection_term())
     out = apply_value(e, a).value
     phi = And(
         AllIn("u", x, ExIn("v", y, Eq("u", "v"))),
@@ -192,7 +193,7 @@ def test_strong_collection_instance():
 
 
 def test_subset_collection_equations():
-    e = value_of(axiom_realizer(AxiomId.SUBSET_COLLECTION).term)
+    e = value_of(subset_collection_term())
     a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", IR)))))
     ea = apply_value(e, a).value
     assert project(ea, 0).numeral == 0
@@ -204,7 +205,7 @@ def test_subset_collection_equations():
 
 
 def test_powerset_term():
-    t = axiom_realizer(AxiomId.POWERSET).term
+    t = powerset_term()
     assert not free_vars(t)
     e = value_of(t)
     # e a = p a i_r
@@ -254,7 +255,7 @@ def test_choice_clauses_at_oo():
     budget = EnumBudget(max_index=3)
     a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", IR)))))
     f = Graph(a, TYPE_O, TYPE_O)
-    e = value_of(choice_realizer(TYPE_O, TYPE_O))
+    e = value_of(choice_term())
     ea = apply_value(e, a).value
     ea0 = project(ea, 0)
     ea10 = project(project(ea, 1), 0)
@@ -278,16 +279,12 @@ def test_choice_clauses_at_oo():
     assert check(BOTH(out.value), Eq(Nat(2), Nat(2)), budget).status is Status.REALIZED
 
 
-def test_choice_term_is_type_uniform():
-    assert choice_realizer(TYPE_O, TYPE_O) == choice_realizer(Arrow(TYPE_O, TYPE_O), TYPE_O)
-
-
 def test_arrow_clauses_at_oo():
     from extreal.realizers import _pairs_uniqueness_part
     from extreal.terms import SUCC
 
     budget = EnumBudget(max_index=3)
-    arrow = value_of(arrow_realizer(TYPE_O, TYPE_O))
+    arrow = value_of(arrow_term())
     e0, e1 = project(arrow, 0), project(arrow, 1)
     succ = value_of(SUCC)
     oo = Arrow(TYPE_O, TYPE_O)
@@ -339,7 +336,7 @@ def test_arrow_choice_at_second_order_not_refuted():
     oo = Arrow(TYPE_O, TYPE_O)
     a2 = value_of(compile_term(lam("c", p_(App(K, Var("c")), Opaque("ir", IR)))))
     f2 = Graph(a2, TYPE_O, oo)
-    e = value_of(choice_realizer(TYPE_O, oo))
+    e = value_of(choice_term())
     ea0 = project(apply_value(e, a2).value, 0)
     ts, exhausted = enumerate_triples(f2, budget)
     assert ts and not exhausted
@@ -352,7 +349,7 @@ def test_arrow_choice_at_second_order_not_refuted():
     # Arrow theorem, forward direction, with the constant-function former K
     # as the type-(o)((o)o) element: its triples enumerate with decidable
     # keys; the instance checks stay short of Realized and never refute.
-    arrow = value_of(arrow_realizer(TYPE_O, oo))
+    arrow = value_of(arrow_term())
     e0 = project(arrow, 0)
     kv = Value(K)
     name_k = Internal(kv, Arrow(TYPE_O, oo))

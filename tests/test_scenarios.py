@@ -168,7 +168,7 @@ def test_a_crash_in_a_library_value_fails_its_block(monkeypatch):
     # that need it become one failing case, and the cases before it stay.
     from extreal.terms import num
 
-    monkeypatch.setattr(suites, "choice_realizer", lambda *args: num(1))
+    monkeypatch.setattr(suites, "choice_term", lambda: num(1))
     rep = suites.suite_choice_arrow(0)
     assert [c.name for c in rep.cases] == ["graph-triples", "choice-arrow values"]
     assert rep.cases[0].ok and rep.cases[1].detail.startswith("no value: IllTypedApplication")
@@ -358,10 +358,41 @@ def test_quantifier_binders_shadow_declared_names():
     ("realizer P0 = i_r", "cannot declare realizer 'P0'"),
     ("name x y = nat 1", "cannot declare name 'x y'"),
     ("term = K", "cannot declare term ''"),
+    ("term expect = K", "cannot declare term 'expect'"),
+    ("realizer expect = i_r", "cannot declare realizer 'expect'"),
+    ("name expect = nat 1", "cannot declare name 'expect'"),
+    ("formula expect = eq(nat 1, nat 1)", "cannot declare formula 'expect'"),
+    # Open terms, and expectation words the directive does not take.
+    ("eval xyz", "term 'xyz' is not closed: free variable(s) xyz"),
+    ("term f = \\x. y\neval f #1", "line 1: term '\\\\x. y' is not closed: free variable(s) y"),
+    ("eval K #1 #2 expect(#1)", "free variable(s) expect"),
+    ("term t = K\neval t (b a) t", "free variable(s) a, b"),
+    ("realizer ir = i_r\ncheck (ir, u) eq(nat 1, nat 1)", "term 'u' is not closed"),
+    ("check (K, K) eq(nat 1, nat 1) expect realised", "bad expectation 'realised'"),
+    ("check-with-witnesses (K, K) mem(nat 1, omega) => eq(nat 1, nat 1) witnesses [(K, K)] expect ok",
+     "bad expectation 'ok': must be realized, refuted or unknown"),
+    ("synth-roundtrip mem(nat 1, nat 2) expect agreed", "bad expectation 'agreed': must be agree or disagree"),
 ])
 def test_unreachable_binders_and_declarations_are_errors(script, message):
     with pytest.raises(ScenarioError, match=re.escape(message)):
         run_scenario(script + "\n")
+
+
+@pytest.mark.parametrize("line,ok", [
+    ("eval #1 expect error", False),
+    ("eval #1 expect fuel-exhausted", False),
+    ("eval #1 expect #1", True),
+    ("eval PRED #0 expect error", True),
+    ("eval PRED #0 expect fuel-exhausted", False),
+    ("eval PRED #0 expect #0", False),
+    ("fuel 50\neval (\\x. x x) (\\x. x x) expect fuel-exhausted", True),
+    ("fuel 50\neval (\\x. x x) (\\x. x x) expect error", False),
+    ("synth-roundtrip mem(nat 1, nat 2) expect agree", True),
+    ("synth-roundtrip mem(nat 1, nat 2) expect disagree", False),
+])
+def test_each_expectation_is_read_by_its_kind(line, ok):
+    rep = run_scenario(line + "\n")
+    assert [r.ok for r in rep.results] == [ok]
 
 
 @pytest.mark.parametrize("text,name", [
@@ -418,6 +449,12 @@ def test_cli_run_exit_codes():
     assert bad.returncode == 1
     syntax = _cli("run", "-", stdin="eval ((K\n")
     assert syntax.returncode == 2
+    kind = _cli("run", "-", stdin="eval #1 expect error\neval #1 expect fuel-exhausted\n")
+    assert kind.returncode == 1 and kind.stderr == "", kind.stderr
+    assert kind.stdout.splitlines()[:2] == ["[FAIL] line 1 eval: #1 (expected error)",
+                                           "[FAIL] line 2 eval: #1 (expected fuel-exhausted)"]
+    opened = _cli("run", "-", stdin="eval xyz\n")
+    assert opened.returncode == 2 and opened.stderr.startswith("parse error: line 1: "), opened.stderr
     for bad in _BAD_SECOND_LINES:
         out = _cli("run", "-", stdin="eval K\n" + bad + "\n")
         assert out.returncode == 2, (bad, out.stderr)
