@@ -6,23 +6,25 @@ of the application operation costs one step; outcomes are deterministic and
 monotone in fuel.
 
 Application is a function of the two elements, and produced values are
-interned, so a repeated application is answered from ``terms._APPLY_MEMO``
-by identity: an application below the head's arity, and a whole S-redex
-``S x y a``.  Evaluation without an environment is a function of the term,
-so a repeated closed application node is answered from the same memo too,
-whole.  A replayed redex or term still costs every step it took when it was
-reduced, so steps, fuel notes and errors are those of a machine without the
-memo:
+interned (a partial application ``f a`` is the canonical object of
+``f.extend(a)``), so a whole reduction that repeats is answered from
+``terms._APPLY_MEMO``: a whole S-redex ``S x y a`` by the identities of its
+operator and argument, and, since evaluation without an environment is a
+function of the term, a closed application node by its identity.  Every
+entry is ``(value, cost, need)``, and a replay still costs every step the
+reduction took, so steps, fuel notes and errors are those of a machine
+without the memo:
 
-- admission: a redex entry is kept only when ``_INTERN`` holds the operator,
-  the argument and the result (``terms.remember``); a term entry only when
-  it holds the value, and the entry holds the term (``terms.remember_term``);
-- fuel fit: a redex of cost ``c`` fired at step ``n`` (counting the firing)
-  replays only when ``n - 1 + c`` is within the fuel, a term of cost ``c``
-  entered after ``n`` steps only when ``n + c`` is, and either only under a
-  value-size cap no smaller than the one it was recorded under; otherwise it
-  is reduced again, and runs out of fuel or fails exactly where it would
-  have.
+- admission: an entry is kept only when ``_INTERN`` holds its value and the
+  objects its key is the identity of stay alive with it (``_INTERN`` holds
+  a redex's operator and argument, a term entry holds its term; see
+  ``terms.remember`` and ``terms.remember_term``);
+- fuel fit: an entry of cost ``c`` found after ``n`` steps replays only when
+  ``n + c`` is within the fuel and its ``need``, the value-size cap it was
+  recorded under, is within the cap; otherwise it is reduced again, and
+  runs out of fuel or fails exactly where it would have.  A redex is looked
+  up once it has fired, so ``n`` counts the firing and ``c`` the steps after
+  it.
 
 A term is recorded on its third visit (by the seen filter below) when no
 enclosing term is being recorded in the same run, so the inner nodes of a
@@ -108,19 +110,12 @@ def _const_value(kind: ConstKind) -> Value:
 
 
 def _accumulate(f: Value, a: Value, max_size: int) -> Value:
-    """``f a`` below the head's arity: the interned extension of ``f``.
-
-    The result enters the memo at cost 1 (see ``terms.remember``); ``_run``
-    reads the memo before calling here.
-    """
+    """``f a`` below the head's arity: the interned extension of ``f``."""
     if f.size + a.size > max_size:
         raise ValueSizeExceeded(
             f"value of {f.size + a.size} nodes exceeds the cap of {max_size}"
         )
-    r = intern_value(f.extend(a))
-    # Admitted after interning: an overflow there empties _INTERN and the memo.
-    remember(f, a, r, 1, r.size)
-    return r
+    return intern_value(f.extend(a))
 
 
 def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
@@ -151,9 +146,9 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                             # full cost when that fits the fuel and the cap.
                             key = id(t)
                             e = memo_get(key)
-                            if e is not None and steps + e[2] <= max_steps and e[3] <= max_size:
-                                steps += e[2]
-                                push(e[1])
+                            if e is not None and steps + e[1] <= max_steps and e[2] <= max_size:
+                                steps += e[1]
+                                push(e[0])
                                 break
                             slot = key % _SEEN_SLOTS
                             c = seen[slot]
@@ -188,7 +183,7 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                         raise TypeError(f"not a term: {t!r}")
                     break
             elif tag == _OP_RECORD:
-                # An S-redex fired at step op[3] + 1 has reduced to the top value.
+                # An S-redex fired at step op[3] has reduced to the top value.
                 remember(op[1], op[2], vstack[-1], steps - op[3], max_size)
             else:  # _OP_TERM
                 # The closed term op[1], entered at step op[2], has evaluated
@@ -211,28 +206,23 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
         if th is Num:
             raise IllTypedApplication(f"numeral #{head.n} applied as a function")
         if th is Opaque or len(f.args) + 1 < DELTA_ARITY[head.kind]:
-            # Partial application: a memo hit within the size cap, or
-            # _accumulate (which raises ValueSizeExceeded past it).
-            r = memo_get(id(f) << 64 | id(a))  # terms.memo_key, inlined
-            if r is not None and r.size <= max_size:
-                push(r)
-                continue
             push(_accumulate(f, a, max_size))
             continue
         kind = head.kind
         if kind is _S:
-            # A recorded redex replays at its full cost when that fits
-            # the fuel and the cap; otherwise it is reduced and recorded.
+            # A recorded redex replays, adding its steps after this firing,
+            # when that fits the fuel and the cap; otherwise it is reduced
+            # and recorded.
             key = id(f) << 64 | id(a)
             e = memo_get(key)
-            if e is not None and steps + e[1] <= max_steps + 1 and e[2] <= max_size:
-                steps += e[1] - 1
+            if e is not None and steps + e[1] <= max_steps and e[2] <= max_size:
+                steps += e[1]
                 push(e[0])
                 continue
             slot = key % _SEEN_SLOTS
             c = seen[slot]
             if c == 2:
-                push_op((_OP_RECORD, f, a, steps - 1))
+                push_op((_OP_RECORD, f, a, steps))
             else:
                 seen[slot] = c + 1
             fa, fb = f.args

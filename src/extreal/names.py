@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from functools import cache
 
 from .bracket import SKK, compile_term, lam
-from .kernel import Crash, Open, apply_value, attempt, project, value_of
+from .kernel import Crash, Open, apply_value, attempt, defined_value, project, value_of
 from .terms import (  # EnumBudget and DEFAULT_BUDGET are re-exported
     D,
     DEFAULT_BUDGET,
     DEFAULT_FUEL,
-    Defined,
     EnumBudget,
     FuelConfig,
     K,
@@ -187,9 +186,7 @@ def _apply_at_value(n: int) -> Value:
 
 
 def _const_value(v: Value) -> Value:
-    out = apply_value(Value(K), v)
-    assert isinstance(out, Defined)
-    return out.value
+    return defined_value(apply_value, Value(K), v)
 
 
 def gen_elems(sigma: FinType, budget: EnumBudget = DEFAULT_BUDGET) -> list[Value]:

@@ -52,6 +52,7 @@ from .terms import (
     K,
     Num,
     Opaque,
+    P,
     P0,
     P1,
     PRED,
@@ -64,8 +65,6 @@ from .terms import (
     num_value,
 )
 
-_P = Const(ConstKind.P)
-
 _fresh_counter = itertools.count()
 
 
@@ -74,7 +73,7 @@ def _fresh(prefix: str = "_t") -> str:
 
 
 def p_(x: Term, y: Term) -> Term:
-    return app(_P, x, y)
+    return app(P, x, y)
 
 
 def proj(t: Term, idx: str) -> Term:

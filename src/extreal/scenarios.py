@@ -1,6 +1,7 @@
 """Scenario files: declarations plus directives, executed in order.
 
-Each line holds one declaration or directive; ``--`` starts a comment:
+Each line holds one declaration or directive; ``--`` starts a comment, and
+any run of whitespace separates words as one space does:
 
     fuel 200000            budget 8            seed 7
     term two = SUCC #1
@@ -120,21 +121,23 @@ def _strip_comment(line: str) -> str:
     return line if idx < 0 else line[:idx]
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on sep at paren/brace/bracket depth zero."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
+def _top_words(text: str):
+    """The ``(start, end)`` span of each word of text, words being split by
+    runs of whitespace at paren/brace/bracket depth zero."""
+    depth, start = 0, None
+    for i, ch in enumerate(text):
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+        if ch.isspace() and depth == 0:
+            if start is not None:
+                yield start, i
+                start = None
+        elif start is None:
+            start = i
+    if start is not None:
+        yield start, len(text)
 
 
 def _resolve_term_names(env: _Env, t):
@@ -492,8 +495,8 @@ def _run_lines(env: _Env, text: str, report: ScenarioReport, caught: list) -> No
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head = line.split(None, 1)[0]
+        rest = line[len(head) :].strip()
         if head in ("fuel", "budget", "seed"):
             # A bad literal and an out-of-range limit both raise ValueError.
             try:
@@ -556,13 +559,13 @@ def _declared(head: str, name: str, lineno: int) -> str:
 
 
 def _split_expect(text: str, lineno: int, words: tuple[str, ...] = ()) -> tuple[str, str | None]:
-    """The body before `` expect `` and the expectation after it, if any;
-    given ``words``, the expectation must be one of them."""
-    parts = _split_top(text, " ")
+    """The body before the word ``expect`` at bracket depth zero and the
+    expectation after it, if any; given ``words``, the expectation must be
+    one of them."""
     body, expected = text.strip(), None
-    for i, p in enumerate(parts):
-        if p == "expect":
-            body, expected = " ".join(parts[:i]).strip(), " ".join(parts[i + 1 :]).strip()
+    for start, end in _top_words(text):
+        if text[start:end] == "expect":
+            body, expected = text[:start].strip(), text[end:].strip()
             break
     if words and expected is not None and expected not in words:
         raise ScenarioError(

@@ -187,47 +187,42 @@ _set_hash = Value._hash.__set__
 # of results usually reduces to identity (the checker memoizes on values).
 # The table is emptied once it holds more than INTERN_LIMIT entries, and
 # then refilled with the pinned values: the constants the machine and the
-# kernel keep for the life of the process, so that their applications can
-# still enter the memo below.
+# kernel keep for the life of the process, so that a reduction whose
+# argument or value is a constant can still enter the memo below.
 INTERN_LIMIT = 1_000_000
 _INTERN: dict[Value, Value] = {}
 _PINNED: dict[Value, Value] = {}
 
-# Memo of the reference machine.  Two key spaces share it: an application
-# ``f a`` of values is keyed by ``memo_key(f, a)``, at least 2**64, and a
-# closed term ``t`` by ``id(t)``, below 2**64.  Entries:
-# - an application below the head's arity costs one step and maps to its
-#   result alone;
-# - a whole S-redex maps to ``(result, cost, need)``: the steps it takes,
-#   counting its firing, and a value-size cap under which it completes (no
-#   value it builds is larger);
-# - a closed term evaluated without an environment maps to
-#   ``(t, value, cost, need)``, with cost and need as for a redex.
-# An application is admitted only when _INTERN holds f, a and the result
-# (see ``remember``), a term only when it holds the value, and the entry
-# holds t (see ``remember_term``), so no id is reused while the entry
-# exists.  The memo is emptied with _INTERN, and on its own once it holds
-# more than INTERN_LIMIT entries.
-_APPLY_MEMO: dict[int, "Value | tuple[Value, int, int] | tuple[App, Value, int, int]"] = {}
-
-
-def memo_key(f: Value, a: Value) -> int:
-    """The memo key of ``f a``: the two ids side by side in one int."""
-    return id(f) << 64 | id(a)
+# Memo of the reference machine: whole reductions, each entry
+# ``(value, cost, need)``, the steps the reduction takes and a value-size cap
+# under which it completes (no value it builds is larger).  Two key spaces
+# share it:
+# - a whole S-redex ``f a`` (``f = S x y``) under ``id(f) << 64 | id(a)``, at
+#   least 2**64, its cost counted after its firing step;
+# - a closed term ``t`` evaluated without an environment under ``id(t)``,
+#   below 2**64, its entry holding ``t`` as a fourth field.
+# An entry is admitted only when _INTERN holds its value, and each object
+# whose id keys it is held for as long as the entry: by _INTERN for ``f``
+# and ``a`` (see ``remember``), by the entry for ``t`` (see
+# ``remember_term``), so no id is reused while the entry exists.  A partial
+# application ``f a`` has no entry: interning ``f a`` already returns its
+# canonical object.  The memo is emptied with _INTERN, and on its own once
+# it holds more than INTERN_LIMIT entries.
+_APPLY_MEMO: dict[int, "tuple[Value, int, int] | tuple[Value, int, int, App]"] = {}
 
 
 def remember(f: Value, a: Value, r: Value, cost: int, need: int) -> None:
-    """Admit ``f a = r`` at ``cost`` steps, replayable under caps of ``need``
-    and above, when _INTERN holds f, a and r."""
+    """Admit the S-redex ``f a = r``, ``cost`` steps after its firing,
+    replayable under caps of ``need`` and above, when _INTERN holds f, a and r."""
     if _INTERN.get(f) is f and _INTERN.get(a) is a and _INTERN.get(r) is r:
-        _admit(id(f) << 64 | id(a), r if cost == 1 else (r, cost, need))
+        _admit(id(f) << 64 | id(a), (r, cost, need))
 
 
 def remember_term(t: App, r: Value, cost: int, need: int) -> None:
     """Admit the closed term ``t``, evaluated to ``r`` in ``cost`` steps,
     replayable under caps of ``need`` and above, when _INTERN holds r."""
     if _INTERN.get(r) is r:
-        _admit(id(t), (t, r, cost, need))
+        _admit(id(t), (r, cost, need, t))
 
 
 def _admit(key: int, entry) -> None:

@@ -39,7 +39,6 @@ from extreal.terms import (
     Var,
     app,
     intern_value,
-    memo_key,
     num,
     num_value,
     opaque_value,
@@ -229,7 +228,8 @@ def record_at_once(monkeypatch):
 
 
 def _entry(f, a):
-    return terms._APPLY_MEMO.get(memo_key(f, a))
+    """The memo entry of the S-redex ``f a``, if any."""
+    return terms._APPLY_MEMO.get(id(f) << 64 | id(a))
 
 
 def _interned(v):
@@ -263,17 +263,17 @@ def test_memo_returns_the_interned_application(f, a, interned, machine_first):
     ]
     if machine_first:
         calls.reverse()
+    entries = len(terms._APPLY_MEMO)
     want = None
-    for _ in range(2):  # first application, then repeated (a memo hit if admitted)
+    for _ in range(2):  # first application, then repeated
         for call in calls:
             got = call()
             if want is None:
                 want = intern_value(f.extend(a))
             assert got is want
     assert machine.apply_value(f, a).steps == 1
-    # Admitted, as the result alone, exactly when _INTERN holds f, a and the
-    # result (which it always holds here).
-    assert _entry(f, a) is (want if _interned(f) and _interned(a) else None)
+    # Interning answers a repeat; a partial application adds no memo entry.
+    assert _entry(f, a) is None and len(terms._APPLY_MEMO) == entries
 
 
 # Combinators for whole S-redexes: I = S K K, and T z = S (K z) I, so that
@@ -317,7 +317,7 @@ def _sharing_terms(draw):
 
 def _term_entry(t):
     e = terms._APPLY_MEMO.get(id(t))
-    assert e is None or e[0] is t  # an entry holds its own term
+    assert e is None or e[3] is t  # an entry holds its own term
     return e
 
 
@@ -384,7 +384,7 @@ def test_term_replays_exactly_when_its_cost_fits_the_fuel(record_at_once, monkey
     t = app(_two_step(Opaque("zfit")), num(6))
     cost = machine.eval_term(t).steps
     value = intern_value(Value(Opaque("zfit"), (num_value(6),)))
-    assert _term_entry(t)[1:] == (value, cost, DEFAULT_FUEL.max_value_size)
+    assert _term_entry(t)[:3] == (value, cost, DEFAULT_FUEL.max_value_size)
     # u = K #0 t fires K #0 (one step), then enters t; its own record
     # never completes below.  A replay visits no node of t, so the seen
     # filter, emptied, counts only u and K #0.
@@ -448,14 +448,14 @@ def test_fresh_operands_never_enter_the_memo(record_at_once):
     assert machine.apply_value(g, fresh_arg).value.args[-1] is not fresh_arg
     assert _entry(g, fresh_arg) is None
     # Whole redexes: an interned operator S x y applied to an interned
-    # argument is recorded with its full cost ...
+    # argument is recorded with its cost after the firing ...
     i_val = val(_I)
     z = intern_value(Value(Opaque("z")))
     t_z = val(_two_step(z))
     arg = intern_value(num_value(6))
     out = machine.apply_value(t_z, arg)
     assert out.value == Value(Opaque("z"), (arg,)) and out.steps == 7
-    assert _entry(t_z, arg) == (out.value, 7, DEFAULT_FUEL.max_value_size)
+    assert _entry(t_z, arg) == (out.value, 6, DEFAULT_FUEL.max_value_size)
     # ... but not with a fresh operator, a fresh argument, or in an
     # environment.
     fresh_t = Value(t_z.head, t_z.args)
@@ -487,9 +487,11 @@ def test_memo_hit_still_checks_the_size_cap(record_at_once):
     f = intern_value(Value(Opaque("cap"), (one, one, one)))
     a = intern_value(Value(Opaque("big"), (one,) * 5))
     first = machine.apply_value(f, a)
-    assert machine.apply_value(f, a).value is first.value and _entry(f, a) is first.value
-    with pytest.raises(ValueSizeExceeded):
-        machine.apply_value(f, a, FuelConfig(max_value_size=first.value.size - 1))
+    assert machine.apply_value(f, a).value is first.value and _entry(f, a) is None
+    # The interned extension exists, and the cap still refuses it every time.
+    for _ in range(2):
+        with pytest.raises(ValueSizeExceeded):
+            machine.apply_value(f, a, FuelConfig(max_value_size=first.value.size - 1))
     # A whole redex replays only under a cap at least the one it was
     # recorded under.  T z x builds z x (11 nodes here) on the way.
     z = intern_value(Value(Opaque("zcap"), (one,) * 4))
@@ -515,10 +517,10 @@ def test_memo_hit_still_checks_the_size_cap(record_at_once):
 
 def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
     with _saved_tables():
-        f = intern_value(Value(Opaque("ovf")))
+        f = val(_two_step(intern_value(Value(Opaque("ovf")))))
         a = intern_value(num_value(3))
         r = machine.apply_value(f, a).value
-        assert _entry(f, a) is r
+        assert _entry(f, a)[0] is r
         closed = App(_I, Opaque("ovf-term"))
         machine.eval_term(closed)
         assert _term_entry(closed) is not None
@@ -540,8 +542,7 @@ def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
         for x in xs:  # intern z x and K x, so that T z x interns nothing new
             machine.apply_value(z, x)
             machine.apply_value(i_val, x)
-        # Applications of the pinned constants entered the memo too; more
-        # interned values keep the limit below the table's size.
+        # More interned values keep the limit below the table's size.
         for n in range(100, 120):
             intern_value(num_value(n))
         interned = len(terms._INTERN)
@@ -560,8 +561,9 @@ def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
 
 
 def test_intern_overflow_keeps_the_constants(monkeypatch):
-    # A clear refills _INTERN with the pinned constants, so applications of
-    # S enter the memo again, and the suites answer as at the default limit.
+    # A clear refills _INTERN with the pinned constants, so a redex that
+    # hands S back enters the memo again, and the suites answer as at the
+    # default limit.
     from extreal.suites import run_suite
 
     def cases(ids):
@@ -575,8 +577,10 @@ def test_intern_overflow_keeps_the_constants(monkeypatch):
         monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
         intern_value(Value(Opaque("clear")))
         assert not terms._APPLY_MEMO and _interned(s_val)
-        machine.eval_term(app(S, K, K))
-        assert any(key >> 64 == id(s_val) for key in terms._APPLY_MEMO)
+        i_val = machine.eval_term(_I).value
+        for _ in range(3):  # the seen filter records the redex by its third firing
+            assert machine.apply_value(i_val, s_val).value is s_val
+        assert _entry(i_val, s_val) == (s_val, 3, DEFAULT_FUEL.max_value_size)
         # A limit low enough that the suites clear the table again and again.
         monkeypatch.setattr(terms, "INTERN_LIMIT", 2_000)
         assert cases(ids) == want

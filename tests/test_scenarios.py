@@ -395,6 +395,25 @@ def test_each_expectation_is_read_by_its_kind(line, ok):
     assert [r.ok for r in rep.results] == [ok]
 
 
+def _rows(script):
+    return [(r.line, r.kind, r.text, r.outcome, r.expected, r.ok) for r in run_scenario(script).results]
+
+
+@pytest.mark.parametrize("line", [
+    "eval #1\texpect #1",
+    "check (K, K) eq(nat 1, nat 1)\texpect refuted",
+    "eval\t#1",
+    "fuel\t3\neval SUCC (SUCC (SUCC (SUCC #0))) expect fuel-exhausted",
+])
+def test_directive_words_split_on_any_whitespace(line):
+    # A tab or a run of blanks separates the directive word and ``expect``
+    # as one space does, and the directive's text is the same.
+    want = _rows(line.replace("\t", " ") + "\n")
+    assert want and all(row[-1] for row in want)
+    for sep in ("\t", " \t  "):
+        assert _rows(line.replace("\t", sep) + "\n") == want, sep
+
+
 @pytest.mark.parametrize("text,name", [
     ("sing nat 1", Sing(Nat(1))),
     ("upair (nat 1) omega", UPair(Nat(1), OMEGA)),
@@ -459,6 +478,13 @@ def test_cli_run_exit_codes():
         out = _cli("run", "-", stdin="eval K\n" + bad + "\n")
         assert out.returncode == 2, (bad, out.stderr)
         assert out.stderr.startswith("parse error: line 2: ") and "Traceback" not in out.stderr
+
+
+def test_cli_run_reads_the_demo_with_tabs_for_spaces():
+    tabbed = _cli("run", "-", stdin=DEMO.read_text().replace(" ", "\t"))
+    spaced = _cli("run", str(DEMO))
+    assert tabbed.returncode == spaced.returncode == 0, tabbed.stderr
+    assert tabbed.stdout == spaced.stdout
 
 
 def test_cli_reports_a_name_warning_on_one_line():
