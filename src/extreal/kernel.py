@@ -55,6 +55,8 @@ elif _choice not in ("", "pure"):
 eval_term = _impl.eval_term
 apply_value = _impl.apply_value
 apply_values = _impl.apply_values
+# No layer calls kleene_eq (suites use kleene_agree below); it stays bound
+# because perfbench/probe.py traces it by name.
 kleene_eq = _impl.kleene_eq
 
 from .terms import (  # noqa: E402
@@ -70,7 +72,6 @@ from .terms import (  # noqa: E402
     Term,
     Value,
     ValueSizeExceeded,
-    pin_value,
 )
 
 
@@ -122,6 +123,16 @@ def attempt(op, *args) -> Value | Crash | Open:
     return out if isinstance(out, Value) else out.value
 
 
+def kleene_agree(t1: Term, t2: Term, cfg: FuelConfig = DEFAULT_FUEL) -> bool | None:
+    """Kleene equality of two closed terms, a crash counted as undefined:
+    True when both are undefined or both have equal values; None when a
+    resource limit stops either side."""
+    v1, v2 = attempt(eval_term, t1, None, cfg), attempt(eval_term, t2, None, cfg)
+    if isinstance(v1, Open) or isinstance(v2, Open):
+        return None
+    return type(v1) is type(v2) is Crash or v1 == v2
+
+
 def defined_value(op, *args) -> Value:
     """The value of ``op(*args)``, which the caller needs; ``NoValue`` if a
     crash or a resource limit leaves it without one."""
@@ -136,22 +147,20 @@ def value_of(t: Term, cfg: FuelConfig = DEFAULT_FUEL) -> Value:
     return defined_value(eval_term, t, None, cfg)
 
 
-# The values of P, P0 and P1, each evaluated once on the selected backend and
-# pinned in _INTERN.  On pure this is the machine's own constant, so
-# applications of it still enter the machine's memo.
+# The values of P, P0 and P1, each evaluated once on the selected backend.
 _consts: dict[ConstKind, Value] = {}
 
 
 def _const_value(t: Const) -> Value:
     v = _consts.get(t.kind)
     if v is None:
-        v = _consts[t.kind] = pin_value(value_of(t))
+        v = _consts[t.kind] = value_of(t)
     return v
 
 
 def pair_value(a: Value, b: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Value:
     """p a b as an element.  Pairing of values is always defined, but a
-    small fuel or value size cap can stop it (``NoValue``)."""
+    small fuel, or the value size cap, can stop it (``NoValue``)."""
     return defined_value(apply_values, _const_value(P), [a, b], cfg)
 
 

@@ -5,26 +5,24 @@ divergent self-application burns fuel instead of the host stack.  Each firing
 of the application operation costs one step; outcomes are deterministic and
 monotone in fuel.
 
-Application is a function of the two elements, and produced values are
-interned (a partial application ``f a`` is the canonical object of
-``f.extend(a)``), so a whole reduction that repeats is answered from
-``terms._APPLY_MEMO``: a whole S-redex ``S x y a`` by the identities of its
-operator and argument, and, since evaluation without an environment is a
-function of the term, a closed application node by its identity.  Every
-entry is ``(value, cost, need)``, and a replay still costs every step the
-reduction took, so steps, fuel notes and errors are those of a machine
-without the memo:
+Application is a function of the two elements, and equal values are one
+object: produced values are interned (a partial application ``f a`` is the
+canonical object of ``f.extend(a)``), and a value from outside (an operand
+of ``apply_value``, a ``Value`` or an ``Opaque``'s value in a term) is
+shared first (``_share``).  So a whole reduction that repeats is answered
+from ``terms._APPLY_MEMO``: a whole S-redex ``S x y a`` by the identities of
+its operator and argument, and, since evaluation without an environment is a
+function of the term, a closed application node by its identity.  A replay
+still costs every step the reduction took, so steps, fuel notes and errors
+are those of a machine without the memo:
 
-- admission: an entry is kept only when ``_INTERN`` holds its value and the
-  objects its key is the identity of stay alive with it (``_INTERN`` holds
-  a redex's operator and argument, a term entry holds its term; see
-  ``terms.remember`` and ``terms.remember_term``);
+- admission: always; an entry holds the objects whose ids key it (a redex's
+  operator and argument, a term), so no id is reused while it exists;
 - fuel fit: an entry of cost ``c`` found after ``n`` steps replays only when
-  ``n + c`` is within the fuel and its ``need``, the value-size cap it was
-  recorded under, is within the cap; otherwise it is reduced again, and
-  runs out of fuel or fails exactly where it would have.  A redex is looked
-  up once it has fired, so ``n`` counts the firing and ``c`` the steps after
-  it.
+  ``n + c`` is within the fuel; otherwise it is reduced again, and runs out
+  of fuel exactly where it would have.  A redex is looked up once it has
+  fired, so ``n`` counts the firing and ``c`` the steps after it.  The value
+  size cap is fixed, so a reduction that completed once completes again.
 
 A term is recorded on its third visit (by the seen filter below) when no
 enclosing term is being recorded in the same run, so the inner nodes of a
@@ -60,17 +58,15 @@ from .terms import (
     ValueSizeExceeded,
     Var,
     _APPLY_MEMO,
+    _INTERN,
     intern_value,
-    pin_value,
     remember,
-    remember_term,
 )
 
 _OP_EVAL = 0
 _OP_APPLY = 1
 _OP_PUSH = 2
 _OP_RECORD = 3
-_OP_TERM = 4
 
 # Every pending application is the same instruction; one shared tuple.
 _APPLY = (_OP_APPLY,)
@@ -82,8 +78,8 @@ _D = ConstKind.D
 _SUCC = ConstKind.SUCC
 _PRED = ConstKind.PRED
 
-# The value of each constant, pinned in _INTERN: a delta constant is its own
-# value, a defined one the value of its expansion.
+# The value of each constant, interned: a delta constant is its own value, a
+# defined one the value of its expansion.
 _const_cache: dict[ConstKind, Value] = {}
 
 # Firings of S-redexes and visits of closed application nodes, counted up to
@@ -105,23 +101,53 @@ def _const_value(kind: ConstKind) -> Value:
             out = _run([(_OP_EVAL, EXPANSIONS[kind], None)], [], DEFAULT_FUEL)
             assert isinstance(out, Defined)
             v = out.value
-        v = _const_cache[kind] = pin_value(v)
+        v = _const_cache[kind] = intern_value(v)
     return v
 
 
-def _accumulate(f: Value, a: Value, max_size: int) -> Value:
+_MAX_SIZE = FuelConfig.max_value_size
+
+
+def _accumulate(f: Value, a: Value) -> Value:
     """``f a`` below the head's arity: the interned extension of ``f``."""
-    if f.size + a.size > max_size:
+    if f.size + a.size > _MAX_SIZE:
         raise ValueSizeExceeded(
-            f"value of {f.size + a.size} nodes exceeds the cap of {max_size}"
+            f"value of {f.size + a.size} nodes exceeds the cap of {_MAX_SIZE}"
         )
     return intern_value(f.extend(a))
+
+
+def _share(v: Value) -> Value:
+    """The interned object equal to ``v``, its arguments shared first.
+
+    An interned ``v`` costs one probe of ``_INTERN``.  Otherwise the walk runs
+    on an explicit stack and visits each distinct object once: a value is a
+    DAG of up to ``_MAX_SIZE`` nodes.
+    """
+    hit = _INTERN.get(v)
+    if hit is not None:
+        return hit
+    done: dict[int, Value] = {}
+    stack = [(v, False)]
+    while stack:
+        x, ready = stack.pop()
+        if id(x) in done:
+            continue
+        if ready:  # its arguments are shared
+            args = tuple(done[id(a)] for a in x.args)
+            same = all(s is a for s, a in zip(args, x.args))
+            done[id(x)] = intern_value(x if same else Value(x.head, args))
+        elif (hit := _INTERN.get(x)) is not None:
+            done[id(x)] = hit
+        else:
+            stack.append((x, True))
+            stack.extend((a, False) for a in x.args)
+    return done[id(v)]
 
 
 def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
     steps = 0
     max_steps = cfg.max_steps
-    max_size = cfg.max_value_size
     const_cache = _const_cache
     memo_get = _APPLY_MEMO.get
     seen = _SEEN
@@ -129,7 +155,7 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
     pop_op = ops.pop
     push = vstack.append
     pop = vstack.pop
-    recording = False  # an _OP_TERM marker is pending
+    recording = False  # a closed term's record marker is pending
     while ops:
         op = pop_op()
         if op is not _APPLY:
@@ -143,10 +169,10 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                     if tt is App:
                         if env is None:
                             # A recorded closed term replays whole at its
-                            # full cost when that fits the fuel and the cap.
+                            # full cost when that fits the fuel.
                             key = id(t)
                             e = memo_get(key)
-                            if e is not None and steps + e[1] <= max_steps and e[2] <= max_size:
+                            if e is not None and steps + e[1] <= max_steps:
                                 steps += e[1]
                                 push(e[0])
                                 break
@@ -158,7 +184,7 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                                 # Only the outermost: a term recorded whole
                                 # leaves its inner nodes unrecorded.
                                 recording = True
-                                push_op((_OP_TERM, t, steps))
+                                push_op((_OP_RECORD, key, steps, t))
                         push_op(_APPLY)
                         push_op((_OP_EVAL, t.arg, env))
                         t = t.fun
@@ -173,27 +199,25 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                             raise UnboundVariable(t.name)
                         push(env[t.name])
                     elif tt is Opaque:
-                        push(t.value if t.value is not None else intern_value(Value(t)))
+                        push(_share(t.value) if t.value is not None else intern_value(Value(t)))
                     elif tt is Value:
                         # Allow already-evaluated elements spliced into trees.
-                        push(t)
+                        push(_share(t))
                     elif tt is Lam:
                         raise TypeError("lambda terms must be compiled before evaluation")
                     else:
                         raise TypeError(f"not a term: {t!r}")
                     break
-            elif tag == _OP_RECORD:
-                # An S-redex fired at step op[3] has reduced to the top value.
-                remember(op[1], op[2], vstack[-1], steps - op[3], max_size)
-            else:  # _OP_TERM
-                # The closed term op[1], entered at step op[2], has evaluated
-                # to the top value.
-                remember_term(op[1], vstack[-1], steps - op[2], max_size)
-                recording = False
+            else:  # _OP_RECORD
+                # A closed term entered, or an S-redex fired, at step op[2]
+                # has reduced to the top value; op[3:] are its key objects.
+                remember(op[1], (vstack[-1], steps - op[2], *op[3:]))
+                if len(op) == 4:  # a term: the outermost record is done
+                    recording = False
             continue
         steps += 1
         if steps > max_steps:
-            pending = sum(1 for op in ops if op[0] < _OP_RECORD)  # no record markers
+            pending = sum(1 for op in ops if op[0] != _OP_RECORD)
             return FuelExhausted(
                 steps - 1,
                 f"fuel exhausted: {pending} pending operations, "
@@ -206,23 +230,22 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
         if th is Num:
             raise IllTypedApplication(f"numeral #{head.n} applied as a function")
         if th is Opaque or len(f.args) + 1 < DELTA_ARITY[head.kind]:
-            push(_accumulate(f, a, max_size))
+            push(_accumulate(f, a))
             continue
         kind = head.kind
         if kind is _S:
             # A recorded redex replays, adding its steps after this firing,
-            # when that fits the fuel and the cap; otherwise it is reduced
-            # and recorded.
+            # when that fits the fuel; otherwise it is reduced and recorded.
             key = id(f) << 64 | id(a)
             e = memo_get(key)
-            if e is not None and steps + e[1] <= max_steps and e[2] <= max_size:
+            if e is not None and steps + e[1] <= max_steps:
                 steps += e[1]
                 push(e[0])
                 continue
             slot = key % _SEEN_SLOTS
             c = seen[slot]
             if c == 2:
-                push_op((_OP_RECORD, f, a, steps))
+                push_op((_OP_RECORD, key, steps, f, a))
             else:
                 seen[slot] = c + 1
             fa, fb = f.args
@@ -266,7 +289,7 @@ def eval_term(t: Term, env: dict[str, Value] | None = None, cfg: FuelConfig = DE
 
 def apply_value(f: Value, a: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
     """The partial application operation of the algebra, on elements."""
-    return _run([_APPLY], [f, a], cfg)
+    return _run([_APPLY], [_share(f), _share(a)], cfg)
 
 
 def apply_values(f: Value, args: list[Value] | tuple[Value, ...], cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:

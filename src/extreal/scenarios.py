@@ -502,7 +502,7 @@ def _run_lines(env: _Env, text: str, report: ScenarioReport, caught: list) -> No
             try:
                 n = int(rest)
                 if head == "fuel":
-                    env.cfg = FuelConfig(max_steps=n, max_value_size=env.cfg.max_value_size)
+                    env.cfg = FuelConfig(max_steps=n)
                 elif head == "budget":
                     env.budget = EnumBudget(max_index=n,
                                             generators_per_type=env.budget.generators_per_type)

@@ -30,7 +30,7 @@ class UnboundVariable(MachineError):
 
 
 class ValueSizeExceeded(MachineError):
-    """A value grew past the configured node cap; never silently truncated."""
+    """A value grew past the fixed node cap; never silently truncated."""
 
 
 class Tri(enum.Enum):
@@ -183,49 +183,32 @@ _set_args = Value.args.__set__
 _set_size = Value.size.__set__
 _set_hash = Value._hash.__set__
 
-# Values produced by the machines are interned so that structural equality
-# of results usually reduces to identity (the checker memoizes on values).
-# The table is emptied once it holds more than INTERN_LIMIT entries, and
-# then refilled with the pinned values: the constants the machine and the
-# kernel keep for the life of the process, so that a reduction whose
-# argument or value is a constant can still enter the memo below.
+# Values produced by the machines are interned (hash-consed), and a value
+# that enters the machine from outside is shared first (``machine._share``),
+# so that equal values are one object and the memo below can key on
+# identity.  The table is emptied once it holds more than INTERN_LIMIT
+# entries; a value kept from before is shared again when it next enters.
 INTERN_LIMIT = 1_000_000
 _INTERN: dict[Value, Value] = {}
-_PINNED: dict[Value, Value] = {}
 
-# Memo of the reference machine: whole reductions, each entry
-# ``(value, cost, need)``, the steps the reduction takes and a value-size cap
-# under which it completes (no value it builds is larger).  Two key spaces
-# share it:
+# Memo of the reference machine: whole reductions, each entry ``(value,
+# cost, *key objects)``, the steps the reduction takes, then the objects whose
+# ids make its key, so that no id is reused while the entry exists.  Every
+# reduction is admitted, and an entry of cost ``c`` found after ``n`` steps
+# replays when ``n + c <= max_steps``.  Two key spaces share it:
 # - a whole S-redex ``f a`` (``f = S x y``) under ``id(f) << 64 | id(a)``, at
-#   least 2**64, its cost counted after its firing step;
+#   least 2**64, entry ``(value, cost, f, a)``, its cost counted after its
+#   firing step;
 # - a closed term ``t`` evaluated without an environment under ``id(t)``,
-#   below 2**64, its entry holding ``t`` as a fourth field.
-# An entry is admitted only when _INTERN holds its value, and each object
-# whose id keys it is held for as long as the entry: by _INTERN for ``f``
-# and ``a`` (see ``remember``), by the entry for ``t`` (see
-# ``remember_term``), so no id is reused while the entry exists.  A partial
-# application ``f a`` has no entry: interning ``f a`` already returns its
-# canonical object.  The memo is emptied with _INTERN, and on its own once
-# it holds more than INTERN_LIMIT entries.
-_APPLY_MEMO: dict[int, "tuple[Value, int, int] | tuple[Value, int, int, App]"] = {}
+#   below 2**64, entry ``(value, cost, t)``.
+# A partial application ``f a`` has no entry: interning ``f a`` already
+# returns its canonical object.  The memo is emptied with _INTERN, and on
+# its own once it holds more than INTERN_LIMIT entries.
+_APPLY_MEMO: dict[int, "tuple[Value, int, Value, Value] | tuple[Value, int, App]"] = {}
 
 
-def remember(f: Value, a: Value, r: Value, cost: int, need: int) -> None:
-    """Admit the S-redex ``f a = r``, ``cost`` steps after its firing,
-    replayable under caps of ``need`` and above, when _INTERN holds f, a and r."""
-    if _INTERN.get(f) is f and _INTERN.get(a) is a and _INTERN.get(r) is r:
-        _admit(id(f) << 64 | id(a), (r, cost, need))
-
-
-def remember_term(t: App, r: Value, cost: int, need: int) -> None:
-    """Admit the closed term ``t``, evaluated to ``r`` in ``cost`` steps,
-    replayable under caps of ``need`` and above, when _INTERN holds r."""
-    if _INTERN.get(r) is r:
-        _admit(id(t), (r, cost, need, t))
-
-
-def _admit(key: int, entry) -> None:
+def remember(key: int, entry: tuple) -> None:
+    """Admit ``entry``, which holds the objects whose ids make ``key``."""
     if len(_APPLY_MEMO) > INTERN_LIMIT:
         _APPLY_MEMO.clear()
     _APPLY_MEMO[key] = entry
@@ -238,15 +221,7 @@ def intern_value(v: Value) -> Value:
     if len(_INTERN) > INTERN_LIMIT:
         _INTERN.clear()
         _APPLY_MEMO.clear()
-        _INTERN.update(_PINNED)
     _INTERN[v] = v
-    return v
-
-
-def pin_value(v: Value) -> Value:
-    """``intern_value(v)``, kept in _INTERN across its overflow clears."""
-    v = intern_value(v)
-    _PINNED[v] = v
     return v
 
 
@@ -268,10 +243,12 @@ Outcome = Defined | FuelExhausted
 @dataclass(frozen=True, slots=True)
 class FuelConfig:
     max_steps: int = 100_000
-    max_value_size: int = 1_000_000
+    # The value size cap, in nodes counted as a tree: fixed for every run, so
+    # a class constant, not a field.
+    max_value_size = 1_000_000
 
     def __post_init__(self):
-        if self.max_steps <= 0 or self.max_value_size <= 0:
+        if self.max_steps <= 0:
             raise ValueError("fuel limits must be strictly positive")
 
 

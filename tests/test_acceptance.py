@@ -14,7 +14,7 @@ from reference_impl import nat_explicit, realizes
 
 from extreal.checker import RealizerPair, Status, check, truth_eval
 from extreal.formulas import AllIn, And, Eq, ExIn, Mem, fmt
-from extreal.kernel import apply_value, apply_values, eval_term, kleene_eq, pair_value, project
+from extreal.kernel import apply_value, apply_values, eval_term, pair_value, project
 from extreal.names import (
     Arrow,
     EnumBudget,

@@ -161,8 +161,7 @@ def test_backends_end_runs_alike(compiled):
         ("apply_value", (num_value(1), Value(K), FuelConfig()), kernel.Crash, IllTypedApplication),
         ("eval_term", (app(S, i, i, app(S, i, i)), None, FuelConfig(max_steps=50)), kernel.Open,
          type(None)),
-        ("eval_term", (compile_term(parse(_GROW)), None, FuelConfig(max_value_size=1000)), kernel.Open,
-         ValueSizeExceeded),
+        ("eval_term", (compile_term(parse(_GROW)), None, FuelConfig()), kernel.Open, ValueSizeExceeded),
         ("eval_term", (app(SUCC, num(2)), None, FuelConfig()), Value, None),
     ]
     for op, args, kind, error in cases:

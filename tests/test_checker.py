@@ -325,9 +325,10 @@ def test_round_trip_structured_cases():
 
 _CRASH = "#3 #3"  # applying a numeral is a machine error
 _LOOP = "(\\y. y y) (\\y. y y)"  # diverges under any fuel
-# Doubles K eight times, to a pair tree of 2,041 nodes; every realizer and
-# witness below fits a cap of 1,000 (i_r has 434 nodes).
-_GROW = "(\\f. f (f (f (f (f (f (f (f K)))))))) (\\x. P x x)"
+# Doubles K nineteen times, to a pair tree of 1,048,569 nodes: past the
+# value size cap of 10**6.  Interning shares each level, so it takes a few
+# milliseconds.
+_GROW = "(\\f. " + "f (" * 18 + "f K" + ")" * 18 + ") (\\x. P x x)"
 
 
 def _term_value(src: str) -> Value:
@@ -404,7 +405,7 @@ def test_failure_sites_crash_refutes_and_fuel_is_unknown(what, clause, phi, a, b
     for failing, cfg, status, note in (
         (_CRASH, DEFAULT_FUEL, Status.REFUTED, "crashed (stuck: "),
         (_LOOP, FuelConfig(max_steps=400), Status.UNKNOWN, "ran out of fuel"),
-        (_GROW, FuelConfig(max_value_size=1000), Status.UNKNOWN, "outgrew the value size cap"),
+        (_GROW, DEFAULT_FUEL, Status.UNKNOWN, "outgrew the value size cap"),
     ):
         pair = RealizerPair(*(_term_value(t.replace("{}", failing)) for t in (a, b)))
         if phi is None:

@@ -1,14 +1,16 @@
 """Reduction machine: delta rules, partiality, fuel, determinism."""
 
 import contextlib
+import dataclasses
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_impl
-from extreal import machine, terms
+from extreal import kernel, machine, terms
 from extreal.bracket import compile_term, lam
-from extreal.kernel import apply_value, apply_values, eval_term, kleene_eq
+from extreal.kernel import apply_value, apply_values, eval_term, kleene_agree
 from extreal.terms import (
     App,
     Const,
@@ -32,7 +34,6 @@ from extreal.terms import (
     S,
     StuckApplication,
     SUCC,
-    Tri,
     UnboundVariable,
     Value,
     ValueSizeExceeded,
@@ -71,8 +72,8 @@ def test_kbar_law():
 
 
 def test_succ_pred():
-    assert kleene_eq(App(SUCC, num(2)), num(3)) is Tri.TRUE
-    assert kleene_eq(App(PRED, num(3)), num(2)) is Tri.TRUE
+    assert kleene_agree(App(SUCC, num(2)), num(3)) is True
+    assert kleene_agree(App(PRED, num(3)), num(2)) is True
     with pytest.raises(StuckApplication):
         eval_term(App(PRED, num(0)))
     with pytest.raises(StuckApplication):
@@ -118,14 +119,14 @@ def test_pairing_projection_laws():
     for _ in range(100):
         ta, a = random_printable_value(rng)
         tb, b = random_printable_value(rng)
-        assert kleene_eq(App(P0, app(P, ta, tb)), ta) is Tri.TRUE
-        assert kleene_eq(App(P1, app(P, ta, tb)), tb) is Tri.TRUE
+        assert kleene_agree(App(P0, app(P, ta, tb)), ta) is True
+        assert kleene_agree(App(P1, app(P, ta, tb)), tb) is True
 
 
 def test_divergence_exhausts_fuel():
     delta = compile_term(lam("x", App(Var("x"), Var("x"))))
     loop = App(delta, delta)
-    assert kleene_eq(loop, loop, FuelConfig(max_steps=2_000)) is Tri.UNKNOWN
+    assert kleene_agree(loop, loop, FuelConfig(max_steps=2_000)) is None
     out = eval_term(loop, None, FuelConfig(max_steps=2_000))
     assert isinstance(out, FuelExhausted)
     assert "fuel exhausted" in out.note
@@ -158,7 +159,7 @@ def test_value_size_cap_raises():
     v = head
     with pytest.raises(ValueSizeExceeded):
         for _ in range(64):
-            out = apply_value(gv, v, FuelConfig(max_steps=10_000, max_value_size=5_000))
+            out = apply_value(gv, v)
             assert isinstance(out, Defined)
             v = out.value
 
@@ -180,14 +181,15 @@ def test_d_law_all_small_numerals(n, m):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 30), st.integers(0, 30))
 def test_numeral_injectivity(n, m):
-    assert kleene_eq(num(n), num(m)) is Tri.of(n == m)
+    assert kleene_agree(num(n), num(m)) is (n == m)
 
 
 def test_fuel_config_validation():
     with pytest.raises(ValueError):
         FuelConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        FuelConfig(max_value_size=0)
+    # The value size cap is fixed: a class constant, not a field.
+    assert [f.name for f in dataclasses.fields(FuelConfig)] == ["max_steps"]
+    assert FuelConfig(7).max_value_size == DEFAULT_FUEL.max_value_size == 10**6
 
 
 _heads = st.one_of(
@@ -258,7 +260,7 @@ def test_memo_returns_the_interned_application(f, a, interned, machine_first):
     if interned:
         f, a = intern_value(f), intern_value(a)
     calls = [
-        lambda: machine._accumulate(f, a, DEFAULT_FUEL.max_value_size),
+        lambda: machine._accumulate(f, a),
         lambda: machine.apply_value(f, a).value,
     ]
     if machine_first:
@@ -293,31 +295,44 @@ _combinators = st.recursive(
     lambda inner: st.builds(App, inner, inner),
     max_leaves=10,
 )
-_s_atoms = [Opaque("a"), Opaque("b"), _I, K, S, SUCC, num(1)]
-_s_terms = st.builds(
-    lambda c, args: app(c, *args),
-    _combinators,
-    st.lists(st.sampled_from(_s_atoms), min_size=1, max_size=4),
+_s_atoms = st.sampled_from([Opaque("a"), Opaque("b"), _I, K, S, SUCC, num(1)])
+
+
+def _copy(v):
+    """A fresh object equal to v, none of its nodes shared with v."""
+    return Value(v.head, tuple(map(_copy, v.args)))
+
+
+# Fresh values equal to ones the machine builds, spliced into a term as a
+# Value or as the value an Opaque carries.
+_fresh_atoms = st.builds(
+    lambda v, boxed: Opaque("v", _copy(v)) if boxed else _copy(v),
+    st.sampled_from([
+        Value(K), Value(S), Value(Num(1)), Value(Opaque("a")), Value(K, (Value(Num(1)),)),
+        Value(Const(ConstKind.S), (Value(K), Value(K))),
+    ]),
+    st.booleans(),
 )
 
 
 @st.composite
-def _sharing_terms(draw):
+def _sharing_terms(draw, atoms=_s_atoms):
     """A closed term ``sub``, then a few terms that splice the one object
     ``sub`` as head or argument, so that a recorded ``sub`` replays inside
     them."""
-    sub = draw(_s_terms)
+    s_terms = st.builds(lambda c, args: app(c, *args), _combinators, st.lists(atoms, min_size=1, max_size=4))
+    sub = draw(s_terms)
     over = st.builds(
         lambda c, args: app(c, *args),
         st.one_of(_combinators, st.just(sub)),
-        st.lists(st.sampled_from(_s_atoms + [sub, sub]), min_size=1, max_size=4),
+        st.lists(st.one_of(atoms, st.just(sub)), min_size=1, max_size=4),
     )
     return [sub] + draw(st.lists(over, min_size=1, max_size=3))
 
 
 def _term_entry(t):
     e = terms._APPLY_MEMO.get(id(t))
-    assert e is None or e[3] is t  # an entry holds its own term
+    assert e is None or e[2] is t  # an entry holds its own term
     return e
 
 
@@ -345,46 +360,127 @@ def _outcome(evaluate, t, cfg):
 @settings(max_examples=60, deadline=None)
 @given(_sharing_terms())
 def test_memo_replays_match_the_memo_free_oracle(ts):
-    """With a warm memo, at every fuel cap up to the term's total steps + 1
-    and two value-size caps, the machine reports the oracle's outcome: the
-    same type, steps, note, value and error.  The shared subterm is
-    evaluated first, so it is recorded whole and replays (or, where it does
-    not fit, is reduced) inside the terms that splice it."""
+    """With a warm memo, at every fuel cap up to the term's total steps + 1,
+    the machine reports the oracle's outcome: the same type, steps, note,
+    value and error.  The shared subterm is evaluated first, so it is
+    recorded whole and replays (or, where it does not fit, is reduced)
+    inside the terms that splice it."""
     ceiling = 120
-    sizes = (DEFAULT_FUEL.max_value_size, 12)
     sub = ts[0]
     assume(isinstance(_outcome(reference_impl.oracle_eval_term, sub, FuelConfig(ceiling)), Defined))
     with pytest.MonkeyPatch.context() as mp, _saved_tables():
         mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
-        # Empty the tables as an overflow does, so that every value the
-        # terms reach is interned: a value interned earlier from an
-        # uninterned argument (K x, say) would hand that argument back.
-        terms._INTERN.clear()
-        terms._INTERN.update(terms._PINNED)
-        terms._APPLY_MEMO.clear()
         for t in ts:
-            for size in sizes:
-                for _ in range(2):
-                    _outcome(machine.eval_term, t, FuelConfig(ceiling, size))
+            for _ in range(2):
+                _outcome(machine.eval_term, t, FuelConfig(ceiling))
         assert _term_entry(sub) is not None
         for t in ts:
-            for size in sizes:
-                for fuel in range(1, ceiling + 2):
-                    cfg = FuelConfig(fuel, size)
-                    want = _outcome(reference_impl.oracle_eval_term, t, cfg)
+            for fuel in range(1, ceiling + 2):
+                cfg = FuelConfig(fuel)
+                want = _outcome(reference_impl.oracle_eval_term, t, cfg)
+                assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
+                if not isinstance(want, FuelExhausted):
+                    # The total is reached; check total + 1 and stop.
+                    cfg = FuelConfig(fuel + 1)
                     assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
-                    if not isinstance(want, FuelExhausted):
-                        # The total is reached; check total + 1 and stop.
-                        cfg = FuelConfig(fuel + 1, size)
-                        assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
-                        break
+                    break
+
+
+def _all_interned(v):
+    """Whether v and every value below it is the object _INTERN holds."""
+    seen, stack = set(), [v]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            if terms._INTERN.get(x) is not x:
+                return False
+            stack.extend(x.args)
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sharing_terms(st.one_of(_s_atoms, _fresh_atoms)), _fresh_atoms, _fresh_atoms)
+def test_machine_values_are_shared(ts, f, a):
+    """Fresh values spliced into terms, or applied, are shared on entry: each
+    result, and every value below it, is the _INTERN object, and every memo
+    entry holds the objects its key is the identity of."""
+    f, a = (x.value if isinstance(x, Opaque) else x for x in (f, a))
+    with pytest.MonkeyPatch.context() as mp, _saved_tables():
+        mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
+        # Start from empty tables, as after an overflow: earlier tests intern
+        # values built by hand around uninterned arguments.
+        terms._INTERN.clear()
+        terms._APPLY_MEMO.clear()
+        mp.setattr(machine, "_const_cache", {})
+        runs = [(machine.eval_term, t, None) for t in ts for _ in range(2)]
+        runs += [(machine.apply_value, f, a)] * 2
+        for op, x, y in runs:
+            try:
+                out = op(x, y, FuelConfig(120))
+            except MachineError:
+                continue
+            assert not isinstance(out, Defined) or _all_interned(out.value), (x, y)
+        for key, e in terms._APPLY_MEMO.items():
+            assert key == (id(e[2]) << 64 | id(e[3]) if len(e) == 4 else id(e[2]))
+
+
+def _doubled(ident, n):
+    """A value of 2**(n + 1) - 1 nodes from n + 1 objects: each a pair of
+    the one below."""
+    v = Value(Opaque(ident))
+    for _ in range(n):
+        v = Value(Opaque(ident), (v, v))
+    return v
+
+
+def test_share_walks_each_object_of_a_large_value_once():
+    # A fresh value of 2**21 - 1 nodes from 21 objects, spliced into terms:
+    # sharing it visits 21 objects, so both runs end at once, with the
+    # size cap or a value, and no recursion.
+    big = _doubled("share-big", 20)
+    assert big.size > 10**6
+    start = time.perf_counter()
+    with _saved_tables():
+        capped = kernel.attempt(eval_term, App(K, Opaque("big", big)), None, DEFAULT_FUEL)
+        dropped = kernel.attempt(eval_term, app(K, num(0), Opaque("big", big)), None, DEFAULT_FUEL)
+        assert _all_interned(big)
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(capped, kernel.Open) and isinstance(capped.error, ValueSizeExceeded)
+    assert dropped == num_value(0)
+
+
+def test_equal_operands_share_one_memo_entry(monkeypatch):
+    # T z #6, built twice from fresh objects: the second run is one memo
+    # entry replayed, with the oracle's steps and value.
+    def fresh():
+        i_val = Value(Const(ConstKind.S), (Value(K), Value(K)))
+        t_z = Value(Const(ConstKind.S), (Value(K, (Value(Opaque("z-equal")),)), i_val))
+        return App(t_z, Value(Num(6)))
+
+    with _saved_tables():
+        monkeypatch.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
+        first = fresh()
+        want = reference_impl.oracle_eval_term(first)
+        assert machine.eval_term(first) == want and want.steps == 7
+        f, a = terms._INTERN[first.fun], terms._INTERN[first.arg]
+        e = _entry(f, a)
+        assert e[:2] == (want.value, 6) and e[2] is f and e[3] is a
+        entries = len(terms._APPLY_MEMO)
+        # An emptied seen filter counts the new App node only: the redex
+        # is not reduced again.
+        monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
+        second = fresh()
+        assert second.fun is not first.fun and second.arg is not first.arg
+        assert machine.eval_term(second) == want
+        assert sum(machine._SEEN) == 1 and len(terms._APPLY_MEMO) == entries
 
 
 def test_term_replays_exactly_when_its_cost_fits_the_fuel(record_at_once, monkeypatch):
     t = app(_two_step(Opaque("zfit")), num(6))
     cost = machine.eval_term(t).steps
     value = intern_value(Value(Opaque("zfit"), (num_value(6),)))
-    assert _term_entry(t)[:3] == (value, cost, DEFAULT_FUEL.max_value_size)
+    assert _term_entry(t)[:2] == (value, cost)
     # u = K #0 t fires K #0 (one step), then enters t; its own record
     # never completes below.  A replay visits no node of t, so the seen
     # filter, emptied, counts only u and K #0.
@@ -426,93 +522,17 @@ def test_evaluation_under_an_environment_records_no_term(record_at_once):
     assert _term_entry(t) is None and _term_entry(closed) is None
 
 
-def test_fresh_operands_never_enter_the_memo(record_at_once):
-    fresh = Value(Opaque("u"))
-    one = intern_value(num_value(1))
-    for _ in range(2):
-        out = machine.apply_value(fresh, one)
-        assert out.value == Value(Opaque("u"), (one,))
-        assert out.value is intern_value(Value(Opaque("u"), (one,)))
-    assert _entry(fresh, one) is None
-    # Values bound in an environment are not interned either.
-    env = {"f": Value(Opaque("envf")), "x": Value(Num(4))}
-    for _ in range(2):
-        got = machine.eval_term(App(Var("f"), Var("x")), env).value
-        assert got == Value(Opaque("envf"), (num_value(4),))
-    assert _entry(env["f"], env["x"]) is None
-    # A fresh argument whose application is already interned under an equal
-    # argument object is not admitted (the table does not hold it).
-    g = intern_value(Value(Opaque("g")))
-    machine.apply_value(g, intern_value(num_value(5)))
-    fresh_arg = Value(Num(5))
-    assert machine.apply_value(g, fresh_arg).value.args[-1] is not fresh_arg
-    assert _entry(g, fresh_arg) is None
-    # Whole redexes: an interned operator S x y applied to an interned
-    # argument is recorded with its cost after the firing ...
-    i_val = val(_I)
-    z = intern_value(Value(Opaque("z")))
-    t_z = val(_two_step(z))
-    arg = intern_value(num_value(6))
-    out = machine.apply_value(t_z, arg)
-    assert out.value == Value(Opaque("z"), (arg,)) and out.steps == 7
-    assert _entry(t_z, arg) == (out.value, 6, DEFAULT_FUEL.max_value_size)
-    # ... but not with a fresh operator, a fresh argument, or in an
-    # environment.
-    fresh_t = Value(t_z.head, t_z.args)
-    for f, a in ((fresh_t, arg), (t_z, Value(Num(7))), (i_val, Value(Num(7)))):
+def test_memo_hit_still_checks_the_size_cap():
+    # An extension past the cap that is interned already (by hand here)
+    # does not let the application through: the cap is checked first.
+    with _saved_tables():
+        f = machine._share(Value(Opaque("cap"), (num_value(1),)))
+        a = machine._share(_doubled("cap-big", 19))
+        assert f.size + a.size > DEFAULT_FUEL.max_value_size
+        intern_value(f.extend(a))
         for _ in range(2):
-            assert machine.apply_value(f, a).value == reference_impl.oracle_apply_value(f, a).value
-        assert _entry(f, a) is None
-    env = {"t": Value(t_z.head, t_z.args), "x": Value(Num(8))}
-    for _ in range(2):
-        machine.eval_term(App(Var("t"), Var("x")), env)
-    assert _entry(env["t"], env["x"]) is None
-    # Nor one whose result is not interned: K (K x) a = K x returns the
-    # fresh x held inside the interned operator S (K (K x)) I.
-    x = Value(Opaque("inner"))
-    f = intern_value(Value(Const(ConstKind.S), (Value(K, (Value(K, (x,)),)), i_val)))
-    for _ in range(2):
-        assert machine.apply_value(f, arg).value is x
-    assert not _interned(x) and _entry(f, arg) is None
-    # Nor a closed term whose value is not interned: K x #1 returns the
-    # fresh x spliced into it.
-    t = app(K, x, num(1))
-    for _ in range(2):
-        assert machine.eval_term(t).value is x
-    assert _term_entry(t) is None
-
-
-def test_memo_hit_still_checks_the_size_cap(record_at_once):
-    one = intern_value(num_value(1))
-    f = intern_value(Value(Opaque("cap"), (one, one, one)))
-    a = intern_value(Value(Opaque("big"), (one,) * 5))
-    first = machine.apply_value(f, a)
-    assert machine.apply_value(f, a).value is first.value and _entry(f, a) is None
-    # The interned extension exists, and the cap still refuses it every time.
-    for _ in range(2):
-        with pytest.raises(ValueSizeExceeded):
-            machine.apply_value(f, a, FuelConfig(max_value_size=first.value.size - 1))
-    # A whole redex replays only under a cap at least the one it was
-    # recorded under.  T z x builds z x (11 nodes here) on the way.
-    z = intern_value(Value(Opaque("zcap"), (one,) * 4))
-    t_z = val(_two_step(z))
-    x = intern_value(Value(Opaque("xcap"), (one,) * 5))
-    for cap in (11, 12, 10**6, 11):  # recorded under 11: replays under 12 and 10**6
-        out = machine.apply_value(t_z, x, FuelConfig(max_value_size=cap))
-        assert out.value.size == 11 and out.steps == 7
-        assert _entry(t_z, x)[2] == 11
-    with pytest.raises(ValueSizeExceeded):
-        machine.apply_value(t_z, x, FuelConfig(max_value_size=10))
-    assert _entry(t_z, x)[2] == 11
-    # Recorded under a large cap, it is reduced again under a smaller one
-    # (and then recorded under that).
-    y = intern_value(Value(Opaque("ycap"), (one,) * 5))
-    machine.apply_value(t_z, y)
-    assert _entry(t_z, y)[2] == DEFAULT_FUEL.max_value_size
-    with pytest.raises(ValueSizeExceeded):
-        machine.apply_value(t_z, y, FuelConfig(max_value_size=10))
-    assert machine.apply_value(t_z, y, FuelConfig(max_value_size=11)).steps == 7
-    assert _entry(t_z, y)[2] == 11
+            with pytest.raises(ValueSizeExceeded):
+                machine.apply_value(f, a)
 
 
 def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
@@ -526,12 +546,12 @@ def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
         assert _term_entry(closed) is not None
         monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
         assert intern_value(Value(Opaque("one-more"))) is not None
-        assert not terms._APPLY_MEMO and len(terms._INTERN) == len(terms._PINNED) + 1
-        # f is no longer interned: the machine's result is the table's, and
-        # the entry is not re-admitted.
+        assert not terms._APPLY_MEMO and len(terms._INTERN) == 1
+        # f and a are no longer interned: they are shared again on entry,
+        # and the redex enters the memo again.
         again = machine.apply_value(f, a).value
         assert again == r and again is terms._INTERN[again]
-        assert _entry(f, a) is None
+        assert _interned(f) and _interned(a) and _entry(f, a)[0] is again
         # Whole-redex entries add no interned values, so the memo also
         # empties itself once it passes the limit.
         monkeypatch.setattr(terms, "INTERN_LIMIT", 10**6)
@@ -561,9 +581,9 @@ def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
 
 
 def test_intern_overflow_keeps_the_constants(monkeypatch):
-    # A clear refills _INTERN with the pinned constants, so a redex that
-    # hands S back enters the memo again, and the suites answer as at the
-    # default limit.
+    # A clear drops the constants from _INTERN; each is shared again when it
+    # next enters the machine, so a redex that hands S back enters the memo
+    # again, and the suites answer as at the default limit.
     from extreal.suites import run_suite
 
     def cases(ids):
@@ -573,15 +593,14 @@ def test_intern_overflow_keeps_the_constants(monkeypatch):
     want = cases(ids)
     with _saved_tables():
         s_val = machine._const_value(ConstKind.S)
-        assert terms._PINNED.get(s_val) is s_val
         monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
         intern_value(Value(Opaque("clear")))
-        assert not terms._APPLY_MEMO and _interned(s_val)
+        assert not terms._APPLY_MEMO and not _interned(s_val)
         i_val = machine.eval_term(_I).value
         for _ in range(3):  # the seen filter records the redex by its third firing
             assert machine.apply_value(i_val, s_val).value is s_val
-        assert _entry(i_val, s_val) == (s_val, 3, DEFAULT_FUEL.max_value_size)
+        assert _interned(s_val) and _entry(i_val, s_val) == (s_val, 3, i_val, s_val)
         # A limit low enough that the suites clear the table again and again.
         monkeypatch.setattr(terms, "INTERN_LIMIT", 2_000)
         assert cases(ids) == want
-        assert _interned(s_val) and len(terms._INTERN) <= 2_001
+        assert len(terms._INTERN) <= 2_001

@@ -33,11 +33,10 @@ from extreal.suites import random_finite_name
 from extreal.terms import (
     App,
     D,
-    DEFAULT_FUEL,
     Defined,
-    FuelConfig,
     K,
     Opaque,
+    P,
     P0,
     PRED,
     SUCC,
@@ -247,29 +246,28 @@ def test_graph_lookup_and_enumeration():
 
 
 def test_images_past_the_size_cap_leave_lookups_open():
-    # Both functions build ⟨c, i_r⟩ on the way to their image, so a value
-    # size cap just above i_r's size leaves every image undefined for now:
-    # the lookup is empty but not exhaustive, as when fuel runs out.  At an
-    # arrow type the same overflow is no counterexample: eq_type stays open
-    # and the type name's lookup is not exhaustive.
-    ir = Opaque("ir", i_r_value())
-    pair = p_(Var("c"), ir)
-    f = eval_term(compile_term(lam("c", App(P0, pair)))).value
-    names = [
-        Graph(eval_term(compile_term(lam("c", pair))).value, TYPE_O, TYPE_O),
-        Internal(f, OO),
-    ]
-    capped = FuelConfig(max_value_size=i_r_value().size + 3)
-    for x in names:
-        assert lookup_triples(x, num_value(2), num_value(2), cfg=DEFAULT_FUEL) == (
-            [OPair(Nat(2), Nat(2))],
-            True,
-        )
-        assert lookup_triples(x, num_value(2), num_value(2), cfg=capped) == ([], False)
-        assert enumerate_triples(x, cfg=capped) == ([], False)
-    for cfg in (DEFAULT_FUEL, capped):
-        assert eq_type(f, f, OO, cfg=cfg).result is Tri.UNKNOWN
-        assert lookup_triples(TypeName(OO), f, f, cfg=cfg) == ([Internal(f, OO)], False)
+    # Both functions build <c, y> on the way to their image c.  With y = i_r
+    # the images are found.  With y the pair tree that doubles c nineteen
+    # times (\x. P x x), which passes the value size cap of 10**6 nodes,
+    # every image is undefined for now: the lookup is empty but not
+    # exhaustive, as when fuel runs out.  At an arrow type the same overflow
+    # is no counterexample: eq_type stays open and the type name's lookup is
+    # not exhaustive.
+    doubled = Var("c")
+    for _ in range(19):
+        doubled = App(Var("f"), doubled)
+    grown = App(lam("f", doubled), lam("x", app(P, Var("x"), Var("x"))))
+    for y, found in ((Opaque("ir", i_r_value()), True), (grown, False)):
+        pair = p_(Var("c"), y)
+        f = eval_term(compile_term(lam("c", App(P0, pair)))).value
+        for x in (Graph(eval_term(compile_term(lam("c", pair))).value, TYPE_O, TYPE_O), Internal(f, OO)):
+            assert lookup_triples(x, num_value(2), num_value(2)) == (
+                ([OPair(Nat(2), Nat(2))], True) if found else ([], False)
+            )
+            if not found:
+                assert enumerate_triples(x) == ([], False)
+        assert eq_type(f, f, OO).result is Tri.UNKNOWN
+        assert lookup_triples(TypeName(OO), f, f) == ([Internal(f, OO)], False)
 
 
 def test_omega_nat_coherence():

@@ -153,14 +153,14 @@ def test_infinity_e1_both_cases():
 
 
 def test_set_induction_defining_equation():
-    from extreal.kernel import kleene_eq
-    from extreal.terms import App, Tri
+    from extreal.kernel import kleene_agree
+    from extreal.terms import App
 
     ev = value_of(set_induction_term())
     a = Value(Opaque("a"))
     lhs = App(Opaque("e", ev), Opaque("a", a))
     rhs = App(Opaque("a", a), compile_term(lam("z", App(Opaque("e", ev), Opaque("a", a)))))
-    assert kleene_eq(lhs, rhs) is Tri.TRUE
+    assert kleene_agree(lhs, rhs) is True
 
 
 def test_separation_builder_and_realizers():

@@ -113,8 +113,8 @@ def test_term_name_resolution_shares_subterms_without_names():
 
 # The law cases that fail unless both sides are seen to agree.
 _TOTAL_LAWS = {
-    "k-law", "d-law", "succ-pred", "pairing-projections", "identity", "k-s-compilations",
-    "f-unfold-oracle", "primrec",
+    "k-law", "d-law", "succ-pred", "pairing-projections", "numeral-injectivity", "identity",
+    "k-s-compilations", "f-unfold-oracle", "primrec",
 }
 
 
