@@ -5,7 +5,8 @@ The pure-Python machine (``machine``) is the machine and the reference
 semantics; ``PCA_BACKEND`` unset or ``pure`` selects it.  ``PCA_BACKEND=
 compiled`` selects the compiled twin (``extreal._speedup``), which is built
 only to compare against: it implements the same fueled call-by-value
-semantics, including step counts.
+semantics, including step counts.  Both return canonical values: equal
+values are one object, since ``terms.Value`` hash-conses at construction.
 
 A bad setting (an unknown value, or ``compiled`` when the twin is not built)
 does not stop the import: the pure machine is selected, and

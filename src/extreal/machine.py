@@ -6,15 +6,14 @@ of the application operation costs one step; outcomes are deterministic and
 monotone in fuel.
 
 Application is a function of the two elements, and equal values are one
-object: produced values are interned (a partial application ``f a`` is the
-canonical object of ``f.extend(a)``), and a value from outside (an operand
-of ``apply_value``, a ``Value`` or an ``Opaque``'s value in a term) is
-shared first (``_share``).  So a whole reduction that repeats is answered
-from ``terms._APPLY_MEMO``: a whole S-redex ``S x y a`` by the identities of
-its operator and argument, and, since evaluation without an environment is a
-function of the term, a closed application node by its identity.  A replay
-still costs every step the reduction took, so steps, fuel notes and errors
-are those of a machine without the memo:
+object: ``Value`` hash-conses at construction (:mod:`extreal.terms`), so a
+value built anywhere, inside the machine or out, is the canonical object.
+So a whole reduction that repeats is answered from ``terms._APPLY_MEMO``: a
+whole S-redex ``S x y a`` by the identities of its operator and argument,
+and, since evaluation without an environment is a function of the term, a
+closed application node by its identity.  A replay still costs every step
+the reduction took, so steps, fuel notes and errors are those of a machine
+without the memo:
 
 - admission: always; an entry holds the objects whose ids key it (a redex's
   operator and argument, a term), so no id is reused while it exists;
@@ -58,8 +57,6 @@ from .terms import (
     ValueSizeExceeded,
     Var,
     _APPLY_MEMO,
-    _INTERN,
-    intern_value,
     remember,
 )
 
@@ -78,8 +75,8 @@ _D = ConstKind.D
 _SUCC = ConstKind.SUCC
 _PRED = ConstKind.PRED
 
-# The value of each constant, interned: a delta constant is its own value, a
-# defined one the value of its expansion.
+# The value of each constant: a delta constant is its own value, a defined
+# one the value of its expansion.
 _const_cache: dict[ConstKind, Value] = {}
 
 # Firings of S-redexes and visits of closed application nodes, counted up to
@@ -101,7 +98,7 @@ def _const_value(kind: ConstKind) -> Value:
             out = _run([(_OP_EVAL, EXPANSIONS[kind], None)], [], DEFAULT_FUEL)
             assert isinstance(out, Defined)
             v = out.value
-        v = _const_cache[kind] = intern_value(v)
+        _const_cache[kind] = v
     return v
 
 
@@ -109,40 +106,12 @@ _MAX_SIZE = FuelConfig.max_value_size
 
 
 def _accumulate(f: Value, a: Value) -> Value:
-    """``f a`` below the head's arity: the interned extension of ``f``."""
+    """``f a`` below the head's arity: the extension of ``f``."""
     if f.size + a.size > _MAX_SIZE:
         raise ValueSizeExceeded(
             f"value of {f.size + a.size} nodes exceeds the cap of {_MAX_SIZE}"
         )
-    return intern_value(f.extend(a))
-
-
-def _share(v: Value) -> Value:
-    """The interned object equal to ``v``, its arguments shared first.
-
-    An interned ``v`` costs one probe of ``_INTERN``.  Otherwise the walk runs
-    on an explicit stack and visits each distinct object once: a value is a
-    DAG of up to ``_MAX_SIZE`` nodes.
-    """
-    hit = _INTERN.get(v)
-    if hit is not None:
-        return hit
-    done: dict[int, Value] = {}
-    stack = [(v, False)]
-    while stack:
-        x, ready = stack.pop()
-        if id(x) in done:
-            continue
-        if ready:  # its arguments are shared
-            args = tuple(done[id(a)] for a in x.args)
-            same = all(s is a for s, a in zip(args, x.args))
-            done[id(x)] = intern_value(x if same else Value(x.head, args))
-        elif (hit := _INTERN.get(x)) is not None:
-            done[id(x)] = hit
-        else:
-            stack.append((x, True))
-            stack.extend((a, False) for a in x.args)
-    return done[id(v)]
+    return f.extend(a)
 
 
 def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
@@ -193,16 +162,16 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                         v = const_cache.get(t.kind)
                         push(v if v is not None else _const_value(t.kind))
                     elif tt is Num:
-                        push(intern_value(Value(t)))
+                        push(Value(t))
                     elif tt is Var:
                         if env is None or t.name not in env:
                             raise UnboundVariable(t.name)
                         push(env[t.name])
                     elif tt is Opaque:
-                        push(_share(t.value) if t.value is not None else intern_value(Value(t)))
+                        push(t.value if t.value is not None else Value(t))
                     elif tt is Value:
                         # Allow already-evaluated elements spliced into trees.
-                        push(_share(t))
+                        push(t)
                     elif tt is Lam:
                         raise TypeError("lambda terms must be compiled before evaluation")
                     else:
@@ -265,14 +234,14 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
         elif kind is _SUCC:
             if not a.is_numeral():
                 raise StuckApplication("SUCC on a non-numeral")
-            push(intern_value(Value(Num(a.numeral + 1))))
+            push(Value(Num(a.numeral + 1)))
         elif kind is _PRED:
             if not a.is_numeral():
                 raise StuckApplication("PRED on a non-numeral")
             n = a.numeral
             if n == 0:
                 raise StuckApplication("PRED #0")
-            push(intern_value(Value(Num(n - 1))))
+            push(Value(Num(n - 1)))
         else:  # _D
             sel_a, sel_b = f.args[0], f.args[1]
             if not (sel_a.is_numeral() and sel_b.is_numeral()):
@@ -289,7 +258,7 @@ def eval_term(t: Term, env: dict[str, Value] | None = None, cfg: FuelConfig = DE
 
 def apply_value(f: Value, a: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
     """The partial application operation of the algebra, on elements."""
-    return _run([_APPLY], [_share(f), _share(a)], cfg)
+    return _run([_APPLY], [f, a], cfg)
 
 
 def apply_values(f: Value, args: list[Value] | tuple[Value, ...], cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:

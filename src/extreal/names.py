@@ -153,7 +153,7 @@ def describe(x: VName) -> str:
 
 def _values_eq_num(a: Value, b: Value) -> int | None:
     """The shared numeral when both keys are the same numeral, else None."""
-    if a.is_numeral() and b.is_numeral() and a.head == b.head and not a.args and not b.args:
+    if a is b and a.is_numeral() and not a.args:
         return a.numeral
     return None
 

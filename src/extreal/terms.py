@@ -2,15 +2,21 @@
 
 Terms are finite application trees over the machine constants and the
 numerals; values are weak canonical forms (constants applied below their
-arity, numerals, inert opaque heads).  Application is a partial operation:
-besides honest divergence (modelled by fuel) there are two kinds of hard
-failure, kept apart so callers can tell a crash from a timeout.
+arity, numerals, inert opaque heads).  One rule makes values canonical:
+``Value(head, args)`` returns the one live object with that head and those
+arguments, so equal values are one object, and a value is compared and
+hashed by identity.
+
+Application is a partial operation: besides honest divergence (modelled by
+fuel) there are two kinds of hard failure, kept apart so callers can tell a
+crash from a timeout.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from weakref import WeakValueDictionary
 
 
 class MachineError(Exception):
@@ -118,52 +124,36 @@ class Opaque:
 Term = Const | Num | Var | App | Opaque
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False, weakref_slot=True)
 class Value:
     """A weak canonical form: no delta rule fires at its head.
 
-    ``_hash`` is a left fold over the spine (``hash(head)``, then
-    ``hash((h, arg._hash))`` per argument), so ``extend`` can compute it from
-    the prefix in constant time.
+    Construction is hash-consing: ``Value(head, args)``, ``args`` a tuple of
+    values, returns the live value with that head and those arguments when
+    there is one, so ``==`` and ``hash`` are ``object``'s.
     """
 
     head: Const | Num | Opaque
-    args: tuple["Value", ...] = ()
-    size: int = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    args: tuple["Value", ...]
+    size: int = field(repr=False)
 
-    def __post_init__(self):
-        size = 1
-        h = hash(self.head)
-        for a in self.args:
-            size += a.size
-            h = hash((h, a._hash))
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "_hash", h)
-
-    def __hash__(self):
-        return self._hash
-
-    def extend(self, a: "Value") -> "Value":
-        """``Value(self.head, self.args + (a,))`` in constant time."""
-        v = _new_value(Value)
-        _set_head(v, self.head)
-        _set_args(v, self.args + (a,))
-        _set_size(v, self.size + a.size)
-        _set_hash(v, hash((self._hash, a._hash)))
+    def __new__(cls, head: Const | Num | Opaque, args: tuple["Value", ...] = ()) -> "Value":
+        key = (head, args)
+        v = _INTERN.get(key)
+        if v is None:
+            v = object.__new__(cls)
+            size = 1
+            for a in args:
+                size += a.size
+            object.__setattr__(v, "head", head)
+            object.__setattr__(v, "args", args)
+            object.__setattr__(v, "size", size)
+            _INTERN[key] = v
         return v
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Value):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.size == other.size
-            and self.head == other.head
-            and self.args == other.args
-        )
+    def extend(self, a: "Value") -> "Value":
+        """``Value(self.head, self.args + (a,))``."""
+        return Value(self.head, self.args + (a,))
 
     def is_numeral(self) -> bool:
         return isinstance(self.head, Num)
@@ -175,21 +165,9 @@ class Value:
         return self.head.n
 
 
-# Slot setters for ``Value.extend``: they bypass the frozen __setattr__ the
-# way object.__setattr__ does, without its per-call attribute lookup.
-_new_value = object.__new__
-_set_head = Value.head.__set__
-_set_args = Value.args.__set__
-_set_size = Value.size.__set__
-_set_hash = Value._hash.__set__
-
-# Values produced by the machines are interned (hash-consed), and a value
-# that enters the machine from outside is shared first (``machine._share``),
-# so that equal values are one object and the memo below can key on
-# identity.  The table is emptied once it holds more than INTERN_LIMIT
-# entries; a value kept from before is shared again when it next enters.
-INTERN_LIMIT = 1_000_000
-_INTERN: dict[Value, Value] = {}
+# The hash-consing table: each live value under its ``(head, args)``, held
+# weakly, so that an entry lives exactly as long as its value.
+_INTERN: "WeakValueDictionary[tuple, Value]" = WeakValueDictionary()
 
 # Memo of the reference machine: whole reductions, each entry ``(value,
 # cost, *key objects)``, the steps the reduction takes, then the objects whose
@@ -201,27 +179,22 @@ _INTERN: dict[Value, Value] = {}
 #   firing step;
 # - a closed term ``t`` evaluated without an environment under ``id(t)``,
 #   below 2**64, entry ``(value, cost, t)``.
-# A partial application ``f a`` has no entry: interning ``f a`` already
-# returns its canonical object.  The memo is emptied with _INTERN, and on
-# its own once it holds more than INTERN_LIMIT entries.
+# A partial application ``f a`` has no entry: ``Value`` already returns its
+# canonical object.  The memo is emptied once it holds more than MEMO_LIMIT
+# entries.
+MEMO_LIMIT = 1_000_000
 _APPLY_MEMO: dict[int, "tuple[Value, int, Value, Value] | tuple[Value, int, App]"] = {}
 
 
 def remember(key: int, entry: tuple) -> None:
     """Admit ``entry``, which holds the objects whose ids make ``key``."""
-    if len(_APPLY_MEMO) > INTERN_LIMIT:
+    if len(_APPLY_MEMO) > MEMO_LIMIT:
         _APPLY_MEMO.clear()
     _APPLY_MEMO[key] = entry
 
 
 def intern_value(v: Value) -> Value:
-    hit = _INTERN.get(v)
-    if hit is not None:
-        return hit
-    if len(_INTERN) > INTERN_LIMIT:
-        _INTERN.clear()
-        _APPLY_MEMO.clear()
-    _INTERN[v] = v
+    # Every value is canonical from construction; the compiled twin calls this.
     return v
 
 

@@ -3,13 +3,14 @@
 import contextlib
 import dataclasses
 import time
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_impl
 from extreal import kernel, machine, terms
-from extreal.bracket import compile_term, lam
+from extreal.bracket import EXPANSIONS, compile_term, lam
 from extreal.kernel import apply_value, apply_values, eval_term, kleene_agree
 from extreal.terms import (
     App,
@@ -39,7 +40,6 @@ from extreal.terms import (
     ValueSizeExceeded,
     Var,
     app,
-    intern_value,
     num,
     num_value,
     opaque_value,
@@ -208,10 +208,7 @@ _values = st.recursive(
 @given(_values, _values)
 def test_extend_matches_the_constructor(v, a):
     built = Value(v.head, v.args + (a,))
-    extended = v.extend(a)
-    assert extended == built
-    assert hash(extended) == hash(built) and extended.size == built.size
-    assert intern_value(extended) is intern_value(built)
+    assert v.extend(a) is built and built.size == v.size + a.size
 
 
 def test_const_kind_hashes_by_identity():
@@ -234,10 +231,6 @@ def _entry(f, a):
     return terms._APPLY_MEMO.get(id(f) << 64 | id(a))
 
 
-def _interned(v):
-    return terms._INTERN.get(v) is v
-
-
 # Values whose head takes one more argument without firing: an opaque head
 # with any arguments, or a delta constant at least two below its arity.
 _partial = st.one_of(
@@ -255,10 +248,8 @@ _partial = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_partial, _values, st.booleans(), st.booleans())
-def test_memo_returns_the_interned_application(f, a, interned, machine_first):
-    if interned:
-        f, a = intern_value(f), intern_value(a)
+@given(_partial, _values, st.booleans())
+def test_memo_returns_the_interned_application(f, a, machine_first):
     calls = [
         lambda: machine._accumulate(f, a),
         lambda: machine.apply_value(f, a).value,
@@ -271,10 +262,11 @@ def test_memo_returns_the_interned_application(f, a, interned, machine_first):
         for call in calls:
             got = call()
             if want is None:
-                want = intern_value(f.extend(a))
+                want = Value(f.head, f.args + (a,))
             assert got is want
     assert machine.apply_value(f, a).steps == 1
-    # Interning answers a repeat; a partial application adds no memo entry.
+    # The constructor answers a repeat; a partial application adds no memo
+    # entry.
     assert _entry(f, a) is None and len(terms._APPLY_MEMO) == entries
 
 
@@ -298,15 +290,10 @@ _combinators = st.recursive(
 _s_atoms = st.sampled_from([Opaque("a"), Opaque("b"), _I, K, S, SUCC, num(1)])
 
 
-def _copy(v):
-    """A fresh object equal to v, none of its nodes shared with v."""
-    return Value(v.head, tuple(map(_copy, v.args)))
-
-
-# Fresh values equal to ones the machine builds, spliced into a term as a
-# Value or as the value an Opaque carries.
-_fresh_atoms = st.builds(
-    lambda v, boxed: Opaque("v", _copy(v)) if boxed else _copy(v),
+# Values equal to ones the machine builds, spliced into a term as a Value or
+# as the value an Opaque carries.
+_value_atoms = st.builds(
+    lambda v, boxed: Opaque("v", v) if boxed else v,
     st.sampled_from([
         Value(K), Value(S), Value(Num(1)), Value(Opaque("a")), Value(K, (Value(Num(1)),)),
         Value(Const(ConstKind.S), (Value(K), Value(K))),
@@ -337,17 +324,14 @@ def _term_entry(t):
 
 
 @contextlib.contextmanager
-def _saved_tables():
-    """Run the body, then put _INTERN and the memo back as they were."""
-    saved = dict(terms._INTERN)
-    saved_memo = dict(terms._APPLY_MEMO)
+def _saved_memo():
+    """Run the body, then put the memo back as it was."""
+    saved = dict(terms._APPLY_MEMO)
     try:
         yield
     finally:
-        terms._INTERN.clear()
-        terms._INTERN.update(saved)
         terms._APPLY_MEMO.clear()
-        terms._APPLY_MEMO.update(saved_memo)
+        terms._APPLY_MEMO.update(saved)
 
 
 def _outcome(evaluate, t, cfg):
@@ -368,7 +352,7 @@ def test_memo_replays_match_the_memo_free_oracle(ts):
     ceiling = 120
     sub = ts[0]
     assume(isinstance(_outcome(reference_impl.oracle_eval_term, sub, FuelConfig(ceiling)), Defined))
-    with pytest.MonkeyPatch.context() as mp, _saved_tables():
+    with pytest.MonkeyPatch.context() as mp, _saved_memo():
         mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
         for t in ts:
             for _ in range(2):
@@ -386,33 +370,29 @@ def test_memo_replays_match_the_memo_free_oracle(ts):
                     break
 
 
-def _all_interned(v):
-    """Whether v and every value below it is the object _INTERN holds."""
+def _all_canonical(v):
+    """Whether v and every value below it is the object the constructor
+    returns for its head and arguments."""
     seen, stack = set(), [v]
     while stack:
         x = stack.pop()
         if id(x) not in seen:
             seen.add(id(x))
-            if terms._INTERN.get(x) is not x:
+            if Value(x.head, x.args) is not x:
                 return False
             stack.extend(x.args)
     return True
 
 
 @settings(max_examples=100, deadline=None)
-@given(_sharing_terms(st.one_of(_s_atoms, _fresh_atoms)), _fresh_atoms, _fresh_atoms)
+@given(_sharing_terms(st.one_of(_s_atoms, _value_atoms)), _value_atoms, _value_atoms)
 def test_machine_values_are_shared(ts, f, a):
-    """Fresh values spliced into terms, or applied, are shared on entry: each
-    result, and every value below it, is the _INTERN object, and every memo
-    entry holds the objects its key is the identity of."""
+    """Values spliced into terms, or applied: each result, and every value
+    below it, is the object the constructor returns, and every memo entry
+    holds the objects its key is the identity of."""
     f, a = (x.value if isinstance(x, Opaque) else x for x in (f, a))
-    with pytest.MonkeyPatch.context() as mp, _saved_tables():
+    with pytest.MonkeyPatch.context() as mp, _saved_memo():
         mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
-        # Start from empty tables, as after an overflow: earlier tests intern
-        # values built by hand around uninterned arguments.
-        terms._INTERN.clear()
-        terms._APPLY_MEMO.clear()
-        mp.setattr(machine, "_const_cache", {})
         runs = [(machine.eval_term, t, None) for t in ts for _ in range(2)]
         runs += [(machine.apply_value, f, a)] * 2
         for op, x, y in runs:
@@ -420,7 +400,7 @@ def test_machine_values_are_shared(ts, f, a):
                 out = op(x, y, FuelConfig(120))
             except MachineError:
                 continue
-            assert not isinstance(out, Defined) or _all_interned(out.value), (x, y)
+            assert not isinstance(out, Defined) or _all_canonical(out.value), (x, y)
         for key, e in terms._APPLY_MEMO.items():
             assert key == (id(e[2]) << 64 | id(e[3]) if len(e) == 4 else id(e[2]))
 
@@ -434,36 +414,73 @@ def _doubled(ident, n):
     return v
 
 
-def test_share_walks_each_object_of_a_large_value_once():
-    # A fresh value of 2**21 - 1 nodes from 21 objects, spliced into terms:
-    # sharing it visits 21 objects, so both runs end at once, with the
-    # size cap or a value, and no recursion.
-    big = _doubled("share-big", 20)
-    assert big.size > 10**6
+def test_a_large_value_built_twice_is_one_object():
+    # A value of 2**21 - 1 nodes from 21 objects, built twice, is one
+    # object; spliced into terms, it ends at once, with the size cap or a
+    # value, and no recursion.
     start = time.perf_counter()
-    with _saved_tables():
+    big = _doubled("share-big", 20)
+    assert _doubled("share-big", 20) is big and big.size == 2**21 - 1
+    with _saved_memo():
         capped = kernel.attempt(eval_term, App(K, Opaque("big", big)), None, DEFAULT_FUEL)
         dropped = kernel.attempt(eval_term, app(K, num(0), Opaque("big", big)), None, DEFAULT_FUEL)
-        assert _all_interned(big)
     assert time.perf_counter() - start < 1.0
     assert isinstance(capped, kernel.Open) and isinstance(capped.error, ValueSizeExceeded)
     assert dropped == num_value(0)
 
 
+def test_deep_values_built_apart_are_one_object():
+    # Construction compares arguments by identity, so neither the depth nor
+    # the tree size of a value costs a walk: two chains c (c (... #0)) of
+    # 3,000 levels, built apart, apply without recursion, and two values of
+    # 2**19 - 1 nodes are one object.
+    def chain():
+        v = num_value(0)
+        for _ in range(3_000):
+            v = Value(Opaque("c"), (v,))
+        return v
+
+    f, a = chain(), chain()
+    out = machine.apply_value(f, a)
+    assert isinstance(out, Defined) and out.value.args == (*f.args, a)
+    assert f is a and _doubled("deep", 18) is _doubled("deep", 18)
+
+
+def test_the_value_table_is_weak(monkeypatch, record_at_once):
+    # A value that nothing holds leaves _INTERN.  One that the memo or the
+    # machine's constant cache holds stays, and a memo overflow leaves the
+    # cached constants what the constructor and the machine return.
+    key = (Opaque("weak"), (num_value(1),))
+    Value(*key)
+    assert key not in terms._INTERN
+    with _saved_memo():
+        s_val, p_val = machine._const_value(ConstKind.S), machine._const_value(ConstKind.P)
+        t_z = machine.eval_term(_two_step(Value(Opaque("weak-z")))).value
+        x = num_value(7)
+        held = weakref.ref(machine.apply_value(t_z, x).value)
+        assert held() is _entry(t_z, x)[0] is not None
+        monkeypatch.setattr(terms, "MEMO_LIMIT", len(terms._APPLY_MEMO) - 1)
+        machine.apply_value(t_z, num_value(8))  # its first record empties the memo
+        assert _entry(t_z, x) is None and held() is None
+        assert Value(Const(ConstKind.S)) is s_val is machine.eval_term(S).value
+        assert machine.eval_term(EXPANSIONS[ConstKind.P]).value is p_val
+
+
 def test_equal_operands_share_one_memo_entry(monkeypatch):
-    # T z #6, built twice from fresh objects: the second run is one memo
-    # entry replayed, with the oracle's steps and value.
+    # T z #6, built twice: the second App node is new, its operands are the
+    # objects of the first, and its run is one memo entry replayed, with the
+    # oracle's steps and value.
     def fresh():
         i_val = Value(Const(ConstKind.S), (Value(K), Value(K)))
         t_z = Value(Const(ConstKind.S), (Value(K, (Value(Opaque("z-equal")),)), i_val))
         return App(t_z, Value(Num(6)))
 
-    with _saved_tables():
+    with _saved_memo():
         monkeypatch.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
         first = fresh()
         want = reference_impl.oracle_eval_term(first)
         assert machine.eval_term(first) == want and want.steps == 7
-        f, a = terms._INTERN[first.fun], terms._INTERN[first.arg]
+        f, a = first.fun, first.arg
         e = _entry(f, a)
         assert e[:2] == (want.value, 6) and e[2] is f and e[3] is a
         entries = len(terms._APPLY_MEMO)
@@ -471,7 +488,7 @@ def test_equal_operands_share_one_memo_entry(monkeypatch):
         # is not reduced again.
         monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
         second = fresh()
-        assert second.fun is not first.fun and second.arg is not first.arg
+        assert second is not first and second.fun is f and second.arg is a
         assert machine.eval_term(second) == want
         assert sum(machine._SEEN) == 1 and len(terms._APPLY_MEMO) == entries
 
@@ -479,7 +496,7 @@ def test_equal_operands_share_one_memo_entry(monkeypatch):
 def test_term_replays_exactly_when_its_cost_fits_the_fuel(record_at_once, monkeypatch):
     t = app(_two_step(Opaque("zfit")), num(6))
     cost = machine.eval_term(t).steps
-    value = intern_value(Value(Opaque("zfit"), (num_value(6),)))
+    value = Value(Opaque("zfit"), (num_value(6),))
     assert _term_entry(t)[:2] == (value, cost)
     # u = K #0 t fires K #0 (one step), then enters t; its own record
     # never completes below.  A replay visits no node of t, so the seen
@@ -516,91 +533,74 @@ def test_a_raising_closed_term_is_never_recorded(monkeypatch):
 def test_evaluation_under_an_environment_records_no_term(record_at_once):
     closed = App(_I, num(2))
     t = App(App(K, Var("x")), closed)
-    env = {"x": intern_value(Value(Opaque("env-x")))}
+    env = {"x": Value(Opaque("env-x"))}
     for _ in range(3):
         assert machine.eval_term(t, env).value is env["x"]
     assert _term_entry(t) is None and _term_entry(closed) is None
 
 
 def test_memo_hit_still_checks_the_size_cap():
-    # An extension past the cap that is interned already (by hand here)
+    # An extension past the cap that exists already (built by hand here)
     # does not let the application through: the cap is checked first.
-    with _saved_tables():
-        f = machine._share(Value(Opaque("cap"), (num_value(1),)))
-        a = machine._share(_doubled("cap-big", 19))
-        assert f.size + a.size > DEFAULT_FUEL.max_value_size
-        intern_value(f.extend(a))
+    with _saved_memo():
+        f = Value(Opaque("cap"), (num_value(1),))
+        a = _doubled("cap-big", 19)
+        over = f.extend(a)
+        assert over.size > DEFAULT_FUEL.max_value_size
         for _ in range(2):
             with pytest.raises(ValueSizeExceeded):
                 machine.apply_value(f, a)
 
 
-def test_intern_overflow_empties_the_memo(monkeypatch, record_at_once):
-    with _saved_tables():
-        f = val(_two_step(intern_value(Value(Opaque("ovf")))))
-        a = intern_value(num_value(3))
-        r = machine.apply_value(f, a).value
-        assert _entry(f, a)[0] is r
+def test_memo_overflow_empties_the_memo(monkeypatch, record_at_once):
+    # Past MEMO_LIMIT entries the next admission empties the memo, closed
+    # terms and redexes alike; the values the test holds stay what the
+    # machine returns, and a redex enters the memo again.
+    with _saved_memo():
+        z = Value(Opaque("zovf"))
+        t_z = machine.eval_term(_two_step(z)).value
+        i_val = machine.eval_term(_I).value
         closed = App(_I, Opaque("ovf-term"))
         machine.eval_term(closed)
         assert _term_entry(closed) is not None
-        monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
-        assert intern_value(Value(Opaque("one-more"))) is not None
-        assert not terms._APPLY_MEMO and len(terms._INTERN) == 1
-        # f and a are no longer interned: they are shared again on entry,
-        # and the redex enters the memo again.
-        again = machine.apply_value(f, a).value
-        assert again == r and again is terms._INTERN[again]
-        assert _interned(f) and _interned(a) and _entry(f, a)[0] is again
-        # Whole-redex entries add no interned values, so the memo also
-        # empties itself once it passes the limit.
-        monkeypatch.setattr(terms, "INTERN_LIMIT", 10**6)
-        z = intern_value(Value(Opaque("zovf")))
-        t_z = machine.eval_term(_two_step(z)).value
-        i_val = machine.eval_term(_I).value
-        xs = [intern_value(num_value(n)) for n in range(40, 70)]
-        for x in xs:  # intern z x and K x, so that T z x interns nothing new
-            machine.apply_value(z, x)
+        xs = [num_value(n) for n in range(40, 70)]
+        for x in xs:  # record I x, so that T z x adds one entry
             machine.apply_value(i_val, x)
-        # More interned values keep the limit below the table's size.
-        for n in range(100, 120):
-            intern_value(num_value(n))
-        interned = len(terms._INTERN)
         limit = len(terms._APPLY_MEMO) + 10
-        assert limit < interned  # a new interned value would empty both
-        monkeypatch.setattr(terms, "INTERN_LIMIT", limit)
+        monkeypatch.setattr(terms, "MEMO_LIMIT", limit)
         sizes = []
         for x in xs:
             assert machine.apply_value(t_z, x).steps == 7
             sizes.append(len(terms._APPLY_MEMO))
-        assert len(terms._INTERN) == interned
         # It grows to one past the limit, then the next admission empties it.
         top = sizes.index(limit + 1)
         assert max(sizes) == limit + 1 and sizes[top + 1] == 1
         assert _entry(t_z, xs[top + 1]) is not None and _entry(t_z, xs[0]) is None
+        assert _term_entry(closed) is None
+        assert machine.eval_term(_two_step(z)).value is t_z and machine.eval_term(_I).value is i_val
+        r = machine.apply_value(t_z, xs[0]).value
+        assert _all_canonical(r) and _entry(t_z, xs[0])[0] is r
 
 
-def test_intern_overflow_keeps_the_constants(monkeypatch):
-    # A clear drops the constants from _INTERN; each is shared again when it
-    # next enters the machine, so a redex that hands S back enters the memo
-    # again, and the suites answer as at the default limit.
-    from extreal.suites import run_suite
+def test_memo_overflow_keeps_the_constants(monkeypatch):
+    # A memo clear leaves the machine's constants canonical: a redex that
+    # hands S back returns the one S object and enters the memo again, and
+    # every suite answers as at the default limit.
+    from extreal.suites import SUITES, run_suite
 
-    def cases(ids):
-        return [[(c.name, c.ok, c.detail, c.snippet) for c in run_suite(i, 0).cases] for i in ids]
+    def cases():
+        return [[(c.name, c.ok, c.detail, c.snippet) for c in run_suite(i, 0).cases] for i in SUITES]
 
-    ids = ("pca-laws", "fixpoints")
-    want = cases(ids)
-    with _saved_tables():
+    want = cases()
+    with _saved_memo():
         s_val = machine._const_value(ConstKind.S)
-        monkeypatch.setattr(terms, "INTERN_LIMIT", len(terms._INTERN) - 1)
-        intern_value(Value(Opaque("clear")))
-        assert not terms._APPLY_MEMO and not _interned(s_val)
+        monkeypatch.setattr(terms, "MEMO_LIMIT", -1)
         i_val = machine.eval_term(_I).value
         for _ in range(3):  # the seen filter records the redex by its third firing
             assert machine.apply_value(i_val, s_val).value is s_val
-        assert _interned(s_val) and _entry(i_val, s_val) == (s_val, 3, i_val, s_val)
-        # A limit low enough that the suites clear the table again and again.
-        monkeypatch.setattr(terms, "INTERN_LIMIT", 2_000)
-        assert cases(ids) == want
-        assert len(terms._INTERN) <= 2_001
+        assert _entry(i_val, s_val) == (s_val, 3, i_val, s_val) and len(terms._APPLY_MEMO) == 1
+        assert Value(Const(ConstKind.S)) is s_val
+        # A limit low enough that the suites empty the memo again and again.
+        monkeypatch.setattr(terms, "MEMO_LIMIT", 2_000)
+        assert cases() == want
+        assert len(terms._APPLY_MEMO) <= 2_001
