@@ -7,13 +7,18 @@ exhaustively verified clauses; any budget-truncated branch forces Unknown.
 Each clause returns its ``Trace``, and the trace is the verdict: its
 status, note and children say what was decided and why.
 
+One driver, ``_solve``, runs the recursion on an explicit stack: a clause
+that needs subgoals is a generator that yields each subgoal ``(a, b, ψ)`` and
+is sent back its Trace, so the depth of a name or formula costs no host
+stack.  A subgoal answered from the memo under a pending clause comes back
+without children: its subtree is shown where the goal was first reached.
+
 Failure policy: the kernel (``kernel.attempt``) decides how a projection or
 application of a realizer ends, and ``_run`` states what each end means for
 the clause.  A crash (a machine error on a genuine member) refutes the
 clause, exhaustively, since the clauses only speak about defined
 applications.  Resource limits leave it Unknown, as a larger limit could
-decide it either way: running out of fuel, outgrowing the value size cap, or
-(in the entry points) a name or formula nested too deep for the host stack.
+decide it either way: running out of fuel or outgrowing the value size cap.
 
 Negation, implication and the unbounded quantifiers range over the whole
 algebra, so the checker affirms them only where a decision principle
@@ -79,7 +84,7 @@ class RealizerPair:
         return RealizerPair(v, v)
 
 
-@dataclass
+@dataclass(slots=True)
 class Trace:
     clause: str
     status: Status
@@ -182,29 +187,12 @@ def _both(ctx: _Ctx, clause: str, op, a: Value, x, b: Value, y, what_a: str, wha
     return va, vb, None
 
 
-def _meet_all(trace: Trace, results) -> Status:
-    """Append each child Trace of the lazy ``results`` to ``trace`` and
-    return the meet of their statuses, stopping at the first refutation."""
-    out = Status.REALIZED
-    for child in results:
-        trace.children.append(child)
-        if child.status is Status.REFUTED:
-            return Status.REFUTED
-        out = _meet(out, child.status)
-    return out
-
-
 def _meet(s1: Status, s2: Status) -> Status:
     if Status.REFUTED in (s1, s2):
         return Status.REFUTED
     if Status.UNKNOWN in (s1, s2):
         return Status.UNKNOWN
     return Status.REALIZED
-
-
-# A name or formula that nests past the host stack is a resource limit, like
-# fuel: the entry points answer Unknown.
-_TOO_DEEP = "nesting too deep for the checker"
 
 
 def check(
@@ -217,23 +205,51 @@ def check(
     if not is_closed(phi):
         raise ValueError("check requires a closed formula")
     ctx = _Ctx(budget, cfg)
-    try:
-        trace = _check(ctx, pair.a, pair.b, phi)
-    except RecursionError:
-        trace = Trace("check", Status.UNKNOWN, note=_TOO_DEEP)
-    return Verdict(trace, ctx.samples)
+    return Verdict(_solve(ctx, pair.a, pair.b, phi), ctx.samples)
 
 
-def _check(ctx: _Ctx, a: Value, b: Value, phi: Formula) -> Trace:
-    """The clause for φ's connective, memoised.  Clauses recurse only through
-    here, and the dispatch is a table lookup rather than a call, so a deep
-    name or formula costs few host frames per level."""
+def _solve(ctx: _Ctx, a: Value, b: Value, phi: Formula) -> Trace:
+    """The Trace of the goal ``(a, b, φ)``, memoised per goal.
+
+    A clause returns its Trace, or is a generator that yields subgoals and
+    returns its Trace; suspended clauses wait on ``stack`` while their
+    subgoal runs.  The stack is bounded and no goal waits on itself: a
+    subgoal's formula has fewer connectives than its goal's, or both are
+    atoms (``mem``, ``eq``) and the subgoal's two names have a smaller rank
+    sum, because a clause only descends to members of a name.  So the stack
+    is at most as deep as the goal's formula and names."""
     ctx.samples += 1
-    key = (a, b, phi)
-    out = ctx.memo.get(key)
-    if out is None:
-        out = ctx.memo[key] = _CLAUSES[type(phi)](ctx, a, b, phi)
-    return out
+    goal = (a, b, phi)
+    out = ctx.memo.get(goal)
+    if out is not None:
+        return out
+    stack = []
+    while True:
+        # Start the goal's clause: it answers at once, or asks for a subgoal.
+        clause = _CLAUSES[type(goal[2])](ctx, *goal)
+        if isinstance(clause, Trace):
+            out = ctx.memo[goal] = clause
+        else:
+            stack.append((goal, clause))
+            out = None
+        # Resume clauses until one asks for a goal the memo cannot answer.
+        while stack:
+            key, clause = stack[-1]
+            try:
+                goal = clause.send(out)
+            except StopIteration as done:
+                stack.pop()
+                out = ctx.memo[key] = done.value
+                continue
+            ctx.samples += 1
+            hit = ctx.memo.get(goal)
+            if hit is None:
+                break
+            # Shown without children: the subtree is where the goal was first
+            # reached.  (Built directly: ``replace`` costs 8x as much.)
+            out = Trace(hit.clause, hit.status, hit.note, hit.exhaustive, hit.witness_directed)
+        else:
+            return out
 
 
 def _check_unbounded(ctx: _Ctx, a: Value, b: Value, phi: All | Ex) -> Trace:
@@ -277,7 +293,7 @@ def _check_keyed(ctx: _Ctx, a: Value, b: Value, phi: Mem | ExIn) -> Trace:
     trace = Trace(clause, Status.UNKNOWN, exhaustive=exhaustive)
     saw_unknown = False
     for z in matches:
-        t = _check(ctx, a1, b1, sub(z))
+        t = yield a1, b1, sub(z)
         trace.children.append(t)
         # Candidates from a non-exhaustive lookup are only probable members;
         # a positive answer through them stays Unknown.
@@ -292,14 +308,22 @@ def _check_keyed(ctx: _Ctx, a: Value, b: Value, phi: Mem | ExIn) -> Trace:
     return trace
 
 
-def _apply_members(ctx: _Ctx, clause: str, a: Value, b: Value, triples, sub, pi=None):
-    """Per triple ⟨c, d, z⟩: the verdict that a·c, b·d (or their ``pi``-th
-    projections) realize ``sub(z)``, or the failure that stopped it."""
+def _members(ctx: _Ctx, trace: Trace, a: Value, b: Value, triples, sub, pi=None):
+    """Per triple ⟨c, d, z⟩, ask whether a·c, b·d (or their ``pi``-th
+    projections) realize ``sub(z)``, and append the answer, or the failure
+    that stopped it, to ``trace``.  Returns the meet of the answers, stopping
+    at the first refutation."""
+    out = Status.REALIZED
     for c, d, z in triples:
-        ac, bd, bad = _both(ctx, clause, apply_value, a, c, b, d, "a·c", "b·d")
+        ac, bd, bad = _both(ctx, trace.clause, apply_value, a, c, b, d, "a·c", "b·d")
         if not bad and pi is not None:
-            ac, bd, bad = _both(ctx, clause, project, ac, pi, bd, pi, f"(a·c)_{pi}", f"(b·d)_{pi}")
-        yield bad if bad else _check(ctx, ac, bd, sub(z))
+            ac, bd, bad = _both(ctx, trace.clause, project, ac, pi, bd, pi, f"(a·c)_{pi}", f"(b·d)_{pi}")
+        child = bad or (yield ac, bd, sub(z))
+        trace.children.append(child)
+        out = _meet(out, child.status)
+        if out is Status.REFUTED:
+            break
+    return out
 
 
 def _check_eq(ctx: _Ctx, a: Value, b: Value, phi: Eq) -> Trace:
@@ -314,9 +338,7 @@ def _check_eq(ctx: _Ctx, a: Value, b: Value, phi: Eq) -> Trace:
     for label, src, dst, pi in (("left", x, y, 0), ("right", y, x, 1)):
         triples, exhausted = enumerate_triples(src, ctx.budget, ctx.cfg)
         side = Trace(f"eq/{label}", Status.UNKNOWN, exhaustive=exhausted)
-        members = _meet_all(
-            side, _apply_members(ctx, side.clause, a, b, triples, lambda z: Mem(z, dst), pi)
-        )
+        members = yield from _members(ctx, side, a, b, triples, partial(Mem, y=dst), pi)
         side.status = _meet(members, Status.REALIZED if exhausted else Status.UNKNOWN)
         trace.children.append(side)
         trace.status = _meet(trace.status, side.status)
@@ -333,7 +355,7 @@ def _check_and(ctx: _Ctx, a: Value, b: Value, phi: And) -> Trace:
         pa, pb, bad = _both(ctx, clause, project, a, i, b, i, f"(a)_{i}", f"(b)_{i}")
         if bad:
             return bad
-        t = _check(ctx, pa, pb, sub)
+        t = yield pa, pb, sub
         trace.children.append(t)
         trace.status = _meet(trace.status, t.status)
         if trace.status is Status.REFUTED:
@@ -354,7 +376,7 @@ def _check_or(ctx: _Ctx, a: Value, b: Value, phi: Or) -> Trace:
     pa, pb, bad = _both(ctx, clause, project, a, 1, b, 1, "(a)_1", "(b)_1")
     if bad:
         return bad
-    t = _check(ctx, pa, pb, phi.left if ta.numeral == 0 else phi.right)
+    t = yield pa, pb, phi.left if ta.numeral == 0 else phi.right
     return Trace(clause, t.status, note=f"tag #{ta.numeral}", exhaustive=True, children=[t])
 
 
@@ -363,9 +385,8 @@ def _check_allin(ctx: _Ctx, a: Value, b: Value, phi: AllIn) -> Trace:
     triples, exhausted = enumerate_triples(_as_name(phi.bound), ctx.budget, ctx.cfg)
     trace = Trace(clause, Status.UNKNOWN, exhaustive=exhausted)
     # The meet over the sampled members only.
-    trace.status = _meet_all(
-        trace,
-        _apply_members(ctx, clause, a, b, triples, partial(substitute, phi.body, phi.var)),
+    trace.status = yield from _members(
+        ctx, trace, a, b, triples, partial(substitute, phi.body, phi.var)
     )
     if not exhausted and trace.status is not Status.REFUTED:
         if trace.status is Status.REALIZED and triples:
@@ -407,7 +428,7 @@ def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
         )
     if ca is not None and cb is not None:
         # Constant realizers collapse the universal over hypothesis realizers.
-        t = _check(ctx, ca, cb, phi.concl)
+        t = yield ca, cb, phi.concl
         if t.status is Status.REALIZED:
             return Trace(
                 clause, Status.REALIZED, note="constant realizer: conclusion checked once",
@@ -431,7 +452,7 @@ def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
             )
             if bad:
                 return bad
-            t = _check(ctx, aw, bw, phi.concl)
+            t = yield aw, bw, phi.concl
             if t.status is Status.REFUTED:
                 return Trace(
                     clause, Status.REFUTED,
@@ -476,36 +497,30 @@ def check_imp_on_witnesses(
     universal claim over the whole algebra remains unverified.
     """
     ctx = _Ctx(budget, cfg)
-    trace = Trace("imp/witness-directed", Status.UNKNOWN, witness_directed=True)
+    trace = Trace("imp/witness-directed", Status.REALIZED, witness_directed=True)
     usable = 0
-
-    def results():
-        nonlocal usable
-        for i, w in enumerate(witnesses):
-            pre = _check(ctx, w.a, w.b, hyp)
-            if pre.status is Status.REFUTED:
-                # A skipped witness is shown but bears on no verdict, so it
-                # joins the children outside the meet.
-                trace.children.append(Trace(
-                    "witness", Status.UNKNOWN, children=[pre],
-                    note=f"witness {i} does not realize the hypothesis; skipped",
-                ))
-                continue
-            usable += 1
-            aw, bw, bad = _both(
-                ctx, "imp/witness", apply_value, pair.a, w.a, pair.b, w.b, "a·witness", "b·witness"
-            )
-            if bad:
-                yield bad
-                continue
-            t = _check(ctx, aw, bw, concl)
+    for i, w in enumerate(witnesses):
+        pre = _solve(ctx, w.a, w.b, hyp)
+        if pre.status is Status.REFUTED:
+            # A skipped witness is shown but bears on no verdict, so it
+            # joins the children outside the meet.
+            trace.children.append(Trace(
+                "witness", Status.UNKNOWN, children=[pre],
+                note=f"witness {i} does not realize the hypothesis; skipped",
+            ))
+            continue
+        usable += 1
+        aw, bw, t = _both(
+            ctx, "imp/witness", apply_value, pair.a, w.a, pair.b, w.b, "a·witness", "b·witness"
+        )
+        if t is None:
+            t = _solve(ctx, aw, bw, concl)
             # The memo holds t; label a copy.
-            yield replace(t, note=(f"witness {i}: " + t.note).rstrip(": "))
-
-    try:
-        trace.status = _meet_all(trace, results())
-    except RecursionError:
-        return Verdict(Trace(trace.clause, Status.UNKNOWN, note=_TOO_DEEP), ctx.samples)
+            t = replace(t, note=(f"witness {i}: " + t.note).rstrip(": "))
+        trace.children.append(t)
+        trace.status = _meet(trace.status, t.status)
+        if trace.status is Status.REFUTED:
+            break
     if trace.status is not Status.REFUTED:
         if usable:
             trace.note = f"{usable} witness(es); universal claim over the algebra unverified"

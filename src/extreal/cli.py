@@ -23,7 +23,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .kernel import BACKEND, BACKEND_ERROR
-from .parser import print_term
+from .parser import MAX_NESTING, print_term
 from .terms import EnumBudget, FuelConfig
 
 if TYPE_CHECKING:  # for annotations only: scenarios is imported by ``run``
@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=None, help="seed for the property suites")
     ap.add_argument("--json", action="store_true", help="machine-readable report")
     ap.add_argument("--trace-depth", type=int, default=2,
-                    help="levels of checker trace to print (negative for all)")
+                    help=f"levels of checker trace to print, at most {MAX_NESTING} "
+                         f"(negative: {MAX_NESTING})")
     sub = ap.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="execute a scenario file")
@@ -83,7 +84,8 @@ def _config(args) -> tuple[FuelConfig, EnumBudget, int]:
 
 
 def _report_scenario(rep: ScenarioReport, args) -> int:
-    depth = None if args.trace_depth < 0 else args.trace_depth
+    # Deeper traces would outgrow the JSON encoder's host stack.
+    depth = MAX_NESTING if args.trace_depth < 0 else min(args.trace_depth, MAX_NESTING)
     if args.json:
         payload = {
             "ok": rep.ok,

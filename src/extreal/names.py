@@ -218,11 +218,6 @@ class EqTypeReport:
     counterexample: Value | None = None
 
 
-# eq_type is pure in all five arguments; arrow-type sampling is costly and
-# the checker consults it once per lookup, so results are cached.
-_EQ_TYPE_CACHE: dict = {}
-
-
 def eq_type(
     a: Value,
     b: Value,
@@ -235,20 +230,6 @@ def eq_type(
     if sigma == TYPE_O:
         n = _values_eq_num(a, b)
         return EqTypeReport(Tri.of(n is not None))
-    key = (a, b, sigma, budget, cfg)
-    hit = _EQ_TYPE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    rep = _eq_type_arrow(a, b, sigma, budget, cfg)
-    if len(_EQ_TYPE_CACHE) > 100_000:
-        _EQ_TYPE_CACHE.clear()
-    _EQ_TYPE_CACHE[key] = rep
-    return rep
-
-
-def _eq_type_arrow(
-    a: Value, b: Value, sigma: FinType, budget: EnumBudget, cfg: FuelConfig
-) -> EqTypeReport:
     assert isinstance(sigma, Arrow)
     gens = gen_elems(sigma.dom, budget)
     passed = 0

@@ -217,20 +217,16 @@ def _dispatch_value(entries: list[tuple[int, Value]], cfg: FuelConfig) -> Value:
     return value_of(compile_term(lam("c", _dispatch_term(entries))), cfg)
 
 
-def synthesize(
-    phi: Formula,
-    budget: EnumBudget = DEFAULT_BUDGET,
-    cfg: FuelConfig = DEFAULT_FUEL,
-) -> RealizerPair | None:
+def synthesize(phi: Formula, cfg: FuelConfig = DEFAULT_FUEL) -> RealizerPair | None:
     """A realizer pair for a true bounded-arithmetic sentence, None for a
     false one.  Raises FragmentError outside the fragment."""
     if not in_fragment(phi):
         raise FragmentError("synthesis only covers the bounded-arithmetic fragment")
-    v = _synth(phi, budget, cfg)
+    v = _synth(phi, cfg)
     return None if v is None else RealizerPair.both(v)
 
 
-def _synth(phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> Value | None:
+def _synth(phi: Formula, cfg: FuelConfig) -> Value | None:
     ir = i_r_value()
     match phi:
         case Eq(Nat(n), Nat(m)):
@@ -240,18 +236,18 @@ def _synth(phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> Value | None:
         case Mem(Nat(n), Omega()):
             return pair_value(num_value(n), ir, cfg)
         case And(l, r):
-            vl = _synth(l, budget, cfg)
+            vl = _synth(l, cfg)
             if vl is None:
                 return None
-            vr = _synth(r, budget, cfg)
+            vr = _synth(r, cfg)
             if vr is None:
                 return None
             return pair_value(vl, vr, cfg)
         case Or(l, r):
-            vl = _synth(l, budget, cfg)
+            vl = _synth(l, cfg)
             if vl is not None:
                 return pair_value(num_value(0), vl, cfg)
-            vr = _synth(r, budget, cfg)
+            vr = _synth(r, cfg)
             if vr is not None:
                 return pair_value(num_value(1), vr, cfg)
             return None
@@ -261,14 +257,14 @@ def _synth(phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> Value | None:
         case Imp(h, c):
             if not truth_eval(h):
                 return Value(K)
-            vc = _synth(c, budget, cfg)
+            vc = _synth(c, cfg)
             if vc is None:
                 return None
             return defined_value(apply_value, Value(K), vc, cfg)
         case AllIn(v, Nat(n), body):
             entries = []
             for k in range(n):
-                sub = _synth(substitute(body, v, Nat(k)), budget, cfg)
+                sub = _synth(substitute(body, v, Nat(k)), cfg)
                 if sub is None:
                     return None
                 entries.append((k, sub))
@@ -277,7 +273,7 @@ def _synth(phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> Value | None:
             return _dispatch_value(entries, cfg)
         case ExIn(v, bound, body):
             for k in witness_range(bound, body):
-                sub = _synth(substitute(body, v, Nat(k)), budget, cfg)
+                sub = _synth(substitute(body, v, Nat(k)), cfg)
                 if sub is not None:
                     return pair_value(num_value(k), sub, cfg)
             return None
@@ -406,7 +402,7 @@ def separation_name(
         raise ValueError("separation witness requires a finite name")
     out: list[Triple] = []
     for ka, kb, u in triples:
-        wit = synthesize(phi_of(u), budget, cfg)
+        wit = synthesize(phi_of(u), cfg)
         if wit is None:
             continue
         out.append((pair_value(ka, wit.a, cfg), pair_value(kb, wit.b, cfg), u))

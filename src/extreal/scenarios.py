@@ -630,7 +630,7 @@ def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
         )
     want = truth_eval(phi)
     try:
-        wit = synthesize(phi, env.budget, env.cfg)
+        wit = synthesize(phi, env.cfg)
     except NoValue:  # the limits stop synthesis, as they can stop the check
         wit = None
     got = wit is not None and check(wit, phi, env.budget, env.cfg).status is Status.REALIZED

@@ -419,15 +419,15 @@ def suite_equality(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
     bad = []
     with rep.guard("transport-laws"):
         for n in range(5):
-            wit = synthesize(Eq(Nat(n), Nat(n)), budget, cfg)
+            wit = synthesize(Eq(Nat(n), Nat(n)), cfg)
             if not _realized(attempt(apply_value, i_s, wit.a, cfg), Eq(Nat(n), Nat(n)), budget, cfg):
                 bad.append(f"-- i_s fails on nat {n}")
             chained = attempt(apply_value, i_t, pair_value(wit.a, wit.a, cfg), cfg)
             if not _realized(chained, Eq(Nat(n), Nat(n)), budget, cfg):
                 bad.append(f"-- i_t fails on nat {n}")
         for n, m in ((1, 4), (2, 5)):
-            eqw = synthesize(Eq(Nat(n), Nat(n)), budget, cfg)
-            memw = synthesize(Mem(Nat(n), Nat(m)), budget, cfg)
+            eqw = synthesize(Eq(Nat(n), Nat(n)), cfg)
+            memw = synthesize(Mem(Nat(n), Nat(m)), cfg)
             for label, i_x in (("i_0", i_0), ("i_1", i_1)):
                 moved = attempt(apply_value, i_x, pair_value(eqw.a, memw.a, cfg), cfg)
                 if not _realized(moved, Mem(Nat(n), Nat(m)), budget, cfg):
@@ -598,7 +598,7 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
         ok = True
         for n in range(2):
             e1u = defined_value(apply_value, e1s, num_value(n), cfg)
-            wit = synthesize(Mem(Nat(n), Nat(2)), budget, cfg)
+            wit = synthesize(Mem(Nat(n), Nat(2)), cfg)
             ok &= _realized(attempt(apply_value, e1u, wit.a, cfg), Mem(Nat(n), ysep), budget, cfg)
         rep.cases.append(CaseResult("separation backward", ok, "per-member witness-directed"))
 
@@ -863,7 +863,7 @@ def suite_truth_oracle(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
         for i in range(rounds):
             phi = random_fragment_formula(rng, 2)
             want = truth_eval(phi)
-            wit = synthesize(phi, budget, cfg)
+            wit = synthesize(phi, cfg)
             got = wit is not None and check(wit, phi, budget, cfg).status is Status.REALIZED
             if want != got:
                 bad.append(f"-- mismatch on {fmt(phi)}: truth={want} realizer-loop={got}")

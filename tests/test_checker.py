@@ -419,3 +419,23 @@ def test_failure_sites_crash_refutes_and_fuel_is_unknown(what, clause, phi, a, b
         assert (node.clause, node.status, node.exhaustive) == (clause, status, refuted)
         want = f"{what} {note}"
         assert node.note.startswith(want) if refuted else node.note == want, node.note
+
+
+def test_check_deep_in_the_host_stack_decides_as_at_the_top():
+    # The checker's goals live on a stack of its own, so a caller that has
+    # used most of the host stack gets the verdict the top level gets.
+    import sys
+
+    x = Nat(1)
+    for _ in range(40):
+        x = Sing(x)
+    pair, phi = RealizerPair.both(i_r_value()), Eq(x, x)
+
+    def nested(n):
+        return check(pair, phi) if n == 0 else nested(n - 1)
+
+    frames, f = 0, sys._getframe()
+    while f is not None:
+        frames, f = frames + 1, f.f_back
+    deep, top = nested(850 - frames).status, check(pair, phi).status
+    assert deep is top is Status.REALIZED

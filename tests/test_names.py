@@ -173,11 +173,9 @@ def test_eq_type_counterexamples_are_machine_errors_only(monkeypatch):
 
         return apply
 
-    monkeypatch.setattr(names_mod, "_EQ_TYPE_CACHE", {})
     monkeypatch.setattr(names_mod, "apply_value", raising(StuckApplication("stuck")))
     rep = eq_type(succ, succ, OO)
     assert rep.result is Tri.FALSE and rep.counterexample == num_value(0)
-    monkeypatch.setattr(names_mod, "_EQ_TYPE_CACHE", {})
     monkeypatch.setattr(names_mod, "apply_value", raising(TypeError("a bug")))
     with pytest.raises(TypeError, match="a bug"):
         eq_type(succ, succ, OO)

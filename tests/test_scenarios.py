@@ -502,24 +502,65 @@ def test_cli_reports_a_name_warning_on_one_line():
     assert rep.ok and len(rep.results) == 2 and len(rep.warnings) == 1
 
 
-def test_cli_names_nested_past_the_host_stack_check_unknown():
-    # The checker spends a few host frames per name level, so a name at the
-    # nesting limit outgrows the stack of a default interpreter: like fuel,
-    # that leaves the check Unknown.  A shallower name still decides.
+def _sings(n):
+    return "sing (" * n + "nat 1" + ")" * n
+
+
+def _sing_chain_check(n, expect):
+    return f"realizer ir = i_r\nname x = {_sings(n)}\ncheck (ir, ir) eq(x, x) expect {expect}\n"
+
+
+def test_cli_names_at_the_nesting_limit_get_a_verdict():
+    # The checker keeps its goals on a stack of its own, so a name at the
+    # nesting limit decides like a shallow one.  The reference clauses
+    # recurse without a memo, in time exponential in the depth, so they
+    # confirm the verdict at a depth they can reach.
+    from reference_impl import nat_explicit, realizes
+
+    from extreal.formulas import Eq
+    from extreal.parser import MAX_NESTING
+    from extreal.realizers import i_r_value
+
+    out = _cli("--json", "--trace-depth", "0", "run", "-",
+               stdin=_sing_chain_check(MAX_NESTING, "realized"))
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    assert json.loads(out.stdout)["directives"][0]["outcome"] == "realized"
+    x = nat_explicit(1)
+    for _ in range(10):  # sing as an explicit name
+        x = Explicit(((num_value(0), num_value(0), x),))
+    assert realizes(i_r_value(), i_r_value(), Eq(x, x))
+
+
+def test_cli_deep_trace_prints_a_repeated_goal_once():
+    # eq(x, x) on a sing chain reaches the same goals from both sides of
+    # every level.  A goal printed in full once and without children after
+    # that keeps the trace linear in the chain's depth; printed in full at
+    # every occurrence, it doubles per level.
+    for flags in ([], ["--json"]):
+        sizes = []
+        for n in (2, 4, 6, 8):
+            out = _cli(*flags, "--trace-depth", "-1", "run", "-", stdin=_sing_chain_check(n, "refuted"))
+            assert out.returncode == 1 and "Traceback" not in out.stderr, out.stderr
+            sizes.append(out.stdout.count('"clause"') if flags else len(out.stdout.splitlines()))
+        assert len({b - a for a, b in zip(sizes, sizes[1:])}) == 1, (flags, sizes)
+
+
+def test_cli_prints_at_most_the_nesting_limit_of_trace_levels():
+    # A chain at the nesting limit has a trace about three times as deep,
+    # deeper than the JSON encoder's host stack reaches.
     from extreal.parser import MAX_NESTING
 
-    def sings(n):
-        return "sing (" * n + "nat 1" + ")" * n
-
-    script = (
-        f"realizer ir = i_r\nname shallow = {sings(160)}\nname deep = {sings(MAX_NESTING)}\n"
-        "check (ir, ir) eq(shallow, shallow) expect realized\n"
-        "check (ir, ir) eq(deep, deep) expect unknown\n"
-    )
-    out = _cli("--json", "--trace-depth", "0", "run", "-", stdin=script)
-    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
-    deep = json.loads(out.stdout)["directives"][1]["trace"]
-    assert deep["note"] == "nesting too deep for the checker"
+    script = _sing_chain_check(MAX_NESTING, "refuted")
+    text = _cli("--trace-depth", "-1", "run", "-", stdin=script)
+    assert text.returncode == 1 and "Traceback" not in text.stderr, text.stderr
+    indents = [len(ln) - len(ln.lstrip(" ")) for ln in text.stdout.splitlines()]
+    assert max(indents) == 2 * (2 + MAX_NESTING)  # the root is indented two levels
+    out = _cli("--json", "--trace-depth", "-1", "run", "-", stdin=script)
+    assert out.returncode == 1 and "Traceback" not in out.stderr, out.stderr
+    node, levels = json.loads(out.stdout)["directives"][0]["trace"], 0
+    while "children" in node:
+        node, levels = node["children"][0], levels + 1
+    assert levels == MAX_NESTING
 
 
 @pytest.mark.parametrize("command", [["run", str(DEMO)], ["suite", "pca-laws"]], ids=["run", "suite"])
