@@ -86,39 +86,55 @@ class RealizerPair:
 
 @dataclass(slots=True)
 class Trace:
+    """A verdict's derivation.  A trace can be as deep as the names it
+    checks, so it is walked on an explicit stack, and ``repr`` leaves the
+    children out."""
+
     clause: str
     status: Status
     note: str = ""
     exhaustive: bool = False
     witness_directed: bool = False
-    children: list["Trace"] = field(default_factory=list)
+    children: list["Trace"] = field(default_factory=list, repr=False)
 
     def to_dict(self, depth: int | None = None) -> dict:
-        d = {
-            "clause": self.clause,
-            "status": self.status.value,
-            "note": self.note,
-            "exhaustive": self.exhaustive,
-            "witness_directed": self.witness_directed,
-        }
-        if depth is None or depth > 0:
-            nxt = None if depth is None else depth - 1
-            d["children"] = [c.to_dict(nxt) for c in self.children]
-        return d
+        def head(t: Trace) -> dict:
+            return {
+                "clause": t.clause,
+                "status": t.status.value,
+                "note": t.note,
+                "exhaustive": t.exhaustive,
+                "witness_directed": t.witness_directed,
+            }
+
+        root = head(self)
+        stack = [(self, root, depth)]
+        while stack:
+            t, d, depth = stack.pop()
+            if depth is None or depth > 0:
+                nxt = None if depth is None else depth - 1
+                d["children"] = kids = []
+                for c in t.children:
+                    kids.append(head(c))
+                    stack.append((c, kids[-1], nxt))
+        return root
 
     def render(self, depth: int | None = None, indent: int = 0) -> str:
-        pad = "  " * indent
-        flags = []
-        if self.exhaustive:
-            flags.append("exhaustive")
-        if self.witness_directed:
-            flags.append("witness-directed")
-        suffix = f" [{', '.join(flags)}]" if flags else ""
-        note = f" -- {self.note}" if self.note else ""
-        lines = [f"{pad}{self.clause}: {self.status.value}{suffix}{note}"]
-        if depth is None or depth > 0:
-            nxt = None if depth is None else depth - 1
-            lines.extend(c.render(nxt, indent + 1) for c in self.children)
+        lines = []
+        stack = [(self, depth, indent)]
+        while stack:
+            t, depth, indent = stack.pop()
+            flags = []
+            if t.exhaustive:
+                flags.append("exhaustive")
+            if t.witness_directed:
+                flags.append("witness-directed")
+            suffix = f" [{', '.join(flags)}]" if flags else ""
+            note = f" -- {t.note}" if t.note else ""
+            lines.append(f"{'  ' * indent}{t.clause}: {t.status.value}{suffix}{note}")
+            if depth is None or depth > 0:
+                nxt = None if depth is None else depth - 1
+                stack.extend((c, nxt, indent + 1) for c in reversed(t.children))
         return "\n".join(lines)
 
 

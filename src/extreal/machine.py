@@ -28,6 +28,29 @@ enclosing term is being recorded in the same run, so the inner nodes of a
 term recorded whole do not fill the memo.  A term whose evaluation fails or
 runs out of fuel is never recorded: the run ends first.
 
+Divergence is skipped, not run: an S-redex that fires while its own record
+marker is pending (fired at step ``s0``, again at ``s1``) diverges, and from
+``s0`` on the run repeats every ``p = s1 - s0`` steps, each period leaving
+the same ops (record markers aside) and values beneath the top.  The
+machine adds the ``k`` whole periods that fit the fuel to its steps and
+their ops and values to the fuel note, then runs the rest until the fuel
+is out.  This is exact:
+
+- the machine is deterministic: from ``s1`` it does what it did from
+  ``s0``, memo replays included, since a replay has the steps and value of
+  the reduction it stands for;
+- the stacks below a pending redex are never read while it is pending, so
+  what a period leaves there cannot change the next period; only the note
+  counts it;
+- replays fit the fuel: after the skip less than one period of fuel is
+  left, a replay is taken only where it fits, so the run stops at the step
+  and in the state of the memo-free machine.
+
+A repeat whose first firing is before an earlier skip and whose second is
+after it has ``k = 0``: its period spans the ``k' >= 1`` skipped periods of
+length ``p'``, so it is at least ``p'``, more than the fuel left.  So the
+stacks it would measure, which lack what that skip counted, are never used.
+
 This module is the reference semantics.  A compiled twin with identical
 behaviour, and no memo, may be selected at import time by
 :mod:`extreal.kernel`.
@@ -125,6 +148,9 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
     push = vstack.append
     pop = vstack.pop
     recording = False  # a closed term's record marker is pending
+    # Pending S records: key -> (firing step, len(ops), len(vstack)).
+    pending_s: dict[int, tuple[int, int, int]] = {}
+    skipped_ops = skipped_vals = 0  # of the periods skipped, for the fuel note
     while ops:
         op = pop_op()
         if op is not _APPLY:
@@ -183,14 +209,16 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
                 remember(op[1], (vstack[-1], steps - op[2], *op[3:]))
                 if len(op) == 4:  # a term: the outermost record is done
                     recording = False
+                else:
+                    del pending_s[op[1]]
             continue
         steps += 1
         if steps > max_steps:
-            pending = sum(1 for op in ops if op[0] != _OP_RECORD)
+            pending = sum(1 for op in ops if op[0] != _OP_RECORD) + skipped_ops
             return FuelExhausted(
                 steps - 1,
                 f"fuel exhausted: {pending} pending operations, "
-                f"{len(vstack)} values on the stack",
+                f"{len(vstack) + skipped_vals} values on the stack",
             )
         a = pop()
         f = pop()
@@ -214,6 +242,19 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
             slot = key % _SEEN_SLOTS
             c = seen[slot]
             if c == 2:
+                p = pending_s.get(key)
+                if p is not None:
+                    # Fired inside its own reduction: the run repeats every
+                    # `period` steps, each adding ops[p[1]:] and the values
+                    # above p[2] beneath the top.  Count the whole periods
+                    # that fit the fuel without running them.
+                    period = steps - p[0]
+                    k = (max_steps - steps) // period
+                    if k:
+                        steps += k * period
+                        skipped_ops += k * sum(1 for op in ops[p[1]:] if op[0] != _OP_RECORD)
+                        skipped_vals += k * (len(vstack) - p[2])
+                pending_s[key] = (steps, len(ops), len(vstack))
                 push_op((_OP_RECORD, key, steps, f, a))
             else:
                 seen[slot] = c + 1

@@ -439,3 +439,24 @@ def test_check_deep_in_the_host_stack_decides_as_at_the_top():
         frames, f = frames + 1, f.f_back
     deep, top = nested(850 - frames).status, check(pair, phi).status
     assert deep is top is Status.REALIZED
+
+
+def test_a_deep_verdict_renders_and_converts_in_process():
+    # A 200-level sing chain gives a trace about 600 levels deep, more than
+    # a walk that recursed once per level could take.
+    import sys
+
+    x = Nat(1)
+    for _ in range(200):
+        x = Sing(x)
+    trace = check(RealizerPair.both(i_r_value()), Eq(x, x)).trace
+    depth, d = 0, trace.to_dict()
+    while d["children"]:
+        depth, d = depth + 1, d["children"][0]
+    assert depth > sys.getrecursionlimit() // 2
+    lines = trace.render().split("\n")
+    assert max(len(line) - len(line.lstrip(" ")) for line in lines) == 2 * depth
+    # A depth limit keeps the levels above it, in the same order.
+    shallow = [line for line in lines if len(line) - len(line.lstrip(" ")) <= 2 * 3]
+    assert trace.render(3).split("\n") == shallow
+    assert "children" not in repr(trace) and repr(trace).startswith("Trace(clause=")

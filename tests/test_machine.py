@@ -2,11 +2,13 @@
 
 import contextlib
 import dataclasses
+import functools
+import re
 import time
 import weakref
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_impl
 from extreal import kernel, machine, terms
@@ -121,15 +123,6 @@ def test_pairing_projection_laws():
         tb, b = random_printable_value(rng)
         assert kleene_agree(App(P0, app(P, ta, tb)), ta) is True
         assert kleene_agree(App(P1, app(P, ta, tb)), tb) is True
-
-
-def test_divergence_exhausts_fuel():
-    delta = compile_term(lam("x", App(Var("x"), Var("x"))))
-    loop = App(delta, delta)
-    assert kleene_agree(loop, loop, FuelConfig(max_steps=2_000)) is None
-    out = eval_term(loop, None, FuelConfig(max_steps=2_000))
-    assert isinstance(out, FuelExhausted)
-    assert "fuel exhausted" in out.note
 
 
 def test_determinism_and_fuel_monotonicity():
@@ -604,3 +597,139 @@ def test_memo_overflow_keeps_the_constants(monkeypatch):
         monkeypatch.setattr(terms, "MEMO_LIMIT", 2_000)
         assert cases() == want
         assert len(terms._APPLY_MEMO) <= 2_001
+
+
+# Divergence: a redex that fires inside its own reduction is skipped a whole
+# number of periods at a time; what the fuel note reports is unchanged.
+
+_X, _Y = Var("x"), Var("y")
+
+
+def _self_applied(body):
+    """g g for g = λx. body."""
+    g = compile_term(lam("x", body))
+    return App(g, g)
+
+
+_DELTA = compile_term(lam("x", App(_X, _X)))
+_DELTA_DELTA = App(_DELTA, _DELTA)
+
+
+@functools.cache
+def _fixpoint_loops():
+    """The runs of suite_fixpoints (seed 0) that exhaust the default fuel:
+    the closed terms they evaluate."""
+    from extreal.suites import suite_fixpoints
+
+    loops, run = [], machine._run
+
+    def spy(ops, vstack, cfg):
+        [(_, t, env)] = ops  # every run of the suite evaluates one term
+        out = run(ops, vstack, cfg)
+        if isinstance(out, FuelExhausted):
+            assert env is None
+            loops.append(t)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machine, "_run", spy)
+        suite_fixpoints(0)
+    assert len(loops) == 14
+    return loops
+
+
+# Closed values that an x x under them, or after it, leaves on the stacks:
+# a wrapper W in W (x x) leaves a value and an application, an argument b
+# in x x b an evaluation and an application.
+_wrappers = st.lists(st.sampled_from([K, SUCC, App(K, num(1)), App(P, num(0)), _I]), max_size=3)
+_tail_args = st.lists(st.sampled_from([K, num(1), App(K, _X)]), max_size=2)
+
+
+def _wrap(ws, t):
+    for w in ws:
+        t = App(w, t)
+    return t
+
+
+_divergent = st.one_of(
+    # g g: tail loops, and loops whose stacks grow by a period's wrappers
+    # and arguments.
+    st.builds(lambda ws, bs: _self_applied(_wrap(ws, app(_X, _X, *bs))), _wrappers, _tail_args),
+    # g g #0 for g = λxy. W (x x (K y)): the argument grows each round, so
+    # no redex fires inside its own reduction and nothing is skipped.
+    st.builds(
+        lambda ws: App(_self_applied(lam("y", _wrap(ws, app(_X, _X, App(K, _Y))))), num(0)),
+        _wrappers,
+    ),
+    # h g for h = λy. V (y y): a loop under the pending redex h g, with
+    # the redexes of its period pending across a skip.
+    st.builds(
+        lambda vs, ws: App(
+            compile_term(lam("y", _wrap(vs, App(_Y, _Y)))),
+            compile_term(lam("x", _wrap(ws, App(_X, _X)))),
+        ),
+        _wrappers,
+        _wrappers,
+    ),
+    st.deferred(lambda: st.sampled_from(_fixpoint_loops())),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_divergent)
+@example(_DELTA_DELTA)
+def test_divergence_matches_the_memo_free_oracle(t):
+    """At every fuel cap up to 240 and at a few larger ones, with every
+    redex recorded at its first firing and with the seen filter as found,
+    the machine reports the oracle's outcome: the type, steps and note."""
+    fuels = [*range(1, 241), 1_009, 5_003]
+    want = [_outcome(reference_impl.oracle_eval_term, t, FuelConfig(n)) for n in fuels]
+    assert all(isinstance(w, FuelExhausted) for w in want)
+    for seen in (bytearray(b"\x02" * machine._SEEN_SLOTS), machine._SEEN):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(machine, "_SEEN", seen)
+            got = [_outcome(machine.eval_term, t, FuelConfig(n)) for n in fuels]
+        assert got == want
+    assert kleene_agree(t, t, FuelConfig(fuels[-1])) is None
+
+
+def _note_counts(out):
+    """The pending operations and stacked values of a fuel note."""
+    assert isinstance(out, FuelExhausted)
+    return tuple(int(n) for n in re.findall(r"\d+", out.note))
+
+
+# g g for g = S K δ: each period extends K by g, an application that no
+# memo entry answers.  δδ extends nothing once I δ replays from the memo.
+_K_DELTA = app(S, K, _DELTA)
+
+
+@pytest.mark.parametrize("t", [_DELTA_DELTA, App(_K_DELTA, _K_DELTA)], ids=["delta-delta", "S-K-delta"])
+def test_divergence_skips_its_periods(monkeypatch, t):
+    # Run period by period, S K δ at a fuel of 10^6 would call _accumulate
+    # about 10^5 times.
+    calls = 0
+
+    def counted(f, a):
+        nonlocal calls
+        calls += 1
+        assert calls < 1_000, "the periods were run, not skipped"
+        return accumulate(f, a)
+
+    accumulate = machine._accumulate
+    monkeypatch.setattr(machine, "_accumulate", counted)
+    fuel = 10**6
+    got = machine.eval_term(t, None, FuelConfig(fuel))
+    assert got.steps == fuel
+    # Past its first rounds the oracle's note moves by the same counts in
+    # every period: it is periodic in the fuel, up to that growth.
+    counts = {n: _note_counts(reference_impl.oracle_eval_term(t, None, FuelConfig(n))) for n in range(40, 160)}
+
+    def growth(p, n):
+        return tuple(b - a for a, b in zip(counts[n], counts[n + p]))
+
+    period = next(p for p in range(1, 40) if len({growth(p, n) for n in range(40, 80)}) == 1)
+    small = 40 + (fuel - 40) % period
+    rounds = (fuel - small) // period
+    want = tuple(c + rounds * d for c, d in zip(counts[small], growth(period, small)))
+    assert _note_counts(got) == want
