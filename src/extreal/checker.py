@@ -195,9 +195,13 @@ def _run(ctx: _Ctx, clause: str, what: str, op, f: Value, x) -> Value | Trace:
 
 def _both(ctx: _Ctx, clause: str, op, a: Value, x, b: Value, y, what_a: str, what_b: str):
     """``op`` on the a side, then on the b side: the two values and None, or
-    None, None and the first failure's Trace."""
+    None, None and the first failure's Trace.  When both sides have the same
+    operands (``b is a and y is x``, as on a diagonal pair), the b side is
+    the a side's outcome and is not run again (the rule in ``kernel``)."""
     va = _run(ctx, clause, what_a, op, a, x)
-    vb = va if isinstance(va, Trace) else _run(ctx, clause, what_b, op, b, y)
+    if isinstance(va, Trace):
+        return None, None, va
+    vb = va if b is a and y is x else _run(ctx, clause, what_b, op, b, y)
     if isinstance(vb, Trace):
         return None, None, vb
     return va, vb, None

@@ -27,6 +27,12 @@ layer catches a machine error:
 library term, a pair of values): it raises ``NoValue``, carrying the
 ``Crash`` or ``Open``, and ``attempt`` of an operation that raised it
 returns that outcome.
+
+One rule for the layers above: a machine operation is a function of its
+operands, and equal operands are one object, so two operations with
+identical operands run once.  On a diagonal pair ``(a, a)``, which is how
+"a realizes φ" reads, a caller that needs the same operation on both sides
+runs it on the a side and uses that outcome for the b side as well.
 """
 
 from __future__ import annotations
@@ -127,9 +133,14 @@ def attempt(op, *args) -> Value | Crash | Open:
 def kleene_agree(t1: Term, t2: Term, cfg: FuelConfig = DEFAULT_FUEL) -> bool | None:
     """Kleene equality of two closed terms, a crash counted as undefined:
     True when both are undefined or both have equal values; None when a
-    resource limit stops either side."""
-    v1, v2 = attempt(eval_term, t1, None, cfg), attempt(eval_term, t2, None, cfg)
-    if isinstance(v1, Open) or isinstance(v2, Open):
+    resource limit stops either side.  ``t2`` is evaluated only when ``t1``
+    ends in a value or a crash: after an ``Open`` the answer is None
+    whatever ``t2`` does."""
+    v1 = attempt(eval_term, t1, None, cfg)
+    if isinstance(v1, Open):
+        return None
+    v2 = attempt(eval_term, t2, None, cfg)
+    if isinstance(v2, Open):
         return None
     return type(v1) is type(v2) is Crash or v1 == v2
 

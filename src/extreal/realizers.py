@@ -405,7 +405,9 @@ def separation_name(
         wit = synthesize(phi_of(u), cfg)
         if wit is None:
             continue
-        out.append((pair_value(ka, wit.a, cfg), pair_value(kb, wit.b, cfg), u))
+        pa = pair_value(ka, wit.a, cfg)
+        pb = pa if kb is ka and wit.b is wit.a else pair_value(kb, wit.b, cfg)
+        out.append((pa, pb, u))
     return Explicit(tuple(out))
 
 

@@ -1,13 +1,17 @@
 """The three-valued checker: clause behaviour, verdict audit, truth oracle."""
 
 import random
+from collections import Counter
 
 import pytest
 
+import reference_impl
+from extreal import checker
 from extreal.checker import (
     FragmentError,
     RealizerPair,
     Status,
+    Trace,
     Verdict,
     check,
     check_imp_on_witnesses,
@@ -460,3 +464,63 @@ def test_a_deep_verdict_renders_and_converts_in_process():
     shallow = [line for line in lines if len(line) - len(line.lstrip(" ")) <= 2 * 3]
     assert trace.render(3).split("\n") == shallow
     assert "children" not in repr(trace) and repr(trace).startswith("Trace(clause=")
+
+
+def _two_sided(ctx, clause, op, a, x, b, y, what_a, what_b):
+    """``checker._both`` without the shortcut for identical operands: the b
+    side always runs."""
+    va = checker._run(ctx, clause, what_a, op, a, x)
+    vb = va if isinstance(va, Trace) else checker._run(ctx, clause, what_b, op, b, y)
+    if isinstance(vb, Trace):
+        return None, None, vb
+    return va, vb, None
+
+
+def _counted_check(monkeypatch, pair, phi, both_sides):
+    """The verdict of ``check(pair, phi)`` and its machine calls, counted per
+    (operation, operator, operand)."""
+    calls, attempt = Counter(), checker.attempt
+
+    def counted(op, f, x, cfg):
+        calls[op, f, x] += 1
+        return attempt(op, f, x, cfg)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(checker, "attempt", counted)
+        if both_sides:
+            mp.setattr(checker, "_both", _two_sided)
+        ver = check(pair, phi)
+    return ver, calls
+
+
+def _verdict(ver):
+    return ver.status, ver.samples_checked, ver.trace.to_dict()
+
+
+@pytest.mark.parametrize("body, built_for, checked, status", [
+    # all-in, then mem, then eq on the members
+    ("mem", (2, 3), (2, 3), Status.REALIZED),
+    ("eq", (3, 3), (3, 3), Status.REALIZED),
+    # a refutation that no machine error decides: z = 1 is not in nat 1
+    ("mem", (2, 3), (2, 1), Status.REFUTED),
+], ids=["all-in-mem", "all-in-eq", "refuted"])
+def test_a_diagonal_pair_runs_each_operation_once(monkeypatch, body, built_for, checked, status):
+    # On (v, v) every projection and application of the b side is the a
+    # side's, so the clauses run it once where two sides ran it twice, and
+    # the verdict is the one both sides give.
+    def formula(n, m):
+        return AllIn("z", n, Mem("z", m) if body == "mem" else Eq("z", "z"))
+
+    v = synthesize(formula(*map(Nat, built_for))).a
+    phi = formula(*map(reference_impl.nat_explicit, checked))
+    ver, once = _counted_check(monkeypatch, both(v), phi, both_sides=False)
+    want, twice = _counted_check(monkeypatch, both(v), phi, both_sides=True)
+    assert once and twice == once + once
+    assert _verdict(ver) == _verdict(want)
+    assert ver.status is status and reference_impl.realizes(v, v, phi) is (status is Status.REALIZED)
+    # A pair of two values runs every operation on each side, as before.
+    w = pair_value(num_value(0), IR)
+    ver, one = _counted_check(monkeypatch, RealizerPair(v, w), phi, both_sides=False)
+    want, two = _counted_check(monkeypatch, RealizerPair(v, w), phi, both_sides=True)
+    assert any(f is w for _, f, _ in one)
+    assert one == two and _verdict(ver) == _verdict(want)

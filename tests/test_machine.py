@@ -3,9 +3,13 @@
 import contextlib
 import dataclasses
 import functools
+import os
 import re
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -617,23 +621,23 @@ _DELTA_DELTA = App(_DELTA, _DELTA)
 
 @functools.cache
 def _fixpoint_loops():
-    """The runs of suite_fixpoints (seed 0) that exhaust the default fuel:
-    the closed terms they evaluate."""
-    from extreal.suites import suite_fixpoints
+    """The closed terms that suite_fixpoints (seed 0) compares with
+    ``kleene_agree`` and that exhaust the fuel of that comparison, both
+    sides of each law (``kleene_agree`` leaves the second side unrun once
+    the first is open)."""
+    from extreal import suites
 
-    loops, run = [], machine._run
+    loops, agree = [], suites.kleene_agree
 
-    def spy(ops, vstack, cfg):
-        [(_, t, env)] = ops  # every run of the suite evaluates one term
-        out = run(ops, vstack, cfg)
-        if isinstance(out, FuelExhausted):
-            assert env is None
-            loops.append(t)
-        return out
+    def spy(t1, t2, cfg):
+        for t in (t1, t2):
+            if isinstance(_outcome(machine.eval_term, t, cfg), FuelExhausted):
+                loops.append(t)
+        return agree(t1, t2, cfg)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(machine, "_run", spy)
-        suite_fixpoints(0)
+        mp.setattr(suites, "kleene_agree", spy)
+        suites.suite_fixpoints(0)
     assert len(loops) == 14
     return loops
 
@@ -693,6 +697,24 @@ def test_divergence_matches_the_memo_free_oracle(t):
     assert kleene_agree(t, t, FuelConfig(fuels[-1])) is None
 
 
+def test_kleene_agree_runs_the_second_side_only_after_an_end(monkeypatch):
+    # Once the first side is open the answer is None, whatever the second
+    # side does; two crashes agree, so a crashing first side runs both.
+    evaluated, evaluate = [], kernel.eval_term
+
+    def counted(t, env, cfg):
+        evaluated.append(t)
+        return evaluate(t, env, cfg)
+
+    monkeypatch.setattr(kernel, "eval_term", counted)
+    crash, one = App(PRED, num(0)), num(1)
+    assert kleene_agree(_DELTA_DELTA, one) is None and evaluated == [_DELTA_DELTA]
+    evaluated.clear()
+    assert kleene_agree(crash, crash) is True and evaluated == [crash, crash]
+    evaluated.clear()
+    assert kleene_agree(one, _DELTA_DELTA) is None and evaluated == [one, _DELTA_DELTA]
+
+
 def _note_counts(out):
     """The pending operations and stacked values of a fuel note."""
     assert isinstance(out, FuelExhausted)
@@ -733,3 +755,47 @@ def test_divergence_skips_its_periods(monkeypatch, t):
     rounds = (fuel - small) // period
     want = tuple(c + rounds * d for c, d in zip(counts[small], growth(period, small)))
     assert _note_counts(got) == want
+
+
+# The counted machine work of every suite at seed 0, read as perfbench reads
+# suite-all: the steps of each outermost machine run, and the runs that
+# exhaust their fuel.  It runs in a fresh interpreter because the library
+# caches the values of its realizers, so a process that has built them once
+# counts fewer steps.
+_SUITE_WORK = """
+from extreal import machine, suites
+from extreal.terms import FuelExhausted
+
+steps = exhausted = depth = 0
+run = machine._run
+
+
+def counted(ops, vstack, cfg):
+    global steps, exhausted, depth
+    depth += 1
+    try:
+        out = run(ops, vstack, cfg)
+    finally:
+        depth -= 1
+    if depth == 0:
+        steps += out.steps
+        exhausted += isinstance(out, FuelExhausted)
+    return out
+
+
+machine._run = counted
+for name in suites.SUITES:
+    suites.run_suite(name, 0)
+print(steps, exhausted)
+"""
+
+
+def test_suite_work_is_pinned():
+    # A change that moves the machine work of the suites moves these
+    # numbers, and shows the move in its own diff.
+    env = {k: v for k, v in os.environ.items() if k != "PCA_BACKEND"}
+    env["PYTHONPATH"] = str(Path(machine.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _SUITE_WORK], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1710691", "7"]

@@ -181,6 +181,28 @@ def test_eq_type_counterexamples_are_machine_errors_only(monkeypatch):
         eq_type(succ, succ, OO)
 
 
+def test_eq_type_on_one_value_applies_it_once_per_generator(monkeypatch):
+    # a·g answers b·g when b is a; two values each apply to every generator.
+    import extreal.names as names_mod
+
+    succ = eval_term(SUCC).value
+    eta = eval_term(compile_term(lam("x", App(SUCC, Var("x"))))).value
+    budget = EnumBudget(max_index=8)
+    applied, attempt = [], names_mod.attempt
+
+    def counted(op, f, x, cfg):
+        applied.append((f, x))
+        return attempt(op, f, x, cfg)
+
+    monkeypatch.setattr(names_mod, "attempt", counted)
+    gens = gen_elems(TYPE_O, budget)
+    assert eq_type(succ, succ, OO, budget).samples_passed == len(gens)
+    assert applied == [(succ, g) for g in gens]
+    applied.clear()
+    assert eq_type(succ, eta, OO, budget).samples_passed == len(gens)
+    assert applied == [p for g in gens for p in ((succ, g), (eta, g))]
+
+
 def test_gen_elems_base():
     assert gen_elems(TYPE_O, EnumBudget(max_index=3)) == [num_value(i) for i in range(4)]
 
