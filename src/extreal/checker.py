@@ -49,23 +49,9 @@ from .formulas import (
     fmt,
     substitute,
 )
-from .kernel import Crash, apply_value, attempt, project
-from .names import (
-    DEFAULT_BUDGET,
-    EnumBudget,
-    Nat,
-    Omega,
-    VName,
-    enumerate_triples,
-    lookup_triples,
-)
-from .terms import (
-    ConstKind,
-    Const,
-    DEFAULT_FUEL,
-    FuelConfig,
-    Value,
-)
+from .kernel import Crash, NoValue, apply_value, attempt, project, reason
+from .names import Nat, Omega, VName, enumerate_triples, lookup_triples
+from .terms import ConstKind, Const, Run, Value
 
 
 class Status(enum.Enum):
@@ -166,10 +152,9 @@ def decide_nat_eq(n: int, m: int) -> bool:
 
 @dataclass(slots=True)
 class _Ctx:
-    budget: EnumBudget
-    cfg: FuelConfig
+    run: Run
     samples: int = 0
-    # check is pure in (a, b, φ) for fixed budget and fuel; shared
+    # check is pure in (a, b, φ) for a fixed run; shared
     # sub-names would otherwise be re-verified exponentially often.
     memo: dict = field(default_factory=dict)
 
@@ -183,7 +168,7 @@ def _as_name(r: NameRef) -> VName:
 def _run(ctx: _Ctx, clause: str, what: str, op, f: Value, x) -> Value | Trace:
     """``op`` (the kernel's ``apply_value`` or ``project``) on f and x: the
     value, or the Trace of the clause that its failure decides."""
-    out = attempt(op, f, x, ctx.cfg)
+    out = attempt(op, f, x, ctx.run)
     if isinstance(out, Value):
         return out
     if isinstance(out, Crash):
@@ -215,16 +200,11 @@ def _meet(s1: Status, s2: Status) -> Status:
     return Status.REALIZED
 
 
-def check(
-    pair: RealizerPair,
-    phi: Formula,
-    budget: EnumBudget = DEFAULT_BUDGET,
-    cfg: FuelConfig = DEFAULT_FUEL,
-) -> Verdict:
+def check(pair: RealizerPair, phi: Formula, run: Run = Run()) -> Verdict:
     """Does the pair realize the closed formula?  Realized / Refuted / Unknown."""
     if not is_closed(phi):
         raise ValueError("check requires a closed formula")
-    ctx = _Ctx(budget, cfg)
+    ctx = _Ctx(run)
     return Verdict(_solve(ctx, pair.a, pair.b, phi), ctx.samples)
 
 
@@ -309,7 +289,7 @@ def _check_keyed(ctx: _Ctx, a: Value, b: Value, phi: Mem | ExIn) -> Trace:
     a1, b1, bad = _both(ctx, clause, project, a, 1, b, 1, "(a)_1", "(b)_1")
     if bad:
         return bad
-    matches, exhaustive = lookup_triples(bound, a0, b0, ctx.budget, ctx.cfg)
+    matches, exhaustive = lookup_triples(bound, a0, b0, ctx.run)
     trace = Trace(clause, Status.UNKNOWN, exhaustive=exhaustive)
     saw_unknown = False
     for z in matches:
@@ -356,7 +336,7 @@ def _check_eq(ctx: _Ctx, a: Value, b: Value, phi: Eq) -> Trace:
         )
     trace = Trace(clause, Status.REALIZED)
     for label, src, dst, pi in (("left", x, y, 0), ("right", y, x, 1)):
-        triples, exhausted = enumerate_triples(src, ctx.budget, ctx.cfg)
+        triples, exhausted = enumerate_triples(src, ctx.run)
         side = Trace(f"eq/{label}", Status.UNKNOWN, exhaustive=exhausted)
         members = yield from _members(ctx, side, a, b, triples, partial(Mem, y=dst), pi)
         side.status = _meet(members, Status.REALIZED if exhausted else Status.UNKNOWN)
@@ -402,7 +382,7 @@ def _check_or(ctx: _Ctx, a: Value, b: Value, phi: Or) -> Trace:
 
 def _check_allin(ctx: _Ctx, a: Value, b: Value, phi: AllIn) -> Trace:
     clause = "all-in"
-    triples, exhausted = enumerate_triples(_as_name(phi.bound), ctx.budget, ctx.cfg)
+    triples, exhausted = enumerate_triples(_as_name(phi.bound), ctx.run)
     trace = Trace(clause, Status.UNKNOWN, exhaustive=exhausted)
     # The meet over the sampled members only.
     trace.status = yield from _members(
@@ -465,7 +445,11 @@ def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
         # Imported here: realizers imports this module at load time.
         from .realizers import synthesize
 
-        wit = synthesize(phi.hyp)
+        try:
+            wit = synthesize(phi.hyp, ctx.run)
+        except NoValue as exc:
+            return Trace(clause, Status.UNKNOWN,
+                         note=f"hypothesis witness synthesis stopped: {reason(exc.outcome)}")
         if wit is not None:
             aw, bw, bad = _both(
                 ctx, clause, apply_value, a, wit.a, b, wit.b, "a·witness", "b·witness"
@@ -506,8 +490,7 @@ def check_imp_on_witnesses(
     hyp: Formula,
     concl: Formula,
     witnesses: list[RealizerPair],
-    budget: EnumBudget = DEFAULT_BUDGET,
-    cfg: FuelConfig = DEFAULT_FUEL,
+    run: Run = Run(),
 ) -> Verdict:
     """Witness-directed implication check.
 
@@ -516,7 +499,7 @@ def check_imp_on_witnesses(
     the conclusion.  A positive verdict is marked witness-directed: the
     universal claim over the whole algebra remains unverified.
     """
-    ctx = _Ctx(budget, cfg)
+    ctx = _Ctx(run)
     trace = Trace("imp/witness-directed", Status.REALIZED, witness_directed=True)
     usable = 0
     for i, w in enumerate(witnesses):

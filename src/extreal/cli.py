@@ -2,10 +2,12 @@
 library realizers.
 
 Configuration flags fall back to the environment: PCA_FUEL, PCA_BUDGET,
-PCA_SEED.  The pure machine runs unless PCA_BACKEND=compiled selects the
-compiled twin, which is built only for comparison.  Exit status: 0 every
-expectation holds, 1 one failed (or stdout closed before the report was
-written), 2 a parse error or a bad setting.
+PCA_SEED.  Together they make the command's run (``terms.Run``), built once
+and handed to ``run_scenario`` or ``run_suite``.  The pure machine runs
+unless PCA_BACKEND=compiled selects the compiled twin, which is built only
+for comparison.  Exit status: 0 every expectation holds, 1 one failed (or
+stdout closed before the report was written), 2 a parse error or a bad
+setting.
 
 Each command imports only the layers it runs.  Importing this module loads
 the machine half: ``terms``, ``bracket``, ``machine``, ``kernel`` and
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from .kernel import BACKEND, BACKEND_ERROR
 from .parser import MAX_NESTING, print_term
-from .terms import EnumBudget, FuelConfig
+from .terms import Run
 
 if TYPE_CHECKING:  # for annotations only: scenarios is imported by ``run``
     from .scenarios import ScenarioReport
@@ -70,14 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config(args) -> tuple[FuelConfig, EnumBudget, int]:
-    """Fuel, budget and seed from the flags, else the environment.  A bad
-    value ends the command with one error line and exit code 2."""
+def _config(args) -> Run:
+    """The run: fuel, budget and seed from the flags, else the environment.
+    A bad value ends the command with one error line and exit code 2."""
     try:
         fuel = args.fuel if args.fuel is not None else _env_int("PCA_FUEL", 100_000)
         budget = args.budget if args.budget is not None else _env_int("PCA_BUDGET", 8)
         seed = args.seed if args.seed is not None else _env_int("PCA_SEED", 0)
-        return FuelConfig(max_steps=fuel), EnumBudget(max_index=budget), seed
+        return Run(max_steps=fuel, max_index=budget, seed=seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -130,7 +132,7 @@ def _cmd_run(args) -> int:
     # Imported here: the scenario layer is only needed to run a scenario.
     from .scenarios import ScenarioError, run_scenario
 
-    cfg, budget, seed = _config(args)
+    run = _config(args)
     try:
         text = _scenario_text(args.file)
     except OSError as exc:
@@ -141,7 +143,7 @@ def _cmd_run(args) -> int:
         print(f"error: {where} is not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
         return 2
     try:
-        rep = run_scenario(text, cfg, budget, seed)
+        rep = run_scenario(text, run)
     except ScenarioError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -154,9 +156,9 @@ def _cmd_suite(args) -> int:
     # Imported here: the suites load the checker, names and realizers.
     from .suites import run_suite
 
-    cfg, budget, seed = _config(args)
+    run = _config(args)
     ids = SUITE_IDS if args.id == "all" else [args.id]
-    reports = [run_suite(i, seed, cfg, budget) for i in ids]
+    reports = [run_suite(i, run) for i in ids]
     if args.json:
         payload = {
             "ok": all(r.ok for r in reports),

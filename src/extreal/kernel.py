@@ -67,15 +67,14 @@ apply_values = _impl.apply_values
 kleene_eq = _impl.kleene_eq
 
 from .terms import (  # noqa: E402
-    DEFAULT_FUEL,
     Const,
     ConstKind,
-    FuelConfig,
     FuelExhausted,
     MachineError,
     P,
     P0,
     P1,
+    Run,
     Term,
     Value,
     ValueSizeExceeded,
@@ -130,16 +129,16 @@ def attempt(op, *args) -> Value | Crash | Open:
     return out if isinstance(out, Value) else out.value
 
 
-def kleene_agree(t1: Term, t2: Term, cfg: FuelConfig = DEFAULT_FUEL) -> bool | None:
+def kleene_agree(t1: Term, t2: Term, run: Run = Run()) -> bool | None:
     """Kleene equality of two closed terms, a crash counted as undefined:
     True when both are undefined or both have equal values; None when a
     resource limit stops either side.  ``t2`` is evaluated only when ``t1``
     ends in a value or a crash: after an ``Open`` the answer is None
     whatever ``t2`` does."""
-    v1 = attempt(eval_term, t1, None, cfg)
+    v1 = attempt(eval_term, t1, None, run)
     if isinstance(v1, Open):
         return None
-    v2 = attempt(eval_term, t2, None, cfg)
+    v2 = attempt(eval_term, t2, None, run)
     if isinstance(v2, Open):
         return None
     return type(v1) is type(v2) is Crash or v1 == v2
@@ -154,9 +153,9 @@ def defined_value(op, *args) -> Value:
     raise NoValue(out)
 
 
-def value_of(t: Term, cfg: FuelConfig = DEFAULT_FUEL) -> Value:
+def value_of(t: Term, run: Run = Run()) -> Value:
     """The value of a library term; ``NoValue`` under limits too small for it."""
-    return defined_value(eval_term, t, None, cfg)
+    return defined_value(eval_term, t, None, run)
 
 
 # The values of P, P0 and P1, each evaluated once on the selected backend.
@@ -170,19 +169,19 @@ def _const_value(t: Const) -> Value:
     return v
 
 
-def pair_value(a: Value, b: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Value:
+def pair_value(a: Value, b: Value, run: Run = Run()) -> Value:
     """p a b as an element.  Pairing of values is always defined, but a
     small fuel, or the value size cap, can stop it (``NoValue``)."""
-    return defined_value(apply_values, _const_value(P), [a, b], cfg)
+    return defined_value(apply_values, _const_value(P), [a, b], run)
 
 
-def project(v: Value, i: int, cfg: FuelConfig = DEFAULT_FUEL) -> Value | None:
+def project(v: Value, i: int, run: Run = Run()) -> Value | None:
     """The i-th projection of v, or None when fuel runs out.
 
     Projections are partial: a machine error propagates to the caller, and
     ``attempt(project, …)`` classifies it.
     """
-    out = apply_value(_const_value(P0 if i == 0 else P1), v, cfg)
+    out = apply_value(_const_value(P0 if i == 0 else P1), v, run)
     if isinstance(out, FuelExhausted):
         return None
     return out.value

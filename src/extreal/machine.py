@@ -63,15 +63,14 @@ from .terms import (
     App,
     Const,
     ConstKind,
-    DEFAULT_FUEL,
     DELTA_ARITY,
     Defined,
-    FuelConfig,
     FuelExhausted,
     IllTypedApplication,
     Num,
     Opaque,
     Outcome,
+    Run,
     StuckApplication,
     Term,
     Tri,
@@ -118,14 +117,14 @@ def _const_value(kind: ConstKind) -> Value:
         if kind in DELTA_ARITY:
             v = Value(Const(kind))
         else:
-            out = _run([(_OP_EVAL, EXPANSIONS[kind], None)], [], DEFAULT_FUEL)
+            out = _run([(_OP_EVAL, EXPANSIONS[kind], None)], [], Run())
             assert isinstance(out, Defined)
             v = out.value
         _const_cache[kind] = v
     return v
 
 
-_MAX_SIZE = FuelConfig.max_value_size
+_MAX_SIZE = Run.max_value_size
 
 
 def _accumulate(f: Value, a: Value) -> Value:
@@ -137,9 +136,9 @@ def _accumulate(f: Value, a: Value) -> Value:
     return f.extend(a)
 
 
-def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
+def _run(ops: list, vstack: list, run: Run) -> Outcome:
     steps = 0
-    max_steps = cfg.max_steps
+    max_steps = run.max_steps
     const_cache = _const_cache
     memo_get = _APPLY_MEMO.get
     seen = _SEEN
@@ -292,23 +291,23 @@ def _run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
     return Defined(vstack.pop(), steps)
 
 
-def eval_term(t: Term, env: dict[str, Value] | None = None, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
+def eval_term(t: Term, env: dict[str, Value] | None = None, run: Run = Run()) -> Outcome:
     """Call-by-value, leftmost-innermost evaluation of a term."""
-    return _run([(_OP_EVAL, t, env)], [], cfg)
+    return _run([(_OP_EVAL, t, env)], [], run)
 
 
-def apply_value(f: Value, a: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
+def apply_value(f: Value, a: Value, run: Run = Run()) -> Outcome:
     """The partial application operation of the algebra, on elements."""
-    return _run([_APPLY], [f, a], cfg)
+    return _run([_APPLY], [f, a], run)
 
 
-def apply_values(f: Value, args: list[Value] | tuple[Value, ...], cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
+def apply_values(f: Value, args: list[Value] | tuple[Value, ...], run: Run = Run()) -> Outcome:
     """Left-associated application of several arguments; fuel is budgeted
     per application, steps reported in total."""
     cur = f
     total = 0
     for a in args:
-        out = apply_value(cur, a, cfg)
+        out = apply_value(cur, a, run)
         if isinstance(out, FuelExhausted):
             return out
         cur = out.value
@@ -316,10 +315,10 @@ def apply_values(f: Value, args: list[Value] | tuple[Value, ...], cfg: FuelConfi
     return Defined(cur, total)
 
 
-def kleene_eq(t1: Term, t2: Term, cfg: FuelConfig = DEFAULT_FUEL) -> Tri:
+def kleene_eq(t1: Term, t2: Term, run: Run = Run()) -> Tri:
     """Both sides defined with identical values / definitely different / out of fuel."""
-    o1 = eval_term(t1, None, cfg)
-    o2 = eval_term(t2, None, cfg)
+    o1 = eval_term(t1, None, run)
+    o2 = eval_term(t2, None, run)
     if isinstance(o1, FuelExhausted) or isinstance(o2, FuelExhausted):
         return Tri.UNKNOWN
     return Tri.of(o1.value == o2.value)

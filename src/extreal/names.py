@@ -5,24 +5,25 @@ y is again a name.  Finite names carry their triples explicitly; the
 schematic ones (the naturals, the finite-type extensions, internalized
 elements, graph names) enumerate lazily and support direct lookup wherever
 the defining set is indexed by a decidable key.
+
+Each function that samples a type or runs the machine takes the run
+(``terms.Run``) from its caller and reads its fuel and its enumeration
+budget from it; none has a default.  Building a name runs nothing:
+``internalize`` only checks that a value at type ``o`` is a numeral.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cache
 
 from .bracket import SKK, compile_term, lam
 from .kernel import Crash, Open, apply_value, attempt, defined_value, project, value_of
-from .terms import (  # EnumBudget and DEFAULT_BUDGET are re-exported
+from .terms import (
     D,
-    DEFAULT_BUDGET,
-    DEFAULT_FUEL,
-    EnumBudget,
-    FuelConfig,
     K,
     SUCC,
+    Run,
     Tri,
     Value,
     Var,
@@ -189,14 +190,14 @@ def _const_value(v: Value) -> Value:
     return defined_value(apply_value, Value(K), v)
 
 
-def gen_elems(sigma: FinType, budget: EnumBudget = DEFAULT_BUDGET) -> list[Value]:
+def gen_elems(sigma: FinType, run: Run) -> list[Value]:
     """Canonical sample inhabitants of the type, deterministically ordered."""
     match sigma:
         case O():
-            return [num_value(i) for i in range(budget.max_index + 1)]
+            return [num_value(i) for i in range(run.max_index + 1)]
         case Arrow(dom, cod):
             out: list[Value] = []
-            for v in gen_elems(cod, budget)[: budget.generators_per_type]:
+            for v in gen_elems(cod, run)[: run.generators_per_type]:
                 out.append(_const_value(v))
             if dom == cod:
                 out.append(_identity_value())
@@ -204,9 +205,9 @@ def gen_elems(sigma: FinType, budget: EnumBudget = DEFAULT_BUDGET) -> list[Value
                 out.append(_succ_value())
                 out.append(_swap01_value())
             if isinstance(dom, Arrow) and cod == TYPE_O:
-                for n in range(min(3, budget.max_index + 1)):
+                for n in range(min(3, run.max_index + 1)):
                     out.append(_apply_at_value(n))
-            return out[: budget.generators_per_type + 3]
+            return out[: run.generators_per_type + 3]
     raise TypeError(sigma)
 
 
@@ -218,31 +219,25 @@ class EqTypeReport:
     counterexample: Value | None = None
 
 
-def eq_type(
-    a: Value,
-    b: Value,
-    sigma: FinType,
-    budget: EnumBudget = DEFAULT_BUDGET,
-    cfg: FuelConfig = DEFAULT_FUEL,
-) -> EqTypeReport:
+def eq_type(a: Value, b: Value, sigma: FinType, run: Run) -> EqTypeReport:
     """The per-type partial equivalence, decided at base type and sampled at
     arrow types (never affirmed over an infinite domain)."""
     if sigma == TYPE_O:
         n = _values_eq_num(a, b)
         return EqTypeReport(Tri.of(n is not None))
     assert isinstance(sigma, Arrow)
-    gens = gen_elems(sigma.dom, budget)
+    gens = gen_elems(sigma.dom, run)
     passed = 0
     for g in gens:
         # A crash on a generator is a counterexample; a resource limit
         # decides nothing.  When b is a, a·g answers b·g too.
-        va = attempt(apply_value, a, g, cfg)
-        vb = va if isinstance(va, Crash) or b is a else attempt(apply_value, b, g, cfg)
+        va = attempt(apply_value, a, g, run)
+        vb = va if isinstance(va, Crash) or b is a else attempt(apply_value, b, g, run)
         if isinstance(va, Crash) or isinstance(vb, Crash):
             return EqTypeReport(Tri.FALSE, passed, len(gens), g)
         if isinstance(va, Open) or isinstance(vb, Open):
             continue
-        if eq_type(va, vb, sigma.cod, budget, cfg).result is Tri.FALSE:
+        if eq_type(va, vb, sigma.cod, run).result is Tri.FALSE:
             return EqTypeReport(Tri.FALSE, passed, len(gens), g)
         passed += 1
     # All sampled generator pairs agree; the domain is infinite, so this is
@@ -250,18 +245,14 @@ def eq_type(
     return EqTypeReport(Tri.UNKNOWN, passed, len(gens))
 
 
-def internalize(a: Value, sigma: FinType, budget: EnumBudget = DEFAULT_BUDGET) -> VName:
-    """The canonical name of a type-σ element."""
+def internalize(a: Value, sigma: FinType) -> VName:
+    """The canonical name of a type-σ element.  It runs nothing: whether
+    ``a`` is self-related at σ is the caller's question (``eq_type(a, a,
+    σ, run)``)."""
     if sigma == TYPE_O:
         if not a.is_numeral():
             raise ValueError("only numerals internalize at type o")
         return Nat(a.numeral)
-    rep = eq_type(a, a, sigma, budget)
-    if rep.result is Tri.FALSE:
-        warnings.warn(
-            f"internalizing a value that fails self-relatedness sampling at {sigma}",
-            stacklevel=2,
-        )
     return Internal(a, sigma)
 
 
@@ -269,15 +260,15 @@ def internalize(a: Value, sigma: FinType, budget: EnumBudget = DEFAULT_BUDGET) -
 # Triple access
 
 
-def _member(x: Internal | Graph, g: Value, budget: EnumBudget, cfg: FuelConfig) -> list[VName] | None:
+def _member(x: Internal | Graph, g: Value, run: Run) -> list[VName] | None:
     """The members at key g of an arrow-type ``Internal`` name (⟨ǧ, f·g⟩)
     or a ``Graph`` name (⟨ǧ, (f·g)_0⟩): one, or none where a machine error
     leaves the image undefined or the image is not a numeral at codomain o;
     None when the image runs out of fuel or outgrows the value size cap,
     which a larger cap could lift."""
-    image = attempt(apply_value, x.a, g, cfg)
+    image = attempt(apply_value, x.a, g, run)
     if isinstance(x, Graph) and isinstance(image, Value):
-        image = attempt(project, image, 0, cfg)
+        image = attempt(project, image, 0, run)
     if isinstance(image, Crash):
         return []
     if isinstance(image, Open):
@@ -285,24 +276,18 @@ def _member(x: Internal | Graph, g: Value, budget: EnumBudget, cfg: FuelConfig) 
     dom, cod = (x.sigma, x.tau) if isinstance(x, Graph) else (x.sigma.dom, x.sigma.cod)
     if cod == TYPE_O and not image.is_numeral():
         return []
-    return [OPair(internalize(g, dom, budget), internalize(image, cod, budget))]
+    return [OPair(internalize(g, dom), internalize(image, cod))]
 
 
-def lookup_triples(
-    x: VName,
-    a: Value,
-    b: Value,
-    budget: EnumBudget = DEFAULT_BUDGET,
-    cfg: FuelConfig = DEFAULT_FUEL,
-) -> tuple[list[VName], bool]:
-    """All members z with ⟨a, b, z⟩ ∈ x discoverable within budget.
+def lookup_triples(x: VName, a: Value, b: Value, run: Run) -> tuple[list[VName], bool]:
+    """All members z with ⟨a, b, z⟩ ∈ x discoverable within the run's budget.
 
     The boolean reports exhaustiveness: finite names and schematic names
     indexed by a decidable key answer completely.
     """
     match x:
         case Explicit() | Sing() | UPair() | OPair():
-            triples, _ = enumerate_triples(x, budget, cfg)
+            triples, _ = enumerate_triples(x, run)
             return [z for ka, kb, z in triples if ka == a and kb == b], True
         case Nat(n):
             m = _values_eq_num(a, b)
@@ -311,19 +296,19 @@ def lookup_triples(
             m = _values_eq_num(a, b)
             return ([Nat(m)] if m is not None else []), True
         case TypeName(sigma):
-            rep = eq_type(a, b, sigma, budget, cfg)
+            rep = eq_type(a, b, sigma, run)
             if rep.result is Tri.FALSE:
                 return [], True
             exhaustive = sigma == TYPE_O or rep.result is Tri.TRUE
-            return [internalize(a, sigma, budget)], exhaustive
+            return [internalize(a, sigma)], exhaustive
         case Internal(f, O()):
             # The internalization of a numeral has the numeral's triples.
-            return lookup_triples(Nat(f.numeral), a, b, budget, cfg)
+            return lookup_triples(Nat(f.numeral), a, b, run)
         case Internal(_, Arrow(dom, _)) | Graph(_, dom, _):
-            rep = eq_type(a, b, dom, budget, cfg)
+            rep = eq_type(a, b, dom, run)
             if rep.result is Tri.FALSE:
                 return [], True
-            zs = _member(x, a, budget, cfg)
+            zs = _member(x, a, run)
             if zs is None:
                 return [], False
             return zs, dom == TYPE_O or rep.result is Tri.TRUE
@@ -334,13 +319,9 @@ def lookup_triples(
 _ZERO, _ONE = num_value(0), num_value(1)
 
 
-def enumerate_triples(
-    x: VName,
-    budget: EnumBudget = DEFAULT_BUDGET,
-    cfg: FuelConfig = DEFAULT_FUEL,
-) -> tuple[list[Triple], bool]:
+def enumerate_triples(x: VName, run: Run) -> tuple[list[Triple], bool]:
     """Triples of the name in a deterministic order; finite names enumerate
-    fully, schematic ones up to budget."""
+    fully, schematic ones up to the run's budget."""
     match x:
         case Explicit(triples):
             return list(triples), True
@@ -348,7 +329,7 @@ def enumerate_triples(
             return [(num_value(m), num_value(m), Nat(m)) for m in range(n)], True
         case Omega():
             return (
-                [(num_value(m), num_value(m), Nat(m)) for m in range(budget.max_index)],
+                [(num_value(m), num_value(m), Nat(m)) for m in range(run.max_index)],
                 False,
             )
         case Sing(inner):
@@ -359,13 +340,10 @@ def enumerate_triples(
         case OPair(x0, y0):
             return [(_ZERO, _ZERO, Sing(x0)), (_ONE, _ONE, UPair(x0, y0))], True
         case TypeName(sigma):
-            out = []
-            for g in gen_elems(sigma, budget):
-                out.append((g, g, internalize(g, sigma, budget)))
-            return out, False
+            return [(g, g, internalize(g, sigma)) for g in gen_elems(sigma, run)], False
         case Internal(f, O()):
-            return enumerate_triples(Nat(f.numeral), budget, cfg)
+            return enumerate_triples(Nat(f.numeral), run)
         case Internal(_, Arrow(dom, _)) | Graph(_, dom, _):
-            members = ((g, _member(x, g, budget, cfg) or []) for g in gen_elems(dom, budget))
+            members = ((g, _member(x, g, run) or []) for g in gen_elems(dom, run))
             return [(g, g, z) for g, zs in members for z in zs], False
     raise TypeError(x)

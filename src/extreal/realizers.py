@@ -32,23 +32,12 @@ from .formulas import (
     substitute,
 )
 from .kernel import apply_value, defined_value, pair_value, value_of
-from .names import (
-    DEFAULT_BUDGET,
-    EnumBudget,
-    Explicit,
-    Nat,
-    Omega,
-    Triple,
-    VName,
-    enumerate_triples,
-)
+from .names import Explicit, Nat, Omega, Triple, VName, enumerate_triples
 from .terms import (
     App,
     Const,
     ConstKind,
     D,
-    DEFAULT_FUEL,
-    FuelConfig,
     K,
     Num,
     Opaque,
@@ -56,6 +45,7 @@ from .terms import (
     P0,
     P1,
     PRED,
+    Run,
     SUCC,
     Term,
     Value,
@@ -213,43 +203,44 @@ def _dispatch_term(entries: list[tuple[int, Value]]) -> Term:
     return body
 
 
-def _dispatch_value(entries: list[tuple[int, Value]], cfg: FuelConfig) -> Value:
-    return value_of(compile_term(lam("c", _dispatch_term(entries))), cfg)
+def _dispatch_value(entries: list[tuple[int, Value]], run: Run) -> Value:
+    return value_of(compile_term(lam("c", _dispatch_term(entries))), run)
 
 
-def synthesize(phi: Formula, cfg: FuelConfig = DEFAULT_FUEL) -> RealizerPair | None:
+def synthesize(phi: Formula, run: Run) -> RealizerPair | None:
     """A realizer pair for a true bounded-arithmetic sentence, None for a
-    false one.  Raises FragmentError outside the fragment."""
+    false one.  Raises FragmentError outside the fragment, and NoValue when
+    the run's limits stop a pairing."""
     if not in_fragment(phi):
         raise FragmentError("synthesis only covers the bounded-arithmetic fragment")
-    v = _synth(phi, cfg)
+    v = _synth(phi, run)
     return None if v is None else RealizerPair.both(v)
 
 
-def _synth(phi: Formula, cfg: FuelConfig) -> Value | None:
+def _synth(phi: Formula, run: Run) -> Value | None:
     ir = i_r_value()
     match phi:
         case Eq(Nat(n), Nat(m)):
             return ir if n == m else None
         case Mem(Nat(n), Nat(m)):
-            return pair_value(num_value(n), ir, cfg) if n < m else None
+            return pair_value(num_value(n), ir, run) if n < m else None
         case Mem(Nat(n), Omega()):
-            return pair_value(num_value(n), ir, cfg)
+            return pair_value(num_value(n), ir, run)
         case And(l, r):
-            vl = _synth(l, cfg)
+            vl = _synth(l, run)
             if vl is None:
                 return None
-            vr = _synth(r, cfg)
+            vr = _synth(r, run)
             if vr is None:
                 return None
-            return pair_value(vl, vr, cfg)
+            return pair_value(vl, vr, run)
         case Or(l, r):
-            vl = _synth(l, cfg)
+            vl = _synth(l, run)
             if vl is not None:
-                return pair_value(num_value(0), vl, cfg)
-            vr = _synth(r, cfg)
+                return pair_value(num_value(0), vl, run)
+            vr = _synth(r, run)
             if vr is not None:
-                return pair_value(num_value(1), vr, cfg)
+                return pair_value(num_value(1), vr, run)
             return None
         case Not(b):
             # Any pair realizes a negation whose body has no realizer.
@@ -257,25 +248,25 @@ def _synth(phi: Formula, cfg: FuelConfig) -> Value | None:
         case Imp(h, c):
             if not truth_eval(h):
                 return Value(K)
-            vc = _synth(c, cfg)
+            vc = _synth(c, run)
             if vc is None:
                 return None
-            return defined_value(apply_value, Value(K), vc, cfg)
+            return defined_value(apply_value, Value(K), vc, run)
         case AllIn(v, Nat(n), body):
             entries = []
             for k in range(n):
-                sub = _synth(substitute(body, v, Nat(k)), cfg)
+                sub = _synth(substitute(body, v, Nat(k)), run)
                 if sub is None:
                     return None
                 entries.append((k, sub))
             if not entries:
                 return Value(K)
-            return _dispatch_value(entries, cfg)
+            return _dispatch_value(entries, run)
         case ExIn(v, bound, body):
             for k in witness_range(bound, body):
-                sub = _synth(substitute(body, v, Nat(k)), cfg)
+                sub = _synth(substitute(body, v, Nat(k)), run)
                 if sub is not None:
-                    return pair_value(num_value(k), sub, cfg)
+                    return pair_value(num_value(k), sub, run)
             return None
     raise FragmentError(f"cannot synthesize for {phi!r}")
 
@@ -310,14 +301,14 @@ def union_term() -> Term:
     return compile_term(lam("a", "c", p_(Var("c"), eq_realizers()[0])))
 
 
-def union_name(x: VName, budget: EnumBudget = DEFAULT_BUDGET) -> Explicit:
+def union_name(x: VName, run: Run) -> Explicit:
     """Flatten one level of a hereditarily finite name."""
     triples: list[Triple] = []
-    outer, ok = enumerate_triples(x, budget)
+    outer, ok = enumerate_triples(x, run)
     if not ok:
         raise ValueError("union witness requires a finite name")
     for _, _, u in outer:
-        inner, ok = enumerate_triples(u, budget)
+        inner, ok = enumerate_triples(u, run)
         if not ok:
             raise ValueError("union witness requires finite members")
         triples.extend(inner)
@@ -389,24 +380,19 @@ def bounded_separation_terms() -> tuple[Term, Term]:
     return e0, e1
 
 
-def separation_name(
-    x: VName,
-    phi_of: Callable[[VName], Formula],
-    budget: EnumBudget = DEFAULT_BUDGET,
-    cfg: FuelConfig = DEFAULT_FUEL,
-) -> Explicit:
+def separation_name(x: VName, phi_of: Callable[[VName], Formula], run: Run) -> Explicit:
     """{⟨p a c, p b d, u⟩ : ⟨a,b,u⟩ ∈ x and (c,d) realizes φ(u)}, with one
     synthesized representative pair per member."""
-    triples, ok = enumerate_triples(x, budget)
+    triples, ok = enumerate_triples(x, run)
     if not ok:
         raise ValueError("separation witness requires a finite name")
     out: list[Triple] = []
     for ka, kb, u in triples:
-        wit = synthesize(phi_of(u), cfg)
+        wit = synthesize(phi_of(u), run)
         if wit is None:
             continue
-        pa = pair_value(ka, wit.a, cfg)
-        pb = pa if kb is ka and wit.b is wit.a else pair_value(kb, wit.b, cfg)
+        pa = pair_value(ka, wit.a, run)
+        pb = pa if kb is ka and wit.b is wit.a else pair_value(kb, wit.b, run)
         out.append((pa, pb, u))
     return Explicit(tuple(out))
 
@@ -417,13 +403,9 @@ def strong_collection_term() -> Term:
     return compile_term(lam("a", p_(inner, inner)))
 
 
-def collection_name(
-    x: VName,
-    choose: Callable[[Triple], VName],
-    budget: EnumBudget = DEFAULT_BUDGET,
-) -> Explicit:
+def collection_name(x: VName, choose: Callable[[Triple], VName], run: Run) -> Explicit:
     """{⟨c, d, v⟩ : ⟨c,d,u⟩ ∈ x, v the chosen image of that triple}."""
-    triples, ok = enumerate_triples(x, budget)
+    triples, ok = enumerate_triples(x, run)
     if not ok:
         raise ValueError("collection witness requires a finite name")
     return Explicit(tuple((c, d, choose((c, d, u))) for c, d, u in triples))

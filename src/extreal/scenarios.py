@@ -49,6 +49,12 @@ with a value, ``check`` and ``check-with-witnesses`` take ``realized``,
 ``refuted`` or ``unknown``, and ``synth-roundtrip`` takes ``agree`` or
 ``disagree``.
 
+Every line runs under the scenario's current run (``terms.Run``): its fuel,
+enumeration budget and seed, which a ``fuel``, ``budget`` or ``seed`` line
+replaces for the lines after it.  An ``int`` name whose value fails
+self-relatedness sampling under that run is still built, and adds a warning
+to the report.
+
 Exit status: 0 when every stated expectation holds, 1 on a mismatch, 2 on a
 parse error.
 
@@ -64,14 +70,13 @@ or ``synth-roundtrip``, ``realizers`` with the first ``realizer`` or
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .bracket import compile_term, free_vars
 from .kernel import NoValue, attempt, eval_term, reason
 from .parser import _KEYWORDS, MAX_NESTING, Lexer, ParseError, parse, print_term
-from .terms import App, DEFAULT_BUDGET, DEFAULT_FUEL, EnumBudget, FuelConfig, Value, Var
+from .terms import App, Run, Tri, Value, Var
 
 if TYPE_CHECKING:  # for annotations only: each layer is imported where it runs
     from .checker import RealizerPair
@@ -108,12 +113,11 @@ class ScenarioReport:
 
 @dataclass
 class _Env:
+    run: Run  # the current limits and seed, which every line runs under
+    warnings: list[str]  # the report's
     terms: dict[str, object] = field(default_factory=dict)  # name -> Term
     names: dict[str, tuple[VName, int]] = field(default_factory=dict)  # with its height
     formulas: dict[str, tuple[Formula, int]] = field(default_factory=dict)  # with its height
-    cfg: FuelConfig = DEFAULT_FUEL
-    budget: EnumBudget = DEFAULT_BUDGET
-    seed: int = 0
 
 
 def _strip_comment(line: str) -> str:
@@ -262,7 +266,7 @@ class _Reader:
         """The value of a term the scenario needs as data; a term without one
         (machine error or fuel exhausted) is an error on this line."""
         start = self.lx.peek()[2]
-        out = attempt(eval_term, self.term(), None, self.env.cfg)
+        out = attempt(eval_term, self.term(), None, self.env.run)
         if isinstance(out, Value):
             return out
         text = self.text[start : self.lx.peek()[2]].strip()
@@ -302,7 +306,9 @@ class _Reader:
         Either past ``MAX_NESTING`` is an error, as for formulas.
         """
         # Names load with the first name a scenario reads.
-        from .names import OMEGA, Explicit, Graph, Nat, OPair, Sing, UPair, internalize, type_name
+        from .names import (
+            OMEGA, Explicit, Graph, Nat, OPair, Sing, UPair, eq_type, internalize, type_name,
+        )
 
         if depth > MAX_NESTING:
             raise ScenarioError(_NAME_TOO_DEEP, self.line)
@@ -351,10 +357,18 @@ class _Reader:
             self.expect(":")
             sigma = self.fintype()
             try:
-                return internalize(a, sigma, self.env.budget), 0
+                out = internalize(a, sigma)
             except ValueError as exc:
                 text = self.text[pos : self.lx.peek()[2]].strip()
                 raise ScenarioError(f"bad int name {text!r}: {exc}", self.line) from None
+            # The name is built either way; a value that sampling shows is not
+            # self-related at σ gets one warning per line.
+            if eq_type(a, a, sigma, self.env.run).result is Tri.FALSE:
+                msg = (f"line {self.line}: internalizing a value that fails "
+                       f"self-relatedness sampling at {sigma}")
+                if msg not in self.env.warnings:
+                    self.env.warnings.append(msg)
+            return out, 0
         if word == "graph":
             f = self.value()
             self.expect(":")
@@ -475,39 +489,27 @@ def _read(env: _Env, text: str, line: int, form):
     return out
 
 
-def run_scenario(
-    text: str, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget = DEFAULT_BUDGET, seed: int = 0
-) -> ScenarioReport:
-    """Run the lines of ``text`` in order, starting from the given fuel,
-    budget and seed, which ``fuel``/``budget``/``seed`` lines change.  A
-    warning raised while a line runs (a name that fails self-relatedness
-    sampling) goes into the report's ``warnings`` once per line, not to the
-    host's display."""
+# The field of the run that each setting line replaces.
+_SETTINGS = {"fuel": "max_steps", "budget": "max_index", "seed": "seed"}
+
+
+def run_scenario(text: str, run: Run = Run()) -> ScenarioReport:
+    """Run the lines of ``text`` in order, starting from ``run``, whose fuel,
+    budget and seed ``fuel``/``budget``/``seed`` lines change.  An ``int``
+    name whose value fails self-relatedness sampling under the current run
+    adds one line to the report's ``warnings``."""
     report = ScenarioReport()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _run_lines(_Env(cfg=cfg, budget=budget, seed=seed), text, report, caught)
-    return report
-
-
-def _run_lines(env: _Env, text: str, report: ScenarioReport, caught: list) -> None:
+    env = _Env(run, report.warnings)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
         head = line.split(None, 1)[0]
         rest = line[len(head) :].strip()
-        if head in ("fuel", "budget", "seed"):
+        if head in _SETTINGS:
             # A bad literal and an out-of-range limit both raise ValueError.
             try:
-                n = int(rest)
-                if head == "fuel":
-                    env.cfg = FuelConfig(max_steps=n)
-                elif head == "budget":
-                    env.budget = EnumBudget(max_index=n,
-                                            generators_per_type=env.budget.generators_per_type)
-                else:
-                    env.seed = n
+                env.run = replace(env.run, **{_SETTINGS[head]: int(rest)})
             except ValueError as exc:
                 raise ScenarioError(f"bad {head} {rest!r}: {exc}", lineno) from None
         elif head in ("term", "name", "formula"):
@@ -535,8 +537,7 @@ def _run_lines(env: _Env, text: str, report: ScenarioReport, caught: list) -> No
             report.results.append(_run_suite_directive(env, rest, lineno))
         else:
             raise ScenarioError(f"unknown directive {head!r}", lineno)
-        report.warnings += dict.fromkeys(f"line {lineno}: {w.message}" for w in caught)
-        caught.clear()
+    return report
 
 
 # The identifiers a later line reads as something else than a declaration:
@@ -576,7 +577,7 @@ def _split_expect(text: str, lineno: int, words: tuple[str, ...] = ()) -> tuple[
 
 def _run_eval(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     body, expected = _split_expect(rest, lineno)
-    out = attempt(eval_term, _read(env, body, lineno, _Reader.term), None, env.cfg)
+    out = attempt(eval_term, _read(env, body, lineno, _Reader.term), None, env.run)
     if isinstance(out, Value):
         outcome, end = print_term(out), out
     elif out.error is None:
@@ -602,7 +603,7 @@ def _run_check(env: _Env, rest: str, lineno: int, kind: str) -> DirectiveResult:
     pair, phi = r.pair(), r.closed_formula()
     if kind == "check":
         r.end()
-        ver = check(pair, phi, env.budget, env.cfg)
+        ver = check(pair, phi, env.run)
     else:
         if not isinstance(phi, Imp):
             raise ScenarioError("check-with-witnesses applies to an implication", lineno)
@@ -610,7 +611,7 @@ def _run_check(env: _Env, rest: str, lineno: int, kind: str) -> DirectiveResult:
         r.expect("[")
         wits = [r.pair() for _ in r.items("]")]
         r.end()
-        ver = check_imp_on_witnesses(pair, phi.hyp, phi.concl, wits, env.budget, env.cfg)
+        ver = check_imp_on_witnesses(pair, phi.hyp, phi.concl, wits, env.run)
     # A status prints as its word: realized, refuted or unknown.
     ok = expected is None or ver.status.value == expected
     return DirectiveResult(lineno, kind, body, ver.status.value, expected, ok, ver.trace)
@@ -630,10 +631,10 @@ def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
         )
     want = truth_eval(phi)
     try:
-        wit = synthesize(phi, env.cfg)
+        wit = synthesize(phi, env.run)
     except NoValue:  # the limits stop synthesis, as they can stop the check
         wit = None
-    got = wit is not None and check(wit, phi, env.budget, env.cfg).status is Status.REALIZED
+    got = wit is not None and check(wit, phi, env.run).status is Status.REALIZED
     agreed = want == got
     outcome = f"truth={want} realizers={got}"
     ok = agreed if expected is None else (expected == "agree") == agreed
@@ -646,7 +647,7 @@ def _run_suite_directive(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     name = rest.strip()
     if name not in SUITES:
         raise ScenarioError(f"unknown suite {name!r}", lineno)
-    rep = run_suite(name, env.seed, env.cfg, env.budget)
+    rep = run_suite(name, env.run)
     outcome = f"{len(rep.cases) - len(rep.failures)}/{len(rep.cases)} cases"
     detail = "\n".join(
         f"  FAIL {c.name}: {c.detail}"

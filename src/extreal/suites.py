@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .checker import RealizerPair, Status, check, check_imp_on_witnesses, truth_eval
 from .bracket import SKK, abstract, compile_term, lam
@@ -44,8 +44,6 @@ from .kernel import (
 )
 from .names import (
     Arrow,
-    DEFAULT_BUDGET,
-    EnumBudget,
     Explicit,
     Graph,
     Internal,
@@ -96,8 +94,6 @@ from .realizers import (
 from .terms import (
     App,
     D,
-    DEFAULT_FUEL,
-    FuelConfig,
     K,
     KBAR,
     Opaque,
@@ -106,6 +102,7 @@ from .terms import (
     P0,
     P1,
     PRED,
+    Run,
     S,
     SUCC,
     Term,
@@ -174,57 +171,59 @@ def random_closed_term(rng: random.Random, max_leaves: int, atoms=_VALUE_ATOMS) 
     return build(leaves)
 
 
-def random_printable_value(
-    rng: random.Random, max_leaves: int = 4, cfg: FuelConfig = DEFAULT_FUEL
-) -> tuple[Term, Value]:
+def random_printable_value(rng: random.Random, max_leaves: int = 4) -> tuple[Term, Value]:
+    """A random closed term with a value under the default run, and that
+    value."""
     while True:
         t = random_closed_term(rng, max_leaves)
-        v = attempt(eval_term, t, None, cfg)
+        v = attempt(eval_term, t, None, Run())
         if isinstance(v, Value):
             return t, v
 
 
 def _draw(rng: random.Random, n: int) -> list[Term]:
-    """The terms of ``n`` successive random printable values."""
+    """The terms of ``n`` successive random printable values.  They are drawn
+    under the default run, not the suite's: a term is kept when it has a
+    value within the default fuel, so a seed gives the same cases under any
+    ``--fuel``."""
     return [random_printable_value(rng)[0] for _ in range(n)]
 
 
-def _law(bad: list[str], lhs: Term, rhs: Term, cfg: FuelConfig, total: bool = True,
+def _law(bad: list[str], lhs: Term, rhs: Term, run: Run, total: bool = True,
          shown: Term | None = None) -> None:
     """Check lhs ≃ rhs and, when it fails, add to ``bad`` a snippet that
     evaluates lhs expecting ``shown`` (rhs by default).  A total law fails
     unless both sides are seen to agree; otherwise only a disagreement fails,
     and running out of fuel passes."""
-    agree = kleene_agree(lhs, rhs, cfg)
+    agree = kleene_agree(lhs, rhs, run)
     if agree is False or (total and agree is None):
         bad.append(f"eval ({print_term(lhs)}) expect ({print_term(rhs if shown is None else shown)})")
 
 
-def _realized(r: Value | Crash | Open, phi: Formula, budget: EnumBudget, cfg: FuelConfig) -> bool:
+def _realized(r: Value | Crash | Open, phi: Formula, run: Run) -> bool:
     """Whether ``r`` realizes phi on both sides.  ``r`` may be the outcome of
     ``attempt``; a crash or a resource limit realizes nothing."""
-    return isinstance(r, Value) and check(RealizerPair.both(r), phi, budget, cfg).status is Status.REALIZED
+    return isinstance(r, Value) and check(RealizerPair.both(r), phi, run).status is Status.REALIZED
 
 
 # --- suite: pca-laws --------------------------------------------------------
 
 
-def suite_pca_laws(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget = DEFAULT_BUDGET,
-                   rounds: int = 200) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("pca-laws", seed)
+def suite_pca_laws(run: Run, rounds: int = 200) -> SuiteReport:
+    rng = random.Random(run.seed)
+    rep = SuiteReport("pca-laws", run.seed)
 
     bad = []
     for _ in range(rounds):
         ta, tb = _draw(rng, 2)
-        _law(bad, app(K, ta, tb), ta, cfg)
-        _law(bad, app(KBAR, ta, tb), tb, cfg)
+        _law(bad, app(K, ta, tb), ta, run)
+        _law(bad, app(KBAR, ta, tb), tb, run)
     rep.add("k-law", bad, f"{rounds} instances")
 
     bad = []
     for _ in range(rounds):
         ta, tb, tc = _draw(rng, 3)
-        _law(bad, app(S, ta, tb, tc), App(App(ta, tc), App(tb, tc)), cfg, total=False)
+        _law(bad, app(S, ta, tb, tc), App(App(ta, tc), App(tb, tc)), run, total=False)
     rep.add("s-law", bad, f"{rounds} instances")
 
     bad = []
@@ -232,30 +231,30 @@ def suite_pca_laws(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
         n = rng.randint(0, 64)
         m = n if rng.random() < 0.5 else rng.randint(0, 64)
         ta, tb = _draw(rng, 2)
-        _law(bad, app(D, num(n), num(m), ta, tb), ta if n == m else tb, cfg)
+        _law(bad, app(D, num(n), num(m), ta, tb), ta if n == m else tb, run)
     rep.add("d-law", bad, f"{rounds} instances")
 
     bad = []
     for _ in range(rounds):
         n = rng.randint(0, 200)
-        _law(bad, App(SUCC, num(n)), num(n + 1), cfg)
-        _law(bad, App(PRED, num(n + 1)), num(n), cfg)
-    if not isinstance(attempt(eval_term, App(PRED, num(0)), None, cfg), Crash):
+        _law(bad, App(SUCC, num(n)), num(n + 1), run)
+        _law(bad, App(PRED, num(n + 1)), num(n), run)
+    if not isinstance(attempt(eval_term, App(PRED, num(0)), None, run), Crash):
         bad.append("-- PRED #0 should be stuck")
     rep.add("succ-pred", bad, f"{rounds} instances")
 
     bad = []
     for _ in range(rounds):
         ta, tb = _draw(rng, 2)
-        _law(bad, App(P0, app(P, ta, tb)), ta, cfg)
-        _law(bad, App(P1, app(P, ta, tb)), tb, cfg)
+        _law(bad, App(P0, app(P, ta, tb)), ta, run)
+        _law(bad, App(P1, app(P, ta, tb)), tb, run)
     rep.add("pairing-projections", bad, f"{rounds} instances")
 
     bad = []
     for n, m in ((i, j) for i in range(5) for j in range(5)):
         if n == m:
-            _law(bad, num(n), num(m), cfg)
-        elif kleene_agree(num(n), num(m), cfg) is not False:
+            _law(bad, num(n), num(m), run)
+        elif kleene_agree(num(n), num(m), run) is not False:
             bad.append(f"-- #{n} and #{m} not seen to differ")
     rep.add("numeral-injectivity", bad, "25 pairs")
     return rep
@@ -289,10 +288,9 @@ def term_size(t: Term) -> int:
     raise AssertionError
 
 
-def suite_abstraction(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget = DEFAULT_BUDGET,
-                      rounds: int = 100) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("abstraction", seed)
+def suite_abstraction(run: Run, rounds: int = 100) -> SuiteReport:
+    rng = random.Random(run.seed)
+    rep = SuiteReport("abstraction", run.seed)
 
     bad = []
     size_bad = []
@@ -300,13 +298,13 @@ def suite_abstraction(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBud
         body = random_open_term(rng, 12, "x")
         s = abstract("x", body)
         [ta] = _draw(rng, 1)
-        _law(bad, App(s, ta), subst_oracle(body, "x", ta), cfg, total=False)
+        _law(bad, App(s, ta), subst_oracle(body, "x", ta), run, total=False)
         if term_size(s) > 10 * term_size(body) ** 2:
             size_bad.append(f"-- |compiled| = {term_size(s)} for |t| = {term_size(body)}")
     rep.add("substitution-law", bad, f"{rounds} instances")
     rep.add("size-bound", size_bad, "|compile(t)| <= 10*|t|^2")
 
-    ok = kleene_agree(App(abstract("x", Var("x")), num(7)), num(7), cfg) is True
+    ok = kleene_agree(App(abstract("x", Var("x")), num(7)), num(7), run) is True
     rep.cases.append(CaseResult("identity", ok, "(\\x. x) #7 = #7"))
     k_like = compile_term(lam("x", "y", Var("x")))
     s_like = compile_term(lam("x", "y", "z", app(Var("x"), Var("z"), App(Var("y"), Var("z")))))
@@ -314,9 +312,9 @@ def suite_abstraction(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBud
     bad = []
     for _ in range(50):
         ta, tb, tc = _draw(rng, 3)
-        _law(bad, app(k_like, ta, tb), app(K, ta, tb), cfg, shown=ta)
-        _law(bad, app(kbar_like, ta, tb), app(KBAR, ta, tb), cfg, shown=tb)
-        _law(bad, app(s_like, ta, tb, tc), app(S, ta, tb, tc), cfg, total=False)
+        _law(bad, app(k_like, ta, tb), app(K, ta, tb), run, shown=ta)
+        _law(bad, app(kbar_like, ta, tb), app(KBAR, ta, tb), run, shown=tb)
+        _law(bad, app(s_like, ta, tb, tc), app(S, ta, tb, tc), run, total=False)
     rep.add("k-s-compilations", bad, "50 instances")
     return rep
 
@@ -324,10 +322,9 @@ def suite_abstraction(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBud
 # --- suite: fixpoints -------------------------------------------------------
 
 
-def suite_fixpoints(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget = DEFAULT_BUDGET,
-                    rounds: int = 50) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("fixpoints", seed)
+def suite_fixpoints(run: Run, rounds: int = 50) -> SuiteReport:
+    rng = random.Random(run.seed)
+    rep = SuiteReport("fixpoints", run.seed)
     f = fixpoint()
     g, h = double_fixpoint()
     r = primrec()
@@ -335,31 +332,31 @@ def suite_fixpoints(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudge
     bad = []
     for _ in range(20):
         [ta] = _draw(rng, 1)
-        if not isinstance(attempt(eval_term, App(f, ta), None, cfg), Value):
+        if not isinstance(attempt(eval_term, App(f, ta), None, run), Value):
             bad.append(f"eval ({print_term(App(f, ta))})")
     rep.add("f-defined", bad, "f a defined, 20 instances")
 
     bad = []
     for _ in range(rounds):
         ta, tb = _draw(rng, 2)
-        _law(bad, app(f, ta, tb), app(ta, App(f, ta), tb), cfg, total=False)
+        _law(bad, app(f, ta, tb), app(ta, App(f, ta), tb), run, total=False)
     rep.add("f-law", bad, f"f a b = a (f a) b, {rounds} instances")
 
     # One-step hand unfolding: f K b = K (f K) b = f K.
     bad = []
     for _ in range(10):
         [tb] = _draw(rng, 1)
-        _law(bad, app(f, K, tb), App(f, K), cfg)
+        _law(bad, app(f, K, tb), App(f, K), run)
     rep.add("f-unfold-oracle", bad, "f K b = f K")
 
     bad_def, bad_g, bad_h = [], [], []
     for _ in range(rounds):
         ta, tb, tc = _draw(rng, 3)
         for t in (app(g, ta, tb), app(h, ta, tb)):
-            if not isinstance(attempt(eval_term, t, None, cfg), Value):
+            if not isinstance(attempt(eval_term, t, None, run), Value):
                 bad_def.append(f"eval ({print_term(t)})")
-        _law(bad_g, app(g, ta, tb, tc), app(ta, app(h, ta, tb), tc), cfg, total=False)
-        _law(bad_h, app(h, ta, tb, tc), app(tb, app(g, ta, tb), tc), cfg, total=False)
+        _law(bad_g, app(g, ta, tb, tc), app(ta, app(h, ta, tb), tc), run, total=False)
+        _law(bad_h, app(h, ta, tb, tc), app(tb, app(g, ta, tb), tc), run, total=False)
     rep.add("gh-defined", bad_def, "g a b, h a b defined")
     rep.add("g-law", bad_g, f"g a b c = a (h a b) c, {rounds} instances")
     rep.add("h-law", bad_h, f"h a b c = b (g a b) c, {rounds} instances")
@@ -367,10 +364,10 @@ def suite_fixpoints(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudge
     bad = []
     for _ in range(20):
         ta, tb = _draw(rng, 2)
-        _law(bad, app(r, ta, tb, num(0)), ta, cfg)
+        _law(bad, app(r, ta, tb, num(0)), ta, run)
         n = rng.randint(0, 6)
-        _law(bad, app(r, ta, tb, num(n + 1)), app(tb, app(r, ta, tb, num(n)), num(n)), cfg, total=False)
-    big = FuelConfig(max_steps=max(cfg.max_steps, 400_000))
+        _law(bad, app(r, ta, tb, num(n + 1)), app(tb, app(r, ta, tb, num(n)), num(n)), run, total=False)
+    big = replace(run, max_steps=max(run.max_steps, 400_000))
     add = compile_term(lam("m", "n", app(r, Var("m"), lam("u", "v", App(SUCC, Var("u"))), Var("n"))))
     _law(bad, app(add, num(2), num(3)), num(5), big)
     rep.add("primrec", bad, "recursor laws and 2+3=5")
@@ -398,19 +395,18 @@ def random_finite_name(rng: random.Random, rank: int) -> VName:
     return OPair(sub(), sub())
 
 
-def suite_equality(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget = DEFAULT_BUDGET,
-                   rounds: int = 30) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("equality", seed)
+def suite_equality(run: Run, rounds: int = 30) -> SuiteReport:
+    rng = random.Random(run.seed)
+    rep = SuiteReport("equality", run.seed)
     ir = i_r_value()
 
     bad = []
     for _ in range(rounds):
         x = random_finite_name(rng, rng.randint(0, 3))
-        if not _realized(ir, Eq(x, x), budget, cfg):
+        if not _realized(ir, Eq(x, x), run):
             bad.append(f"-- i_r fails x=x on {x}")
     for n in range(7):
-        if not _realized(ir, Eq(Nat(n), Nat(n)), budget, cfg):
+        if not _realized(ir, Eq(Nat(n), Nat(n)), run):
             bad.append(f"realizer i_r = i_r\ncheck (i_r, i_r) eq(nat {n}, nat {n}) expect realized")
     rep.add("reflexivity", bad, f"{rounds} random finite names (rank <= 3) and naturals <= 6")
 
@@ -419,18 +415,18 @@ def suite_equality(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
     bad = []
     with rep.guard("transport-laws"):
         for n in range(5):
-            wit = synthesize(Eq(Nat(n), Nat(n)), cfg)
-            if not _realized(attempt(apply_value, i_s, wit.a, cfg), Eq(Nat(n), Nat(n)), budget, cfg):
+            wit = synthesize(Eq(Nat(n), Nat(n)), run)
+            if not _realized(attempt(apply_value, i_s, wit.a, run), Eq(Nat(n), Nat(n)), run):
                 bad.append(f"-- i_s fails on nat {n}")
-            chained = attempt(apply_value, i_t, pair_value(wit.a, wit.a, cfg), cfg)
-            if not _realized(chained, Eq(Nat(n), Nat(n)), budget, cfg):
+            chained = attempt(apply_value, i_t, pair_value(wit.a, wit.a, run), run)
+            if not _realized(chained, Eq(Nat(n), Nat(n)), run):
                 bad.append(f"-- i_t fails on nat {n}")
         for n, m in ((1, 4), (2, 5)):
-            eqw = synthesize(Eq(Nat(n), Nat(n)), cfg)
-            memw = synthesize(Mem(Nat(n), Nat(m)), cfg)
+            eqw = synthesize(Eq(Nat(n), Nat(n)), run)
+            memw = synthesize(Mem(Nat(n), Nat(m)), run)
             for label, i_x in (("i_0", i_0), ("i_1", i_1)):
-                moved = attempt(apply_value, i_x, pair_value(eqw.a, memw.a, cfg), cfg)
-                if not _realized(moved, Mem(Nat(n), Nat(m)), budget, cfg):
+                moved = attempt(apply_value, i_x, pair_value(eqw.a, memw.a, run), run)
+                if not _realized(moved, Mem(Nat(n), Nat(m)), run):
                     bad.append(f"-- {label} fails on {n} in {m}")
         rep.add("transport-laws", bad, "i_s, i_t, i_0, i_1 on synthesized numeral realizers")
 
@@ -439,7 +435,7 @@ def suite_equality(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
         for m in range(5):
             if n == m:
                 continue
-            ver = check(RealizerPair.both(ir), Eq(Nat(n), Nat(m)), budget, cfg)
+            ver = check(RealizerPair.both(ir), Eq(Nat(n), Nat(m)), run)
             if ver.status is not Status.REFUTED:
                 bad.append(f"realizer i_r = i_r\ncheck (i_r, i_r) eq(nat {n}, nat {m}) expect refuted")
     rep.add("numeral-absoluteness", bad, "n != m <= 4 refuted")
@@ -449,42 +445,38 @@ def suite_equality(seed: int, cfg: FuelConfig = DEFAULT_FUEL, budget: EnumBudget
 # --- suite: czf-axioms ------------------------------------------------------
 
 
-def _witness_status(e: Value, hyp: Formula, concl: Formula, w: Value, budget: EnumBudget,
-                    cfg: FuelConfig) -> Status:
+def _witness_status(e: Value, hyp: Formula, concl: Formula, w: Value, run: Run) -> Status:
     """How e fares on hyp -> concl when the hypothesis is realized by w alone."""
-    return check_imp_on_witnesses(RealizerPair.both(e), hyp, concl, [RealizerPair.both(w)],
-                                  budget, cfg).status
+    return check_imp_on_witnesses(RealizerPair.both(e), hyp, concl, [RealizerPair.both(w)], run).status
 
 
-def infinity_e0_cases(e0: Value, max_n: int, budget: EnumBudget, cfg: FuelConfig) -> list[tuple[str, Status]]:
+def infinity_e0_cases(e0: Value, max_n: int, run: Run) -> list[tuple[str, Status]]:
     ir = i_r_value()
     out = []
     for n in range(max_n + 1):
-        w = pair_value(num_value(n), ir, cfg)
-        out.append((f"e0 n={n}", _witness_status(e0, Mem(Nat(n), OMEGA), theta(Nat(n), OMEGA), w,
-                                                 budget, cfg)))
+        w = pair_value(num_value(n), ir, run)
+        out.append((f"e0 n={n}", _witness_status(e0, Mem(Nat(n), OMEGA), theta(Nat(n), OMEGA), w, run)))
     return out
 
 
-def infinity_e1_cases(e1: Value, budget: EnumBudget, cfg: FuelConfig) -> list[tuple[str, Status]]:
+def infinity_e1_cases(e1: Value, run: Run) -> list[tuple[str, Status]]:
     ir = i_r_value()
     # zero case
-    w0 = pair_value(num_value(0), Value(K), cfg)
-    out = [("e1 zero-case", _witness_status(e1, theta(Nat(0), OMEGA), Mem(Nat(0), OMEGA), w0,
-                                            budget, cfg))]
+    w0 = pair_value(num_value(0), Value(K), run)
+    out = [("e1 zero-case", _witness_status(e1, theta(Nat(0), OMEGA), Mem(Nat(0), OMEGA), w0, run))]
     # successor case, y = nat 3 = 2' u {2'}
     m = 2
     disp = compile_term(
         lam("c", app(D, Var("c"), num(m), p_(num(1), Opaque("ir", ir)),
                      p_(num(0), p_(Var("c"), Opaque("ir", ir)))))
     )
-    r10 = value_of(disp, cfg)
-    r110 = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", ir)))), cfg)
-    r111 = pair_value(num_value(m), ir, cfg)
-    r = pair_value(r10, pair_value(r110, r111, cfg), cfg)
-    w1 = pair_value(num_value(1), pair_value(num_value(m), r, cfg), cfg)
+    r10 = value_of(disp, run)
+    r110 = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", ir)))), run)
+    r111 = pair_value(num_value(m), ir, run)
+    r = pair_value(r10, pair_value(r110, r111, run), run)
+    w1 = pair_value(num_value(1), pair_value(num_value(m), r, run), run)
     y = Nat(m + 1)
-    out.append(("e1 successor-case", _witness_status(e1, theta(y, OMEGA), Mem(y, OMEGA), w1, budget, cfg)))
+    out.append(("e1 successor-case", _witness_status(e1, theta(y, OMEGA), Mem(y, OMEGA), w1, run)))
     return out
 
 
@@ -499,8 +491,7 @@ def skewed_numeral_name(n: int, stride: int = 2, offset: int = 7) -> Explicit:
     )
 
 
-def infinity_skewed_cases(e0: Value, e1: Value, budget: EnumBudget,
-                          cfg: FuelConfig) -> list[tuple[str, Status]]:
+def infinity_skewed_cases(e0: Value, e1: Value, run: Run) -> list[tuple[str, Status]]:
     """Forward and backward checks against a skew-keyed copy of the third
     numeral name; these instances see both projections of every equality
     realizer separately."""
@@ -510,112 +501,110 @@ def infinity_skewed_cases(e0: Value, e1: Value, budget: EnumBudget,
     ykey = {m: 7 + 2 * m for m in range(n)}
 
     # a_1 realizes y = nat-n with distinct key maps per direction.
-    left = [(ykey[m], pair_value(num_value(m), ir, cfg)) for m in range(n)]
-    right = [(m, pair_value(num_value(ykey[m]), ir, cfg)) for m in range(n)]
+    left = [(ykey[m], pair_value(num_value(m), ir, run)) for m in range(n)]
+    right = [(m, pair_value(num_value(ykey[m]), ir, run)) for m in range(n)]
     r_eq = value_of(
-        compile_term(lam("c", p_(_dispatch_term(left), _dispatch_term(right)))), cfg
+        compile_term(lam("c", p_(_dispatch_term(left), _dispatch_term(right)))), run
     )
-    w = pair_value(num_value(n), r_eq, cfg)
-    out = [("e0 skewed-keys", _witness_status(e0, Mem(y, OMEGA), theta(y, OMEGA), w, budget, cfg))]
+    w = pair_value(num_value(n), r_eq, run)
+    out = [("e0 skewed-keys", _witness_status(e0, Mem(y, OMEGA), theta(y, OMEGA), w, run))]
 
     # Backward: realize theta(y) through the successor branch with m = 2.
     m = n - 1
     rr0 = _dispatch_value([
-        (ykey[k], pair_value(num_value(0), pair_value(num_value(k), ir, cfg), cfg))
+        (ykey[k], pair_value(num_value(0), pair_value(num_value(k), ir, run), run))
         for k in range(m)
-    ] + [(ykey[m], pair_value(num_value(1), ir, cfg))], cfg)
-    rr10 = _dispatch_value([(k, pair_value(num_value(ykey[k]), ir, cfg)) for k in range(m)], cfg)
-    rr11 = pair_value(num_value(ykey[m]), ir, cfg)
-    rr = pair_value(rr0, pair_value(rr10, rr11, cfg), cfg)
-    w1 = pair_value(num_value(1), pair_value(num_value(m), rr, cfg), cfg)
-    out.append(("e1 skewed-keys", _witness_status(e1, theta(y, OMEGA), Mem(y, OMEGA), w1, budget, cfg)))
+    ] + [(ykey[m], pair_value(num_value(1), ir, run))], run)
+    rr10 = _dispatch_value([(k, pair_value(num_value(ykey[k]), ir, run)) for k in range(m)], run)
+    rr11 = pair_value(num_value(ykey[m]), ir, run)
+    rr = pair_value(rr0, pair_value(rr10, rr11, run), run)
+    w1 = pair_value(num_value(1), pair_value(num_value(m), rr, run), run)
+    out.append(("e1 skewed-keys", _witness_status(e1, theta(y, OMEGA), Mem(y, OMEGA), w1, run)))
     return out
 
 
-def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
-                     budget: EnumBudget = DEFAULT_BUDGET) -> SuiteReport:
-    rep = SuiteReport("czf-axioms", seed)
+def suite_czf_axioms(run: Run) -> SuiteReport:
+    rep = SuiteReport("czf-axioms", run.seed)
     ir = i_r_value()
 
     # Pairing
     with rep.guard("pairing"):
         z = pairing_name(Nat(1), Nat(2))
-        e = value_of(pairing_term(), cfg)
-        st = check(RealizerPair.both(e), And(Mem(Nat(1), z), Mem(Nat(2), z)), budget, cfg).status
+        e = value_of(pairing_term(), run)
+        st = check(RealizerPair.both(e), And(Mem(Nat(1), z), Mem(Nat(2), z)), run).status
         rep.cases.append(CaseResult("pairing", st is Status.REALIZED, str(st)))
 
     # Union
     with rep.guard("union"):
         x = Explicit(((num_value(0), num_value(0), Sing(Nat(1))),))
-        y = union_name(x, budget)
-        e = value_of(union_term(), cfg)
-        st = check(RealizerPair.both(e), AllIn("u", x, AllIn("v", "u", Mem("v", y))), budget, cfg).status
+        y = union_name(x, run)
+        e = value_of(union_term(), run)
+        st = check(RealizerPair.both(e), AllIn("u", x, AllIn("v", "u", Mem("v", y))), run).status
         rep.cases.append(CaseResult("union", st is Status.REALIZED, str(st)))
 
     # Extensionality on two extensionally equal names
     with rep.guard("extensionality"):
         x1 = Explicit(((num_value(0), num_value(0), Nat(1)),))
         y1 = Sing(Nat(1))
-        e = value_of(extensionality_term(), cfg)
-        idv = value_of(SKK, cfg)
-        ok = _realized(attempt(apply_value, e, pair_value(idv, idv, cfg), cfg), Eq(x1, y1), budget, cfg)
+        e = value_of(extensionality_term(), run)
+        idv = value_of(SKK, run)
+        ok = _realized(attempt(apply_value, e, pair_value(idv, idv, run), run), Eq(x1, y1), run)
         rep.cases.append(CaseResult("extensionality", ok, "witness-directed"))
 
     # Infinity, both directions, plus skew-keyed instances
     with rep.guard("infinity"):
         e0t, e1t = infinity_terms()
-        e0, e1 = value_of(e0t, cfg), value_of(e1t, cfg)
+        e0, e1 = value_of(e0t, run), value_of(e1t, run)
         cases = (
-            infinity_e0_cases(e0, 4, budget, cfg)
-            + infinity_e1_cases(e1, budget, cfg)
-            + infinity_skewed_cases(e0, e1, budget, cfg)
+            infinity_e0_cases(e0, 4, run)
+            + infinity_e1_cases(e1, run)
+            + infinity_skewed_cases(e0, e1, run)
         )
         for name, st in cases:
             rep.cases.append(CaseResult(f"infinity {name}", st is Status.REALIZED, str(st)))
 
     # Set induction: defining equation and a rank-2 instance
     with rep.guard("set-induction"):
-        ev = value_of(set_induction_term(), cfg)
+        ev = value_of(set_induction_term(), run)
         ok = True
         for ident in ("a1", "a2"):
             a = Value(Opaque(ident))
             lhs = App(Opaque("e", ev), Opaque("a", a))
             rhs = App(Opaque("a", a), compile_term(lam("z", App(Opaque("e", ev), Opaque("a", a)))))
-            ok &= kleene_agree(lhs, rhs, cfg) is True
+            ok &= kleene_agree(lhs, rhs, run) is True
         rep.cases.append(CaseResult("set-induction equation", ok, "e a = a (\\z. e a)"))
-        hypo = value_of(compile_term(lam("c", Opaque("ir", ir))), cfg)
-        ok = _realized(attempt(apply_value, ev, hypo, cfg), Eq(Nat(2), Nat(2)), budget, cfg)
+        hypo = value_of(compile_term(lam("c", Opaque("ir", ir))), run)
+        ok = _realized(attempt(apply_value, ev, hypo, run), Eq(Nat(2), Nat(2)), run)
         rep.cases.append(CaseResult("set-induction instance", ok, "rank-2 witness-directed"))
 
     # Bounded separation on nat-4 with phi(u) := u in nat 2
     with rep.guard("separation"):
         x4 = Explicit(tuple((num_value(k), num_value(k), Nat(k)) for k in range(4)))
-        ysep = separation_name(x4, lambda u: Mem(u, Nat(2)), budget, cfg)
-        e0s, e1s = (value_of(t, cfg) for t in bounded_separation_terms())
-        st = check(RealizerPair.both(e0s), AllIn("u", ysep, And(Mem("u", x4), Mem("u", Nat(2)))),
-                   budget, cfg).status
+        ysep = separation_name(x4, lambda u: Mem(u, Nat(2)), run)
+        e0s, e1s = (value_of(t, run) for t in bounded_separation_terms())
+        st = check(RealizerPair.both(e0s), AllIn("u", ysep, And(Mem("u", x4), Mem("u", Nat(2)))), run).status
         rep.cases.append(CaseResult("separation forward", st is Status.REALIZED, str(st)))
         ok = True
         for n in range(2):
-            e1u = defined_value(apply_value, e1s, num_value(n), cfg)
-            wit = synthesize(Mem(Nat(n), Nat(2)), cfg)
-            ok &= _realized(attempt(apply_value, e1u, wit.a, cfg), Mem(Nat(n), ysep), budget, cfg)
+            e1u = defined_value(apply_value, e1s, num_value(n), run)
+            wit = synthesize(Mem(Nat(n), Nat(2)), run)
+            ok &= _realized(attempt(apply_value, e1u, wit.a, run), Mem(Nat(n), ysep), run)
         rep.cases.append(CaseResult("separation backward", ok, "per-member witness-directed"))
 
     # Strong collection on one finite instance
     with rep.guard("strong-collection"):
         xc = Explicit(((num_value(0), num_value(0), Nat(1)),))
-        acoll = value_of(compile_term(lam("c", Opaque("ir", ir))), cfg)
-        yc = collection_name(xc, lambda tr: tr[2], budget)
-        e = value_of(strong_collection_term(), cfg)
+        acoll = value_of(compile_term(lam("c", Opaque("ir", ir))), run)
+        yc = collection_name(xc, lambda tr: tr[2], run)
+        e = value_of(strong_collection_term(), run)
         phi = And(AllIn("u", xc, ExIn("v", yc, Eq("u", "v"))),
                   AllIn("v", yc, ExIn("u", xc, Eq("u", "v"))))
-        ok = _realized(attempt(apply_value, e, acoll, cfg), phi, budget, cfg)
+        ok = _realized(attempt(apply_value, e, acoll, run), phi, run)
         rep.cases.append(CaseResult("strong-collection", ok, "one finite instance"))
 
     # Subset collection and powerset terms: closed and defined
     for name, build in (("subset-collection", subset_collection_term), ("powerset", powerset_term)):
-        ok = isinstance(attempt(eval_term, build(), None, cfg), Value)
+        ok = isinstance(attempt(eval_term, build(), None, run), Value)
         rep.cases.append(CaseResult(f"{name} term defined", ok, ""))
     return rep
 
@@ -623,35 +612,33 @@ def suite_czf_axioms(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
 # --- suite: pairing-internal -------------------------------------------------
 
 
-def suite_pairing_internal(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
-                           budget: EnumBudget = DEFAULT_BUDGET) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("pairing-internal", seed)
+def suite_pairing_internal(run: Run) -> SuiteReport:
+    rng = random.Random(run.seed)
+    rep = SuiteReport("pairing-internal", run.seed)
     with rep.guard("pairing realizers"):
         u0t, u1t, vt, wt, zt = pairing_realizers()
-        u0, u1, v, w, z = (value_of(t, cfg) for t in (u0t, u1t, vt, wt, zt))
+        u0, u1, v, w, z = (value_of(t, run) for t in (u0t, u1t, vt, wt, zt))
 
         bad = []
         for _ in range(8):
             x = random_finite_name(rng, rng.randint(0, 2))
             y = random_finite_name(rng, rng.randint(0, 2))
-            if not _realized(u0, unordered_pair(x, x, Sing(x)), budget, cfg):
+            if not _realized(u0, unordered_pair(x, x, Sing(x)), run):
                 bad.append(f"-- u0 on {x}")
-            if not _realized(u1, unordered_pair(x, y, UPair(x, y)), budget, cfg):
+            if not _realized(u1, unordered_pair(x, y, UPair(x, y)), run):
                 bad.append(f"-- u1 on {x}, {y}")
-            if not _realized(v, ordered_pair(x, y, OPair(x, y)), budget, cfg):
+            if not _realized(v, ordered_pair(x, y, OPair(x, y)), run):
                 bad.append(f"-- v on {x}, {y}")
         rep.add("u0-u1-v", bad, "rank <= 2 names")
 
         # w round-trip: i_r realizes OPair(1,2)=OPair(1,2); w extracts both equalities.
         ir = i_r_value()
-        ok = _realized(attempt(apply_value, w, ir, cfg), And(Eq(Nat(1), Nat(1)), Eq(Nat(2), Nat(2))),
-                       budget, cfg)
+        ok = _realized(attempt(apply_value, w, ir, run), And(Eq(Nat(1), Nat(1)), Eq(Nat(2), Nat(2))), run)
         rep.cases.append(CaseResult("w-round-trip", ok, "injectivity on a synthesized pair-equality"))
 
         # z round-trip: from v itself conclude OPair(1,2) = OPair(1,2).
-        ok = _realized(attempt(apply_value, z, v, cfg), Eq(OPair(Nat(1), Nat(2)), OPair(Nat(1), Nat(2))),
-                       budget, cfg)
+        ok = _realized(attempt(apply_value, z, v, run),
+                       Eq(OPair(Nat(1), Nat(2)), OPair(Nat(1), Nat(2))), run)
         rep.cases.append(CaseResult("z-round-trip", ok, "canonicity from the OP realizer"))
     return rep
 
@@ -659,9 +646,8 @@ def suite_pairing_internal(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
 # --- suite: heo --------------------------------------------------------------
 
 
-def suite_heo(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
-              budget: EnumBudget = DEFAULT_BUDGET) -> SuiteReport:
-    rep = SuiteReport("heo", seed)
+def suite_heo(run: Run) -> SuiteReport:
+    rep = SuiteReport("heo", run.seed)
     oo = Arrow(TYPE_O, TYPE_O)
 
     with rep.guard("base-type-decides"):
@@ -669,45 +655,46 @@ def suite_heo(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
         for n in range(8):
             for m in range(8):
                 want = Tri.of(n == m)
-                if eq_type(num_value(n), num_value(m), TYPE_O, budget, cfg).result is not want:
+                if eq_type(num_value(n), num_value(m), TYPE_O, run).result is not want:
                     ok = False
-        k5 = defined_value(apply_value, Value(K), num_value(5), cfg)
-        ok &= eq_type(k5, num_value(5), TYPE_O, budget, cfg).result is Tri.FALSE
+        k5 = defined_value(apply_value, Value(K), num_value(5), run)
+        ok &= eq_type(k5, num_value(5), TYPE_O, run).result is Tri.FALSE
         rep.cases.append(CaseResult("base-type-decides", ok, "numerals compared exactly"))
 
     with rep.guard("successor functions"):
-        succ = value_of(SUCC, cfg)
-        pred = value_of(PRED, cfg)
-        r1 = eq_type(succ, pred, oo, budget, cfg)
+        succ = value_of(SUCC, run)
+        pred = value_of(PRED, run)
+        r1 = eq_type(succ, pred, oo, run)
         rep.cases.append(CaseResult("succ-vs-pred", r1.result is Tri.FALSE,
                                     f"counterexample {r1.counterexample}"))
-        eta = value_of(compile_term(lam("x", App(SUCC, Var("x")))), cfg)
-        r2 = eq_type(succ, eta, oo, budget, cfg)
+        eta = value_of(compile_term(lam("x", App(SUCC, Var("x")))), run)
+        r2 = eq_type(succ, eta, oo, run)
         ok = r2.result is Tri.UNKNOWN and r2.samples_passed == r2.samples_total
         rep.cases.append(CaseResult("succ-vs-eta", ok, f"{r2.samples_passed}/{r2.samples_total} samples pass"))
 
-        ok = internalize(num_value(3), TYPE_O, budget) == Nat(3)
+        ok = internalize(num_value(3), TYPE_O) == Nat(3)
         rep.cases.append(CaseResult("internalize-base", ok, "int #3 : o = nat 3"))
 
-        const_k = defined_value(apply_value, Value(K), num_value(2), cfg)
-        const_d = value_of(compile_term(lam("x", app(D, Var("x"), Var("x"), num(2), num(2)))), cfg)
-        small = EnumBudget(max_index=5, generators_per_type=budget.generators_per_type)
-        ts1, _ = enumerate_triples(internalize(const_k, oo, small), small, cfg)
-        ts2, _ = enumerate_triples(internalize(const_d, oo, small), small, cfg)
+        const_k = defined_value(apply_value, Value(K), num_value(2), run)
+        const_d = value_of(compile_term(lam("x", app(D, Var("x"), Var("x"), num(2), num(2)))), run)
+        small = replace(run, max_index=5)
+        ts1, _ = enumerate_triples(internalize(const_k, oo), small)
+        ts2, _ = enumerate_triples(internalize(const_d, oo), small)
         members1 = [z for _, _, z in ts1]
         members2 = [z for _, _, z in ts2]
         rep.cases.append(CaseResult("const-fn-triples", members1 == members2,
                                     "two constant-2 functions agree on indices <= 5"))
 
-        gens = gen_elems(Arrow(oo, TYPE_O), budget)
-        ok = all(isinstance(attempt(apply_value, g, succ, cfg), Value) for g in gens)
+        gens = gen_elems(Arrow(oo, TYPE_O), run)
+        ok = all(isinstance(attempt(apply_value, g, succ, run), Value) for g in gens)
         rep.cases.append(CaseResult("higher-generators", ok, "(o)o -> o generators apply to SUCC"))
 
     # Sampled partial-equivalence behaviour on generator pairs.
     ok = True
+    few = replace(run, max_index=3, generators_per_type=3)
     for sigma in (TYPE_O, oo):
-        for a in gen_elems(sigma, EnumBudget(max_index=3, generators_per_type=3)):
-            if eq_type(a, a, sigma, EnumBudget(max_index=3, generators_per_type=3), cfg).result is Tri.FALSE:
+        for a in gen_elems(sigma, few):
+            if eq_type(a, a, sigma, few).result is Tri.FALSE:
                 ok = False
     rep.cases.append(CaseResult("generators-self-related", ok, "v =_sigma v never refuted"))
     return rep
@@ -722,91 +709,88 @@ def _op_of_naturals(z: VName) -> Formula:
 
 
 def _triple_failures(ts: list[Triple], realizer: Callable[[Value], Value | Outcome | None],
-                     formula: Callable[[VName], Formula], what: str, budget: EnumBudget,
-                     cfg: FuelConfig) -> list[str]:
+                     formula: Callable[[VName], Formula], what: str, run: Run) -> list[str]:
     """A note for each triple ⟨c, d, z⟩ of ``ts`` where ``realizer(c)``, a
     machine operation run through ``attempt``, does not realize ``formula(z)``."""
     return [f"-- {what} fails at c={c.numeral}" for c, _, z in ts
-            if not _realized(attempt(realizer, c), formula(z), budget, cfg)]
+            if not _realized(attempt(realizer, c), formula(z), run)]
 
 
-def _part(v: Value, path: str, cfg: FuelConfig) -> Value:
+def _part(v: Value, path: str, run: Run) -> Value:
     """The component of the nested pair ``v`` at ``path``, one projection
     index per character (``"10"`` is the first of the second); NoValue when
     a projection has none."""
     for i in path:
-        v = defined_value(project, v, int(i), cfg)
+        v = defined_value(project, v, int(i), run)
     return v
 
 
-def suite_choice_arrow(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
-                       budget: EnumBudget = DEFAULT_BUDGET) -> SuiteReport:
-    rep = SuiteReport("choice-arrow", seed)
+def suite_choice_arrow(run: Run) -> SuiteReport:
+    rep = SuiteReport("choice-arrow", run.seed)
     ir = i_r_value()
-    small = EnumBudget(max_index=min(3, budget.max_index), generators_per_type=budget.generators_per_type)
+    small = replace(run, max_index=min(3, run.max_index))
 
     with rep.guard("choice-arrow values"):
-        a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", ir)))), cfg)
+        a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", ir)))), run)
         f = Graph(a, TYPE_O, TYPE_O)
-        ts, _ = enumerate_triples(f, small, cfg)
+        ts, _ = enumerate_triples(f, small)
         ok = all(
             z == OPair(Nat(c.numeral), Nat(c.numeral)) and c == d
             for c, d, z in ts
         )
         rep.cases.append(CaseResult("graph-triples", ok, "graph of \\c. p c i_r at c <= 3"))
 
-        e = value_of(choice_term(), cfg)
-        ea = defined_value(apply_value, e, a, cfg)
-        ea0, ea10, ea11 = (_part(ea, path, cfg) for path in ("0", "10", "11"))
+        e = value_of(choice_term(), run)
+        ea = defined_value(apply_value, e, a, run)
+        ea0, ea10, ea11 = (_part(ea, path, run) for path in ("0", "10", "11"))
 
-        bad = _triple_failures(ts, lambda c: apply_value(ea0, c, cfg), _op_of_naturals, "clause 3",
-                               small, cfg)
+        bad = _triple_failures(ts, lambda c: apply_value(ea0, c, run), _op_of_naturals, "clause 3", small)
         rep.add("choice-clause-3", bad, "all sampled triples")
 
         bad = []
         for n in range(small.max_index + 1):
             phi = ExIn("y", OMEGA, ExIn("z", f, And(ordered_pair(Nat(n), "y", "z"), Eq("y", Nat(n)))))
-            if not _realized(attempt(apply_value, ea10, num_value(n), cfg), phi, small, cfg):
+            if not _realized(attempt(apply_value, ea10, num_value(n), run), phi, small):
                 bad.append(f"-- clause 4 fails at key {n}")
         rep.add("choice-clause-4", bad, "all sampled keys")
 
         u0t, u1t, vt, wt, zt = pairing_realizers()
-        vv = value_of(vt, cfg)
-        gpair = pair_value(vv, vv, cfg)
-        out = attempt(apply_values, ea11, [num_value(2), num_value(2), gpair], cfg)
-        ok = _realized(out, Eq(Nat(2), Nat(2)), small, cfg)
+        vv = value_of(vt, run)
+        gpair = pair_value(vv, vv, run)
+        out = attempt(apply_values, ea11, [num_value(2), num_value(2), gpair], run)
+        ok = _realized(out, Eq(Nat(2), Nat(2)), small)
         rep.cases.append(CaseResult("choice-clause-5", ok, "c0 = c1 = #2 with the OP realizer pair"))
 
         # Arrow types at (o, o)
         oo = Arrow(TYPE_O, TYPE_O)
-        arrow = value_of(arrow_term(), cfg)
-        e0, e1 = _part(arrow, "0", cfg), _part(arrow, "1", cfg)
-        succ = value_of(SUCC, cfg)
-        e00 = _part(defined_value(apply_value, e0, succ, cfg), "0", cfg)
-        r2 = defined_value(apply_value, e00, num_value(2), cfg)
-        ok = _part(r2, "0", cfg).numeral == 2 and _part(r2, "10", cfg).numeral == 3
+        arrow = value_of(arrow_term(), run)
+        e0, e1 = _part(arrow, "0", run), _part(arrow, "1", run)
+        succ = value_of(SUCC, run)
+        e00 = _part(defined_value(apply_value, e0, succ, run), "0", run)
+        r2 = defined_value(apply_value, e00, num_value(2), run)
+        ok = _part(r2, "0", run).numeral == 2 and _part(r2, "10", run).numeral == 3
         rep.cases.append(CaseResult("arrow-direct-eval", ok, "(e0 SUCC)_0 #2 projects to #2 and SUCC #2"))
 
-        ts, _ = enumerate_triples(Internal(succ, oo), small, cfg)
-        bad = _triple_failures(ts, lambda c: apply_value(e00, c, cfg), _op_of_naturals, "arrow clause 1",
-                               small, cfg)
+        ts, _ = enumerate_triples(Internal(succ, oo), small)
+        bad = _triple_failures(ts, lambda c: apply_value(e00, c, run), _op_of_naturals, "arrow clause 1",
+                               small)
         rep.add("arrow-clause-1", bad, "a = SUCC, sampled triples")
 
-        part = value_of(compile_term(lam("c", p_(Var("c"), p_(Var("c"), Opaque("v", vv))))), cfg)
-        uniq = value_of(_pairs_uniqueness_part(), cfg)
-        a_arrow = pair_value(part, pair_value(part, uniq, cfg), cfg)
-        e1a = defined_value(apply_value, e1, a_arrow, cfg)
-        e1a0, e1a1 = _part(e1a, "0", cfg), _part(e1a, "1", cfg)
-        ok = all(defined_value(apply_value, e1a0, num_value(n), cfg).numeral == n for n in (0, 1))
+        part = value_of(compile_term(lam("c", p_(Var("c"), p_(Var("c"), Opaque("v", vv))))), run)
+        uniq = value_of(_pairs_uniqueness_part(), run)
+        a_arrow = pair_value(part, pair_value(part, uniq, run), run)
+        e1a = defined_value(apply_value, e1, a_arrow, run)
+        e1a0, e1a1 = _part(e1a, "0", run), _part(e1a, "1", run)
+        ok = all(defined_value(apply_value, e1a0, num_value(n), run).numeral == n for n in (0, 1))
         rep.cases.append(CaseResult("arrow-e1-identity", ok, "(e1 a)_0 is the identity on #0, #1"))
 
-        gval = value_of(compile_term(lam("c", proj(App(Opaque("a10", part), Var("c")), "0"))), cfg)
+        gval = value_of(compile_term(lam("c", proj(App(Opaque("a10", part), Var("c")), "0"))), run)
         gname = Internal(gval, oo)
         for what, side, xs, ys, of in (("subset", 0, f, gname, "the graph name"),
                                        ("superset", 1, gname, f, "the internalization")):
-            ts, _ = enumerate_triples(xs, small, cfg)
-            bad = _triple_failures(ts, lambda c: project(defined_value(apply_value, e1a1, c, cfg), side, cfg),
-                                   lambda z: Mem(z, ys), what, small, cfg)
+            ts, _ = enumerate_triples(xs, small)
+            bad = _triple_failures(ts, lambda c: project(defined_value(apply_value, e1a1, c, run), side, run),
+                                   lambda z: Mem(z, ys), what, small)
             rep.add(f"arrow-{what}", bad, f"sampled triples of {of}")
     return rep
 
@@ -854,17 +838,16 @@ def random_fragment_formula(rng: random.Random, qdepth: int, vars_in_scope: tupl
     return Eq(ref(), ref())
 
 
-def suite_truth_oracle(seed: int, cfg: FuelConfig = DEFAULT_FUEL,
-                       budget: EnumBudget = DEFAULT_BUDGET, rounds: int = 50) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = SuiteReport("truth-oracle", seed)
+def suite_truth_oracle(run: Run, rounds: int = 50) -> SuiteReport:
+    rng = random.Random(run.seed)
+    rep = SuiteReport("truth-oracle", run.seed)
     bad = []
     with rep.guard("round-trip"):
         for i in range(rounds):
             phi = random_fragment_formula(rng, 2)
             want = truth_eval(phi)
-            wit = synthesize(phi, cfg)
-            got = wit is not None and check(wit, phi, budget, cfg).status is Status.REALIZED
+            wit = synthesize(phi, run)
+            got = wit is not None and check(wit, phi, run).status is Status.REALIZED
             if want != got:
                 bad.append(f"-- mismatch on {fmt(phi)}: truth={want} realizer-loop={got}")
         rep.add("round-trip", bad, f"{rounds} sentences")
@@ -886,8 +869,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, cfg: FuelConfig = DEFAULT_FUEL,
-              budget: EnumBudget = DEFAULT_BUDGET) -> SuiteReport:
+def run_suite(name: str, run: Run = Run()) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](seed, cfg, budget)
+    return SUITES[name](run)

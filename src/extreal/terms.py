@@ -214,8 +214,17 @@ Outcome = Defined | FuelExhausted
 
 
 @dataclass(frozen=True, slots=True)
-class FuelConfig:
+class Run:
+    """The limits and seed of one run, set once by its entry point and passed
+    down unchanged: ``max_steps`` bounds one machine run, the checker
+    enumerates schematic names at keys up to ``max_index`` and
+    ``generators_per_type`` sample elements per finite type, and ``seed``
+    seeds the property suites."""
+
     max_steps: int = 100_000
+    max_index: int = 8
+    generators_per_type: int = 6
+    seed: int = 0
     # The value size cap, in nodes counted as a tree: fixed for every run, so
     # a class constant, not a field.
     max_value_size = 1_000_000
@@ -223,25 +232,13 @@ class FuelConfig:
     def __post_init__(self):
         if self.max_steps <= 0:
             raise ValueError("fuel limits must be strictly positive")
-
-
-DEFAULT_FUEL = FuelConfig()
-
-
-@dataclass(frozen=True, slots=True)
-class EnumBudget:
-    """How far the checker enumerates schematic names: keys up to
-    ``max_index``, ``generators_per_type`` sample elements per finite type."""
-
-    max_index: int = 8
-    generators_per_type: int = 6
-
-    def __post_init__(self):
         if self.max_index <= 0 or self.generators_per_type <= 0:
             raise ValueError("budgets must be positive")
 
 
-DEFAULT_BUDGET = EnumBudget()
+# The default run, under the name that the generated compiled twin
+# (``_speedup.c``) imports.
+DEFAULT_FUEL = Run()
 
 # Constant term singletons.
 K = Const(ConstKind.K)

@@ -28,11 +28,10 @@ from extreal.terms import (
     App,
     Const,
     ConstKind,
-    DEFAULT_FUEL,
     DEFINED_ARITY,
     DELTA_ARITY,
     Defined,
-    FuelConfig,
+    Run,
     FuelExhausted,
     IllTypedApplication,
     K,
@@ -60,7 +59,7 @@ def _triples(x: VName):
     raise TypeError(f"reference oracle needs explicit names, got {x!r}")
 
 
-def _proj(v: Value, i: int, cfg: FuelConfig) -> Value | None:
+def _proj(v: Value, i: int, cfg: Run) -> Value | None:
     try:
         out = project(v, i, cfg)
     except MachineError:
@@ -70,7 +69,7 @@ def _proj(v: Value, i: int, cfg: FuelConfig) -> Value | None:
     return out
 
 
-def _app(f: Value, a: Value, cfg: FuelConfig) -> Value | None:
+def _app(f: Value, a: Value, cfg: Run) -> Value | None:
     try:
         out = apply_value(f, a, cfg)
     except MachineError:
@@ -80,7 +79,7 @@ def _app(f: Value, a: Value, cfg: FuelConfig) -> Value | None:
     return out.value
 
 
-def realizes(a: Value, b: Value, phi: Formula, cfg: FuelConfig = DEFAULT_FUEL) -> bool:
+def realizes(a: Value, b: Value, phi: Formula, cfg: Run = Run()) -> bool:
     match phi:
         case Mem(x, y):
             a0 = _proj(a, 0, cfg)
@@ -222,13 +221,13 @@ def _const(kind: ConstKind) -> Value:
         if kind in DELTA_ARITY:
             _consts[kind] = Value(Const(kind))
         else:
-            out = oracle_run([(_EVAL, EXPANSIONS[kind], None)], [], DEFAULT_FUEL)
+            out = oracle_run([(_EVAL, EXPANSIONS[kind], None)], [], Run())
             assert isinstance(out, Defined)
             _consts[kind] = out.value
     return _consts[kind]
 
 
-def oracle_run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
+def oracle_run(ops: list, vstack: list, cfg: Run) -> Outcome:
     steps = 0
     while ops:
         op = ops.pop()
@@ -302,10 +301,10 @@ def oracle_run(ops: list, vstack: list, cfg: FuelConfig) -> Outcome:
 
 
 def oracle_eval_term(
-    t: Term, env: dict[str, Value] | None = None, cfg: FuelConfig = DEFAULT_FUEL
+    t: Term, env: dict[str, Value] | None = None, cfg: Run = Run()
 ) -> Outcome:
     return oracle_run([(_EVAL, t, env)], [], cfg)
 
 
-def oracle_apply_value(f: Value, a: Value, cfg: FuelConfig = DEFAULT_FUEL) -> Outcome:
+def oracle_apply_value(f: Value, a: Value, cfg: Run = Run()) -> Outcome:
     return oracle_run([(_APPLY,)], [f, a], cfg)

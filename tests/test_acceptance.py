@@ -17,7 +17,6 @@ from extreal.formulas import AllIn, And, Eq, ExIn, Mem, fmt
 from extreal.kernel import apply_value, apply_values, eval_term, pair_value, project
 from extreal.names import (
     Arrow,
-    EnumBudget,
     Explicit,
     Graph,
     Internal,
@@ -53,7 +52,7 @@ from extreal.terms import (
     Const,
     ConstKind,
     Defined,
-    FuelConfig,
+    Run,
     MachineError,
     Num,
     Term,
@@ -78,7 +77,7 @@ def _assert_clean(report):
 
 def test_criterion_01_pca_laws():
     t0 = time.perf_counter()
-    rep = suite_pca_laws(SEED, rounds=200)
+    rep = suite_pca_laws(Run(seed=SEED), rounds=200)
     _assert_clean(rep)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"pca law corpus took {elapsed:.2f}s"
@@ -87,21 +86,21 @@ def test_criterion_01_pca_laws():
 
 def test_criterion_02_abstraction_lemma():
     t0 = time.perf_counter()
-    rep = suite_abstraction(SEED, rounds=100)
+    rep = suite_abstraction(Run(seed=SEED), rounds=100)
     _assert_clean(rep)
     _announce(2, "abstraction law vs substitution oracle, 100 terms", t0)
 
 
 def test_criterion_03_recursion_theorems():
     t0 = time.perf_counter()
-    rep = suite_fixpoints(SEED, rounds=50)
+    rep = suite_fixpoints(Run(seed=SEED), rounds=50)
     _assert_clean(rep)
     _announce(3, "fixed points, double recursion, recursor, 2+3=5", t0)
 
 
 def test_criterion_04_equality_lemma():
     t0 = time.perf_counter()
-    rep = suite_equality(SEED, rounds=30)
+    rep = suite_equality(Run(seed=SEED), rounds=30)
     _assert_clean(rep)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"equality suite took {elapsed:.2f}s"
@@ -136,7 +135,7 @@ def test_criterion_05_absoluteness_and_brute_force():
     # nodes fails to realize the equality of distinct numerals below 3.  The
     # search drives the independent reference oracle on spelled-out names, so
     # it does not inherit the checker's numeral shortcut.
-    cfg = FuelConfig(max_steps=600)
+    cfg = Run(max_steps=600)
     values: set[Value] = set()
     for t in _all_terms(7):
         try:
@@ -148,7 +147,7 @@ def test_criterion_05_absoluteness_and_brute_force():
     assert len(values) > 1000
     pairs = [(n, m) for n in range(3) for m in range(3) if n != m]
     names = {k: nat_explicit(k) for k in range(3)}
-    oracle_cfg = FuelConfig(max_steps=2_000)
+    oracle_cfg = Run(max_steps=2_000)
     for n, m in pairs:
         phi = Eq(names[n], names[m])
         found = None
@@ -162,13 +161,13 @@ def test_criterion_05_absoluteness_and_brute_force():
         assert found is None, (n, m, found)
     # Existence side: the library realizer witnesses every true equality.
     for k in range(3):
-        assert realizes(ir, ir, Eq(names[k], names[k]), FuelConfig(max_steps=1_000_000))
+        assert realizes(ir, ir, Eq(names[k], names[k]), Run(max_steps=1_000_000))
     _announce(5, f"absoluteness; emptiness over {len(values)} candidate values", t0)
 
 
 def test_criterion_06_czf_axiom_suite_with_mutations():
     t0 = time.perf_counter()
-    rep = suite_czf_axioms(SEED)
+    rep = suite_czf_axioms(Run(seed=SEED))
     _assert_clean(rep)
     # Mutation sensitivity is covered in depth by
     # test_realizers.test_infinity_mutation_sensitivity; assert it here so the
@@ -181,21 +180,21 @@ def test_criterion_06_czf_axiom_suite_with_mutations():
 
 def test_criterion_07_internal_pairing():
     t0 = time.perf_counter()
-    rep = suite_pairing_internal(SEED)
+    rep = suite_pairing_internal(Run(seed=SEED))
     _assert_clean(rep)
     _announce(7, "internal pairing lemma and round-trips", t0)
 
 
 def test_criterion_08_heo_internalization():
     t0 = time.perf_counter()
-    rep = suite_heo(SEED)
+    rep = suite_heo(Run(seed=SEED))
     _assert_clean(rep)
     _announce(8, "typed equivalence and internalization", t0)
 
 
 def test_criterion_09_choice_arrow():
     t0 = time.perf_counter()
-    rep = suite_choice_arrow(SEED, budget=EnumBudget(max_index=8))
+    rep = suite_choice_arrow(Run(max_index=8, seed=SEED))
     _assert_clean(rep)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"choice/arrow suite took {elapsed:.2f}s"
@@ -204,7 +203,7 @@ def test_criterion_09_choice_arrow():
 
 def test_criterion_10_truth_oracle_round_trip():
     t0 = time.perf_counter()
-    rep = suite_truth_oracle(SEED, rounds=50)
+    rep = suite_truth_oracle(Run(seed=SEED), rounds=50)
     _assert_clean(rep)
     _announce(10, "50 bounded-arithmetic sentences round-trip", t0)
 

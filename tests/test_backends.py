@@ -27,7 +27,7 @@ from extreal.suites import _VALUE_ATOMS, random_closed_term
 from extreal.terms import (
     App,
     Defined,
-    FuelConfig,
+    Run,
     FuelExhausted,
     IllTypedApplication,
     K,
@@ -100,7 +100,7 @@ def test_backends_agree_on_random_terms(compiled, monkeypatch):
 
 def _agree(compiled, t):
     for fuel in (3, 17, 60, 4000):
-        cfg = FuelConfig(max_steps=fuel)
+        cfg = Run(max_steps=fuel)
         b = _outcome(compiled.eval_term, t, cfg)
         for _ in range(3):
             a = _outcome(pure.eval_term, t, cfg)
@@ -157,12 +157,12 @@ def test_backends_end_runs_alike(compiled):
     # crash, a run out of fuel and a size-cap overflow the same way.
     i = app(S, K, K)
     cases = [
-        ("eval_term", (App(PRED, num(0)), None, FuelConfig()), kernel.Crash, StuckApplication),
-        ("apply_value", (num_value(1), Value(K), FuelConfig()), kernel.Crash, IllTypedApplication),
-        ("eval_term", (app(S, i, i, app(S, i, i)), None, FuelConfig(max_steps=50)), kernel.Open,
+        ("eval_term", (App(PRED, num(0)), None, Run()), kernel.Crash, StuckApplication),
+        ("apply_value", (num_value(1), Value(K), Run()), kernel.Crash, IllTypedApplication),
+        ("eval_term", (app(S, i, i, app(S, i, i)), None, Run(max_steps=50)), kernel.Open,
          type(None)),
-        ("eval_term", (compile_term(parse(_GROW)), None, FuelConfig()), kernel.Open, ValueSizeExceeded),
-        ("eval_term", (app(SUCC, num(2)), None, FuelConfig()), Value, None),
+        ("eval_term", (compile_term(parse(_GROW)), None, Run()), kernel.Open, ValueSizeExceeded),
+        ("eval_term", (app(SUCC, num(2)), None, Run()), Value, None),
     ]
     for op, args, kind, error in cases:
         a = kernel.attempt(getattr(pure, op), *args)

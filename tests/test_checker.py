@@ -35,10 +35,10 @@ from extreal.formulas import (
     substitute,
 )
 from extreal.kernel import apply_value, pair_value
-from extreal.names import EnumBudget, Explicit, Nat, OMEGA, OPair, Sing, UPair
+from extreal.names import Explicit, Nat, OMEGA, OPair, Sing, UPair
 from extreal.realizers import i_r_value, synthesize
 from extreal.suites import random_finite_name, random_fragment_formula
-from extreal.terms import DEFAULT_FUEL, FuelConfig, K, Value, num_value, opaque_value
+from extreal.terms import K, Run, Value, num_value, opaque_value
 
 IR = i_r_value()
 
@@ -82,7 +82,7 @@ def test_decide_nat_eq():
 
 
 def test_or_tags():
-    payload = synthesize(Eq(Nat(1), Nat(1))).a
+    payload = synthesize(Eq(Nat(1), Nat(1)), Run()).a
     left = pair_value(num_value(0), payload)
     right = pair_value(num_value(1), payload)
     phi = Or(Eq(Nat(1), Nat(1)), Eq(Nat(1), Nat(2)))
@@ -96,13 +96,13 @@ def test_or_tags():
 
 
 def test_and_projects():
-    wit = synthesize(And(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2))))
+    wit = synthesize(And(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2))), Run())
     assert check(wit, And(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2)))).status is Status.REALIZED
     assert check(wit, And(Eq(Nat(1), Nat(1)), Mem(Nat(3), Nat(2)))).status is Status.REFUTED
 
 
 def test_allin_exhaustive_and_truncated():
-    wit = synthesize(AllIn("x", Nat(3), Mem("x", OMEGA)))
+    wit = synthesize(AllIn("x", Nat(3), Mem("x", OMEGA)), Run())
     assert check(wit, AllIn("x", Nat(3), Mem("x", OMEGA))).status is Status.REALIZED
     # A realizer valid on every natural: over omega the enumeration still
     # truncates, so the verdict never reaches Realized.
@@ -117,7 +117,7 @@ def test_allin_exhaustive_and_truncated():
 
 
 def test_exin_least_witness():
-    wit = synthesize(ExIn("y", Nat(5), Eq(Nat(2), "y")))
+    wit = synthesize(ExIn("y", Nat(5), Eq(Nat(2), "y")), Run())
     assert wit is not None
     key = apply_value(
         __import__("extreal.kernel", fromlist=["project"]).project(wit.a, 0), num_value(0)
@@ -143,7 +143,7 @@ def test_not_on_fragment():
 def test_imp_vacuous_and_constant():
     phi = Imp(Eq(Nat(1), Nat(2)), Eq(Nat(0), Nat(0)))
     assert check(both(Value(K)), phi).status is Status.REALIZED
-    wit = synthesize(Imp(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2))))
+    wit = synthesize(Imp(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2))), Run())
     assert check(wit, Imp(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2)))).status is Status.REALIZED
     # constant realizer with a refutable conclusion on a realizable hypothesis
     bad = apply_value(Value(K), num_value(7)).value
@@ -164,7 +164,7 @@ def test_check_imp_on_witnesses_modus_ponens():
 
     idv = value_of(SKK)
     phi = Mem(Nat(1), Nat(3))
-    wit = synthesize(phi)
+    wit = synthesize(phi, Run())
     ver = check_imp_on_witnesses(both(idv), phi, phi, [wit])
     assert ver.status is Status.REALIZED
     assert ver.trace.witness_directed
@@ -212,16 +212,16 @@ def test_realized_traces_bottom_out_exhaustively():
 
 
 def test_refuted_stable_under_more_fuel():
-    base = FuelConfig(max_steps=100_000)
-    big = FuelConfig(max_steps=1_000_000)
+    base = Run(max_steps=100_000)
+    big = Run(max_steps=1_000_000)
     rng = random.Random(14)
     checked = 0
     for _ in range(60):
         x = random_finite_name(rng, rng.randint(0, 2))
         y = random_finite_name(rng, rng.randint(0, 2))
-        ver = check(both(IR), Eq(x, y), cfg=base)
+        ver = check(both(IR), Eq(x, y), base)
         if ver.status is Status.REFUTED:
-            assert check(both(IR), Eq(x, y), cfg=big).status is Status.REFUTED
+            assert check(both(IR), Eq(x, y), big).status is Status.REFUTED
             checked += 1
     assert checked > 5
 
@@ -230,7 +230,7 @@ def test_symmetry_on_numeral_fragment():
     rng = random.Random(15)
     for _ in range(30):
         phi = random_fragment_formula(rng, 1)
-        wit = synthesize(phi)
+        wit = synthesize(phi, Run())
         if wit is None:
             continue
         fwd = check(wit, phi).status
@@ -292,13 +292,13 @@ def test_truth_eval_rejects_non_fragment():
 
 
 def test_synthesize_false_returns_none():
-    assert synthesize(Eq(Nat(1), Nat(2))) is None
-    assert synthesize(Mem(Nat(5), Nat(2))) is None
+    assert synthesize(Eq(Nat(1), Nat(2)), Run()) is None
+    assert synthesize(Mem(Nat(5), Nat(2)), Run()) is None
 
 
 def test_synthesize_rejects_non_fragment():
     with pytest.raises(FragmentError):
-        synthesize(Eq(Sing(Nat(0)), Sing(Nat(0))))
+        synthesize(Eq(Sing(Nat(0)), Sing(Nat(0))), Run())
 
 
 def test_round_trip_structured_cases():
@@ -317,7 +317,7 @@ def test_round_trip_structured_cases():
     ]
     for phi in cases:
         want = truth_eval(phi)
-        wit = synthesize(phi)
+        wit = synthesize(phi, Run())
         got = wit is not None and check(wit, phi).status is Status.REALIZED
         assert want == got, fmt(phi)
 
@@ -407,16 +407,16 @@ def _failure_node(trace):
 )
 def test_failure_sites_crash_refutes_and_fuel_is_unknown(what, clause, phi, a, b):
     for failing, cfg, status, note in (
-        (_CRASH, DEFAULT_FUEL, Status.REFUTED, "crashed (stuck: "),
-        (_LOOP, FuelConfig(max_steps=400), Status.UNKNOWN, "ran out of fuel"),
-        (_GROW, DEFAULT_FUEL, Status.UNKNOWN, "outgrew the value size cap"),
+        (_CRASH, Run(), Status.REFUTED, "crashed (stuck: "),
+        (_LOOP, Run(max_steps=400), Status.UNKNOWN, "ran out of fuel"),
+        (_GROW, Run(), Status.UNKNOWN, "outgrew the value size cap"),
     ):
         pair = RealizerPair(*(_term_value(t.replace("{}", failing)) for t in (a, b)))
         if phi is None:
             hyp = Eq(Nat(0), Nat(0))
-            ver = check_imp_on_witnesses(pair, hyp, hyp, [both(_term_value(_OK))], cfg=cfg)
+            ver = check_imp_on_witnesses(pair, hyp, hyp, [both(_term_value(_OK))], cfg)
         else:
-            ver = check(pair, phi, cfg=cfg)
+            ver = check(pair, phi, cfg)
         node = _failure_node(ver.trace)
         assert ver.status is status and node is not None, (failing, ver.trace.render())
         refuted = status is Status.REFUTED
@@ -511,7 +511,7 @@ def test_a_diagonal_pair_runs_each_operation_once(monkeypatch, body, built_for, 
     def formula(n, m):
         return AllIn("z", n, Mem("z", m) if body == "mem" else Eq("z", "z"))
 
-    v = synthesize(formula(*map(Nat, built_for))).a
+    v = synthesize(formula(*map(Nat, built_for)), Run()).a
     phi = formula(*map(reference_impl.nat_explicit, checked))
     ver, once = _counted_check(monkeypatch, both(v), phi, both_sides=False)
     want, twice = _counted_check(monkeypatch, both(v), phi, both_sides=True)

@@ -23,7 +23,7 @@ from extreal.terms import (
     Const,
     ConstKind,
     Defined,
-    FuelConfig,
+    Run,
     K,
     Num,
     Opaque,
@@ -239,7 +239,7 @@ def test_kleene_agree_counts_only_crashes_as_undefined():
     assert kleene_agree(stuck, App(num(1), K)) is True
     assert kleene_agree(stuck, K) is False
     omega = app(S, SKK, SKK, app(S, SKK, SKK))
-    assert kleene_agree(omega, stuck, FuelConfig(max_steps=50)) is None
+    assert kleene_agree(omega, stuck, Run(max_steps=50)) is None
     assert kleene_agree(compile_term(parse(_GROW)), stuck) is None
 
 
@@ -311,7 +311,7 @@ def test_primrec_adder():
     add = compile_term(
         lam("m", "n", app(r, Var("m"), lam("u", "v", App(SUCC, Var("u"))), Var("n")))
     )
-    big = FuelConfig(max_steps=500_000)
+    big = Run(max_steps=500_000)
     assert kleene_agree(app(add, num(2), num(3)), num(5), big) is True
     assert kleene_agree(app(add, num(7), num(6)), num(13), big) is True
 
@@ -322,7 +322,7 @@ def test_primrec_recursion_equation_hypothesis(n, extra):
     r = primrec()
     rv = eval_term(r).value
     a, b = opaque_value("a"), opaque_value("b")
-    lhs = apply_values(rv, [a, b, num_value(n + 1)], FuelConfig(max_steps=400_000))
-    rhs_inner = apply_values(rv, [a, b, num_value(n)], FuelConfig(max_steps=400_000))
+    lhs = apply_values(rv, [a, b, num_value(n + 1)], Run(max_steps=400_000))
+    rhs_inner = apply_values(rv, [a, b, num_value(n)], Run(max_steps=400_000))
     rhs = apply_values(b, [rhs_inner.value, num_value(n)])
     assert lhs.value == rhs.value

@@ -9,7 +9,7 @@ from extreal.formulas import AllIn, And, Eq, ExIn, Formula, Mem, Or
 from extreal.kernel import pair_value
 from extreal.names import Explicit, VName
 from extreal.realizers import i_r_value
-from extreal.terms import FuelConfig, K, KBAR, Value, num_value
+from extreal.terms import K, KBAR, Run, Value, num_value
 
 
 def random_explicit(rng: random.Random, rank: int) -> Explicit:
@@ -69,7 +69,7 @@ def _close(phi: Formula) -> bool:
 
 def test_checker_agrees_with_reference_on_200_instances():
     rng = random.Random(99)
-    cfg = FuelConfig(max_steps=400_000)
+    cfg = Run(max_steps=400_000)
     done = 0
     disagreements = []
     while done < 200:
@@ -83,7 +83,7 @@ def test_checker_agrees_with_reference_on_200_instances():
             continue
         a = random_realizer(rng)
         b = a if rng.random() < 0.7 else random_realizer(rng)
-        ver = check(RealizerPair(a, b), phi, cfg=cfg)
+        ver = check(RealizerPair(a, b), phi, cfg)
         assert ver.status is not Status.UNKNOWN, (phi, ver.trace.render())
         want = realizes(a, b, phi, cfg)
         got = ver.status is Status.REALIZED

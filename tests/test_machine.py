@@ -23,10 +23,9 @@ from extreal.terms import (
     Const,
     ConstKind,
     D,
-    DEFAULT_FUEL,
     DELTA_ARITY,
     Defined,
-    FuelConfig,
+    Run,
     FuelExhausted,
     IllTypedApplication,
     K,
@@ -139,11 +138,11 @@ def test_determinism_and_fuel_monotonicity():
     for _ in range(300):
         t = random_closed_term(rng, 8)
         try:
-            o1 = eval_term(t, None, FuelConfig(max_steps=500))
+            o1 = eval_term(t, None, Run(max_steps=500))
         except MachineError:
             continue
         if isinstance(o1, Defined):
-            o2 = eval_term(t, None, FuelConfig(max_steps=50_000))
+            o2 = eval_term(t, None, Run(max_steps=50_000))
             assert isinstance(o2, Defined)
             assert o1.value == o2.value and o1.steps == o2.steps
 
@@ -183,10 +182,31 @@ def test_numeral_injectivity(n, m):
 
 def test_fuel_config_validation():
     with pytest.raises(ValueError):
-        FuelConfig(max_steps=0)
+        Run(max_steps=0)
     # The value size cap is fixed: a class constant, not a field.
-    assert [f.name for f in dataclasses.fields(FuelConfig)] == ["max_steps"]
-    assert FuelConfig(7).max_value_size == DEFAULT_FUEL.max_value_size == 10**6
+    assert [f.name for f in dataclasses.fields(Run)] == ["max_steps", "max_index", "generators_per_type", "seed"]
+    assert Run(7).max_value_size == Run().max_value_size == 10**6
+
+
+def test_only_entry_points_default_the_run():
+    # Inner functions take the run from their caller, so no part of a
+    # verdict runs under a default in place of the caller's limits.
+    import inspect
+
+    from extreal import checker, names, realizers, suites
+
+    def defaults_a_run(fn):
+        return any(isinstance(p.default, Run) for p in inspect.signature(fn).parameters.values())
+
+    assert defaults_a_run(suites.run_suite) and defaults_a_run(checker.check)
+    found = [
+        f"{mod.__name__}.{name}"
+        for mod in (names, realizers, suites, checker)
+        for name, fn in vars(mod).items()
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and defaults_a_run(fn)
+        and (mod is not checker or name.startswith("_")) and fn is not suites.run_suite
+    ]
+    assert found == []
 
 
 _heads = st.one_of(
@@ -348,21 +368,21 @@ def test_memo_replays_match_the_memo_free_oracle(ts):
     inside the terms that splice it."""
     ceiling = 120
     sub = ts[0]
-    assume(isinstance(_outcome(reference_impl.oracle_eval_term, sub, FuelConfig(ceiling)), Defined))
+    assume(isinstance(_outcome(reference_impl.oracle_eval_term, sub, Run(ceiling)), Defined))
     with pytest.MonkeyPatch.context() as mp, _saved_memo():
         mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
         for t in ts:
             for _ in range(2):
-                _outcome(machine.eval_term, t, FuelConfig(ceiling))
+                _outcome(machine.eval_term, t, Run(ceiling))
         assert _term_entry(sub) is not None
         for t in ts:
             for fuel in range(1, ceiling + 2):
-                cfg = FuelConfig(fuel)
+                cfg = Run(fuel)
                 want = _outcome(reference_impl.oracle_eval_term, t, cfg)
                 assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
                 if not isinstance(want, FuelExhausted):
                     # The total is reached; check total + 1 and stop.
-                    cfg = FuelConfig(fuel + 1)
+                    cfg = Run(fuel + 1)
                     assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
                     break
 
@@ -394,7 +414,7 @@ def test_machine_values_are_shared(ts, f, a):
         runs += [(machine.apply_value, f, a)] * 2
         for op, x, y in runs:
             try:
-                out = op(x, y, FuelConfig(120))
+                out = op(x, y, Run(120))
             except MachineError:
                 continue
             assert not isinstance(out, Defined) or _all_canonical(out.value), (x, y)
@@ -419,8 +439,8 @@ def test_a_large_value_built_twice_is_one_object():
     big = _doubled("share-big", 20)
     assert _doubled("share-big", 20) is big and big.size == 2**21 - 1
     with _saved_memo():
-        capped = kernel.attempt(eval_term, App(K, Opaque("big", big)), None, DEFAULT_FUEL)
-        dropped = kernel.attempt(eval_term, app(K, num(0), Opaque("big", big)), None, DEFAULT_FUEL)
+        capped = kernel.attempt(eval_term, App(K, Opaque("big", big)), None, Run())
+        dropped = kernel.attempt(eval_term, app(K, num(0), Opaque("big", big)), None, Run())
     assert time.perf_counter() - start < 1.0
     assert isinstance(capped, kernel.Open) and isinstance(capped.error, ValueSizeExceeded)
     assert dropped == num_value(0)
@@ -502,7 +522,7 @@ def test_term_replays_exactly_when_its_cost_fits_the_fuel(record_at_once, monkey
     for root, entered in ((t, 0), (u, 1)):
         for fuel, replays in ((entered + cost, True), (entered + cost - 1, False)):
             monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
-            cfg = FuelConfig(fuel)
+            cfg = Run(fuel)
             got = _outcome(machine.eval_term, root, cfg)
             assert got == _outcome(reference_impl.oracle_eval_term, root, cfg)
             assert isinstance(got, Defined if root is t and replays else FuelExhausted)
@@ -522,7 +542,7 @@ def test_a_raising_closed_term_is_never_recorded(monkeypatch):
     monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
     bad = App(num(1), K)
     u = app(K, _I, bad)
-    errors = [_outcome(machine.eval_term, u, DEFAULT_FUEL) for _ in range(4)]
+    errors = [_outcome(machine.eval_term, u, Run()) for _ in range(4)]
     assert errors == [(IllTypedApplication, "numeral #1 applied as a function")] * 4
     assert _term_entry(u) is None and _term_entry(bad) is None
 
@@ -543,7 +563,7 @@ def test_memo_hit_still_checks_the_size_cap():
         f = Value(Opaque("cap"), (num_value(1),))
         a = _doubled("cap-big", 19)
         over = f.extend(a)
-        assert over.size > DEFAULT_FUEL.max_value_size
+        assert over.size > Run().max_value_size
         for _ in range(2):
             with pytest.raises(ValueSizeExceeded):
                 machine.apply_value(f, a)
@@ -586,7 +606,7 @@ def test_memo_overflow_keeps_the_constants(monkeypatch):
     from extreal.suites import SUITES, run_suite
 
     def cases():
-        return [[(c.name, c.ok, c.detail, c.snippet) for c in run_suite(i, 0).cases] for i in SUITES]
+        return [[(c.name, c.ok, c.detail, c.snippet) for c in run_suite(i).cases] for i in SUITES]
 
     want = cases()
     with _saved_memo():
@@ -637,7 +657,7 @@ def _fixpoint_loops():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(suites, "kleene_agree", spy)
-        suites.suite_fixpoints(0)
+        suites.suite_fixpoints(Run())
     assert len(loops) == 14
     return loops
 
@@ -687,14 +707,14 @@ def test_divergence_matches_the_memo_free_oracle(t):
     redex recorded at its first firing and with the seen filter as found,
     the machine reports the oracle's outcome: the type, steps and note."""
     fuels = [*range(1, 241), 1_009, 5_003]
-    want = [_outcome(reference_impl.oracle_eval_term, t, FuelConfig(n)) for n in fuels]
+    want = [_outcome(reference_impl.oracle_eval_term, t, Run(n)) for n in fuels]
     assert all(isinstance(w, FuelExhausted) for w in want)
     for seen in (bytearray(b"\x02" * machine._SEEN_SLOTS), machine._SEEN):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(machine, "_SEEN", seen)
-            got = [_outcome(machine.eval_term, t, FuelConfig(n)) for n in fuels]
+            got = [_outcome(machine.eval_term, t, Run(n)) for n in fuels]
         assert got == want
-    assert kleene_agree(t, t, FuelConfig(fuels[-1])) is None
+    assert kleene_agree(t, t, Run(fuels[-1])) is None
 
 
 def test_kleene_agree_runs_the_second_side_only_after_an_end(monkeypatch):
@@ -741,11 +761,11 @@ def test_divergence_skips_its_periods(monkeypatch, t):
     accumulate = machine._accumulate
     monkeypatch.setattr(machine, "_accumulate", counted)
     fuel = 10**6
-    got = machine.eval_term(t, None, FuelConfig(fuel))
+    got = machine.eval_term(t, None, Run(fuel))
     assert got.steps == fuel
     # Past its first rounds the oracle's note moves by the same counts in
     # every period: it is periodic in the fuel, up to that growth.
-    counts = {n: _note_counts(reference_impl.oracle_eval_term(t, None, FuelConfig(n))) for n in range(40, 160)}
+    counts = {n: _note_counts(reference_impl.oracle_eval_term(t, None, Run(n))) for n in range(40, 160)}
 
     def growth(p, n):
         return tuple(b - a for a, b in zip(counts[n], counts[n + p]))
@@ -785,7 +805,7 @@ def counted(ops, vstack, cfg):
 
 machine._run = counted
 for name in suites.SUITES:
-    suites.run_suite(name, 0)
+    suites.run_suite(name)
 print(steps, exhausted)
 """
 
@@ -798,4 +818,4 @@ def test_suite_work_is_pinned():
     out = subprocess.run([sys.executable, "-c", _SUITE_WORK], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["1710691", "7"]
+    assert out.stdout.split() == ["1710571", "7"]

@@ -9,7 +9,6 @@ from extreal.bracket import compile_term, lam
 from extreal.kernel import apply_value, eval_term
 from extreal.names import (
     Arrow,
-    EnumBudget,
     Explicit,
     Graph,
     Internal,
@@ -39,6 +38,7 @@ from extreal.terms import (
     P,
     P0,
     PRED,
+    Run,
     SUCC,
     Tri,
     Value,
@@ -54,7 +54,7 @@ OO = Arrow(TYPE_O, TYPE_O)
 def test_parse_type():
     # Types are read by the scenario reader, as in ``name n = F (o)o``.
     def parse_type(text):
-        return _read(_Env(), text, 1, _Reader.fintype)
+        return _read(_Env(Run(), []), text, 1, _Reader.fintype)
 
     assert parse_type("o") == TYPE_O
     assert parse_type("(o)o") == OO
@@ -70,22 +70,22 @@ def test_type_name_at_base_is_omega():
 
 
 def test_lookup_omega_by_numeral():
-    assert lookup_triples(OMEGA, num_value(3), num_value(3)) == ([Nat(3)], True)
-    assert lookup_triples(OMEGA, num_value(3), num_value(4)) == ([], True)
-    assert lookup_triples(OMEGA, Value(K), Value(K)) == ([], True)
+    assert lookup_triples(OMEGA, num_value(3), num_value(3), Run()) == ([Nat(3)], True)
+    assert lookup_triples(OMEGA, num_value(3), num_value(4), Run()) == ([], True)
+    assert lookup_triples(OMEGA, Value(K), Value(K), Run()) == ([], True)
 
 
 def test_lookup_sing_upair_opair():
     x, y = Nat(5), Nat(7)
-    assert lookup_triples(Sing(x), num_value(0), num_value(0)) == ([x], True)
-    assert lookup_triples(UPair(x, y), num_value(1), num_value(1)) == ([y], True)
-    assert lookup_triples(OPair(x, y), num_value(0), num_value(0)) == ([Sing(x)], True)
-    assert lookup_triples(OPair(x, y), num_value(1), num_value(1)) == ([UPair(x, y)], True)
+    assert lookup_triples(Sing(x), num_value(0), num_value(0), Run()) == ([x], True)
+    assert lookup_triples(UPair(x, y), num_value(1), num_value(1), Run()) == ([y], True)
+    assert lookup_triples(OPair(x, y), num_value(0), num_value(0), Run()) == ([Sing(x)], True)
+    assert lookup_triples(OPair(x, y), num_value(1), num_value(1), Run()) == ([UPair(x, y)], True)
 
 
 def test_lookup_nat_bounds():
-    assert lookup_triples(Nat(2), num_value(5), num_value(5)) == ([], True)
-    assert lookup_triples(Nat(2), num_value(1), num_value(1)) == ([Nat(1)], True)
+    assert lookup_triples(Nat(2), num_value(5), num_value(5), Run()) == ([], True)
+    assert lookup_triples(Nat(2), num_value(1), num_value(1), Run()) == ([Nat(1)], True)
 
 
 _KEYS = [num_value(n) for n in range(5)] + [Value(K), Value(SUCC)]
@@ -95,27 +95,27 @@ _KEYS = [num_value(n) for n in range(5)] + [Value(K), Value(SUCC)]
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from(_KEYS), st.sampled_from(_KEYS))
 def test_finite_lookup_is_the_filtered_enumeration(seed, rank, a, b):
     x = random_finite_name(random.Random(seed), rank)
-    triples, _ = enumerate_triples(x)
+    triples, _ = enumerate_triples(x, Run())
     want = [z for ka, kb, z in triples if ka == a and kb == b]
-    assert lookup_triples(x, a, b) == (want, True)
+    assert lookup_triples(x, a, b, Run()) == (want, True)
 
 
 def test_explicit_lookup_matches_value_keys():
     k = apply_value(Value(K), num_value(3)).value
     x = Explicit(((k, k, Nat(1)), (num_value(0), num_value(0), Nat(2))))
-    assert lookup_triples(x, k, k) == ([Nat(1)], True)
+    assert lookup_triples(x, k, k, Run()) == ([Nat(1)], True)
 
 
 def test_enumerate_finite_vs_schematic():
-    ts, done = enumerate_triples(Nat(3))
+    ts, done = enumerate_triples(Nat(3), Run())
     assert len(ts) == 3 and done
-    ts, done = enumerate_triples(OMEGA, EnumBudget(max_index=5))
+    ts, done = enumerate_triples(OMEGA, Run(max_index=5))
     assert len(ts) == 5 and not done
 
 
 def test_enumerate_opair_shape():
     x, y = Nat(1), Nat(2)
-    ts, done = enumerate_triples(OPair(x, y))
+    ts, done = enumerate_triples(OPair(x, y), Run())
     assert done
     assert ts == [
         (num_value(0), num_value(0), Sing(x)),
@@ -124,29 +124,29 @@ def test_enumerate_opair_shape():
 
 
 def test_upair_keeps_two_triples_when_equal():
-    ts, _ = enumerate_triples(UPair(Nat(1), Nat(1)))
+    ts, _ = enumerate_triples(UPair(Nat(1), Nat(1)), Run())
     assert len(ts) == 2
 
 
 def test_enumeration_is_deterministic():
     a = eval_term(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value()))))).value
     name = Graph(a, TYPE_O, TYPE_O)
-    assert enumerate_triples(name) == enumerate_triples(name)
+    assert enumerate_triples(name, Run()) == enumerate_triples(name, Run())
     succ = eval_term(SUCC).value
     internal = Internal(succ, OO)
-    assert enumerate_triples(internal) == enumerate_triples(internal)
+    assert enumerate_triples(internal, Run()) == enumerate_triples(internal, Run())
 
 
 def test_eq_type_base_decides():
-    assert eq_type(num_value(3), num_value(3), TYPE_O).result is Tri.TRUE
-    assert eq_type(num_value(3), num_value(4), TYPE_O).result is Tri.FALSE
-    assert eq_type(Value(K), Value(K), TYPE_O).result is Tri.FALSE
+    assert eq_type(num_value(3), num_value(3), TYPE_O, Run()).result is Tri.TRUE
+    assert eq_type(num_value(3), num_value(4), TYPE_O, Run()).result is Tri.FALSE
+    assert eq_type(Value(K), Value(K), TYPE_O, Run()).result is Tri.FALSE
 
 
 def test_eq_type_arrow_sampled():
     succ = eval_term(SUCC).value
     eta = eval_term(compile_term(lam("x", App(SUCC, Var("x"))))).value
-    rep = eq_type(succ, eta, OO, EnumBudget(max_index=8))
+    rep = eq_type(succ, eta, OO, Run(max_index=8))
     assert rep.result is Tri.UNKNOWN
     assert rep.samples_passed == rep.samples_total == 9
 
@@ -154,7 +154,7 @@ def test_eq_type_arrow_sampled():
 def test_eq_type_arrow_counterexample():
     succ = eval_term(SUCC).value
     pred = eval_term(PRED).value
-    rep = eq_type(succ, pred, OO)
+    rep = eq_type(succ, pred, OO, Run())
     assert rep.result is Tri.FALSE
     assert rep.counterexample == num_value(0)
 
@@ -174,11 +174,11 @@ def test_eq_type_counterexamples_are_machine_errors_only(monkeypatch):
         return apply
 
     monkeypatch.setattr(names_mod, "apply_value", raising(StuckApplication("stuck")))
-    rep = eq_type(succ, succ, OO)
+    rep = eq_type(succ, succ, OO, Run())
     assert rep.result is Tri.FALSE and rep.counterexample == num_value(0)
     monkeypatch.setattr(names_mod, "apply_value", raising(TypeError("a bug")))
     with pytest.raises(TypeError, match="a bug"):
-        eq_type(succ, succ, OO)
+        eq_type(succ, succ, OO, Run())
 
 
 def test_eq_type_on_one_value_applies_it_once_per_generator(monkeypatch):
@@ -187,7 +187,7 @@ def test_eq_type_on_one_value_applies_it_once_per_generator(monkeypatch):
 
     succ = eval_term(SUCC).value
     eta = eval_term(compile_term(lam("x", App(SUCC, Var("x"))))).value
-    budget = EnumBudget(max_index=8)
+    budget = Run(max_index=8)
     applied, attempt = [], names_mod.attempt
 
     def counted(op, f, x, cfg):
@@ -204,11 +204,11 @@ def test_eq_type_on_one_value_applies_it_once_per_generator(monkeypatch):
 
 
 def test_gen_elems_base():
-    assert gen_elems(TYPE_O, EnumBudget(max_index=3)) == [num_value(i) for i in range(4)]
+    assert gen_elems(TYPE_O, Run(max_index=3)) == [num_value(i) for i in range(4)]
 
 
 def test_gen_elems_arrow_contains_const_and_succ():
-    gens = gen_elems(OO)
+    gens = gen_elems(OO, Run())
     const5 = apply_value(Value(K), num_value(5)).value
     succ = eval_term(SUCC).value
     assert const5 in gens and succ in gens
@@ -216,7 +216,7 @@ def test_gen_elems_arrow_contains_const_and_succ():
 
 def test_gen_elems_higher_apply_to_succ():
     succ = eval_term(SUCC).value
-    for g in gen_elems(Arrow(OO, TYPE_O)):
+    for g in gen_elems(Arrow(OO, TYPE_O), Run()):
         assert isinstance(apply_value(g, succ), Defined)
 
 
@@ -228,14 +228,14 @@ def test_internalize_base():
 
 def test_direct_internal_at_base_matches_numeral():
     direct = Internal(num_value(3), TYPE_O)
-    assert enumerate_triples(direct) == enumerate_triples(Nat(3))
-    assert lookup_triples(direct, num_value(2), num_value(2)) == ([Nat(2)], True)
+    assert enumerate_triples(direct, Run()) == enumerate_triples(Nat(3), Run())
+    assert lookup_triples(direct, num_value(2), num_value(2), Run()) == ([Nat(2)], True)
 
 
 def test_internalize_arrow_first_triple():
     succ = eval_term(SUCC).value
     name = internalize(succ, OO)
-    ts, done = enumerate_triples(name)
+    ts, done = enumerate_triples(name, Run())
     assert not done
     assert ts[0] == (num_value(0), num_value(0), OPair(Nat(0), Nat(1)))
 
@@ -245,23 +245,38 @@ def test_internalize_extensionally_equal_constants():
     const_d = eval_term(
         compile_term(lam("x", app(D, Var("x"), Var("x"), num(2), num(2))))
     ).value
-    budget = EnumBudget(max_index=5)
-    ts1, _ = enumerate_triples(internalize(const_k, OO, budget), budget)
-    ts2, _ = enumerate_triples(internalize(const_d, OO, budget), budget)
+    budget = Run(max_index=5)
+    ts1, _ = enumerate_triples(internalize(const_k, OO), budget)
+    ts2, _ = enumerate_triples(internalize(const_d, OO), budget)
     assert [z for _, _, z in ts1] == [z for _, _, z in ts2]
 
 
-def test_internalize_warns_on_non_self_related():
-    with pytest.warns(UserWarning):
-        internalize(eval_term(PRED).value, OO)
+def test_a_type_name_lookup_samples_its_key_once(monkeypatch):
+    # The lookup decides the key pair with one eq_type and builds the member
+    # without sampling it again.
+    import extreal.names as names_mod
+
+    g, run = eval_term(SUCC).value, Run()
+    calls, apply = [], names_mod.apply_value
+
+    def counted(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(names_mod, "apply_value", counted)
+    eq_type(g, g, OO, run)
+    sampled = len(calls)
+    calls.clear()
+    assert lookup_triples(TypeName(OO), g, g, run) == ([Internal(g, OO)], False)
+    assert len(calls) == sampled > 0
 
 
 def test_graph_lookup_and_enumeration():
     a = eval_term(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value()))))).value
     g = Graph(a, TYPE_O, TYPE_O)
-    matches, done = lookup_triples(g, num_value(2), num_value(2))
+    matches, done = lookup_triples(g, num_value(2), num_value(2), Run())
     assert done and matches == [OPair(Nat(2), Nat(2))]
-    matches, done = lookup_triples(g, num_value(2), num_value(3))
+    matches, done = lookup_triples(g, num_value(2), num_value(3), Run())
     assert done and matches == []
 
 
@@ -281,23 +296,23 @@ def test_images_past_the_size_cap_leave_lookups_open():
         pair = p_(Var("c"), y)
         f = eval_term(compile_term(lam("c", App(P0, pair)))).value
         for x in (Graph(eval_term(compile_term(lam("c", pair))).value, TYPE_O, TYPE_O), Internal(f, OO)):
-            assert lookup_triples(x, num_value(2), num_value(2)) == (
+            assert lookup_triples(x, num_value(2), num_value(2), Run()) == (
                 ([OPair(Nat(2), Nat(2))], True) if found else ([], False)
             )
             if not found:
-                assert enumerate_triples(x) == ([], False)
-        assert eq_type(f, f, OO).result is Tri.UNKNOWN
-        assert lookup_triples(TypeName(OO), f, f) == ([Internal(f, OO)], False)
+                assert enumerate_triples(x, Run()) == ([], False)
+        assert eq_type(f, f, OO, Run()).result is Tri.UNKNOWN
+        assert lookup_triples(TypeName(OO), f, f, Run()) == ([Internal(f, OO)], False)
 
 
 def test_omega_nat_coherence():
     for n in range(33):
-        assert lookup_triples(OMEGA, num_value(n), num_value(n)) == ([Nat(n)], True)
+        assert lookup_triples(OMEGA, num_value(n), num_value(n), Run()) == ([Nat(n)], True)
 
 
 def test_partial_equivalence_sampled():
     # If a ~ b and b ~ c pass sampling, then a ~ a, b ~ a, a ~ c never refute.
-    budget = EnumBudget(max_index=3, generators_per_type=3)
+    budget = Run(max_index=3, generators_per_type=3)
     gens = gen_elems(OO, budget)
     for a in gens:
         for b in gens:
@@ -313,4 +328,4 @@ def test_partial_equivalence_sampled():
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        EnumBudget(max_index=0)
+        Run(max_index=0)

@@ -19,7 +19,7 @@ from extreal.proofs import (
     imp_intro,
 )
 from extreal.realizers import synthesize, value_of
-from extreal.terms import Defined, num
+from extreal.terms import Defined, Run, num
 
 BOTH = RealizerPair.both
 
@@ -30,7 +30,7 @@ def test_projection_extraction():
     t = extract(pr)
     assert not free_vars(t)
     v = value_of(t)
-    wit = synthesize(And(phi, psi))
+    wit = synthesize(And(phi, psi), Run())
     out = apply_value(v, wit.a)
     assert check(BOTH(out.value), phi).status is Status.REALIZED
 
@@ -39,7 +39,7 @@ def test_symmetry_extraction():
     e = Eq(Nat(2), Nat(2))
     pr = imp_intro("h", e, eq_sym(assume(e, "h")))
     v = value_of(extract(pr))
-    wit = synthesize(e)
+    wit = synthesize(e, Run())
     out = apply_value(v, wit.a)
     assert check(BOTH(out.value), e).status is Status.REALIZED
 
@@ -55,9 +55,9 @@ def test_composition_extraction():
     t = extract(pr)
     assert not free_vars(t)
     v = value_of(t)
-    w1 = synthesize(Imp(phi, psi))
-    w2 = synthesize(Imp(psi, chi))
-    wx = synthesize(phi)
+    w1 = synthesize(Imp(phi, psi), Run())
+    w2 = synthesize(Imp(psi, chi), Run())
+    wx = synthesize(phi, Run())
     out = apply_values(v, [w1.a, w2.a, wx.a])
     assert isinstance(out, Defined)
     assert check(BOTH(out.value), chi).status is Status.REALIZED
@@ -69,7 +69,7 @@ def test_conjunction_round_trip():
         "a", phi, imp_intro("b", psi, and_intro(assume(phi, "a"), assume(psi, "b")))
     )
     v = value_of(extract(pr))
-    out = apply_values(v, [synthesize(phi).a, synthesize(psi).a])
+    out = apply_values(v, [synthesize(phi, Run()).a, synthesize(psi, Run()).a])
     assert check(BOTH(out.value), And(phi, psi)).status is Status.REALIZED
 
 
@@ -78,7 +78,7 @@ def test_disjunction_rules():
     inj = NDProof("or-intro-left", Or(phi, psi), (assume(phi, "h"),))
     pr_inj = imp_intro("h", phi, inj)
     v = value_of(extract(pr_inj))
-    wit_phi = synthesize(phi)
+    wit_phi = synthesize(phi, Run())
     out = apply_value(v, wit_phi.a)
     assert check(BOTH(out.value), Or(phi, psi)).status is Status.REALIZED
 
@@ -89,7 +89,7 @@ def test_disjunction_rules():
     t = extract(closed)
     assert not free_vars(t)
     v2 = value_of(t)
-    out2 = apply_values(v2, [synthesize(chi).a, wit_phi.a])
+    out2 = apply_values(v2, [synthesize(chi, Run()).a, wit_phi.a])
     assert check(BOTH(out2.value), chi).status is Status.REALIZED
 
 
@@ -120,7 +120,7 @@ def test_bounded_existential_with_discharge():
     pr = NDProof("exin-intro", target, (assume(inst, "m"),), aux=(Nat(1), num(1)))
     closed = imp_intro("m", inst, pr)
     v = value_of(extract(closed))
-    out = apply_value(v, synthesize(inst).a)
+    out = apply_value(v, synthesize(inst, Run()).a)
     assert check(BOTH(out.value), target).status is Status.REALIZED
 
 
@@ -129,7 +129,7 @@ def test_eq_trans_extraction():
     pr = NDProof("eq-trans", e, (assume(e, "a"), assume(e, "b")))
     closed = imp_intro("a", e, imp_intro("b", e, pr))
     v = value_of(extract(closed))
-    wit = synthesize(e)
+    wit = synthesize(e, Run())
     out = apply_values(v, [wit.a, wit.a])
     assert check(BOTH(out.value), e).status is Status.REALIZED
 
@@ -140,7 +140,7 @@ def test_mem_replacement_extraction():
     pr = NDProof("mem-replace-left", m, (assume(e, "e"), assume(m, "m")))
     closed = imp_intro("e", e, imp_intro("m", m, pr))
     v = value_of(extract(closed))
-    out = apply_values(v, [synthesize(e).a, synthesize(m).a])
+    out = apply_values(v, [synthesize(e, Run()).a, synthesize(m, Run()).a])
     assert check(BOTH(out.value), m).status is Status.REALIZED
 
 

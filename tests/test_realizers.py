@@ -11,7 +11,6 @@ from extreal.bracket import compile_term, lam
 from extreal.kernel import apply_value, apply_values, eval_term, pair_value, project
 from extreal.names import (
     Arrow,
-    EnumBudget,
     Explicit,
     Graph,
     Internal,
@@ -50,7 +49,7 @@ from extreal.realizers import (
     value_of,
 )
 from extreal.suites import infinity_e0_cases, infinity_e1_cases, random_finite_name
-from extreal.terms import Defined, K, Opaque, Value, Var, num_value
+from extreal.terms import Defined, K, Opaque, Run, Value, Var, num_value
 
 IR = i_r_value()
 BOTH = RealizerPair.both
@@ -72,14 +71,14 @@ def test_reflexivity_on_random_names():
 
 def test_symmetry_realizer():
     _, i_s, *_ = (value_of(t) for t in eq_realizers())
-    wit = synthesize(Eq(Nat(3), Nat(3)))
+    wit = synthesize(Eq(Nat(3), Nat(3)), Run())
     out = apply_value(i_s, wit.a)
     assert check(BOTH(out.value), Eq(Nat(3), Nat(3))).status is Status.REALIZED
 
 
 def test_transitivity_realizer():
     _, _, i_t, *_ = (value_of(t) for t in eq_realizers())
-    wit = synthesize(Eq(Nat(2), Nat(2)))
+    wit = synthesize(Eq(Nat(2), Nat(2)), Run())
     out = apply_value(i_t, pair_value(wit.a, wit.a))
     assert check(BOTH(out.value), Eq(Nat(2), Nat(2))).status is Status.REALIZED
 
@@ -87,8 +86,8 @@ def test_transitivity_realizer():
 def test_membership_transport_realizers():
     _, _, _, i_0t, i_1t = eq_realizers()
     i_0, i_1 = value_of(i_0t), value_of(i_1t)
-    eqw = synthesize(Eq(Nat(2), Nat(2)))
-    memw = synthesize(Mem(Nat(2), Nat(4)))
+    eqw = synthesize(Eq(Nat(2), Nat(2)), Run())
+    memw = synthesize(Mem(Nat(2), Nat(4)), Run())
     for r in (i_0, i_1):
         out = apply_value(r, pair_value(eqw.a, memw.a))
         assert check(BOTH(out.value), Mem(Nat(2), Nat(4))).status is Status.REALIZED
@@ -104,7 +103,7 @@ def test_pairing_axiom():
 
 def test_union_axiom():
     x = Explicit(((num_value(0), num_value(0), Sing(Nat(1))),))
-    y = union_name(x)
+    y = union_name(x, Run())
     assert y.triples == ((num_value(0), num_value(0), Nat(1)),)
     e = value_of(union_term())
     phi = AllIn("u", x, AllIn("v", "u", Mem("v", y)))
@@ -113,7 +112,7 @@ def test_union_axiom():
 
 def test_union_builder_rejects_schematic_input():
     with pytest.raises(ValueError):
-        union_name(OMEGA)
+        union_name(OMEGA, Run())
 
 
 def test_extensionality_witness_directed():
@@ -131,7 +130,7 @@ def test_extensionality_witness_directed():
 def test_infinity_e0_cases_and_branch_shape():
     e0t, _ = infinity_terms()
     e0 = value_of(e0t)
-    for name, st in infinity_e0_cases(e0, 4, EnumBudget(), __import__("extreal.terms", fromlist=["DEFAULT_FUEL"]).DEFAULT_FUEL):
+    for name, st in infinity_e0_cases(e0, 4, Run()):
         assert st is Status.REALIZED, name
     # branch inspection: n = 0 takes the zero tag, n = 3 the successor tag
     w0 = pair_value(num_value(0), IR)
@@ -144,11 +143,10 @@ def test_infinity_e0_cases_and_branch_shape():
 
 
 def test_infinity_e1_both_cases():
-    from extreal.terms import DEFAULT_FUEL
 
     _, e1t = infinity_terms()
     e1 = value_of(e1t)
-    for name, st in infinity_e1_cases(e1, EnumBudget(), DEFAULT_FUEL):
+    for name, st in infinity_e1_cases(e1, Run()):
         assert st is Status.REALIZED, name
 
 
@@ -167,21 +165,21 @@ def test_separation_builder_and_realizers():
     from extreal.realizers import bounded_separation_terms
 
     x4 = Explicit(tuple((num_value(k), num_value(k), Nat(k)) for k in range(4)))
-    y = separation_name(x4, lambda u: Mem(u, Nat(2)))
+    y = separation_name(x4, lambda u: Mem(u, Nat(2)), Run())
     assert len(y.triples) == 2  # members 0 and 1 satisfy u < 2
     e0, e1 = (value_of(t) for t in bounded_separation_terms())
     phi = AllIn("u", y, And(Mem("u", x4), Mem("u", Nat(2))))
     assert check(BOTH(e0), phi).status is Status.REALIZED
     for n in range(2):
         e1u = apply_value(e1, num_value(n)).value
-        wit = synthesize(Mem(Nat(n), Nat(2)))
+        wit = synthesize(Mem(Nat(n), Nat(2)), Run())
         out = apply_value(e1u, wit.a).value
         assert check(BOTH(out), Mem(Nat(n), y)).status is Status.REALIZED
 
 
 def test_strong_collection_instance():
     x = Explicit(((num_value(0), num_value(0), Nat(1)),))
-    y = collection_name(x, lambda tr: tr[2])
+    y = collection_name(x, lambda tr: tr[2], Run())
     a = value_of(compile_term(lam("c", Opaque("ir", IR))))
     e = value_of(strong_collection_term())
     out = apply_value(e, a).value
@@ -245,14 +243,14 @@ def test_pairing_z_round_trip():
 def test_choice_graph_matches_direct_evaluation():
     a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", IR)))))
     f = Graph(a, TYPE_O, TYPE_O)
-    ts, _ = enumerate_triples(f, EnumBudget(max_index=3))
+    ts, _ = enumerate_triples(f, Run(max_index=3))
     for c, d, z in ts:
         e = project(apply_value(a, c).value, 0)
         assert z == OPair(Nat(c.numeral), Nat(e.numeral))
 
 
 def test_choice_clauses_at_oo():
-    budget = EnumBudget(max_index=3)
+    budget = Run(max_index=3)
     a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", IR)))))
     f = Graph(a, TYPE_O, TYPE_O)
     e = value_of(choice_term())
@@ -283,7 +281,7 @@ def test_arrow_clauses_at_oo():
     from extreal.realizers import _pairs_uniqueness_part
     from extreal.terms import SUCC
 
-    budget = EnumBudget(max_index=3)
+    budget = Run(max_index=3)
     arrow = value_of(arrow_term())
     e0, e1 = project(arrow, 0), project(arrow, 1)
     succ = value_of(SUCC)
@@ -332,7 +330,7 @@ def test_arrow_choice_at_second_order_not_refuted():
     from extreal.names import type_name
     from extreal.terms import App
 
-    budget = EnumBudget(max_index=2, generators_per_type=3)
+    budget = Run(max_index=2, generators_per_type=3)
     oo = Arrow(TYPE_O, TYPE_O)
     a2 = value_of(compile_term(lam("c", p_(App(K, Var("c")), Opaque("ir", IR)))))
     f2 = Graph(a2, TYPE_O, oo)
@@ -374,12 +372,11 @@ universal, where any value succeeds."""
 
 def _infinity_suite_flips(term_value) -> bool:
     from extreal.suites import infinity_skewed_cases
-    from extreal.terms import DEFAULT_FUEL
 
     e0, e1 = term_value
-    cases = infinity_e0_cases(e0, 3, EnumBudget(), DEFAULT_FUEL)
-    cases += infinity_e1_cases(e1, EnumBudget(), DEFAULT_FUEL)
-    cases += infinity_skewed_cases(e0, e1, EnumBudget(), DEFAULT_FUEL)
+    cases = infinity_e0_cases(e0, 3, Run())
+    cases += infinity_e1_cases(e1, Run())
+    cases += infinity_skewed_cases(e0, e1, Run())
     return any(st is Status.REFUTED for _, st in cases)
 
 

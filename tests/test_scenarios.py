@@ -16,7 +16,7 @@ from extreal import cli, suites
 from extreal.checker import Status, Trace, Verdict
 from extreal.names import OMEGA, Explicit, Nat, OPair, Sing, UPair
 from extreal.scenarios import ScenarioError, _Env, _read, _Reader, run_scenario
-from extreal.terms import FuelConfig, num_value
+from extreal.terms import Run, num_value
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scenarios" / "demo.scn"
@@ -102,7 +102,7 @@ def test_term_name_resolution_shares_subterms_without_names():
     from extreal.scenarios import _Env, _resolve_term_names
     from extreal.terms import App, Num, Var
 
-    env = _Env(terms={"two": Num(2)})
+    env = _Env(Run(), [], terms={"two": Num(2)})
     plain = compile_term(parse(r"\x y. x y K"))
     assert _resolve_term_names(env, plain) is plain
     named = App(Var("two"), plain)
@@ -124,7 +124,7 @@ def test_failing_law_cases_carry_runnable_snippets(monkeypatch):
     monkeypatch.setattr(suites, "kleene_agree", lambda *args: None)
     failed = set()
     for suite in (suites.suite_pca_laws, suites.suite_abstraction, suites.suite_fixpoints):
-        for case in suite(0, rounds=2).failures:
+        for case in suite(Run(), rounds=2).failures:
             failed.add(case.name)
             # ``identity`` records a verdict only, without a snippet.
             assert case.snippet or case.name == "identity"
@@ -140,7 +140,7 @@ def test_a_crash_in_a_definedness_case_fails_that_case(monkeypatch):
     from extreal.terms import num
 
     monkeypatch.setattr(suites, "fixpoint", lambda: num(1))
-    rep = suites.suite_fixpoints(0, rounds=2)
+    rep = suites.suite_fixpoints(Run(), rounds=2)
     failed = {c.name: c for c in rep.failures}
     assert "f-defined" in failed and failed["f-defined"].snippet.startswith("eval (#1 ")
 
@@ -149,10 +149,10 @@ def test_a_crash_in_a_definedness_case_fails_that_case(monkeypatch):
 def test_every_suite_reports_under_a_small_fuel(fuel):
     # A limit too small for a library term or a pair fails the cases that
     # need it; it never ends run_suite in an exception.
-    cfg = FuelConfig(max_steps=fuel)
+    cfg = Run(max_steps=fuel)
     for name in sorted(suites.SUITES):
-        assert suites.run_suite(name, 0, cfg).cases, name
-    failed = {c.name: c.detail for c in suites.run_suite("czf-axioms", 0, cfg).failures}
+        assert suites.run_suite(name, cfg).cases, name
+    failed = {c.name: c.detail for c in suites.run_suite("czf-axioms", cfg).failures}
     assert failed["pairing"] == "no value: fuel exhausted"
 
 
@@ -163,13 +163,36 @@ def test_synth_roundtrip_under_a_small_fuel_reports():
     assert [r.outcome for r in rep.results] == ["truth=True realizers=False"]
 
 
+def test_an_implication_under_a_small_fuel_is_unknown():
+    # The hypothesis witness is synthesized under the line's fuel, which
+    # cannot pair values: the clause is open and names the limit, where the
+    # default fuel's witness would have crashed SUCC into a refutation.
+    script = "fuel 3\ncheck (SUCC, SUCC) mem(nat 1, nat 3) => eq(nat 0, nat 0) expect unknown\n"
+    out = _cli("--json", "run", "-", stdin=script)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    [directive] = json.loads(out.stdout)["directives"]
+    assert directive["outcome"] == "unknown"
+    assert directive["trace"]["note"] == "hypothesis witness synthesis stopped: fuel exhausted"
+
+
+def test_an_int_name_is_sampled_under_the_current_fuel():
+    # (\x. x K) crashes on every numeral, so it is not self-related at (o)o
+    # and the name warns; a fuel of 5 cannot reach the crash, which leaves
+    # the sampling open and the name without a warning.
+    name = "name h = int (\\x. x K) : (o)o\n"
+    assert run_scenario(name).warnings == [
+        "line 1: internalizing a value that fails self-relatedness sampling at (o)o"
+    ]
+    assert run_scenario("fuel 5\n" + name).warnings == []
+
+
 def test_a_crash_in_a_library_value_fails_its_block(monkeypatch):
     # A numeral for the choice realizer crashes when applied: the cases
     # that need it become one failing case, and the cases before it stay.
     from extreal.terms import num
 
     monkeypatch.setattr(suites, "choice_term", lambda: num(1))
-    rep = suites.suite_choice_arrow(0)
+    rep = suites.suite_choice_arrow(Run())
     assert [c.name for c in rep.cases] == ["graph-triples", "choice-arrow values"]
     assert rep.cases[0].ok and rep.cases[1].detail.startswith("no value: IllTypedApplication")
 
@@ -182,7 +205,7 @@ def test_equality_snippets_declare_the_realizers_they_use(monkeypatch):
     unknown = Verdict(Trace("check", Status.UNKNOWN), 0)
     monkeypatch.setattr(suites, "check", lambda *args: unknown)
     ran = []
-    for case in suites.suite_equality(0, rounds=0).failures:
+    for case in suites.suite_equality(Run(), rounds=0).failures:
         if not case.snippet.startswith("--"):
             rep = run_scenario(case.snippet)
             assert rep.results and rep.ok, (case.name, case.snippet)
@@ -424,7 +447,7 @@ def test_directive_words_split_on_any_whitespace(line):
 ])
 def test_name_forms_the_reader_accepts(text, name):
     # Constructor arguments need no parentheses; ``;`` lists skip empty items.
-    assert _read(_Env(), text, 1, _Reader.name)[0] == name
+    assert _read(_Env(Run(), []), text, 1, _Reader.name)[0] == name
 
 
 def test_fmt_reads_back_as_the_same_formula():
@@ -434,7 +457,7 @@ def test_fmt_reads_back_as_the_same_formula():
 
     for seed in range(1000):
         phi = random_fragment_formula(random.Random(seed), 2)
-        assert _read(_Env(), fmt(phi), 1, _Reader.formula)[0] == phi, (seed, fmt(phi))
+        assert _read(_Env(Run(), []), fmt(phi), 1, _Reader.formula)[0] == phi, (seed, fmt(phi))
 
 
 # The two ways in: `python -m extreal.cli`, and the console script's
