@@ -13,6 +13,11 @@ is sent back its Trace, so the depth of a name or formula costs no host
 stack.  A subgoal answered from the memo under a pending clause comes back
 without children: its subtree is shown where the goal was first reached.
 
+A verdict keeps two tables (``_Ctx``): ``memo`` holds the Trace of each
+goal, and ``ops`` the outcome of each projection and application of a
+realizer, so a goal or an operation asked again, under another goal or on
+the other side of a pair, is answered without running it again.
+
 Failure policy: the kernel (``kernel.attempt``) decides how a projection or
 application of a realizer ends, and ``_run`` states what each end means for
 the clause.  A crash (a machine error on a genuine member) refutes the
@@ -152,11 +157,18 @@ def decide_nat_eq(n: int, m: int) -> bool:
 
 @dataclass(slots=True)
 class _Ctx:
+    """One verdict's run and its two tables.  For a fixed run a goal's Trace
+    is a function of (a, b, φ), and an operation's outcome of (op, f, x),
+    and equal values are one object: ``memo`` answers a repeated goal, which
+    shared sub-names would otherwise re-verify exponentially often, and
+    ``ops`` a repeated projection or application, which the clauses ask
+    under many goals and on both sides of a pair.  Both live as long as the
+    verdict."""
+
     run: Run
     samples: int = 0
-    # check is pure in (a, b, φ) for a fixed run; shared
-    # sub-names would otherwise be re-verified exponentially often.
     memo: dict = field(default_factory=dict)
+    ops: dict = field(default_factory=dict)
 
 
 def _as_name(r: NameRef) -> VName:
@@ -167,8 +179,12 @@ def _as_name(r: NameRef) -> VName:
 
 def _run(ctx: _Ctx, clause: str, what: str, op, f: Value, x) -> Value | Trace:
     """``op`` (the kernel's ``apply_value`` or ``project``) on f and x: the
-    value, or the Trace of the clause that its failure decides."""
-    out = attempt(op, f, x, ctx.run)
+    value, or the Trace of the clause that its failure decides.  ``ctx.ops``
+    answers an operation this verdict ran before."""
+    key = (op, f, x)
+    out = ctx.ops.get(key)
+    if out is None:
+        out = ctx.ops[key] = attempt(op, f, x, ctx.run)
     if isinstance(out, Value):
         return out
     if isinstance(out, Crash):
@@ -180,13 +196,11 @@ def _run(ctx: _Ctx, clause: str, what: str, op, f: Value, x) -> Value | Trace:
 
 def _both(ctx: _Ctx, clause: str, op, a: Value, x, b: Value, y, what_a: str, what_b: str):
     """``op`` on the a side, then on the b side: the two values and None, or
-    None, None and the first failure's Trace.  When both sides have the same
-    operands (``b is a and y is x``, as on a diagonal pair), the b side is
-    the a side's outcome and is not run again (the rule in ``kernel``)."""
+    None, None and the first failure's Trace."""
     va = _run(ctx, clause, what_a, op, a, x)
     if isinstance(va, Trace):
         return None, None, va
-    vb = va if b is a and y is x else _run(ctx, clause, what_b, op, b, y)
+    vb = _run(ctx, clause, what_b, op, b, y)
     if isinstance(vb, Trace):
         return None, None, vb
     return va, vb, None

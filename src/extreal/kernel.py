@@ -30,9 +30,12 @@ returns that outcome.
 
 One rule for the layers above: a machine operation is a function of its
 operands, and equal operands are one object, so two operations with
-identical operands run once.  On a diagonal pair ``(a, a)``, which is how
-"a realizes φ" reads, a caller that needs the same operation on both sides
-runs it on the a side and uses that outcome for the b side as well.
+identical operands run once.  The checker keeps the rule with a table per
+verdict (``checker._Ctx.ops``), which answers an operation asked again
+under another goal or on the other side of a pair.  ``names.eq_type`` and
+the separation witness keep it on a diagonal pair ``(a, a)``, which is how
+"a realizes φ" reads: they run the operation on the a side and use that
+outcome for the b side as well.
 """
 
 from __future__ import annotations

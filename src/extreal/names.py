@@ -186,8 +186,8 @@ def _apply_at_value(n: int) -> Value:
     return value_of(compile_term(lam("f", app(Var("f"), num(n)))))
 
 
-def _const_value(v: Value) -> Value:
-    return defined_value(apply_value, Value(K), v)
+def _const_value(v: Value, run: Run) -> Value:
+    return defined_value(apply_value, Value(K), v, run)
 
 
 def gen_elems(sigma: FinType, run: Run) -> list[Value]:
@@ -198,7 +198,7 @@ def gen_elems(sigma: FinType, run: Run) -> list[Value]:
         case Arrow(dom, cod):
             out: list[Value] = []
             for v in gen_elems(cod, run)[: run.generators_per_type]:
-                out.append(_const_value(v))
+                out.append(_const_value(v, run))
             if dom == cod:
                 out.append(_identity_value())
             if dom == TYPE_O and cod == TYPE_O:

@@ -1,12 +1,14 @@
 """The three-valued checker: clause behaviour, verdict audit, truth oracle."""
 
+import functools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_impl
-from extreal import checker
+from extreal import checker, machine
 from extreal.checker import (
     FragmentError,
     RealizerPair,
@@ -34,9 +36,9 @@ from extreal.formulas import (
     is_closed,
     substitute,
 )
-from extreal.kernel import apply_value, pair_value
+from extreal.kernel import NoValue, apply_value, pair_value, value_of
 from extreal.names import Explicit, Nat, OMEGA, OPair, Sing, UPair
-from extreal.realizers import i_r_value, synthesize
+from extreal.realizers import eq_realizers, i_r_value, synthesize, term_mutants
 from extreal.suites import random_finite_name, random_fragment_formula
 from extreal.terms import K, Run, Value, num_value, opaque_value
 
@@ -466,30 +468,30 @@ def test_a_deep_verdict_renders_and_converts_in_process():
     assert "children" not in repr(trace) and repr(trace).startswith("Trace(clause=")
 
 
-def _two_sided(ctx, clause, op, a, x, b, y, what_a, what_b):
-    """``checker._both`` without the shortcut for identical operands: the b
-    side always runs."""
-    va = checker._run(ctx, clause, what_a, op, a, x)
-    vb = va if isinstance(va, Trace) else checker._run(ctx, clause, what_b, op, b, y)
-    if isinstance(vb, Trace):
-        return None, None, vb
-    return va, vb, None
+_tabled_run = checker._run
 
 
-def _counted_check(monkeypatch, pair, phi, both_sides):
-    """The verdict of ``check(pair, phi)`` and its machine calls, counted per
-    (operation, operator, operand)."""
+def _untabled_run(ctx, clause, what, op, f, x):
+    """``checker._run`` with the verdict's operation table bypassed: every
+    operation reaches ``attempt``."""
+    ctx.ops.clear()
+    return _tabled_run(ctx, clause, what, op, f, x)
+
+
+def _counted_check(pair, phi, tabled=True, run=Run()):
+    """The verdict of ``check(pair, phi, run)`` and its machine calls,
+    counted per (operation, operator, operand)."""
     calls, attempt = Counter(), checker.attempt
 
     def counted(op, f, x, cfg):
         calls[op, f, x] += 1
         return attempt(op, f, x, cfg)
 
-    with monkeypatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checker, "attempt", counted)
-        if both_sides:
-            mp.setattr(checker, "_both", _two_sided)
-        ver = check(pair, phi)
+        if not tabled:
+            mp.setattr(checker, "_run", _untabled_run)
+        ver = check(pair, phi, run)
     return ver, calls
 
 
@@ -504,23 +506,88 @@ def _verdict(ver):
     # a refutation that no machine error decides: z = 1 is not in nat 1
     ("mem", (2, 3), (2, 1), Status.REFUTED),
 ], ids=["all-in-mem", "all-in-eq", "refuted"])
-def test_a_diagonal_pair_runs_each_operation_once(monkeypatch, body, built_for, checked, status):
-    # On (v, v) every projection and application of the b side is the a
-    # side's, so the clauses run it once where two sides ran it twice, and
-    # the verdict is the one both sides give.
+def test_a_diagonal_pair_runs_each_operation_once(body, built_for, checked, status):
+    # Within one check, each projection and application reaches the machine
+    # once: the table answers it when it is asked again, on the b side of a
+    # diagonal pair or under another goal, and the verdict is the one the
+    # untabled clauses give.
     def formula(n, m):
         return AllIn("z", n, Mem("z", m) if body == "mem" else Eq("z", "z"))
 
     v = synthesize(formula(*map(Nat, built_for)), Run()).a
     phi = formula(*map(reference_impl.nat_explicit, checked))
-    ver, once = _counted_check(monkeypatch, both(v), phi, both_sides=False)
-    want, twice = _counted_check(monkeypatch, both(v), phi, both_sides=True)
-    assert once and twice == once + once
+    ver, once = _counted_check(both(v), phi)
+    want, untabled = _counted_check(both(v), phi, tabled=False)
+    assert once and set(once.values()) == {1} and untabled.keys() == once.keys()
+    # Untabled, a diagonal pair asks every operation on both sides.
+    assert all(n % 2 == 0 for n in untabled.values())
     assert _verdict(ver) == _verdict(want)
     assert ver.status is status and reference_impl.realizes(v, v, phi) is (status is Status.REALIZED)
-    # A pair of two values runs every operation on each side, as before.
+    # A pair of two values, whose sides share only some operations, runs
+    # each once too.
     w = pair_value(num_value(0), IR)
-    ver, one = _counted_check(monkeypatch, RealizerPair(v, w), phi, both_sides=False)
-    want, two = _counted_check(monkeypatch, RealizerPair(v, w), phi, both_sides=True)
+    ver, one = _counted_check(RealizerPair(v, w), phi)
+    want, untabled = _counted_check(RealizerPair(v, w), phi, tabled=False)
     assert any(f is w for _, f, _ in one)
-    assert one == two and _verdict(ver) == _verdict(want)
+    assert set(one.values()) == {1} and untabled.keys() == one.keys()
+    assert _verdict(ver) == _verdict(want)
+
+
+@functools.cache
+def _mutants() -> list[Value]:
+    """The values of the equality realizers' ``term_mutants`` that evaluate.
+    i_r has no #0/#1 literal and no projection, so it has no mutant; those
+    of i_s, i_t, i_0 and i_1 stand in as realizers near it."""
+    out = []
+    for t in eq_realizers()[1:]:
+        for _, m in term_mutants(t):
+            try:
+                out.append(value_of(m))
+            except NoValue:
+                pass
+    return out
+
+
+def _outer_steps(thunk):
+    """``thunk()`` and the steps of its outermost ``machine._run`` calls."""
+    count, depth, run = [0], [0], machine._run
+
+    def counted(ops, vstack, cfg):
+        depth[0] += 1
+        try:
+            out = run(ops, vstack, cfg)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            count[0] += out.steps
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machine, "_run", counted)
+        result = thunk()
+    return result, count[0]
+
+
+# An application of i_r takes about 190 steps: the first run leaves its
+# operations open, the second decides them.
+_SMALL_RUNS = [Run(max_steps=n, max_index=3, generators_per_type=2) for n in (150, 3_000)]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(_SMALL_RUNS), st.data())
+def test_the_operation_table_changes_no_verdict_and_dies_with_it(seed, diagonal, run, data):
+    rng = random.Random(seed)
+    x = random_finite_name(rng, rng.randint(0, 2))
+    y = x if diagonal else random_finite_name(rng, rng.randint(0, 2))
+    side = st.one_of(st.just(IR), st.sampled_from(_mutants()))
+    pair = RealizerPair(data.draw(side), data.draw(side))
+    phi = Eq(x, y)
+    ver, calls = _counted_check(pair, phi, run=run)
+    want, _ = _counted_check(pair, phi, tabled=False, run=run)
+    assert set(calls.values()) <= {1}
+    assert _verdict(ver) == _verdict(want)
+    # The table lives as long as one verdict: the same check again in this
+    # process runs the same machine work.
+    first, steps = _outer_steps(lambda: check(pair, phi, run))
+    again, steps_again = _outer_steps(lambda: check(pair, phi, run))
+    assert steps == steps_again and _verdict(first) == _verdict(again) == _verdict(ver)

@@ -777,13 +777,13 @@ def test_divergence_skips_its_periods(monkeypatch, t):
     assert _note_counts(got) == want
 
 
-# The counted machine work of every suite at seed 0, read as perfbench reads
-# suite-all: the steps of each outermost machine run, and the runs that
-# exhaust their fuel.  It runs in a fresh interpreter because the library
-# caches the values of its realizers, so a process that has built them once
-# counts fewer steps.
-_SUITE_WORK = """
-from extreal import machine, suites
+# The counted machine work of a run, read as perfbench reads suite-all: the
+# steps of each outermost machine run, and the runs that exhaust their fuel.
+# It runs in a fresh interpreter because the library caches the values of
+# its realizers, so a process that has built them once counts fewer steps.
+# ``_counted_work`` appends the work and the line that prints the counts.
+_COUNTED_WORK = """
+from extreal import machine, scenarios, suites
 from extreal.terms import FuelExhausted
 
 steps = exhausted = depth = 0
@@ -804,18 +804,27 @@ def counted(ops, vstack, cfg):
 
 
 machine._run = counted
-for name in suites.SUITES:
-    suites.run_suite(name)
-print(steps, exhausted)
 """
 
 
-def test_suite_work_is_pinned():
-    # A change that moves the machine work of the suites moves these
-    # numbers, and shows the move in its own diff.
+def _counted_work(work: str) -> list[str]:
     env = {k: v for k, v in os.environ.items() if k != "PCA_BACKEND"}
     env["PYTHONPATH"] = str(Path(machine.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", _SUITE_WORK], env=env, capture_output=True,
+    script = _COUNTED_WORK + work + "\nprint(steps, exhausted)\n"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["1710571", "7"]
+    return out.stdout.split()
+
+
+def test_suite_work_is_pinned():
+    # A change that moves the machine work of the suites (every suite at
+    # seed 0) moves these numbers, and shows the move in its own diff.
+    assert _counted_work("for name in suites.SUITES:\n    suites.run_suite(name)") == ["1242786", "7"]
+
+
+def test_demo_work_is_pinned():
+    # The same for run scenarios/demo.scn, whose work is mostly the checker's.
+    demo = Path(__file__).parents[1] / "scenarios" / "demo.scn"
+    work = f"scenarios.run_scenario(open({str(demo)!r}).read())"
+    assert _counted_work(work) == ["31400", "0"]

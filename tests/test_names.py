@@ -271,6 +271,28 @@ def test_a_type_name_lookup_samples_its_key_once(monkeypatch):
     assert len(calls) == sampled > 0
 
 
+def test_gen_elems_runs_the_machine_under_the_callers_run(monkeypatch):
+    # Every application and projection that sampling makes runs under the
+    # caller's run.  The library values among the samples are built once,
+    # before, under the default run.
+    import extreal.names as names_mod
+
+    gen_elems(OO, Run())
+    runs = []
+
+    def recorded(op):
+        def call(*args):
+            runs.append(args[2] if len(args) > 2 else None)
+            return op(*args)
+        return call
+
+    for name in ("apply_value", "project"):
+        monkeypatch.setattr(names_mod, name, recorded(getattr(names_mod, name)))
+    run = Run(max_steps=7)
+    gen_elems(OO, run)
+    assert runs and all(r is run for r in runs)
+
+
 def test_graph_lookup_and_enumeration():
     a = eval_term(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value()))))).value
     g = Graph(a, TYPE_O, TYPE_O)
