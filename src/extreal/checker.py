@@ -13,10 +13,12 @@ is sent back its Trace, so the depth of a name or formula costs no host
 stack.  A subgoal answered from the memo under a pending clause comes back
 without children: its subtree is shown where the goal was first reached.
 
-A verdict keeps two tables (``_Ctx``): ``memo`` holds the Trace of each
-goal, and ``ops`` the outcome of each projection and application of a
-realizer, so a goal or an operation asked again, under another goal or on
-the other side of a pair, is answered without running it again.
+A verdict keeps a goal memo (``_Ctx.memo``), the Trace of each goal, so a
+goal asked again under another goal is answered without checking it again.
+The outcome of each projection and application of a realizer is kept by
+the run (``kernel.attempt`` reads and writes ``run.ops``), so an operation
+asked again, on the other side of a pair, under another goal or by a later
+verdict of the same run, does not run again either.
 
 Failure policy: the kernel (``kernel.attempt``) decides how a projection or
 application of a realizer ends, and ``_run`` states what each end means for
@@ -157,18 +159,17 @@ def decide_nat_eq(n: int, m: int) -> bool:
 
 @dataclass(slots=True)
 class _Ctx:
-    """One verdict's run and its two tables.  For a fixed run a goal's Trace
-    is a function of (a, b, φ), and an operation's outcome of (op, f, x),
-    and equal values are one object: ``memo`` answers a repeated goal, which
-    shared sub-names would otherwise re-verify exponentially often, and
-    ``ops`` a repeated projection or application, which the clauses ask
-    under many goals and on both sides of a pair.  Both live as long as the
-    verdict."""
+    """One verdict's run and its goal memo.  For a fixed run a goal's Trace
+    is a function of (a, b, φ), and equal values are one object: ``memo``
+    answers a repeated goal, which shared sub-names would otherwise
+    re-verify exponentially often.  It lives as long as the verdict, since a
+    goal it answers is shown without its subtree, which only the verdict
+    that first reached the goal shows; the operations under the goals are
+    tabled in the run (``run.ops``)."""
 
     run: Run
     samples: int = 0
     memo: dict = field(default_factory=dict)
-    ops: dict = field(default_factory=dict)
 
 
 def _as_name(r: NameRef) -> VName:
@@ -179,12 +180,8 @@ def _as_name(r: NameRef) -> VName:
 
 def _run(ctx: _Ctx, clause: str, what: str, op, f: Value, x) -> Value | Trace:
     """``op`` (the kernel's ``apply_value`` or ``project``) on f and x: the
-    value, or the Trace of the clause that its failure decides.  ``ctx.ops``
-    answers an operation this verdict ran before."""
-    key = (op, f, x)
-    out = ctx.ops.get(key)
-    if out is None:
-        out = ctx.ops[key] = attempt(op, f, x, ctx.run)
+    value, or the Trace of the clause that its failure decides."""
+    out = attempt(op, f, x, ctx.run)
     if isinstance(out, Value):
         return out
     if isinstance(out, Crash):

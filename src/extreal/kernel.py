@@ -28,14 +28,16 @@ library term, a pair of values): it raises ``NoValue``, carrying the
 ``Crash`` or ``Open``, and ``attempt`` of an operation that raised it
 returns that outcome.
 
-One rule for the layers above: a machine operation is a function of its
-operands, and equal operands are one object, so two operations with
-identical operands run once.  The checker keeps the rule with a table per
-verdict (``checker._Ctx.ops``), which answers an operation asked again
-under another goal or on the other side of a pair.  ``names.eq_type`` and
-the separation witness keep it on a diagonal pair ``(a, a)``, which is how
-"a realizes φ" reads: they run the operation on the a side and use that
-outcome for the b side as well.
+One rule for the layers above: under a fixed fuel a machine operation is a
+function of its operands, and equal operands are one object, so two
+operations with identical operands run once.  ``attempt`` keeps the rule
+for ``apply_value`` and ``project`` with the run's table (``Run.ops``), so
+the checker, ``names``, ``realizers`` and the suites share it: an operation
+asked again, on the other side of a pair, under another goal or by a later
+verdict of the same run, is answered from the table.  ``pair_value``, whose
+operand is a list, is not tabled; the separation witness keeps the rule on
+a diagonal pair ``(a, a)`` by pairing once and using that value for the b
+side as well.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import os
 from dataclasses import dataclass
 
 from . import machine as _impl
+from . import terms
 
 _setting = os.environ.get("PCA_BACKEND", "")
 _choice = _setting.strip().lower()
@@ -118,13 +121,35 @@ def reason(outcome: Crash | Open) -> str:
 def attempt(op, *args) -> Value | Crash | Open:
     """``op(*args)`` for a machine operation (``eval_term``, ``apply_value``,
     ``apply_values``, ``project``, ``pair_value``), classified: its value,
-    ``Crash`` or ``Open``."""
+    ``Crash`` or ``Open``.
+
+    ``apply_value`` and ``project`` on ``(f, x, run)`` go through the run's
+    table (``run.ops``, keyed ``(op, f, x, run.max_steps)``): an operation
+    the run asked before at the same fuel is answered without running it.
+    The table is emptied once it holds more than ``terms.MEMO_LIMIT``
+    entries, as the machine memo is."""
+    if op is apply_value or op is project:
+        f, x, run = args
+        table = run.ops
+        key = (op, f, x, run.max_steps)
+        out = table.get(key)
+        if out is None:
+            if len(table) > terms.MEMO_LIMIT:
+                table.clear()
+            out = table[key] = _classify(op, args)
+        return out
+    return _classify(op, args)
+
+
+def _classify(op, args) -> Value | Crash | Open:
+    # A run's table may hold the outcome as long as the run: an error's
+    # traceback would keep the machine's frames alive with it.
     try:
         out = op(*args)
     except ValueSizeExceeded as exc:
-        return Open(exc)
+        return Open(exc.with_traceback(None))
     except MachineError as exc:
-        return Crash(exc)
+        return Crash(exc.with_traceback(None))
     except NoValue as exc:
         return exc.outcome
     if out is None or isinstance(out, FuelExhausted):

@@ -230,9 +230,9 @@ def eq_type(a: Value, b: Value, sigma: FinType, run: Run) -> EqTypeReport:
     passed = 0
     for g in gens:
         # A crash on a generator is a counterexample; a resource limit
-        # decides nothing.  When b is a, a·g answers b·g too.
+        # decides nothing.  When b is a, the run's table answers b·g.
         va = attempt(apply_value, a, g, run)
-        vb = va if isinstance(va, Crash) or b is a else attempt(apply_value, b, g, run)
+        vb = va if isinstance(va, Crash) else attempt(apply_value, b, g, run)
         if isinstance(va, Crash) or isinstance(vb, Crash):
             return EqTypeReport(Tri.FALSE, passed, len(gens), g)
         if isinstance(va, Open) or isinstance(vb, Open):

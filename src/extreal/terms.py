@@ -219,12 +219,18 @@ class Run:
     down unchanged: ``max_steps`` bounds one machine run, the checker
     enumerates schematic names at keys up to ``max_index`` and
     ``generators_per_type`` sample elements per finite type, and ``seed``
-    seeds the property suites."""
+    seeds the property suites.
+
+    ``ops`` is the run's operation table, which ``kernel.attempt`` alone
+    reads and writes: the outcome of each ``apply_value`` and ``project``
+    the run made.  A run derived with ``dataclasses.replace`` shares its
+    parent's table, which is why its keys carry the fuel."""
 
     max_steps: int = 100_000
     max_index: int = 8
     generators_per_type: int = 6
     seed: int = 0
+    ops: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
     # The value size cap, in nodes counted as a tree: fixed for every run, so
     # a class constant, not a field.
     max_value_size = 1_000_000

@@ -3,12 +3,13 @@
 import functools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_impl
-from extreal import checker, machine
+from extreal import checker, kernel, machine
 from extreal.checker import (
     FragmentError,
     RealizerPair,
@@ -36,7 +37,7 @@ from extreal.formulas import (
     is_closed,
     substitute,
 )
-from extreal.kernel import NoValue, apply_value, pair_value, value_of
+from extreal.kernel import NoValue, apply_value, pair_value, project, value_of
 from extreal.names import Explicit, Nat, OMEGA, OPair, Sing, UPair
 from extreal.realizers import eq_realizers, i_r_value, synthesize, term_mutants
 from extreal.suites import random_finite_name, random_fragment_formula
@@ -468,31 +469,39 @@ def test_a_deep_verdict_renders_and_converts_in_process():
     assert "children" not in repr(trace) and repr(trace).startswith("Trace(clause=")
 
 
-_tabled_run = checker._run
+_tabled_attempt = checker.attempt
 
 
-def _untabled_run(ctx, clause, what, op, f, x):
-    """``checker._run`` with the verdict's operation table bypassed: every
-    operation reaches ``attempt``."""
-    ctx.ops.clear()
-    return _tabled_run(ctx, clause, what, op, f, x)
+def _untabled_attempt(op, f, x, run):
+    """``checker.attempt`` with the run's operation table bypassed: each call
+    gets a fresh table, so every operation reaches the machine."""
+    return _tabled_attempt(op, f, x, replace(run, ops={}))
 
 
-def _counted_check(pair, phi, tabled=True, run=Run()):
-    """The verdict of ``check(pair, phi, run)`` and its machine calls,
-    counted per (operation, operator, operand)."""
-    calls, attempt = Counter(), checker.attempt
+def _machine_ops(thunk):
+    """``thunk()`` and the applications and projections that reach the
+    machine on its way, counted per (operation, operator, operand)."""
+    calls, classify = Counter(), kernel._classify
 
-    def counted(op, f, x, cfg):
-        calls[op, f, x] += 1
-        return attempt(op, f, x, cfg)
+    def counted(op, args):
+        if op is apply_value or op is project:
+            calls[op, args[0], args[1]] += 1
+        return classify(op, args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checker, "attempt", counted)
+        mp.setattr(kernel, "_classify", counted)
+        result = thunk()
+    return result, calls
+
+
+def _counted_check(pair, phi, tabled=True, run=None):
+    """The verdict of ``check(pair, phi, run)``, under a fresh run unless
+    one is given, and the operations that reach the machine."""
+    run = Run() if run is None else run
+    with pytest.MonkeyPatch.context() as mp:
         if not tabled:
-            mp.setattr(checker, "_run", _untabled_run)
-        ver = check(pair, phi, run)
-    return ver, calls
+            mp.setattr(checker, "attempt", _untabled_attempt)
+        return _machine_ops(lambda: check(pair, phi, run))
 
 
 def _verdict(ver):
@@ -508,9 +517,9 @@ def _verdict(ver):
 ], ids=["all-in-mem", "all-in-eq", "refuted"])
 def test_a_diagonal_pair_runs_each_operation_once(body, built_for, checked, status):
     # Within one check, each projection and application reaches the machine
-    # once: the table answers it when it is asked again, on the b side of a
-    # diagonal pair or under another goal, and the verdict is the one the
-    # untabled clauses give.
+    # once: the run's table answers it when it is asked again, on the b side
+    # of a diagonal pair or under another goal, and the verdict is the one
+    # the untabled clauses give.
     def formula(n, m):
         return AllIn("z", n, Mem("z", m) if body == "mem" else Eq("z", "z"))
 
@@ -568,26 +577,36 @@ def _outer_steps(thunk):
     return result, count[0]
 
 
-# An application of i_r takes about 190 steps: the first run leaves its
-# operations open, the second decides them.
-_SMALL_RUNS = [Run(max_steps=n, max_index=3, generators_per_type=2) for n in (150, 3_000)]
+# An application of i_r takes about 190 steps: at the first fuel its
+# operations stay open, at the second they are decided.  Each example
+# builds its own runs, so no table carries over from one to the next.
+_SMALL_FUELS = (150, 3_000)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(_SMALL_RUNS), st.data())
-def test_the_operation_table_changes_no_verdict_and_dies_with_it(seed, diagonal, run, data):
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(_SMALL_FUELS), st.data())
+def test_the_operation_table_changes_no_verdict_and_lives_with_its_run(seed, diagonal, fuel, data):
+    def fresh():
+        return Run(max_steps=fuel, max_index=3, generators_per_type=2)
+
     rng = random.Random(seed)
     x = random_finite_name(rng, rng.randint(0, 2))
     y = x if diagonal else random_finite_name(rng, rng.randint(0, 2))
     side = st.one_of(st.just(IR), st.sampled_from(_mutants()))
     pair = RealizerPair(data.draw(side), data.draw(side))
     phi = Eq(x, y)
-    ver, calls = _counted_check(pair, phi, run=run)
-    want, _ = _counted_check(pair, phi, tabled=False, run=run)
+    run = fresh()
+    (ver, again), calls = _machine_ops(lambda: (check(pair, phi, run), check(pair, phi, run)))
+    want, _ = _counted_check(pair, phi, tabled=False, run=fresh())
+    # Across two checks under one run, each operation reaches the machine
+    # once, and neither verdict is the table's doing.
     assert set(calls.values()) <= {1}
-    assert _verdict(ver) == _verdict(want)
-    # The table lives as long as one verdict: the same check again in this
-    # process runs the same machine work.
+    assert _verdict(ver) == _verdict(again) == _verdict(want)
+    # The table lives as long as its run: the same check again under the
+    # run runs nothing, and under a fresh run it runs the first check's work.
+    run = fresh()
     first, steps = _outer_steps(lambda: check(pair, phi, run))
-    again, steps_again = _outer_steps(lambda: check(pair, phi, run))
-    assert steps == steps_again and _verdict(first) == _verdict(again) == _verdict(ver)
+    _, steps_again = _outer_steps(lambda: check(pair, phi, run))
+    last, steps_fresh = _outer_steps(lambda: check(pair, phi, fresh()))
+    assert steps_again == 0 and steps_fresh == steps
+    assert _verdict(first) == _verdict(last) == _verdict(ver)

@@ -183,8 +183,13 @@ def test_numeral_injectivity(n, m):
 def test_fuel_config_validation():
     with pytest.raises(ValueError):
         Run(max_steps=0)
-    # The value size cap is fixed: a class constant, not a field.
-    assert [f.name for f in dataclasses.fields(Run)] == ["max_steps", "max_index", "generators_per_type", "seed"]
+    # The value size cap is fixed: a class constant, not a field.  The
+    # operation table is a field, but no limit: it takes no part in a run's
+    # equality, hash or repr.
+    fields = dataclasses.fields(Run)
+    assert [f.name for f in fields] == ["max_steps", "max_index", "generators_per_type", "seed", "ops"]
+    assert [f.name for f in fields if f.compare or f.hash or f.repr] == [
+        "max_steps", "max_index", "generators_per_type", "seed"]
     assert Run(7).max_value_size == Run().max_value_size == 10**6
 
 
@@ -606,7 +611,10 @@ def test_memo_overflow_keeps_the_constants(monkeypatch):
     from extreal.suites import SUITES, run_suite
 
     def cases():
-        return [[(c.name, c.ok, c.detail, c.snippet) for c in run_suite(i).cases] for i in SUITES]
+        # A fresh run each time, so that no run's table answers for the
+        # machine.
+        run = Run()
+        return [[(c.name, c.ok, c.detail, c.snippet) for c in run_suite(i, run).cases] for i in SUITES]
 
     want = cases()
     with _saved_memo():
@@ -621,6 +629,101 @@ def test_memo_overflow_keeps_the_constants(monkeypatch):
         monkeypatch.setattr(terms, "MEMO_LIMIT", 2_000)
         assert cases() == want
         assert len(terms._APPLY_MEMO) <= 2_001
+
+
+# The run's operation table: ``kernel.attempt`` answers an application or
+# projection that the run, or a run derived from it, asked before at the same
+# fuel.  The operands end in a value, a crash or an open run, depending on
+# the fuel; _TEN is λx. SUCC^10 x and _SELF is δ, so δ δ diverges.
+
+_TEN = val(compile_term(lam("x", functools.reduce(lambda t, _: App(SUCC, t), range(10), Var("x")))))
+_SELF = val(compile_term(lam("x", App(Var("x"), Var("x")))))
+_TABLE_VALUES = [
+    num_value(0), num_value(3), Value(K), Value(PRED), _TEN, _SELF,
+    val(app(P, num(1), Opaque("ten", _TEN))),
+]
+_TABLE_OPS = st.one_of(
+    st.tuples(st.just(apply_value), st.sampled_from(_TABLE_VALUES), st.sampled_from(_TABLE_VALUES)),
+    st.tuples(st.just(kernel.project), st.sampled_from(_TABLE_VALUES), st.sampled_from((0, 1))),
+)
+
+
+def _ended(out):
+    """An ``attempt`` outcome as the oracle reports it: the value, the
+    error's type and message, or None for a run out of fuel."""
+    if isinstance(out, Value):
+        return out
+    return None if out.error is None else (type(out.error), str(out.error))
+
+
+def _oracle_ended(op, f, x, fuel):
+    if op is kernel.project:
+        f, x = reference_impl.oracle_eval_term(P0 if x == 0 else P1).value, f
+    try:
+        out = reference_impl.oracle_apply_value(f, x, Run(fuel))
+    except MachineError as exc:
+        return type(exc), str(exc)
+    return out.value if isinstance(out, Defined) else None
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(_TABLE_OPS, min_size=1, max_size=3), st.data())
+def test_a_shared_table_answers_each_fuel_as_a_fresh_run(ops, data):
+    """Runs derived with ``replace`` share one table.  Asked in any order
+    and at any fuel, an operation ends as under a fresh run of that fuel,
+    and as the memo-free oracle ends it, error messages included."""
+    fuels = st.sampled_from((1, 2, 4, 8, 16, 32, 64, 1_000))
+    asks = data.draw(st.lists(st.tuples(st.sampled_from(ops), fuels), min_size=1, max_size=12))
+    root = Run(max_steps=1)
+    for (op, f, x), fuel in asks:
+        run = dataclasses.replace(root, max_steps=fuel)
+        assert run.ops is root.ops
+        got = _ended(kernel.attempt(op, f, x, run))
+        assert got == _ended(kernel.attempt(op, f, x, Run(max_steps=fuel))), (op, f, x, fuel)
+        assert got == _oracle_ended(op, f, x, fuel), (op, f, x, fuel)
+    assert len(root.ops) == len(set(asks))
+
+
+def test_an_operation_open_at_a_small_fuel_is_decided_at_a_larger_one():
+    small = Run(max_steps=5)
+    large = dataclasses.replace(small, max_steps=1_000)
+    assert isinstance(kernel.attempt(apply_value, _TEN, num_value(0), small), kernel.Open)
+    assert kernel.attempt(apply_value, _TEN, num_value(0), large) is num_value(10)
+    assert isinstance(kernel.attempt(apply_value, _TEN, num_value(0), small), kernel.Open)
+    assert large.ops is small.ops and len(small.ops) == 2
+
+
+def test_the_run_table_is_emptied_past_the_memo_limit(monkeypatch):
+    # An entry point's default run lives as long as the process, so its
+    # table is bounded as the machine memo is: past MEMO_LIMIT entries, the
+    # next operation to enter empties it first.
+    import inspect
+
+    from extreal.checker import RealizerPair, check
+    from extreal.formulas import Eq
+    from extreal.names import Nat, Sing
+    from extreal.realizers import i_r_value
+
+    monkeypatch.setattr(terms, "MEMO_LIMIT", 2)
+    run, pred, sizes = Run(), Value(PRED), []
+    for n in range(1, 6):
+        assert kernel.attempt(apply_value, pred, num_value(n), run) is num_value(n - 1)
+        sizes.append(len(run.ops))
+    assert sizes == [1, 2, 3, 1, 2]
+    # An answer from the table admits nothing; an operation emptied out runs
+    # again, to the same end.
+    assert kernel.attempt(apply_value, pred, num_value(5), run) is num_value(4)
+    assert len(run.ops) == 2
+    assert kernel.attempt(apply_value, pred, num_value(1), run) is num_value(0)
+    assert len(run.ops) == 3
+    # The same bound holds for the default run of an entry point; its table
+    # is emptied first, which changes no answer, so that the check enters
+    # new operations.
+    default = inspect.signature(check).parameters["run"].default
+    default.ops.clear()
+    ir = i_r_value()
+    assert check(RealizerPair(ir, ir), Eq(Sing(Nat(3)), Sing(Nat(3))))
+    assert 0 < len(default.ops) <= 3
 
 
 # Divergence: a redex that fires inside its own reduction is skipped a whole
@@ -820,11 +923,11 @@ def _counted_work(work: str) -> list[str]:
 def test_suite_work_is_pinned():
     # A change that moves the machine work of the suites (every suite at
     # seed 0) moves these numbers, and shows the move in its own diff.
-    assert _counted_work("for name in suites.SUITES:\n    suites.run_suite(name)") == ["1242786", "7"]
+    assert _counted_work("for name in suites.SUITES:\n    suites.run_suite(name)") == ["1042157", "7"]
 
 
 def test_demo_work_is_pinned():
     # The same for run scenarios/demo.scn, whose work is mostly the checker's.
     demo = Path(__file__).parents[1] / "scenarios" / "demo.scn"
     work = f"scenarios.run_scenario(open({str(demo)!r}).read())"
-    assert _counted_work(work) == ["31400", "0"]
+    assert _counted_work(work) == ["29621", "0"]

@@ -182,24 +182,29 @@ def test_eq_type_counterexamples_are_machine_errors_only(monkeypatch):
 
 
 def test_eq_type_on_one_value_applies_it_once_per_generator(monkeypatch):
-    # a·g answers b·g when b is a; two values each apply to every generator.
-    import extreal.names as names_mod
+    # The run's table answers b·g when b is a, and a·g when a later eq_type
+    # of the run asks it again; under a fresh run, two values each apply to
+    # every generator.
+    from extreal import kernel
 
     succ = eval_term(SUCC).value
     eta = eval_term(compile_term(lam("x", App(SUCC, Var("x"))))).value
     budget = Run(max_index=8)
-    applied, attempt = [], names_mod.attempt
+    applied, classify = [], kernel._classify
 
-    def counted(op, f, x, cfg):
-        applied.append((f, x))
-        return attempt(op, f, x, cfg)
+    def counted(op, args):
+        applied.append(args[:2])
+        return classify(op, args)
 
-    monkeypatch.setattr(names_mod, "attempt", counted)
+    monkeypatch.setattr(kernel, "_classify", counted)
     gens = gen_elems(TYPE_O, budget)
     assert eq_type(succ, succ, OO, budget).samples_passed == len(gens)
     assert applied == [(succ, g) for g in gens]
     applied.clear()
     assert eq_type(succ, eta, OO, budget).samples_passed == len(gens)
+    assert applied == [(eta, g) for g in gens]
+    applied.clear()
+    assert eq_type(succ, eta, OO, Run(max_index=8)).samples_passed == len(gens)
     assert applied == [p for g in gens for p in ((succ, g), (eta, g))]
 
 
