@@ -15,17 +15,18 @@ without children: its subtree is shown where the goal was first reached.
 
 A verdict keeps a goal memo (``_Ctx.memo``), the Trace of each goal, so a
 goal asked again under another goal is answered without checking it again.
-The outcome of each projection and application of a realizer is kept by
-the run (``kernel.attempt`` reads and writes ``run.ops``), so an operation
-asked again, on the other side of a pair, under another goal or by a later
-verdict of the same run, does not run again either.
+A projection or application of a realizer is a tabled ``kernel.apply``,
+whose outcome the run keeps (``run.ops``), so an operation asked again, on
+the other side of a pair, under another goal or by a later verdict of the
+same run, does not run again either.
 
-Failure policy: the kernel (``kernel.attempt``) decides how a projection or
-application of a realizer ends, and ``_run`` states what each end means for
-the clause.  A crash (a machine error on a genuine member) refutes the
-clause, exhaustively, since the clauses only speak about defined
-applications.  Resource limits leave it Unknown, as a larger limit could
-decide it either way: running out of fuel or outgrowing the value size cap.
+Failure policy: the kernel (``kernel.apply``, ``kernel.project``) decides
+how a projection or application of a realizer ends, and ``_run`` states
+what each end means for the clause.  A crash (a machine error on a genuine
+member) refutes the clause, exhaustively, since the clauses only speak
+about defined applications.  Resource limits leave it Unknown, as a larger
+limit could decide it either way: running out of fuel or outgrowing the
+value size cap.
 
 Negation, implication and the unbounded quantifiers range over the whole
 algebra, so the checker affirms them only where a decision principle
@@ -56,7 +57,7 @@ from .formulas import (
     fmt,
     substitute,
 )
-from .kernel import Crash, NoValue, apply_value, attempt, project, reason
+from .kernel import Crash, NoValue, apply, project, reason
 from .names import Nat, Omega, VName, enumerate_triples, lookup_triples
 from .terms import ConstKind, Const, Run, Value
 
@@ -164,8 +165,9 @@ class _Ctx:
     answers a repeated goal, which shared sub-names would otherwise
     re-verify exponentially often.  It lives as long as the verdict, since a
     goal it answers is shown without its subtree, which only the verdict
-    that first reached the goal shows; the operations under the goals are
-    tabled in the run (``run.ops``)."""
+    that first reached the goal shows.  The applications under the goals
+    live longer: ``kernel.apply`` keeps them in the run's table
+    (``run.ops``), beside the machine's memo."""
 
     run: Run
     samples: int = 0
@@ -179,9 +181,9 @@ def _as_name(r: NameRef) -> VName:
 
 
 def _run(ctx: _Ctx, clause: str, what: str, op, f: Value, x) -> Value | Trace:
-    """``op`` (the kernel's ``apply_value`` or ``project``) on f and x: the
-    value, or the Trace of the clause that its failure decides."""
-    out = attempt(op, f, x, ctx.run)
+    """``op`` (the kernel's ``apply`` or ``project``) on f and x: the value,
+    or the Trace of the clause that its failure decides."""
+    out = op(f, x, ctx.run)
     if isinstance(out, Value):
         return out
     if isinstance(out, Crash):
@@ -326,7 +328,7 @@ def _members(ctx: _Ctx, trace: Trace, a: Value, b: Value, triples, sub, pi=None)
     at the first refutation."""
     out = Status.REALIZED
     for c, d, z in triples:
-        ac, bd, bad = _both(ctx, trace.clause, apply_value, a, c, b, d, "a·c", "b·d")
+        ac, bd, bad = _both(ctx, trace.clause, apply, a, c, b, d, "a·c", "b·d")
         if not bad and pi is not None:
             ac, bd, bad = _both(ctx, trace.clause, project, ac, pi, bd, pi, f"(a·c)_{pi}", f"(b·d)_{pi}")
         child = bad or (yield ac, bd, sub(z))
@@ -463,7 +465,7 @@ def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
                          note=f"hypothesis witness synthesis stopped: {reason(exc.outcome)}")
         if wit is not None:
             aw, bw, bad = _both(
-                ctx, clause, apply_value, a, wit.a, b, wit.b, "a·witness", "b·witness"
+                ctx, clause, apply, a, wit.a, b, wit.b, "a·witness", "b·witness"
             )
             if bad:
                 return bad
@@ -525,7 +527,7 @@ def check_imp_on_witnesses(
             continue
         usable += 1
         aw, bw, t = _both(
-            ctx, "imp/witness", apply_value, pair.a, w.a, pair.b, w.b, "a·witness", "b·witness"
+            ctx, "imp/witness", apply, pair.a, w.a, pair.b, w.b, "a·witness", "b·witness"
         )
         if t is None:
             t = _solve(ctx, aw, bw, concl)

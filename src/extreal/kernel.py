@@ -1,5 +1,5 @@
-"""Kernel facade: selects the reduction machine at import time, and decides
-how a machine operation ends.
+"""Kernel facade: selects the reduction machine at import time, and asks it
+the algebra's one operation.
 
 The pure-Python machine (``machine``) is the machine and the reference
 semantics; ``PCA_BACKEND`` unset or ``pure`` selects it.  ``PCA_BACKEND=
@@ -14,8 +14,9 @@ does not stop the import: the pure machine is selected, and
 status 2).
 
 The machines raise on a hard failure and return ``FuelExhausted`` when fuel
-runs out.  ``attempt`` turns either into one of three outcomes, and no other
-layer catches a machine error:
+runs out.  The layers above ask through ``apply(f, x, run)`` and
+``evaluate(t, run)``, which end every operation in one of three outcomes,
+and no other layer catches a machine error:
 
 - the ``Value``: the operation is defined;
 - ``Crash``: a machine error (``PRED #0``, a numeral applied as a function),
@@ -23,21 +24,19 @@ layer catches a machine error:
 - ``Open``: a resource limit, fuel or the value size cap, stopped it, and a
   larger limit could decide it either way.
 
-``defined_value`` is for a caller that cannot go on without the value (a
+``defined(outcome)`` is for a caller that cannot go on without the value (a
 library term, a pair of values): it raises ``NoValue``, carrying the
-``Crash`` or ``Open``, and ``attempt`` of an operation that raised it
-returns that outcome.
+``Crash`` or ``Open``.
 
-One rule for the layers above: under a fixed fuel a machine operation is a
-function of its operands, and equal operands are one object, so two
-operations with identical operands run once.  ``attempt`` keeps the rule
-for ``apply_value`` and ``project`` with the run's table (``Run.ops``), so
-the checker, ``names``, ``realizers`` and the suites share it: an operation
-asked again, on the other side of a pair, under another goal or by a later
-verdict of the same run, is answered from the table.  ``pair_value``, whose
-operand is a list, is not tabled; the separation witness keeps the rule on
-a diagonal pair ``(a, a)`` by pairing once and using that value for the b
-side as well.
+Application is the one operation: projection is ``apply`` of the value of
+``P0`` or ``P1``, and pairing two ``apply``s of the value of ``P``.  Under a
+fixed fuel it is a function of its operands, and equal operands are one
+object, so ``apply`` is tabled: its outcome is kept in the run's table
+(``Run.ops``) under ``(f, x, run.max_steps)``, so the checker, ``names``,
+``realizers`` and the suites share it, and an application asked again, on
+the other side of a pair, under another goal or by a later verdict of the
+same run, is answered from the table.  ``evaluate`` is not tabled here: the
+machine's own memo answers a closed term it has seen.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import os
 from dataclasses import dataclass
 
 from . import machine as _impl
-from . import terms
 
 _setting = os.environ.get("PCA_BACKEND", "")
 _choice = _setting.strip().lower()
@@ -65,6 +63,9 @@ if _choice == "compiled":
 elif _choice not in ("", "pure"):
     BACKEND_ERROR = f"PCA_BACKEND must be pure or compiled, got {_setting!r}"
 
+# The raw machine operations, for the package API.  ``apply`` and
+# ``evaluate`` call them by these names, which the tests and
+# perfbench/probe.py rebind to count the machine's work.
 eval_term = _impl.eval_term
 apply_value = _impl.apply_value
 apply_values = _impl.apply_values
@@ -75,7 +76,7 @@ kleene_eq = _impl.kleene_eq
 from .terms import (  # noqa: E402
     Const,
     ConstKind,
-    FuelExhausted,
+    Defined,
     MachineError,
     P,
     P0,
@@ -118,43 +119,40 @@ def reason(outcome: Crash | Open) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def attempt(op, *args) -> Value | Crash | Open:
-    """``op(*args)`` for a machine operation (``eval_term``, ``apply_value``,
-    ``apply_values``, ``project``, ``pair_value``), classified: its value,
-    ``Crash`` or ``Open``.
-
-    ``apply_value`` and ``project`` on ``(f, x, run)`` go through the run's
-    table (``run.ops``, keyed ``(op, f, x, run.max_steps)``): an operation
-    the run asked before at the same fuel is answered without running it.
-    The table is emptied once it holds more than ``terms.MEMO_LIMIT``
-    entries, as the machine memo is."""
-    if op is apply_value or op is project:
-        f, x, run = args
-        table = run.ops
-        key = (op, f, x, run.max_steps)
-        out = table.get(key)
-        if out is None:
-            if len(table) > terms.MEMO_LIMIT:
-                table.clear()
-            out = table[key] = _classify(op, args)
-        return out
-    return _classify(op, args)
-
-
-def _classify(op, args) -> Value | Crash | Open:
-    # A run's table may hold the outcome as long as the run: an error's
-    # traceback would keep the machine's frames alive with it.
+def _ended(op, *args) -> Value | Crash | Open:
+    """How the machine operation ``op(*args)`` ends.  The error is kept
+    without its traceback: a run's table may hold the outcome as long as
+    the run, and a traceback would keep the machine's frames alive."""
     try:
         out = op(*args)
     except ValueSizeExceeded as exc:
         return Open(exc.with_traceback(None))
     except MachineError as exc:
         return Crash(exc.with_traceback(None))
-    except NoValue as exc:
-        return exc.outcome
-    if out is None or isinstance(out, FuelExhausted):
-        return Open()
-    return out if isinstance(out, Value) else out.value
+    return out.value if isinstance(out, Defined) else Open()
+
+
+def apply(f: Value, x: Value, run: Run = Run()) -> Value | Crash | Open:
+    """``f·x``: its value, ``Crash`` or ``Open``, answered from the run's
+    table when the run asked it before at the same fuel."""
+    key = (f, x, run.max_steps)
+    out = run.ops.get(key)
+    if out is None:
+        out = run.admit(key, _ended(apply_value, f, x, run))
+    return out
+
+
+def evaluate(t: Term, run: Run = Run()) -> Value | Crash | Open:
+    """The closed term ``t``'s value, ``Crash`` or ``Open``."""
+    return _ended(eval_term, t, None, run)
+
+
+def defined(out: Value | Crash | Open) -> Value:
+    """The value ``out``, which the caller needs; ``NoValue`` if a crash or
+    a resource limit left it without one."""
+    if isinstance(out, Value):
+        return out
+    raise NoValue(out)
 
 
 def kleene_agree(t1: Term, t2: Term, run: Run = Run()) -> bool | None:
@@ -163,27 +161,18 @@ def kleene_agree(t1: Term, t2: Term, run: Run = Run()) -> bool | None:
     resource limit stops either side.  ``t2`` is evaluated only when ``t1``
     ends in a value or a crash: after an ``Open`` the answer is None
     whatever ``t2`` does."""
-    v1 = attempt(eval_term, t1, None, run)
+    v1 = evaluate(t1, run)
     if isinstance(v1, Open):
         return None
-    v2 = attempt(eval_term, t2, None, run)
+    v2 = evaluate(t2, run)
     if isinstance(v2, Open):
         return None
     return type(v1) is type(v2) is Crash or v1 == v2
 
 
-def defined_value(op, *args) -> Value:
-    """The value of ``op(*args)``, which the caller needs; ``NoValue`` if a
-    crash or a resource limit leaves it without one."""
-    out = attempt(op, *args)
-    if isinstance(out, Value):
-        return out
-    raise NoValue(out)
-
-
 def value_of(t: Term, run: Run = Run()) -> Value:
     """The value of a library term; ``NoValue`` under limits too small for it."""
-    return defined_value(eval_term, t, None, run)
+    return defined(evaluate(t, run))
 
 
 # The values of P, P0 and P1, each evaluated once on the selected backend.
@@ -198,18 +187,12 @@ def _const_value(t: Const) -> Value:
 
 
 def pair_value(a: Value, b: Value, run: Run = Run()) -> Value:
-    """p a b as an element.  Pairing of values is always defined, but a
-    small fuel, or the value size cap, can stop it (``NoValue``)."""
-    return defined_value(apply_values, _const_value(P), [a, b], run)
+    """p a b as an element, by two tabled applications.  Pairing of values
+    is always defined, but a small fuel, or the value size cap, can stop it
+    (``NoValue``)."""
+    return defined(apply(defined(apply(_const_value(P), a, run)), b, run))
 
 
-def project(v: Value, i: int, run: Run = Run()) -> Value | None:
-    """The i-th projection of v, or None when fuel runs out.
-
-    Projections are partial: a machine error propagates to the caller, and
-    ``attempt(project, …)`` classifies it.
-    """
-    out = apply_value(_const_value(P0 if i == 0 else P1), v, run)
-    if isinstance(out, FuelExhausted):
-        return None
-    return out.value
+def project(v: Value, i: int, run: Run = Run()) -> Value | Crash | Open:
+    """The i-th projection of v, a tabled application of P0 or P1."""
+    return apply(_const_value(P0 if i == 0 else P1), v, run)

@@ -8,15 +8,19 @@ monotone in fuel.
 Application is a function of the two elements, and equal values are one
 object: ``Value`` hash-conses at construction (:mod:`extreal.terms`), so a
 value built anywhere, inside the machine or out, is the canonical object.
-So a whole reduction that repeats is answered from ``terms._APPLY_MEMO``: a
+So a whole reduction that repeats within a run is answered from the run's
+memo, kept in the run's table (``Run.ops``) beside the kernel's outcomes: a
 whole S-redex ``S x y a`` by the identities of its operator and argument,
 and, since evaluation without an environment is a function of the term, a
-closed application node by its identity.  A replay still costs every step
-the reduction took, so steps, fuel notes and errors are those of a machine
-without the memo:
+closed application node by its identity.  Runs derived from one another
+with ``dataclasses.replace`` share it; a fresh ``Run`` starts empty.  A
+replay still costs every step the reduction took, so steps, fuel notes and
+errors are those of a machine without the memo:
 
-- admission: always; an entry holds the objects whose ids key it (a redex's
-  operator and argument, a term), so no id is reused while it exists;
+- admission: always, by ``Run.admit``, which empties a table past
+  ``terms.MEMO_LIMIT`` entries; an entry holds the objects whose ids key it
+  (a redex's operator and argument, a term), so no id is reused while it
+  exists;
 - fuel fit: an entry of cost ``c`` found after ``n`` steps replays only when
   ``n + c`` is within the fuel; otherwise it is reduced again, and runs out
   of fuel exactly where it would have.  A redex is looked up once it has
@@ -78,8 +82,6 @@ from .terms import (
     Value,
     ValueSizeExceeded,
     Var,
-    _APPLY_MEMO,
-    remember,
 )
 
 _OP_EVAL = 0
@@ -140,7 +142,7 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
     steps = 0
     max_steps = run.max_steps
     const_cache = _const_cache
-    memo_get = _APPLY_MEMO.get
+    memo_get = run.ops.get
     seen = _SEEN
     push_op = ops.append
     pop_op = ops.pop
@@ -205,7 +207,7 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
             else:  # _OP_RECORD
                 # A closed term entered, or an S-redex fired, at step op[2]
                 # has reduced to the top value; op[3:] are its key objects.
-                remember(op[1], (vstack[-1], steps - op[2], *op[3:]))
+                run.admit(op[1], (vstack[-1], steps - op[2], *op[3:]))
                 if len(op) == 4:  # a term: the outermost record is done
                     recording = False
                 else:

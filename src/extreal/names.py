@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .bracket import SKK, compile_term, lam
-from .kernel import Crash, Open, apply_value, attempt, defined_value, project, value_of
+from .kernel import Crash, Open, apply, defined, project, value_of
 from .terms import (
     D,
     K,
@@ -187,7 +187,7 @@ def _apply_at_value(n: int) -> Value:
 
 
 def _const_value(v: Value, run: Run) -> Value:
-    return defined_value(apply_value, Value(K), v, run)
+    return defined(apply(Value(K), v, run))
 
 
 def gen_elems(sigma: FinType, run: Run) -> list[Value]:
@@ -231,8 +231,8 @@ def eq_type(a: Value, b: Value, sigma: FinType, run: Run) -> EqTypeReport:
     for g in gens:
         # A crash on a generator is a counterexample; a resource limit
         # decides nothing.  When b is a, the run's table answers b·g.
-        va = attempt(apply_value, a, g, run)
-        vb = va if isinstance(va, Crash) else attempt(apply_value, b, g, run)
+        va = apply(a, g, run)
+        vb = va if isinstance(va, Crash) else apply(b, g, run)
         if isinstance(va, Crash) or isinstance(vb, Crash):
             return EqTypeReport(Tri.FALSE, passed, len(gens), g)
         if isinstance(va, Open) or isinstance(vb, Open):
@@ -266,9 +266,9 @@ def _member(x: Internal | Graph, g: Value, run: Run) -> list[VName] | None:
     leaves the image undefined or the image is not a numeral at codomain o;
     None when the image runs out of fuel or outgrows the value size cap,
     which a larger cap could lift."""
-    image = attempt(apply_value, x.a, g, run)
+    image = apply(x.a, g, run)
     if isinstance(x, Graph) and isinstance(image, Value):
-        image = attempt(project, image, 0, run)
+        image = project(image, 0, run)
     if isinstance(image, Crash):
         return []
     if isinstance(image, Open):

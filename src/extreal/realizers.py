@@ -31,7 +31,7 @@ from .formulas import (
     Or,
     substitute,
 )
-from .kernel import apply_value, defined_value, pair_value, value_of
+from .kernel import apply, defined, pair_value, value_of
 from .names import Explicit, Nat, Omega, Triple, VName, enumerate_triples
 from .terms import (
     App,
@@ -251,7 +251,7 @@ def _synth(phi: Formula, run: Run) -> Value | None:
             vc = _synth(c, run)
             if vc is None:
                 return None
-            return defined_value(apply_value, Value(K), vc, run)
+            return defined(apply(Value(K), vc, run))
         case AllIn(v, Nat(n), body):
             entries = []
             for k in range(n):
@@ -391,9 +391,7 @@ def separation_name(x: VName, phi_of: Callable[[VName], Formula], run: Run) -> E
         wit = synthesize(phi_of(u), run)
         if wit is None:
             continue
-        pa = pair_value(ka, wit.a, run)
-        pb = pa if kb is ka and wit.b is wit.a else pair_value(kb, wit.b, run)
-        out.append((pa, pb, u))
+        out.append((pair_value(ka, wit.a, run), pair_value(kb, wit.b, run), u))
     return Explicit(tuple(out))
 
 

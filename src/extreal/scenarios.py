@@ -74,7 +74,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .bracket import compile_term, free_vars
-from .kernel import NoValue, attempt, eval_term, reason
+from .kernel import NoValue, evaluate, reason
 from .parser import _KEYWORDS, MAX_NESTING, Lexer, ParseError, parse, print_term
 from .terms import App, Run, Tri, Value, Var
 
@@ -266,7 +266,7 @@ class _Reader:
         """The value of a term the scenario needs as data; a term without one
         (machine error or fuel exhausted) is an error on this line."""
         start = self.lx.peek()[2]
-        out = attempt(eval_term, self.term(), None, self.env.run)
+        out = evaluate(self.term(), self.env.run)
         if isinstance(out, Value):
             return out
         text = self.text[start : self.lx.peek()[2]].strip()
@@ -577,7 +577,7 @@ def _split_expect(text: str, lineno: int, words: tuple[str, ...] = ()) -> tuple[
 
 def _run_eval(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     body, expected = _split_expect(rest, lineno)
-    out = attempt(eval_term, _read(env, body, lineno, _Reader.term), None, env.run)
+    out = evaluate(_read(env, body, lineno, _Reader.term), env.run)
     if isinstance(out, Value):
         outcome, end = print_term(out), out
     elif out.error is None:

@@ -33,11 +33,9 @@ from .kernel import (
     Crash,
     NoValue,
     Open,
-    apply_value,
-    apply_values,
-    attempt,
-    defined_value,
-    eval_term,
+    apply,
+    defined,
+    evaluate,
     kleene_agree,
     pair_value,
     project,
@@ -97,7 +95,6 @@ from .terms import (
     K,
     KBAR,
     Opaque,
-    Outcome,
     P,
     P0,
     P1,
@@ -176,7 +173,7 @@ def random_printable_value(rng: random.Random, max_leaves: int = 4) -> tuple[Ter
     value."""
     while True:
         t = random_closed_term(rng, max_leaves)
-        v = attempt(eval_term, t, None, Run())
+        v = evaluate(t, Run())
         if isinstance(v, Value):
             return t, v
 
@@ -202,7 +199,7 @@ def _law(bad: list[str], lhs: Term, rhs: Term, run: Run, total: bool = True,
 
 def _realized(r: Value | Crash | Open, phi: Formula, run: Run) -> bool:
     """Whether ``r`` realizes phi on both sides.  ``r`` may be the outcome of
-    ``attempt``; a crash or a resource limit realizes nothing."""
+    a machine operation; a crash or a resource limit realizes nothing."""
     return isinstance(r, Value) and check(RealizerPair.both(r), phi, run).status is Status.REALIZED
 
 
@@ -239,7 +236,7 @@ def suite_pca_laws(run: Run, rounds: int = 200) -> SuiteReport:
         n = rng.randint(0, 200)
         _law(bad, App(SUCC, num(n)), num(n + 1), run)
         _law(bad, App(PRED, num(n + 1)), num(n), run)
-    if not isinstance(attempt(eval_term, App(PRED, num(0)), None, run), Crash):
+    if not isinstance(evaluate(App(PRED, num(0)), run), Crash):
         bad.append("-- PRED #0 should be stuck")
     rep.add("succ-pred", bad, f"{rounds} instances")
 
@@ -332,7 +329,7 @@ def suite_fixpoints(run: Run, rounds: int = 50) -> SuiteReport:
     bad = []
     for _ in range(20):
         [ta] = _draw(rng, 1)
-        if not isinstance(attempt(eval_term, App(f, ta), None, run), Value):
+        if not isinstance(evaluate(App(f, ta), run), Value):
             bad.append(f"eval ({print_term(App(f, ta))})")
     rep.add("f-defined", bad, "f a defined, 20 instances")
 
@@ -353,7 +350,7 @@ def suite_fixpoints(run: Run, rounds: int = 50) -> SuiteReport:
     for _ in range(rounds):
         ta, tb, tc = _draw(rng, 3)
         for t in (app(g, ta, tb), app(h, ta, tb)):
-            if not isinstance(attempt(eval_term, t, None, run), Value):
+            if not isinstance(evaluate(t, run), Value):
                 bad_def.append(f"eval ({print_term(t)})")
         _law(bad_g, app(g, ta, tb, tc), app(ta, app(h, ta, tb), tc), run, total=False)
         _law(bad_h, app(h, ta, tb, tc), app(tb, app(g, ta, tb), tc), run, total=False)
@@ -416,16 +413,16 @@ def suite_equality(run: Run, rounds: int = 30) -> SuiteReport:
     with rep.guard("transport-laws"):
         for n in range(5):
             wit = synthesize(Eq(Nat(n), Nat(n)), run)
-            if not _realized(attempt(apply_value, i_s, wit.a, run), Eq(Nat(n), Nat(n)), run):
+            if not _realized(apply(i_s, wit.a, run), Eq(Nat(n), Nat(n)), run):
                 bad.append(f"-- i_s fails on nat {n}")
-            chained = attempt(apply_value, i_t, pair_value(wit.a, wit.a, run), run)
+            chained = apply(i_t, pair_value(wit.a, wit.a, run), run)
             if not _realized(chained, Eq(Nat(n), Nat(n)), run):
                 bad.append(f"-- i_t fails on nat {n}")
         for n, m in ((1, 4), (2, 5)):
             eqw = synthesize(Eq(Nat(n), Nat(n)), run)
             memw = synthesize(Mem(Nat(n), Nat(m)), run)
             for label, i_x in (("i_0", i_0), ("i_1", i_1)):
-                moved = attempt(apply_value, i_x, pair_value(eqw.a, memw.a, run), run)
+                moved = apply(i_x, pair_value(eqw.a, memw.a, run), run)
                 if not _realized(moved, Mem(Nat(n), Nat(m)), run):
                     bad.append(f"-- {label} fails on {n} in {m}")
         rep.add("transport-laws", bad, "i_s, i_t, i_0, i_1 on synthesized numeral realizers")
@@ -548,7 +545,7 @@ def suite_czf_axioms(run: Run) -> SuiteReport:
         y1 = Sing(Nat(1))
         e = value_of(extensionality_term(), run)
         idv = value_of(SKK, run)
-        ok = _realized(attempt(apply_value, e, pair_value(idv, idv, run), run), Eq(x1, y1), run)
+        ok = _realized(apply(e, pair_value(idv, idv, run), run), Eq(x1, y1), run)
         rep.cases.append(CaseResult("extensionality", ok, "witness-directed"))
 
     # Infinity, both directions, plus skew-keyed instances
@@ -574,7 +571,7 @@ def suite_czf_axioms(run: Run) -> SuiteReport:
             ok &= kleene_agree(lhs, rhs, run) is True
         rep.cases.append(CaseResult("set-induction equation", ok, "e a = a (\\z. e a)"))
         hypo = value_of(compile_term(lam("c", Opaque("ir", ir))), run)
-        ok = _realized(attempt(apply_value, ev, hypo, run), Eq(Nat(2), Nat(2)), run)
+        ok = _realized(apply(ev, hypo, run), Eq(Nat(2), Nat(2)), run)
         rep.cases.append(CaseResult("set-induction instance", ok, "rank-2 witness-directed"))
 
     # Bounded separation on nat-4 with phi(u) := u in nat 2
@@ -586,9 +583,9 @@ def suite_czf_axioms(run: Run) -> SuiteReport:
         rep.cases.append(CaseResult("separation forward", st is Status.REALIZED, str(st)))
         ok = True
         for n in range(2):
-            e1u = defined_value(apply_value, e1s, num_value(n), run)
+            e1u = defined(apply(e1s, num_value(n), run))
             wit = synthesize(Mem(Nat(n), Nat(2)), run)
-            ok &= _realized(attempt(apply_value, e1u, wit.a, run), Mem(Nat(n), ysep), run)
+            ok &= _realized(apply(e1u, wit.a, run), Mem(Nat(n), ysep), run)
         rep.cases.append(CaseResult("separation backward", ok, "per-member witness-directed"))
 
     # Strong collection on one finite instance
@@ -599,12 +596,12 @@ def suite_czf_axioms(run: Run) -> SuiteReport:
         e = value_of(strong_collection_term(), run)
         phi = And(AllIn("u", xc, ExIn("v", yc, Eq("u", "v"))),
                   AllIn("v", yc, ExIn("u", xc, Eq("u", "v"))))
-        ok = _realized(attempt(apply_value, e, acoll, run), phi, run)
+        ok = _realized(apply(e, acoll, run), phi, run)
         rep.cases.append(CaseResult("strong-collection", ok, "one finite instance"))
 
     # Subset collection and powerset terms: closed and defined
     for name, build in (("subset-collection", subset_collection_term), ("powerset", powerset_term)):
-        ok = isinstance(attempt(eval_term, build(), None, run), Value)
+        ok = isinstance(evaluate(build(), run), Value)
         rep.cases.append(CaseResult(f"{name} term defined", ok, ""))
     return rep
 
@@ -633,12 +630,11 @@ def suite_pairing_internal(run: Run) -> SuiteReport:
 
         # w round-trip: i_r realizes OPair(1,2)=OPair(1,2); w extracts both equalities.
         ir = i_r_value()
-        ok = _realized(attempt(apply_value, w, ir, run), And(Eq(Nat(1), Nat(1)), Eq(Nat(2), Nat(2))), run)
+        ok = _realized(apply(w, ir, run), And(Eq(Nat(1), Nat(1)), Eq(Nat(2), Nat(2))), run)
         rep.cases.append(CaseResult("w-round-trip", ok, "injectivity on a synthesized pair-equality"))
 
         # z round-trip: from v itself conclude OPair(1,2) = OPair(1,2).
-        ok = _realized(attempt(apply_value, z, v, run),
-                       Eq(OPair(Nat(1), Nat(2)), OPair(Nat(1), Nat(2))), run)
+        ok = _realized(apply(z, v, run), Eq(OPair(Nat(1), Nat(2)), OPair(Nat(1), Nat(2))), run)
         rep.cases.append(CaseResult("z-round-trip", ok, "canonicity from the OP realizer"))
     return rep
 
@@ -657,7 +653,7 @@ def suite_heo(run: Run) -> SuiteReport:
                 want = Tri.of(n == m)
                 if eq_type(num_value(n), num_value(m), TYPE_O, run).result is not want:
                     ok = False
-        k5 = defined_value(apply_value, Value(K), num_value(5), run)
+        k5 = defined(apply(Value(K), num_value(5), run))
         ok &= eq_type(k5, num_value(5), TYPE_O, run).result is Tri.FALSE
         rep.cases.append(CaseResult("base-type-decides", ok, "numerals compared exactly"))
 
@@ -675,7 +671,7 @@ def suite_heo(run: Run) -> SuiteReport:
         ok = internalize(num_value(3), TYPE_O) == Nat(3)
         rep.cases.append(CaseResult("internalize-base", ok, "int #3 : o = nat 3"))
 
-        const_k = defined_value(apply_value, Value(K), num_value(2), run)
+        const_k = defined(apply(Value(K), num_value(2), run))
         const_d = value_of(compile_term(lam("x", app(D, Var("x"), Var("x"), num(2), num(2)))), run)
         small = replace(run, max_index=5)
         ts1, _ = enumerate_triples(internalize(const_k, oo), small)
@@ -686,7 +682,7 @@ def suite_heo(run: Run) -> SuiteReport:
                                     "two constant-2 functions agree on indices <= 5"))
 
         gens = gen_elems(Arrow(oo, TYPE_O), run)
-        ok = all(isinstance(attempt(apply_value, g, succ, run), Value) for g in gens)
+        ok = all(isinstance(apply(g, succ, run), Value) for g in gens)
         rep.cases.append(CaseResult("higher-generators", ok, "(o)o -> o generators apply to SUCC"))
 
     # Sampled partial-equivalence behaviour on generator pairs.
@@ -708,12 +704,20 @@ def _op_of_naturals(z: VName) -> Formula:
     return ExIn("x", OMEGA, ExIn("y", OMEGA, ordered_pair("x", "y", z)))
 
 
-def _triple_failures(ts: list[Triple], realizer: Callable[[Value], Value | Outcome | None],
+def _triple_failures(ts: list[Triple], realizer: Callable[[Value], Value | Crash | Open],
                      formula: Callable[[VName], Formula], what: str, run: Run) -> list[str]:
-    """A note for each triple ⟨c, d, z⟩ of ``ts`` where ``realizer(c)``, a
-    machine operation run through ``attempt``, does not realize ``formula(z)``."""
+    """A note for each triple ⟨c, d, z⟩ of ``ts`` where ``realizer(c)``, the
+    outcome of machine operations on ``c``, does not realize ``formula(z)``."""
     return [f"-- {what} fails at c={c.numeral}" for c, _, z in ts
-            if not _realized(attempt(realizer, c), formula(z), run)]
+            if not _realized(realizer(c), formula(z), run)]
+
+
+def _then(out: Value | Crash | Open,
+          step: Callable[[Value], Value | Crash | Open]) -> Value | Crash | Open:
+    """``step(out)`` when ``out`` is a value, else ``out``: a chain of
+    operations ends in its first failure, which fails the case that runs
+    the chain instead of skipping its ``guard`` block."""
+    return step(out) if isinstance(out, Value) else out
 
 
 def _part(v: Value, path: str, run: Run) -> Value:
@@ -721,7 +725,7 @@ def _part(v: Value, path: str, run: Run) -> Value:
     index per character (``"10"`` is the first of the second); NoValue when
     a projection has none."""
     for i in path:
-        v = defined_value(project, v, int(i), run)
+        v = defined(project(v, int(i), run))
     return v
 
 
@@ -741,23 +745,25 @@ def suite_choice_arrow(run: Run) -> SuiteReport:
         rep.cases.append(CaseResult("graph-triples", ok, "graph of \\c. p c i_r at c <= 3"))
 
         e = value_of(choice_term(), run)
-        ea = defined_value(apply_value, e, a, run)
+        ea = defined(apply(e, a, run))
         ea0, ea10, ea11 = (_part(ea, path, run) for path in ("0", "10", "11"))
 
-        bad = _triple_failures(ts, lambda c: apply_value(ea0, c, run), _op_of_naturals, "clause 3", small)
+        bad = _triple_failures(ts, lambda c: apply(ea0, c, run), _op_of_naturals, "clause 3", small)
         rep.add("choice-clause-3", bad, "all sampled triples")
 
         bad = []
         for n in range(small.max_index + 1):
             phi = ExIn("y", OMEGA, ExIn("z", f, And(ordered_pair(Nat(n), "y", "z"), Eq("y", Nat(n)))))
-            if not _realized(attempt(apply_value, ea10, num_value(n), run), phi, small):
+            if not _realized(apply(ea10, num_value(n), run), phi, small):
                 bad.append(f"-- clause 4 fails at key {n}")
         rep.add("choice-clause-4", bad, "all sampled keys")
 
         u0t, u1t, vt, wt, zt = pairing_realizers()
         vv = value_of(vt, run)
         gpair = pair_value(vv, vv, run)
-        out = attempt(apply_values, ea11, [num_value(2), num_value(2), gpair], run)
+        two = num_value(2)
+        out = _then(apply(ea11, two, run), lambda g: apply(g, two, run))
+        out = _then(out, lambda g: apply(g, gpair, run))
         ok = _realized(out, Eq(Nat(2), Nat(2)), small)
         rep.cases.append(CaseResult("choice-clause-5", ok, "c0 = c1 = #2 with the OP realizer pair"))
 
@@ -766,22 +772,22 @@ def suite_choice_arrow(run: Run) -> SuiteReport:
         arrow = value_of(arrow_term(), run)
         e0, e1 = _part(arrow, "0", run), _part(arrow, "1", run)
         succ = value_of(SUCC, run)
-        e00 = _part(defined_value(apply_value, e0, succ, run), "0", run)
-        r2 = defined_value(apply_value, e00, num_value(2), run)
+        e00 = _part(defined(apply(e0, succ, run)), "0", run)
+        r2 = defined(apply(e00, num_value(2), run))
         ok = _part(r2, "0", run).numeral == 2 and _part(r2, "10", run).numeral == 3
         rep.cases.append(CaseResult("arrow-direct-eval", ok, "(e0 SUCC)_0 #2 projects to #2 and SUCC #2"))
 
         ts, _ = enumerate_triples(Internal(succ, oo), small)
-        bad = _triple_failures(ts, lambda c: apply_value(e00, c, run), _op_of_naturals, "arrow clause 1",
+        bad = _triple_failures(ts, lambda c: apply(e00, c, run), _op_of_naturals, "arrow clause 1",
                                small)
         rep.add("arrow-clause-1", bad, "a = SUCC, sampled triples")
 
         part = value_of(compile_term(lam("c", p_(Var("c"), p_(Var("c"), Opaque("v", vv))))), run)
         uniq = value_of(_pairs_uniqueness_part(), run)
         a_arrow = pair_value(part, pair_value(part, uniq, run), run)
-        e1a = defined_value(apply_value, e1, a_arrow, run)
+        e1a = defined(apply(e1, a_arrow, run))
         e1a0, e1a1 = _part(e1a, "0", run), _part(e1a, "1", run)
-        ok = all(defined_value(apply_value, e1a0, num_value(n), run).numeral == n for n in (0, 1))
+        ok = all(defined(apply(e1a0, num_value(n), run)).numeral == n for n in (0, 1))
         rep.cases.append(CaseResult("arrow-e1-identity", ok, "(e1 a)_0 is the identity on #0, #1"))
 
         gval = value_of(compile_term(lam("c", proj(App(Opaque("a10", part), Var("c")), "0"))), run)
@@ -789,7 +795,7 @@ def suite_choice_arrow(run: Run) -> SuiteReport:
         for what, side, xs, ys, of in (("subset", 0, f, gname, "the graph name"),
                                        ("superset", 1, gname, f, "the internalization")):
             ts, _ = enumerate_triples(xs, small)
-            bad = _triple_failures(ts, lambda c: project(defined_value(apply_value, e1a1, c, run), side, run),
+            bad = _triple_failures(ts, lambda c: _then(apply(e1a1, c, run), lambda r: project(r, side, run)),
                                    lambda z: Mem(z, ys), what, small)
             rep.add(f"arrow-{what}", bad, f"sampled triples of {of}")
     return rep

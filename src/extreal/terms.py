@@ -169,28 +169,10 @@ class Value:
 # weakly, so that an entry lives exactly as long as its value.
 _INTERN: "WeakValueDictionary[tuple, Value]" = WeakValueDictionary()
 
-# Memo of the reference machine: whole reductions, each entry ``(value,
-# cost, *key objects)``, the steps the reduction takes, then the objects whose
-# ids make its key, so that no id is reused while the entry exists.  Every
-# reduction is admitted, and an entry of cost ``c`` found after ``n`` steps
-# replays when ``n + c <= max_steps``.  Two key spaces share it:
-# - a whole S-redex ``f a`` (``f = S x y``) under ``id(f) << 64 | id(a)``, at
-#   least 2**64, entry ``(value, cost, f, a)``, its cost counted after its
-#   firing step;
-# - a closed term ``t`` evaluated without an environment under ``id(t)``,
-#   below 2**64, entry ``(value, cost, t)``.
-# A partial application ``f a`` has no entry: ``Value`` already returns its
-# canonical object.  The memo is emptied once it holds more than MEMO_LIMIT
-# entries.
+# The bound of a run's table (``Run.ops``): once it holds more than
+# MEMO_LIMIT entries, machine memo entries and operation outcomes alike, it
+# is emptied before the next entry is admitted (``Run.admit``).
 MEMO_LIMIT = 1_000_000
-_APPLY_MEMO: dict[int, "tuple[Value, int, Value, Value] | tuple[Value, int, App]"] = {}
-
-
-def remember(key: int, entry: tuple) -> None:
-    """Admit ``entry``, which holds the objects whose ids make ``key``."""
-    if len(_APPLY_MEMO) > MEMO_LIMIT:
-        _APPLY_MEMO.clear()
-    _APPLY_MEMO[key] = entry
 
 
 def intern_value(v: Value) -> Value:
@@ -221,10 +203,18 @@ class Run:
     ``generators_per_type`` sample elements per finite type, and ``seed``
     seeds the property suites.
 
-    ``ops`` is the run's operation table, which ``kernel.attempt`` alone
-    reads and writes: the outcome of each ``apply_value`` and ``project``
-    the run made.  A run derived with ``dataclasses.replace`` shares its
-    parent's table, which is why its keys carry the fuel."""
+    ``ops`` is the run's table, with two kinds of entry:
+    - the machine's memo of whole reductions, under int keys: a whole
+      S-redex ``f a`` (``f = S x y``) under ``id(f) << 64 | id(a)``, entry
+      ``(value, cost, f, a)``, its cost counted after its firing step, and a
+      closed term ``t`` evaluated without an environment under ``id(t)``,
+      entry ``(value, cost, t)``.  An entry holds the objects whose ids make
+      its key, so no id is reused while it exists, and it replays under any
+      fuel it fits (:mod:`extreal.machine`);
+    - the outcome (value, ``Crash`` or ``Open``) of each ``kernel.apply``
+      under the tuple key ``(f, x, max_steps)``.
+    A run derived with ``dataclasses.replace`` shares its parent's table,
+    which is why the outcome keys carry the fuel."""
 
     max_steps: int = 100_000
     max_index: int = 8
@@ -234,6 +224,14 @@ class Run:
     # The value size cap, in nodes counted as a tree: fixed for every run, so
     # a class constant, not a field.
     max_value_size = 1_000_000
+
+    def admit(self, key, entry):
+        """Keep ``entry`` under ``key``, emptying the table first once it
+        holds more than ``MEMO_LIMIT`` entries; returns ``entry``."""
+        if len(self.ops) > MEMO_LIMIT:
+            self.ops.clear()
+        self.ops[key] = entry
+        return entry
 
     def __post_init__(self):
         if self.max_steps <= 0:

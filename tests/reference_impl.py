@@ -2,11 +2,13 @@
 
 ``realizes`` is a direct boolean recursion over the defining clauses, valid
 on hereditarily finite explicit names only.  It shares nothing with the
-production checker beyond the reduction machine, whose ``apply_value`` and
-``project`` (from ``extreal.kernel``, memo included) it uses for both
-operations: no lookup indexing, no checker memo, no verdict calculus.
-Crashing applications count as non-realization.  That the memo agrees with
-the memo-free machine below is tested on its own in ``test_machine.py``.
+production checker beyond the reduction machine, whose raw ``apply_value``
+(from ``extreal.kernel``) it uses for both operations, a projection being
+the application of the value of ``P0`` or ``P1``: no kernel table, no
+lookup indexing, no checker memo, no verdict calculus.  The machine's own
+memo, kept in the table of the run ``cfg`` it is given, is included; that
+it agrees with the memo-free machine below is tested on its own in
+``test_machine.py``.  Crashing applications count as non-realization.
 
 ``abstract``/``compile_term`` are the original quadratic bracket
 abstraction, which recomputes ``free_vars`` and ``always_defined`` at every
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from extreal.bracket import EXPANSIONS, SKK, Lam, LambdaTerm
 from extreal.formulas import AllIn, And, Eq, ExIn, Formula, Mem, Or, substitute
-from extreal.kernel import apply_value, project
+from extreal.kernel import apply_value, eval_term
 from extreal.names import Explicit, VName
 from extreal.terms import (
     App,
@@ -39,6 +41,8 @@ from extreal.terms import (
     Num,
     Opaque,
     Outcome,
+    P0,
+    P1,
     S,
     StuckApplication,
     Term,
@@ -53,6 +57,10 @@ class OracleFuelOut(RuntimeError):
     pass
 
 
+# The values of P0 and P1: a projection applies one of them.
+_PROJECTIONS = (eval_term(P0).value, eval_term(P1).value)
+
+
 def _triples(x: VName):
     if isinstance(x, Explicit):
         return x.triples
@@ -60,13 +68,7 @@ def _triples(x: VName):
 
 
 def _proj(v: Value, i: int, cfg: Run) -> Value | None:
-    try:
-        out = project(v, i, cfg)
-    except MachineError:
-        return None
-    if out is None:
-        raise OracleFuelOut
-    return out
+    return _app(_PROJECTIONS[i], v, cfg)
 
 
 def _app(f: Value, a: Value, cfg: Run) -> Value | None:

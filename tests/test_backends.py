@@ -14,12 +14,13 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import extreal
-from extreal import kernel, terms
+from extreal import kernel
 from extreal import machine as pure
 from extreal.bracket import compile_term
 from extreal.parser import parse
@@ -80,27 +81,28 @@ def test_backends_agree_on_random_terms(compiled, monkeypatch):
     # S-heavy terms (with I = S K K and the self-applier S I I), so that
     # redexes fire, repeat and diverge, drawn in pairs: a subterm, then a
     # term whose leaves may be that one object.  Each is evaluated
-    # three times on pure, at fuel caps that also cut through replays.  The
-    # seen filter is full, so every redex is recorded at its first firing and
-    # every closed term at its first complete evaluation (when no enclosing
-    # one is being recorded): later runs replay the term whole, and a
-    # recorded subterm inside the term that splices it.
+    # three times on pure, at fuel caps that also cut through replays, in
+    # runs derived from one root, so all share its memo.  The seen filter is
+    # full, so every redex is recorded at its first firing and every closed
+    # term at its first complete evaluation (when no enclosing one is being
+    # recorded): later runs replay the term whole, and a recorded subterm
+    # inside the term that splices it.
     monkeypatch.setattr(pure, "_SEEN", bytearray(b"\x02" * pure._SEEN_SLOTS))
     rng = random.Random(123)
     i = app(S, K, K)
     atoms = _VALUE_ATOMS + (S, S, S, S, SUCC, PRED, i, app(S, i, i))
-    recorded = 0
+    root, recorded = Run(), 0
     for _ in range(1500):
         shared = random_closed_term(rng, 5, atoms)
         for t in (shared, random_closed_term(rng, 9, atoms + (shared, shared))):
-            _agree(compiled, t)
-        recorded += terms._APPLY_MEMO.get(id(shared), (None,))[-1] is shared
+            _agree(compiled, t, root)
+        recorded += root.ops.get(id(shared), (None,))[-1] is shared
     assert recorded > 300
 
 
-def _agree(compiled, t):
+def _agree(compiled, t, root):
     for fuel in (3, 17, 60, 4000):
-        cfg = Run(max_steps=fuel)
+        cfg = replace(root, max_steps=fuel)
         b = _outcome(compiled.eval_term, t, cfg)
         for _ in range(3):
             a = _outcome(pure.eval_term, t, cfg)
@@ -152,21 +154,28 @@ def test_backends_agree_on_apply_and_kleene(compiled):
         assert want is compiled.kleene_eq(t1, t2)
 
 
-def test_backends_end_runs_alike(compiled):
-    # The kernel's classifier, run with either machine's operation, ends a
-    # crash, a run out of fuel and a size-cap overflow the same way.
+def test_backends_end_runs_alike(compiled, monkeypatch):
+    # The kernel's evaluate and apply, run on either machine, end a crash, a
+    # run out of fuel and a size-cap overflow the same way.  Each asks under
+    # a fresh run, so no table answers for the machine.
     i = app(S, K, K)
     cases = [
-        ("eval_term", (App(PRED, num(0)), None, Run()), kernel.Crash, StuckApplication),
-        ("apply_value", (num_value(1), Value(K), Run()), kernel.Crash, IllTypedApplication),
-        ("eval_term", (app(S, i, i, app(S, i, i)), None, Run(max_steps=50)), kernel.Open,
+        ("eval_term", lambda: kernel.evaluate(App(PRED, num(0)), Run()), kernel.Crash, StuckApplication),
+        ("apply_value", lambda: kernel.apply(num_value(1), Value(K), Run()), kernel.Crash,
+         IllTypedApplication),
+        ("eval_term", lambda: kernel.evaluate(app(S, i, i, app(S, i, i)), Run(max_steps=50)), kernel.Open,
          type(None)),
-        ("eval_term", (compile_term(parse(_GROW)), None, Run()), kernel.Open, ValueSizeExceeded),
-        ("eval_term", (app(SUCC, num(2)), None, Run()), Value, None),
+        ("eval_term", lambda: kernel.evaluate(compile_term(parse(_GROW)), Run()), kernel.Open,
+         ValueSizeExceeded),
+        ("eval_term", lambda: kernel.evaluate(app(SUCC, num(2)), Run()), Value, None),
     ]
-    for op, args, kind, error in cases:
-        a = kernel.attempt(getattr(pure, op), *args)
-        b = kernel.attempt(getattr(compiled, op), *args)
+
+    def ended(machine, op, ask):
+        monkeypatch.setattr(kernel, op, getattr(machine, op))
+        return ask()
+
+    for op, ask, kind, error in cases:
+        a, b = ended(pure, op, ask), ended(compiled, op, ask)
         assert type(a) is type(b) is kind, (op, a, b)
         if kind is Value:
             assert a == b == num_value(3)

@@ -469,27 +469,25 @@ def test_a_deep_verdict_renders_and_converts_in_process():
     assert "children" not in repr(trace) and repr(trace).startswith("Trace(clause=")
 
 
-_tabled_attempt = checker.attempt
-
-
-def _untabled_attempt(op, f, x, run):
-    """``checker.attempt`` with the run's operation table bypassed: each call
-    gets a fresh table, so every operation reaches the machine."""
-    return _tabled_attempt(op, f, x, replace(run, ops={}))
+def _untabled(op):
+    """The kernel's ``op`` (``apply`` or ``project``) with the run's table
+    bypassed: each call gets a fresh table, so every operation reaches the
+    machine."""
+    return lambda f, x, run: op(f, x, replace(run, ops={}))
 
 
 def _machine_ops(thunk):
-    """``thunk()`` and the applications and projections that reach the
-    machine on its way, counted per (operation, operator, operand)."""
-    calls, classify = Counter(), kernel._classify
+    """``thunk()`` and the applications that reach the machine on its way,
+    counted per (operator, operand); a projection is the application of P0
+    or P1."""
+    calls, apply_value = Counter(), kernel.apply_value
 
-    def counted(op, args):
-        if op is apply_value or op is project:
-            calls[op, args[0], args[1]] += 1
-        return classify(op, args)
+    def counted(f, x, run):
+        calls[f, x] += 1
+        return apply_value(f, x, run)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "_classify", counted)
+        mp.setattr(kernel, "apply_value", counted)
         result = thunk()
     return result, calls
 
@@ -500,7 +498,8 @@ def _counted_check(pair, phi, tabled=True, run=None):
     run = Run() if run is None else run
     with pytest.MonkeyPatch.context() as mp:
         if not tabled:
-            mp.setattr(checker, "attempt", _untabled_attempt)
+            mp.setattr(checker, "apply", _untabled(kernel.apply))
+            mp.setattr(checker, "project", _untabled(kernel.project))
         return _machine_ops(lambda: check(pair, phi, run))
 
 
@@ -537,7 +536,7 @@ def test_a_diagonal_pair_runs_each_operation_once(body, built_for, checked, stat
     w = pair_value(num_value(0), IR)
     ver, one = _counted_check(RealizerPair(v, w), phi)
     want, untabled = _counted_check(RealizerPair(v, w), phi, tabled=False)
-    assert any(f is w for _, f, _ in one)
+    assert any(w in key for key in one)
     assert set(one.values()) == {1} and untabled.keys() == one.keys()
     assert _verdict(ver) == _verdict(want)
 

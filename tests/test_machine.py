@@ -1,6 +1,5 @@
 """Reduction machine: delta rules, partiality, fuel, determinism."""
 
-import contextlib
 import dataclasses
 import functools
 import os
@@ -204,6 +203,9 @@ def test_only_entry_points_default_the_run():
         return any(isinstance(p.default, Run) for p in inspect.signature(fn).parameters.values())
 
     assert defaults_a_run(suites.run_suite) and defaults_a_run(checker.check)
+    assert all(defaults_a_run(fn) for fn in (
+        kernel.apply, kernel.evaluate, kernel.project, kernel.pair_value, kernel.value_of,
+        kernel.kleene_agree))
     found = [
         f"{mod.__name__}.{name}"
         for mod in (names, realizers, suites, checker)
@@ -211,6 +213,32 @@ def test_only_entry_points_default_the_run():
         if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and defaults_a_run(fn)
         and (mod is not checker or name.startswith("_")) and fn is not suites.run_suite
     ]
+    assert found == []
+
+
+def test_only_the_kernel_asks_the_machine():
+    # The layers above the kernel ask through kernel.apply, project and
+    # evaluate, which end every operation in a value, Crash or Open: none
+    # of them binds a raw machine operation or catches a machine error.
+    import inspect
+    import types
+
+    from extreal import checker, names, realizers, scenarios, suites
+
+    raw = {"eval_term", "apply_value", "apply_values", "MachineError", "IllTypedApplication",
+           "StuckApplication", "UnboundVariable", "ValueSizeExceeded"}
+
+    def used(code):
+        yield from code.co_names
+        for c in code.co_consts:
+            if isinstance(c, types.CodeType):
+                yield from used(c)
+
+    found = sorted(
+        f"{mod.__name__}.{name}"
+        for mod in (checker, names, realizers, scenarios, suites)
+        for name in raw & set(used(compile(inspect.getsource(mod), mod.__file__, "exec")))
+    )
     assert found == []
 
 
@@ -248,9 +276,9 @@ def record_at_once(monkeypatch):
     monkeypatch.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
 
 
-def _entry(f, a):
-    """The memo entry of the S-redex ``f a``, if any."""
-    return terms._APPLY_MEMO.get(id(f) << 64 | id(a))
+def _entry(run, f, a):
+    """The run's memo entry of the S-redex ``f a``, if any."""
+    return run.ops.get(id(f) << 64 | id(a))
 
 
 # Values whose head takes one more argument without firing: an opaque head
@@ -272,13 +300,13 @@ _partial = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_partial, _values, st.booleans())
 def test_memo_returns_the_interned_application(f, a, machine_first):
+    run = Run()
     calls = [
         lambda: machine._accumulate(f, a),
-        lambda: machine.apply_value(f, a).value,
+        lambda: machine.apply_value(f, a, run).value,
     ]
     if machine_first:
         calls.reverse()
-    entries = len(terms._APPLY_MEMO)
     want = None
     for _ in range(2):  # first application, then repeated
         for call in calls:
@@ -286,10 +314,10 @@ def test_memo_returns_the_interned_application(f, a, machine_first):
             if want is None:
                 want = Value(f.head, f.args + (a,))
             assert got is want
-    assert machine.apply_value(f, a).steps == 1
+    assert machine.apply_value(f, a, run).steps == 1
     # The constructor answers a repeat; a partial application adds no memo
     # entry.
-    assert _entry(f, a) is None and len(terms._APPLY_MEMO) == entries
+    assert run.ops == {}
 
 
 # Combinators for whole S-redexes: I = S K K, and T z = S (K z) I, so that
@@ -339,21 +367,11 @@ def _sharing_terms(draw, atoms=_s_atoms):
     return [sub] + draw(st.lists(over, min_size=1, max_size=3))
 
 
-def _term_entry(t):
-    e = terms._APPLY_MEMO.get(id(t))
+def _term_entry(run, t):
+    """The run's memo entry of the closed term ``t``, if any."""
+    e = run.ops.get(id(t))
     assert e is None or e[2] is t  # an entry holds its own term
     return e
-
-
-@contextlib.contextmanager
-def _saved_memo():
-    """Run the body, then put the memo back as it was."""
-    saved = dict(terms._APPLY_MEMO)
-    try:
-        yield
-    finally:
-        terms._APPLY_MEMO.clear()
-        terms._APPLY_MEMO.update(saved)
 
 
 def _outcome(evaluate, t, cfg):
@@ -370,24 +388,26 @@ def test_memo_replays_match_the_memo_free_oracle(ts):
     the machine reports the oracle's outcome: the same type, steps, note,
     value and error.  The shared subterm is evaluated first, so it is
     recorded whole and replays (or, where it does not fit, is reduced)
-    inside the terms that splice it."""
+    inside the terms that splice it.  Every fuel runs in a run derived from
+    the warm one, so all share its memo."""
     ceiling = 120
     sub = ts[0]
     assume(isinstance(_outcome(reference_impl.oracle_eval_term, sub, Run(ceiling)), Defined))
-    with pytest.MonkeyPatch.context() as mp, _saved_memo():
+    warm = Run(ceiling)
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
         for t in ts:
             for _ in range(2):
-                _outcome(machine.eval_term, t, Run(ceiling))
-        assert _term_entry(sub) is not None
+                _outcome(machine.eval_term, t, warm)
+        assert _term_entry(warm, sub) is not None
         for t in ts:
             for fuel in range(1, ceiling + 2):
-                cfg = Run(fuel)
+                cfg = dataclasses.replace(warm, max_steps=fuel)
                 want = _outcome(reference_impl.oracle_eval_term, t, cfg)
                 assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
                 if not isinstance(want, FuelExhausted):
                     # The total is reached; check total + 1 and stop.
-                    cfg = Run(fuel + 1)
+                    cfg = dataclasses.replace(warm, max_steps=fuel + 1)
                     assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
                     break
 
@@ -413,17 +433,18 @@ def test_machine_values_are_shared(ts, f, a):
     below it, is the object the constructor returns, and every memo entry
     holds the objects its key is the identity of."""
     f, a = (x.value if isinstance(x, Opaque) else x for x in (f, a))
-    with pytest.MonkeyPatch.context() as mp, _saved_memo():
+    run = Run(120)
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
         runs = [(machine.eval_term, t, None) for t in ts for _ in range(2)]
         runs += [(machine.apply_value, f, a)] * 2
         for op, x, y in runs:
             try:
-                out = op(x, y, Run(120))
+                out = op(x, y, run)
             except MachineError:
                 continue
             assert not isinstance(out, Defined) or _all_canonical(out.value), (x, y)
-        for key, e in terms._APPLY_MEMO.items():
+        for key, e in run.ops.items():
             assert key == (id(e[2]) << 64 | id(e[3]) if len(e) == 4 else id(e[2]))
 
 
@@ -443,9 +464,8 @@ def test_a_large_value_built_twice_is_one_object():
     start = time.perf_counter()
     big = _doubled("share-big", 20)
     assert _doubled("share-big", 20) is big and big.size == 2**21 - 1
-    with _saved_memo():
-        capped = kernel.attempt(eval_term, App(K, Opaque("big", big)), None, Run())
-        dropped = kernel.attempt(eval_term, app(K, num(0), Opaque("big", big)), None, Run())
+    capped = kernel.evaluate(App(K, Opaque("big", big)), Run())
+    dropped = kernel.evaluate(app(K, num(0), Opaque("big", big)), Run())
     assert time.perf_counter() - start < 1.0
     assert isinstance(capped, kernel.Open) and isinstance(capped.error, ValueSizeExceeded)
     assert dropped == num_value(0)
@@ -475,17 +495,17 @@ def test_the_value_table_is_weak(monkeypatch, record_at_once):
     key = (Opaque("weak"), (num_value(1),))
     Value(*key)
     assert key not in terms._INTERN
-    with _saved_memo():
-        s_val, p_val = machine._const_value(ConstKind.S), machine._const_value(ConstKind.P)
-        t_z = machine.eval_term(_two_step(Value(Opaque("weak-z")))).value
-        x = num_value(7)
-        held = weakref.ref(machine.apply_value(t_z, x).value)
-        assert held() is _entry(t_z, x)[0] is not None
-        monkeypatch.setattr(terms, "MEMO_LIMIT", len(terms._APPLY_MEMO) - 1)
-        machine.apply_value(t_z, num_value(8))  # its first record empties the memo
-        assert _entry(t_z, x) is None and held() is None
-        assert Value(Const(ConstKind.S)) is s_val is machine.eval_term(S).value
-        assert machine.eval_term(EXPANSIONS[ConstKind.P]).value is p_val
+    run = Run()
+    s_val, p_val = machine._const_value(ConstKind.S), machine._const_value(ConstKind.P)
+    t_z = machine.eval_term(_two_step(Value(Opaque("weak-z"))), None, run).value
+    x = num_value(7)
+    held = weakref.ref(machine.apply_value(t_z, x, run).value)
+    assert held() is _entry(run, t_z, x)[0] is not None
+    monkeypatch.setattr(terms, "MEMO_LIMIT", len(run.ops) - 1)
+    machine.apply_value(t_z, num_value(8), run)  # its first record empties the memo
+    assert _entry(run, t_z, x) is None and held() is None
+    assert Value(Const(ConstKind.S)) is s_val is machine.eval_term(S, None, run).value
+    assert machine.eval_term(EXPANSIONS[ConstKind.P], None, run).value is p_val
 
 
 def test_equal_operands_share_one_memo_entry(monkeypatch):
@@ -497,29 +517,30 @@ def test_equal_operands_share_one_memo_entry(monkeypatch):
         t_z = Value(Const(ConstKind.S), (Value(K, (Value(Opaque("z-equal")),)), i_val))
         return App(t_z, Value(Num(6)))
 
-    with _saved_memo():
-        monkeypatch.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
-        first = fresh()
-        want = reference_impl.oracle_eval_term(first)
-        assert machine.eval_term(first) == want and want.steps == 7
-        f, a = first.fun, first.arg
-        e = _entry(f, a)
-        assert e[:2] == (want.value, 6) and e[2] is f and e[3] is a
-        entries = len(terms._APPLY_MEMO)
-        # An emptied seen filter counts the new App node only: the redex
-        # is not reduced again.
-        monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
-        second = fresh()
-        assert second is not first and second.fun is f and second.arg is a
-        assert machine.eval_term(second) == want
-        assert sum(machine._SEEN) == 1 and len(terms._APPLY_MEMO) == entries
+    run = Run()
+    monkeypatch.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
+    first = fresh()
+    want = reference_impl.oracle_eval_term(first)
+    assert machine.eval_term(first, None, run) == want and want.steps == 7
+    f, a = first.fun, first.arg
+    e = _entry(run, f, a)
+    assert e[:2] == (want.value, 6) and e[2] is f and e[3] is a
+    entries = len(run.ops)
+    # An emptied seen filter counts the new App node only: the redex is not
+    # reduced again.
+    monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
+    second = fresh()
+    assert second is not first and second.fun is f and second.arg is a
+    assert machine.eval_term(second, None, run) == want
+    assert sum(machine._SEEN) == 1 and len(run.ops) == entries
 
 
 def test_term_replays_exactly_when_its_cost_fits_the_fuel(record_at_once, monkeypatch):
+    run = Run()
     t = app(_two_step(Opaque("zfit")), num(6))
-    cost = machine.eval_term(t).steps
+    cost = machine.eval_term(t, None, run).steps
     value = Value(Opaque("zfit"), (num_value(6),))
-    assert _term_entry(t)[:2] == (value, cost)
+    assert _term_entry(run, t)[:2] == (value, cost)
     # u = K #0 t fires K #0 (one step), then enters t; its own record
     # never completes below.  A replay visits no node of t, so the seen
     # filter, emptied, counts only u and K #0.
@@ -527,7 +548,7 @@ def test_term_replays_exactly_when_its_cost_fits_the_fuel(record_at_once, monkey
     for root, entered in ((t, 0), (u, 1)):
         for fuel, replays in ((entered + cost, True), (entered + cost - 1, False)):
             monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
-            cfg = Run(fuel)
+            cfg = dataclasses.replace(run, max_steps=fuel)
             got = _outcome(machine.eval_term, root, cfg)
             assert got == _outcome(reference_impl.oracle_eval_term, root, cfg)
             assert isinstance(got, Defined if root is t and replays else FuelExhausted)
@@ -535,73 +556,77 @@ def test_term_replays_exactly_when_its_cost_fits_the_fuel(record_at_once, monkey
 
 
 def test_only_the_outermost_term_is_recorded(record_at_once):
+    run = Run()
     inner = App(_I, Opaque("inner-term"))
     outer = app(K, inner, num(0))
     for _ in range(2):
-        assert machine.eval_term(outer).value == Value(Opaque("inner-term"))
-    assert _term_entry(outer) is not None
-    assert _term_entry(outer.fun) is None and _term_entry(inner) is None
+        assert machine.eval_term(outer, None, run).value == Value(Opaque("inner-term"))
+    assert _term_entry(run, outer) is not None
+    assert _term_entry(run, outer.fun) is None and _term_entry(run, inner) is None
 
 
 def test_a_raising_closed_term_is_never_recorded(monkeypatch):
     monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
+    run = Run()
     bad = App(num(1), K)
     u = app(K, _I, bad)
-    errors = [_outcome(machine.eval_term, u, Run()) for _ in range(4)]
+    errors = [_outcome(machine.eval_term, u, run) for _ in range(4)]
     assert errors == [(IllTypedApplication, "numeral #1 applied as a function")] * 4
-    assert _term_entry(u) is None and _term_entry(bad) is None
+    assert _term_entry(run, u) is None and _term_entry(run, bad) is None
 
 
 def test_evaluation_under_an_environment_records_no_term(record_at_once):
     closed = App(_I, num(2))
     t = App(App(K, Var("x")), closed)
     env = {"x": Value(Opaque("env-x"))}
+    run = Run()
     for _ in range(3):
-        assert machine.eval_term(t, env).value is env["x"]
-    assert _term_entry(t) is None and _term_entry(closed) is None
+        assert machine.eval_term(t, env, run).value is env["x"]
+    assert _term_entry(run, t) is None and _term_entry(run, closed) is None
 
 
 def test_memo_hit_still_checks_the_size_cap():
     # An extension past the cap that exists already (built by hand here)
     # does not let the application through: the cap is checked first.
-    with _saved_memo():
-        f = Value(Opaque("cap"), (num_value(1),))
-        a = _doubled("cap-big", 19)
-        over = f.extend(a)
-        assert over.size > Run().max_value_size
-        for _ in range(2):
-            with pytest.raises(ValueSizeExceeded):
-                machine.apply_value(f, a)
+    run = Run()
+    f = Value(Opaque("cap"), (num_value(1),))
+    a = _doubled("cap-big", 19)
+    over = f.extend(a)
+    assert over.size > run.max_value_size
+    for _ in range(2):
+        with pytest.raises(ValueSizeExceeded):
+            machine.apply_value(f, a, run)
 
 
 def test_memo_overflow_empties_the_memo(monkeypatch, record_at_once):
     # Past MEMO_LIMIT entries the next admission empties the memo, closed
     # terms and redexes alike; the values the test holds stay what the
     # machine returns, and a redex enters the memo again.
-    with _saved_memo():
-        z = Value(Opaque("zovf"))
-        t_z = machine.eval_term(_two_step(z)).value
-        i_val = machine.eval_term(_I).value
-        closed = App(_I, Opaque("ovf-term"))
-        machine.eval_term(closed)
-        assert _term_entry(closed) is not None
-        xs = [num_value(n) for n in range(40, 70)]
-        for x in xs:  # record I x, so that T z x adds one entry
-            machine.apply_value(i_val, x)
-        limit = len(terms._APPLY_MEMO) + 10
-        monkeypatch.setattr(terms, "MEMO_LIMIT", limit)
-        sizes = []
-        for x in xs:
-            assert machine.apply_value(t_z, x).steps == 7
-            sizes.append(len(terms._APPLY_MEMO))
-        # It grows to one past the limit, then the next admission empties it.
-        top = sizes.index(limit + 1)
-        assert max(sizes) == limit + 1 and sizes[top + 1] == 1
-        assert _entry(t_z, xs[top + 1]) is not None and _entry(t_z, xs[0]) is None
-        assert _term_entry(closed) is None
-        assert machine.eval_term(_two_step(z)).value is t_z and machine.eval_term(_I).value is i_val
-        r = machine.apply_value(t_z, xs[0]).value
-        assert _all_canonical(r) and _entry(t_z, xs[0])[0] is r
+    run = Run()
+    z = Value(Opaque("zovf"))
+    t_z = machine.eval_term(_two_step(z), None, run).value
+    i_val = machine.eval_term(_I, None, run).value
+    closed = App(_I, Opaque("ovf-term"))
+    machine.eval_term(closed, None, run)
+    assert _term_entry(run, closed) is not None
+    xs = [num_value(n) for n in range(40, 70)]
+    for x in xs:  # record I x, so that T z x adds one entry
+        machine.apply_value(i_val, x, run)
+    limit = len(run.ops) + 10
+    monkeypatch.setattr(terms, "MEMO_LIMIT", limit)
+    sizes = []
+    for x in xs:
+        assert machine.apply_value(t_z, x, run).steps == 7
+        sizes.append(len(run.ops))
+    # It grows to one past the limit, then the next admission empties it.
+    top = sizes.index(limit + 1)
+    assert max(sizes) == limit + 1 and sizes[top + 1] == 1
+    assert _entry(run, t_z, xs[top + 1]) is not None and _entry(run, t_z, xs[0]) is None
+    assert _term_entry(run, closed) is None
+    assert machine.eval_term(_two_step(z), None, run).value is t_z
+    assert machine.eval_term(_I, None, run).value is i_val
+    r = machine.apply_value(t_z, xs[0], run).value
+    assert _all_canonical(r) and _entry(run, t_z, xs[0])[0] is r
 
 
 def test_memo_overflow_keeps_the_constants(monkeypatch):
@@ -610,87 +635,167 @@ def test_memo_overflow_keeps_the_constants(monkeypatch):
     # every suite answers as at the default limit.
     from extreal.suites import SUITES, run_suite
 
-    def cases():
-        # A fresh run each time, so that no run's table answers for the
-        # machine.
-        run = Run()
+    def cases(run):
         return [[(c.name, c.ok, c.detail, c.snippet) for c in run_suite(i, run).cases] for i in SUITES]
 
-    want = cases()
-    with _saved_memo():
-        s_val = machine._const_value(ConstKind.S)
-        monkeypatch.setattr(terms, "MEMO_LIMIT", -1)
-        i_val = machine.eval_term(_I).value
-        for _ in range(3):  # the seen filter records the redex by its third firing
-            assert machine.apply_value(i_val, s_val).value is s_val
-        assert _entry(i_val, s_val) == (s_val, 3, i_val, s_val) and len(terms._APPLY_MEMO) == 1
-        assert Value(Const(ConstKind.S)) is s_val
-        # A limit low enough that the suites empty the memo again and again.
-        monkeypatch.setattr(terms, "MEMO_LIMIT", 2_000)
-        assert cases() == want
-        assert len(terms._APPLY_MEMO) <= 2_001
+    want = cases(Run())
+    run = Run()
+    s_val = machine._const_value(ConstKind.S)
+    monkeypatch.setattr(terms, "MEMO_LIMIT", -1)
+    i_val = machine.eval_term(_I, None, run).value
+    for _ in range(3):  # the seen filter records the redex by its third firing
+        assert machine.apply_value(i_val, s_val, run).value is s_val
+    assert _entry(run, i_val, s_val) == (s_val, 3, i_val, s_val) and len(run.ops) == 1
+    assert Value(Const(ConstKind.S)) is s_val
+    # A limit low enough that the suites empty the table again and again.
+    monkeypatch.setattr(terms, "MEMO_LIMIT", 2_000)
+    run = Run()
+    assert cases(run) == want
+    assert len(run.ops) <= 2_001
 
 
-# The run's operation table: ``kernel.attempt`` answers an application or
-# projection that the run, or a run derived from it, asked before at the same
-# fuel.  The operands end in a value, a crash or an open run, depending on
-# the fuel; _TEN is λx. SUCC^10 x and _SELF is δ, so δ δ diverges.
+# The run's table: ``kernel.apply`` answers an application that the run, or
+# a run derived from it, asked before at the same fuel, and projection and
+# pairing are applications of the values of P0, P1 and P.  The operands end
+# in a value, a crash or an open run, depending on the fuel; _TEN is
+# λx. SUCC^10 x and _SELF is δ, so δ δ diverges.
 
 _TEN = val(compile_term(lam("x", functools.reduce(lambda t, _: App(SUCC, t), range(10), Var("x")))))
 _SELF = val(compile_term(lam("x", App(Var("x"), Var("x")))))
+_PAIR, _PROJ = val(P), (val(P0), val(P1))
 _TABLE_VALUES = [
     num_value(0), num_value(3), Value(K), Value(PRED), _TEN, _SELF,
     val(app(P, num(1), Opaque("ten", _TEN))),
 ]
 _TABLE_OPS = st.one_of(
-    st.tuples(st.just(apply_value), st.sampled_from(_TABLE_VALUES), st.sampled_from(_TABLE_VALUES)),
+    st.tuples(st.just(kernel.apply), st.sampled_from(_TABLE_VALUES), st.sampled_from(_TABLE_VALUES)),
     st.tuples(st.just(kernel.project), st.sampled_from(_TABLE_VALUES), st.sampled_from((0, 1))),
+    st.tuples(st.just(kernel.pair_value), st.sampled_from(_TABLE_VALUES), st.sampled_from(_TABLE_VALUES)),
 )
 
 
+def _asked(op, f, x, run):
+    """``op(f, x, run)``'s outcome; pairing's ``NoValue`` carries it."""
+    try:
+        return op(f, x, run)
+    except kernel.NoValue as exc:
+        return exc.outcome
+
+
 def _ended(out):
-    """An ``attempt`` outcome as the oracle reports it: the value, the
-    error's type and message, or None for a run out of fuel."""
+    """An outcome as the oracle reports it: the value, the error's type and
+    message, or None for a run out of fuel."""
     if isinstance(out, Value):
         return out
     return None if out.error is None else (type(out.error), str(out.error))
 
 
 def _oracle_ended(op, f, x, fuel):
+    """How the memo-free oracle ends ``op(f, x)``: a projection applies P0
+    or P1 to f, a pairing applies P to f and then to x, each application
+    under the whole fuel."""
     if op is kernel.project:
-        f, x = reference_impl.oracle_eval_term(P0 if x == 0 else P1).value, f
+        fn, args = _PROJ[x], [f]
+    elif op is kernel.pair_value:
+        fn, args = _PAIR, [f, x]
+    else:
+        fn, args = f, [x]
     try:
-        out = reference_impl.oracle_apply_value(f, x, Run(fuel))
+        for a in args:
+            out = reference_impl.oracle_apply_value(fn, a, Run(fuel))
+            if not isinstance(out, Defined):
+                return None
+            fn = out.value
     except MachineError as exc:
         return type(exc), str(exc)
-    return out.value if isinstance(out, Defined) else None
+    return fn
+
+
+def _no_machine_run(*args):
+    raise AssertionError("the table should have answered without the machine")
+
+
+def _outcome_keys(run):
+    """The keys of the run's table that hold ``kernel.apply`` outcomes."""
+    return {k for k in run.ops if isinstance(k, tuple)}
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.lists(_TABLE_OPS, min_size=1, max_size=3), st.data())
 def test_a_shared_table_answers_each_fuel_as_a_fresh_run(ops, data):
     """Runs derived with ``replace`` share one table.  Asked in any order
-    and at any fuel, an operation ends as under a fresh run of that fuel,
-    and as the memo-free oracle ends it, error messages included."""
+    and at any fuel, an application, projection or pairing ends as under a
+    fresh run of that fuel, and as the memo-free oracle ends it, error
+    messages included; asked again at a fuel, it runs no machine step.  A
+    projection is the application of P0 or P1, one entry of the table."""
     fuels = st.sampled_from((1, 2, 4, 8, 16, 32, 64, 1_000))
     asks = data.draw(st.lists(st.tuples(st.sampled_from(ops), fuels), min_size=1, max_size=12))
-    root = Run(max_steps=1)
+    root, asked, want = Run(max_steps=1), set(), set()
     for (op, f, x), fuel in asks:
         run = dataclasses.replace(root, max_steps=fuel)
         assert run.ops is root.ops
-        got = _ended(kernel.attempt(op, f, x, run))
-        assert got == _ended(kernel.attempt(op, f, x, Run(max_steps=fuel))), (op, f, x, fuel)
-        assert got == _oracle_ended(op, f, x, fuel), (op, f, x, fuel)
-    assert len(root.ops) == len(set(asks))
+        with pytest.MonkeyPatch.context() as mp:
+            if ((op, f, x), fuel) in asked:
+                mp.setattr(machine, "_run", _no_machine_run)
+            got = _asked(op, f, x, run)
+        asked.add(((op, f, x), fuel))
+        assert _ended(got) == _ended(_asked(op, f, x, Run(max_steps=fuel))), (op, f, x, fuel)
+        assert _ended(got) == _oracle_ended(op, f, x, fuel), (op, f, x, fuel)
+        if op is kernel.project:
+            assert got is kernel.apply(_PROJ[x], f, run)
+            want.add((_PROJ[x], f, fuel))
+        elif op is kernel.pair_value:
+            want.add((_PAIR, f, fuel))
+            if isinstance(pf := root.ops[_PAIR, f, fuel], Value):
+                want.add((pf, x, fuel))
+        else:
+            want.add((f, x, fuel))
+    assert _outcome_keys(root) == want
+
+
+def test_a_repeated_pairing_runs_no_machine_step(monkeypatch):
+    run = Run()
+    first = kernel.pair_value(num_value(1), _TEN, run)
+    monkeypatch.setattr(machine, "_run", _no_machine_run)
+    assert kernel.pair_value(num_value(1), _TEN, run) is first
 
 
 def test_an_operation_open_at_a_small_fuel_is_decided_at_a_larger_one():
     small = Run(max_steps=5)
     large = dataclasses.replace(small, max_steps=1_000)
-    assert isinstance(kernel.attempt(apply_value, _TEN, num_value(0), small), kernel.Open)
-    assert kernel.attempt(apply_value, _TEN, num_value(0), large) is num_value(10)
-    assert isinstance(kernel.attempt(apply_value, _TEN, num_value(0), small), kernel.Open)
-    assert large.ops is small.ops and len(small.ops) == 2
+    assert isinstance(kernel.apply(_TEN, num_value(0), small), kernel.Open)
+    assert kernel.apply(_TEN, num_value(0), large) is num_value(10)
+    assert isinstance(kernel.apply(_TEN, num_value(0), small), kernel.Open)
+    assert large.ops is small.ops and len(_outcome_keys(small)) == 2
+
+
+def test_the_machine_memo_lives_with_its_run(record_at_once, monkeypatch):
+    # A fresh run starts with an empty memo, and a run derived with replace
+    # shares its parent's: there t replays whole, so the emptied seen
+    # filter counts none of its nodes, while a fresh run reduces it again.
+    t = app(_two_step(Opaque("own-memo")), num(6))
+    parent, other = Run(), Run()
+    want = machine.eval_term(t, None, parent)
+    assert _term_entry(parent, t) is not None and _term_entry(other, t) is None
+    child = dataclasses.replace(parent, max_steps=want.steps)
+    for run, replays in ((child, True), (other, False)):
+        monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
+        assert machine.eval_term(t, None, run) == want
+        assert (sum(machine._SEEN) == 0) is replays
+    assert child.ops is parent.ops and other.ops is not parent.ops
+
+
+def test_one_clear_empties_both_kinds_of_entry(monkeypatch, record_at_once):
+    # The machine's memo entries and kernel.apply's outcomes share the run's
+    # table and its bound: past MEMO_LIMIT entries, the next admission of
+    # either kind empties both.
+    run, pred = Run(), Value(PRED)
+    machine.eval_term(app(_two_step(Opaque("both-kinds")), num(6)), None, run)
+    assert kernel.apply(pred, num_value(3), run) is num_value(2)
+    assert {type(k) for k in run.ops} == {int, tuple}
+    monkeypatch.setattr(terms, "MEMO_LIMIT", len(run.ops) - 1)
+    assert kernel.apply(pred, num_value(4), run) is num_value(3)
+    assert list(run.ops) == [(pred, num_value(4), run.max_steps)]
 
 
 def test_the_run_table_is_emptied_past_the_memo_limit(monkeypatch):
@@ -707,14 +812,14 @@ def test_the_run_table_is_emptied_past_the_memo_limit(monkeypatch):
     monkeypatch.setattr(terms, "MEMO_LIMIT", 2)
     run, pred, sizes = Run(), Value(PRED), []
     for n in range(1, 6):
-        assert kernel.attempt(apply_value, pred, num_value(n), run) is num_value(n - 1)
+        assert kernel.apply(pred, num_value(n), run) is num_value(n - 1)
         sizes.append(len(run.ops))
     assert sizes == [1, 2, 3, 1, 2]
     # An answer from the table admits nothing; an operation emptied out runs
     # again, to the same end.
-    assert kernel.attempt(apply_value, pred, num_value(5), run) is num_value(4)
+    assert kernel.apply(pred, num_value(5), run) is num_value(4)
     assert len(run.ops) == 2
-    assert kernel.attempt(apply_value, pred, num_value(1), run) is num_value(0)
+    assert kernel.apply(pred, num_value(1), run) is num_value(0)
     assert len(run.ops) == 3
     # The same bound holds for the default run of an entry point; its table
     # is emptied first, which changes no answer, so that the check enters
@@ -808,14 +913,17 @@ _divergent = st.one_of(
 def test_divergence_matches_the_memo_free_oracle(t):
     """At every fuel cap up to 240 and at a few larger ones, with every
     redex recorded at its first firing and with the seen filter as found,
-    the machine reports the oracle's outcome: the type, steps and note."""
+    the machine reports the oracle's outcome: the type, steps and note.
+    The fuels run in runs derived from one, so each replays what the ones
+    before it recorded, where that fits."""
     fuels = [*range(1, 241), 1_009, 5_003]
     want = [_outcome(reference_impl.oracle_eval_term, t, Run(n)) for n in fuels]
     assert all(isinstance(w, FuelExhausted) for w in want)
     for seen in (bytearray(b"\x02" * machine._SEEN_SLOTS), machine._SEEN):
+        root = Run()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(machine, "_SEEN", seen)
-            got = [_outcome(machine.eval_term, t, Run(n)) for n in fuels]
+            got = [_outcome(machine.eval_term, t, dataclasses.replace(root, max_steps=n)) for n in fuels]
         assert got == want
     assert kleene_agree(t, t, Run(fuels[-1])) is None
 
@@ -923,11 +1031,11 @@ def _counted_work(work: str) -> list[str]:
 def test_suite_work_is_pinned():
     # A change that moves the machine work of the suites (every suite at
     # seed 0) moves these numbers, and shows the move in its own diff.
-    assert _counted_work("for name in suites.SUITES:\n    suites.run_suite(name)") == ["1042157", "7"]
+    assert _counted_work("for name in suites.SUITES:\n    suites.run_suite(name)") == ["1039657", "7"]
 
 
 def test_demo_work_is_pinned():
     # The same for run scenarios/demo.scn, whose work is mostly the checker's.
     demo = Path(__file__).parents[1] / "scenarios" / "demo.scn"
     work = f"scenarios.run_scenario(open({str(demo)!r}).read())"
-    assert _counted_work(work) == ["29621", "0"]
+    assert _counted_work(work) == ["29555", "0"]

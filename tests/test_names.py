@@ -162,7 +162,7 @@ def test_eq_type_arrow_counterexample():
 def test_eq_type_counterexamples_are_machine_errors_only(monkeypatch):
     """Only a machine error on a generator refutes; any other exception is a
     fault of the program and must not turn into a counterexample."""
-    import extreal.names as names_mod
+    from extreal import kernel
     from extreal.terms import StuckApplication
 
     succ = eval_term(SUCC).value
@@ -173,10 +173,10 @@ def test_eq_type_counterexamples_are_machine_errors_only(monkeypatch):
 
         return apply
 
-    monkeypatch.setattr(names_mod, "apply_value", raising(StuckApplication("stuck")))
+    monkeypatch.setattr(kernel, "apply_value", raising(StuckApplication("stuck")))
     rep = eq_type(succ, succ, OO, Run())
     assert rep.result is Tri.FALSE and rep.counterexample == num_value(0)
-    monkeypatch.setattr(names_mod, "apply_value", raising(TypeError("a bug")))
+    monkeypatch.setattr(kernel, "apply_value", raising(TypeError("a bug")))
     with pytest.raises(TypeError, match="a bug"):
         eq_type(succ, succ, OO, Run())
 
@@ -190,13 +190,13 @@ def test_eq_type_on_one_value_applies_it_once_per_generator(monkeypatch):
     succ = eval_term(SUCC).value
     eta = eval_term(compile_term(lam("x", App(SUCC, Var("x"))))).value
     budget = Run(max_index=8)
-    applied, classify = [], kernel._classify
+    applied, apply_value = [], kernel.apply_value
 
-    def counted(op, args):
-        applied.append(args[:2])
-        return classify(op, args)
+    def counted(f, x, run):
+        applied.append((f, x))
+        return apply_value(f, x, run)
 
-    monkeypatch.setattr(kernel, "_classify", counted)
+    monkeypatch.setattr(kernel, "apply_value", counted)
     gens = gen_elems(TYPE_O, budget)
     assert eq_type(succ, succ, OO, budget).samples_passed == len(gens)
     assert applied == [(succ, g) for g in gens]
@@ -262,13 +262,13 @@ def test_a_type_name_lookup_samples_its_key_once(monkeypatch):
     import extreal.names as names_mod
 
     g, run = eval_term(SUCC).value, Run()
-    calls, apply = [], names_mod.apply_value
+    calls, apply = [], names_mod.apply
 
     def counted(*args):
         calls.append(args)
         return apply(*args)
 
-    monkeypatch.setattr(names_mod, "apply_value", counted)
+    monkeypatch.setattr(names_mod, "apply", counted)
     eq_type(g, g, OO, run)
     sampled = len(calls)
     calls.clear()
@@ -291,7 +291,7 @@ def test_gen_elems_runs_the_machine_under_the_callers_run(monkeypatch):
             return op(*args)
         return call
 
-    for name in ("apply_value", "project"):
+    for name in ("apply", "project"):
         monkeypatch.setattr(names_mod, name, recorded(getattr(names_mod, name)))
     run = Run(max_steps=7)
     gen_elems(OO, run)

@@ -370,20 +370,20 @@ the zero-branch payload of the forward direction realizes an empty bounded
 universal, where any value succeeds."""
 
 
-def _infinity_suite_flips(term_value) -> bool:
+def _infinity_suite_flips(term_value, run) -> bool:
     from extreal.suites import infinity_skewed_cases
 
     e0, e1 = term_value
-    cases = infinity_e0_cases(e0, 3, Run())
-    cases += infinity_e1_cases(e1, Run())
-    cases += infinity_skewed_cases(e0, e1, Run())
+    cases = infinity_e0_cases(e0, 3, run)
+    cases += infinity_e1_cases(e1, run)
+    cases += infinity_skewed_cases(e0, e1, run)
     return any(st is Status.REFUTED for _, st in cases)
 
 
 def test_infinity_mutation_sensitivity():
+    # One run for every mutant: what the mutants share is reduced once.
     e0t, e1t = infinity_terms()
-    inert: list[str] = []
-    flipped = 0
+    run, inert, flipped = Run(), [], 0
     for which, base in (("e0", e0t), ("e1", e1t)):
         for site, mutated in term_mutants(base):
             try:
@@ -392,7 +392,7 @@ def test_infinity_mutation_sensitivity():
                 flipped += 1  # the realizer itself no longer evaluates
                 continue
             pair = (mv, value_of(e1t)) if which == "e0" else (value_of(e0t), mv)
-            if _infinity_suite_flips(pair):
+            if _infinity_suite_flips(pair, run):
                 flipped += 1
             else:
                 inert.append(f"{which}:{site}")

@@ -197,6 +197,25 @@ def test_a_crash_in_a_library_value_fails_its_block(monkeypatch):
     assert rep.cases[0].ok and rep.cases[1].detail.startswith("no value: IllTypedApplication")
 
 
+@pytest.mark.parametrize("which, site, failing", [
+    # The clause-5 chain crashes at its last application, on the pair.
+    ("choice", "RRRRRRLRRRLRRLRRLRRLRLRLRLRRLRR", ["choice-clause-5"]),
+    # (e1 a)_1 · c crashes, before its projection.
+    ("arrow", "RRRRRRRLRRRR", ["arrow-subset", "arrow-superset"]),
+])
+def test_a_crash_in_a_chained_step_fails_its_case(monkeypatch, which, site, failing):
+    # One flipped literal of the choice or arrow term: a chain of operations
+    # that crashes part-way fails the case that runs it, and the block's
+    # other cases, before and after it, still report.
+    from extreal.realizers import arrow_term, choice_term, term_mutants
+
+    mutant = dict(term_mutants({"choice": choice_term, "arrow": arrow_term}[which]()))[site]
+    monkeypatch.setattr(suites, f"{which}_term", lambda: mutant)
+    rep = suites.suite_choice_arrow(Run())
+    assert [c.name for c in rep.failures] == failing
+    assert [c.name for c in rep.cases][-2:] == ["arrow-subset", "arrow-superset"]
+
+
 def test_equality_snippets_declare_the_realizers_they_use(monkeypatch):
     # With every check left Unknown, the equality laws fail; they really
     # hold, so each snippet that is not a comment reproduces as a passing
