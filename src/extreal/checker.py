@@ -213,11 +213,11 @@ def _meet(s1: Status, s2: Status) -> Status:
     return Status.REALIZED
 
 
-def check(pair: RealizerPair, phi: Formula, run: Run = Run()) -> Verdict:
+def check(pair: RealizerPair, phi: Formula, run: Run | None = None) -> Verdict:
     """Does the pair realize the closed formula?  Realized / Refuted / Unknown."""
     if not is_closed(phi):
         raise ValueError("check requires a closed formula")
-    ctx = _Ctx(run)
+    ctx = _Ctx(Run() if run is None else run)
     return Verdict(_solve(ctx, pair.a, pair.b, phi), ctx.samples)
 
 
@@ -503,7 +503,7 @@ def check_imp_on_witnesses(
     hyp: Formula,
     concl: Formula,
     witnesses: list[RealizerPair],
-    run: Run = Run(),
+    run: Run | None = None,
 ) -> Verdict:
     """Witness-directed implication check.
 
@@ -512,7 +512,7 @@ def check_imp_on_witnesses(
     the conclusion.  A positive verdict is marked witness-directed: the
     universal claim over the whole algebra remains unverified.
     """
-    ctx = _Ctx(run)
+    ctx = _Ctx(Run() if run is None else run)
     trace = Trace("imp/witness-directed", Status.REALIZED, witness_directed=True)
     usable = 0
     for i, w in enumerate(witnesses):

@@ -35,8 +35,17 @@ object, so ``apply`` is tabled: its outcome is kept in the run's table
 (``Run.ops``) under ``(f, x, run.max_steps)``, so the checker, ``names``,
 ``realizers`` and the suites share it, and an application asked again, on
 the other side of a pair, under another goal or by a later verdict of the
-same run, is answered from the table.  ``evaluate`` is not tabled here: the
-machine's own memo answers a closed term it has seen.
+same run, is answered from the table.
+
+``value_of(t, run)`` is the one way to the value of a library term (a
+realizer, a generator, ``P``/``P0``/``P1``): its outcome is kept in the
+same table under ``(id(t), run.max_steps)``, beside ``t`` itself so that
+the id is not reused, and built under the asking run's limits.  No value
+outlives its run.  ``evaluate`` is not tabled here: the machine's own memo
+answers a closed term it has seen.
+
+Each entry point defaults its run to a fresh ``Run()`` per call, so two
+calls that pass none share no table.
 """
 
 from __future__ import annotations
@@ -74,8 +83,6 @@ apply_values = _impl.apply_values
 kleene_eq = _impl.kleene_eq
 
 from .terms import (  # noqa: E402
-    Const,
-    ConstKind,
     Defined,
     MachineError,
     P,
@@ -132,9 +139,10 @@ def _ended(op, *args) -> Value | Crash | Open:
     return out.value if isinstance(out, Defined) else Open()
 
 
-def apply(f: Value, x: Value, run: Run = Run()) -> Value | Crash | Open:
+def apply(f: Value, x: Value, run: Run | None = None) -> Value | Crash | Open:
     """``f·x``: its value, ``Crash`` or ``Open``, answered from the run's
     table when the run asked it before at the same fuel."""
+    run = Run() if run is None else run
     key = (f, x, run.max_steps)
     out = run.ops.get(key)
     if out is None:
@@ -142,9 +150,9 @@ def apply(f: Value, x: Value, run: Run = Run()) -> Value | Crash | Open:
     return out
 
 
-def evaluate(t: Term, run: Run = Run()) -> Value | Crash | Open:
+def evaluate(t: Term, run: Run | None = None) -> Value | Crash | Open:
     """The closed term ``t``'s value, ``Crash`` or ``Open``."""
-    return _ended(eval_term, t, None, run)
+    return _ended(eval_term, t, None, Run() if run is None else run)
 
 
 def defined(out: Value | Crash | Open) -> Value:
@@ -155,12 +163,13 @@ def defined(out: Value | Crash | Open) -> Value:
     raise NoValue(out)
 
 
-def kleene_agree(t1: Term, t2: Term, run: Run = Run()) -> bool | None:
+def kleene_agree(t1: Term, t2: Term, run: Run | None = None) -> bool | None:
     """Kleene equality of two closed terms, a crash counted as undefined:
     True when both are undefined or both have equal values; None when a
     resource limit stops either side.  ``t2`` is evaluated only when ``t1``
     ends in a value or a crash: after an ``Open`` the answer is None
     whatever ``t2`` does."""
+    run = Run() if run is None else run
     v1 = evaluate(t1, run)
     if isinstance(v1, Open):
         return None
@@ -170,29 +179,27 @@ def kleene_agree(t1: Term, t2: Term, run: Run = Run()) -> bool | None:
     return type(v1) is type(v2) is Crash or v1 == v2
 
 
-def value_of(t: Term, run: Run = Run()) -> Value:
-    """The value of a library term; ``NoValue`` under limits too small for it."""
-    return defined(evaluate(t, run))
+def value_of(t: Term, run: Run | None = None) -> Value:
+    """The value of a library term, evaluated once per run and fuel: the
+    outcome is tabled under ``(id(t), run.max_steps)`` with ``t`` beside
+    it.  ``NoValue`` under limits too small for it."""
+    run = Run() if run is None else run
+    key = (id(t), run.max_steps)
+    entry = run.ops.get(key)
+    if entry is None:
+        entry = run.admit(key, (t, evaluate(t, run)))
+    return defined(entry[1])
 
 
-# The values of P, P0 and P1, each evaluated once on the selected backend.
-_consts: dict[ConstKind, Value] = {}
-
-
-def _const_value(t: Const) -> Value:
-    v = _consts.get(t.kind)
-    if v is None:
-        v = _consts[t.kind] = value_of(t)
-    return v
-
-
-def pair_value(a: Value, b: Value, run: Run = Run()) -> Value:
+def pair_value(a: Value, b: Value, run: Run | None = None) -> Value:
     """p a b as an element, by two tabled applications.  Pairing of values
     is always defined, but a small fuel, or the value size cap, can stop it
     (``NoValue``)."""
-    return defined(apply(defined(apply(_const_value(P), a, run)), b, run))
+    run = Run() if run is None else run
+    return defined(apply(defined(apply(value_of(P, run), a, run)), b, run))
 
 
-def project(v: Value, i: int, run: Run = Run()) -> Value | Crash | Open:
+def project(v: Value, i: int, run: Run | None = None) -> Value | Crash | Open:
     """The i-th projection of v, a tabled application of P0 or P1."""
-    return apply(_const_value(P0 if i == 0 else P1), v, run)
+    run = Run() if run is None else run
+    return apply(value_of(P0 if i == 0 else P1, run), v, run)

@@ -293,19 +293,20 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
     return Defined(vstack.pop(), steps)
 
 
-def eval_term(t: Term, env: dict[str, Value] | None = None, run: Run = Run()) -> Outcome:
+def eval_term(t: Term, env: dict[str, Value] | None = None, run: Run | None = None) -> Outcome:
     """Call-by-value, leftmost-innermost evaluation of a term."""
-    return _run([(_OP_EVAL, t, env)], [], run)
+    return _run([(_OP_EVAL, t, env)], [], Run() if run is None else run)
 
 
-def apply_value(f: Value, a: Value, run: Run = Run()) -> Outcome:
+def apply_value(f: Value, a: Value, run: Run | None = None) -> Outcome:
     """The partial application operation of the algebra, on elements."""
-    return _run([_APPLY], [f, a], run)
+    return _run([_APPLY], [f, a], Run() if run is None else run)
 
 
-def apply_values(f: Value, args: list[Value] | tuple[Value, ...], run: Run = Run()) -> Outcome:
+def apply_values(f: Value, args: list[Value] | tuple[Value, ...], run: Run | None = None) -> Outcome:
     """Left-associated application of several arguments; fuel is budgeted
     per application, steps reported in total."""
+    run = Run() if run is None else run
     cur = f
     total = 0
     for a in args:
@@ -317,8 +318,9 @@ def apply_values(f: Value, args: list[Value] | tuple[Value, ...], run: Run = Run
     return Defined(cur, total)
 
 
-def kleene_eq(t1: Term, t2: Term, run: Run = Run()) -> Tri:
+def kleene_eq(t1: Term, t2: Term, run: Run | None = None) -> Tri:
     """Both sides defined with identical values / definitely different / out of fuel."""
+    run = Run() if run is None else run
     o1 = eval_term(t1, None, run)
     o2 = eval_term(t2, None, run)
     if isinstance(o1, FuelExhausted) or isinstance(o2, FuelExhausted):

@@ -8,7 +8,10 @@ the defining set is indexed by a decidable key.
 
 Each function that samples a type or runs the machine takes the run
 (``terms.Run``) from its caller and reads its fuel and its enumeration
-budget from it; none has a default.  Building a name runs nothing:
+budget from it; none has a default.  The generators of the arrow types
+(the identity, successor, swap and apply-at) are library values, built
+under that run by ``kernel.value_of`` and kept in its table, not in this
+module: only their terms are cached here.  Building a name runs nothing:
 ``internalize`` only checks that a value at type ``o`` is a numeral.
 """
 
@@ -18,12 +21,13 @@ from dataclasses import dataclass
 from functools import cache
 
 from .bracket import SKK, compile_term, lam
-from .kernel import Crash, Open, apply, defined, project, value_of
+from .kernel import Crash, NoValue, Open, apply, project, value_of
 from .terms import (
     D,
     K,
     SUCC,
     Run,
+    Term,
     Tri,
     Value,
     Var,
@@ -164,50 +168,45 @@ def _values_eq_num(a: Value, b: Value) -> int | None:
 
 
 @cache
-def _swap01_value() -> Value:
+def _swap01() -> Term:
     # \x. D x #0 #1 (D x #1 #0 x): swaps 0 and 1, fixes other numerals.
     x = Var("x")
-    return value_of(compile_term(lam("x", app(D, x, num(0), num(1), app(D, x, num(1), num(0), x)))))
+    return compile_term(lam("x", app(D, x, num(0), num(1), app(D, x, num(1), num(0), x))))
 
 
 @cache
-def _identity_value() -> Value:
-    return value_of(SKK)
-
-
-@cache
-def _succ_value() -> Value:
-    return value_of(SUCC)
-
-
-@cache
-def _apply_at_value(n: int) -> Value:
+def _apply_at(n: int) -> Term:
     # \f. f #n
-    return value_of(compile_term(lam("f", app(Var("f"), num(n)))))
+    return compile_term(lam("f", app(Var("f"), num(n))))
 
 
-def _const_value(v: Value, run: Run) -> Value:
-    return defined(apply(Value(K), v, run))
+def _built(t: Term, run: Run) -> Value | None:
+    """The value of the library term ``t`` under the run, None when the
+    run's limits cannot build it."""
+    try:
+        return value_of(t, run)
+    except NoValue:
+        return None
 
 
 def gen_elems(sigma: FinType, run: Run) -> list[Value]:
-    """Canonical sample inhabitants of the type, deterministically ordered."""
+    """Canonical sample inhabitants of the type, deterministically ordered.
+    The arrow-type generators are built under the run; one its limits
+    cannot build is left out, since the sample is not exhaustive anyway."""
     match sigma:
         case O():
             return [num_value(i) for i in range(run.max_index + 1)]
         case Arrow(dom, cod):
-            out: list[Value] = []
-            for v in gen_elems(cod, run)[: run.generators_per_type]:
-                out.append(_const_value(v, run))
+            out = [apply(Value(K), v, run) for v in gen_elems(cod, run)[: run.generators_per_type]]
             if dom == cod:
-                out.append(_identity_value())
+                out.append(_built(SKK, run))
             if dom == TYPE_O and cod == TYPE_O:
-                out.append(_succ_value())
-                out.append(_swap01_value())
+                out.append(_built(SUCC, run))
+                out.append(_built(_swap01(), run))
             if isinstance(dom, Arrow) and cod == TYPE_O:
                 for n in range(min(3, run.max_index + 1)):
-                    out.append(_apply_at_value(n))
-            return out[: run.generators_per_type + 3]
+                    out.append(_built(_apply_at(n), run))
+            return [v for v in out if isinstance(v, Value)][: run.generators_per_type + 3]
     raise TypeError(sigma)
 
 

@@ -184,9 +184,10 @@ def eq_realizers() -> tuple[Term, Term, Term, Term, Term]:
     return i_r, i_s, i_t, i_0, i_1
 
 
-@cache
-def i_r_value() -> Value:
-    return value_of(eq_realizers()[0])
+def i_r_value(run: Run) -> Value:
+    """The value of ``i_r`` under the run; ``NoValue`` when its limits
+    cannot build it."""
+    return value_of(eq_realizers()[0], run)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +211,7 @@ def _dispatch_value(entries: list[tuple[int, Value]], run: Run) -> Value:
 def synthesize(phi: Formula, run: Run) -> RealizerPair | None:
     """A realizer pair for a true bounded-arithmetic sentence, None for a
     false one.  Raises FragmentError outside the fragment, and NoValue when
-    the run's limits stop a pairing."""
+    the run's limits stop a pairing or the building of ``i_r``."""
     if not in_fragment(phi):
         raise FragmentError("synthesis only covers the bounded-arithmetic fragment")
     v = _synth(phi, run)
@@ -218,14 +219,13 @@ def synthesize(phi: Formula, run: Run) -> RealizerPair | None:
 
 
 def _synth(phi: Formula, run: Run) -> Value | None:
-    ir = i_r_value()
     match phi:
         case Eq(Nat(n), Nat(m)):
-            return ir if n == m else None
+            return i_r_value(run) if n == m else None
         case Mem(Nat(n), Nat(m)):
-            return pair_value(num_value(n), ir, run) if n < m else None
+            return pair_value(num_value(n), i_r_value(run), run) if n < m else None
         case Mem(Nat(n), Omega()):
-            return pair_value(num_value(n), ir, run)
+            return pair_value(num_value(n), i_r_value(run), run)
         case And(l, r):
             vl = _synth(l, run)
             if vl is None:

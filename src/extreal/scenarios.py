@@ -493,13 +493,13 @@ def _read(env: _Env, text: str, line: int, form):
 _SETTINGS = {"fuel": "max_steps", "budget": "max_index", "seed": "seed"}
 
 
-def run_scenario(text: str, run: Run = Run()) -> ScenarioReport:
+def run_scenario(text: str, run: Run | None = None) -> ScenarioReport:
     """Run the lines of ``text`` in order, starting from ``run``, whose fuel,
     budget and seed ``fuel``/``budget``/``seed`` lines change.  An ``int``
     name whose value fails self-relatedness sampling under the current run
     adds one line to the report's ``warnings``."""
     report = ScenarioReport()
-    env = _Env(run, report.warnings)
+    env = _Env(Run() if run is None else run, report.warnings)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:

@@ -395,22 +395,23 @@ def random_finite_name(rng: random.Random, rank: int) -> VName:
 def suite_equality(run: Run, rounds: int = 30) -> SuiteReport:
     rng = random.Random(run.seed)
     rep = SuiteReport("equality", run.seed)
-    ir = i_r_value()
 
     bad = []
-    for _ in range(rounds):
-        x = random_finite_name(rng, rng.randint(0, 3))
-        if not _realized(ir, Eq(x, x), run):
-            bad.append(f"-- i_r fails x=x on {x}")
-    for n in range(7):
-        if not _realized(ir, Eq(Nat(n), Nat(n)), run):
-            bad.append(f"realizer i_r = i_r\ncheck (i_r, i_r) eq(nat {n}, nat {n}) expect realized")
-    rep.add("reflexivity", bad, f"{rounds} random finite names (rank <= 3) and naturals <= 6")
+    with rep.guard("reflexivity"):
+        ir = i_r_value(run)
+        for _ in range(rounds):
+            x = random_finite_name(rng, rng.randint(0, 3))
+            if not _realized(ir, Eq(x, x), run):
+                bad.append(f"-- i_r fails x=x on {x}")
+        for n in range(7):
+            if not _realized(ir, Eq(Nat(n), Nat(n)), run):
+                bad.append(f"realizer i_r = i_r\ncheck (i_r, i_r) eq(nat {n}, nat {n}) expect realized")
+        rep.add("reflexivity", bad, f"{rounds} random finite names (rank <= 3) and naturals <= 6")
 
-    _, i_s_t, i_t_t, i_0_t, i_1_t = eq_realizers()
-    i_s, i_t, i_0, i_1 = (value_of(t) for t in (i_s_t, i_t_t, i_0_t, i_1_t))
     bad = []
     with rep.guard("transport-laws"):
+        _, i_s_t, i_t_t, i_0_t, i_1_t = eq_realizers()
+        i_s, i_t, i_0, i_1 = (value_of(t, run) for t in (i_s_t, i_t_t, i_0_t, i_1_t))
         for n in range(5):
             wit = synthesize(Eq(Nat(n), Nat(n)), run)
             if not _realized(apply(i_s, wit.a, run), Eq(Nat(n), Nat(n)), run):
@@ -428,14 +429,16 @@ def suite_equality(run: Run, rounds: int = 30) -> SuiteReport:
         rep.add("transport-laws", bad, "i_s, i_t, i_0, i_1 on synthesized numeral realizers")
 
     bad = []
-    for n in range(5):
-        for m in range(5):
-            if n == m:
-                continue
-            ver = check(RealizerPair.both(ir), Eq(Nat(n), Nat(m)), run)
-            if ver.status is not Status.REFUTED:
-                bad.append(f"realizer i_r = i_r\ncheck (i_r, i_r) eq(nat {n}, nat {m}) expect refuted")
-    rep.add("numeral-absoluteness", bad, "n != m <= 4 refuted")
+    with rep.guard("numeral-absoluteness"):
+        ir = i_r_value(run)
+        for n in range(5):
+            for m in range(5):
+                if n == m:
+                    continue
+                ver = check(RealizerPair.both(ir), Eq(Nat(n), Nat(m)), run)
+                if ver.status is not Status.REFUTED:
+                    bad.append(f"realizer i_r = i_r\ncheck (i_r, i_r) eq(nat {n}, nat {m}) expect refuted")
+        rep.add("numeral-absoluteness", bad, "n != m <= 4 refuted")
     return rep
 
 
@@ -448,7 +451,7 @@ def _witness_status(e: Value, hyp: Formula, concl: Formula, w: Value, run: Run) 
 
 
 def infinity_e0_cases(e0: Value, max_n: int, run: Run) -> list[tuple[str, Status]]:
-    ir = i_r_value()
+    ir = i_r_value(run)
     out = []
     for n in range(max_n + 1):
         w = pair_value(num_value(n), ir, run)
@@ -457,7 +460,7 @@ def infinity_e0_cases(e0: Value, max_n: int, run: Run) -> list[tuple[str, Status
 
 
 def infinity_e1_cases(e1: Value, run: Run) -> list[tuple[str, Status]]:
-    ir = i_r_value()
+    ir = i_r_value(run)
     # zero case
     w0 = pair_value(num_value(0), Value(K), run)
     out = [("e1 zero-case", _witness_status(e1, theta(Nat(0), OMEGA), Mem(Nat(0), OMEGA), w0, run))]
@@ -492,7 +495,7 @@ def infinity_skewed_cases(e0: Value, e1: Value, run: Run) -> list[tuple[str, Sta
     """Forward and backward checks against a skew-keyed copy of the third
     numeral name; these instances see both projections of every equality
     realizer separately."""
-    ir = i_r_value()
+    ir = i_r_value(run)
     n = 3
     y = skewed_numeral_name(n)
     ykey = {m: 7 + 2 * m for m in range(n)}
@@ -522,7 +525,6 @@ def infinity_skewed_cases(e0: Value, e1: Value, run: Run) -> list[tuple[str, Sta
 
 def suite_czf_axioms(run: Run) -> SuiteReport:
     rep = SuiteReport("czf-axioms", run.seed)
-    ir = i_r_value()
 
     # Pairing
     with rep.guard("pairing"):
@@ -570,7 +572,7 @@ def suite_czf_axioms(run: Run) -> SuiteReport:
             rhs = App(Opaque("a", a), compile_term(lam("z", App(Opaque("e", ev), Opaque("a", a)))))
             ok &= kleene_agree(lhs, rhs, run) is True
         rep.cases.append(CaseResult("set-induction equation", ok, "e a = a (\\z. e a)"))
-        hypo = value_of(compile_term(lam("c", Opaque("ir", ir))), run)
+        hypo = value_of(compile_term(lam("c", Opaque("ir", i_r_value(run)))), run)
         ok = _realized(apply(ev, hypo, run), Eq(Nat(2), Nat(2)), run)
         rep.cases.append(CaseResult("set-induction instance", ok, "rank-2 witness-directed"))
 
@@ -591,7 +593,7 @@ def suite_czf_axioms(run: Run) -> SuiteReport:
     # Strong collection on one finite instance
     with rep.guard("strong-collection"):
         xc = Explicit(((num_value(0), num_value(0), Nat(1)),))
-        acoll = value_of(compile_term(lam("c", Opaque("ir", ir))), run)
+        acoll = value_of(compile_term(lam("c", Opaque("ir", i_r_value(run)))), run)
         yc = collection_name(xc, lambda tr: tr[2], run)
         e = value_of(strong_collection_term(), run)
         phi = And(AllIn("u", xc, ExIn("v", yc, Eq("u", "v"))),
@@ -629,8 +631,7 @@ def suite_pairing_internal(run: Run) -> SuiteReport:
         rep.add("u0-u1-v", bad, "rank <= 2 names")
 
         # w round-trip: i_r realizes OPair(1,2)=OPair(1,2); w extracts both equalities.
-        ir = i_r_value()
-        ok = _realized(apply(w, ir, run), And(Eq(Nat(1), Nat(1)), Eq(Nat(2), Nat(2))), run)
+        ok = _realized(apply(w, i_r_value(run), run), And(Eq(Nat(1), Nat(1)), Eq(Nat(2), Nat(2))), run)
         rep.cases.append(CaseResult("w-round-trip", ok, "injectivity on a synthesized pair-equality"))
 
         # z round-trip: from v itself conclude OPair(1,2) = OPair(1,2).
@@ -731,11 +732,10 @@ def _part(v: Value, path: str, run: Run) -> Value:
 
 def suite_choice_arrow(run: Run) -> SuiteReport:
     rep = SuiteReport("choice-arrow", run.seed)
-    ir = i_r_value()
     small = replace(run, max_index=min(3, run.max_index))
 
     with rep.guard("choice-arrow values"):
-        a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", ir)))), run)
+        a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value(run))))), run)
         f = Graph(a, TYPE_O, TYPE_O)
         ts, _ = enumerate_triples(f, small)
         ok = all(
@@ -774,7 +774,7 @@ def suite_choice_arrow(run: Run) -> SuiteReport:
         succ = value_of(SUCC, run)
         e00 = _part(defined(apply(e0, succ, run)), "0", run)
         r2 = defined(apply(e00, num_value(2), run))
-        ok = _part(r2, "0", run).numeral == 2 and _part(r2, "10", run).numeral == 3
+        ok = _part(r2, "0", run) == num_value(2) and _part(r2, "10", run) == num_value(3)
         rep.cases.append(CaseResult("arrow-direct-eval", ok, "(e0 SUCC)_0 #2 projects to #2 and SUCC #2"))
 
         ts, _ = enumerate_triples(Internal(succ, oo), small)
@@ -787,7 +787,7 @@ def suite_choice_arrow(run: Run) -> SuiteReport:
         a_arrow = pair_value(part, pair_value(part, uniq, run), run)
         e1a = defined(apply(e1, a_arrow, run))
         e1a0, e1a1 = _part(e1a, "0", run), _part(e1a, "1", run)
-        ok = all(defined(apply(e1a0, num_value(n), run)).numeral == n for n in (0, 1))
+        ok = all(apply(e1a0, num_value(n), run) == num_value(n) for n in (0, 1))
         rep.cases.append(CaseResult("arrow-e1-identity", ok, "(e1 a)_0 is the identity on #0, #1"))
 
         gval = value_of(compile_term(lam("c", proj(App(Opaque("a10", part), Var("c")), "0"))), run)
@@ -875,7 +875,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, run: Run = Run()) -> SuiteReport:
+def run_suite(name: str, run: Run | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](run)
+    return SUITES[name](Run() if run is None else run)

@@ -170,8 +170,8 @@ class Value:
 _INTERN: "WeakValueDictionary[tuple, Value]" = WeakValueDictionary()
 
 # The bound of a run's table (``Run.ops``): once it holds more than
-# MEMO_LIMIT entries, machine memo entries and operation outcomes alike, it
-# is emptied before the next entry is admitted (``Run.admit``).
+# MEMO_LIMIT entries, of any kind, it is emptied before the next entry is
+# admitted (``Run.admit``).
 MEMO_LIMIT = 1_000_000
 
 
@@ -212,9 +212,11 @@ class Run:
       its key, so no id is reused while it exists, and it replays under any
       fuel it fits (:mod:`extreal.machine`);
     - the outcome (value, ``Crash`` or ``Open``) of each ``kernel.apply``
-      under the tuple key ``(f, x, max_steps)``.
+      under the tuple key ``(f, x, max_steps)``;
+    - the outcome of each library term ``t`` that ``kernel.value_of``
+      evaluates, under ``(id(t), max_steps)``, entry ``(t, outcome)``.
     A run derived with ``dataclasses.replace`` shares its parent's table,
-    which is why the outcome keys carry the fuel."""
+    which is why the tuple keys carry the fuel."""
 
     max_steps: int = 100_000
     max_index: int = 8

@@ -81,7 +81,8 @@ def _app(f: Value, a: Value, cfg: Run) -> Value | None:
     return out.value
 
 
-def realizes(a: Value, b: Value, phi: Formula, cfg: Run = Run()) -> bool:
+def realizes(a: Value, b: Value, phi: Formula, cfg: Run | None = None) -> bool:
+    cfg = Run() if cfg is None else cfg
     match phi:
         case Mem(x, y):
             a0 = _proj(a, 0, cfg)

@@ -125,7 +125,7 @@ def _all_terms(max_nodes: int) -> list[Term]:
 
 def test_criterion_05_absoluteness_and_brute_force():
     t0 = time.perf_counter()
-    ir = i_r_value()
+    ir = i_r_value(Run())
     for n in range(5):
         for m in range(5):
             if n != m:

@@ -43,7 +43,7 @@ from extreal.realizers import eq_realizers, i_r_value, synthesize, term_mutants
 from extreal.suites import random_finite_name, random_fragment_formula
 from extreal.terms import K, Run, Value, num_value, opaque_value
 
-IR = i_r_value()
+IR = i_r_value(Run())
 
 
 def both(v):
@@ -436,7 +436,7 @@ def test_check_deep_in_the_host_stack_decides_as_at_the_top():
     x = Nat(1)
     for _ in range(40):
         x = Sing(x)
-    pair, phi = RealizerPair.both(i_r_value()), Eq(x, x)
+    pair, phi = RealizerPair.both(IR), Eq(x, x)
 
     def nested(n):
         return check(pair, phi) if n == 0 else nested(n - 1)
@@ -456,7 +456,7 @@ def test_a_deep_verdict_renders_and_converts_in_process():
     x = Nat(1)
     for _ in range(200):
         x = Sing(x)
-    trace = check(RealizerPair.both(i_r_value()), Eq(x, x)).trace
+    trace = check(RealizerPair.both(IR), Eq(x, x)).trace
     depth, d = 0, trace.to_dict()
     while d["children"]:
         depth, d = depth + 1, d["children"][0]

@@ -46,7 +46,7 @@ def random_formula(rng: random.Random, names: list[VName], depth: int) -> Formul
 
 
 def random_realizer(rng: random.Random) -> Value:
-    ir = i_r_value()
+    ir = i_r_value(Run())
     pool = [
         Value(K),
         Value(KBAR),

@@ -2,10 +2,7 @@
 
 import dataclasses
 import functools
-import os
 import re
-import subprocess
-import sys
 import time
 import weakref
 from pathlib import Path
@@ -194,26 +191,73 @@ def test_fuel_config_validation():
 
 def test_only_entry_points_default_the_run():
     # Inner functions take the run from their caller, so no part of a
-    # verdict runs under a default in place of the caller's limits.
+    # verdict runs under a default in place of the caller's limits.  An
+    # entry point given no run builds a fresh one per call (its default is
+    # None), so no table is carried from one call to the next.
     import inspect
 
-    from extreal import checker, names, realizers, suites
+    from extreal import checker, names, realizers, scenarios, suites
 
     def defaults_a_run(fn):
-        return any(isinstance(p.default, Run) for p in inspect.signature(fn).parameters.values())
+        return any(p.default is not p.empty and "Run" in str(p.annotation)
+                   for p in inspect.signature(fn).parameters.values())
 
-    assert defaults_a_run(suites.run_suite) and defaults_a_run(checker.check)
-    assert all(defaults_a_run(fn) for fn in (
+    entry_points = (
+        suites.run_suite, scenarios.run_scenario, checker.check, checker.check_imp_on_witnesses,
         kernel.apply, kernel.evaluate, kernel.project, kernel.pair_value, kernel.value_of,
-        kernel.kleene_agree))
+        kernel.kleene_agree, machine.eval_term, machine.apply_value, machine.apply_values,
+        machine.kleene_eq)
+    assert all(inspect.signature(fn).parameters["run"].default is None for fn in entry_points)
     found = [
         f"{mod.__name__}.{name}"
-        for mod in (names, realizers, suites, checker)
+        for mod in (names, realizers, suites, checker, scenarios, kernel, machine)
         for name, fn in vars(mod).items()
         if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and defaults_a_run(fn)
-        and (mod is not checker or name.startswith("_")) and fn is not suites.run_suite
+        and fn not in entry_points
     ]
     assert found == []
+
+
+def test_no_module_keeps_a_library_value():
+    # A library value is built under the run that asks for it and kept in
+    # its table; the functools caches of the package hold terms only.
+    import importlib
+    import pkgutil
+
+    import extreal
+
+    cached = {
+        f"{info.name}.{name}": fn.__wrapped__.__annotations__.get("return")
+        for info in pkgutil.iter_modules(extreal.__path__) if info.name != "_speedup"
+        for name, fn in vars(importlib.import_module(f"extreal.{info.name}")).items()
+        if hasattr(fn, "cache_info")
+    }
+    assert cached and [name for name, ret in cached.items() if ret is None or "Value" in ret] == []
+    assert not hasattr(kernel, "_consts")
+
+
+def test_two_calls_without_a_run_ask_the_machine_alike(monkeypatch):
+    # Each call builds its own run, so the second finds no table left by the
+    # first and asks the machine the same applications in the same order.
+    from extreal.checker import RealizerPair, check
+    from extreal.formulas import Eq
+    from extreal.names import Nat, Sing
+    from extreal.realizers import i_r_value
+
+    pair, phi = RealizerPair.both(i_r_value(Run())), Eq(Sing(Nat(3)), Sing(Nat(3)))
+    asked = []
+    raw = kernel.apply_value
+
+    def counted(f, x, run):
+        asked.append((f, x))
+        return raw(f, x, run)
+
+    monkeypatch.setattr(kernel, "apply_value", counted)
+    first = check(pair, phi)
+    n = len(asked)
+    second = check(pair, phi)
+    assert n == 15 and asked[n:] == asked[:n]
+    assert first.status is second.status
 
 
 def test_only_the_kernel_asks_the_machine():
@@ -716,7 +760,8 @@ def _no_machine_run(*args):
 
 
 def _outcome_keys(run):
-    """The keys of the run's table that hold ``kernel.apply`` outcomes."""
+    """The keys of the run's table that hold ``kernel.apply`` outcomes,
+    ``(f, x, fuel)``, and library values, ``(id(t), fuel)``."""
     return {k for k in run.ops if isinstance(k, tuple)}
 
 
@@ -727,7 +772,8 @@ def test_a_shared_table_answers_each_fuel_as_a_fresh_run(ops, data):
     and at any fuel, an application, projection or pairing ends as under a
     fresh run of that fuel, and as the memo-free oracle ends it, error
     messages included; asked again at a fuel, it runs no machine step.  A
-    projection is the application of P0 or P1, one entry of the table."""
+    projection is the application of P0 or P1, one entry of the table, and
+    the value of P0 or P1 is one more, built once per fuel."""
     fuels = st.sampled_from((1, 2, 4, 8, 16, 32, 64, 1_000))
     asks = data.draw(st.lists(st.tuples(st.sampled_from(ops), fuels), min_size=1, max_size=12))
     root, asked, want = Run(max_steps=1), set(), set()
@@ -743,9 +789,9 @@ def test_a_shared_table_answers_each_fuel_as_a_fresh_run(ops, data):
         assert _ended(got) == _oracle_ended(op, f, x, fuel), (op, f, x, fuel)
         if op is kernel.project:
             assert got is kernel.apply(_PROJ[x], f, run)
-            want.add((_PROJ[x], f, fuel))
+            want |= {(_PROJ[x], f, fuel), (id((P0, P1)[x]), fuel)}
         elif op is kernel.pair_value:
-            want.add((_PAIR, f, fuel))
+            want |= {(_PAIR, f, fuel), (id(P), fuel)}
             if isinstance(pf := root.ops[_PAIR, f, fuel], Value):
                 want.add((pf, x, fuel))
         else:
@@ -799,11 +845,8 @@ def test_one_clear_empties_both_kinds_of_entry(monkeypatch, record_at_once):
 
 
 def test_the_run_table_is_emptied_past_the_memo_limit(monkeypatch):
-    # An entry point's default run lives as long as the process, so its
-    # table is bounded as the machine memo is: past MEMO_LIMIT entries, the
-    # next operation to enter empties it first.
-    import inspect
-
+    # A run's table is bounded as the machine memo is: past MEMO_LIMIT
+    # entries, the next operation to enter empties it first.
     from extreal.checker import RealizerPair, check
     from extreal.formulas import Eq
     from extreal.names import Nat, Sing
@@ -821,14 +864,11 @@ def test_the_run_table_is_emptied_past_the_memo_limit(monkeypatch):
     assert len(run.ops) == 2
     assert kernel.apply(pred, num_value(1), run) is num_value(0)
     assert len(run.ops) == 3
-    # The same bound holds for the default run of an entry point; its table
-    # is emptied first, which changes no answer, so that the check enters
-    # new operations.
-    default = inspect.signature(check).parameters["run"].default
-    default.ops.clear()
-    ir = i_r_value()
-    assert check(RealizerPair(ir, ir), Eq(Sing(Nat(3)), Sing(Nat(3))))
-    assert 0 < len(default.ops) <= 3
+    # The same bound holds for the run of a check, which changes no answer.
+    ir = i_r_value(Run())
+    checked = Run()
+    assert check(RealizerPair(ir, ir), Eq(Sing(Nat(3)), Sing(Nat(3))), checked)
+    assert 0 < len(checked.ops) <= 3
 
 
 # Divergence: a redex that fires inside its own reduction is skipped a whole
@@ -989,53 +1029,72 @@ def test_divergence_skips_its_periods(monkeypatch, t):
 
 
 # The counted machine work of a run, read as perfbench reads suite-all: the
-# steps of each outermost machine run, and the runs that exhaust their fuel.
-# It runs in a fresh interpreter because the library caches the values of
-# its realizers, so a process that has built them once counts fewer steps.
-# ``_counted_work`` appends the work and the line that prints the counts.
-_COUNTED_WORK = """
-from extreal import machine, scenarios, suites
-from extreal.terms import FuelExhausted
+# steps of each machine operation the kernel asks for, and the operations
+# that exhaust their fuel.  Each of two passes runs ``work`` under a fresh
+# run, and no value outlives its run, so both count the same.
+def _counted_work(monkeypatch, work) -> list[tuple[int, int]]:
+    counts = [0, 0]
 
-steps = exhausted = depth = 0
-run = machine._run
+    def counted(op):
+        def run(*args):
+            out = op(*args)
+            counts[0] += out.steps
+            counts[1] += isinstance(out, FuelExhausted)
+            return out
+        return run
 
-
-def counted(ops, vstack, cfg):
-    global steps, exhausted, depth
-    depth += 1
-    try:
-        out = run(ops, vstack, cfg)
-    finally:
-        depth -= 1
-    if depth == 0:
-        steps += out.steps
-        exhausted += isinstance(out, FuelExhausted)
-    return out
-
-
-machine._run = counted
-"""
+    for name in ("eval_term", "apply_value"):
+        monkeypatch.setattr(kernel, name, counted(getattr(kernel, name)))
+    seen = []
+    for _ in range(2):
+        counts[:] = [0, 0]
+        work(Run())
+        seen.append(tuple(counts))
+    return seen
 
 
-def _counted_work(work: str) -> list[str]:
-    env = {k: v for k, v in os.environ.items() if k != "PCA_BACKEND"}
-    env["PYTHONPATH"] = str(Path(machine.__file__).parents[1])
-    script = _COUNTED_WORK + work + "\nprint(steps, exhausted)\n"
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.split()
-
-
-def test_suite_work_is_pinned():
+def test_suite_work_is_pinned(monkeypatch):
     # A change that moves the machine work of the suites (every suite at
-    # seed 0) moves these numbers, and shows the move in its own diff.
-    assert _counted_work("for name in suites.SUITES:\n    suites.run_suite(name)") == ["1039657", "7"]
+    # seed 0, under one run) moves these numbers, and shows the move in its
+    # own diff.
+    from extreal import suites
+
+    def work(run):
+        for name in suites.SUITES:
+            suites.run_suite(name, run)
+
+    assert _counted_work(monkeypatch, work) == [(1_037_112, 7)] * 2
 
 
-def test_demo_work_is_pinned():
+def test_demo_work_is_pinned(monkeypatch):
     # The same for run scenarios/demo.scn, whose work is mostly the checker's.
-    demo = Path(__file__).parents[1] / "scenarios" / "demo.scn"
-    work = f"scenarios.run_scenario(open({str(demo)!r}).read())"
-    assert _counted_work(work) == ["29555", "0"]
+    from extreal import scenarios
+
+    text = (Path(__file__).parents[1] / "scenarios" / "demo.scn").read_text()
+    assert _counted_work(monkeypatch, lambda run: scenarios.run_scenario(text, run)) == [(29_555, 0)] * 2
+
+
+def test_the_names_perfbench_probes_resolve():
+    # perfbench/probe.py wraps each (module, function) of its LAYERS and
+    # imports a few more names from extreal; one gone missing crashes the
+    # probe, and with it every benchmark run.
+    import ast
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).parents[1] / "perfbench" / "probe.py"
+    spec = importlib.util.spec_from_file_location("perfbench_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    wanted = {(mod, name) for targets in probe.LAYERS.values() for mod, name in targets}
+    wanted |= {
+        (node.module.removeprefix("extreal."), alias.name)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("extreal.")
+        for alias in node.names
+    }
+    assert {("realizers", "value_of"), ("kernel", "kleene_eq"), ("kernel", "apply_values"),
+            ("checker", "Verdict"), ("terms", "_INTERN"), ("kernel", "BACKEND")} <= wanted
+    missing = sorted(f"{mod}.{name}" for mod, name in wanted
+                     if not hasattr(importlib.import_module(f"extreal.{mod}"), name))
+    assert missing == []

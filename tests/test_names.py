@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extreal.bracket import compile_term, lam
-from extreal.kernel import apply_value, eval_term
+from extreal.kernel import apply_value, eval_term, value_of
 from extreal.names import (
     Arrow,
     Explicit,
@@ -129,7 +129,7 @@ def test_upair_keeps_two_triples_when_equal():
 
 
 def test_enumeration_is_deterministic():
-    a = eval_term(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value()))))).value
+    a = eval_term(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value(Run())))))).value
     name = Graph(a, TYPE_O, TYPE_O)
     assert enumerate_triples(name, Run()) == enumerate_triples(name, Run())
     succ = eval_term(SUCC).value
@@ -277,29 +277,39 @@ def test_a_type_name_lookup_samples_its_key_once(monkeypatch):
 
 
 def test_gen_elems_runs_the_machine_under_the_callers_run(monkeypatch):
-    # Every application and projection that sampling makes runs under the
-    # caller's run.  The library values among the samples are built once,
-    # before, under the default run.
+    # Every application, projection and library value that sampling asks
+    # for is asked under the caller's run.
     import extreal.names as names_mod
 
-    gen_elems(OO, Run())
     runs = []
 
-    def recorded(op):
+    def recorded(name, op):
         def call(*args):
-            runs.append(args[2] if len(args) > 2 else None)
+            runs.append((name, args[-1]))
             return op(*args)
         return call
 
-    for name in ("apply", "project"):
-        monkeypatch.setattr(names_mod, name, recorded(getattr(names_mod, name)))
+    for name in ("apply", "project", "value_of"):
+        monkeypatch.setattr(names_mod, name, recorded(name, getattr(names_mod, name)))
     run = Run(max_steps=7)
     gen_elems(OO, run)
-    assert runs and all(r is run for r in runs)
+    gen_elems(Arrow(OO, TYPE_O), run)
+    assert {name for name, _ in runs} == {"apply", "value_of"}
+    assert all(r is run for _, r in runs)
+
+
+def test_gen_elems_leaves_out_a_generator_the_run_cannot_build():
+    # Building the swap of #0 and #1 takes more than 3 steps: under a fuel
+    # of 3 the sample leaves it out and keeps the rest, in order.
+    import extreal.names as names_mod
+
+    full, small = gen_elems(OO, Run()), gen_elems(OO, Run(max_steps=3))
+    swap = value_of(names_mod._swap01(), Run())
+    assert swap in full and small == [g for g in full if g is not swap]
 
 
 def test_graph_lookup_and_enumeration():
-    a = eval_term(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value()))))).value
+    a = eval_term(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value(Run())))))).value
     g = Graph(a, TYPE_O, TYPE_O)
     matches, done = lookup_triples(g, num_value(2), num_value(2), Run())
     assert done and matches == [OPair(Nat(2), Nat(2))]
@@ -319,7 +329,7 @@ def test_images_past_the_size_cap_leave_lookups_open():
     for _ in range(19):
         doubled = App(Var("f"), doubled)
     grown = App(lam("f", doubled), lam("x", app(P, Var("x"), Var("x"))))
-    for y, found in ((Opaque("ir", i_r_value()), True), (grown, False)):
+    for y, found in ((Opaque("ir", i_r_value(Run())), True), (grown, False)):
         pair = p_(Var("c"), y)
         f = eval_term(compile_term(lam("c", App(P0, pair)))).value
         for x in (Graph(eval_term(compile_term(lam("c", pair))).value, TYPE_O, TYPE_O), Internal(f, OO)):

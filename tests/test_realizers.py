@@ -51,7 +51,7 @@ from extreal.realizers import (
 from extreal.suites import infinity_e0_cases, infinity_e1_cases, random_finite_name
 from extreal.terms import Defined, K, Opaque, Run, Value, Var, num_value
 
-IR = i_r_value()
+IR = i_r_value(Run())
 BOTH = RealizerPair.both
 
 

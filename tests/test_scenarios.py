@@ -216,6 +216,29 @@ def test_a_crash_in_a_chained_step_fails_its_case(monkeypatch, which, site, fail
     assert [c.name for c in rep.cases][-2:] == ["arrow-subset", "arrow-superset"]
 
 
+@pytest.mark.parametrize("site", ["RLRRLRRRR", "RLRRRLRRLRRRR"])
+def test_a_non_numeral_result_fails_its_case(monkeypatch, site):
+    # Under these flipped literals of the arrow term, (e1 a)_0 · #n is
+    # defined but not a numeral: the identity case fails, and the suite
+    # reports on.
+    from extreal.realizers import arrow_term, term_mutants
+
+    mutant = dict(term_mutants(arrow_term()))[site]
+    monkeypatch.setattr(suites, "arrow_term", lambda: mutant)
+    rep = suites.run_suite("choice-arrow", Run())
+    assert [c.name for c in rep.failures] == ["arrow-e1-identity"]
+    assert [c.name for c in rep.cases][-2:] == ["arrow-subset", "arrow-superset"]
+
+
+def test_a_type_sampled_under_a_tiny_fuel_gets_a_verdict():
+    # A fuel of 3 cannot build every generator of F (o)o; the sample leaves
+    # those out, and the check ends in a verdict, not a traceback.
+    script = "fuel 3\nname f = F (o)o\ncheck (K, K) all x in f. eq(x, x)\n"
+    out = _cli("run", "-", stdin=script)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert "line 3 check: unknown" in out.stdout
+
+
 def test_equality_snippets_declare_the_realizers_they_use(monkeypatch):
     # With every check left Unknown, the equality laws fail; they really
     # hold, so each snippet that is not a comment reproduces as a passing
@@ -570,7 +593,8 @@ def test_cli_names_at_the_nesting_limit_get_a_verdict():
     x = nat_explicit(1)
     for _ in range(10):  # sing as an explicit name
         x = Explicit(((num_value(0), num_value(0), x),))
-    assert realizes(i_r_value(), i_r_value(), Eq(x, x))
+    ir = i_r_value(Run())
+    assert realizes(ir, ir, Eq(x, x))
 
 
 def test_cli_deep_trace_prints_a_repeated_goal_once():
