@@ -13,9 +13,10 @@ memo, kept in the run's table (``Run.ops``) beside the kernel's outcomes: a
 whole S-redex ``S x y a`` by the identities of its operator and argument,
 and, since evaluation without an environment is a function of the term, a
 closed application node by its identity.  Runs derived from one another
-with ``dataclasses.replace`` share it; a fresh ``Run`` starts empty.  A
-replay still costs every step the reduction took, so steps, fuel notes and
-errors are those of a machine without the memo:
+with ``dataclasses.replace`` share it and its seen filter (below); a fresh
+``Run`` starts with both empty.  A replay still costs every step the
+reduction took, so steps, fuel notes and errors are those of a machine
+without the memo:
 
 - admission: always, by ``Run.admit``, which empties a table past
   ``terms.MEMO_LIMIT`` entries; an entry holds the objects whose ids key it
@@ -27,10 +28,15 @@ errors are those of a machine without the memo:
   fired, so ``n`` counts the firing and ``c`` the steps after it.  The value
   size cap is fixed, so a reduction that completed once completes again.
 
-A term is recorded on its third visit (by the seen filter below) when no
-enclosing term is being recorded in the same run, so the inner nodes of a
-term recorded whole do not fill the memo.  A term whose evaluation fails or
-runs out of fuel is never recorded: the run ends first.
+A redex or closed term is recorded on its third visit, by the run's seen
+filter (``Run.seen``): it counts visits up to 2 per slot of the memo key
+modulo its length, so one that never repeats costs no record, and few
+entries go to redexes that only ever fire inside a larger redex that is
+then replayed whole.  The filter is a hint: a collision only records early.
+A term is recorded only when no enclosing term is being recorded in the
+same run, so the inner nodes of a term recorded whole do not fill the memo.
+A term whose evaluation fails or runs out of fuel is never recorded: the run
+ends first.
 
 Divergence is skipped, not run: an S-redex that fires while its own record
 marker is pending (fired at step ``s0``, again at ``s1``) diverges, and from
@@ -55,8 +61,9 @@ after it has ``k = 0``: its period spans the ``k' >= 1`` skipped periods of
 length ``p'``, so it is at least ``p'``, more than the fuel left.  So the
 stacks it would measure, which lack what that skip counted, are never used.
 
-This module is the reference semantics.  A compiled twin with identical
-behaviour, and no memo, may be selected at import time by
+This module is the reference semantics, and keeps no state of its own:
+all it remembers is in the run.  A compiled twin with identical behaviour,
+and no memo or seen filter, may be selected at import time by
 :mod:`extreal.kernel`.
 """
 
@@ -99,33 +106,6 @@ _D = ConstKind.D
 _SUCC = ConstKind.SUCC
 _PRED = ConstKind.PRED
 
-# The value of each constant: a delta constant is its own value, a defined
-# one the value of its expansion.
-_const_cache: dict[ConstKind, Value] = {}
-
-# Firings of S-redexes and visits of closed application nodes, counted up to
-# 2 per slot of their memo key modulo a prime.  A redex or term is recorded
-# only once its slot has counted two, so one that never repeats costs no
-# record, and few entries go to redexes that only ever fire inside a larger
-# redex that is then replayed whole.  The filter is a hint: a collision only
-# records early.
-_SEEN_SLOTS = 65_521
-_SEEN = bytearray(_SEEN_SLOTS)
-
-
-def _const_value(kind: ConstKind) -> Value:
-    v = _const_cache.get(kind)
-    if v is None:
-        if kind in DELTA_ARITY:
-            v = Value(Const(kind))
-        else:
-            out = _run([(_OP_EVAL, EXPANSIONS[kind], None)], [], Run())
-            assert isinstance(out, Defined)
-            v = out.value
-        _const_cache[kind] = v
-    return v
-
-
 _MAX_SIZE = Run.max_value_size
 
 
@@ -141,9 +121,10 @@ def _accumulate(f: Value, a: Value) -> Value:
 def _run(ops: list, vstack: list, run: Run) -> Outcome:
     steps = 0
     max_steps = run.max_steps
-    const_cache = _const_cache
+    const_values = _CONST_VALUES
     memo_get = run.ops.get
-    seen = _SEEN
+    seen = run.seen
+    slots = len(seen)
     push_op = ops.append
     pop_op = ops.pop
     push = vstack.append
@@ -172,7 +153,7 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
                                 steps += e[1]
                                 push(e[0])
                                 break
-                            slot = key % _SEEN_SLOTS
+                            slot = key % slots
                             c = seen[slot]
                             if c != 2:
                                 seen[slot] = c + 1
@@ -186,8 +167,7 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
                         t = t.fun
                         continue
                     if tt is Const:
-                        v = const_cache.get(t.kind)
-                        push(v if v is not None else _const_value(t.kind))
+                        push(const_values[t.kind])
                     elif tt is Num:
                         push(Value(t))
                     elif tt is Var:
@@ -240,7 +220,7 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
                 steps += e[1]
                 push(e[0])
                 continue
-            slot = key % _SEEN_SLOTS
+            slot = key % slots
             c = seen[slot]
             if c == 2:
                 p = pending_s.get(key)
@@ -326,3 +306,9 @@ def kleene_eq(t1: Term, t2: Term, run: Run | None = None) -> Tri:
     if isinstance(o1, FuelExhausted) or isinstance(o2, FuelExhausted):
         return Tri.UNKNOWN
     return Tri.of(o1.value == o2.value)
+
+
+# The value of each constant, built once: a delta constant is its own value,
+# a defined one the value of its expansion, which uses delta constants only.
+_CONST_VALUES = {kind: Value(Const(kind)) for kind in DELTA_ARITY}
+_CONST_VALUES.update({kind: eval_term(t).value for kind, t in EXPANSIONS.items()})

@@ -13,7 +13,6 @@ arguments by value.
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 from typing import Callable
 
@@ -55,12 +54,6 @@ from .terms import (
     num_value,
 )
 
-_fresh_counter = itertools.count()
-
-
-def _fresh(prefix: str = "_t") -> str:
-    return f"{prefix}{next(_fresh_counter)}"
-
 
 def p_(x: Term, y: Term) -> Term:
     return app(P, x, y)
@@ -75,6 +68,9 @@ def proj(t: Term, idx: str) -> Term:
 
 _FORCE = Opaque("force")
 
+# The dummy binder of a frozen branch: not an identifier, so no term names it.
+_FROZEN = "frozen branch"
+
 
 def ifeq(sel_a: Term, sel_b: Term, then_t: Term, else_t: Term) -> Term:
     """Definition by cases with both branches frozen under a dummy binder."""
@@ -82,8 +78,8 @@ def ifeq(sel_a: Term, sel_b: Term, then_t: Term, else_t: Term) -> Term:
         D,
         sel_a,
         sel_b,
-        Lam(_fresh(), then_t),
-        Lam(_fresh(), else_t),
+        Lam(_FROZEN, then_t),
+        Lam(_FROZEN, else_t),
         _FORCE,
     )
 

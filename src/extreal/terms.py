@@ -215,14 +215,19 @@ class Run:
       under the tuple key ``(f, x, max_steps)``;
     - the outcome of each library term ``t`` that ``kernel.value_of``
       evaluates, under ``(id(t), max_steps)``, entry ``(t, outcome)``.
-    A run derived with ``dataclasses.replace`` shares its parent's table,
-    which is why the tuple keys carry the fuel."""
+    ``seen`` is the machine's seen filter, which decides what enters the
+    memo: visits counted up to 2 per slot, a memo key modulo its length (a
+    prime, as keys are ids).
+    A run derived with ``dataclasses.replace`` shares its parent's table and
+    filter, which is why the tuple keys carry the fuel."""
 
     max_steps: int = 100_000
     max_index: int = 8
     generators_per_type: int = 6
     seed: int = 0
     ops: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    seen: bytearray = field(
+        default_factory=lambda: bytearray(65_521), compare=False, hash=False, repr=False)
     # The value size cap, in nodes counted as a tree: fixed for every run, so
     # a class constant, not a field.
     max_value_size = 1_000_000

@@ -77,21 +77,20 @@ def _outcome(f, t, cfg):
         return type(exc).__name__
 
 
-def test_backends_agree_on_random_terms(compiled, monkeypatch):
+def test_backends_agree_on_random_terms(compiled):
     # S-heavy terms (with I = S K K and the self-applier S I I), so that
     # redexes fire, repeat and diverge, drawn in pairs: a subterm, then a
     # term whose leaves may be that one object.  Each is evaluated
     # three times on pure, at fuel caps that also cut through replays, in
-    # runs derived from one root, so all share its memo.  The seen filter is
-    # full, so every redex is recorded at its first firing and every closed
-    # term at its first complete evaluation (when no enclosing one is being
-    # recorded): later runs replay the term whole, and a recorded subterm
-    # inside the term that splices it.
-    monkeypatch.setattr(pure, "_SEEN", bytearray(b"\x02" * pure._SEEN_SLOTS))
+    # runs derived from one root, so all share its memo and seen filter.
+    # The filter is full, so every redex is recorded at its first firing
+    # and every closed term at its first complete evaluation (when no
+    # enclosing one is being recorded): later runs replay the term whole,
+    # and a recorded subterm inside the term that splices it.
     rng = random.Random(123)
     i = app(S, K, K)
     atoms = _VALUE_ATOMS + (S, S, S, S, SUCC, PRED, i, app(S, i, i))
-    root, recorded = Run(), 0
+    root, recorded = replace(Run(), seen=bytearray([2]) * len(Run().seen)), 0
     for _ in range(1500):
         shared = random_closed_term(rng, 5, atoms)
         for t in (shared, random_closed_term(rng, 9, atoms + (shared, shared))):

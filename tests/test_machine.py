@@ -1,10 +1,14 @@
 """Reduction machine: delta rules, partiality, fuel, determinism."""
 
+import copy
 import dataclasses
 import functools
+import itertools
 import re
+import sys
 import time
 import weakref
+from collections.abc import MutableMapping, MutableSequence, MutableSet
 from pathlib import Path
 
 import pytest
@@ -180,10 +184,11 @@ def test_fuel_config_validation():
     with pytest.raises(ValueError):
         Run(max_steps=0)
     # The value size cap is fixed: a class constant, not a field.  The
-    # operation table is a field, but no limit: it takes no part in a run's
-    # equality, hash or repr.
+    # operation table and its seen filter are fields, but no limits: they
+    # take no part in a run's equality, hash or repr.
     fields = dataclasses.fields(Run)
-    assert [f.name for f in fields] == ["max_steps", "max_index", "generators_per_type", "seed", "ops"]
+    assert [f.name for f in fields] == [
+        "max_steps", "max_index", "generators_per_type", "seed", "ops", "seen"]
     assert [f.name for f in fields if f.compare or f.hash or f.repr] == [
         "max_steps", "max_index", "generators_per_type", "seed"]
     assert Run(7).max_value_size == Run().max_value_size == 10**6
@@ -206,7 +211,7 @@ def test_only_entry_points_default_the_run():
         suites.run_suite, scenarios.run_scenario, checker.check, checker.check_imp_on_witnesses,
         kernel.apply, kernel.evaluate, kernel.project, kernel.pair_value, kernel.value_of,
         kernel.kleene_agree, machine.eval_term, machine.apply_value, machine.apply_values,
-        machine.kleene_eq)
+        machine.kleene_eq, suites.random_printable_value)
     assert all(inspect.signature(fn).parameters["run"].default is None for fn in entry_points)
     found = [
         f"{mod.__name__}.{name}"
@@ -314,10 +319,11 @@ def test_const_kind_hashes_by_identity():
 # The application memo of the reference machine.
 
 
-@pytest.fixture
-def record_at_once(monkeypatch):
-    """Every S-redex is recorded at its first firing (the seen filter is full)."""
-    monkeypatch.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
+def _seen_at(run, count, **changes):
+    """A run derived from ``run``, so sharing its table, with a seen filter
+    of its own whose every slot counts ``count``: at 2 every S-redex is
+    recorded at its first firing, at 0 the filter is empty."""
+    return dataclasses.replace(run, seen=bytearray([count]) * len(run.seen), **changes)
 
 
 def _entry(run, f, a):
@@ -437,23 +443,21 @@ def test_memo_replays_match_the_memo_free_oracle(ts):
     ceiling = 120
     sub = ts[0]
     assume(isinstance(_outcome(reference_impl.oracle_eval_term, sub, Run(ceiling)), Defined))
-    warm = Run(ceiling)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
-        for t in ts:
-            for _ in range(2):
-                _outcome(machine.eval_term, t, warm)
-        assert _term_entry(warm, sub) is not None
-        for t in ts:
-            for fuel in range(1, ceiling + 2):
-                cfg = dataclasses.replace(warm, max_steps=fuel)
-                want = _outcome(reference_impl.oracle_eval_term, t, cfg)
+    warm = _seen_at(Run(ceiling), 2)
+    for t in ts:
+        for _ in range(2):
+            _outcome(machine.eval_term, t, warm)
+    assert _term_entry(warm, sub) is not None
+    for t in ts:
+        for fuel in range(1, ceiling + 2):
+            cfg = dataclasses.replace(warm, max_steps=fuel)
+            want = _outcome(reference_impl.oracle_eval_term, t, cfg)
+            assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
+            if not isinstance(want, FuelExhausted):
+                # The total is reached; check total + 1 and stop.
+                cfg = dataclasses.replace(warm, max_steps=fuel + 1)
                 assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
-                if not isinstance(want, FuelExhausted):
-                    # The total is reached; check total + 1 and stop.
-                    cfg = dataclasses.replace(warm, max_steps=fuel + 1)
-                    assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
-                    break
+                break
 
 
 def _all_canonical(v):
@@ -477,19 +481,17 @@ def test_machine_values_are_shared(ts, f, a):
     below it, is the object the constructor returns, and every memo entry
     holds the objects its key is the identity of."""
     f, a = (x.value if isinstance(x, Opaque) else x for x in (f, a))
-    run = Run(120)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
-        runs = [(machine.eval_term, t, None) for t in ts for _ in range(2)]
-        runs += [(machine.apply_value, f, a)] * 2
-        for op, x, y in runs:
-            try:
-                out = op(x, y, run)
-            except MachineError:
-                continue
-            assert not isinstance(out, Defined) or _all_canonical(out.value), (x, y)
-        for key, e in run.ops.items():
-            assert key == (id(e[2]) << 64 | id(e[3]) if len(e) == 4 else id(e[2]))
+    run = _seen_at(Run(120), 2)
+    runs = [(machine.eval_term, t, None) for t in ts for _ in range(2)]
+    runs += [(machine.apply_value, f, a)] * 2
+    for op, x, y in runs:
+        try:
+            out = op(x, y, run)
+        except MachineError:
+            continue
+        assert not isinstance(out, Defined) or _all_canonical(out.value), (x, y)
+    for key, e in run.ops.items():
+        assert key == (id(e[2]) << 64 | id(e[3]) if len(e) == 4 else id(e[2]))
 
 
 def _doubled(ident, n):
@@ -532,15 +534,15 @@ def test_deep_values_built_apart_are_one_object():
     assert f is a and _doubled("deep", 18) is _doubled("deep", 18)
 
 
-def test_the_value_table_is_weak(monkeypatch, record_at_once):
+def test_the_value_table_is_weak(monkeypatch):
     # A value that nothing holds leaves _INTERN.  One that the memo or the
-    # machine's constant cache holds stays, and a memo overflow leaves the
-    # cached constants what the constructor and the machine return.
+    # machine's constant table holds stays, and a memo overflow leaves the
+    # table's constants what the constructor and the machine return.
     key = (Opaque("weak"), (num_value(1),))
     Value(*key)
     assert key not in terms._INTERN
-    run = Run()
-    s_val, p_val = machine._const_value(ConstKind.S), machine._const_value(ConstKind.P)
+    run = _seen_at(Run(), 2)
+    s_val, p_val = machine._CONST_VALUES[ConstKind.S], machine._CONST_VALUES[ConstKind.P]
     t_z = machine.eval_term(_two_step(Value(Opaque("weak-z"))), None, run).value
     x = num_value(7)
     held = weakref.ref(machine.apply_value(t_z, x, run).value)
@@ -552,7 +554,7 @@ def test_the_value_table_is_weak(monkeypatch, record_at_once):
     assert machine.eval_term(EXPANSIONS[ConstKind.P], None, run).value is p_val
 
 
-def test_equal_operands_share_one_memo_entry(monkeypatch):
+def test_equal_operands_share_one_memo_entry():
     # T z #6, built twice: the second App node is new, its operands are the
     # objects of the first, and its run is one memo entry replayed, with the
     # oracle's steps and value.
@@ -561,8 +563,7 @@ def test_equal_operands_share_one_memo_entry(monkeypatch):
         t_z = Value(Const(ConstKind.S), (Value(K, (Value(Opaque("z-equal")),)), i_val))
         return App(t_z, Value(Num(6)))
 
-    run = Run()
-    monkeypatch.setattr(machine, "_SEEN", bytearray(b"\x02" * machine._SEEN_SLOTS))
+    run = _seen_at(Run(), 2)
     first = fresh()
     want = reference_impl.oracle_eval_term(first)
     assert machine.eval_term(first, None, run) == want and want.steps == 7
@@ -572,15 +573,15 @@ def test_equal_operands_share_one_memo_entry(monkeypatch):
     entries = len(run.ops)
     # An emptied seen filter counts the new App node only: the redex is not
     # reduced again.
-    monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
+    again = _seen_at(run, 0)
     second = fresh()
     assert second is not first and second.fun is f and second.arg is a
-    assert machine.eval_term(second, None, run) == want
-    assert sum(machine._SEEN) == 1 and len(run.ops) == entries
+    assert machine.eval_term(second, None, again) == want
+    assert sum(again.seen) == 1 and len(run.ops) == entries
 
 
-def test_term_replays_exactly_when_its_cost_fits_the_fuel(record_at_once, monkeypatch):
-    run = Run()
+def test_term_replays_exactly_when_its_cost_fits_the_fuel():
+    run = _seen_at(Run(), 2)
     t = app(_two_step(Opaque("zfit")), num(6))
     cost = machine.eval_term(t, None, run).steps
     value = Value(Opaque("zfit"), (num_value(6),))
@@ -591,16 +592,15 @@ def test_term_replays_exactly_when_its_cost_fits_the_fuel(record_at_once, monkey
     u = App(App(K, num(0)), t)
     for root, entered in ((t, 0), (u, 1)):
         for fuel, replays in ((entered + cost, True), (entered + cost - 1, False)):
-            monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
-            cfg = dataclasses.replace(run, max_steps=fuel)
+            cfg = _seen_at(run, 0, max_steps=fuel)
             got = _outcome(machine.eval_term, root, cfg)
             assert got == _outcome(reference_impl.oracle_eval_term, root, cfg)
             assert isinstance(got, Defined if root is t and replays else FuelExhausted)
-            assert (sum(machine._SEEN) == 2 * entered) is replays, (root, fuel)
+            assert (sum(cfg.seen) == 2 * entered) is replays, (root, fuel)
 
 
-def test_only_the_outermost_term_is_recorded(record_at_once):
-    run = Run()
+def test_only_the_outermost_term_is_recorded():
+    run = _seen_at(Run(), 2)
     inner = App(_I, Opaque("inner-term"))
     outer = app(K, inner, num(0))
     for _ in range(2):
@@ -609,8 +609,7 @@ def test_only_the_outermost_term_is_recorded(record_at_once):
     assert _term_entry(run, outer.fun) is None and _term_entry(run, inner) is None
 
 
-def test_a_raising_closed_term_is_never_recorded(monkeypatch):
-    monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
+def test_a_raising_closed_term_is_never_recorded():
     run = Run()
     bad = App(num(1), K)
     u = app(K, _I, bad)
@@ -619,11 +618,11 @@ def test_a_raising_closed_term_is_never_recorded(monkeypatch):
     assert _term_entry(run, u) is None and _term_entry(run, bad) is None
 
 
-def test_evaluation_under_an_environment_records_no_term(record_at_once):
+def test_evaluation_under_an_environment_records_no_term():
     closed = App(_I, num(2))
     t = App(App(K, Var("x")), closed)
     env = {"x": Value(Opaque("env-x"))}
-    run = Run()
+    run = _seen_at(Run(), 2)
     for _ in range(3):
         assert machine.eval_term(t, env, run).value is env["x"]
     assert _term_entry(run, t) is None and _term_entry(run, closed) is None
@@ -642,11 +641,11 @@ def test_memo_hit_still_checks_the_size_cap():
             machine.apply_value(f, a, run)
 
 
-def test_memo_overflow_empties_the_memo(monkeypatch, record_at_once):
+def test_memo_overflow_empties_the_memo(monkeypatch):
     # Past MEMO_LIMIT entries the next admission empties the memo, closed
     # terms and redexes alike; the values the test holds stay what the
     # machine returns, and a redex enters the memo again.
-    run = Run()
+    run = _seen_at(Run(), 2)
     z = Value(Opaque("zovf"))
     t_z = machine.eval_term(_two_step(z), None, run).value
     i_val = machine.eval_term(_I, None, run).value
@@ -684,7 +683,7 @@ def test_memo_overflow_keeps_the_constants(monkeypatch):
 
     want = cases(Run())
     run = Run()
-    s_val = machine._const_value(ConstKind.S)
+    s_val = machine._CONST_VALUES[ConstKind.S]
     monkeypatch.setattr(terms, "MEMO_LIMIT", -1)
     i_val = machine.eval_term(_I, None, run).value
     for _ in range(3):  # the seen filter records the redex by its third firing
@@ -815,27 +814,30 @@ def test_an_operation_open_at_a_small_fuel_is_decided_at_a_larger_one():
     assert large.ops is small.ops and len(_outcome_keys(small)) == 2
 
 
-def test_the_machine_memo_lives_with_its_run(record_at_once, monkeypatch):
-    # A fresh run starts with an empty memo, and a run derived with replace
-    # shares its parent's: there t replays whole, so the emptied seen
-    # filter counts none of its nodes, while a fresh run reduces it again.
+def test_the_machine_memo_lives_with_its_run():
+    # A fresh run starts with an empty memo and filter, and a run derived
+    # with replace shares its parent's: there t replays whole, so an emptied
+    # seen filter counts none of its nodes, while a fresh run reduces it
+    # again.
     t = app(_two_step(Opaque("own-memo")), num(6))
-    parent, other = Run(), Run()
+    parent, other = _seen_at(Run(), 2), Run()
     want = machine.eval_term(t, None, parent)
     assert _term_entry(parent, t) is not None and _term_entry(other, t) is None
     child = dataclasses.replace(parent, max_steps=want.steps)
-    for run, replays in ((child, True), (other, False)):
-        monkeypatch.setattr(machine, "_SEEN", bytearray(machine._SEEN_SLOTS))
-        assert machine.eval_term(t, None, run) == want
-        assert (sum(machine._SEEN) == 0) is replays
     assert child.ops is parent.ops and other.ops is not parent.ops
+    assert child.seen is parent.seen and other.seen is not parent.seen
+    assert sum(other.seen) == 0
+    for run, replays in ((child, True), (other, False)):
+        run = _seen_at(run, 0)
+        assert machine.eval_term(t, None, run) == want
+        assert (sum(run.seen) == 0) is replays
 
 
-def test_one_clear_empties_both_kinds_of_entry(monkeypatch, record_at_once):
+def test_one_clear_empties_both_kinds_of_entry(monkeypatch):
     # The machine's memo entries and kernel.apply's outcomes share the run's
     # table and its bound: past MEMO_LIMIT entries, the next admission of
     # either kind empties both.
-    run, pred = Run(), Value(PRED)
+    run, pred = _seen_at(Run(), 2), Value(PRED)
     machine.eval_term(app(_two_step(Opaque("both-kinds")), num(6)), None, run)
     assert kernel.apply(pred, num_value(3), run) is num_value(2)
     assert {type(k) for k in run.ops} == {int, tuple}
@@ -952,18 +954,15 @@ _divergent = st.one_of(
 @example(_DELTA_DELTA)
 def test_divergence_matches_the_memo_free_oracle(t):
     """At every fuel cap up to 240 and at a few larger ones, with every
-    redex recorded at its first firing and with the seen filter as found,
-    the machine reports the oracle's outcome: the type, steps and note.
-    The fuels run in runs derived from one, so each replays what the ones
+    redex recorded at its first firing and with a fresh seen filter, the
+    machine reports the oracle's outcome: the type, steps and note.  The
+    fuels run in runs derived from one, so each replays what the ones
     before it recorded, where that fits."""
     fuels = [*range(1, 241), 1_009, 5_003]
     want = [_outcome(reference_impl.oracle_eval_term, t, Run(n)) for n in fuels]
     assert all(isinstance(w, FuelExhausted) for w in want)
-    for seen in (bytearray(b"\x02" * machine._SEEN_SLOTS), machine._SEEN):
-        root = Run()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(machine, "_SEEN", seen)
-            got = [_outcome(machine.eval_term, t, dataclasses.replace(root, max_steps=n)) for n in fuels]
+    for root in (_seen_at(Run(), 2), Run()):
+        got = [_outcome(machine.eval_term, t, dataclasses.replace(root, max_steps=n)) for n in fuels]
         assert got == want
     assert kleene_agree(t, t, Run(fuels[-1])) is None
 
@@ -1072,6 +1071,54 @@ def test_demo_work_is_pinned(monkeypatch):
 
     text = (Path(__file__).parents[1] / "scenarios" / "demo.scn").read_text()
     assert _counted_work(monkeypatch, lambda run: scenarios.run_scenario(text, run)) == [(29_555, 0)] * 2
+
+
+def _module_state():
+    """A copy of every module-level mutable collection and counter of the
+    loaded extreal modules, by module and name, but for the hash-consing
+    table ``terms._INTERN``, which is weak by design."""
+    state = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.partition(".")[0] != "extreal":
+            continue
+        for name, x in vars(mod).items():
+            if name.startswith("__") or (mod_name, name) == ("extreal.terms", "_INTERN"):
+                continue
+            if isinstance(x, (MutableMapping, MutableSequence, MutableSet)):
+                state[mod_name, name] = copy.copy(x)
+            elif isinstance(x, itertools.count):
+                state[mod_name, name] = repr(x)
+    return state
+
+
+def test_runs_leave_no_module_state():
+    # All the machine and the library remember lives in the run: a suite
+    # and a scenario, each under a fresh run, change no module-level
+    # collection or counter.
+    from extreal import cli, scenarios, suites  # noqa: F401  (every module loaded)
+
+    text = (Path(__file__).parents[1] / "scenarios" / "demo.scn").read_text()
+    before = _module_state()
+    suites.run_suite("pca-laws", Run())
+    scenarios.run_scenario(text, Run())
+    after = _module_state()
+    assert before.keys() == after.keys()
+    assert [key for key in before if before[key] != after[key]] == []
+
+
+def test_what_a_run_records_does_not_drift():
+    # Passes of one suite, each under a fresh run, record as many entries
+    # as the first, up to the noise of the seen filter's address keys:
+    # nothing carries from one run to the next.  A process-wide filter grew
+    # them by 38-48% over five passes.
+    from extreal import suites
+
+    sizes = []
+    for _ in range(5):
+        run = Run()
+        suites.run_suite("pca-laws", run)
+        sizes.append(len(run.ops))
+    assert abs(sizes[-1] - sizes[0]) <= 0.08 * sizes[0], sizes
 
 
 def test_the_names_perfbench_probes_resolve():
