@@ -168,11 +168,9 @@ def random_closed_term(rng: random.Random, max_leaves: int, atoms=_VALUE_ATOMS) 
     return build(leaves)
 
 
-def random_printable_value(rng: random.Random, max_leaves: int = 4,
-                           run: Run | None = None) -> tuple[Term, Value]:
-    """A random closed term with a value under ``run``, by default a fresh
-    run of the default limits, and that value."""
-    run = Run() if run is None else run
+def random_printable_value(rng: random.Random, run: Run,
+                           max_leaves: int = 4) -> tuple[Term, Value]:
+    """A random closed term with a value under ``run``, and that value."""
     while True:
         t = random_closed_term(rng, max_leaves)
         v = evaluate(t, run)
@@ -186,7 +184,7 @@ def _draw(rng: random.Random, n: int) -> list[Term]:
     when it has a value within the default fuel, so a seed gives the same
     cases under any ``--fuel``."""
     run = Run()
-    return [random_printable_value(rng, run=run)[0] for _ in range(n)]
+    return [random_printable_value(rng, run)[0] for _ in range(n)]
 
 
 def _law(bad: list[str], lhs: Term, rhs: Term, run: Run, total: bool = True,

@@ -129,8 +129,8 @@ def test_backends_agree_on_apply_and_kleene(compiled):
     from extreal.suites import random_printable_value
 
     for _ in range(200):
-        _, f = random_printable_value(rng)
-        _, a = random_printable_value(rng)
+        _, f = random_printable_value(rng, Run())
+        _, a = random_printable_value(rng, Run())
         try:
             o1 = pure.apply_value(f, a)
         except MachineError as exc:

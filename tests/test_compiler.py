@@ -72,7 +72,7 @@ def test_substitution_law_against_oracle():
     for _ in range(100):
         body = random_open_term(rng, 12, "x")
         s = abstract("x", body)
-        ta, _ = random_printable_value(rng)
+        ta, _ = random_printable_value(rng, Run())
         if kleene_agree(App(s, ta), subst_oracle(body, "x", ta)) is False:
             mismatches += 1
     assert mismatches == 0
@@ -222,9 +222,9 @@ def test_compiled_k_s_kbar_behave():
     from extreal.terms import KBAR, S
 
     for _ in range(50):
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
-        tc, _ = random_printable_value(rng)
+        ta, _ = random_printable_value(rng, Run())
+        tb, _ = random_printable_value(rng, Run())
+        tc, _ = random_printable_value(rng, Run())
         assert kleene_agree(app(k_like, ta, tb), ta) is True
         assert kleene_agree(app(kbar_like, ta, tb), tb) is True
         assert kleene_agree(app(s_like, ta, tb, tc), app(S, ta, tb, tc)) is not False
@@ -256,11 +256,11 @@ def test_fixpoint_defined_and_law():
     f = fixpoint()
     rng = random.Random(9)
     for _ in range(20):
-        ta, _ = random_printable_value(rng)
+        ta, _ = random_printable_value(rng, Run())
         assert isinstance(eval_term(App(f, ta)), Defined)
     for _ in range(50):
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
+        ta, _ = random_printable_value(rng, Run())
+        tb, _ = random_printable_value(rng, Run())
         assert kleene_agree(app(f, ta, tb), app(ta, App(f, ta), tb)) is not False
 
 
@@ -268,7 +268,7 @@ def test_fixpoint_hand_unfolding():
     f = fixpoint()
     rng = random.Random(10)
     for _ in range(10):
-        tb, _ = random_printable_value(rng)
+        tb, _ = random_printable_value(rng, Run())
         assert kleene_agree(app(f, K, tb), App(f, K)) is True
 
 
@@ -276,9 +276,9 @@ def test_double_fixpoint_laws():
     g, h = double_fixpoint()
     rng = random.Random(11)
     for _ in range(50):
-        ta, _ = random_printable_value(rng)
-        tb, _ = random_printable_value(rng)
-        tc, _ = random_printable_value(rng)
+        ta, _ = random_printable_value(rng, Run())
+        tb, _ = random_printable_value(rng, Run())
+        tc, _ = random_printable_value(rng, Run())
         assert isinstance(eval_term(app(g, ta, tb)), Defined)
         assert isinstance(eval_term(app(h, ta, tb)), Defined)
         assert kleene_agree(app(g, ta, tb, tc), app(ta, app(h, ta, tb), tc)) is not False

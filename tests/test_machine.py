@@ -122,8 +122,8 @@ def test_pairing_projection_laws():
     from extreal.suites import random_printable_value
 
     for _ in range(100):
-        ta, a = random_printable_value(rng)
-        tb, b = random_printable_value(rng)
+        ta, a = random_printable_value(rng, Run())
+        tb, b = random_printable_value(rng, Run())
         assert kleene_agree(App(P0, app(P, ta, tb)), ta) is True
         assert kleene_agree(App(P1, app(P, ta, tb)), tb) is True
 
@@ -211,7 +211,7 @@ def test_only_entry_points_default_the_run():
         suites.run_suite, scenarios.run_scenario, checker.check, checker.check_imp_on_witnesses,
         kernel.apply, kernel.evaluate, kernel.project, kernel.pair_value, kernel.value_of,
         kernel.kleene_agree, machine.eval_term, machine.apply_value, machine.apply_values,
-        machine.kleene_eq, suites.random_printable_value)
+        machine.kleene_eq)
     assert all(inspect.signature(fn).parameters["run"].default is None for fn in entry_points)
     found = [
         f"{mod.__name__}.{name}"
@@ -1108,9 +1108,11 @@ def test_runs_leave_no_module_state():
 
 def test_what_a_run_records_does_not_drift():
     # Passes of one suite, each under a fresh run, record as many entries
-    # as the first, up to the noise of the seen filter's address keys:
-    # nothing carries from one run to the next.  A process-wide filter grew
-    # them by 38-48% over five passes.
+    # as the first: nothing carries from one run to the next.  The seen
+    # filter is keyed by object addresses, so one pass differs from the
+    # next by a few percent.  The last two passes, set against the first
+    # two, moved by -2.8% to +5.4% over 80 processes (mean +0.9%, sd 1.4%);
+    # a process-wide filter grew them by 24-34%.
     from extreal import suites
 
     sizes = []
@@ -1118,7 +1120,7 @@ def test_what_a_run_records_does_not_drift():
         run = Run()
         suites.run_suite("pca-laws", run)
         sizes.append(len(run.ops))
-    assert abs(sizes[-1] - sizes[0]) <= 0.08 * sizes[0], sizes
+    assert abs(sum(sizes[3:]) - sum(sizes[:2])) <= 0.10 * sum(sizes[:2]), sizes
 
 
 def test_the_names_perfbench_probes_resolve():
