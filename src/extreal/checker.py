@@ -32,6 +32,8 @@ Negation, implication and the unbounded quantifiers range over the whole
 algebra, so the checker affirms them only where a decision principle
 applies: the bounded-arithmetic fragment (where realizability coincides
 with classical truth over the naturals) and constant-valued realizers.
+Truth there is ``formulas.truth_eval``; an implication is tried on the
+realizer ``realizers.synthesize`` builds, one layer below this one.
 """
 
 from __future__ import annotations
@@ -53,12 +55,14 @@ from .formulas import (
     NameRef,
     Not,
     Or,
+    in_fragment,
     is_closed,
-    fmt,
     substitute,
+    truth_eval,
 )
 from .kernel import Crash, NoValue, apply, project, reason
-from .names import Nat, Omega, VName, enumerate_triples, lookup_triples
+from .names import Nat, VName, enumerate_triples, lookup_triples
+from .realizers import synthesize
 from .terms import ConstKind, Const, Run, Value
 
 
@@ -143,10 +147,6 @@ class Verdict:
 
     def __bool__(self):
         return self.status is Status.REALIZED
-
-
-class FragmentError(ValueError):
-    """The formula is outside the decidable bounded-arithmetic fragment."""
 
 
 def decide_nat_eq(n: int, m: int) -> bool:
@@ -409,17 +409,15 @@ def _check_allin(ctx: _Ctx, a: Value, b: Value, phi: AllIn) -> Trace:
 
 
 def _check_not(ctx: _Ctx, a: Value, b: Value, phi: Not) -> Trace:
+    """On a fragment body, realized exactly when ``formulas.truth_eval``
+    finds the body false."""
     clause = "not"
     if in_fragment(phi.body):
         if truth_eval(phi.body):
-            return Trace(
-                clause, Status.REFUTED, exhaustive=True,
-                note="body is realizable (decided on the arithmetic fragment)",
-            )
-        return Trace(
-            clause, Status.REALIZED, exhaustive=True,
-            note="no realizer of the body exists (decided on the arithmetic fragment)",
-        )
+            return Trace(clause, Status.REFUTED, exhaustive=True,
+                         note="body is realizable (decided on the arithmetic fragment)")
+        return Trace(clause, Status.REALIZED, exhaustive=True,
+                     note="no realizer of the body exists (decided on the arithmetic fragment)")
     return Trace(clause, Status.UNKNOWN, note="negation quantifies over the whole algebra")
 
 
@@ -431,14 +429,16 @@ def _constant_output(v: Value) -> Value | None:
 
 
 def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
+    """Realized when ``formulas.truth_eval`` finds a fragment hypothesis
+    false, or a constant realizer's output realizes the conclusion; else
+    a·w, b·w for the hypothesis realizer w of ``realizers.synthesize`` can
+    only refute."""
     clause = "imp"
     ca, cb = _constant_output(a), _constant_output(b)
     decidable = in_fragment(phi.hyp)
     if decidable and not truth_eval(phi.hyp):
-        return Trace(
-            clause, Status.REALIZED, exhaustive=True,
-            note="hypothesis has no realizer (decided on the arithmetic fragment)",
-        )
+        return Trace(clause, Status.REALIZED, exhaustive=True,
+                     note="hypothesis has no realizer (decided on the arithmetic fragment)")
     if ca is not None and cb is not None:
         # Constant realizers collapse the universal over hypothesis realizers.
         t = yield ca, cb, phi.concl
@@ -455,18 +455,13 @@ def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
             )
         return Trace(clause, Status.UNKNOWN, children=[t])
     if decidable:
-        # Imported here: realizers imports this module at load time.
-        from .realizers import synthesize
-
         try:
             wit = synthesize(phi.hyp, ctx.run)
         except NoValue as exc:
             return Trace(clause, Status.UNKNOWN,
                          note=f"hypothesis witness synthesis stopped: {reason(exc.outcome)}")
         if wit is not None:
-            aw, bw, bad = _both(
-                ctx, clause, apply, a, wit.a, b, wit.b, "a·witness", "b·witness"
-            )
+            aw, bw, bad = _both(ctx, clause, apply, a, wit, b, wit, "a·witness", "b·witness")
             if bad:
                 return bad
             t = yield aw, bw, phi.concl
@@ -543,95 +538,3 @@ def check_imp_on_witnesses(
         else:
             trace.status, trace.note = Status.UNKNOWN, "no usable witnesses"
     return Verdict(trace, ctx.samples)
-
-
-# ---------------------------------------------------------------------------
-# The bounded-arithmetic fragment: truth oracle
-
-
-def in_fragment(phi: Formula, bound_vars: frozenset[str] = frozenset()) -> bool:
-    """Formulas where realizability coincides with arithmetic truth.
-
-    Atoms compare numeral names (membership also against ω̇); quantifiers are
-    bounded by numeral names, existentials also by ω̇.
-    """
-
-    def ok_elem(r: NameRef) -> bool:
-        return (isinstance(r, str) and r in bound_vars) or isinstance(r, Nat)
-
-    match phi:
-        case Mem(x, y):
-            return ok_elem(x) and (ok_elem(y) or isinstance(y, Omega))
-        case Eq(x, y):
-            return ok_elem(x) and ok_elem(y)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return in_fragment(l, bound_vars) and in_fragment(r, bound_vars)
-        case Not(b):
-            return in_fragment(b, bound_vars)
-        case AllIn(v, bound, body):
-            return isinstance(bound, Nat) and in_fragment(body, bound_vars | {v})
-        case ExIn(v, bound, body):
-            return isinstance(bound, (Nat, Omega)) and in_fragment(body, bound_vars | {v})
-        case _:
-            return False
-
-
-def _max_numeral(phi: Formula) -> int:
-    def of_ref(r: NameRef) -> int:
-        return r.n if isinstance(r, Nat) else 0
-
-    match phi:
-        case Mem(x, y) | Eq(x, y):
-            return max(of_ref(x), of_ref(y))
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return max(_max_numeral(l), _max_numeral(r))
-        case Not(b):
-            return _max_numeral(b)
-        case AllIn(_, bound, body) | ExIn(_, bound, body):
-            return max(of_ref(bound), _max_numeral(body))
-        case _:
-            return 0
-
-
-def witness_range(bound: NameRef, body: Formula) -> range:
-    """The witnesses to try for ``ex z in bound. body`` on the fragment: below
-    nat n, or over ω̇ up to a saturation bound, since every atom compares
-    against constants and witnesses past the largest numeral plus one behave
-    identically."""
-    return range(bound.n if isinstance(bound, Nat) else _max_numeral(body) + 2)
-
-
-def truth_eval(phi: Formula) -> bool:
-    """Classical truth over the naturals: nat n ↦ n, mem ↦ <, eq ↦ =;
-    existentials over ω̇ through ``witness_range``."""
-    if not in_fragment(phi):
-        raise FragmentError(f"not a bounded-arithmetic formula: {fmt(phi)}")
-    return _truth(phi)
-
-
-def _truth(phi: Formula) -> bool:
-    match phi:
-        case Mem(x, y):
-            return isinstance(y, Omega) or _as_nat(x) < _as_nat(y)
-        case Eq(x, y):
-            return _as_nat(x) == _as_nat(y)
-        case And(l, r):
-            return _truth(l) and _truth(r)
-        case Or(l, r):
-            return _truth(l) or _truth(r)
-        case Not(b):
-            return not _truth(b)
-        case Imp(h, c):
-            return (not _truth(h)) or _truth(c)
-        case AllIn(v, bound, body):
-            assert isinstance(bound, Nat)
-            return all(_truth(substitute(body, v, Nat(m))) for m in range(bound.n))
-        case ExIn(v, bound, body):
-            return any(_truth(substitute(body, v, Nat(m))) for m in witness_range(bound, body))
-    raise FragmentError(fmt(phi))
-
-
-def _as_nat(r: NameRef) -> int:
-    if isinstance(r, Nat):
-        return r.n
-    raise FragmentError(f"non-numeral name in arithmetic position: {r}")

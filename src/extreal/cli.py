@@ -13,7 +13,9 @@ Each command imports only the layers it runs.  Importing this module loads
 the machine half: ``terms``, ``bracket``, ``machine``, ``kernel`` and
 ``parser``.  ``run`` adds ``scenarios``, which loads the checker, names,
 formulas, realizers and suites at the first line that needs them; ``suite``
-loads ``suites`` and everything it checks; ``print`` loads ``realizers``.
+loads ``suites`` and everything it checks; ``print`` loads ``realizers``,
+with names and formulas but not the checker.  A ``--json`` report is one
+line.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _report_scenario(rep: ScenarioReport, args) -> int:
                 for r in rep.results
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         for r in rep.results:
             mark = "ok " if r.ok else "FAIL"
@@ -176,7 +178,7 @@ def _cmd_suite(args) -> int:
                 for r in reports
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         for r in reports:
             print(f"suite {r.suite} (seed {r.seed}): "
@@ -192,7 +194,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_print(args) -> int:
-    # Imported here: the realizer library loads the checker layers with it.
+    # Imported here: the realizer library loads names and formulas with it.
     from .realizers import LIBRARY, realizer_term
 
     if not args.id:

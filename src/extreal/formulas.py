@@ -1,16 +1,18 @@
-"""Set-theoretic formulas over names.
+"""Set-theoretic formulas over names, and their bounded-arithmetic fragment.
 
 Atoms are membership and equality between name references; a reference is
 either a bound variable (a string) or a name literal.  Bounded quantifiers
 are primitive connectives; the unbounded ones are representable but the
-checker refuses to affirm them.
+checker refuses to affirm them.  On the fragment (``in_fragment``)
+realizability is classical truth over the naturals, a fact about the
+formula alone, which ``truth_eval`` decides without the machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .names import VName
+from .names import Nat, Omega, VName, describe
 
 NameRef = str | VName
 
@@ -141,7 +143,6 @@ def is_closed(phi: Formula) -> bool:
 def fmt(phi: Formula) -> str:
     """``phi`` in scenario syntax, which reads back as ``phi`` where ``describe``
     spells each name in full; quantifiers, whose bodies run right, are parenthesized."""
-    from .names import describe
 
     def ref(r: NameRef) -> str:
         return r if isinstance(r, str) else describe(r)
@@ -168,6 +169,96 @@ def fmt(phi: Formula) -> str:
         case Ex(v, body):
             return f"(EX {v}. {fmt(body)})"
     raise TypeError(phi)
+
+
+# --- the bounded-arithmetic fragment: truth oracle -------------------------
+
+
+class FragmentError(ValueError):
+    """The formula is outside the decidable bounded-arithmetic fragment."""
+
+
+def in_fragment(phi: Formula, bound_vars: frozenset[str] = frozenset()) -> bool:
+    """Formulas where realizability coincides with arithmetic truth.
+
+    Atoms compare numeral names (membership also against ω̇); quantifiers are
+    bounded by numeral names, existentials also by ω̇.
+    """
+
+    def ok_elem(r: NameRef) -> bool:
+        return (isinstance(r, str) and r in bound_vars) or isinstance(r, Nat)
+
+    match phi:
+        case Mem(x, y):
+            return ok_elem(x) and (ok_elem(y) or isinstance(y, Omega))
+        case Eq(x, y):
+            return ok_elem(x) and ok_elem(y)
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            return in_fragment(l, bound_vars) and in_fragment(r, bound_vars)
+        case Not(b):
+            return in_fragment(b, bound_vars)
+        case AllIn(v, bound, body):
+            return isinstance(bound, Nat) and in_fragment(body, bound_vars | {v})
+        case ExIn(v, bound, body):
+            return isinstance(bound, (Nat, Omega)) and in_fragment(body, bound_vars | {v})
+        case _:
+            return False
+
+
+def _max_numeral(phi: Formula) -> int:
+    def of_ref(r: NameRef) -> int:
+        return r.n if isinstance(r, Nat) else 0
+
+    match phi:
+        case Mem(x, y) | Eq(x, y):
+            return max(of_ref(x), of_ref(y))
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            return max(_max_numeral(l), _max_numeral(r))
+        case Not(b):
+            return _max_numeral(b)
+        case AllIn(_, bound, body) | ExIn(_, bound, body):
+            return max(of_ref(bound), _max_numeral(body))
+        case _:
+            return 0
+
+
+def witness_range(bound: NameRef, body: Formula) -> range:
+    """The witnesses to try for ``ex z in bound. body`` on the fragment: below
+    nat n, or over ω̇ up to a saturation bound, since every atom compares
+    against constants and witnesses past the largest numeral plus one behave
+    identically."""
+    return range(bound.n if isinstance(bound, Nat) else _max_numeral(body) + 2)
+
+
+def truth_eval(phi: Formula) -> bool:
+    """Classical truth over the naturals: nat n ↦ n, mem ↦ <, eq ↦ =;
+    existentials over ω̇ through ``witness_range``."""
+    if not in_fragment(phi):
+        raise FragmentError(f"not a bounded-arithmetic formula: {fmt(phi)}")
+    return _truth(phi)
+
+
+def _truth(phi: Formula) -> bool:
+    # A fragment sentence: every reference is a numeral name, once the
+    # quantifiers have substituted theirs.
+    match phi:
+        case Mem(x, y):
+            return isinstance(y, Omega) or x.n < y.n
+        case Eq(x, y):
+            return x.n == y.n
+        case And(l, r):
+            return _truth(l) and _truth(r)
+        case Or(l, r):
+            return _truth(l) or _truth(r)
+        case Not(b):
+            return not _truth(b)
+        case Imp(h, c):
+            return (not _truth(h)) or _truth(c)
+        case AllIn(v, bound, body):
+            return all(_truth(substitute(body, v, Nat(m))) for m in range(bound.n))
+        case ExIn(v, bound, body):
+            return any(_truth(substitute(body, v, Nat(m))) for m in witness_range(bound, body))
+    raise FragmentError(fmt(phi))
 
 
 # --- formula macros -------------------------------------------------------

@@ -182,7 +182,8 @@ def kleene_agree(t1: Term, t2: Term, run: Run | None = None) -> bool | None:
 def value_of(t: Term, run: Run | None = None) -> Value:
     """The value of a library term, evaluated once per run and fuel: the
     outcome is tabled under ``(id(t), run.max_steps)`` with ``t`` beside
-    it.  ``NoValue`` under limits too small for it."""
+    it.  ``NoValue`` under limits too small for it.  A term built on the
+    spot is for ``evaluate``: no later call could hit its entry."""
     run = Run() if run is None else run
     key = (id(t), run.max_steps)
     entry = run.ops.get(key)

@@ -28,7 +28,6 @@ from .terms import (
     SUCC,
     Run,
     Term,
-    Tri,
     Value,
     Var,
     app,
@@ -212,7 +211,7 @@ def gen_elems(sigma: FinType, run: Run) -> list[Value]:
 
 @dataclass(frozen=True, slots=True)
 class EqTypeReport:
-    result: Tri
+    result: bool | None  # None: sampled, not decided
     samples_passed: int = 0
     samples_total: int = 0
     counterexample: Value | None = None
@@ -223,7 +222,7 @@ def eq_type(a: Value, b: Value, sigma: FinType, run: Run) -> EqTypeReport:
     arrow types (never affirmed over an infinite domain)."""
     if sigma == TYPE_O:
         n = _values_eq_num(a, b)
-        return EqTypeReport(Tri.of(n is not None))
+        return EqTypeReport(n is not None)
     assert isinstance(sigma, Arrow)
     gens = gen_elems(sigma.dom, run)
     passed = 0
@@ -233,15 +232,15 @@ def eq_type(a: Value, b: Value, sigma: FinType, run: Run) -> EqTypeReport:
         va = apply(a, g, run)
         vb = va if isinstance(va, Crash) else apply(b, g, run)
         if isinstance(va, Crash) or isinstance(vb, Crash):
-            return EqTypeReport(Tri.FALSE, passed, len(gens), g)
+            return EqTypeReport(False, passed, len(gens), g)
         if isinstance(va, Open) or isinstance(vb, Open):
             continue
-        if eq_type(va, vb, sigma.cod, run).result is Tri.FALSE:
-            return EqTypeReport(Tri.FALSE, passed, len(gens), g)
+        if eq_type(va, vb, sigma.cod, run).result is False:
+            return EqTypeReport(False, passed, len(gens), g)
         passed += 1
     # All sampled generator pairs agree; the domain is infinite, so this is
     # evidence, not proof.
-    return EqTypeReport(Tri.UNKNOWN, passed, len(gens))
+    return EqTypeReport(None, passed, len(gens))
 
 
 def internalize(a: Value, sigma: FinType) -> VName:
@@ -296,21 +295,21 @@ def lookup_triples(x: VName, a: Value, b: Value, run: Run) -> tuple[list[VName],
             return ([Nat(m)] if m is not None else []), True
         case TypeName(sigma):
             rep = eq_type(a, b, sigma, run)
-            if rep.result is Tri.FALSE:
+            if rep.result is False:
                 return [], True
-            exhaustive = sigma == TYPE_O or rep.result is Tri.TRUE
+            exhaustive = sigma == TYPE_O or rep.result is True
             return [internalize(a, sigma)], exhaustive
         case Internal(f, O()):
             # The internalization of a numeral has the numeral's triples.
             return lookup_triples(Nat(f.numeral), a, b, run)
         case Internal(_, Arrow(dom, _)) | Graph(_, dom, _):
             rep = eq_type(a, b, dom, run)
-            if rep.result is Tri.FALSE:
+            if rep.result is False:
                 return [], True
             zs = _member(x, a, run)
             if zs is None:
                 return [], False
-            return zs, dom == TYPE_O or rep.result is Tri.TRUE
+            return zs, dom == TYPE_O or rep.result is True
     raise TypeError(x)
 
 

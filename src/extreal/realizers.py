@@ -17,20 +17,23 @@ from functools import cache
 from typing import Callable
 
 from .bracket import Lam, compile_term, lam
-from .checker import FragmentError, RealizerPair, in_fragment, truth_eval, witness_range
 from .formulas import (
     AllIn,
     And,
     Eq,
     ExIn,
     Formula,
+    FragmentError,
     Imp,
     Mem,
     Not,
     Or,
+    in_fragment,
     substitute,
+    truth_eval,
+    witness_range,
 )
-from .kernel import apply, defined, pair_value, value_of
+from .kernel import apply, defined, evaluate, pair_value, value_of
 from .names import Explicit, Nat, Omega, Triple, VName, enumerate_triples
 from .terms import (
     App,
@@ -201,17 +204,17 @@ def _dispatch_term(entries: list[tuple[int, Value]]) -> Term:
 
 
 def _dispatch_value(entries: list[tuple[int, Value]], run: Run) -> Value:
-    return value_of(compile_term(lam("c", _dispatch_term(entries))), run)
+    return defined(evaluate(compile_term(lam("c", _dispatch_term(entries))), run))
 
 
-def synthesize(phi: Formula, run: Run) -> RealizerPair | None:
-    """A realizer pair for a true bounded-arithmetic sentence, None for a
-    false one.  Raises FragmentError outside the fragment, and NoValue when
-    the run's limits stop a pairing or the building of ``i_r``."""
+def synthesize(phi: Formula, run: Run) -> Value | None:
+    """A realizer, for both sides of a pair, of a bounded-arithmetic
+    sentence that ``formulas.truth_eval`` finds true; None for a false one.
+    Raises FragmentError outside the fragment, and NoValue when the run's
+    limits stop a pairing or the building of ``i_r``."""
     if not in_fragment(phi):
         raise FragmentError("synthesis only covers the bounded-arithmetic fragment")
-    v = _synth(phi, run)
-    return None if v is None else RealizerPair.both(v)
+    return _synth(phi, run)
 
 
 def _synth(phi: Formula, run: Run) -> Value | None:
@@ -387,7 +390,7 @@ def separation_name(x: VName, phi_of: Callable[[VName], Formula], run: Run) -> E
         wit = synthesize(phi_of(u), run)
         if wit is None:
             continue
-        out.append((pair_value(ka, wit.a, run), pair_value(kb, wit.b, run), u))
+        out.append((pair_value(ka, wit, run), pair_value(kb, wit, run), u))
     return Explicit(tuple(out))
 
 

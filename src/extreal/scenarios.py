@@ -76,7 +76,7 @@ from typing import TYPE_CHECKING
 from .bracket import compile_term, free_vars
 from .kernel import NoValue, evaluate, reason
 from .parser import _KEYWORDS, MAX_NESTING, Lexer, ParseError, parse, print_term
-from .terms import App, Run, Tri, Value, Var
+from .terms import App, Run, Value, Var
 
 if TYPE_CHECKING:  # for annotations only: each layer is imported where it runs
     from .checker import RealizerPair
@@ -363,7 +363,7 @@ class _Reader:
                 raise ScenarioError(f"bad int name {text!r}: {exc}", self.line) from None
             # The name is built either way; a value that sampling shows is not
             # self-related at σ gets one warning per line.
-            if eq_type(a, a, sigma, self.env.run).result is Tri.FALSE:
+            if eq_type(a, a, sigma, self.env.run).result is False:
                 msg = (f"line {self.line}: internalizing a value that fails "
                        f"self-relatedness sampling at {sigma}")
                 if msg not in self.env.warnings:
@@ -619,8 +619,8 @@ def _run_check(env: _Env, rest: str, lineno: int, kind: str) -> DirectiveResult:
 
 def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     # The checker and the realizer library load with the first synth-roundtrip.
-    from .checker import Status, check, in_fragment, truth_eval
-    from .formulas import fmt
+    from .checker import RealizerPair, Status, check
+    from .formulas import fmt, in_fragment, truth_eval
     from .realizers import synthesize
 
     body, expected = _split_expect(rest, lineno, ("agree", "disagree"))
@@ -634,7 +634,7 @@ def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
         wit = synthesize(phi, env.run)
     except NoValue:  # the limits stop synthesis, as they can stop the check
         wit = None
-    got = wit is not None and check(wit, phi, env.run).status is Status.REALIZED
+    got = wit is not None and check(RealizerPair.both(wit), phi, env.run).status is Status.REALIZED
     agreed = want == got
     outcome = f"truth={want} realizers={got}"
     ok = agreed if expected is None else (expected == "agree") == agreed

@@ -12,7 +12,7 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .checker import RealizerPair, Status, check, check_imp_on_witnesses, truth_eval
+from .checker import RealizerPair, Status, check, check_imp_on_witnesses
 from .bracket import SKK, abstract, compile_term, lam
 from .formulas import (
     AllIn,
@@ -27,6 +27,7 @@ from .formulas import (
     fmt,
     ordered_pair,
     theta,
+    truth_eval,
     unordered_pair,
 )
 from .kernel import (
@@ -103,7 +104,6 @@ from .terms import (
     S,
     SUCC,
     Term,
-    Tri,
     Value,
     Var,
     app,
@@ -198,9 +198,9 @@ def _law(bad: list[str], lhs: Term, rhs: Term, run: Run, total: bool = True,
         bad.append(f"eval ({print_term(lhs)}) expect ({print_term(rhs if shown is None else shown)})")
 
 
-def _realized(r: Value | Crash | Open, phi: Formula, run: Run) -> bool:
+def _realized(r: Value | Crash | Open | None, phi: Formula, run: Run) -> bool:
     """Whether ``r`` realizes phi on both sides.  ``r`` may be the outcome of
-    a machine operation; a crash or a resource limit realizes nothing."""
+    a machine operation or of synthesis; only a value realizes anything."""
     return isinstance(r, Value) and check(RealizerPair.both(r), phi, run).status is Status.REALIZED
 
 
@@ -415,16 +415,16 @@ def suite_equality(run: Run, rounds: int = 30) -> SuiteReport:
         i_s, i_t, i_0, i_1 = (value_of(t, run) for t in (i_s_t, i_t_t, i_0_t, i_1_t))
         for n in range(5):
             wit = synthesize(Eq(Nat(n), Nat(n)), run)
-            if not _realized(apply(i_s, wit.a, run), Eq(Nat(n), Nat(n)), run):
+            if not _realized(apply(i_s, wit, run), Eq(Nat(n), Nat(n)), run):
                 bad.append(f"-- i_s fails on nat {n}")
-            chained = apply(i_t, pair_value(wit.a, wit.a, run), run)
+            chained = apply(i_t, pair_value(wit, wit, run), run)
             if not _realized(chained, Eq(Nat(n), Nat(n)), run):
                 bad.append(f"-- i_t fails on nat {n}")
         for n, m in ((1, 4), (2, 5)):
             eqw = synthesize(Eq(Nat(n), Nat(n)), run)
             memw = synthesize(Mem(Nat(n), Nat(m)), run)
             for label, i_x in (("i_0", i_0), ("i_1", i_1)):
-                moved = apply(i_x, pair_value(eqw.a, memw.a, run), run)
+                moved = apply(i_x, pair_value(eqw, memw, run), run)
                 if not _realized(moved, Mem(Nat(n), Nat(m)), run):
                     bad.append(f"-- {label} fails on {n} in {m}")
         rep.add("transport-laws", bad, "i_s, i_t, i_0, i_1 on synthesized numeral realizers")
@@ -471,8 +471,8 @@ def infinity_e1_cases(e1: Value, run: Run) -> list[tuple[str, Status]]:
         lam("c", app(D, Var("c"), num(m), p_(num(1), Opaque("ir", ir)),
                      p_(num(0), p_(Var("c"), Opaque("ir", ir)))))
     )
-    r10 = value_of(disp, run)
-    r110 = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", ir)))), run)
+    r10 = defined(evaluate(disp, run))
+    r110 = defined(evaluate(compile_term(lam("c", p_(Var("c"), Opaque("ir", ir)))), run))
     r111 = pair_value(num_value(m), ir, run)
     r = pair_value(r10, pair_value(r110, r111, run), run)
     w1 = pair_value(num_value(1), pair_value(num_value(m), r, run), run)
@@ -504,9 +504,9 @@ def infinity_skewed_cases(e0: Value, e1: Value, run: Run) -> list[tuple[str, Sta
     # a_1 realizes y = nat-n with distinct key maps per direction.
     left = [(ykey[m], pair_value(num_value(m), ir, run)) for m in range(n)]
     right = [(m, pair_value(num_value(ykey[m]), ir, run)) for m in range(n)]
-    r_eq = value_of(
+    r_eq = defined(evaluate(
         compile_term(lam("c", p_(_dispatch_term(left), _dispatch_term(right)))), run
-    )
+    ))
     w = pair_value(num_value(n), r_eq, run)
     out = [("e0 skewed-keys", _witness_status(e0, Mem(y, OMEGA), theta(y, OMEGA), w, run))]
 
@@ -573,7 +573,7 @@ def suite_czf_axioms(run: Run) -> SuiteReport:
             rhs = App(Opaque("a", a), compile_term(lam("z", App(Opaque("e", ev), Opaque("a", a)))))
             ok &= kleene_agree(lhs, rhs, run) is True
         rep.cases.append(CaseResult("set-induction equation", ok, "e a = a (\\z. e a)"))
-        hypo = value_of(compile_term(lam("c", Opaque("ir", i_r_value(run)))), run)
+        hypo = defined(evaluate(compile_term(lam("c", Opaque("ir", i_r_value(run)))), run))
         ok = _realized(apply(ev, hypo, run), Eq(Nat(2), Nat(2)), run)
         rep.cases.append(CaseResult("set-induction instance", ok, "rank-2 witness-directed"))
 
@@ -588,13 +588,13 @@ def suite_czf_axioms(run: Run) -> SuiteReport:
         for n in range(2):
             e1u = defined(apply(e1s, num_value(n), run))
             wit = synthesize(Mem(Nat(n), Nat(2)), run)
-            ok &= _realized(apply(e1u, wit.a, run), Mem(Nat(n), ysep), run)
+            ok &= _realized(apply(e1u, wit, run), Mem(Nat(n), ysep), run)
         rep.cases.append(CaseResult("separation backward", ok, "per-member witness-directed"))
 
     # Strong collection on one finite instance
     with rep.guard("strong-collection"):
         xc = Explicit(((num_value(0), num_value(0), Nat(1)),))
-        acoll = value_of(compile_term(lam("c", Opaque("ir", i_r_value(run)))), run)
+        acoll = defined(evaluate(compile_term(lam("c", Opaque("ir", i_r_value(run)))), run))
         yc = collection_name(xc, lambda tr: tr[2], run)
         e = value_of(strong_collection_term(), run)
         phi = And(AllIn("u", xc, ExIn("v", yc, Eq("u", "v"))),
@@ -652,29 +652,29 @@ def suite_heo(run: Run) -> SuiteReport:
         ok = True
         for n in range(8):
             for m in range(8):
-                want = Tri.of(n == m)
-                if eq_type(num_value(n), num_value(m), TYPE_O, run).result is not want:
+                if eq_type(num_value(n), num_value(m), TYPE_O, run).result is not (n == m):
                     ok = False
         k5 = defined(apply(Value(K), num_value(5), run))
-        ok &= eq_type(k5, num_value(5), TYPE_O, run).result is Tri.FALSE
+        ok &= eq_type(k5, num_value(5), TYPE_O, run).result is False
         rep.cases.append(CaseResult("base-type-decides", ok, "numerals compared exactly"))
 
     with rep.guard("successor functions"):
         succ = value_of(SUCC, run)
         pred = value_of(PRED, run)
         r1 = eq_type(succ, pred, oo, run)
-        rep.cases.append(CaseResult("succ-vs-pred", r1.result is Tri.FALSE,
+        rep.cases.append(CaseResult("succ-vs-pred", r1.result is False,
                                     f"counterexample {r1.counterexample}"))
-        eta = value_of(compile_term(lam("x", App(SUCC, Var("x")))), run)
+        eta = defined(evaluate(compile_term(lam("x", App(SUCC, Var("x")))), run))
         r2 = eq_type(succ, eta, oo, run)
-        ok = r2.result is Tri.UNKNOWN and r2.samples_passed == r2.samples_total
+        ok = r2.result is None and r2.samples_passed == r2.samples_total
         rep.cases.append(CaseResult("succ-vs-eta", ok, f"{r2.samples_passed}/{r2.samples_total} samples pass"))
 
         ok = internalize(num_value(3), TYPE_O) == Nat(3)
         rep.cases.append(CaseResult("internalize-base", ok, "int #3 : o = nat 3"))
 
         const_k = defined(apply(Value(K), num_value(2), run))
-        const_d = value_of(compile_term(lam("x", app(D, Var("x"), Var("x"), num(2), num(2)))), run)
+        const_d = defined(evaluate(
+            compile_term(lam("x", app(D, Var("x"), Var("x"), num(2), num(2)))), run))
         small = replace(run, max_index=5)
         ts1, _ = enumerate_triples(internalize(const_k, oo), small)
         ts2, _ = enumerate_triples(internalize(const_d, oo), small)
@@ -692,7 +692,7 @@ def suite_heo(run: Run) -> SuiteReport:
     few = replace(run, max_index=3, generators_per_type=3)
     for sigma in (TYPE_O, oo):
         for a in gen_elems(sigma, few):
-            if eq_type(a, a, sigma, few).result is Tri.FALSE:
+            if eq_type(a, a, sigma, few).result is False:
                 ok = False
     rep.cases.append(CaseResult("generators-self-related", ok, "v =_sigma v never refuted"))
     return rep
@@ -736,7 +736,7 @@ def suite_choice_arrow(run: Run) -> SuiteReport:
     small = replace(run, max_index=min(3, run.max_index))
 
     with rep.guard("choice-arrow values"):
-        a = value_of(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value(run))))), run)
+        a = defined(evaluate(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value(run))))), run))
         f = Graph(a, TYPE_O, TYPE_O)
         ts, _ = enumerate_triples(f, small)
         ok = all(
@@ -783,7 +783,7 @@ def suite_choice_arrow(run: Run) -> SuiteReport:
                                small)
         rep.add("arrow-clause-1", bad, "a = SUCC, sampled triples")
 
-        part = value_of(compile_term(lam("c", p_(Var("c"), p_(Var("c"), Opaque("v", vv))))), run)
+        part = defined(evaluate(compile_term(lam("c", p_(Var("c"), p_(Var("c"), Opaque("v", vv))))), run))
         uniq = value_of(_pairs_uniqueness_part(), run)
         a_arrow = pair_value(part, pair_value(part, uniq, run), run)
         e1a = defined(apply(e1, a_arrow, run))
@@ -791,7 +791,7 @@ def suite_choice_arrow(run: Run) -> SuiteReport:
         ok = all(apply(e1a0, num_value(n), run) == num_value(n) for n in (0, 1))
         rep.cases.append(CaseResult("arrow-e1-identity", ok, "(e1 a)_0 is the identity on #0, #1"))
 
-        gval = value_of(compile_term(lam("c", proj(App(Opaque("a10", part), Var("c")), "0"))), run)
+        gval = defined(evaluate(compile_term(lam("c", proj(App(Opaque("a10", part), Var("c")), "0"))), run))
         gname = Internal(gval, oo)
         for what, side, xs, ys, of in (("subset", 0, f, gname, "the graph name"),
                                        ("superset", 1, gname, f, "the internalization")):
@@ -854,7 +854,7 @@ def suite_truth_oracle(run: Run, rounds: int = 50) -> SuiteReport:
             phi = random_fragment_formula(rng, 2)
             want = truth_eval(phi)
             wit = synthesize(phi, run)
-            got = wit is not None and check(wit, phi, run).status is Status.REALIZED
+            got = _realized(wit, phi, run)
             if want != got:
                 bad.append(f"-- mismatch on {fmt(phi)}: truth={want} realizer-loop={got}")
         rep.add("round-trip", bad, f"{rounds} sentences")

@@ -40,7 +40,8 @@ class ValueSizeExceeded(MachineError):
 
 
 class Tri(enum.Enum):
-    """Three-valued answer used by the fueled equality tests."""
+    """``machine.kleene_eq``'s answer; layers above the kernel use ``bool |
+    None``.  Kept for ``_speedup.c`` and perfbench/probe.py, which import it."""
 
     TRUE = "true"
     FALSE = "false"

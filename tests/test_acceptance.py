@@ -12,7 +12,7 @@ import pytest
 
 from reference_impl import nat_explicit, realizes
 
-from extreal.checker import RealizerPair, Status, check, truth_eval
+from extreal.checker import RealizerPair, Status, check
 from extreal.formulas import AllIn, And, Eq, ExIn, Mem, fmt
 from extreal.kernel import apply_value, apply_values, eval_term, pair_value, project
 from extreal.names import (
@@ -32,7 +32,6 @@ from extreal.realizers import (
     eq_realizers,
     i_r_value,
     powerset_term,
-    synthesize,
     value_of,
 )
 from extreal.suites import (
@@ -56,7 +55,6 @@ from extreal.terms import (
     MachineError,
     Num,
     Term,
-    Tri,
     Value,
     num_value,
 )

@@ -37,7 +37,6 @@ from extreal.terms import (
     S,
     SUCC,
     StuckApplication,
-    Tri,
     Value,
     ValueSizeExceeded,
     app,

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import reference_impl
 from extreal import checker, kernel, machine
 from extreal.checker import (
-    FragmentError,
     RealizerPair,
     Status,
     Trace,
@@ -19,8 +18,6 @@ from extreal.checker import (
     check,
     check_imp_on_witnesses,
     decide_nat_eq,
-    in_fragment,
-    truth_eval,
 )
 from extreal.formulas import (
     All,
@@ -29,13 +26,16 @@ from extreal.formulas import (
     Eq,
     Ex,
     ExIn,
+    FragmentError,
     Imp,
     Mem,
     Not,
     Or,
     fmt,
+    in_fragment,
     is_closed,
     substitute,
+    truth_eval,
 )
 from extreal.kernel import NoValue, apply_value, pair_value, project, value_of
 from extreal.names import Explicit, Nat, OMEGA, OPair, Sing, UPair
@@ -85,7 +85,7 @@ def test_decide_nat_eq():
 
 
 def test_or_tags():
-    payload = synthesize(Eq(Nat(1), Nat(1)), Run()).a
+    payload = synthesize(Eq(Nat(1), Nat(1)), Run())
     left = pair_value(num_value(0), payload)
     right = pair_value(num_value(1), payload)
     phi = Or(Eq(Nat(1), Nat(1)), Eq(Nat(1), Nat(2)))
@@ -99,13 +99,13 @@ def test_or_tags():
 
 
 def test_and_projects():
-    wit = synthesize(And(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2))), Run())
+    wit = both(synthesize(And(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2))), Run()))
     assert check(wit, And(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2)))).status is Status.REALIZED
     assert check(wit, And(Eq(Nat(1), Nat(1)), Mem(Nat(3), Nat(2)))).status is Status.REFUTED
 
 
 def test_allin_exhaustive_and_truncated():
-    wit = synthesize(AllIn("x", Nat(3), Mem("x", OMEGA)), Run())
+    wit = both(synthesize(AllIn("x", Nat(3), Mem("x", OMEGA)), Run()))
     assert check(wit, AllIn("x", Nat(3), Mem("x", OMEGA))).status is Status.REALIZED
     # A realizer valid on every natural: over omega the enumeration still
     # truncates, so the verdict never reaches Realized.
@@ -122,13 +122,8 @@ def test_allin_exhaustive_and_truncated():
 def test_exin_least_witness():
     wit = synthesize(ExIn("y", Nat(5), Eq(Nat(2), "y")), Run())
     assert wit is not None
-    key = apply_value(
-        __import__("extreal.kernel", fromlist=["project"]).project(wit.a, 0), num_value(0)
-    ) if False else None
-    from extreal.kernel import project
-
-    assert project(wit.a, 0).numeral == 2
-    assert check(wit, ExIn("y", Nat(5), Eq(Nat(2), "y"))).status is Status.REALIZED
+    assert project(wit, 0).numeral == 2
+    assert check(both(wit), ExIn("y", Nat(5), Eq(Nat(2), "y"))).status is Status.REALIZED
 
 
 def test_unbounded_quantifiers_unknown():
@@ -146,7 +141,7 @@ def test_not_on_fragment():
 def test_imp_vacuous_and_constant():
     phi = Imp(Eq(Nat(1), Nat(2)), Eq(Nat(0), Nat(0)))
     assert check(both(Value(K)), phi).status is Status.REALIZED
-    wit = synthesize(Imp(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2))), Run())
+    wit = both(synthesize(Imp(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2))), Run()))
     assert check(wit, Imp(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2)))).status is Status.REALIZED
     # constant realizer with a refutable conclusion on a realizable hypothesis
     bad = apply_value(Value(K), num_value(7)).value
@@ -168,7 +163,7 @@ def test_check_imp_on_witnesses_modus_ponens():
     idv = value_of(SKK)
     phi = Mem(Nat(1), Nat(3))
     wit = synthesize(phi, Run())
-    ver = check_imp_on_witnesses(both(idv), phi, phi, [wit])
+    ver = check_imp_on_witnesses(both(idv), phi, phi, [both(wit)])
     assert ver.status is Status.REALIZED
     assert ver.trace.witness_directed
 
@@ -230,15 +225,20 @@ def test_refuted_stable_under_more_fuel():
 
 
 def test_symmetry_on_numeral_fragment():
+    # A synthesized realizer paired with another value, on either side, gets
+    # one verdict: the realizability relation is symmetric.
     rng = random.Random(15)
-    for _ in range(30):
-        phi = random_fragment_formula(rng, 1)
-        wit = synthesize(phi, Run())
-        if wit is None:
-            continue
-        fwd = check(wit, phi).status
-        rev = check(RealizerPair(wit.b, wit.a), phi).status
-        assert fwd == rev
+    run = Run()
+    phis = [random_fragment_formula(rng, 1) for _ in range(30)]
+    wits = [(phi, w) for phi in phis if (w := synthesize(phi, run)) is not None]
+    others = [IR, Value(K), pair_value(num_value(0), IR, run)] + [w for _, w in wits]
+    off_diagonal = 0
+    for phi, w in wits:
+        for o in others:
+            fwd = check(RealizerPair(w, o), phi, run).status
+            assert check(RealizerPair(o, w), phi, run).status is fwd
+            off_diagonal += o is not w and fwd is Status.REALIZED
+    assert off_diagonal > 0
 
 
 def test_fragment_generator_terminates_on_every_seed():
@@ -321,7 +321,7 @@ def test_round_trip_structured_cases():
     for phi in cases:
         want = truth_eval(phi)
         wit = synthesize(phi, Run())
-        got = wit is not None and check(wit, phi).status is Status.REALIZED
+        got = wit is not None and check(both(wit), phi).status is Status.REALIZED
         assert want == got, fmt(phi)
 
 
@@ -522,7 +522,7 @@ def test_a_diagonal_pair_runs_each_operation_once(body, built_for, checked, stat
     def formula(n, m):
         return AllIn("z", n, Mem("z", m) if body == "mem" else Eq("z", "z"))
 
-    v = synthesize(formula(*map(Nat, built_for)), Run()).a
+    v = synthesize(formula(*map(Nat, built_for)), Run())
     phi = formula(*map(reference_impl.nat_explicit, checked))
     ver, once = _counted_check(both(v), phi)
     want, untabled = _counted_check(both(v), phi, tabled=False)

@@ -40,7 +40,6 @@ from extreal.terms import (
     PRED,
     Run,
     SUCC,
-    Tri,
     Value,
     Var,
     app,
@@ -138,16 +137,16 @@ def test_enumeration_is_deterministic():
 
 
 def test_eq_type_base_decides():
-    assert eq_type(num_value(3), num_value(3), TYPE_O, Run()).result is Tri.TRUE
-    assert eq_type(num_value(3), num_value(4), TYPE_O, Run()).result is Tri.FALSE
-    assert eq_type(Value(K), Value(K), TYPE_O, Run()).result is Tri.FALSE
+    assert eq_type(num_value(3), num_value(3), TYPE_O, Run()).result is True
+    assert eq_type(num_value(3), num_value(4), TYPE_O, Run()).result is False
+    assert eq_type(Value(K), Value(K), TYPE_O, Run()).result is False
 
 
 def test_eq_type_arrow_sampled():
     succ = eval_term(SUCC).value
     eta = eval_term(compile_term(lam("x", App(SUCC, Var("x"))))).value
     rep = eq_type(succ, eta, OO, Run(max_index=8))
-    assert rep.result is Tri.UNKNOWN
+    assert rep.result is None
     assert rep.samples_passed == rep.samples_total == 9
 
 
@@ -155,7 +154,7 @@ def test_eq_type_arrow_counterexample():
     succ = eval_term(SUCC).value
     pred = eval_term(PRED).value
     rep = eq_type(succ, pred, OO, Run())
-    assert rep.result is Tri.FALSE
+    assert rep.result is False
     assert rep.counterexample == num_value(0)
 
 
@@ -175,7 +174,7 @@ def test_eq_type_counterexamples_are_machine_errors_only(monkeypatch):
 
     monkeypatch.setattr(kernel, "apply_value", raising(StuckApplication("stuck")))
     rep = eq_type(succ, succ, OO, Run())
-    assert rep.result is Tri.FALSE and rep.counterexample == num_value(0)
+    assert rep.result is False and rep.counterexample == num_value(0)
     monkeypatch.setattr(kernel, "apply_value", raising(TypeError("a bug")))
     with pytest.raises(TypeError, match="a bug"):
         eq_type(succ, succ, OO, Run())
@@ -338,7 +337,7 @@ def test_images_past_the_size_cap_leave_lookups_open():
             )
             if not found:
                 assert enumerate_triples(x, Run()) == ([], False)
-        assert eq_type(f, f, OO, Run()).result is Tri.UNKNOWN
+        assert eq_type(f, f, OO, Run()).result is None
         assert lookup_triples(TypeName(OO), f, f, Run()) == ([Internal(f, OO)], False)
 
 
@@ -353,14 +352,14 @@ def test_partial_equivalence_sampled():
     gens = gen_elems(OO, budget)
     for a in gens:
         for b in gens:
-            if eq_type(a, b, OO, budget).result is Tri.FALSE:
+            if eq_type(a, b, OO, budget).result is False:
                 continue
             for c in gens:
-                if eq_type(b, c, OO, budget).result is Tri.FALSE:
+                if eq_type(b, c, OO, budget).result is False:
                     continue
-                assert eq_type(a, a, OO, budget).result is not Tri.FALSE
-                assert eq_type(b, a, OO, budget).result is not Tri.FALSE
-                assert eq_type(a, c, OO, budget).result is not Tri.FALSE
+                assert eq_type(a, a, OO, budget).result is not False
+                assert eq_type(b, a, OO, budget).result is not False
+                assert eq_type(a, c, OO, budget).result is not False
 
 
 def test_budget_validation():

@@ -11,6 +11,7 @@ from extreal.proofs import (
     InvalidProof,
     NDProof,
     and_elim_left,
+    and_elim_right,
     and_intro,
     assume,
     eq_sym,
@@ -31,8 +32,19 @@ def test_projection_extraction():
     assert not free_vars(t)
     v = value_of(t)
     wit = synthesize(And(phi, psi), Run())
-    out = apply_value(v, wit.a)
+    out = apply_value(v, wit)
     assert check(BOTH(out.value), phi).status is Status.REALIZED
+
+
+def test_right_projection_extraction():
+    phi, psi = Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(2))
+    pr = imp_intro("h", And(phi, psi), and_elim_right(assume(And(phi, psi), "h")))
+    t = extract(pr)
+    assert not free_vars(t)
+    out = apply_value(value_of(t), synthesize(And(phi, psi), Run()))
+    assert check(BOTH(out.value), psi).status is Status.REALIZED
+    # The left conjunct's realizer does not stand in for the right one.
+    assert check(BOTH(out.value), phi).status is Status.REFUTED
 
 
 def test_symmetry_extraction():
@@ -40,7 +52,7 @@ def test_symmetry_extraction():
     pr = imp_intro("h", e, eq_sym(assume(e, "h")))
     v = value_of(extract(pr))
     wit = synthesize(e, Run())
-    out = apply_value(v, wit.a)
+    out = apply_value(v, wit)
     assert check(BOTH(out.value), e).status is Status.REALIZED
 
 
@@ -58,7 +70,7 @@ def test_composition_extraction():
     w1 = synthesize(Imp(phi, psi), Run())
     w2 = synthesize(Imp(psi, chi), Run())
     wx = synthesize(phi, Run())
-    out = apply_values(v, [w1.a, w2.a, wx.a])
+    out = apply_values(v, [w1, w2, wx])
     assert isinstance(out, Defined)
     assert check(BOTH(out.value), chi).status is Status.REALIZED
 
@@ -69,7 +81,7 @@ def test_conjunction_round_trip():
         "a", phi, imp_intro("b", psi, and_intro(assume(phi, "a"), assume(psi, "b")))
     )
     v = value_of(extract(pr))
-    out = apply_values(v, [synthesize(phi, Run()).a, synthesize(psi, Run()).a])
+    out = apply_values(v, [synthesize(phi, Run()), synthesize(psi, Run())])
     assert check(BOTH(out.value), And(phi, psi)).status is Status.REALIZED
 
 
@@ -79,7 +91,7 @@ def test_disjunction_rules():
     pr_inj = imp_intro("h", phi, inj)
     v = value_of(extract(pr_inj))
     wit_phi = synthesize(phi, Run())
-    out = apply_value(v, wit_phi.a)
+    out = apply_value(v, wit_phi)
     assert check(BOTH(out.value), Or(phi, psi)).status is Status.REALIZED
 
     case_left = imp_intro("l", phi, assume(chi, "m"))
@@ -89,7 +101,7 @@ def test_disjunction_rules():
     t = extract(closed)
     assert not free_vars(t)
     v2 = value_of(t)
-    out2 = apply_values(v2, [synthesize(chi, Run()).a, wit_phi.a])
+    out2 = apply_values(v2, [synthesize(chi, Run()), wit_phi])
     assert check(BOTH(out2.value), chi).status is Status.REALIZED
 
 
@@ -120,7 +132,7 @@ def test_bounded_existential_with_discharge():
     pr = NDProof("exin-intro", target, (assume(inst, "m"),), aux=(Nat(1), num(1)))
     closed = imp_intro("m", inst, pr)
     v = value_of(extract(closed))
-    out = apply_value(v, synthesize(inst, Run()).a)
+    out = apply_value(v, synthesize(inst, Run()))
     assert check(BOTH(out.value), target).status is Status.REALIZED
 
 
@@ -130,7 +142,7 @@ def test_eq_trans_extraction():
     closed = imp_intro("a", e, imp_intro("b", e, pr))
     v = value_of(extract(closed))
     wit = synthesize(e, Run())
-    out = apply_values(v, [wit.a, wit.a])
+    out = apply_values(v, [wit, wit])
     assert check(BOTH(out.value), e).status is Status.REALIZED
 
 
@@ -140,7 +152,7 @@ def test_mem_replacement_extraction():
     pr = NDProof("mem-replace-left", m, (assume(e, "e"), assume(m, "m")))
     closed = imp_intro("e", e, imp_intro("m", m, pr))
     v = value_of(extract(closed))
-    out = apply_values(v, [synthesize(e, Run()).a, synthesize(m, Run()).a])
+    out = apply_values(v, [synthesize(e, Run()), synthesize(m, Run())])
     assert check(BOTH(out.value), m).status is Status.REALIZED
 
 

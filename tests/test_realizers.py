@@ -62,6 +62,28 @@ def test_all_library_terms_are_closed_and_defined():
         assert isinstance(eval_term(t), Defined), ident
 
 
+def test_the_run_keeps_values_of_library_terms_only():
+    # kernel.value_of keeps a term's value under the term's id, and the term
+    # with it, for the rest of the run; that pays only for a term asked for
+    # again, a library term.  A term built on the spot is evaluated instead.
+    from extreal import names, realizers
+    from extreal.bracket import SKK
+    from extreal.suites import run_suite
+    from extreal.terms import P, P0, P1, PRED, SUCC
+
+    run = Run()
+    run_suite("czf-axioms", run)
+    assert synthesize(AllIn("x", Nat(3), Mem("x", OMEGA)), run) is not None
+    library = [SKK, SUCC, PRED, P, P0, P1, names._swap01(), *map(names._apply_at, range(3))]
+    library += [build() for build in LIBRARY.values()]
+    for f in vars(realizers).values():  # the cached builders, tuples spread
+        if hasattr(f, "cache_info") and f.__wrapped__.__code__.co_argcount == 0:
+            out = f()
+            library += out if isinstance(out, tuple) else [out]
+    kept = [entry[0] for key, entry in run.ops.items() if isinstance(key, tuple) and len(key) == 2]
+    assert kept and {id(t) for t in kept} <= {id(t) for t in library}
+
+
 def test_reflexivity_on_random_names():
     rng = random.Random(20)
     for _ in range(30):
@@ -72,14 +94,14 @@ def test_reflexivity_on_random_names():
 def test_symmetry_realizer():
     _, i_s, *_ = (value_of(t) for t in eq_realizers())
     wit = synthesize(Eq(Nat(3), Nat(3)), Run())
-    out = apply_value(i_s, wit.a)
+    out = apply_value(i_s, wit)
     assert check(BOTH(out.value), Eq(Nat(3), Nat(3))).status is Status.REALIZED
 
 
 def test_transitivity_realizer():
     _, _, i_t, *_ = (value_of(t) for t in eq_realizers())
     wit = synthesize(Eq(Nat(2), Nat(2)), Run())
-    out = apply_value(i_t, pair_value(wit.a, wit.a))
+    out = apply_value(i_t, pair_value(wit, wit))
     assert check(BOTH(out.value), Eq(Nat(2), Nat(2))).status is Status.REALIZED
 
 
@@ -89,7 +111,7 @@ def test_membership_transport_realizers():
     eqw = synthesize(Eq(Nat(2), Nat(2)), Run())
     memw = synthesize(Mem(Nat(2), Nat(4)), Run())
     for r in (i_0, i_1):
-        out = apply_value(r, pair_value(eqw.a, memw.a))
+        out = apply_value(r, pair_value(eqw, memw))
         assert check(BOTH(out.value), Mem(Nat(2), Nat(4))).status is Status.REALIZED
 
 
@@ -173,7 +195,7 @@ def test_separation_builder_and_realizers():
     for n in range(2):
         e1u = apply_value(e1, num_value(n)).value
         wit = synthesize(Mem(Nat(n), Nat(2)), Run())
-        out = apply_value(e1u, wit.a).value
+        out = apply_value(e1u, wit).value
         assert check(BOTH(out), Mem(Nat(n), y)).status is Status.REALIZED
 
 

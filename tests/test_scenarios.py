@@ -613,7 +613,8 @@ def test_cli_deep_trace_prints_a_repeated_goal_once():
 
 def test_cli_prints_at_most_the_nesting_limit_of_trace_levels():
     # A chain at the nesting limit has a trace about three times as deep,
-    # deeper than the JSON encoder's host stack reaches.
+    # deeper than the JSON encoder's host stack reaches.  The JSON report is
+    # one line: indented, this one was mostly indentation, about 1.2 MB.
     from extreal.parser import MAX_NESTING
 
     script = _sing_chain_check(MAX_NESTING, "refuted")
@@ -623,6 +624,7 @@ def test_cli_prints_at_most_the_nesting_limit_of_trace_levels():
     assert max(indents) == 2 * (2 + MAX_NESTING)  # the root is indented two levels
     out = _cli("--json", "--trace-depth", "-1", "run", "-", stdin=script)
     assert out.returncode == 1 and "Traceback" not in out.stderr, out.stderr
+    assert out.stdout.count("\n") == 1 and len(out.stdout) < 100_000
     node, levels = json.loads(out.stdout)["directives"][0]["trace"], 0
     while "children" in node:
         node, levels = node["children"][0], levels + 1
@@ -715,6 +717,58 @@ def test_cli_loads_the_checker_layers_only_for_lines_that_need_them(tmp_path):
     report = json.loads("\n".join(out.stdout.splitlines()[:-1]))
     assert code == 0 and [d["outcome"] for d in report["directives"]] == ["K", "realized", "refuted"]
     assert {"extreal.checker", "extreal.realizers"} <= set(after_run)
+
+    # The realizer library sits below the checker: printing a realizer loads
+    # no checker.
+    out = _cli("print", "i_r", entry=["-c", _IMPORT_PROBE])
+    code, _, after_run = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0 and out.stdout.startswith("S"), out.stderr
+    assert "extreal.realizers" in after_run
+    assert not {"extreal.checker", "extreal.suites", "extreal.proofs"} & set(after_run)
+
+
+def test_function_level_imports_are_the_deliberate_lazy_loads():
+    # The realizability layers import one another at load time, in one
+    # direction: terms, machine, kernel, names, formulas, realizers, checker.
+    # An import made anywhere but at the top of a module is a lazy load, and
+    # each is listed here: the CLI's per-command layers, the layers each
+    # scenario line needs, and the kernel's compiled backend.  Imports for
+    # annotations only (under ``if TYPE_CHECKING``) never run.
+    import ast
+
+    import extreal
+
+    found = set()
+    for path in Path(extreal.__file__).parent.glob("*.py"):
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ImportFrom) and child.level:
+                    found.add((path.stem, where, child.module or child.names[0].name))
+                elif not (isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING"):
+                    visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+        tree = ast.parse(path.read_text())
+        tree.body = [s for s in tree.body if not isinstance(s, ast.ImportFrom)]  # load-time imports
+        visit(tree, "<module>")
+    assert found == {
+        ("cli", "_cmd_print", "realizers"),
+        ("cli", "_cmd_run", "scenarios"),
+        ("cli", "_cmd_suite", "suites"),
+        ("kernel", "<module>", "_speedup"),
+        ("scenarios", "_run_check", "checker"),
+        ("scenarios", "_run_check", "formulas"),
+        ("scenarios", "_run_suite_directive", "suites"),
+        ("scenarios", "_run_synth", "checker"),
+        ("scenarios", "_run_synth", "formulas"),
+        ("scenarios", "_run_synth", "realizers"),
+        ("scenarios", "atom", "formulas"),
+        ("scenarios", "closed_formula", "formulas"),
+        ("scenarios", "fintype", "names"),
+        ("scenarios", "formula", "formulas"),
+        ("scenarios", "name", "names"),
+        ("scenarios", "pair", "checker"),
+        ("scenarios", "run_scenario", "realizers"),
+    }
 
 
 def test_cli_suite_ids_are_the_suites():
