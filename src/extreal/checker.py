@@ -507,6 +507,8 @@ def check_imp_on_witnesses(
     the conclusion.  A positive verdict is marked witness-directed: the
     universal claim over the whole algebra remains unverified.
     """
+    if not (is_closed(hyp) and is_closed(concl)):
+        raise ValueError("check_imp_on_witnesses requires closed formulas")
     ctx = _Ctx(Run() if run is None else run)
     trace = Trace("imp/witness-directed", Status.REALIZED, witness_directed=True)
     usable = 0

@@ -29,8 +29,9 @@ library term, a pair of values): it raises ``NoValue``, carrying the
 ``Crash`` or ``Open``.
 
 Application is the one operation: projection is ``apply`` of the value of
-``P0`` or ``P1``, and pairing two ``apply``s of the value of ``P``.  Under a
-fixed fuel it is a function of its operands, and equal operands are one
+``P0`` or ``P1``, and pairing two ``apply``s of the value of ``P``, values
+fixed at import (``machine.CONST_VALUES``: a defined constant's value is
+its expansion's, never ``Value(P0)``).  Under a fixed fuel it is a function of its operands, and equal operands are one
 object, so ``apply`` is tabled: its outcome is kept in the run's table
 (``Run.ops``) under ``(f, x, run.max_steps)``, so the checker, ``names``,
 ``realizers`` and the suites share it, and an application asked again, on
@@ -38,9 +39,9 @@ the other side of a pair, under another goal or by a later verdict of the
 same run, is answered from the table.
 
 ``value_of(t, run)`` is the one way to the value of a library term (a
-realizer, a generator, ``P``/``P0``/``P1``): its outcome is kept in the
-same table under ``(id(t), run.max_steps)``, beside ``t`` itself so that
-the id is not reused, and built under the asking run's limits.  No value
+realizer, a generator): its outcome is kept in the same table under
+``(id(t), run.max_steps)``, beside ``t`` itself so that the id is not
+reused, and built under the asking run's limits.  No value it builds
 outlives its run.  ``evaluate`` is not tabled here: the machine's own memo
 answers a closed term it has seen.
 
@@ -54,6 +55,7 @@ import os
 from dataclasses import dataclass
 
 from . import machine as _impl
+from .machine import CONST_VALUES
 
 _setting = os.environ.get("PCA_BACKEND", "")
 _choice = _setting.strip().lower()
@@ -197,10 +199,10 @@ def pair_value(a: Value, b: Value, run: Run | None = None) -> Value:
     is always defined, but a small fuel, or the value size cap, can stop it
     (``NoValue``)."""
     run = Run() if run is None else run
-    return defined(apply(defined(apply(value_of(P, run), a, run)), b, run))
+    return defined(apply(defined(apply(CONST_VALUES[P.kind], a, run)), b, run))
 
 
 def project(v: Value, i: int, run: Run | None = None) -> Value | Crash | Open:
     """The i-th projection of v, a tabled application of P0 or P1."""
     run = Run() if run is None else run
-    return apply(value_of(P0 if i == 0 else P1, run), v, run)
+    return apply(CONST_VALUES[(P0 if i == 0 else P1).kind], v, run)

@@ -121,7 +121,7 @@ def _accumulate(f: Value, a: Value) -> Value:
 def _run(ops: list, vstack: list, run: Run) -> Outcome:
     steps = 0
     max_steps = run.max_steps
-    const_values = _CONST_VALUES
+    const_values = CONST_VALUES
     memo_get = run.ops.get
     seen = run.seen
     slots = len(seen)
@@ -310,5 +310,5 @@ def kleene_eq(t1: Term, t2: Term, run: Run | None = None) -> Tri:
 
 # The value of each constant, built once: a delta constant is its own value,
 # a defined one the value of its expansion, which uses delta constants only.
-_CONST_VALUES = {kind: Value(Const(kind)) for kind in DELTA_ARITY}
-_CONST_VALUES.update({kind: eval_term(t).value for kind, t in EXPANSIONS.items()})
+CONST_VALUES = {kind: Value(Const(kind)) for kind in DELTA_ARITY}
+CONST_VALUES.update({kind: eval_term(t).value for kind, t in EXPANSIONS.items()})

@@ -9,10 +9,11 @@ the defining set is indexed by a decidable key.
 Each function that samples a type or runs the machine takes the run
 (``terms.Run``) from its caller and reads its fuel and its enumeration
 budget from it; none has a default.  The generators of the arrow types
-(the identity, successor, swap and apply-at) are library values, built
-under that run by ``kernel.value_of`` and kept in its table, not in this
-module: only their terms are cached here.  Building a name runs nothing:
-``internalize`` only checks that a value at type ``o`` is a numeral.
+(the identity, swap and apply-at; the successor is a constant) are library
+values, built under that run by ``kernel.value_of`` and kept in its table,
+not in this module: only their terms are cached here.  Building a name
+runs nothing: ``internalize`` only checks that a value at type ``o`` is a
+numeral.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def gen_elems(sigma: FinType, run: Run) -> list[Value]:
             if dom == cod:
                 out.append(_built(SKK, run))
             if dom == TYPE_O and cod == TYPE_O:
-                out.append(_built(SUCC, run))
+                out.append(Value(SUCC))
                 out.append(_built(_swap01(), run))
             if isinstance(dom, Arrow) and cod == TYPE_O:
                 for n in range(min(3, run.max_index + 1)):

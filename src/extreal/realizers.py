@@ -14,7 +14,7 @@ arguments by value.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bracket import Lam, compile_term, lam
 from .formulas import (
@@ -623,47 +623,20 @@ def arrow_term() -> Term:
 # against vacuous passes.
 
 
-def term_mutants(t: Term) -> list[tuple[str, Term]]:
-    """Every term obtained by flipping one #0/#1 literal or one P0/P1."""
-    sites: list[str] = []
-
-    def walk(u: Term, path: str) -> None:
-        match u:
-            case Num(0) | Num(1):
-                sites.append(path)
-            case Const(ConstKind.P0) | Const(ConstKind.P1):
-                sites.append(path)
-            case App(fun, arg):
-                walk(fun, path + "L")
-                walk(arg, path + "R")
-            case _:
-                pass
-
-    walk(t, "")
-
-    def rebuild(u: Term, path: str, target: str) -> Term:
-        if path == target:
-            match u:
-                case Num(0):
-                    return Num(1)
-                case Num(1):
-                    return Num(0)
-                case Const(ConstKind.P0):
-                    return P1
-                case Const(ConstKind.P1):
-                    return P0
-            raise AssertionError
-        if isinstance(u, App):
-            if target.startswith(path + "L"):
-                return App(rebuild(u.fun, path + "L", target), u.arg)
-            if target.startswith(path + "R"):
-                return App(u.fun, rebuild(u.arg, path + "R", target))
-        return u
-
-    out = []
-    for site in sites:
-        out.append((site or "root", rebuild(t, "", site)))
-    return out
+def term_mutants(t: Term, path: str = "") -> Iterator[tuple[str, Term]]:
+    """Every term obtained by flipping one #0/#1 literal or one P0/P1, with
+    the path to the flip (L: function, R: argument; "root" when ``t``
+    itself flips), function before argument."""
+    match t:
+        case Num(0) | Num(1):
+            yield path or "root", Num(1 - t.n)
+        case Const(ConstKind.P0) | Const(ConstKind.P1):
+            yield path or "root", P1 if t.kind is ConstKind.P0 else P0
+        case App(fun, arg):
+            for site, m in term_mutants(fun, path + "L"):
+                yield site, App(m, arg)
+            for site, m in term_mutants(arg, path + "R"):
+                yield site, App(fun, m)
 
 
 # ---------------------------------------------------------------------------

@@ -659,8 +659,7 @@ def suite_heo(run: Run) -> SuiteReport:
         rep.cases.append(CaseResult("base-type-decides", ok, "numerals compared exactly"))
 
     with rep.guard("successor functions"):
-        succ = value_of(SUCC, run)
-        pred = value_of(PRED, run)
+        succ, pred = Value(SUCC), Value(PRED)
         r1 = eq_type(succ, pred, oo, run)
         rep.cases.append(CaseResult("succ-vs-pred", r1.result is False,
                                     f"counterexample {r1.counterexample}"))
@@ -772,7 +771,7 @@ def suite_choice_arrow(run: Run) -> SuiteReport:
         oo = Arrow(TYPE_O, TYPE_O)
         arrow = value_of(arrow_term(), run)
         e0, e1 = _part(arrow, "0", run), _part(arrow, "1", run)
-        succ = value_of(SUCC, run)
+        succ = Value(SUCC)
         e00 = _part(defined(apply(e0, succ, run)), "0", run)
         r2 = defined(apply(e00, num_value(2), run))
         ok = _part(r2, "0", run) == num_value(2) and _part(r2, "10", run) == num_value(3)

@@ -204,7 +204,7 @@ class Run:
     ``generators_per_type`` sample elements per finite type, and ``seed``
     seeds the property suites.
 
-    ``ops`` is the run's table, with two kinds of entry:
+    ``ops`` is the run's table, with three kinds of entry:
     - the machine's memo of whole reductions, under int keys: a whole
       S-redex ``f a`` (``f = S x y``) under ``id(f) << 64 | id(a)``, entry
       ``(value, cost, f, a)``, its cost counted after its firing step, and a
@@ -214,8 +214,10 @@ class Run:
       fuel it fits (:mod:`extreal.machine`);
     - the outcome (value, ``Crash`` or ``Open``) of each ``kernel.apply``
       under the tuple key ``(f, x, max_steps)``;
-    - the outcome of each library term ``t`` that ``kernel.value_of``
-      evaluates, under ``(id(t), max_steps)``, entry ``(t, outcome)``.
+    - the outcome of each library term ``t`` (a realizer, a generator)
+      that ``kernel.value_of`` evaluates, under ``(id(t), max_steps)``,
+      entry ``(t, outcome)``; a constant's value is the machine's, and has
+      no entry.
     ``seen`` is the machine's seen filter, which decides what enters the
     memo: visits counted up to 2 per slot, a memo key modulo its length (a
     prime, as keys are ids).

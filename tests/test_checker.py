@@ -156,6 +156,14 @@ def test_imp_witness_counterexample_refutes():
     assert ver.status is Status.REFUTED
 
 
+def test_imp_refuted_by_the_synthesized_hypothesis_witness():
+    # K sends the witness of 0 ∈ 1 to K·w, which does not realize 1 = 2.
+    ver = check(both(Value(K)), Imp(Mem(Nat(0), Nat(1)), Eq(Nat(1), Nat(2))))
+    assert ver.status is Status.REFUTED and ver.trace.exhaustive
+    assert ver.trace.note == "synthesized hypothesis witness drives the conclusion to a refutation"
+    assert [(c.clause, c.status) for c in ver.trace.children] == [("eq", Status.REFUTED)]
+
+
 def test_check_imp_on_witnesses_modus_ponens():
     from extreal.bracket import SKK
     from extreal.realizers import value_of
@@ -178,6 +186,15 @@ def test_check_imp_on_witnesses_skips_non_realizers():
     ver = check_imp_on_witnesses(both(idv), phi, phi, [junk])
     assert ver.status is Status.UNKNOWN
     assert "no usable witnesses" in ver.trace.note
+
+
+@pytest.mark.parametrize("hyp, concl", [
+    (Eq(Nat(1), Nat(2)), Eq("x", Nat(1))),  # every witness screened out
+    (Mem("x", Nat(1)), Eq(Nat(1), Nat(1))),
+])
+def test_check_imp_on_witnesses_requires_closed_formulas(hyp, concl):
+    with pytest.raises(ValueError, match="requires closed formulas"):
+        check_imp_on_witnesses(both(Value(K)), hyp, concl, [both(Value(K))])
 
 
 def test_witness_labels_leave_the_memoised_trace_alone():

@@ -35,6 +35,12 @@ def test_lambda_body_extends_right():
     assert t == Lam("x", App(Var("x"), Var("x")))
 
 
+def test_a_lambda_argument_ends_the_spine():
+    k1 = App(Const(ConstKind.K), Num(1))
+    assert parse(r"K #1 \x. x") == App(k1, Lam("x", Var("x")))
+    assert parse(r"K #1 \x. x #2") == App(k1, Lam("x", App(Var("x"), Num(2))))
+
+
 def test_comments():
     t = parse("K -- the constant combinator\n  #3")
     assert t == App(Const(ConstKind.K), Num(3))
@@ -48,6 +54,14 @@ def test_parse_errors_carry_position():
         parse("")
     with pytest.raises(ParseError):
         parse(r"\K. K")
+    for src, msg, col in (
+        (r"\. x", "binder name expected", 2),
+        ("K # 1", "numeral expected after '#'", 3),
+        ("#", "numeral expected after '#'", 1),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert (err.value.msg, err.value.line, err.value.col) == (msg, 1, col)
     deep = "(" * 500 + "K" + ")" * 500
     with pytest.raises(ParseError, match="nesting deeper"):
         parse(deep)

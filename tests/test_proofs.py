@@ -4,8 +4,8 @@ import pytest
 
 from extreal.bracket import free_vars
 from extreal.checker import RealizerPair, Status, check
-from extreal.formulas import AllIn, And, Eq, ExIn, Imp, Mem, Or
-from extreal.kernel import apply_value, apply_values
+from extreal.formulas import All, AllIn, And, Eq, Ex, ExIn, Imp, Mem, Or
+from extreal.kernel import apply_value, apply_values, project
 from extreal.names import Nat
 from extreal.proofs import (
     InvalidProof,
@@ -20,7 +20,7 @@ from extreal.proofs import (
     imp_intro,
 )
 from extreal.realizers import synthesize, value_of
-from extreal.terms import Defined, Run, num
+from extreal.terms import Defined, Run, num, num_value
 
 BOTH = RealizerPair.both
 
@@ -103,6 +103,56 @@ def test_disjunction_rules():
     v2 = value_of(t)
     out2 = apply_values(v2, [synthesize(chi, Run()), wit_phi])
     assert check(BOTH(out2.value), chi).status is Status.REALIZED
+
+
+def test_or_intro_right_tags_the_right_side():
+    phi, psi = Eq(Nat(1), Nat(2)), Mem(Nat(0), Nat(2))
+    pr = imp_intro("h", psi, NDProof("or-intro-right", Or(phi, psi), (assume(psi, "h"),)))
+    out = apply_value(value_of(extract(pr)), synthesize(psi, Run())).value
+    assert project(out, 0) is num_value(1)
+    assert check(BOTH(out), Or(phi, psi)).status is Status.REALIZED
+    with pytest.raises(InvalidProof, match="injects into the stated side"):
+        NDProof("or-intro-right", Or(phi, psi), (assume(phi, "h"),))
+
+
+def test_generic_quantifier_rules_pass_the_realizer_through():
+    refl = NDProof("eq-refl", Eq("x", "x"))
+    intro = NDProof("all-intro", All("x", Eq("x", "x")), (refl,))
+    elim = NDProof("all-elim", Eq(Nat(2), Nat(2)), (intro,), aux=Nat(2))
+    two = NDProof("eq-refl", Eq(Nat(2), Nat(2)))
+    ex = NDProof("ex-intro", Ex("y", Eq("y", Nat(2))), (two,), aux=Nat(2))
+    for pr in (intro, elim, ex):
+        assert extract(pr) == extract(pr.premises[0])
+    assert check(BOTH(value_of(extract(elim))), elim.conclusion).status is Status.REALIZED
+
+    for rule, concl, prem, aux, msg in [
+        ("all-intro", All("x", Eq("x", "x")), two, None, "generic body"),
+        ("all-intro", Ex("x", Eq("x", "x")), refl, None, "one premise"),
+        ("all-elim", Eq(Nat(2), Nat(2)), refl, Nat(2), "one universal premise"),
+        ("all-elim", Eq(Nat(2), Nat(2)), intro, None, "carries the instance name"),
+        ("all-elim", Eq(Nat(3), Nat(3)), intro, Nat(2), "instance must match"),
+        ("ex-intro", Ex("y", Eq("y", Nat(2))), two, num(2), "carries the witness name"),
+        ("ex-intro", Ex("y", Eq("y", Nat(3))), two, Nat(2), "premise is the instance"),
+    ]:
+        with pytest.raises(InvalidProof, match=msg):
+            NDProof(rule, concl, (prem,), aux=aux)
+
+
+def test_mem_replace_right_on_numerals():
+    for n in (1, 3):
+        for k in range(n):
+            e, m = Eq(Nat(n), Nat(n)), Mem(Nat(k), Nat(n))
+            pr = NDProof("mem-replace-right", m, (assume(e, "e"), assume(m, "m")))
+            v = value_of(extract(imp_intro("e", e, imp_intro("m", m, pr))))
+            out = apply_values(v, [synthesize(e, Run()), synthesize(m, Run())])
+            assert check(BOTH(out.value), m).status is Status.REALIZED, (n, k)
+    e = Eq(Nat(2), Nat(3))
+    with pytest.raises(InvalidProof, match="shapes"):
+        NDProof("mem-replace-right", Mem(Nat(0), Nat(3)), (assume(e, "e"), assume(Mem(Nat(0), Nat(3)), "m")))
+    with pytest.raises(InvalidProof, match="replaced bound"):
+        NDProof("mem-replace-right", Mem(Nat(1), Nat(3)), (assume(e, "e"), assume(Mem(Nat(0), Nat(2)), "m")))
+    with pytest.raises(InvalidProof, match="two premises"):
+        NDProof("mem-replace-right", Mem(Nat(0), Nat(3)), (assume(e, "e"),))
 
 
 def test_not_elim_is_vacuously_sound():

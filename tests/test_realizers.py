@@ -49,7 +49,7 @@ from extreal.realizers import (
     value_of,
 )
 from extreal.suites import infinity_e0_cases, infinity_e1_cases, random_finite_name
-from extreal.terms import Defined, K, Opaque, Run, Value, Var, num_value
+from extreal.terms import Defined, K, Opaque, Run, Value, Var, app, num, num_value
 
 IR = i_r_value(Run())
 BOTH = RealizerPair.both
@@ -65,16 +65,16 @@ def test_all_library_terms_are_closed_and_defined():
 def test_the_run_keeps_values_of_library_terms_only():
     # kernel.value_of keeps a term's value under the term's id, and the term
     # with it, for the rest of the run; that pays only for a term asked for
-    # again, a library term.  A term built on the spot is evaluated instead.
+    # again, a library term.  A term built on the spot is evaluated instead,
+    # and a constant's value is the machine's, kept by no run.
     from extreal import names, realizers
     from extreal.bracket import SKK
     from extreal.suites import run_suite
-    from extreal.terms import P, P0, P1, PRED, SUCC
 
     run = Run()
     run_suite("czf-axioms", run)
     assert synthesize(AllIn("x", Nat(3), Mem("x", OMEGA)), run) is not None
-    library = [SKK, SUCC, PRED, P, P0, P1, names._swap01(), *map(names._apply_at, range(3))]
+    library = [SKK, names._swap01(), *map(names._apply_at, range(3))]
     library += [build() for build in LIBRARY.values()]
     for f in vars(realizers).values():  # the cached builders, tuples spread
         if hasattr(f, "cache_info") and f.__wrapped__.__code__.co_argcount == 0:
@@ -82,6 +82,32 @@ def test_the_run_keeps_values_of_library_terms_only():
             library += out if isinstance(out, tuple) else [out]
     kept = [entry[0] for key, entry in run.ops.items() if isinstance(key, tuple) and len(key) == 2]
     assert kept and {id(t) for t in kept} <= {id(t) for t in library}
+
+
+def test_no_run_asks_for_the_value_of_a_constant(monkeypatch):
+    # Projection and pairing apply the machine's values of P0, P1 and P
+    # (machine.CONST_VALUES), so over every suite under one run no
+    # value_of call is for a constant and no key of the table is one's.
+    from extreal import kernel, names, realizers, suites
+    from extreal.terms import Const, P
+
+    asked, kernel_value_of = [], kernel.value_of
+
+    def counted(t, run=None):
+        asked.append(t)
+        return kernel_value_of(t, run)
+
+    for mod in (kernel, names, realizers, suites):
+        monkeypatch.setattr(mod, "value_of", counted)
+    run = Run()
+    assert kernel.pair_value(num_value(1), IR, run) is kernel.evaluate(app(P, num(1), Opaque("ir", IR)), run)
+    assert kernel.project(kernel.pair_value(num_value(1), IR, run), 1, run) is IR
+    assert asked == []
+    for name in suites.SUITES:
+        suites.run_suite(name, run)
+    assert asked and not any(isinstance(t, Const) for t in asked)
+    kept = [entry[0] for key, entry in run.ops.items() if isinstance(key, tuple) and len(key) == 2]
+    assert kept and not any(isinstance(t, Const) for t in kept)
 
 
 def test_reflexivity_on_random_names():

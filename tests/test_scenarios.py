@@ -1,5 +1,6 @@
 """Scenario files and command-line behaviour."""
 
+import hashlib
 import json
 import os
 import random
@@ -801,6 +802,22 @@ def test_cli_print():
     assert "ax.pairing" in listing.stdout and "choice.o.o" in listing.stdout
     missing = _cli("print", "no-such")
     assert missing.returncode == 2
+
+
+# sha256 of the sorted "id<TAB>printed term" lines of `extreal print` over
+# the whole library.  A deliberate change to a library term updates it.
+_LIBRARY_PRINT_SHA256 = "cc7f1b13b8c4386bfd0ba8509b65dac7506b8283a39529ccf22bda5726bb3735"
+
+
+def test_cli_print_of_the_library_is_pinned(capsys):
+    def printed(*argv):
+        assert cli.main(["print", *argv]) == 0
+        return capsys.readouterr().out
+
+    ids = printed().split()
+    lines = sorted(f"{i}\t{printed(i)}" for i in ids)
+    assert len(ids) == 25
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == _LIBRARY_PRINT_SHA256
 
 
 def test_cli_env_fallbacks():
