@@ -203,7 +203,8 @@ def _cmd_print(args) -> int:
     try:
         term = realizer_term(args.id)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     print(print_term(term))
     return 0

@@ -115,7 +115,7 @@ def _accumulate(f: Value, a: Value) -> Value:
         raise ValueSizeExceeded(
             f"value of {f.size + a.size} nodes exceeds the cap of {_MAX_SIZE}"
         )
-    return f.extend(a)
+    return Value(f.head, f.args + (a,))
 
 
 def _run(ops: list, vstack: list, run: Run) -> Outcome:

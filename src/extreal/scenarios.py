@@ -526,7 +526,7 @@ def run_scenario(text: str, run: Run | None = None) -> ScenarioReport:
             try:
                 env.terms[name] = realizer_term(body.strip())
             except KeyError as exc:
-                raise ScenarioError(str(exc), lineno)
+                raise ScenarioError(exc.args[0], lineno) from None
         elif head == "eval":
             report.results.append(_run_eval(env, rest, lineno))
         elif head in ("check", "check-with-witnesses"):

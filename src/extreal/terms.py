@@ -15,8 +15,9 @@ crash from a timeout.
 from __future__ import annotations
 
 import enum
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
-from weakref import WeakValueDictionary
+from weakref import ref
 
 
 class MachineError(Exception):
@@ -140,21 +141,22 @@ class Value:
 
     def __new__(cls, head: Const | Num | Opaque, args: tuple["Value", ...] = ()) -> "Value":
         key = (head, args)
-        v = _INTERN.get(key)
-        if v is None:
-            v = object.__new__(cls)
-            size = 1
-            for a in args:
-                size += a.size
-            object.__setattr__(v, "head", head)
-            object.__setattr__(v, "args", args)
-            object.__setattr__(v, "size", size)
-            _INTERN[key] = v
+        r = _INTERN.get(key)
+        if r is not None:
+            v = r()
+            if v is not None:
+                return v
+        v = object.__new__(cls)
+        size = 1
+        for a in args:
+            size += a.size
+        object.__setattr__(v, "head", head)
+        object.__setattr__(v, "args", args)
+        object.__setattr__(v, "size", size)
+        r = _Ref(v, _drop)
+        r.key = key
+        _INTERN[key] = r
         return v
-
-    def extend(self, a: "Value") -> "Value":
-        """``Value(self.head, self.args + (a,))``."""
-        return Value(self.head, self.args + (a,))
 
     def is_numeral(self) -> bool:
         return isinstance(self.head, Num)
@@ -166,9 +168,25 @@ class Value:
         return self.head.n
 
 
-# The hash-consing table: each live value under its ``(head, args)``, held
-# weakly, so that an entry lives exactly as long as its value.
-_INTERN: "WeakValueDictionary[tuple, Value]" = WeakValueDictionary()
+class _Ref(ref):
+    """A weak reference to a value that knows its key in ``_INTERN``."""
+
+    __slots__ = ("key",)
+
+
+# The hash-consing table: each live value's weak reference under its
+# ``(head, args)``.  A value's death drops its entry, so ``len(_INTERN)``
+# counts live values.
+_INTERN: "dict[tuple, _Ref]" = {}
+
+
+def _drop(r: _Ref, _table=_INTERN, _remove=_remove_dead_weakref) -> None:
+    # Only a dead reference goes: a value built again under the same key
+    # before this callback ran keeps its entry.  The table and the remover
+    # are bound as defaults, as values still die while the interpreter
+    # clears module globals at exit.
+    _remove(_table, r.key)
+
 
 # The bound of a run's table (``Run.ops``): once it holds more than
 # MEMO_LIMIT entries, of any kind, it is emptied before the next entry is

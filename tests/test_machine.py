@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import gc
 import itertools
 import re
 import sys
@@ -307,7 +308,7 @@ _values = st.recursive(
 @given(_values, _values)
 def test_extend_matches_the_constructor(v, a):
     built = Value(v.head, v.args + (a,))
-    assert v.extend(a) is built and built.size == v.size + a.size
+    assert machine._accumulate(v, a) is built and built.size == v.size + a.size
 
 
 def test_const_kind_hashes_by_identity():
@@ -554,6 +555,39 @@ def test_the_value_table_is_weak(monkeypatch):
     assert machine.eval_term(EXPANSIONS[ConstKind.P], None, run).value is p_val
 
 
+def test_a_late_callback_keeps_the_rebuilt_value():
+    # A value's death drops its entry from _INTERN only while that entry is
+    # its own dead reference: a value built again under the same key keeps
+    # its entry when the old reference's callback runs late.
+    key = (Opaque("lifetime"), (num_value(3),))
+    v = Value(*key)
+    old = terms._INTERN[key]
+    callback = old.__callback__
+    del v
+    assert old() is None and key not in terms._INTERN
+    again = Value(*key)
+    entry = terms._INTERN[key]
+    callback(old)
+    assert terms._INTERN[key] is entry and entry() is again
+    assert Value(*key) is again
+
+
+def test_runs_leave_no_entry_in_the_value_table():
+    # Every suite under one run, the run dropped: every entry of _INTERN
+    # is a live value, and there are as many as before.
+    from extreal import suites
+
+    gc.collect()
+    start = len(terms._INTERN)
+    run = Run()
+    for name in suites.SUITES:
+        suites.run_suite(name, run)
+    del run
+    gc.collect()
+    assert all(r() is not None for r in terms._INTERN.values())
+    assert len(terms._INTERN) == start
+
+
 def test_equal_operands_share_one_memo_entry():
     # T z #6, built twice: the second App node is new, its operands are the
     # objects of the first, and its run is one memo entry replayed, with the
@@ -634,7 +668,7 @@ def test_memo_hit_still_checks_the_size_cap():
     run = Run()
     f = Value(Opaque("cap"), (num_value(1),))
     a = _doubled("cap-big", 19)
-    over = f.extend(a)
+    over = Value(f.head, f.args + (a,))
     assert over.size > run.max_value_size
     for _ in range(2):
         with pytest.raises(ValueSizeExceeded):

@@ -804,6 +804,22 @@ def test_cli_print():
     assert missing.returncode == 2
 
 
+def test_cli_print_of_an_unknown_id_is_one_unquoted_line(capsys):
+    assert cli.main(["print", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: unknown realizer id 'nope'; known: arrow.o.o, "), err
+
+
+def test_cli_run_of_an_unknown_realizer_id_is_one_unquoted_line(tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_text("realizer r = nope\n")
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("parse error: line 1: unknown realizer id 'nope'; known: arrow.o.o, "), err
+
+
 # sha256 of the sorted "id<TAB>printed term" lines of `extreal print` over
 # the whole library.  A deliberate change to a library term updates it.
 _LIBRARY_PRINT_SHA256 = "cc7f1b13b8c4386bfd0ba8509b65dac7506b8283a39529ccf22bda5726bb3735"
