@@ -430,9 +430,9 @@ def _constant_output(v: Value) -> Value | None:
 
 def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
     """Realized when ``formulas.truth_eval`` finds a fragment hypothesis
-    false, or a constant realizer's output realizes the conclusion; else
-    a·w, b·w for the hypothesis realizer w of ``realizers.synthesize`` can
-    only refute."""
+    false, or a constant realizer's output realizes the conclusion.  Past
+    the first test a fragment hypothesis is true, so ``realizers.synthesize``
+    builds its realizer w, and a·w, b·w can only refute."""
     clause = "imp"
     ca, cb = _constant_output(a), _constant_output(b)
     decidable = in_fragment(phi.hyp)
@@ -460,22 +460,21 @@ def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
         except NoValue as exc:
             return Trace(clause, Status.UNKNOWN,
                          note=f"hypothesis witness synthesis stopped: {reason(exc.outcome)}")
-        if wit is not None:
-            aw, bw, bad = _both(ctx, clause, apply, a, wit, b, wit, "a·witness", "b·witness")
-            if bad:
-                return bad
-            t = yield aw, bw, phi.concl
-            if t.status is Status.REFUTED:
-                return Trace(
-                    clause, Status.REFUTED,
-                    note="synthesized hypothesis witness drives the conclusion to a refutation",
-                    exhaustive=True, children=[t],
-                )
+        aw, bw, bad = _both(ctx, clause, apply, a, wit, b, wit, "a·witness", "b·witness")
+        if bad:
+            return bad
+        t = yield aw, bw, phi.concl
+        if t.status is Status.REFUTED:
             return Trace(
-                clause, Status.UNKNOWN,
-                note="one synthesized witness passed; the universal over realizers is open",
-                children=[t], witness_directed=True,
+                clause, Status.REFUTED,
+                note="synthesized hypothesis witness drives the conclusion to a refutation",
+                exhaustive=True, children=[t],
             )
+        return Trace(
+            clause, Status.UNKNOWN,
+            note="one synthesized witness passed; the universal over realizers is open",
+            children=[t], witness_directed=True,
+        )
     return Trace(clause, Status.UNKNOWN, note="implication quantifies over the whole algebra")
 
 

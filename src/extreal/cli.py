@@ -39,10 +39,10 @@ SUITE_IDS = ("abstraction", "choice-arrow", "czf-axioms", "equality", "fixpoints
              "pairing-internal", "pca-laws", "truth-oracle")
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str) -> int | None:
     raw = os.environ.get(name)
     if raw is None:
-        return default
+        return None
     try:
         return int(raw)
     except ValueError:
@@ -75,13 +75,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> Run:
-    """The run: fuel, budget and seed from the flags, else the environment.
-    A bad value ends the command with one error line and exit code 2."""
+    """The run: fuel, budget and seed from the flags, else the environment,
+    else ``Run``'s defaults.  A bad value ends the command with one error
+    line and exit code 2."""
     try:
-        fuel = args.fuel if args.fuel is not None else _env_int("PCA_FUEL", 100_000)
-        budget = args.budget if args.budget is not None else _env_int("PCA_BUDGET", 8)
-        seed = args.seed if args.seed is not None else _env_int("PCA_SEED", 0)
-        return Run(max_steps=fuel, max_index=budget, seed=seed)
+        given = {}
+        for name, flag, env in (("max_steps", args.fuel, "PCA_FUEL"),
+                                ("max_index", args.budget, "PCA_BUDGET"),
+                                ("seed", args.seed, "PCA_SEED")):
+            value = flag if flag is not None else _env_int(env)
+            if value is not None:
+                given[name] = value
+        return Run(**given)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

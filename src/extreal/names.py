@@ -191,8 +191,10 @@ def _built(t: Term, run: Run) -> Value | None:
 
 def gen_elems(sigma: FinType, run: Run) -> list[Value]:
     """Canonical sample inhabitants of the type, deterministically ordered.
-    The arrow-type generators are built under the run; one its limits
-    cannot build is left out, since the sample is not exhaustive anyway."""
+    An arrow type gets at most ``generators_per_type`` constant functions
+    and at most three more generators.  They are built under the run; one its
+    limits cannot build is left out, since the sample is not exhaustive
+    anyway."""
     match sigma:
         case O():
             return [num_value(i) for i in range(run.max_index + 1)]
@@ -206,7 +208,7 @@ def gen_elems(sigma: FinType, run: Run) -> list[Value]:
             if isinstance(dom, Arrow) and cod == TYPE_O:
                 for n in range(min(3, run.max_index + 1)):
                     out.append(_built(_apply_at(n), run))
-            return [v for v in out if isinstance(v, Value)][: run.generators_per_type + 3]
+            return [v for v in out if isinstance(v, Value)]
     raise TypeError(sigma)
 
 

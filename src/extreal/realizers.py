@@ -1,7 +1,9 @@
 """The realizer library: the fixed-point and recursion combinators, closed
 terms for the equality laws, the set axioms, internal pairing, choice and
 arrow types, plus synthesis of realizers for true bounded-arithmetic
-sentences.
+sentences: ``formulas.truth_eval`` decides a sentence, and only a true one
+is built, by recursion on the sentence, with each disjunct and witness
+chosen by truth.
 
 Terms are transcribed from their defining equations; where only the shape of
 a construction is fixed (the transitivity pair, the ordered-pair laws), the
@@ -28,13 +30,12 @@ from .formulas import (
     Mem,
     Not,
     Or,
-    in_fragment,
     substitute,
     truth_eval,
     witness_range,
 )
 from .kernel import apply, defined, evaluate, pair_value, value_of
-from .names import Explicit, Nat, Omega, Triple, VName, enumerate_triples
+from .names import Explicit, Nat, Triple, VName, enumerate_triples
 from .terms import (
     App,
     Const,
@@ -209,64 +210,44 @@ def _dispatch_value(entries: list[tuple[int, Value]], run: Run) -> Value:
 
 def synthesize(phi: Formula, run: Run) -> Value | None:
     """A realizer, for both sides of a pair, of a bounded-arithmetic
-    sentence that ``formulas.truth_eval`` finds true; None for a false one.
-    Raises FragmentError outside the fragment, and NoValue when the run's
-    limits stop a pairing or the building of ``i_r``."""
-    if not in_fragment(phi):
-        raise FragmentError("synthesis only covers the bounded-arithmetic fragment")
-    return _synth(phi, run)
+    sentence: ``formulas.truth_eval`` decides it, and only a true one is
+    built; None for a false one.  Raises FragmentError outside the
+    fragment, and NoValue when the run's limits stop a pairing or the
+    building of ``i_r``."""
+    return _build(phi, run) if truth_eval(phi) else None
 
 
-def _synth(phi: Formula, run: Run) -> Value | None:
+def _build(phi: Formula, run: Run) -> Value:
+    """The realizer of a fragment sentence already known to be true; each
+    disjunct and witness is chosen by ``truth_eval``."""
     match phi:
-        case Eq(Nat(n), Nat(m)):
-            return i_r_value(run) if n == m else None
-        case Mem(Nat(n), Nat(m)):
-            return pair_value(num_value(n), i_r_value(run), run) if n < m else None
-        case Mem(Nat(n), Omega()):
+        case Eq():
+            return i_r_value(run)
+        case Mem(Nat(n), _):
             return pair_value(num_value(n), i_r_value(run), run)
         case And(l, r):
-            vl = _synth(l, run)
-            if vl is None:
-                return None
-            vr = _synth(r, run)
-            if vr is None:
-                return None
-            return pair_value(vl, vr, run)
+            return pair_value(_build(l, run), _build(r, run), run)
         case Or(l, r):
-            vl = _synth(l, run)
-            if vl is not None:
-                return pair_value(num_value(0), vl, run)
-            vr = _synth(r, run)
-            if vr is not None:
-                return pair_value(num_value(1), vr, run)
-            return None
-        case Not(b):
+            if truth_eval(l):
+                return pair_value(num_value(0), _build(l, run), run)
+            return pair_value(num_value(1), _build(r, run), run)
+        case Not():
             # Any pair realizes a negation whose body has no realizer.
-            return Value(K) if not truth_eval(b) else None
+            return Value(K)
         case Imp(h, c):
             if not truth_eval(h):
                 return Value(K)
-            vc = _synth(c, run)
-            if vc is None:
-                return None
-            return defined(apply(Value(K), vc, run))
+            return defined(apply(Value(K), _build(c, run), run))
+        case AllIn(_, Nat(0), _):
+            return Value(K)
         case AllIn(v, Nat(n), body):
-            entries = []
-            for k in range(n):
-                sub = _synth(substitute(body, v, Nat(k)), run)
-                if sub is None:
-                    return None
-                entries.append((k, sub))
-            if not entries:
-                return Value(K)
+            entries = [(k, _build(substitute(body, v, Nat(k)), run)) for k in range(n)]
             return _dispatch_value(entries, run)
         case ExIn(v, bound, body):
             for k in witness_range(bound, body):
-                sub = _synth(substitute(body, v, Nat(k)), run)
-                if sub is not None:
-                    return pair_value(num_value(k), sub, run)
-            return None
+                sub = substitute(body, v, Nat(k))
+                if truth_eval(sub):
+                    return pair_value(num_value(k), _build(sub, run), run)
     raise FragmentError(f"cannot synthesize for {phi!r}")
 
 

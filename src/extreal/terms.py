@@ -302,8 +302,3 @@ def num_value(n: int) -> Value:
 
 def opaque_value(ident: str) -> Value:
     return Value(Opaque(ident))
-
-
-def embed(v: Value, ident: str = "_") -> Opaque:
-    """Wrap an already-evaluated element so it can occur inside a term."""
-    return Opaque(ident, v)

@@ -311,6 +311,53 @@ def test_truth_eval_rejects_non_fragment():
     assert not in_fragment(All("x", Eq("x", "x")))
 
 
+def _classical(phi, env):
+    """Truth over Python ints, by an environment instead of substitution;
+    an existential over ω searches below 64."""
+
+    def val(r):
+        return env[r] if isinstance(r, str) else r.n
+
+    match phi:
+        case Mem(x, y):
+            return y == OMEGA or val(x) < val(y)
+        case Eq(x, y):
+            return val(x) == val(y)
+        case And(l, r):
+            return _classical(l, env) and _classical(r, env)
+        case Or(l, r):
+            return _classical(l, env) or _classical(r, env)
+        case Not(b):
+            return not _classical(b, env)
+        case Imp(h, c):
+            return not _classical(h, env) or _classical(c, env)
+        case AllIn(v, bound, body):
+            return all(_classical(body, {**env, v: m}) for m in range(val(bound)))
+        case ExIn(v, bound, body):
+            top = 64 if bound == OMEGA else val(bound)
+            return any(_classical(body, {**env, v: m}) for m in range(top))
+    raise TypeError(phi)
+
+
+def test_truth_eval_agrees_with_an_independent_evaluator():
+    verdicts = []
+    for seed in range(400):
+        for qdepth in (1, 2, 3):
+            phi = random_fragment_formula(random.Random(seed), qdepth)
+            want = _classical(phi, {})
+            assert truth_eval(phi) is want, fmt(phi)
+            verdicts.append(want)
+    assert len(verdicts) >= 1_000 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_substitute_stops_at_a_quantifier_that_shadows_the_variable():
+    body = Mem("x", "y")
+    assert substitute(All("x", body), "x", Nat(3)) == All("x", body)
+    assert substitute(Ex("x", body), "x", Nat(3)) == Ex("x", body)
+    assert substitute(All("x", body), "y", Nat(3)) == All("x", Mem("x", Nat(3)))
+    assert substitute(Ex("x", body), "y", Nat(3)) == Ex("x", Mem("x", Nat(3)))
+
+
 def test_synthesize_false_returns_none():
     assert synthesize(Eq(Nat(1), Nat(2)), Run()) is None
     assert synthesize(Mem(Nat(5), Nat(2)), Run()) is None
@@ -443,6 +490,45 @@ def test_failure_sites_crash_refutes_and_fuel_is_unknown(what, clause, phi, a, b
         assert (node.clause, node.status, node.exhaustive) == (clause, status, refuted)
         want = f"{what} {note}"
         assert node.note.startswith(want) if refuted else node.note == want, node.note
+
+
+_TRUE = Eq(Nat(1), Nat(1))
+# One case per return of ``checker._check_imp``: (pair source, formula, fuel,
+# status, note, exhaustive, witness_directed).
+_IMP_OUTCOMES = {
+    "false-hypothesis": ("K", Imp(Eq(Nat(1), Nat(2)), Eq(Nat(0), Nat(0))), 100_000,
+                         Status.REALIZED, "hypothesis has no realizer (decided on the arithmetic fragment)",
+                         True, False),
+    "constant-realized": ("K #7", Imp(_TRUE, Not(Eq(Nat(1), Nat(2)))), 100_000,
+                          Status.REALIZED, "constant realizer: conclusion checked once", True, False),
+    "constant-refuted": ("K #7", Imp(_TRUE, Mem(Nat(5), Nat(2))), 100_000,
+                         Status.REFUTED, "constant realizer refutes the conclusion", True, False),
+    "constant-open": ("K #7", Imp(_TRUE, All("x", Eq(Nat(0), Nat(0)))), 100_000,
+                      Status.UNKNOWN, "", False, False),
+    "synthesis-stopped": ("K", Imp(_TRUE, Eq(Nat(0), Nat(0))), 5,
+                          Status.UNKNOWN, "hypothesis witness synthesis stopped: fuel exhausted",
+                          False, False),
+    "witness-crashes": (_fn(_CRASH), Imp(_TRUE, Eq(Nat(0), Nat(0))), 100_000,
+                        Status.REFUTED, "a·witness crashed (stuck: numeral #3 applied as a function)",
+                        True, False),
+    "witness-refutes": ("K", Imp(_ZERO_IN_ONE, Eq(Nat(1), Nat(2))), 100_000, Status.REFUTED,
+                        "synthesized hypothesis witness drives the conclusion to a refutation",
+                        True, False),
+    "witness-passes": ("K", Imp(_TRUE, Not(Eq(Nat(1), Nat(2)))), 100_000, Status.UNKNOWN,
+                       "one synthesized witness passed; the universal over realizers is open",
+                       False, True),
+    "outside-fragment": ("K", Imp(Eq(Sing(Nat(0)), Sing(Nat(0))), Eq(Nat(0), Nat(0))), 100_000,
+                         Status.UNKNOWN, "implication quantifies over the whole algebra", False, False),
+}
+
+
+@pytest.mark.parametrize("case", _IMP_OUTCOMES)
+def test_every_outcome_of_the_implication_clause(case):
+    src, phi, fuel, status, note, exhaustive, witness_directed = _IMP_OUTCOMES[case]
+    trace = check(both(_term_value(src)), phi, Run(max_steps=fuel)).trace
+    assert trace.clause == "imp"
+    assert (trace.status, trace.note, trace.exhaustive, trace.witness_directed) == (
+        status, note, exhaustive, witness_directed)
 
 
 def test_check_deep_in_the_host_stack_decides_as_at_the_top():

@@ -163,6 +163,16 @@ def test_union_builder_rejects_schematic_input():
         union_name(OMEGA, Run())
 
 
+@pytest.mark.parametrize("build", [
+    lambda run: union_name(Explicit(((num_value(0), num_value(0), OMEGA),)), run),
+    lambda run: separation_name(OMEGA, lambda u: Eq(u, u), run),
+    lambda run: collection_name(OMEGA, lambda triple: triple[2], run),
+], ids=["union-members", "separation", "collection"])
+def test_witness_builders_refuse_non_finite_input(build):
+    with pytest.raises(ValueError, match="finite"):
+        build(Run())
+
+
 def test_extensionality_witness_directed():
     from extreal.bracket import SKK
 
