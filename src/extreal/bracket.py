@@ -18,8 +18,6 @@ an application; ``always_defined`` reads the same walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .terms import (
     App,
     Const,
@@ -27,17 +25,21 @@ from .terms import (
     DEFINED_ARITY,
     DELTA_ARITY,
     K,
+    Node,
     Opaque,
     S,
     Term,
     Var,
+    set_field,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Lam:
-    var: str
-    body: "LambdaTerm"
+class Lam(Node):
+    __slots__ = __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: "LambdaTerm"):
+        set_field(self, "var", var)
+        set_field(self, "body", body)
 
 
 LambdaTerm = Term | Lam

@@ -39,7 +39,6 @@ realizer ``realizers.synthesize`` builds, one layer below this one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
 from functools import partial
 
 from .formulas import (
@@ -63,7 +62,7 @@ from .formulas import (
 from .kernel import Crash, NoValue, apply, project, reason
 from .names import Nat, VName, enumerate_triples, lookup_triples
 from .realizers import synthesize
-from .terms import ConstKind, Const, Run, Value
+from .terms import ConstKind, Const, Node, Run, Value, set_field
 
 
 class Status(enum.Enum):
@@ -72,28 +71,36 @@ class Status(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class RealizerPair:
-    a: Value
-    b: Value
+class RealizerPair(Node):
+    __slots__ = __match_args__ = ("a", "b")
+
+    def __init__(self, a: Value, b: Value):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     @staticmethod
     def both(v: Value) -> "RealizerPair":
         return RealizerPair(v, v)
 
 
-@dataclass(slots=True)
-class Trace:
-    """A verdict's derivation.  A trace can be as deep as the names it
-    checks, so it is walked on an explicit stack, and ``repr`` leaves the
-    children out."""
+class Trace(Node):
+    """A verdict's derivation, built up in place.  A trace can be as deep as
+    the names it checks, so it is walked on an explicit stack, and its
+    equality and ``repr`` leave the children out."""
 
-    clause: str
-    status: Status
-    note: str = ""
-    exhaustive: bool = False
-    witness_directed: bool = False
-    children: list["Trace"] = field(default_factory=list, repr=False)
+    __match_args__ = ("clause", "status", "note", "exhaustive", "witness_directed")
+    __slots__ = (*__match_args__, "children")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, clause: str, status: Status, note: str = "", exhaustive: bool = False,
+                 witness_directed: bool = False, children: list[Trace] | None = None):
+        self.clause = clause
+        self.status = status
+        self.note = note
+        self.exhaustive = exhaustive
+        self.witness_directed = witness_directed
+        self.children = [] if children is None else children
 
     def to_dict(self, depth: int | None = None) -> dict:
         def head(t: Trace) -> dict:
@@ -136,10 +143,12 @@ class Trace:
         return "\n".join(lines)
 
 
-@dataclass
-class Verdict:
-    trace: Trace
-    samples_checked: int
+class Verdict(Node):
+    __slots__ = __match_args__ = ("trace", "samples_checked")
+
+    def __init__(self, trace: Trace, samples_checked: int):
+        set_field(self, "trace", trace)
+        set_field(self, "samples_checked", samples_checked)
 
     @property
     def status(self) -> Status:
@@ -158,8 +167,7 @@ def decide_nat_eq(n: int, m: int) -> bool:
     return n == m
 
 
-@dataclass(slots=True)
-class _Ctx:
+class _Ctx(Node):
     """One verdict's run and its goal memo.  For a fixed run a goal's Trace
     is a function of (a, b, φ), and equal values are one object: ``memo``
     answers a repeated goal, which shared sub-names would otherwise
@@ -169,9 +177,14 @@ class _Ctx:
     live longer: ``kernel.apply`` keeps them in the run's table
     (``run.ops``), beside the machine's memo."""
 
-    run: Run
-    samples: int = 0
-    memo: dict = field(default_factory=dict)
+    __slots__ = __match_args__ = ("run", "samples", "memo")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, run: Run):
+        self.run = run
+        self.samples = 0
+        self.memo: dict = {}
 
 
 def _as_name(r: NameRef) -> VName:
@@ -528,7 +541,8 @@ def check_imp_on_witnesses(
         if t is None:
             t = _solve(ctx, aw, bw, concl)
             # The memo holds t; label a copy.
-            t = replace(t, note=(f"witness {i}: " + t.note).rstrip(": "))
+            t = Trace(t.clause, t.status, (f"witness {i}: " + t.note).rstrip(": "),
+                      t.exhaustive, t.witness_directed, t.children)
         trace.children.append(t)
         trace.status = _meet(trace.status, t.status)
         if trace.status is Status.REFUTED:

@@ -10,76 +10,120 @@ formula alone, which ``truth_eval`` decides without the machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .names import Nat, Omega, VName, describe
+from .terms import Node, set_field
 
 NameRef = str | VName
 
 
-class Formula:
+class Formula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Mem(Formula):
-    x: NameRef
-    y: NameRef
+    __slots__ = __match_args__ = ("x", "y")
+
+    def __init__(self, x: NameRef, y: NameRef):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
 
-@dataclass(frozen=True, slots=True)
 class Eq(Formula):
-    x: NameRef
-    y: NameRef
+    __slots__ = __match_args__ = ("x", "y")
+
+    def __init__(self, x: NameRef, y: NameRef):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
+
+    def __init__(self, body: Formula):
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
 class Imp(Formula):
-    hyp: Formula
-    concl: Formula
+    __slots__ = __match_args__ = ("hyp", "concl")
+
+    def __init__(self, hyp: Formula, concl: Formula):
+        set_field(self, "hyp", hyp)
+        set_field(self, "concl", concl)
 
 
-@dataclass(frozen=True, slots=True)
 class AllIn(Formula):
-    var: str
-    bound: NameRef
-    body: Formula
+    __slots__ = __match_args__ = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: NameRef, body: Formula):
+        set_field(self, "var", var)
+        set_field(self, "bound", bound)
+        set_field(self, "body", body)
+
+    def __hash__(self):
+        return hash((self.var, self.bound, self.body))
 
 
-@dataclass(frozen=True, slots=True)
 class ExIn(Formula):
-    var: str
-    bound: NameRef
-    body: Formula
+    __slots__ = __match_args__ = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: NameRef, body: Formula):
+        set_field(self, "var", var)
+        set_field(self, "bound", bound)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
 class All(Formula):
-    var: str
-    body: Formula
+    __slots__ = __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        set_field(self, "var", var)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
 class Ex(Formula):
-    var: str
-    body: Formula
+    __slots__ = __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        set_field(self, "var", var)
+        set_field(self, "body", body)
 
 
 def _subst_ref(r: NameRef, var: str, val: VName) -> NameRef:

@@ -52,7 +52,6 @@ calls that pass none share no table.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from . import machine as _impl
 from .machine import CONST_VALUES
@@ -87,6 +86,7 @@ kleene_eq = _impl.kleene_eq
 from .terms import (  # noqa: E402
     Defined,
     MachineError,
+    Node,
     P,
     P0,
     P1,
@@ -94,22 +94,27 @@ from .terms import (  # noqa: E402
     Term,
     Value,
     ValueSizeExceeded,
+    set_field,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Crash:
+class Crash(Node):
     """The operation is undefined: the machine raised ``error``."""
 
-    error: MachineError
+    __slots__ = __match_args__ = ("error",)
+
+    def __init__(self, error: MachineError):
+        set_field(self, "error", error)
 
 
-@dataclass(frozen=True, slots=True)
-class Open:
+class Open(Node):
     """A resource limit stopped the operation: fuel (``error`` is None) or
     the value size cap (``error`` is the overflow)."""
 
-    error: ValueSizeExceeded | None = None
+    __slots__ = __match_args__ = ("error",)
+
+    def __init__(self, error: ValueSizeExceeded | None = None):
+        set_field(self, "error", error)
 
 
 class NoValue(RuntimeError):

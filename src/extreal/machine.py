@@ -13,7 +13,7 @@ memo, kept in the run's table (``Run.ops``) beside the kernel's outcomes: a
 whole S-redex ``S x y a`` by the identities of its operator and argument,
 and, since evaluation without an environment is a function of the term, a
 closed application node by its identity.  Runs derived from one another
-with ``dataclasses.replace`` share it and its seen filter (below); a fresh
+with ``Run.replace`` share it and its seen filter (below); a fresh
 ``Run`` starts with both empty.  A replay still costs every step the
 reduction took, so steps, fuel notes and errors are those of a machine
 without the memo:

@@ -18,7 +18,6 @@ numeral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .bracket import SKK, compile_term, lam
@@ -27,6 +26,7 @@ from .terms import (
     D,
     K,
     SUCC,
+    Node,
     Run,
     Term,
     Value,
@@ -34,24 +34,27 @@ from .terms import (
     app,
     num,
     num_value,
+    set_field,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class FinType:
-    pass
+class FinType(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class O(FinType):
+    __slots__ = ()
+
     def __str__(self):
         return "o"
 
 
-@dataclass(frozen=True, slots=True)
 class Arrow(FinType):
-    dom: FinType
-    cod: FinType
+    __slots__ = __match_args__ = ("dom", "cod")
+
+    def __init__(self, dom: FinType, cod: FinType):
+        set_field(self, "dom", dom)
+        set_field(self, "cod", cod)
 
     def __str__(self):
         return f"({self.dom}){self.cod}"
@@ -63,7 +66,7 @@ TYPE_O = O()
 Triple = tuple[Value, Value, "VName"]
 
 
-class VName:
+class VName(Node):
     """Base class; concrete names below."""
 
     __slots__ = ()
@@ -72,57 +75,92 @@ class VName:
         return describe(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Explicit(VName):
-    triples: tuple[Triple, ...]
+    __slots__ = __match_args__ = ("triples",)
+
+    def __init__(self, triples: tuple[Triple, ...]):
+        set_field(self, "triples", triples)
+
+    def __hash__(self):
+        return hash((self.triples,))
 
 
-@dataclass(frozen=True, slots=True)
 class Nat(VName):
-    n: int
+    __slots__ = __match_args__ = ("n",)
+
+    def __init__(self, n: int):
+        set_field(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))
 
 
-@dataclass(frozen=True, slots=True)
 class Omega(VName):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Sing(VName):
-    x: VName
+    __slots__ = __match_args__ = ("x",)
+
+    def __init__(self, x: VName):
+        set_field(self, "x", x)
+
+    def __hash__(self):
+        return hash((self.x,))
 
 
-@dataclass(frozen=True, slots=True)
 class UPair(VName):
-    x: VName
-    y: VName
+    __slots__ = __match_args__ = ("x", "y")
+
+    def __init__(self, x: VName, y: VName):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
 
-@dataclass(frozen=True, slots=True)
 class OPair(VName):
-    x: VName
-    y: VName
+    __slots__ = __match_args__ = ("x", "y")
+
+    def __init__(self, x: VName, y: VName):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
 
-@dataclass(frozen=True, slots=True)
 class TypeName(VName):
-    sigma: FinType
+    __slots__ = __match_args__ = ("sigma",)
+
+    def __init__(self, sigma: FinType):
+        set_field(self, "sigma", sigma)
 
 
-@dataclass(frozen=True, slots=True)
 class Internal(VName):
-    a: Value
-    sigma: FinType
+    __slots__ = __match_args__ = ("a", "sigma")
+
+    def __init__(self, a: Value, sigma: FinType):
+        set_field(self, "a", a)
+        set_field(self, "sigma", sigma)
 
 
-@dataclass(frozen=True, slots=True)
 class Graph(VName):
     """Choice-function name: triples ⟨c, d, ⟨č, ě⟩⟩ with c related to d and
     e the first projection of a·c."""
 
-    a: Value
-    sigma: FinType
-    tau: FinType
+    __slots__ = __match_args__ = ("a", "sigma", "tau")
+
+    def __init__(self, a: Value, sigma: FinType, tau: FinType):
+        set_field(self, "a", a)
+        set_field(self, "sigma", sigma)
+        set_field(self, "tau", tau)
 
 
 OMEGA = Omega()
@@ -212,12 +250,15 @@ def gen_elems(sigma: FinType, run: Run) -> list[Value]:
     raise TypeError(sigma)
 
 
-@dataclass(frozen=True, slots=True)
-class EqTypeReport:
-    result: bool | None  # None: sampled, not decided
-    samples_passed: int = 0
-    samples_total: int = 0
-    counterexample: Value | None = None
+class EqTypeReport(Node):
+    __slots__ = __match_args__ = ("result", "samples_passed", "samples_total", "counterexample")
+
+    def __init__(self, result: bool | None, samples_passed: int = 0, samples_total: int = 0,
+                 counterexample: Value | None = None):
+        set_field(self, "result", result)  # None: sampled, not decided
+        set_field(self, "samples_passed", samples_passed)
+        set_field(self, "samples_total", samples_total)
+        set_field(self, "counterexample", counterexample)
 
 
 def eq_type(a: Value, b: Value, sigma: FinType, run: Run) -> EqTypeReport:

@@ -10,8 +10,6 @@ untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bracket import Lam, compile_term
 from .formulas import (
     All,
@@ -30,22 +28,23 @@ from .formulas import (
 )
 from .names import VName
 from .realizers import eq_realizers, ifeq, p_, proj
-from .terms import App, K, Term, Var, num
+from .terms import App, K, Node, Term, Var, num, set_field
 
 
 class InvalidProof(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NDProof:
-    rule: str
-    conclusion: Formula
-    premises: tuple["NDProof", ...] = ()
-    label: str | None = None  # assumption label, witness data, etc.
-    aux: object = None
+class NDProof(Node):
+    __slots__ = __match_args__ = ("rule", "conclusion", "premises", "label", "aux")
 
-    def __post_init__(self):
+    def __init__(self, rule: str, conclusion: Formula, premises: tuple[NDProof, ...] = (),
+                 label: str | None = None, aux: object = None):
+        set_field(self, "rule", rule)
+        set_field(self, "conclusion", conclusion)
+        set_field(self, "premises", premises)
+        set_field(self, "label", label)  # assumption label, witness data, etc.
+        set_field(self, "aux", aux)
         _validate(self)
 
 

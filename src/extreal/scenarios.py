@@ -70,13 +70,12 @@ or ``synth-roundtrip``, ``realizers`` with the first ``realizer`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .bracket import compile_term, free_vars
 from .kernel import NoValue, evaluate, reason
 from .parser import _KEYWORDS, MAX_NESTING, Lexer, ParseError, parse, print_term
-from .terms import App, Run, Value, Var
+from .terms import App, Node, Run, Value, Var, set_field
 
 if TYPE_CHECKING:  # for annotations only: each layer is imported where it runs
     from .checker import RealizerPair
@@ -90,34 +89,45 @@ class ScenarioError(ValueError):
         self.line = line
 
 
-@dataclass
-class DirectiveResult:
-    line: int
-    kind: str
-    text: str
-    outcome: str
-    expected: str | None
-    ok: bool
-    trace: object = None
+class DirectiveResult(Node):
+    __slots__ = __match_args__ = ("line", "kind", "text", "outcome", "expected", "ok", "trace")
+
+    def __init__(self, line: int, kind: str, text: str, outcome: str, expected: str | None, ok: bool,
+                 trace: object = None):
+        set_field(self, "line", line)
+        set_field(self, "kind", kind)
+        set_field(self, "text", text)
+        set_field(self, "outcome", outcome)
+        set_field(self, "expected", expected)
+        set_field(self, "ok", ok)
+        set_field(self, "trace", trace)
 
 
-@dataclass
-class ScenarioReport:
-    results: list[DirectiveResult] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)  # "line N: message"
+class ScenarioReport(Node):
+    __slots__ = __match_args__ = ("results", "warnings")
+
+    def __init__(self, results: list[DirectiveResult] | None = None, warnings: list[str] | None = None):
+        set_field(self, "results", [] if results is None else results)
+        set_field(self, "warnings", [] if warnings is None else warnings)  # "line N: message"
 
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
 
-@dataclass
-class _Env:
-    run: Run  # the current limits and seed, which every line runs under
-    warnings: list[str]  # the report's
-    terms: dict[str, object] = field(default_factory=dict)  # name -> Term
-    names: dict[str, tuple[VName, int]] = field(default_factory=dict)  # with its height
-    formulas: dict[str, tuple[Formula, int]] = field(default_factory=dict)  # with its height
+class _Env(Node):
+    __slots__ = __match_args__ = ("run", "warnings", "terms", "names", "formulas")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, run: Run, warnings: list[str], terms: dict[str, object] | None = None,
+                 names: dict[str, tuple[VName, int]] | None = None,
+                 formulas: dict[str, tuple[Formula, int]] | None = None):
+        self.run = run  # the current limits and seed, which every line runs under
+        self.warnings = warnings  # the report's
+        self.terms = {} if terms is None else terms  # name -> Term
+        self.names = {} if names is None else names  # with its height
+        self.formulas = {} if formulas is None else formulas  # with its height
 
 
 def _strip_comment(line: str) -> str:
@@ -509,7 +519,7 @@ def run_scenario(text: str, run: Run | None = None) -> ScenarioReport:
         if head in _SETTINGS:
             # A bad literal and an out-of-range limit both raise ValueError.
             try:
-                env.run = replace(env.run, **{_SETTINGS[head]: int(rest)})
+                env.run = env.run.replace(**{_SETTINGS[head]: int(rest)})
             except ValueError as exc:
                 raise ScenarioError(f"bad {head} {rest!r}: {exc}", lineno) from None
         elif head in ("term", "name", "formula"):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 
 from .checker import RealizerPair, Status, check, check_imp_on_witnesses
 from .bracket import SKK, abstract, compile_term, lam
@@ -95,6 +94,7 @@ from .terms import (
     D,
     K,
     KBAR,
+    Node,
     Opaque,
     P,
     P0,
@@ -109,22 +109,27 @@ from .terms import (
     app,
     num,
     num_value,
+    set_field,
 )
 
 
-@dataclass
-class CaseResult:
-    name: str
-    ok: bool
-    detail: str = ""
-    snippet: str = ""
+class CaseResult(Node):
+    __slots__ = __match_args__ = ("name", "ok", "detail", "snippet")
+
+    def __init__(self, name: str, ok: bool, detail: str = "", snippet: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
+        set_field(self, "snippet", snippet)
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    seed: int
-    cases: list[CaseResult] = field(default_factory=list)
+class SuiteReport(Node):
+    __slots__ = __match_args__ = ("suite", "seed", "cases")
+
+    def __init__(self, suite: str, seed: int, cases: list[CaseResult] | None = None):
+        set_field(self, "suite", suite)
+        set_field(self, "seed", seed)
+        set_field(self, "cases", [] if cases is None else cases)
 
     @property
     def failures(self) -> list[CaseResult]:
@@ -365,7 +370,7 @@ def suite_fixpoints(run: Run, rounds: int = 50) -> SuiteReport:
         _law(bad, app(r, ta, tb, num(0)), ta, run)
         n = rng.randint(0, 6)
         _law(bad, app(r, ta, tb, num(n + 1)), app(tb, app(r, ta, tb, num(n)), num(n)), run, total=False)
-    big = replace(run, max_steps=max(run.max_steps, 400_000))
+    big = run.replace(max_steps=max(run.max_steps, 400_000))
     add = compile_term(lam("m", "n", app(r, Var("m"), lam("u", "v", App(SUCC, Var("u"))), Var("n"))))
     _law(bad, app(add, num(2), num(3)), num(5), big)
     rep.add("primrec", bad, "recursor laws and 2+3=5")
@@ -674,7 +679,7 @@ def suite_heo(run: Run) -> SuiteReport:
         const_k = defined(apply(Value(K), num_value(2), run))
         const_d = defined(evaluate(
             compile_term(lam("x", app(D, Var("x"), Var("x"), num(2), num(2)))), run))
-        small = replace(run, max_index=5)
+        small = run.replace(max_index=5)
         ts1, _ = enumerate_triples(internalize(const_k, oo), small)
         ts2, _ = enumerate_triples(internalize(const_d, oo), small)
         members1 = [z for _, _, z in ts1]
@@ -688,7 +693,7 @@ def suite_heo(run: Run) -> SuiteReport:
 
     # Sampled partial-equivalence behaviour on generator pairs.
     ok = True
-    few = replace(run, max_index=3, generators_per_type=3)
+    few = run.replace(max_index=3, generators_per_type=3)
     for sigma in (TYPE_O, oo):
         for a in gen_elems(sigma, few):
             if eq_type(a, a, sigma, few).result is False:
@@ -732,7 +737,7 @@ def _part(v: Value, path: str, run: Run) -> Value:
 
 def suite_choice_arrow(run: Run) -> SuiteReport:
     rep = SuiteReport("choice-arrow", run.seed)
-    small = replace(run, max_index=min(3, run.max_index))
+    small = run.replace(max_index=min(3, run.max_index))
 
     with rep.guard("choice-arrow values"):
         a = defined(evaluate(compile_term(lam("c", p_(Var("c"), Opaque("ir", i_r_value(run))))), run))

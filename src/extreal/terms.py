@@ -16,8 +16,60 @@ from __future__ import annotations
 
 import enum
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, field
 from weakref import ref
+
+# Sets a field of a ``Node`` in its ``__init__``, past the ``__setattr__``
+# that refuses assignment.
+set_field = object.__setattr__
+
+
+class Node:
+    """The base of the package's record classes: plain slotted classes with
+    a written ``__init__``.
+
+    ``__match_args__`` names the fields that make a record's identity.  Two
+    records are equal when they are of one class and these fields are equal,
+    a record's hash is the hash of the tuple of these fields, and its repr is
+    ``Name(field=value, ...)`` over them.  A slot that is not named there (a
+    run's table, a value's size, a trace's children) takes no part.
+    Assignment is refused; ``__init__`` sets the fields with ``set_field``.
+    A class whose hash or equality is on a hot path writes that method out,
+    with the same meaning, as these cost two to four times a written one
+    (one that writes ``__eq__`` writes ``__hash__`` too, or Python drops
+    it); a mutable class restores ``object.__setattr__`` and has no hash.
+    Each method here runs in one Python frame, so a deep record costs one
+    frame per level."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in self.__match_args__:
+            a = getattr(self, f)
+            b = getattr(other, f)
+            if a is not b and not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        key = ()
+        for f in self.__match_args__:
+            key += (getattr(self, f),)
+        return hash(key)
+
+    def __repr__(self):
+        parts = []
+        for f in self.__match_args__:
+            parts.append(f"{f}={getattr(self, f)!r}")
+        return f"{self.__class__.__qualname__}({', '.join(parts)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class MachineError(Exception):
@@ -86,58 +138,91 @@ DELTA_ARITY = {
 DEFINED_ARITY = {ConstKind.P: 3, ConstKind.P0: 1, ConstKind.P1: 1}
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    kind: ConstKind
+class Const(Node):
+    __slots__ = __match_args__ = ("kind",)
+
+    def __init__(self, kind: ConstKind):
+        set_field(self, "kind", kind)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind is other.kind
+
+    def __hash__(self):
+        return hash((self.kind,))
 
 
-@dataclass(frozen=True, slots=True)
-class Num:
-    n: int
+class Num(Node):
+    __slots__ = __match_args__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        if n < 0:
             raise ValueError("numerals are naturals")
+        set_field(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class App:
-    fun: "Term"
-    arg: "Term"
+class App(Node):
+    __slots__ = __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: "Term", arg: "Term"):
+        set_field(self, "fun", fun)
+        set_field(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fun, self.arg) == (other.fun, other.arg)
+
+    def __hash__(self):
+        return hash((self.fun, self.arg))
 
 
-@dataclass(frozen=True, slots=True)
-class Opaque:
+class Opaque(Node):
     """An element of the algebra embedded into term syntax.
 
     With `value` attached it evaluates to that value; without, it is an inert
     head that just accumulates arguments.
     """
 
-    ident: str
-    value: "Value | None" = None
+    __slots__ = __match_args__ = ("ident", "value")
+
+    def __init__(self, ident: str, value: "Value | None" = None):
+        set_field(self, "ident", ident)
+        set_field(self, "value", value)
 
 
 Term = Const | Num | Var | App | Opaque
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False, weakref_slot=True)
-class Value:
+class Value(Node):
     """A weak canonical form: no delta rule fires at its head.
 
     Construction is hash-consing: ``Value(head, args)``, ``args`` a tuple of
     values, returns the live value with that head and those arguments when
-    there is one, so ``==`` and ``hash`` are ``object``'s.
+    there is one, so ``==`` and ``hash`` are ``object``'s.  ``size`` counts
+    its nodes as a tree.
     """
 
-    head: Const | Num | Opaque
-    args: tuple["Value", ...]
-    size: int = field(repr=False)
+    __slots__ = ("head", "args", "size", "__weakref__")
+    __match_args__ = ("head", "args")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, head: Const | Num | Opaque, args: tuple["Value", ...] = ()) -> "Value":
         key = (head, args)
@@ -150,9 +235,9 @@ class Value:
         size = 1
         for a in args:
             size += a.size
-        object.__setattr__(v, "head", head)
-        object.__setattr__(v, "args", args)
-        object.__setattr__(v, "size", size)
+        set_field(v, "head", head)
+        set_field(v, "args", args)
+        set_field(v, "size", size)
         r = _Ref(v, _drop)
         r.key = key
         _INTERN[key] = r
@@ -199,23 +284,26 @@ def intern_value(v: Value) -> Value:
     return v
 
 
-@dataclass(frozen=True, slots=True)
-class Defined:
-    value: Value
-    steps: int
+class Defined(Node):
+    __slots__ = __match_args__ = ("value", "steps")
+
+    def __init__(self, value: Value, steps: int):
+        set_field(self, "value", value)
+        set_field(self, "steps", steps)
 
 
-@dataclass(frozen=True, slots=True)
-class FuelExhausted:
-    steps: int
-    note: str
+class FuelExhausted(Node):
+    __slots__ = __match_args__ = ("steps", "note")
+
+    def __init__(self, steps: int, note: str):
+        set_field(self, "steps", steps)
+        set_field(self, "note", note)
 
 
 Outcome = Defined | FuelExhausted
 
 
-@dataclass(frozen=True, slots=True)
-class Run:
+class Run(Node):
     """The limits and seed of one run, set once by its entry point and passed
     down unchanged: ``max_steps`` bounds one machine run, the checker
     enumerates schematic names at keys up to ``max_index`` and
@@ -239,19 +327,34 @@ class Run:
     ``seen`` is the machine's seen filter, which decides what enters the
     memo: visits counted up to 2 per slot, a memo key modulo its length (a
     prime, as keys are ids).
-    A run derived with ``dataclasses.replace`` shares its parent's table and
-    filter, which is why the tuple keys carry the fuel."""
+    A run derived with ``Run.replace`` shares its parent's table and filter,
+    which is why the tuple keys carry the fuel; neither takes part in a run's
+    equality, hash or repr."""
 
-    max_steps: int = 100_000
-    max_index: int = 8
-    generators_per_type: int = 6
-    seed: int = 0
-    ops: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
-    seen: bytearray = field(
-        default_factory=lambda: bytearray(65_521), compare=False, hash=False, repr=False)
+    __match_args__ = ("max_steps", "max_index", "generators_per_type", "seed")
+    __slots__ = (*__match_args__, "ops", "seen")
     # The value size cap, in nodes counted as a tree: fixed for every run, so
     # a class constant, not a field.
     max_value_size = 1_000_000
+
+    def __init__(self, max_steps: int = 100_000, max_index: int = 8, generators_per_type: int = 6,
+                 seed: int = 0, ops: dict | None = None, seen: bytearray | None = None):
+        if max_steps <= 0:
+            raise ValueError("fuel limits must be strictly positive")
+        if max_index <= 0 or generators_per_type <= 0:
+            raise ValueError("budgets must be positive")
+        set_field(self, "max_steps", max_steps)
+        set_field(self, "max_index", max_index)
+        set_field(self, "generators_per_type", generators_per_type)
+        set_field(self, "seed", seed)
+        set_field(self, "ops", {} if ops is None else ops)
+        set_field(self, "seen", bytearray(65_521) if seen is None else seen)
+
+    def replace(self, **changes) -> "Run":
+        """This run with ``changes`` to its fields, validated as a new run;
+        it shares this run's table and seen filter unless ``changes`` names
+        them."""
+        return Run(**{f: getattr(self, f) for f in self.__slots__} | changes)
 
     def admit(self, key, entry):
         """Keep ``entry`` under ``key``, emptying the table first once it
@@ -260,12 +363,6 @@ class Run:
             self.ops.clear()
         self.ops[key] = entry
         return entry
-
-    def __post_init__(self):
-        if self.max_steps <= 0:
-            raise ValueError("fuel limits must be strictly positive")
-        if self.max_index <= 0 or self.generators_per_type <= 0:
-            raise ValueError("budgets must be positive")
 
 
 # The default run, under the name that the generated compiled twin

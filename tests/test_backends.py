@@ -14,7 +14,6 @@ import shutil
 import subprocess
 import sys
 import sysconfig
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,7 +88,7 @@ def test_backends_agree_on_random_terms(compiled):
     rng = random.Random(123)
     i = app(S, K, K)
     atoms = _VALUE_ATOMS + (S, S, S, S, SUCC, PRED, i, app(S, i, i))
-    root, recorded = replace(Run(), seen=bytearray([2]) * len(Run().seen)), 0
+    root, recorded = Run().replace(seen=bytearray([2]) * len(Run().seen)), 0
     for _ in range(1500):
         shared = random_closed_term(rng, 5, atoms)
         for t in (shared, random_closed_term(rng, 9, atoms + (shared, shared))):
@@ -100,7 +99,7 @@ def test_backends_agree_on_random_terms(compiled):
 
 def _agree(compiled, t, root):
     for fuel in (3, 17, 60, 4000):
-        cfg = replace(root, max_steps=fuel)
+        cfg = root.replace(max_steps=fuel)
         b = _outcome(compiled.eval_term, t, cfg)
         for _ in range(3):
             a = _outcome(pure.eval_term, t, cfg)

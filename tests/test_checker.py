@@ -3,7 +3,6 @@
 import functools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -576,7 +575,7 @@ def _untabled(op):
     """The kernel's ``op`` (``apply`` or ``project``) with the run's table
     bypassed: each call gets a fresh table, so every operation reaches the
     machine."""
-    return lambda f, x, run: op(f, x, replace(run, ops={}))
+    return lambda f, x, run: op(f, x, run.replace(ops={}))
 
 
 def _machine_ops(thunk):

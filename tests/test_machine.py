@@ -1,7 +1,6 @@
 """Reduction machine: delta rules, partiality, fuel, determinism."""
 
 import copy
-import dataclasses
 import functools
 import gc
 import itertools
@@ -184,15 +183,26 @@ def test_numeral_injectivity(n, m):
 def test_fuel_config_validation():
     with pytest.raises(ValueError):
         Run(max_steps=0)
+    with pytest.raises(ValueError):
+        Run().replace(max_steps=0)
     # The value size cap is fixed: a class constant, not a field.  The
     # operation table and its seen filter are fields, but no limits: they
     # take no part in a run's equality, hash or repr.
-    fields = dataclasses.fields(Run)
-    assert [f.name for f in fields] == [
-        "max_steps", "max_index", "generators_per_type", "seed", "ops", "seen"]
-    assert [f.name for f in fields if f.compare or f.hash or f.repr] == [
-        "max_steps", "max_index", "generators_per_type", "seed"]
+    limits = ("max_steps", "max_index", "generators_per_type", "seed")
+    assert Run.__slots__ == (*limits, "ops", "seen") and Run.__match_args__ == limits
+    a, b = Run(7, 5, 4, 3), Run(7, 5, 4, 3, {1: 2}, bytearray(3))
+    assert a.ops is not b.ops and a.seen != b.seen
+    assert a == b and hash(a) == hash(b) == hash((7, 5, 4, 3))
+    assert repr(a) == repr(b) == "Run(max_steps=7, max_index=5, generators_per_type=4, seed=3)"
+    assert "max_value_size" not in Run.__slots__ and "max_value_size" in vars(Run)
     assert Run(7).max_value_size == Run().max_value_size == 10**6
+    # A derived run shares its parent's table and filter, unless it names them.
+    child = b.replace(max_steps=9)
+    assert child == Run(9, 5, 4, 3) and child.ops is b.ops and child.seen is b.seen
+    fresh = b.replace(ops={})
+    assert fresh == b and fresh.ops == {} and fresh.ops is not b.ops and fresh.seen is b.seen
+    with pytest.raises(TypeError):
+        b.replace(max_value_size=5)
 
 
 def test_only_entry_points_default_the_run():
@@ -324,7 +334,7 @@ def _seen_at(run, count, **changes):
     """A run derived from ``run``, so sharing its table, with a seen filter
     of its own whose every slot counts ``count``: at 2 every S-redex is
     recorded at its first firing, at 0 the filter is empty."""
-    return dataclasses.replace(run, seen=bytearray([count]) * len(run.seen), **changes)
+    return run.replace(seen=bytearray([count]) * len(run.seen), **changes)
 
 
 def _entry(run, f, a):
@@ -451,12 +461,12 @@ def test_memo_replays_match_the_memo_free_oracle(ts):
     assert _term_entry(warm, sub) is not None
     for t in ts:
         for fuel in range(1, ceiling + 2):
-            cfg = dataclasses.replace(warm, max_steps=fuel)
+            cfg = warm.replace(max_steps=fuel)
             want = _outcome(reference_impl.oracle_eval_term, t, cfg)
             assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
             if not isinstance(want, FuelExhausted):
                 # The total is reached; check total + 1 and stop.
-                cfg = dataclasses.replace(warm, max_steps=fuel + 1)
+                cfg = warm.replace(max_steps=fuel + 1)
                 assert _outcome(machine.eval_term, t, cfg) == want, (t, cfg)
                 break
 
@@ -811,7 +821,7 @@ def test_a_shared_table_answers_each_fuel_as_a_fresh_run(ops, data):
     asks = data.draw(st.lists(st.tuples(st.sampled_from(ops), fuels), min_size=1, max_size=12))
     root, asked, want = Run(max_steps=1), set(), set()
     for (op, f, x), fuel in asks:
-        run = dataclasses.replace(root, max_steps=fuel)
+        run = root.replace(max_steps=fuel)
         assert run.ops is root.ops
         with pytest.MonkeyPatch.context() as mp:
             if ((op, f, x), fuel) in asked:
@@ -841,7 +851,7 @@ def test_a_repeated_pairing_runs_no_machine_step(monkeypatch):
 
 def test_an_operation_open_at_a_small_fuel_is_decided_at_a_larger_one():
     small = Run(max_steps=5)
-    large = dataclasses.replace(small, max_steps=1_000)
+    large = small.replace(max_steps=1_000)
     assert isinstance(kernel.apply(_TEN, num_value(0), small), kernel.Open)
     assert kernel.apply(_TEN, num_value(0), large) is num_value(10)
     assert isinstance(kernel.apply(_TEN, num_value(0), small), kernel.Open)
@@ -857,7 +867,7 @@ def test_the_machine_memo_lives_with_its_run():
     parent, other = _seen_at(Run(), 2), Run()
     want = machine.eval_term(t, None, parent)
     assert _term_entry(parent, t) is not None and _term_entry(other, t) is None
-    child = dataclasses.replace(parent, max_steps=want.steps)
+    child = parent.replace(max_steps=want.steps)
     assert child.ops is parent.ops and other.ops is not parent.ops
     assert child.seen is parent.seen and other.seen is not parent.seen
     assert sum(other.seen) == 0
@@ -996,7 +1006,7 @@ def test_divergence_matches_the_memo_free_oracle(t):
     want = [_outcome(reference_impl.oracle_eval_term, t, Run(n)) for n in fuels]
     assert all(isinstance(w, FuelExhausted) for w in want)
     for root in (_seen_at(Run(), 2), Run()):
-        got = [_outcome(machine.eval_term, t, dataclasses.replace(root, max_steps=n)) for n in fuels]
+        got = [_outcome(machine.eval_term, t, root.replace(max_steps=n)) for n in fuels]
         assert got == want
     assert kleene_agree(t, t, Run(fuels[-1])) is None
 

@@ -692,13 +692,31 @@ def test_cli_unreadable_input_exits_2(tmp_path):
 
 # Each command imports only the layers it runs (see the cli docstring).
 _CHECKER_LAYERS = {f"extreal.{m}" for m in ("checker", "names", "formulas", "realizers", "suites", "proofs")}
+# Standard modules that no command needs: ``dataclasses`` alone would load
+# ``inspect`` and ``ast`` with it, a third of the CLI's import time.
+_HEAVY = {"dataclasses", "inspect", "ast"}
 _IMPORT_PROBE = """
 import json, sys
 import extreal.cli
-loaded = sorted(m for m in sys.modules if m.startswith("extreal"))
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("extreal") or m in %r)
+at_import = loaded()
 code = extreal.cli.main(sys.argv[1:])
-print(json.dumps([code, loaded, sorted(m for m in sys.modules if m.startswith("extreal"))]))
-"""
+print(json.dumps([code, at_import, loaded()]))
+""" % (_HEAVY,)
+
+
+def test_no_module_imports_dataclasses():
+    import ast
+
+    import extreal
+
+    for path in Path(extreal.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
 
 
 def test_cli_loads_the_checker_layers_only_for_lines_that_need_them(tmp_path):
@@ -707,8 +725,8 @@ def test_cli_loads_the_checker_layers_only_for_lines_that_need_them(tmp_path):
     out = _cli("--json", "run", str(terms_only), entry=["-c", _IMPORT_PROBE])
     code, at_import, after_run = json.loads(out.stdout.splitlines()[-1])
     assert code == 0, out.stderr
-    assert "extreal.cli" in at_import and not _CHECKER_LAYERS & set(at_import)
-    assert "extreal.scenarios" in after_run and not _CHECKER_LAYERS & set(after_run)
+    assert "extreal.cli" in at_import and not (_CHECKER_LAYERS | _HEAVY) & set(at_import)
+    assert "extreal.scenarios" in after_run and not (_CHECKER_LAYERS | _HEAVY) & set(after_run)
 
     checked = tmp_path / "check.scn"
     checked.write_text("eval K\nrealizer ir = i_r\ncheck (ir, ir) eq(nat 2, nat 2) expect realized\n"
@@ -717,7 +735,7 @@ def test_cli_loads_the_checker_layers_only_for_lines_that_need_them(tmp_path):
     code, _, after_run = json.loads(out.stdout.splitlines()[-1])
     report = json.loads("\n".join(out.stdout.splitlines()[:-1]))
     assert code == 0 and [d["outcome"] for d in report["directives"]] == ["K", "realized", "refuted"]
-    assert {"extreal.checker", "extreal.realizers"} <= set(after_run)
+    assert {"extreal.checker", "extreal.realizers"} <= set(after_run) and not _HEAVY & set(after_run)
 
     # The realizer library sits below the checker: printing a realizer loads
     # no checker.
@@ -725,7 +743,13 @@ def test_cli_loads_the_checker_layers_only_for_lines_that_need_them(tmp_path):
     code, _, after_run = json.loads(out.stdout.splitlines()[-1])
     assert code == 0 and out.stdout.startswith("S"), out.stderr
     assert "extreal.realizers" in after_run
-    assert not {"extreal.checker", "extreal.suites", "extreal.proofs"} & set(after_run)
+    assert not {"extreal.checker", "extreal.suites", "extreal.proofs", *_HEAVY} & set(after_run)
+
+    # Every suite loads every layer but the proofs, and still none of them.
+    out = _cli("--json", "suite", "all", entry=["-c", _IMPORT_PROBE])
+    code, _, after_run = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0 and _CHECKER_LAYERS - {"extreal.proofs"} <= set(after_run), out.stderr
+    assert not _HEAVY & set(after_run)
 
 
 def test_function_level_imports_are_the_deliberate_lazy_loads():
