@@ -32,8 +32,8 @@ Negation, implication and the unbounded quantifiers range over the whole
 algebra, so the checker affirms them only where a decision principle
 applies: the bounded-arithmetic fragment (where realizability coincides
 with classical truth over the naturals) and constant-valued realizers.
-Truth there is ``formulas.truth_eval``; an implication is tried on the
-realizer ``realizers.synthesize`` builds, one layer below this one.
+Truth there is one ``formulas.decide`` walk; an implication is tried on the
+realizer ``realizers.build`` makes from its evidence, one layer below.
 """
 
 from __future__ import annotations
@@ -49,11 +49,13 @@ from .formulas import (
     Ex,
     ExIn,
     Formula,
+    FragmentError,
     Imp,
     Mem,
     NameRef,
     Not,
     Or,
+    decide,
     in_fragment,
     is_closed,
     substitute,
@@ -61,7 +63,7 @@ from .formulas import (
 )
 from .kernel import Crash, NoValue, apply, project, reason
 from .names import Nat, VName, enumerate_triples, lookup_triples
-from .realizers import synthesize
+from .realizers import build
 from .terms import ConstKind, Const, Node, Run, Value, set_field
 
 
@@ -422,8 +424,8 @@ def _check_allin(ctx: _Ctx, a: Value, b: Value, phi: AllIn) -> Trace:
 
 
 def _check_not(ctx: _Ctx, a: Value, b: Value, phi: Not) -> Trace:
-    """On a fragment body, realized exactly when ``formulas.truth_eval``
-    finds the body false."""
+    """On a fragment body, realized exactly when ``formulas.truth_eval`` (one
+    ``decide`` walk) finds the body false."""
     clause = "not"
     if in_fragment(phi.body):
         if truth_eval(phi.body):
@@ -442,16 +444,18 @@ def _constant_output(v: Value) -> Value | None:
 
 
 def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
-    """Realized when ``formulas.truth_eval`` finds a fragment hypothesis
-    false, or a constant realizer's output realizes the conclusion.  Past
-    the first test a fragment hypothesis is true, so ``realizers.synthesize``
-    builds its realizer w, and a·w, b·w can only refute."""
+    """Realized when ``formulas.decide`` finds a fragment hypothesis false, or
+    a constant realizer's output realizes the conclusion.  Past the first test
+    a fragment hypothesis is true, and ``realizers.build`` makes its realizer w
+    from the evidence of that one decision; a·w, b·w can only refute."""
     clause = "imp"
     ca, cb = _constant_output(a), _constant_output(b)
-    decidable = in_fragment(phi.hyp)
-    if decidable and not truth_eval(phi.hyp):
-        return Trace(clause, Status.REALIZED, exhaustive=True,
-                     note="hypothesis has no realizer (decided on the arithmetic fragment)")
+    try:
+        if (evidence := decide(phi.hyp)) is None:
+            return Trace(clause, Status.REALIZED, exhaustive=True,
+                         note="hypothesis has no realizer (decided on the arithmetic fragment)")
+    except FragmentError:
+        evidence = None  # from here on, None means outside the fragment
     if ca is not None and cb is not None:
         # Constant realizers collapse the universal over hypothesis realizers.
         t = yield ca, cb, phi.concl
@@ -460,16 +464,16 @@ def _check_imp(ctx: _Ctx, a: Value, b: Value, phi: Imp) -> Trace:
                 clause, Status.REALIZED, note="constant realizer: conclusion checked once",
                 exhaustive=True, children=[t],
             )
-        if t.status is Status.REFUTED and decidable:
+        if t.status is Status.REFUTED and evidence is not None:
             # Hypothesis realizable and the fixed output fails.
             return Trace(
                 clause, Status.REFUTED, note="constant realizer refutes the conclusion",
                 exhaustive=True, children=[t],
             )
         return Trace(clause, Status.UNKNOWN, children=[t])
-    if decidable:
+    if evidence is not None:
         try:
-            wit = synthesize(phi.hyp, ctx.run)
+            wit = build(evidence, ctx.run)
         except NoValue as exc:
             return Trace(clause, Status.UNKNOWN,
                          note=f"hypothesis witness synthesis stopped: {reason(exc.outcome)}")

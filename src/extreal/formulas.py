@@ -5,7 +5,7 @@ either a bound variable (a string) or a name literal.  Bounded quantifiers
 are primitive connectives; the unbounded ones are representable but the
 checker refuses to affirm them.  On the fragment (``in_fragment``)
 realizability is classical truth over the naturals, a fact about the
-formula alone, which ``truth_eval`` decides without the machine.
+formula alone, which ``decide`` finds, with its evidence, in one walk.
 """
 
 from __future__ import annotations
@@ -132,28 +132,17 @@ def _subst_ref(r: NameRef, var: str, val: VName) -> NameRef:
 
 def substitute(phi: Formula, var: str, val: VName) -> Formula:
     match phi:
-        case Mem(x, y):
-            return Mem(_subst_ref(x, var, val), _subst_ref(y, var, val))
-        case Eq(x, y):
-            return Eq(_subst_ref(x, var, val), _subst_ref(y, var, val))
-        case And(l, r):
-            return And(substitute(l, var, val), substitute(r, var, val))
-        case Or(l, r):
-            return Or(substitute(l, var, val), substitute(r, var, val))
+        case Mem(x, y) | Eq(x, y):
+            return type(phi)(_subst_ref(x, var, val), _subst_ref(y, var, val))
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            return type(phi)(substitute(l, var, val), substitute(r, var, val))
         case Not(b):
             return Not(substitute(b, var, val))
-        case Imp(h, c):
-            return Imp(substitute(h, var, val), substitute(c, var, val))
-        case AllIn(v, bound, body):
-            bound2 = _subst_ref(bound, var, val)
-            return AllIn(v, bound2, body if v == var else substitute(body, var, val))
-        case ExIn(v, bound, body):
-            bound2 = _subst_ref(bound, var, val)
-            return ExIn(v, bound2, body if v == var else substitute(body, var, val))
-        case All(v, body):
-            return All(v, body if v == var else substitute(body, var, val))
-        case Ex(v, body):
-            return Ex(v, body if v == var else substitute(body, var, val))
+        case AllIn(v, bound, body) | ExIn(v, bound, body):
+            body = body if v == var else substitute(body, var, val)
+            return type(phi)(v, _subst_ref(bound, var, val), body)
+        case All(v, body) | Ex(v, body):
+            return type(phi)(v, body if v == var else substitute(body, var, val))
     raise TypeError(phi)
 
 
@@ -262,47 +251,64 @@ def _max_numeral(phi: Formula) -> int:
             return _max_numeral(b)
         case AllIn(_, bound, body) | ExIn(_, bound, body):
             return max(of_ref(bound), _max_numeral(body))
-        case _:
-            return 0
-
-
-def witness_range(bound: NameRef, body: Formula) -> range:
-    """The witnesses to try for ``ex z in bound. body`` on the fragment: below
-    nat n, or over ω̇ up to a saturation bound, since every atom compares
-    against constants and witnesses past the largest numeral plus one behave
-    identically."""
-    return range(bound.n if isinstance(bound, Nat) else _max_numeral(body) + 2)
 
 
 def truth_eval(phi: Formula) -> bool:
-    """Classical truth over the naturals: nat n ↦ n, mem ↦ <, eq ↦ =;
-    existentials over ω̇ through ``witness_range``."""
+    """Classical truth over the naturals, as ``decide`` finds it."""
+    return decide(phi) is not None
+
+
+def decide(phi: Formula) -> tuple | None:
+    """Classical truth over the naturals (nat n ↦ n, mem ↦ <, eq ↦ =), in one
+    walk: None for a false sentence, else its evidence, a tuple of the sentence
+    and, for ``And``, each part's evidence; ``Or``, the leftmost true side (0/1)
+    and its evidence; ``Imp``, the conclusion's, or None for a false hypothesis;
+    ``AllIn``, a list of every instance's; ``ExIn``, the least witness and its
+    instance's.  Raises FragmentError outside the fragment."""
     if not in_fragment(phi):
         raise FragmentError(f"not a bounded-arithmetic formula: {fmt(phi)}")
-    return _truth(phi)
+    return _decide(phi)
 
 
-def _truth(phi: Formula) -> bool:
+def _decide(phi: Formula) -> tuple | None:
     # A fragment sentence: every reference is a numeral name, once the
     # quantifiers have substituted theirs.
     match phi:
         case Mem(x, y):
-            return isinstance(y, Omega) or x.n < y.n
+            holds = isinstance(y, Omega) or x.n < y.n
         case Eq(x, y):
-            return x.n == y.n
-        case And(l, r):
-            return _truth(l) and _truth(r)
-        case Or(l, r):
-            return _truth(l) or _truth(r)
+            holds = x.n == y.n
         case Not(b):
-            return not _truth(b)
+            holds = _decide(b) is None
+        case And(l, r):
+            if (left := _decide(l)) is None or (right := _decide(r)) is None:
+                return None
+            return phi, left, right
+        case Or(l, r):
+            if (left := _decide(l)) is not None:
+                return phi, 0, left
+            right = _decide(r)
+            return None if right is None else (phi, 1, right)
         case Imp(h, c):
-            return (not _truth(h)) or _truth(c)
+            if _decide(h) is None:
+                return phi, None
+            concl = _decide(c)
+            return None if concl is None else (phi, concl)
         case AllIn(v, bound, body):
-            return all(_truth(substitute(body, v, Nat(m))) for m in range(bound.n))
+            instances = []
+            for m in range(bound.n):
+                if (ev := _decide(substitute(body, v, Nat(m)))) is None:
+                    return None
+                instances.append(ev)
+            return phi, instances
         case ExIn(v, bound, body):
-            return any(_truth(substitute(body, v, Nat(m))) for m in witness_range(bound, body))
-    raise FragmentError(fmt(phi))
+            # Over ω̇ every atom compares against constants, so witnesses
+            # past the largest numeral plus one behave like it.
+            for k in range(bound.n if isinstance(bound, Nat) else _max_numeral(body) + 2):
+                if (ev := _decide(substitute(body, v, Nat(k)))) is not None:
+                    return phi, k, ev
+            return None
+    return (phi,) if holds else None
 
 
 # --- formula macros -------------------------------------------------------

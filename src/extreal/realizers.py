@@ -1,9 +1,9 @@
 """The realizer library: the fixed-point and recursion combinators, closed
 terms for the equality laws, the set axioms, internal pairing, choice and
 arrow types, plus synthesis of realizers for true bounded-arithmetic
-sentences: ``formulas.truth_eval`` decides a sentence, and only a true one
-is built, by recursion on the sentence, with each disjunct and witness
-chosen by truth.
+sentences: ``formulas.decide`` walks a sentence once, and ``build`` makes
+the realizer of a true one from the evidence that walk returns, with no
+further decision.
 
 Terms are transcribed from their defining equations; where only the shape of
 a construction is fixed (the transitivity pair, the ordered-pair laws), the
@@ -25,14 +25,11 @@ from .formulas import (
     Eq,
     ExIn,
     Formula,
-    FragmentError,
     Imp,
     Mem,
     Not,
     Or,
-    substitute,
-    truth_eval,
-    witness_range,
+    decide,
 )
 from .kernel import apply, defined, evaluate, pair_value, value_of
 from .names import Explicit, Nat, Triple, VName, enumerate_triples
@@ -209,46 +206,36 @@ def _dispatch_value(entries: list[tuple[int, Value]], run: Run) -> Value:
 
 
 def synthesize(phi: Formula, run: Run) -> Value | None:
-    """A realizer, for both sides of a pair, of a bounded-arithmetic
-    sentence: ``formulas.truth_eval`` decides it, and only a true one is
-    built; None for a false one.  Raises FragmentError outside the
-    fragment, and NoValue when the run's limits stop a pairing or the
-    building of ``i_r``."""
-    return _build(phi, run) if truth_eval(phi) else None
+    """A realizer, for both sides of a pair, of a bounded-arithmetic sentence
+    ``formulas.decide`` finds true, built from its evidence; None for a false
+    one.  Raises FragmentError outside the fragment, and NoValue when the
+    run's limits stop a pairing or the building of ``i_r``."""
+    return None if (evidence := decide(phi)) is None else build(evidence, run)
 
 
-def _build(phi: Formula, run: Run) -> Value:
-    """The realizer of a fragment sentence already known to be true; each
-    disjunct and witness is chosen by ``truth_eval``."""
-    match phi:
-        case Eq():
+def build(evidence: tuple, run: Run) -> Value:
+    """The realizer of a true fragment sentence, read off the evidence
+    ``formulas.decide`` gave for it: the disjunct and witness it chose, every
+    instance, both parts in order; nothing is decided again."""
+    match evidence:
+        case (Eq(),):
             return i_r_value(run)
-        case Mem(Nat(n), _):
+        case (Mem(Nat(n), _),):
             return pair_value(num_value(n), i_r_value(run), run)
-        case And(l, r):
-            return pair_value(_build(l, run), _build(r, run), run)
-        case Or(l, r):
-            if truth_eval(l):
-                return pair_value(num_value(0), _build(l, run), run)
-            return pair_value(num_value(1), _build(r, run), run)
-        case Not():
-            # Any pair realizes a negation whose body has no realizer.
+        case (And(), left, right):
+            return pair_value(build(left, run), build(right, run), run)
+        case (Or() | ExIn(), k, part):
+            # The tag is the side of the disjunction, or the witness.
+            return pair_value(num_value(k), build(part, run), run)
+        case (Not(),) | (Imp(), None) | (AllIn(), []):
+            # Any pair realizes a negation or an implication whose body or
+            # hypothesis has no realizer, and a universal over no members.
             return Value(K)
-        case Imp(h, c):
-            if not truth_eval(h):
-                return Value(K)
-            return defined(apply(Value(K), _build(c, run), run))
-        case AllIn(_, Nat(0), _):
-            return Value(K)
-        case AllIn(v, Nat(n), body):
-            entries = [(k, _build(substitute(body, v, Nat(k)), run)) for k in range(n)]
+        case (Imp(), concl):
+            return defined(apply(Value(K), build(concl, run), run))
+        case (AllIn(), instances):
+            entries = [(k, build(ev, run)) for k, ev in enumerate(instances)]
             return _dispatch_value(entries, run)
-        case ExIn(v, bound, body):
-            for k in witness_range(bound, body):
-                sub = substitute(body, v, Nat(k))
-                if truth_eval(sub):
-                    return pair_value(num_value(k), _build(sub, run), run)
-    raise FragmentError(f"cannot synthesize for {phi!r}")
 
 
 # ---------------------------------------------------------------------------

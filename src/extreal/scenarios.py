@@ -630,18 +630,20 @@ def _run_check(env: _Env, rest: str, lineno: int, kind: str) -> DirectiveResult:
 def _run_synth(env: _Env, rest: str, lineno: int) -> DirectiveResult:
     # The checker and the realizer library load with the first synth-roundtrip.
     from .checker import RealizerPair, Status, check
-    from .formulas import fmt, in_fragment, truth_eval
-    from .realizers import synthesize
+    from .formulas import FragmentError, decide, fmt
+    from .realizers import build
 
     body, expected = _split_expect(rest, lineno, ("agree", "disagree"))
     phi = _read(env, body, lineno, _Reader.closed_formula)
-    if not in_fragment(phi):
+    try:
+        evidence = decide(phi)
+    except FragmentError:
         raise ScenarioError(
             f"synth-roundtrip needs a bounded-arithmetic formula, got {fmt(phi)}", lineno
-        )
-    want = truth_eval(phi)
+        ) from None
+    want = evidence is not None
     try:
-        wit = synthesize(phi, env.run)
+        wit = build(evidence, env.run) if want else None
     except NoValue:  # the limits stop synthesis, as they can stop the check
         wit = None
     got = wit is not None and check(RealizerPair.both(wit), phi, env.run).status is Status.REALIZED

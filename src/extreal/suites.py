@@ -23,10 +23,10 @@ from .formulas import (
     Mem,
     Not,
     Or,
+    decide,
     fmt,
     ordered_pair,
     theta,
-    truth_eval,
     unordered_pair,
 )
 from .kernel import (
@@ -65,6 +65,7 @@ from .realizers import (
     _pairs_uniqueness_part,
     arrow_term,
     bounded_separation_terms,
+    build,
     choice_term,
     collection_name,
     double_fixpoint,
@@ -164,13 +165,13 @@ _VALUE_ATOMS: tuple[Term, ...] = (K, D, KBAR) + tuple(num(i) for i in range(5))
 def random_closed_term(rng: random.Random, max_leaves: int, atoms=_VALUE_ATOMS) -> Term:
     leaves = rng.randint(1, max_leaves)
 
-    def build(n: int) -> Term:
+    def grow(n: int) -> Term:
         if n == 1:
             return rng.choice(atoms)
         k = rng.randint(1, n - 1)
-        return App(build(k), build(n - k))
+        return App(grow(k), grow(n - k))
 
-    return build(leaves)
+    return grow(leaves)
 
 
 def random_printable_value(rng: random.Random, run: Run,
@@ -608,8 +609,8 @@ def suite_czf_axioms(run: Run) -> SuiteReport:
         rep.cases.append(CaseResult("strong-collection", ok, "one finite instance"))
 
     # Subset collection and powerset terms: closed and defined
-    for name, build in (("subset-collection", subset_collection_term), ("powerset", powerset_term)):
-        ok = isinstance(evaluate(build(), run), Value)
+    for name, term_of in (("subset-collection", subset_collection_term), ("powerset", powerset_term)):
+        ok = isinstance(evaluate(term_of(), run), Value)
         rep.cases.append(CaseResult(f"{name} term defined", ok, ""))
     return rep
 
@@ -856,9 +857,9 @@ def suite_truth_oracle(run: Run, rounds: int = 50) -> SuiteReport:
     with rep.guard("round-trip"):
         for i in range(rounds):
             phi = random_fragment_formula(rng, 2)
-            want = truth_eval(phi)
-            wit = synthesize(phi, run)
-            got = _realized(wit, phi, run)
+            evidence = decide(phi)
+            want = evidence is not None
+            got = _realized(build(evidence, run) if want else None, phi, run)
             if want != got:
                 bad.append(f"-- mismatch on {fmt(phi)}: truth={want} realizer-loop={got}")
         rep.add("round-trip", bad, f"{rounds} sentences")

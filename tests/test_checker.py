@@ -30,6 +30,7 @@ from extreal.formulas import (
     Mem,
     Not,
     Or,
+    decide,
     fmt,
     in_fragment,
     is_closed,
@@ -338,6 +339,40 @@ def _classical(phi, env):
     raise TypeError(phi)
 
 
+def _assert_valid_evidence(ev):
+    """``ev`` is ``decide``'s evidence for a true sentence, and each choice
+    in it is the one synthesis is pinned to: the leftmost true disjunct and
+    the least witness."""
+    phi = ev[0]
+    assert _classical(phi, {}), fmt(phi)
+    match ev:
+        case (Mem() | Eq() | Not(),):
+            pass
+        case (And(l, r), left, right):
+            assert (left[0], right[0]) == (l, r)
+            _assert_valid_evidence(left)
+            _assert_valid_evidence(right)
+        case (Or(l, r), side, part):
+            assert side == (0 if _classical(l, {}) else 1), fmt(phi)
+            assert part[0] == (l, r)[side]
+            _assert_valid_evidence(part)
+        case (Imp(h, _), None):
+            assert not _classical(h, {}), fmt(phi)
+        case (Imp(_, c), concl):
+            assert concl[0] == c
+            _assert_valid_evidence(concl)
+        case (AllIn(v, Nat(n), body), instances):
+            assert [i[0] for i in instances] == [substitute(body, v, Nat(m)) for m in range(n)]
+            for instance in instances:
+                _assert_valid_evidence(instance)
+        case (ExIn(v, _, body), k, part):
+            assert k == next(m for m in range(64) if _classical(body, {v: m})), fmt(phi)
+            assert part[0] == substitute(body, v, Nat(k))
+            _assert_valid_evidence(part)
+        case _:
+            pytest.fail(f"not evidence: {ev!r}")
+
+
 def test_truth_eval_agrees_with_an_independent_evaluator():
     verdicts = []
     for seed in range(400):
@@ -345,8 +380,56 @@ def test_truth_eval_agrees_with_an_independent_evaluator():
             phi = random_fragment_formula(random.Random(seed), qdepth)
             want = _classical(phi, {})
             assert truth_eval(phi) is want, fmt(phi)
+            evidence = decide(phi)
+            assert (evidence is not None) is want, fmt(phi)
+            if want:
+                _assert_valid_evidence(evidence)
             verdicts.append(want)
     assert len(verdicts) >= 1_000 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_synthesis_tags_the_least_witness_and_the_left_disjunct():
+    # Both disjuncts and the witnesses 2, 3 and 4 are true; synthesis, and
+    # so the realizers every command prints, take the first.
+    wit = synthesize(ExIn("y", Nat(5), Mem(Nat(1), "y")), Run())
+    assert project(wit, 0).numeral == 2
+    wit = synthesize(Or(Eq(Nat(1), Nat(1)), Mem(Nat(0), Nat(1))), Run())
+    assert project(wit, 0).numeral == 0
+
+
+def _or_chain(d):
+    """((eq(0,0) ∨ ⊥) ∨ ⊥) ∨ … with d disjunctions: 2d + 1 nodes."""
+    phi = Eq(Nat(0), Nat(0))
+    for _ in range(d):
+        phi = Or(phi, Eq(Nat(0), Nat(1)))
+    return phi
+
+
+@pytest.mark.parametrize("d", [50, 200])
+def test_a_fragment_sentence_is_decided_in_one_walk(monkeypatch, d):
+    # Deciding a disjunct again at each level visits a left-nested chain
+    # quadratically often; one walk visits each node at most once, through
+    # synthesis, the implication clause and a synth-roundtrip line alike.
+    from extreal import formulas
+    from extreal.scenarios import run_scenario
+
+    walk, calls = formulas._decide, []
+
+    def counted(phi):
+        calls.append(phi)
+        return walk(phi)
+
+    monkeypatch.setattr(formulas, "_decide", counted)
+    phi, nodes = _or_chain(d), 2 * d + 1
+    entries = {
+        "synthesize": lambda: synthesize(phi, Run()),
+        "check": lambda: check(both(Value(K)), Imp(phi, Eq(Nat(0), Nat(0)))),
+        "synth-roundtrip": lambda: run_scenario(f"synth-roundtrip {fmt(phi)}\n"),
+    }
+    for entry, call in entries.items():
+        calls.clear()
+        call()
+        assert 0 < len(calls) <= nodes, entry
 
 
 def test_substitute_stops_at_a_quantifier_that_shadows_the_variable():

@@ -1,12 +1,13 @@
 """The realizer library: equality laws, axioms, pairing, choice, arrow."""
 
+import hashlib
 import random
 
 import pytest
 
 from extreal.bracket import free_vars
 from extreal.checker import RealizerPair, Status, check, check_imp_on_witnesses
-from extreal.formulas import AllIn, And, Eq, ExIn, Imp, Mem, ordered_pair, theta, unordered_pair
+from extreal.formulas import AllIn, And, Eq, ExIn, Imp, Mem, fmt, ordered_pair, theta, unordered_pair
 from extreal.bracket import compile_term, lam
 from extreal.kernel import apply_value, apply_values, eval_term, pair_value, project
 from extreal.names import (
@@ -48,7 +49,13 @@ from extreal.realizers import (
     union_term,
     value_of,
 )
-from extreal.suites import infinity_e0_cases, infinity_e1_cases, random_finite_name
+from extreal.parser import print_term
+from extreal.suites import (
+    infinity_e0_cases,
+    infinity_e1_cases,
+    random_finite_name,
+    random_fragment_formula,
+)
 from extreal.terms import Defined, K, Opaque, Run, Value, Var, app, num, num_value
 
 IR = i_r_value(Run())
@@ -458,3 +465,21 @@ def test_infinity_mutation_sensitivity():
     # semantically inert zero-branch payload (see MUTATION_EXEMPT_NOTES).
     assert len(inert) <= 1, inert
     assert flipped >= 20
+
+
+# sha256 of the "sentence<TAB>printed realizer" lines (``-`` for a false
+# sentence) of synthesis over a fixed draw of fragment sentences.  Which
+# disjunct and witness synthesis picks shows in every realizer it prints; a
+# deliberate change of that choice updates the pin.
+_SYNTHESIZED_PRINT_SHA256 = "da514c94aff433bdd8ac51a19645fd19840636f2a3d6339d7bbe7d86adb25951"
+
+
+def test_synthesized_realizers_are_pinned():
+    lines = []
+    for seed in range(200):
+        for qdepth in (1, 2):
+            phi = random_fragment_formula(random.Random(seed), qdepth)
+            wit = synthesize(phi, Run())
+            lines.append(f"{fmt(phi)}\t{'-' if wit is None else print_term(wit)}\n")
+    assert sum(not line.endswith("\t-\n") for line in lines) > 100
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == _SYNTHESIZED_PRINT_SHA256
