@@ -56,7 +56,6 @@ from .formulas import (
     Not,
     Or,
     decide,
-    in_fragment,
     is_closed,
     substitute,
     truth_eval,
@@ -158,15 +157,6 @@ class Verdict(Node):
 
     def __bool__(self):
         return self.status is Status.REALIZED
-
-
-def decide_nat_eq(n: int, m: int) -> bool:
-    """Is the equality of the n-th and m-th canonical numeral names realizable?
-
-    It is realizable exactly when n = m; for distinct numerals no realizer
-    pair exists, so the checker may refute outright.
-    """
-    return n == m
 
 
 class _Ctx(Node):
@@ -357,7 +347,9 @@ def _members(ctx: _Ctx, trace: Trace, a: Value, b: Value, triples, sub, pi=None)
 def _check_eq(ctx: _Ctx, a: Value, b: Value, phi: Eq) -> Trace:
     clause = "eq"
     x, y = _as_name(phi.x), _as_name(phi.y)
-    if isinstance(x, Nat) and isinstance(y, Nat) and not decide_nat_eq(x.n, y.n):
+    # Distinct numeral names have no realizer of their equality, so it is
+    # refuted outright; equal ones are one object.
+    if isinstance(x, Nat) and isinstance(y, Nat) and x is not y:
         return Trace(
             clause, Status.REFUTED, exhaustive=True,
             note=f"distinct numeral names nat {x.n} / nat {y.n}: no realizer exists",
@@ -366,7 +358,7 @@ def _check_eq(ctx: _Ctx, a: Value, b: Value, phi: Eq) -> Trace:
     for label, src, dst, pi in (("left", x, y, 0), ("right", y, x, 1)):
         triples, exhausted = enumerate_triples(src, ctx.run)
         side = Trace(f"eq/{label}", Status.UNKNOWN, exhaustive=exhausted)
-        members = yield from _members(ctx, side, a, b, triples, partial(Mem, y=dst), pi)
+        members = yield from _members(ctx, side, a, b, triples, lambda z, dst=dst: Mem(z, dst), pi)
         side.status = _meet(members, Status.REALIZED if exhausted else Status.UNKNOWN)
         trace.children.append(side)
         trace.status = _meet(trace.status, side.status)
@@ -427,13 +419,15 @@ def _check_not(ctx: _Ctx, a: Value, b: Value, phi: Not) -> Trace:
     """On a fragment body, realized exactly when ``formulas.truth_eval`` (one
     ``decide`` walk) finds the body false."""
     clause = "not"
-    if in_fragment(phi.body):
-        if truth_eval(phi.body):
-            return Trace(clause, Status.REFUTED, exhaustive=True,
-                         note="body is realizable (decided on the arithmetic fragment)")
-        return Trace(clause, Status.REALIZED, exhaustive=True,
-                     note="no realizer of the body exists (decided on the arithmetic fragment)")
-    return Trace(clause, Status.UNKNOWN, note="negation quantifies over the whole algebra")
+    try:
+        body_true = truth_eval(phi.body)
+    except FragmentError:
+        return Trace(clause, Status.UNKNOWN, note="negation quantifies over the whole algebra")
+    if body_true:
+        return Trace(clause, Status.REFUTED, exhaustive=True,
+                     note="body is realizable (decided on the arithmetic fragment)")
+    return Trace(clause, Status.REALIZED, exhaustive=True,
+                 note="no realizer of the body exists (decided on the arithmetic fragment)")
 
 
 def _constant_output(v: Value) -> Value | None:

@@ -6,124 +6,62 @@ are primitive connectives; the unbounded ones are representable but the
 checker refuses to affirm them.  On the fragment (``in_fragment``)
 realizability is classical truth over the naturals, a fact about the
 formula alone, which ``decide`` finds, with its evidence, in one walk.
+
+Formulas are canonical (``terms.Canonical``), as names are: building one
+returns the live formula with those fields, so equal formulas are one
+object, compared and hashed by identity.
 """
 
 from __future__ import annotations
 
 from .names import Nat, Omega, VName, describe
-from .terms import Node, set_field
+from .terms import Canonical
 
 NameRef = str | VName
 
 
-class Formula(Node):
+class Formula(Canonical):
     __slots__ = ()
 
 
 class Mem(Formula):
     __slots__ = __match_args__ = ("x", "y")
 
-    def __init__(self, x: NameRef, y: NameRef):
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
 
 class Eq(Formula):
     __slots__ = __match_args__ = ("x", "y")
-
-    def __init__(self, x: NameRef, y: NameRef):
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self):
-        return hash((self.x, self.y))
 
 
 class And(Formula):
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
 
 class Or(Formula):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
 
 
 class Not(Formula):
     __slots__ = __match_args__ = ("body",)
 
-    def __init__(self, body: Formula):
-        set_field(self, "body", body)
-
 
 class Imp(Formula):
     __slots__ = __match_args__ = ("hyp", "concl")
-
-    def __init__(self, hyp: Formula, concl: Formula):
-        set_field(self, "hyp", hyp)
-        set_field(self, "concl", concl)
 
 
 class AllIn(Formula):
     __slots__ = __match_args__ = ("var", "bound", "body")
 
-    def __init__(self, var: str, bound: NameRef, body: Formula):
-        set_field(self, "var", var)
-        set_field(self, "bound", bound)
-        set_field(self, "body", body)
-
-    def __hash__(self):
-        return hash((self.var, self.bound, self.body))
-
 
 class ExIn(Formula):
     __slots__ = __match_args__ = ("var", "bound", "body")
-
-    def __init__(self, var: str, bound: NameRef, body: Formula):
-        set_field(self, "var", var)
-        set_field(self, "bound", bound)
-        set_field(self, "body", body)
 
 
 class All(Formula):
     __slots__ = __match_args__ = ("var", "body")
 
-    def __init__(self, var: str, body: Formula):
-        set_field(self, "var", var)
-        set_field(self, "body", body)
-
 
 class Ex(Formula):
     __slots__ = __match_args__ = ("var", "body")
-
-    def __init__(self, var: str, body: Formula):
-        set_field(self, "var", var)
-        set_field(self, "body", body)
 
 
 def _subst_ref(r: NameRef, var: str, val: VName) -> NameRef:

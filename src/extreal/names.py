@@ -14,6 +14,10 @@ values, built under that run by ``kernel.value_of`` and kept in its table,
 not in this module: only their terms are cached here.  Building a name
 runs nothing: ``internalize`` only checks that a value at type ``o`` is a
 numeral.
+
+Names and finite types are canonical (``terms.Canonical``): building one
+returns the live name with those fields, so equal names are one object,
+and the checker's goal table compares and hashes them by identity.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .terms import (
     D,
     K,
     SUCC,
+    Canonical,
     Node,
     Run,
     Term,
@@ -38,7 +43,7 @@ from .terms import (
 )
 
 
-class FinType(Node):
+class FinType(Canonical):
     __slots__ = ()
 
 
@@ -52,10 +57,6 @@ class O(FinType):
 class Arrow(FinType):
     __slots__ = __match_args__ = ("dom", "cod")
 
-    def __init__(self, dom: FinType, cod: FinType):
-        set_field(self, "dom", dom)
-        set_field(self, "cod", cod)
-
     def __str__(self):
         return f"({self.dom}){self.cod}"
 
@@ -66,7 +67,7 @@ TYPE_O = O()
 Triple = tuple[Value, Value, "VName"]
 
 
-class VName(Node):
+class VName(Canonical):
     """Base class; concrete names below."""
 
     __slots__ = ()
@@ -78,26 +79,9 @@ class VName(Node):
 class Explicit(VName):
     __slots__ = __match_args__ = ("triples",)
 
-    def __init__(self, triples: tuple[Triple, ...]):
-        set_field(self, "triples", triples)
-
-    def __hash__(self):
-        return hash((self.triples,))
-
 
 class Nat(VName):
     __slots__ = __match_args__ = ("n",)
-
-    def __init__(self, n: int):
-        set_field(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return hash((self.n,))
 
 
 class Omega(VName):
@@ -107,48 +91,21 @@ class Omega(VName):
 class Sing(VName):
     __slots__ = __match_args__ = ("x",)
 
-    def __init__(self, x: VName):
-        set_field(self, "x", x)
-
-    def __hash__(self):
-        return hash((self.x,))
-
 
 class UPair(VName):
     __slots__ = __match_args__ = ("x", "y")
-
-    def __init__(self, x: VName, y: VName):
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-
-    def __hash__(self):
-        return hash((self.x, self.y))
 
 
 class OPair(VName):
     __slots__ = __match_args__ = ("x", "y")
 
-    def __init__(self, x: VName, y: VName):
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
 
 class TypeName(VName):
     __slots__ = __match_args__ = ("sigma",)
 
-    def __init__(self, sigma: FinType):
-        set_field(self, "sigma", sigma)
-
 
 class Internal(VName):
     __slots__ = __match_args__ = ("a", "sigma")
-
-    def __init__(self, a: Value, sigma: FinType):
-        set_field(self, "a", a)
-        set_field(self, "sigma", sigma)
 
 
 class Graph(VName):
@@ -156,11 +113,6 @@ class Graph(VName):
     e the first projection of a·c."""
 
     __slots__ = __match_args__ = ("a", "sigma", "tau")
-
-    def __init__(self, a: Value, sigma: FinType, tau: FinType):
-        set_field(self, "a", a)
-        set_field(self, "sigma", sigma)
-        set_field(self, "tau", tau)
 
 
 OMEGA = Omega()

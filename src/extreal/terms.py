@@ -2,10 +2,10 @@
 
 Terms are finite application trees over the machine constants and the
 numerals; values are weak canonical forms (constants applied below their
-arity, numerals, inert opaque heads).  One rule makes values canonical:
-``Value(head, args)`` returns the one live object with that head and those
-arguments, so equal values are one object, and a value is compared and
-hashed by identity.
+arity, numerals, inert opaque heads).  One rule makes values, names, types,
+formulas and constants canonical (``Canonical``): building one returns the
+live object of that class with those fields, so equal records are one
+object, compared and hashed by identity.
 
 Application is a partial operation: besides honest divergence (modelled by
 fuel) there are two kinds of hard failure, kept apart so callers can tell a
@@ -24,8 +24,9 @@ set_field = object.__setattr__
 
 
 class Node:
-    """The base of the package's record classes: plain slotted classes with
-    a written ``__init__``.
+    """The base of the package's record classes: plain slotted classes,
+    built by a written ``__init__`` or, for a ``Canonical`` record, by the
+    hash-consing ``__new__``.
 
     ``__match_args__`` names the fields that make a record's identity.  Two
     records are equal when they are of one class and these fields are equal,
@@ -33,12 +34,12 @@ class Node:
     ``Name(field=value, ...)`` over them.  A slot that is not named there (a
     run's table, a value's size, a trace's children) takes no part.
     Assignment is refused; ``__init__`` sets the fields with ``set_field``.
-    A class whose hash or equality is on a hot path writes that method out,
-    with the same meaning, as these cost two to four times a written one
-    (one that writes ``__eq__`` writes ``__hash__`` too, or Python drops
-    it); a mutable class restores ``object.__setattr__`` and has no hash.
-    Each method here runs in one Python frame, so a deep record costs one
-    frame per level."""
+    ``Canonical`` replaces equality and hash with identity; of the rest,
+    only ``Num`` and ``App`` write theirs out, with the same meaning, as
+    these cost two to four times a written one (one that writes ``__eq__``
+    writes ``__hash__`` too, or Python drops it); a mutable class restores
+    ``object.__setattr__`` and has no hash.  Each method here runs in one
+    Python frame, so a deep record costs one frame per level."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -70,6 +71,37 @@ class Node:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Canonical(Node):
+    """A hash-consed record: ``cls(*fields)``, positional only, returns the
+    live record of that class with those fields when there is one, so equal
+    records are one object and ``==`` and ``hash`` are ``object``'s, which
+    take no Python frame at any depth.  Fields are numbers, strings, enum
+    members, values, canonical records and tuples of these, so the table's
+    key compares them as the structural equality would."""
+
+    __slots__ = ("__weakref__",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        r = _INTERN.get(key)
+        if r is not None:
+            x = r()
+            if x is not None:
+                return x
+        names = cls.__match_args__
+        if len(fields) != len(names):
+            raise TypeError(f"{cls.__qualname__} takes {len(names)} fields, got {len(fields)}")
+        x = object.__new__(cls)
+        for f, v in zip(names, fields):
+            set_field(x, f, v)
+        r = _Ref(x, _drop)
+        r.key = key
+        _INTERN[key] = r
+        return x
 
 
 class MachineError(Exception):
@@ -138,19 +170,8 @@ DELTA_ARITY = {
 DEFINED_ARITY = {ConstKind.P: 3, ConstKind.P0: 1, ConstKind.P1: 1}
 
 
-class Const(Node):
+class Const(Canonical):
     __slots__ = __match_args__ = ("kind",)
-
-    def __init__(self, kind: ConstKind):
-        set_field(self, "kind", kind)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind is other.kind
-
-    def __hash__(self):
-        return hash((self.kind,))
 
 
 class Num(Node):
@@ -210,19 +231,16 @@ class Opaque(Node):
 Term = Const | Num | Var | App | Opaque
 
 
-class Value(Node):
+class Value(Canonical):
     """A weak canonical form: no delta rule fires at its head.
 
-    Construction is hash-consing: ``Value(head, args)``, ``args`` a tuple of
-    values, returns the live value with that head and those arguments when
-    there is one, so ``==`` and ``hash`` are ``object``'s.  ``size`` counts
-    its nodes as a tree.
+    ``Value(head, args)``, ``args`` a tuple of values, is canonical under its
+    own key ``(head, args)``, so that ``size``, which counts its nodes as a
+    tree and takes no part in its identity, is set once.
     """
 
-    __slots__ = ("head", "args", "size", "__weakref__")
+    __slots__ = ("head", "args", "size")
     __match_args__ = ("head", "args")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __new__(cls, head: Const | Num | Opaque, args: tuple["Value", ...] = ()) -> "Value":
         key = (head, args)
@@ -254,21 +272,23 @@ class Value(Node):
 
 
 class _Ref(ref):
-    """A weak reference to a value that knows its key in ``_INTERN``."""
+    """A weak reference to a canonical record that knows its key in
+    ``_INTERN``."""
 
     __slots__ = ("key",)
 
 
-# The hash-consing table: each live value's weak reference under its
-# ``(head, args)``.  A value's death drops its entry, so ``len(_INTERN)``
-# counts live values.
+# The hash-consing table: each live canonical record's weak reference, a
+# value's under its ``(head, args)``, any other's under ``(cls, *fields)``
+# (a head is never a class, so the two kinds of key never meet).  A record's
+# death drops its entry, so ``len(_INTERN)`` counts live records.
 _INTERN: "dict[tuple, _Ref]" = {}
 
 
 def _drop(r: _Ref, _table=_INTERN, _remove=_remove_dead_weakref) -> None:
-    # Only a dead reference goes: a value built again under the same key
+    # Only a dead reference goes: a record built again under the same key
     # before this callback ran keeps its entry.  The table and the remover
-    # are bound as defaults, as values still die while the interpreter
+    # are bound as defaults, as records still die while the interpreter
     # clears module globals at exit.
     _remove(_table, r.key)
 

@@ -16,7 +16,6 @@ from extreal.checker import (
     Verdict,
     check,
     check_imp_on_witnesses,
-    decide_nat_eq,
 )
 from extreal.formulas import (
     All,
@@ -77,11 +76,6 @@ def test_eq_distinct_numerals_refuted_outright():
     ver = check(both(IR), Eq(Nat(2), Nat(3)))
     assert ver.status is Status.REFUTED
     assert "no realizer exists" in ver.trace.note
-
-
-def test_decide_nat_eq():
-    assert decide_nat_eq(3, 3)
-    assert not decide_nat_eq(2, 3)
 
 
 def test_or_tags():
@@ -409,27 +403,31 @@ def _or_chain(d):
 def test_a_fragment_sentence_is_decided_in_one_walk(monkeypatch, d):
     # Deciding a disjunct again at each level visits a left-nested chain
     # quadratically often; one walk visits each node at most once, through
-    # synthesis, the implication clause and a synth-roundtrip line alike.
+    # synthesis, the implication and negation clauses and a synth-roundtrip
+    # line alike.  So does the one fragment check before it.
     from extreal import formulas
     from extreal.scenarios import run_scenario
 
-    walk, calls = formulas._decide, []
+    calls = {"_decide": [], "in_fragment": []}
+    for name, seen in calls.items():
+        def counted(phi, *rest, walk=getattr(formulas, name), seen=seen):
+            seen.append(phi)
+            return walk(phi, *rest)
 
-    def counted(phi):
-        calls.append(phi)
-        return walk(phi)
-
-    monkeypatch.setattr(formulas, "_decide", counted)
+        monkeypatch.setattr(formulas, name, counted)
     phi, nodes = _or_chain(d), 2 * d + 1
     entries = {
         "synthesize": lambda: synthesize(phi, Run()),
-        "check": lambda: check(both(Value(K)), Imp(phi, Eq(Nat(0), Nat(0)))),
+        "imp": lambda: check(both(Value(K)), Imp(phi, Eq(Nat(0), Nat(0)))),
+        "not": lambda: check(both(Value(K)), Not(phi)),
         "synth-roundtrip": lambda: run_scenario(f"synth-roundtrip {fmt(phi)}\n"),
     }
     for entry, call in entries.items():
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         call()
-        assert 0 < len(calls) <= nodes, entry
+        for name, seen in calls.items():
+            assert 0 < len(seen) <= nodes, (entry, name)
 
 
 def test_substitute_stops_at_a_quantifier_that_shadows_the_variable():

@@ -549,9 +549,16 @@ def test_the_value_table_is_weak(monkeypatch):
     # A value that nothing holds leaves _INTERN.  One that the memo or the
     # machine's constant table holds stays, and a memo overflow leaves the
     # table's constants what the constructor and the machine return.
+    from extreal.formulas import Mem
+    from extreal.names import Nat, Sing
+
     key = (Opaque("weak"), (num_value(1),))
     Value(*key)
     assert key not in terms._INTERN
+    # So does a name or a formula, under its class and fields.
+    for key in ((Sing, Nat(41)), (Mem, Nat(0), "weak")):
+        key[0](*key[1:])
+        assert key not in terms._INTERN
     run = _seen_at(Run(), 2)
     s_val, p_val = machine.CONST_VALUES[ConstKind.S], machine.CONST_VALUES[ConstKind.P]
     t_z = machine.eval_term(_two_step(Value(Opaque("weak-z"))), None, run).value
@@ -566,20 +573,26 @@ def test_the_value_table_is_weak(monkeypatch):
 
 
 def test_a_late_callback_keeps_the_rebuilt_value():
-    # A value's death drops its entry from _INTERN only while that entry is
-    # its own dead reference: a value built again under the same key keeps
-    # its entry when the old reference's callback runs late.
-    key = (Opaque("lifetime"), (num_value(3),))
-    v = Value(*key)
-    old = terms._INTERN[key]
-    callback = old.__callback__
-    del v
-    assert old() is None and key not in terms._INTERN
-    again = Value(*key)
-    entry = terms._INTERN[key]
-    callback(old)
-    assert terms._INTERN[key] is entry and entry() is again
-    assert Value(*key) is again
+    # A record's death drops its entry from _INTERN only while that entry is
+    # its own dead reference: a record built again under the same key keeps
+    # its entry when the old reference's callback runs late.  A value's key
+    # is its head and arguments, a name's or a formula's its class and fields.
+    from extreal.formulas import Mem
+    from extreal.names import Nat, Sing
+
+    for cls, fields in ((Value, (Opaque("lifetime"), (num_value(3),))), (Sing, (Nat(43),)),
+                        (Mem, (Nat(0), "lifetime"))):
+        key = fields if cls is Value else (cls, *fields)
+        v = cls(*fields)
+        old = terms._INTERN[key]
+        callback = old.__callback__
+        del v
+        assert old() is None and key not in terms._INTERN
+        again = cls(*fields)
+        entry = terms._INTERN[key]
+        callback(old)
+        assert terms._INTERN[key] is entry and entry() is again
+        assert cls(*fields) is again
 
 
 def test_runs_leave_no_entry_in_the_value_table():

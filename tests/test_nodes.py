@@ -1,5 +1,6 @@
 """The record base ``terms.Node``: equality, hash, repr and immutability of
-the package's node classes, against the methods ``dataclasses`` generates."""
+the package's node classes, against the methods ``dataclasses`` generates,
+and the hash-consed ``terms.Canonical`` records, whose equality is identity."""
 
 import dataclasses
 import functools
@@ -15,14 +16,16 @@ from test_crosscheck import random_explicit, random_formula
 from test_machine import _values
 
 from extreal.checker import RealizerPair, Status, Trace
-from extreal.formulas import All, And, Ex, Imp, Mem, Not
+from extreal.formulas import All, AllIn, And, Eq, Ex, ExIn, Imp, Mem, Not, Or
 from extreal.kernel import Crash, Open
-from extreal.names import OMEGA, TYPE_O, Arrow, EqTypeReport, Graph, Internal, Nat, Sing, TypeName
+from extreal.names import (OMEGA, TYPE_O, Arrow, EqTypeReport, Explicit, Graph, Internal, Nat, O, Omega,
+                           OPair, Sing, TypeName, UPair)
 from extreal.parser import MAX_NESTING
 from extreal.proofs import NDProof
 from extreal.scenarios import DirectiveResult, ScenarioReport
 from extreal.suites import CaseResult, SuiteReport, random_finite_name, random_fragment_formula
-from extreal.terms import Defined, FuelExhausted, Node, StuckApplication, Value, ValueSizeExceeded, num_value
+from extreal.terms import (Canonical, Const, Defined, FuelExhausted, Node, StuckApplication, Value,
+                           ValueSizeExceeded, num_value)
 
 
 @functools.cache
@@ -93,9 +96,9 @@ def _hash(x):
 
 def _check_alone(x: Node) -> None:
     assert repr(x) == repr(_as_twin(x))
-    if isinstance(x, Value):
-        # Values are hash-consed: compared and hashed by identity.
-        assert hash(x) == object.__hash__(x) and x == x and Value(x.head, x.args) is x
+    if isinstance(x, Canonical):
+        # Canonical records are hash-consed: compared and hashed by identity.
+        assert hash(x) == object.__hash__(x) and x == x and type(x)(*_fields(x)) is x
         assert weakref.ref(x)() is x
     else:
         assert _hash(x) == _hash(_fields(x)) == _hash(_as_twin(x))
@@ -115,11 +118,69 @@ def test_nodes_behave_as_the_dataclasses_they_replace(a, b):
         _check_alone(x)
     for x in _nodes(a)[:20]:
         for y in _nodes(b)[:20]:
-            if isinstance(x, Value) or isinstance(y, Value):
+            if isinstance(x, Canonical) or isinstance(y, Canonical):
                 assert (x == y) is (x is y)
             else:
                 assert (x == y) is (_as_twin(x) == _as_twin(y))
                 assert (x == y) is (type(x) is type(y) and _fields(x) == _fields(y))
+
+
+def _same(x, y) -> bool:
+    """Structural equality, field by field down to plain data, never through
+    a record's own ``==``."""
+    if isinstance(x, Node):
+        return type(x) is type(y) and all(_same(getattr(x, f), getattr(y, f)) for f in x.__match_args__)
+    if isinstance(x, tuple):
+        return type(y) is tuple and len(x) == len(y) and all(map(_same, x, y))
+    return type(x) is type(y) and x == y
+
+
+def _fixed_records() -> list[Canonical]:
+    return [x for x in _fixed_examples() if isinstance(x, Canonical)]
+
+
+# Builders of names and formulas: each call builds its record afresh.
+_builders = st.one_of(
+    st.builds(lambda s, rank: lambda: random_finite_name(random.Random(s), rank), _seeds, st.integers(0, 3)),
+    st.builds(lambda s, rank: lambda: random_explicit(random.Random(s), rank), _seeds, st.integers(0, 3)),
+    st.builds(lambda s, q: lambda: random_fragment_formula(random.Random(s), q), _seeds, st.integers(0, 3)),
+    st.builds(lambda s, d: lambda: random_formula(random.Random(s), [Nat(0), Nat(1), OMEGA], d), _seeds,
+              st.integers(0, 3)),
+    st.builds(lambda i: lambda: _fixed_records()[i], st.integers(0, len(_fixed_records()) - 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_builders, _builders)
+def test_canonical_records_are_one_object_exactly_when_structurally_equal(make_a, make_b):
+    # A record built twice is one object, and two records reached inside
+    # two drawn ones are one object exactly when they agree field by field.
+    a, again, b = make_a(), make_a(), make_b()
+    assert _same(a, again) and again is a
+    records = [x for x in _nodes((a, again, b)) if isinstance(x, Canonical)][:40]
+    for x in records:
+        for y in records:
+            assert _same(x, y) is (x is y)
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+def test_canonical_records_write_no_init_eq_or_hash():
+    # Every constant, name, finite type and formula is canonical, and takes
+    # its construction, equality and hash from ``Canonical`` alone; a value
+    # writes only its own ``__new__``, for its size.
+    canonical = set(_subclasses(Canonical))
+    assert {Const, Value, O, Arrow, Explicit, Nat, Omega, Sing, UPair, OPair, TypeName, Internal, Graph,
+            Mem, Eq, And, Or, Not, Imp, AllIn, ExIn, All, Ex} <= canonical
+    for cls in canonical:
+        assert not {"__init__", "__eq__", "__hash__"} & vars(cls).keys(), cls
+        assert "__new__" not in vars(cls) or cls is Value, cls
+    # Construction is positional, one argument per field.
+    for build in (lambda: Nat(), lambda: Mem(Nat(0)), lambda: Not(Nat(0), Nat(1)), lambda: Nat(n=0)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_mutable_records_assign_and_do_not_hash():
@@ -151,7 +212,7 @@ def _limit_needed(op) -> int:
 
 
 def _chains(depth: int) -> dict[str, tuple[Node, Node]]:
-    """Two equal, unshared records of each kind, ``depth`` levels deep."""
+    """A record of each kind, ``depth`` levels deep, built twice."""
     def build(kind):
         x = Nat(0) if kind == "sing" else Mem(Nat(0), Nat(1))
         for i in range(depth):
@@ -162,18 +223,20 @@ def _chains(depth: int) -> dict[str, tuple[Node, Node]]:
 
 
 def test_deep_records_cost_one_call_per_level():
-    # A name or formula as deep as the parser admits hashes, compares and
-    # prints under the default recursion limit.
+    # A name or formula as deep as the parser admits, built twice, is one
+    # object, and it hashes, compares and prints under the default recursion
+    # limit.
     assert sys.getrecursionlimit() >= 1000
     for a, b in _chains(MAX_NESTING).values():
-        assert hash(a) == hash(b) and a == b and repr(a) == repr(b)
-    # And each level costs the recursion limit what ``hash`` of nested
+        assert a is b and hash(a) == hash(b) and a == b and repr(a) == repr(b)
+    # Its hash and equality are identity's, which cost the recursion limit
+    # nothing at any depth.  Each level costs ``repr`` what ``hash`` of nested
     # tuples costs: one Python call per level, and one C entry into it on
-    # interpreters that count those.  A dataclass's generated ``__eq__`` and
-    # ``__repr__`` cost three.
+    # interpreters that count those.  A dataclass's generated ``__repr__``
+    # costs three.
     half = MAX_NESTING // 2
     shallow, deep = _chains(half), _chains(MAX_NESTING)
     for kind in shallow:
-        for op in (lambda a, b: hash(a), lambda a, b: a == b, lambda a, b: repr(a)):
+        for op, most in ((lambda a, b: hash(a), 0), (lambda a, b: a == b, 0), (lambda a, b: repr(a), 2)):
             per_level = (_limit_needed(lambda: op(*deep[kind])) - _limit_needed(lambda: op(*shallow[kind]))) / half
-            assert per_level <= 2, (kind, per_level)
+            assert per_level <= most, (kind, per_level)
