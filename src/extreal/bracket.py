@@ -20,26 +20,21 @@ from __future__ import annotations
 
 from .terms import (
     App,
+    Canonical,
     Const,
     ConstKind,
     DEFINED_ARITY,
     DELTA_ARITY,
     K,
-    Node,
     Opaque,
     S,
     Term,
     Var,
-    set_field,
 )
 
 
-class Lam(Node):
+class Lam(Canonical):
     __slots__ = __match_args__ = ("var", "body")
-
-    def __init__(self, var: str, body: "LambdaTerm"):
-        set_field(self, "var", var)
-        set_field(self, "body", body)
 
 
 LambdaTerm = Term | Lam
@@ -90,14 +85,12 @@ def _applied(fun_room: float, arg_room: float) -> float:
     return fun_room - 1 if fun_room > 0 and arg_room >= 0 else -1
 
 
-# A table, local to one compilation, maps the id of every node met or built
-# to an entry (bitmask of its free variables, its room, its compilation).
-# The entry holds the compilation, and the caller's term holds the nodes met,
-# so no id is reused while the table lives.
+# A table, local to one compilation, maps every node met or built to an entry
+# (bitmask of its free variables, its room, its compilation).
 _Entry = tuple[int, float, Term]
 
 
-def _compiled(t: LambdaTerm, table: dict[int, _Entry], bits: dict[str, int]) -> _Entry:
+def _compiled(t: LambdaTerm, table: dict[LambdaTerm, _Entry], bits: dict[str, int]) -> _Entry:
     """The entry of t, after one post-order walk on an explicit stack that
     enters every node of t not yet in ``table``; ``bits`` numbers the
     variables.  A node whose parts compile to themselves is its own
@@ -114,30 +107,30 @@ def _compiled(t: LambdaTerm, table: dict[int, _Entry], bits: dict[str, int]) -> 
             else:
                 arg = done.pop()
                 fun = done.pop()
-                node = t if fun[2] is t.fun and arg[2] is t.arg else App(fun[2], arg[2])
-                e = table[id(node)] = (fun[0] | arg[0], _applied(fun[1], arg[1]), node)
-            table[id(t)] = e
+                node = App(fun[2], arg[2])
+                e = table[node] = (fun[0] | arg[0], _applied(fun[1], arg[1]), node)
+            table[t] = e
             done.append(e)
-        elif id(t) in table:
-            done.append(table[id(t)])
+        elif t in table:
+            done.append(table[t])
         elif type(t) is App:
             todo += (t, _DONE, t.arg, t.fun)
         elif type(t) is Lam:
             todo += (t, _DONE, t.body)
         else:
             mask = bits.setdefault(t.name, 1 << len(bits)) if type(t) is Var else 0
-            e = table[id(t)] = (mask, _room(t), t)
+            e = table[t] = (mask, _room(t), t)
             done.append(e)
     return done[0]
 
 
-def _entered(table: dict[int, _Entry], mask: int, room: float, t: App) -> App:
+def _entered(table: dict[LambdaTerm, _Entry], mask: int, room: float, t: App) -> App:
     """t, entered in the table with its free-variable mask and room."""
-    table[id(t)] = (mask, room, t)
+    table[t] = (mask, room, t)
     return t
 
 
-def _abstract(x: str, body: Term, table: dict[int, _Entry], bits: dict[str, int]) -> _Entry:
+def _abstract(x: str, body: Term, table: dict[LambdaTerm, _Entry], bits: dict[str, int]) -> _Entry:
     """The entry of λ*x.body, for a Lam-free body whose nodes are all in
     the table.
 
@@ -163,7 +156,7 @@ def _abstract(x: str, body: Term, table: dict[int, _Entry], bits: dict[str, int]
             arg = arg or _entered(table, arg_mask, 0, App(K, t.arg))
             done.append((mask, _entered(table, mask, 0, App(fun, arg))))
         else:
-            mask, room, _ = table[id(t)]
+            mask, room, _ = table[t]
             if room >= 0 and not mask & xbit:
                 done.append((mask, None))  # closed in x and defined: wrapped whole
             elif type(t) is App:
@@ -171,13 +164,13 @@ def _abstract(x: str, body: Term, table: dict[int, _Entry], bits: dict[str, int]
             else:  # every leaf is defined, so this one is x
                 done.append((0, SKK))
     mask, out = done[0]
-    return table[id(out or _entered(table, mask, 0, App(K, body)))]
+    return table[out or _entered(table, mask, 0, App(K, body))]
 
 
-def _table() -> tuple[dict[int, _Entry], dict[str, int]]:
+def _table() -> tuple[dict[LambdaTerm, _Entry], dict[str, int]]:
     """A fresh table and variable numbering, holding S, K and S K K, from
     which the abstraction passes build."""
-    table: dict[int, _Entry] = {}
+    table: dict[LambdaTerm, _Entry] = {}
     bits: dict[str, int] = {}
     _compiled(SKK, table, bits)
     return table, bits

@@ -40,10 +40,9 @@ same run, is answered from the table.
 
 ``value_of(t, run)`` is the one way to the value of a library term (a
 realizer, a generator): its outcome is kept in the same table under
-``(id(t), run.max_steps)``, beside ``t`` itself so that the id is not
-reused, and built under the asking run's limits.  No value it builds
-outlives its run.  ``evaluate`` is not tabled here: the machine's own memo
-answers a closed term it has seen.
+``(t, run.max_steps)``, and built under the asking run's limits.  No value
+it builds outlives its run.  ``evaluate`` is not tabled here: the machine's
+own memo answers a closed term it has seen.
 
 Each entry point defaults its run to a fresh ``Run()`` per call, so two
 calls that pass none share no table.
@@ -188,15 +187,15 @@ def kleene_agree(t1: Term, t2: Term, run: Run | None = None) -> bool | None:
 
 def value_of(t: Term, run: Run | None = None) -> Value:
     """The value of a library term, evaluated once per run and fuel: the
-    outcome is tabled under ``(id(t), run.max_steps)`` with ``t`` beside
-    it.  ``NoValue`` under limits too small for it.  A term built on the
-    spot is for ``evaluate``: no later call could hit its entry."""
+    outcome is tabled under ``(t, run.max_steps)``.  ``NoValue`` under
+    limits too small for it.  A term built on the spot is for ``evaluate``:
+    the table would keep it, and its outcome, for the rest of the run."""
     run = Run() if run is None else run
-    key = (id(t), run.max_steps)
-    entry = run.ops.get(key)
-    if entry is None:
-        entry = run.admit(key, (t, evaluate(t, run)))
-    return defined(entry[1])
+    key = (t, run.max_steps)
+    out = run.ops.get(key)
+    if out is None:
+        out = run.admit(key, evaluate(t, run))
+    return defined(out)
 
 
 def pair_value(a: Value, b: Value, run: Run | None = None) -> Value:

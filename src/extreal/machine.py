@@ -5,23 +5,24 @@ divergent self-application burns fuel instead of the host stack.  Each firing
 of the application operation costs one step; outcomes are deterministic and
 monotone in fuel.
 
-Application is a function of the two elements, and equal values are one
-object: ``Value`` hash-conses at construction (:mod:`extreal.terms`), so a
-value built anywhere, inside the machine or out, is the canonical object.
-So a whole reduction that repeats within a run is answered from the run's
-memo, kept in the run's table (``Run.ops``) beside the kernel's outcomes: a
-whole S-redex ``S x y a`` by the identities of its operator and argument,
-and, since evaluation without an environment is a function of the term, a
-closed application node by its identity.  Runs derived from one another
-with ``Run.replace`` share it and its seen filter (below); a fresh
-``Run`` starts with both empty.  A replay still costs every step the
-reduction took, so steps, fuel notes and errors are those of a machine
-without the memo:
+Application is a function of the two elements, and equal values, like
+equal terms, are one object: they hash-cons at construction
+(:mod:`extreal.terms`), so a value or term built anywhere, inside the
+machine or out, is the canonical object.  So a whole reduction that repeats
+within a run is answered from the run's memo, kept in the run's table
+(``Run.ops``) beside the kernel's outcomes: a whole S-redex ``S x y a`` by
+the identities of its operator and argument, and, since evaluation without
+an environment is a function of the term, a closed application by the
+identity of its node.  Runs derived from one another with ``Run.replace``
+share it and its seen filter (below); a fresh ``Run`` starts with both
+empty.  A replay still costs every step the reduction took, so steps, fuel
+notes and errors are those of a machine without the memo:
 
 - admission: always, by ``Run.admit``, which empties a table past
-  ``terms.MEMO_LIMIT`` entries; an entry holds the objects whose ids key it
-  (a redex's operator and argument, a term), so no id is reused while it
-  exists;
+  ``terms.MEMO_LIMIT`` entries; a key is an int made of ids, as the seen
+  filter takes it modulo its length, and an entry holds the objects whose
+  ids make it (a redex's operator and argument, a term), so no id is reused
+  while it exists;
 - fuel fit: an entry of cost ``c`` found after ``n`` steps replays only when
   ``n + c`` is within the fuel; otherwise it is reduced again, and runs out
   of fuel exactly where it would have.  A redex is looked up once it has

@@ -16,11 +16,12 @@ _KEYWORDS = {kind.value: Const(kind) for kind in ConstKind}
 # Deepest nesting that ``parse`` accepts.  A level is a parenthesis, a binder
 # name or an application, so a long left spine counts its length and the
 # parsed tree is at most this many App and Lam nodes deep.  The parser takes
-# up to two host frames per level, and recursive readers of source terms
-# (equality and hashing of the frozen term classes, ``free_vars``) one, so
-# deeper input would reach the interpreter's recursion limit (1000 frames);
-# it is refused with a ParseError instead.  Compiling makes terms deeper, so
-# ``compile_term`` and the walks over compiled terms use explicit stacks.
+# up to two host frames per level, and a recursive reader of source terms
+# (``repr``) one, so deeper input would reach the interpreter's recursion
+# limit (1000 frames); it is refused with a ParseError instead.  Compiling
+# makes terms deeper, so ``compile_term`` and the walks over compiled terms
+# use explicit stacks, and terms compare and hash by identity, in no frame
+# per level.
 MAX_NESTING = 200
 
 

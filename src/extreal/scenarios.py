@@ -159,20 +159,20 @@ def _resolve_term_names(env: _Env, t):
     on explicit stacks, because compiled terms outgrow the recursion limit.
     A subterm without a declared name comes back as itself, and a shared
     one is resolved once."""
-    new: dict[int, object] = {}  # id of a node of t -> the node resolved
+    new: dict = {}  # a node of t -> the node resolved
     todo, done = [t], []
     while todo:
         n = todo.pop()
         if n is None:  # the App beneath has both children done
             n = todo.pop()
             arg, fun = done.pop(), done.pop()
-            new[id(n)] = n if fun is n.fun and arg is n.arg else App(fun, arg)
-        elif id(n) not in new:
+            new[n] = App(fun, arg)
+        elif n not in new:
             if type(n) is App:
                 todo += (n, None, n.arg, n.fun)
                 continue
-            new[id(n)] = env.terms.get(n.name, n) if type(n) is Var else n
-        done.append(new[id(n)])
+            new[n] = env.terms.get(n.name, n) if type(n) is Var else n
+        done.append(new[n])
     return done[0]
 
 

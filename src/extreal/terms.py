@@ -2,10 +2,10 @@
 
 Terms are finite application trees over the machine constants and the
 numerals; values are weak canonical forms (constants applied below their
-arity, numerals, inert opaque heads).  One rule makes values, names, types,
-formulas and constants canonical (``Canonical``): building one returns the
-live object of that class with those fields, so equal records are one
-object, compared and hashed by identity.
+arity, numerals, inert opaque heads).  One rule makes terms, values, names,
+types, formulas and constants canonical (``Canonical``): building one
+returns the live object of that class with those fields, so equal records
+are one object, compared and hashed by identity.
 
 Application is a partial operation: besides honest divergence (modelled by
 fuel) there are two kinds of hard failure, kept apart so callers can tell a
@@ -34,12 +34,10 @@ class Node:
     ``Name(field=value, ...)`` over them.  A slot that is not named there (a
     run's table, a value's size, a trace's children) takes no part.
     Assignment is refused; ``__init__`` sets the fields with ``set_field``.
-    ``Canonical`` replaces equality and hash with identity; of the rest,
-    only ``Num`` and ``App`` write theirs out, with the same meaning, as
-    these cost two to four times a written one (one that writes ``__eq__``
-    writes ``__hash__`` too, or Python drops it); a mutable class restores
-    ``object.__setattr__`` and has no hash.  Each method here runs in one
-    Python frame, so a deep record costs one frame per level."""
+    ``Canonical`` replaces equality and hash with identity; a mutable class
+    restores ``object.__setattr__`` and has no hash.  Each method here runs
+    in one Python frame, so a deep record that is not canonical costs one
+    frame per level."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -77,9 +75,9 @@ class Canonical(Node):
     """A hash-consed record: ``cls(*fields)``, positional only, returns the
     live record of that class with those fields when there is one, so equal
     records are one object and ``==`` and ``hash`` are ``object``'s, which
-    take no Python frame at any depth.  Fields are numbers, strings, enum
-    members, values, canonical records and tuples of these, so the table's
-    key compares them as the structural equality would."""
+    take no Python frame at any depth.  Fields are numbers, strings, None,
+    enum members, canonical records and tuples of these, so the table's key
+    compares them as the structural equality would."""
 
     __slots__ = ("__weakref__",)
     __eq__ = object.__eq__
@@ -174,47 +172,24 @@ class Const(Canonical):
     __slots__ = __match_args__ = ("kind",)
 
 
-class Num(Node):
+class Num(Canonical):
     __slots__ = __match_args__ = ("n",)
 
-    def __init__(self, n: int):
+    def __new__(cls, n: int):
         if n < 0:
             raise ValueError("numerals are naturals")
-        set_field(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return hash((self.n,))
+        return Canonical.__new__(cls, n)
 
 
-class Var(Node):
+class Var(Canonical):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        set_field(self, "name", name)
 
-
-class App(Node):
+class App(Canonical):
     __slots__ = __match_args__ = ("fun", "arg")
 
-    def __init__(self, fun: "Term", arg: "Term"):
-        set_field(self, "fun", fun)
-        set_field(self, "arg", arg)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.fun, self.arg) == (other.fun, other.arg)
-
-    def __hash__(self):
-        return hash((self.fun, self.arg))
-
-
-class Opaque(Node):
+class Opaque(Canonical):
     """An element of the algebra embedded into term syntax.
 
     With `value` attached it evaluates to that value; without, it is an inert
@@ -223,9 +198,8 @@ class Opaque(Node):
 
     __slots__ = __match_args__ = ("ident", "value")
 
-    def __init__(self, ident: str, value: "Value | None" = None):
-        set_field(self, "ident", ident)
-        set_field(self, "value", value)
+    def __new__(cls, ident: str, value: "Value | None" = None):
+        return Canonical.__new__(cls, ident, value)
 
 
 Term = Const | Num | Var | App | Opaque
@@ -341,9 +315,8 @@ class Run(Node):
     - the outcome (value, ``Crash`` or ``Open``) of each ``kernel.apply``
       under the tuple key ``(f, x, max_steps)``;
     - the outcome of each library term ``t`` (a realizer, a generator)
-      that ``kernel.value_of`` evaluates, under ``(id(t), max_steps)``,
-      entry ``(t, outcome)``; a constant's value is the machine's, and has
-      no entry.
+      that ``kernel.value_of`` evaluates, under ``(t, max_steps)``; a
+      constant's value is the machine's, and has no entry.
     ``seen`` is the machine's seen filter, which decides what enters the
     memo: visits counted up to 2 per slot, a memo key modulo its length (a
     prime, as keys are ids).

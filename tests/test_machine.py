@@ -612,9 +612,9 @@ def test_runs_leave_no_entry_in_the_value_table():
 
 
 def test_equal_operands_share_one_memo_entry():
-    # T z #6, built twice: the second App node is new, its operands are the
-    # objects of the first, and its run is one memo entry replayed, with the
-    # oracle's steps and value.
+    # T z #6, built twice, is one App node over the same operands, and its
+    # second run is one memo entry replayed, with the oracle's steps and
+    # value.
     def fresh():
         i_val = Value(Const(ConstKind.S), (Value(K), Value(K)))
         t_z = Value(Const(ConstKind.S), (Value(K, (Value(Opaque("z-equal")),)), i_val))
@@ -627,14 +627,14 @@ def test_equal_operands_share_one_memo_entry():
     f, a = first.fun, first.arg
     e = _entry(run, f, a)
     assert e[:2] == (want.value, 6) and e[2] is f and e[3] is a
+    assert _term_entry(run, first)[:2] == (want.value, want.steps)
     entries = len(run.ops)
-    # An emptied seen filter counts the new App node only: the redex is not
-    # reduced again.
+    # An emptied seen filter counts no node: the term is not reduced again.
     again = _seen_at(run, 0)
     second = fresh()
-    assert second is not first and second.fun is f and second.arg is a
+    assert second is first
     assert machine.eval_term(second, None, again) == want
-    assert sum(again.seen) == 1 and len(run.ops) == entries
+    assert sum(again.seen) == 0 and len(run.ops) == entries
 
 
 def test_term_replays_exactly_when_its_cost_fits_the_fuel():

@@ -15,17 +15,18 @@ from test_compiler import _terms
 from test_crosscheck import random_explicit, random_formula
 from test_machine import _values
 
+from extreal.bracket import Lam, compile_term
 from extreal.checker import RealizerPair, Status, Trace
 from extreal.formulas import All, AllIn, And, Eq, Ex, ExIn, Imp, Mem, Not, Or
 from extreal.kernel import Crash, Open
 from extreal.names import (OMEGA, TYPE_O, Arrow, EqTypeReport, Explicit, Graph, Internal, Nat, O, Omega,
                            OPair, Sing, TypeName, UPair)
-from extreal.parser import MAX_NESTING
+from extreal.parser import MAX_NESTING, parse
 from extreal.proofs import NDProof
 from extreal.scenarios import DirectiveResult, ScenarioReport
 from extreal.suites import CaseResult, SuiteReport, random_finite_name, random_fragment_formula
-from extreal.terms import (Canonical, Const, Defined, FuelExhausted, Node, StuckApplication, Value,
-                           ValueSizeExceeded, num_value)
+from extreal.terms import (App, Canonical, Const, Defined, FuelExhausted, Node, Num, Opaque,
+                           StuckApplication, Value, ValueSizeExceeded, Var, num_value)
 
 
 @functools.cache
@@ -139,8 +140,18 @@ def _fixed_records() -> list[Canonical]:
     return [x for x in _fixed_examples() if isinstance(x, Canonical)]
 
 
-# Builders of names and formulas: each call builds its record afresh.
+def _rebuilt(x):
+    """x built again, bottom up, from its fields."""
+    if isinstance(x, tuple):
+        return tuple(map(_rebuilt, x))
+    return type(x)(*map(_rebuilt, _fields(x))) if isinstance(x, Canonical) else x
+
+
+# Builders of terms, compiled terms, names and formulas: each call builds its
+# record afresh.
 _builders = st.one_of(
+    st.builds(lambda t: lambda: _rebuilt(t), _terms(binders=True)),
+    st.builds(lambda t: lambda: compile_term(_rebuilt(t)), _terms(binders=True)),
     st.builds(lambda s, rank: lambda: random_finite_name(random.Random(s), rank), _seeds, st.integers(0, 3)),
     st.builds(lambda s, rank: lambda: random_explicit(random.Random(s), rank), _seeds, st.integers(0, 3)),
     st.builds(lambda s, q: lambda: random_fragment_formula(random.Random(s), q), _seeds, st.integers(0, 3)),
@@ -168,15 +179,19 @@ def _subclasses(cls: type) -> list[type]:
 
 
 def test_canonical_records_write_no_init_eq_or_hash():
-    # Every constant, name, finite type and formula is canonical, and takes
-    # its construction, equality and hash from ``Canonical`` alone; a value
-    # writes only its own ``__new__``, for its size.
+    # Every term, constant, name, finite type and formula is canonical, and
+    # takes its construction, equality and hash from ``Canonical`` alone; a
+    # value writes only its own ``__new__``, for its size, a numeral one
+    # that refuses a negative and an opaque head one that defaults its value.
     canonical = set(_subclasses(Canonical))
-    assert {Const, Value, O, Arrow, Explicit, Nat, Omega, Sing, UPair, OPair, TypeName, Internal, Graph,
-            Mem, Eq, And, Or, Not, Imp, AllIn, ExIn, All, Ex} <= canonical
+    assert {Num, Var, App, Opaque, Lam, Const, Value, O, Arrow, Explicit, Nat, Omega, Sing, UPair, OPair,
+            TypeName, Internal, Graph, Mem, Eq, And, Or, Not, Imp, AllIn, ExIn, All, Ex} <= canonical
     for cls in canonical:
         assert not {"__init__", "__eq__", "__hash__"} & vars(cls).keys(), cls
-        assert "__new__" not in vars(cls) or cls is Value, cls
+        assert "__new__" not in vars(cls) or cls in (Value, Num, Opaque), cls
+    with pytest.raises(ValueError):
+        Num(-1)
+    assert Opaque("o") is Opaque("o", None)
     # Construction is positional, one argument per field.
     for build in (lambda: Nat(), lambda: Mem(Nat(0)), lambda: Not(Nat(0), Nat(1)), lambda: Nat(n=0)):
         with pytest.raises(TypeError):
@@ -240,3 +255,30 @@ def test_deep_records_cost_one_call_per_level():
         for op, most in ((lambda a, b: hash(a), 0), (lambda a, b: a == b, 0), (lambda a, b: repr(a), 2)):
             per_level = (_limit_needed(lambda: op(*deep[kind])) - _limit_needed(lambda: op(*shallow[kind]))) / half
             assert per_level <= most, (kind, per_level)
+
+
+def _depth(t) -> int:
+    """The depth of the term t in App nodes, by a walk on an explicit stack."""
+    depth, todo = {}, [t]
+    while todo:
+        x = todo[-1]
+        if type(x) is not App:
+            depth[todo.pop()] = 0
+        elif x.fun in depth and x.arg in depth:
+            depth[todo.pop()] = 1 + max(depth[x.fun], depth[x.arg])
+        else:
+            todo += (x.fun, x.arg)
+    return depth[t]
+
+
+def test_deep_compiled_terms_hash_and_compare_in_no_frame_per_level():
+    # A binder ladder the parser admits compiles to a term far deeper than
+    # the recursion limit.  Compiled twice, it is one object, and it hashes
+    # and compares under the limit that a numeral needs.
+    xs = " ".join(f"x{i}" for i in range(90))
+    a, b = (compile_term(parse(f"\\{xs}. {xs}")) for _ in range(2))
+    assert _depth(a) > sys.getrecursionlimit()
+    assert a is b
+    leaf = Num(0)
+    for op in (hash, lambda t: t == b):
+        assert _limit_needed(lambda: op(a)) == _limit_needed(lambda: op(leaf))

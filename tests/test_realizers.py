@@ -70,10 +70,10 @@ def test_all_library_terms_are_closed_and_defined():
 
 
 def test_the_run_keeps_values_of_library_terms_only():
-    # kernel.value_of keeps a term's value under the term's id, and the term
-    # with it, for the rest of the run; that pays only for a term asked for
-    # again, a library term.  A term built on the spot is evaluated instead,
-    # and a constant's value is the machine's, kept by no run.
+    # kernel.value_of keeps a term's value under the term, and so the term,
+    # for the rest of the run; that pays only for a term asked for again, a
+    # library term.  A term built on the spot is evaluated instead, and a
+    # constant's value is the machine's, kept by no run.
     from extreal import names, realizers
     from extreal.bracket import SKK
     from extreal.suites import run_suite
@@ -87,7 +87,7 @@ def test_the_run_keeps_values_of_library_terms_only():
         if hasattr(f, "cache_info") and f.__wrapped__.__code__.co_argcount == 0:
             out = f()
             library += out if isinstance(out, tuple) else [out]
-    kept = [entry[0] for key, entry in run.ops.items() if isinstance(key, tuple) and len(key) == 2]
+    kept = [key[0] for key in run.ops if isinstance(key, tuple) and len(key) == 2]
     assert kept and {id(t) for t in kept} <= {id(t) for t in library}
 
 
@@ -113,7 +113,7 @@ def test_no_run_asks_for_the_value_of_a_constant(monkeypatch):
     for name in suites.SUITES:
         suites.run_suite(name, run)
     assert asked and not any(isinstance(t, Const) for t in asked)
-    kept = [entry[0] for key, entry in run.ops.items() if isinstance(key, tuple) and len(key) == 2]
+    kept = [key[0] for key in run.ops if isinstance(key, tuple) and len(key) == 2]
     assert kept and not any(isinstance(t, Const) for t in kept)
 
 

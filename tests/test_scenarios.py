@@ -860,6 +860,26 @@ def test_cli_print_of_the_library_is_pinned(capsys):
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == _LIBRARY_PRINT_SHA256
 
 
+# sha256 of stdout, and the exit code, of the commands whose output a change
+# that means to keep behaviour keeps byte for byte, on the pure machine (the
+# JSON names the backend).  A deliberate change to the output updates them.
+_CLI_OUTPUT_SHA256 = {
+    ("--json", "--seed", "0", "suite", "all"): (0, "10a53a78456497674fa726f29fbe84c1b7701a75b91f555f64a934b3ce7ca529"),
+    ("--json", "--seed", "3", "suite", "all"): (0, "079e46f2d6880923415657b19dc7764a152ea53b3b1e5284d4ccc4687a42f30c"),
+    ("run", str(DEMO)): (0, "99196fd8a626a27b971be25df99ffbea78fae3592cabc5c790ce872293cef4a3"),
+    ("--json", "run", str(DEMO)): (0, "8530e1023f8825fbbb8139739dfef4c5c1b926870525c4e59c7ed94c3f1ec1d4"),
+    ("--json", "--trace-depth", "-1", "run", str(DEMO)):
+        (0, "439edf6113c4768b3fbac9e002c419e943520500f159c53f70e65dd736968ef0"),
+}
+
+
+def test_cli_output_of_the_suites_and_the_demo_is_pinned(capsys):
+    for argv, (code, digest) in _CLI_OUTPUT_SHA256.items():
+        assert cli.main(list(argv)) == code, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_cli_env_fallbacks():
     out = _cli("run", "-", stdin="eval ((\\x. x x) (\\x. x x)) expect fuel-exhausted\n",
                env={"PCA_FUEL": "60"})
