@@ -42,7 +42,10 @@ same run, is answered from the table.
 realizer, a generator): its outcome is kept in the same table under
 ``(t, run.max_steps)``, and built under the asking run's limits.  No value
 it builds outlives its run.  ``evaluate`` is not tabled here: the machine's
-own memo answers a closed term it has seen.
+own memo answers a closed term it has seen.  These tables never read the
+machine's entries, though all share the run's table: which entries the
+machine keeps depends on its seen filter, keyed by address, so the steps
+the kernel asks the machine for would move from one run to the next.
 
 Each entry point defaults its run to a fresh ``Run()`` per call, so two
 calls that pass none share no table.

@@ -1,36 +1,38 @@
 """Pure-Python reduction machine: fuel-bounded call-by-value evaluation.
 
 The machine is iterative (explicit instruction and value stacks) so that a
-divergent self-application burns fuel instead of the host stack.  Each firing
-of the application operation costs one step; outcomes are deterministic and
-monotone in fuel.
+divergent self-application burns fuel instead of the host stack.  An entry
+of the instruction stack is the object it stands for: a term or a value to
+evaluate (a value evaluates to itself), the one ``_APPLY`` sentinel, or a
+record marker ``(key, start_step)``.  Each firing of the application
+operation costs one step; outcomes are deterministic and monotone in fuel.
 
+The machine evaluates closed terms: ``eval_term`` binds its environment
+before the run (``terms.bind``), so a variable left in the term is unbound.
 Application is a function of the two elements, and equal values, like
 equal terms, are one object: they hash-cons at construction
 (:mod:`extreal.terms`), so a value or term built anywhere, inside the
 machine or out, is the canonical object.  So a whole reduction that repeats
 within a run is answered from the run's memo, kept in the run's table
-(``Run.ops``) beside the kernel's outcomes: a whole S-redex ``S x y a`` by
-the identities of its operator and argument, and, since evaluation without
-an environment is a function of the term, a closed application by the
-identity of its node.  Runs derived from one another with ``Run.replace``
-share it and its seen filter (below); a fresh ``Run`` starts with both
-empty.  A replay still costs every step the reduction took, so steps, fuel
-notes and errors are those of a machine without the memo:
+(``Run.ops``) beside the kernel's outcomes, keyed by the canonical objects
+themselves: a whole S-redex ``S x y a`` by the pair ``(f, a)`` of its
+operator and argument, and, since evaluation of a closed term is a
+function of the term, an application by its node.  An entry is ``(value,
+cost)``.  Runs derived from one another with ``Run.replace`` share the memo
+and its seen filter (below); a fresh ``Run`` starts with both empty.  A
+replay still costs every step the reduction took, so steps, fuel notes and
+errors are those of a machine without the memo:
 
 - admission: always, by ``Run.admit``, which empties a table past
-  ``terms.MEMO_LIMIT`` entries; a key is an int made of ids, as the seen
-  filter takes it modulo its length, and an entry holds the objects whose
-  ids make it (a redex's operator and argument, a term), so no id is reused
-  while it exists;
+  ``terms.MEMO_LIMIT`` entries;
 - fuel fit: an entry of cost ``c`` found after ``n`` steps replays only when
   ``n + c`` is within the fuel; otherwise it is reduced again, and runs out
   of fuel exactly where it would have.  A redex is looked up once it has
   fired, so ``n`` counts the firing and ``c`` the steps after it.  The value
   size cap is fixed, so a reduction that completed once completes again.
 
-A redex or closed term is recorded on its third visit, by the run's seen
-filter (``Run.seen``): it counts visits up to 2 per slot of the memo key
+A redex or term is recorded on its third visit, by the run's seen filter
+(``Run.seen``): it counts visits up to 2 per slot, the memo key's hash
 modulo its length, so one that never repeats costs no record, and few
 entries go to redexes that only ever fire inside a larger redex that is
 then replayed whole.  The filter is a hint: a collision only records early.
@@ -42,10 +44,10 @@ ends first.
 Divergence is skipped, not run: an S-redex that fires while its own record
 marker is pending (fired at step ``s0``, again at ``s1``) diverges, and from
 ``s0`` on the run repeats every ``p = s1 - s0`` steps, each period leaving
-the same ops (record markers aside) and values beneath the top.  The
-machine adds the ``k`` whole periods that fit the fuel to its steps and
-their ops and values to the fuel note, then runs the rest until the fuel
-is out.  This is exact:
+the same instructions (record markers aside) and values beneath the top.
+The machine adds the ``k`` whole periods that fit the fuel to its steps and
+their instructions and values to the fuel note, then runs the rest until
+the fuel is out.  This is exact:
 
 - the machine is deterministic: from ``s1`` it does what it did from
   ``s0``, memo replays included, since a replay has the steps and value of
@@ -90,15 +92,11 @@ from .terms import (
     Value,
     ValueSizeExceeded,
     Var,
+    bind,
 )
 
-_OP_EVAL = 0
-_OP_APPLY = 1
-_OP_PUSH = 2
-_OP_RECORD = 3
-
-# Every pending application is the same instruction; one shared tuple.
-_APPLY = (_OP_APPLY,)
+# Every pending application is this one instruction.
+_APPLY = object()
 
 _K = ConstKind.K
 _KBAR = ConstKind.KBAR
@@ -130,73 +128,64 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
     pop_op = ops.pop
     push = vstack.append
     pop = vstack.pop
-    recording = False  # a closed term's record marker is pending
+    recording = False  # a term's record marker is pending
     # Pending S records: key -> (firing step, len(ops), len(vstack)).
-    pending_s: dict[int, tuple[int, int, int]] = {}
+    pending_s: dict[tuple[Value, Value], tuple[int, int, int]] = {}
     skipped_ops = skipped_vals = 0  # of the periods skipped, for the fuel note
     while ops:
-        op = pop_op()
-        if op is not _APPLY:
-            tag = op[0]
-            if tag == _OP_PUSH:
-                push(op[1])
-            elif tag == _OP_EVAL:
-                t, env = op[1], op[2]
-                while True:  # unfold application spines without re-pushing atoms
-                    tt = type(t)
-                    if tt is App:
-                        if env is None:
-                            # A recorded closed term replays whole at its
-                            # full cost when that fits the fuel.
-                            key = id(t)
-                            e = memo_get(key)
-                            if e is not None and steps + e[1] <= max_steps:
-                                steps += e[1]
-                                push(e[0])
-                                break
-                            slot = key % slots
-                            c = seen[slot]
-                            if c != 2:
-                                seen[slot] = c + 1
-                            elif not recording:
-                                # Only the outermost: a term recorded whole
-                                # leaves its inner nodes unrecorded.
-                                recording = True
-                                push_op((_OP_RECORD, key, steps, t))
-                        push_op(_APPLY)
-                        push_op((_OP_EVAL, t.arg, env))
-                        t = t.fun
-                        continue
-                    if tt is Const:
-                        push(const_values[t.kind])
-                    elif tt is Num:
-                        push(Value(t))
-                    elif tt is Var:
-                        if env is None or t.name not in env:
-                            raise UnboundVariable(t.name)
-                        push(env[t.name])
-                    elif tt is Opaque:
-                        push(t.value if t.value is not None else Value(t))
-                    elif tt is Value:
-                        # Allow already-evaluated elements spliced into trees.
-                        push(t)
-                    elif tt is Lam:
-                        raise TypeError("lambda terms must be compiled before evaluation")
+        t = pop_op()
+        if t is not _APPLY:
+            while True:  # unfold application spines without re-pushing atoms
+                tt = type(t)
+                if tt is App:
+                    # A recorded term replays whole at its full cost when
+                    # that fits the fuel.
+                    e = memo_get(t)
+                    if e is not None and steps + e[1] <= max_steps:
+                        steps += e[1]
+                        push(e[0])
+                        break
+                    slot = hash(t) % slots
+                    c = seen[slot]
+                    if c != 2:
+                        seen[slot] = c + 1
+                    elif not recording:
+                        # Only the outermost: a term recorded whole leaves
+                        # its inner nodes unrecorded.
+                        recording = True
+                        push_op((t, steps))
+                    push_op(_APPLY)
+                    push_op(t.arg)
+                    t = t.fun
+                    continue
+                if tt is Value:
+                    push(t)
+                elif tt is Const:
+                    push(const_values[t.kind])
+                elif tt is tuple:
+                    # The term entered, or the S-redex fired, at step t[1]
+                    # has reduced to the top value.
+                    key = t[0]
+                    run.admit(key, (vstack[-1], steps - t[1]))
+                    if type(key) is App:  # the outermost record is done
+                        recording = False
                     else:
-                        raise TypeError(f"not a term: {t!r}")
-                    break
-            else:  # _OP_RECORD
-                # A closed term entered, or an S-redex fired, at step op[2]
-                # has reduced to the top value; op[3:] are its key objects.
-                run.admit(op[1], (vstack[-1], steps - op[2], *op[3:]))
-                if len(op) == 4:  # a term: the outermost record is done
-                    recording = False
+                        del pending_s[key]
+                elif tt is Num:
+                    push(Value(t))
+                elif tt is Opaque:
+                    push(t.value if t.value is not None else Value(t))
+                elif tt is Var:
+                    raise UnboundVariable(t.name)
+                elif tt is Lam:
+                    raise TypeError("lambda terms must be compiled before evaluation")
                 else:
-                    del pending_s[op[1]]
+                    raise TypeError(f"not a term: {t!r}")
+                break
             continue
         steps += 1
         if steps > max_steps:
-            pending = sum(1 for op in ops if op[0] != _OP_RECORD) + skipped_ops
+            pending = sum(1 for op in ops if type(op) is not tuple) + skipped_ops
             return FuelExhausted(
                 steps - 1,
                 f"fuel exhausted: {pending} pending operations, "
@@ -215,13 +204,13 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
         if kind is _S:
             # A recorded redex replays, adding its steps after this firing,
             # when that fits the fuel; otherwise it is reduced and recorded.
-            key = id(f) << 64 | id(a)
+            key = (f, a)
             e = memo_get(key)
             if e is not None and steps + e[1] <= max_steps:
                 steps += e[1]
                 push(e[0])
                 continue
-            slot = key % slots
+            slot = hash(key) % slots
             c = seen[slot]
             if c == 2:
                 p = pending_s.get(key)
@@ -234,10 +223,10 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
                     k = (max_steps - steps) // period
                     if k:
                         steps += k * period
-                        skipped_ops += k * sum(1 for op in ops[p[1]:] if op[0] != _OP_RECORD)
+                        skipped_ops += k * sum(1 for op in ops[p[1]:] if type(op) is not tuple)
                         skipped_vals += k * (len(vstack) - p[2])
                 pending_s[key] = (steps, len(ops), len(vstack))
-                push_op((_OP_RECORD, key, steps, f, a))
+                push_op((key, steps))
             else:
                 seen[slot] = c + 1
             fa, fb = f.args
@@ -245,8 +234,8 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
             # next, so its operands go straight onto the stack.
             push_op(_APPLY)
             push_op(_APPLY)
-            push_op((_OP_PUSH, a))
-            push_op((_OP_PUSH, fb))
+            push_op(a)
+            push_op(fb)
             push_op(_APPLY)
             push(fa)
             push(a)
@@ -275,8 +264,9 @@ def _run(ops: list, vstack: list, run: Run) -> Outcome:
 
 
 def eval_term(t: Term, env: dict[str, Value] | None = None, run: Run | None = None) -> Outcome:
-    """Call-by-value, leftmost-innermost evaluation of a term."""
-    return _run([(_OP_EVAL, t, env)], [], Run() if run is None else run)
+    """Call-by-value, leftmost-innermost evaluation of a term, each of its
+    variables that ``env`` names bound to that value first."""
+    return _run([t if env is None else bind(t, env)], [], Run() if run is None else run)
 
 
 def apply_value(f: Value, a: Value, run: Run | None = None) -> Outcome:

@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING
 from .bracket import compile_term, free_vars
 from .kernel import NoValue, evaluate, reason
 from .parser import _KEYWORDS, MAX_NESTING, Lexer, ParseError, parse, print_term
-from .terms import App, Node, Run, Value, Var, set_field
+from .terms import Node, Run, Value, bind, set_field
 
 if TYPE_CHECKING:  # for annotations only: each layer is imported where it runs
     from .checker import RealizerPair
@@ -152,28 +152,6 @@ def _top_words(text: str):
             start = i
     if start is not None:
         yield start, len(text)
-
-
-def _resolve_term_names(env: _Env, t):
-    """t with each declared term name replaced by its term; a post-order walk
-    on explicit stacks, because compiled terms outgrow the recursion limit.
-    A subterm without a declared name comes back as itself, and a shared
-    one is resolved once."""
-    new: dict = {}  # a node of t -> the node resolved
-    todo, done = [t], []
-    while todo:
-        n = todo.pop()
-        if n is None:  # the App beneath has both children done
-            n = todo.pop()
-            arg, fun = done.pop(), done.pop()
-            new[n] = App(fun, arg)
-        elif n not in new:
-            if type(n) is App:
-                todo += (n, None, n.arg, n.fun)
-                continue
-            new[n] = env.terms.get(n.name, n) if type(n) is Var else n
-        done.append(new[n])
-    return done[0]
 
 
 def _join(items: list, ops: list[str], op: str, cls) -> tuple[list, list[str]]:
@@ -270,7 +248,7 @@ class _Reader:
         # Each free variable is a declared term.  Compilation keeps the free
         # variables, so a closed term needs no resolution.
         t = compile_term(t)
-        return _resolve_term_names(self.env, t) if free else t
+        return bind(t, self.env.terms) if free else t
 
     def value(self) -> Value:
         """The value of a term the scenario needs as data; a term without one

@@ -305,24 +305,25 @@ class Run(Node):
     seeds the property suites.
 
     ``ops`` is the run's table, with three kinds of entry:
-    - the machine's memo of whole reductions, under int keys: a whole
-      S-redex ``f a`` (``f = S x y``) under ``id(f) << 64 | id(a)``, entry
-      ``(value, cost, f, a)``, its cost counted after its firing step, and a
-      closed term ``t`` evaluated without an environment under ``id(t)``,
-      entry ``(value, cost, t)``.  An entry holds the objects whose ids make
-      its key, so no id is reused while it exists, and it replays under any
-      fuel it fits (:mod:`extreal.machine`);
+    - the machine's memo of whole reductions, keyed by the canonical
+      objects: a whole S-redex ``f a`` (``f = S x y``) under the pair
+      ``(f, a)``, its cost counted after its firing step, and a term ``t``
+      under ``t`` itself.  An entry is ``(value, cost)``, and it replays
+      under any fuel it fits (:mod:`extreal.machine`);
     - the outcome (value, ``Crash`` or ``Open``) of each ``kernel.apply``
-      under the tuple key ``(f, x, max_steps)``;
+      under ``(f, x, max_steps)``;
     - the outcome of each library term ``t`` (a realizer, a generator)
       that ``kernel.value_of`` evaluates, under ``(t, max_steps)``; a
       constant's value is the machine's, and has no entry.
     ``seen`` is the machine's seen filter, which decides what enters the
-    memo: visits counted up to 2 per slot, a memo key modulo its length (a
-    prime, as keys are ids).
+    memo: visits counted up to 2 per slot, a memo key's hash modulo its
+    length (a prime, as the hash of a canonical object is its address).
+    The kernel never reads the machine's entries: which of them exist
+    depends on the filter, so on addresses, and the work the kernel counts
+    would vary from run to run.
     A run derived with ``Run.replace`` shares its parent's table and filter,
-    which is why the tuple keys carry the fuel; neither takes part in a run's
-    equality, hash or repr."""
+    which is why the kernel's keys carry the fuel; neither takes part in a
+    run's equality, hash or repr."""
 
     __match_args__ = ("max_steps", "max_index", "generators_per_type", "seed")
     __slots__ = (*__match_args__, "ops", "seen")
@@ -384,6 +385,28 @@ def app(fun: Term, *args: Term) -> Term:
     for a in args:
         t = App(t, a)
     return t
+
+
+def bind(t: Term, env: dict) -> Term:
+    """``t`` with each variable that ``env`` names replaced by its term or
+    value; a post-order walk on explicit stacks, because compiled terms
+    outgrow the recursion limit.  A subterm without such a variable comes
+    back as itself, and a shared one is bound once."""
+    new: dict = {}  # a node of t -> the node bound
+    todo, done = [t], []
+    while todo:
+        n = todo.pop()
+        if n is None:  # the App beneath has both children done
+            n = todo.pop()
+            arg, fun = done.pop(), done.pop()
+            new[n] = App(fun, arg)
+        elif n not in new:
+            if type(n) is App:
+                todo += (n, None, n.arg, n.fun)
+                continue
+            new[n] = env.get(n.name, n) if type(n) is Var else n
+        done.append(new[n])
+    return done[0]
 
 
 def num_value(n: int) -> Value:

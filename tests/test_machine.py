@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_impl
+from test_compiler import _ATOMS, _terms
 from extreal import kernel, machine, terms
 from extreal.bracket import EXPANSIONS, compile_term, lam
 from extreal.kernel import apply_value, apply_values, eval_term, kleene_agree
@@ -338,8 +339,9 @@ def _seen_at(run, count, **changes):
 
 
 def _entry(run, f, a):
-    """The run's memo entry of the S-redex ``f a``, if any."""
-    return run.ops.get(id(f) << 64 | id(a))
+    """The run's memo entry of the S-redex ``f a``, if any, under the pair
+    of its operands."""
+    return run.ops.get((f, a))
 
 
 # Values whose head takes one more argument without firing: an opaque head
@@ -429,15 +431,16 @@ def _sharing_terms(draw, atoms=_s_atoms):
 
 
 def _term_entry(run, t):
-    """The run's memo entry of the closed term ``t``, if any."""
-    e = run.ops.get(id(t))
-    assert e is None or e[2] is t  # an entry holds its own term
+    """The run's memo entry of the closed term ``t``, if any, under the term
+    itself."""
+    e = run.ops.get(t)
+    assert e is None or len(e) == 2  # (value, cost)
     return e
 
 
-def _outcome(evaluate, t, cfg):
+def _outcome(evaluate, t, cfg, env=None):
     try:
-        return evaluate(t, None, cfg)
+        return evaluate(t, env, cfg)
     except MachineError as exc:
         return type(exc), str(exc)
 
@@ -490,7 +493,8 @@ def _all_canonical(v):
 def test_machine_values_are_shared(ts, f, a):
     """Values spliced into terms, or applied: each result, and every value
     below it, is the object the constructor returns, and every memo entry
-    holds the objects its key is the identity of."""
+    is keyed by the canonical objects themselves, a term or the operand
+    pair of a redex, and holds a canonical value and its cost."""
     f, a = (x.value if isinstance(x, Opaque) else x for x in (f, a))
     run = _seen_at(Run(120), 2)
     runs = [(machine.eval_term, t, None) for t in ts for _ in range(2)]
@@ -502,7 +506,11 @@ def test_machine_values_are_shared(ts, f, a):
             continue
         assert not isinstance(out, Defined) or _all_canonical(out.value), (x, y)
     for key, e in run.ops.items():
-        assert key == (id(e[2]) << 64 | id(e[3]) if len(e) == 4 else id(e[2]))
+        if type(key) is App:
+            assert App(key.fun, key.arg) is key
+        else:
+            assert [type(x) for x in key] == [Value, Value] and all(map(_all_canonical, key))
+        assert len(e) == 2 and _all_canonical(e[0]) and type(e[1]) is int
 
 
 def _doubled(ident, n):
@@ -625,9 +633,8 @@ def test_equal_operands_share_one_memo_entry():
     want = reference_impl.oracle_eval_term(first)
     assert machine.eval_term(first, None, run) == want and want.steps == 7
     f, a = first.fun, first.arg
-    e = _entry(run, f, a)
-    assert e[:2] == (want.value, 6) and e[2] is f and e[3] is a
-    assert _term_entry(run, first)[:2] == (want.value, want.steps)
+    assert _entry(run, f, a) == (want.value, 6)
+    assert _term_entry(run, first) == (want.value, want.steps)
     entries = len(run.ops)
     # An emptied seen filter counts no node: the term is not reduced again.
     again = _seen_at(run, 0)
@@ -642,7 +649,7 @@ def test_term_replays_exactly_when_its_cost_fits_the_fuel():
     t = app(_two_step(Opaque("zfit")), num(6))
     cost = machine.eval_term(t, None, run).steps
     value = Value(Opaque("zfit"), (num_value(6),))
-    assert _term_entry(run, t)[:2] == (value, cost)
+    assert _term_entry(run, t) == (value, cost)
     # u = K #0 t fires K #0 (one step), then enters t; its own record
     # never completes below.  A replay visits no node of t, so the seen
     # filter, emptied, counts only u and K #0.
@@ -675,14 +682,57 @@ def test_a_raising_closed_term_is_never_recorded():
     assert _term_entry(run, u) is None and _term_entry(run, bad) is None
 
 
-def test_evaluation_under_an_environment_records_no_term():
+def test_evaluation_under_an_environment_records_the_bound_term():
+    # The environment is bound before the run, so the machine evaluates, and
+    # records whole, the closed term; the term with the variable has no
+    # entry, and neither has the inner node of the one recorded.
     closed = App(_I, num(2))
     t = App(App(K, Var("x")), closed)
     env = {"x": Value(Opaque("env-x"))}
     run = _seen_at(Run(), 2)
     for _ in range(3):
         assert machine.eval_term(t, env, run).value is env["x"]
+    assert _term_entry(run, App(App(K, env["x"]), closed)) is not None
     assert _term_entry(run, t) is None and _term_entry(run, closed) is None
+
+
+# Elements an environment binds: numerals, constants, the values of
+# combinators, partial applications and inert heads with arguments.
+_env_values = st.recursive(
+    st.sampled_from([
+        num_value(0), num_value(2), Value(K), Value(S), Value(SUCC), Value(PRED), Value(D),
+        Value(KBAR), val(_I), val(P), val(P0), Value(K, (num_value(1),)), Value(Opaque("e")),
+    ]),
+    lambda inner: st.builds(lambda i, args: Value(Opaque(i), tuple(args)), st.sampled_from("ab"),
+                            st.lists(inner, min_size=1, max_size=2)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_terms(binders=True), st.lists(_ATOMS, max_size=3),
+       st.dictionaries(st.sampled_from(("x", "y", "z")), _env_values))
+def test_environment_binding_matches_the_memo_free_oracle(body, args, env):
+    """A compiled term with free variables, applied to a few atoms, under an
+    environment that binds some of them: at every fuel cap up to the
+    total steps + 1, the machine reports the oracle's outcome, the same
+    type, steps, note, value and error, an unbound variable included.  The
+    fuels run in runs derived from one that records every redex and has
+    run the term at the largest fuel, so each replays what was recorded,
+    where that fits, and reduces it again where it does not."""
+    t = app(compile_term(body), *args)
+    ceiling = 120
+    root = _seen_at(Run(ceiling), 2)
+    for _ in range(2):
+        _outcome(machine.eval_term, t, root, env)
+    for fuel in range(1, ceiling + 2):
+        cfg = root.replace(max_steps=fuel)
+        want = _outcome(reference_impl.oracle_eval_term, t, cfg, env)
+        assert _outcome(machine.eval_term, t, cfg, env) == want, (t, env, fuel)
+        if not isinstance(want, FuelExhausted):
+            cfg = root.replace(max_steps=fuel + 1)
+            assert _outcome(machine.eval_term, t, cfg, env) == want, (t, env, fuel)
+            break
 
 
 def test_memo_hit_still_checks_the_size_cap():
@@ -745,7 +795,7 @@ def test_memo_overflow_keeps_the_constants(monkeypatch):
     i_val = machine.eval_term(_I, None, run).value
     for _ in range(3):  # the seen filter records the redex by its third firing
         assert machine.apply_value(i_val, s_val, run).value is s_val
-    assert _entry(run, i_val, s_val) == (s_val, 3, i_val, s_val) and len(run.ops) == 1
+    assert _entry(run, i_val, s_val) == (s_val, 3) and len(run.ops) == 1
     assert Value(Const(ConstKind.S)) is s_val
     # A limit low enough that the suites empty the table again and again.
     monkeypatch.setattr(terms, "MEMO_LIMIT", 2_000)
@@ -817,8 +867,9 @@ def _no_machine_run(*args):
 
 def _outcome_keys(run):
     """The keys of the run's table that hold ``kernel.apply`` outcomes,
-    ``(f, x, fuel)``, and library values, ``(id(t), fuel)``."""
-    return {k for k in run.ops if isinstance(k, tuple)}
+    ``(f, x, fuel)``, and library values, ``(t, fuel)``: the tuples that end
+    in the int fuel, unlike the machine's redex keys ``(f, a)``."""
+    return {k for k in run.ops if type(k) is tuple and type(k[-1]) is int}
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -897,7 +948,8 @@ def test_one_clear_empties_both_kinds_of_entry(monkeypatch):
     run, pred = _seen_at(Run(), 2), Value(PRED)
     machine.eval_term(app(_two_step(Opaque("both-kinds")), num(6)), None, run)
     assert kernel.apply(pred, num_value(3), run) is num_value(2)
-    assert {type(k) for k in run.ops} == {int, tuple}
+    kinds = {"term" if type(k) is App else "redex" if len(k) == 2 else "apply" for k in run.ops}
+    assert kinds == {"term", "redex", "apply"}
     monkeypatch.setattr(terms, "MEMO_LIMIT", len(run.ops) - 1)
     assert kernel.apply(pred, num_value(4), run) is num_value(3)
     assert list(run.ops) == [(pred, num_value(4), run.max_steps)]

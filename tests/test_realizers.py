@@ -69,6 +69,11 @@ def test_all_library_terms_are_closed_and_defined():
         assert isinstance(eval_term(t), Defined), ident
 
 
+def _value_of_key(key):
+    """Whether a key of a run's table is value_of's ``(t, fuel)``."""
+    return type(key) is tuple and len(key) == 2 and type(key[1]) is int
+
+
 def test_the_run_keeps_values_of_library_terms_only():
     # kernel.value_of keeps a term's value under the term, and so the term,
     # for the rest of the run; that pays only for a term asked for again, a
@@ -87,7 +92,9 @@ def test_the_run_keeps_values_of_library_terms_only():
         if hasattr(f, "cache_info") and f.__wrapped__.__code__.co_argcount == 0:
             out = f()
             library += out if isinstance(out, tuple) else [out]
-    kept = [key[0] for key in run.ops if isinstance(key, tuple) and len(key) == 2]
+    # value_of's keys (t, fuel) end in the int fuel; the machine's redex
+    # keys (f, a) are pairs too.
+    kept = [key[0] for key in run.ops if _value_of_key(key)]
     assert kept and {id(t) for t in kept} <= {id(t) for t in library}
 
 
@@ -113,7 +120,7 @@ def test_no_run_asks_for_the_value_of_a_constant(monkeypatch):
     for name in suites.SUITES:
         suites.run_suite(name, run)
     assert asked and not any(isinstance(t, Const) for t in asked)
-    kept = [key[0] for key in run.ops if isinstance(key, tuple) and len(key) == 2]
+    kept = [key[0] for key in run.ops if _value_of_key(key)]
     assert kept and not any(isinstance(t, Const) for t in kept)
 
 

@@ -100,14 +100,13 @@ def test_crashing_function_names_have_no_member_at_that_key(name):
 def test_term_name_resolution_shares_subterms_without_names():
     from extreal.bracket import compile_term
     from extreal.parser import parse
-    from extreal.scenarios import _Env, _resolve_term_names
-    from extreal.terms import App, Num, Var
+    from extreal.terms import App, Num, Var, bind
 
-    env = _Env(Run(), [], terms={"two": Num(2)})
+    env = {"two": Num(2)}
     plain = compile_term(parse(r"\x y. x y K"))
-    assert _resolve_term_names(env, plain) is plain
+    assert bind(plain, env) is plain
     named = App(Var("two"), plain)
-    out = _resolve_term_names(env, App(named, named))
+    out = bind(App(named, named), env)
     assert out == App(App(Num(2), plain), App(Num(2), plain))
     assert out.fun is out.arg and out.fun.arg is plain
 
@@ -794,6 +793,23 @@ def test_function_level_imports_are_the_deliberate_lazy_loads():
         ("scenarios", "pair", "checker"),
         ("scenarios", "run_scenario", "realizers"),
     }
+
+
+def test_no_module_calls_id():
+    # Terms, values, names and formulas are canonical, so every table keys
+    # an object by the object itself: a key made of an id would need the
+    # object kept alive beside it, so that the id is not reused.
+    import ast
+
+    import extreal
+
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in Path(extreal.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    )
+    assert found == []
 
 
 def test_cli_suite_ids_are_the_suites():
